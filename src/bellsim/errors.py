@@ -192,6 +192,28 @@ class InvalidFamily(BellsimError):
         super().__init__(detail)
 
 
+class NumericalFailure(BellsimError):
+    """A numeric result failed its own check; names the module that
+    produced it, so no unchecked number reaches a report."""
+
+    def __init__(self, module: str, detail: str):
+        self.module = module
+        self.detail = detail
+        super().__init__(f"[{module}] {detail}")
+
+
+class TableauGrowth(NumericalFailure):
+    """Simplex tableau entries grew past the limit relative to the start
+    tableau, so the pivots that follow can no longer be trusted."""
+
+    def __init__(self, growth: float, limit: float):
+        self.growth = float(growth)
+        self.limit = float(limit)
+        super().__init__(
+            "simplex",
+            f"tableau entries grew by a factor {self.growth!r}, limit is {self.limit!r}")
+
+
 class NonViolatingAngles(BellsimError):
     """The singlet CHSH value at the given angles does not exceed the bound."""
 

@@ -10,24 +10,46 @@ marginal cell.  Total mass 1 is implied by any marginal's normalization,
 and the redundancy among the four shared lambda-marginals is left to the
 solver; inconsistent marginals simply come back Infeasible.
 
+Every marginal cell fixes a lambda value, so the full system is block
+diagonal: one block per lambda, all equal to the same 0/1 matrix over the
+apparatus points (see ``constraint_matrix``) and differing only in their
+right-hand sides.  Each block is solved on its own.  The joint is the
+concatenation of the block solutions, and the family is Infeasible
+exactly when some block is.  The certificate then holds, at the rows of
+each infeasible block, that block's phase-1 dual, and zeros elsewhere
+(the zero vector is a valid dual of a feasible block), laid out in the
+full system's row order: grouped by setting pair in canonical order,
+row-major over (lambda, lambda_p, lambda_q) inside a group.  So y^T b is
+the sum of the infeasible blocks' phase-1 optima and y^T A <= 0 still
+holds column by column.
+
 Feasible verdicts carry an explicit joint (renormalized, then checked
-against the marginals); Infeasible verdicts carry the phase-1 Farkas
-certificate, one coefficient per marginal constraint, reported raw.
+against the marginals); Infeasible verdicts carry the certificate,
+reported raw and checked to separate.  Both checks are computed from the
+marginal structure in a fixed order, never by a matrix product, and a
+verdict that fails its check raises :class:`NumericalFailure` instead of
+being returned.  A family whose distance from locality (the phase-1
+optimum) lies between the solver's ``FEASIBILITY_TOL`` and
+``CERTIFICATE_SLACK`` gets neither verdict: its joint misses the marginals
+by more than ``MARGINAL_TOL``, and its certificate is too weak to
+separate.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
 from typing import Literal
 
 import numpy as np
 
 from .correlation import BELL_BOUND_TOL, SettingDependent
-from .errors import NonViolatingAngles, WorkLimitExceeded
+from .errors import NonViolatingAngles, NumericalFailure, WorkLimitExceeded
 from .models import SETTING_NAMES, ApparatusDeterministic, Setting
 from .qm import singlet_chsh, singlet_probabilities
-from .simplex import FEASIBILITY_TOL, solve_equality_feasibility
+from .simplex import solve_equality_feasibility
 from .spaces import (
     APPARATUS_LABELS,
     SETTING_PAIRS,
@@ -48,6 +70,7 @@ CERTIFICATE_SLACK = 1e-7
 
 DEFAULT_WORK_LIMIT = 65536
 
+#: Axis of each setting's apparatus space in a five-space joint.
 _PAIR_AXES = {"a": 1, "a_prime": 2, "b": 3, "b_prime": 4}
 
 
@@ -58,8 +81,8 @@ class FeasibilityVerdict:
     ``joint`` and ``residual`` are set when Feasible: the explicit joint
     over the five spaces and its worst marginal-cell error.  ``certificate``
     and ``violation`` are set when Infeasible: the separating functional
-    (ordered like the constraint rows, see ``constraint_matrix``) and the
-    amount y^T b by which the marginals break the certified bound.
+    (ordered like the rows of the full system, see the module docstring)
+    and the amount y^T b by which the marginals break the certified bound.
     """
 
     status: Literal["Feasible", "Infeasible"]
@@ -75,52 +98,97 @@ class FeasibilityVerdict:
 
 def constraint_matrix(family: SettingPairMarginalFamily
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """The equality system A x = b of the marginal problem.
+    """The lambda block of the marginal problem and every block's
+    right-hand side.
 
-    Variables are composite points in row-major order over the five
-    spaces.  Rows are grouped by setting pair in canonical order; inside a
-    group they run row-major over (lambda, lambda_p, lambda_q).
+    Returns ``(A, B)``: block lambda of the system is A x = B[lambda].
+    Columns of A are apparatus points (lambda_a, lambda_a', lambda_b,
+    lambda_b') in row-major order.  Rows are grouped by setting pair in
+    canonical order, and inside a group run row-major over
+    (lambda_p, lambda_q); column (v_a, v_a', v_b, v_b') has a one in the
+    row of each pair's cell (v_p, v_q).  Row lambda of B holds the
+    marginal weights rho_pq(lambda, ., .) in the same row order.
     """
     spaces = family.spaces
-    shape = tuple(s.cardinality for s in spaces)
-    n = int(np.prod(shape))
-    grids = np.indices(shape).reshape(5, n)
+    shape = tuple(s.cardinality for s in spaces)[1:]
+    n = math.prod(shape)
+    grids = np.indices(shape).reshape(4, n)
     blocks = []
-    rhs = []
     for p, q in SETTING_PAIRS:
-        ax_p, ax_q = _PAIR_AXES[p], _PAIR_AXES[q]
-        dims = (shape[0], shape[ax_p], shape[ax_q])
-        rows = np.ravel_multi_index(
-            (grids[0], grids[ax_p], grids[ax_q]), dims)
-        block = np.zeros((int(np.prod(dims)), n))
+        ax_p, ax_q = _PAIR_AXES[p] - 1, _PAIR_AXES[q] - 1
+        rows = grids[ax_p] * shape[ax_q] + grids[ax_q]
+        block = np.zeros((shape[ax_p] * shape[ax_q], n))
         block[rows, np.arange(n)] = 1.0
         blocks.append(block)
-        rhs.append(family.marginal(p, q).flat)
-    return np.vstack(blocks), np.concatenate(rhs)
+    lam = spaces.lam.cardinality
+    rhs = [family.marginal(p, q).weights.reshape(lam, -1)
+           for p, q in SETTING_PAIRS]
+    return np.vstack(blocks), np.hstack(rhs)
+
+
+def _pair_marginal(weights: np.ndarray, p: str, q: str) -> np.ndarray:
+    """The (lambda, lambda_p, lambda_q) marginal of a five-axis weight
+    array, summed one slice at a time in index order."""
+    for axis in (4, 3, 2, 1):
+        if axis not in (_PAIR_AXES[p], _PAIR_AXES[q]):
+            weights = reduce(np.add, np.moveaxis(weights, axis, 0))
+    return weights
+
+
+def marginal_residual(family: SettingPairMarginalFamily,
+                      joint: Distribution) -> float:
+    """Largest |marginal of the joint - rho_pq| over every cell of every
+    pair, pairs in canonical order."""
+    return max(float(np.max(np.abs(_pair_marginal(joint.weights, p, q)
+                                   - family.marginal(p, q).weights)))
+               for p, q in SETTING_PAIRS)
 
 
 def check_joint_existence(family: SettingPairMarginalFamily,
                           work_limit: int = DEFAULT_WORK_LIMIT
                           ) -> FeasibilityVerdict:
     """Decide whether a joint over the composite variable returns every
-    family marginal, and produce the witness either way."""
+    family marginal, and produce the witness either way.
+
+    ``work_limit`` caps the number of composite points.  Raises
+    :class:`NumericalFailure` when the joint misses the marginals by more
+    than ``MARGINAL_TOL`` or the certificate does not separate.
+    """
     family.validate()
     spaces = family.spaces
-    n = int(np.prod([s.cardinality for s in spaces]))
+    n = math.prod(s.cardinality for s in spaces)
     if n > work_limit:
         raise WorkLimitExceeded(n, work_limit)
-    A, b = constraint_matrix(family)
-    result = solve_equality_feasibility(A, b)
-    if result.feasible:
+    A, B = constraint_matrix(family)
+    results = [solve_equality_feasibility(A, b) for b in B]
+    if all(r.feasible for r in results):
         # tiny negatives were already clipped; rescaling to exact total
         # mass 1 is the one explicit renormalization in the pipeline
-        joint = renormalize(Distribution(tuple(spaces), result.x))
-        residual = float(np.max(np.abs(A @ joint.flat - b)))
+        x = np.concatenate([r.x for r in results])
+        joint = renormalize(Distribution(tuple(spaces), x))
+        residual = marginal_residual(family, joint)
+        if not residual <= MARGINAL_TOL:
+            raise NumericalFailure(
+                "feasibility", f"joint misses the marginals by {residual!r}, "
+                f"tolerance is {MARGINAL_TOL!r}")
         return FeasibilityVerdict(status="Feasible", joint=joint,
                                   residual=residual)
-    y = result.certificate
+    Y = np.zeros(B.shape)
+    for lam, r in enumerate(results):
+        if not r.feasible:
+            Y[lam] = r.certificate
+    # a pair's columns of Y, read lambda-major, are its row group
+    ends = np.cumsum([family.marginal(p, q).size // len(B)
+                      for p, q in SETTING_PAIRS])
+    y = np.concatenate([part.reshape(-1)
+                        for part in np.split(Y, ends[:-1], axis=1)])
+    max_yta, ytb = verify_certificate(family, y)
+    if not max_yta <= CERTIFICATE_SLACK < ytb:
+        raise NumericalFailure(
+            "feasibility", f"certificate does not separate: max y^T A = "
+            f"{max_yta!r}, y^T b = {ytb!r}")
     return FeasibilityVerdict(status="Infeasible", certificate=y,
-                              violation=float(y @ b))
+                              violation=ytb)
 
 
 def verify_certificate(family: SettingPairMarginalFamily,
@@ -129,11 +197,26 @@ def verify_certificate(family: SettingPairMarginalFamily,
 
     Returns (max over variables of y^T A, y^T b).  A valid certificate has
     the first at most ~0 (no nonnegative x can beat it) and the second
-    strictly positive, together proving A x = b, x >= 0 unsolvable.
+    strictly positive, together proving A x = b, x >= 0 unsolvable.  The
+    column of composite point (lambda, v_a, v_a', v_b, v_b') has a one in
+    each pair's row (lambda, v_p, v_q), so its y^T A is the four-term sum
+    y_ab + y_ab' + y_a'b + y_a'b', added in that order; y^T b is summed
+    exactly rounded.
     """
-    A, b = constraint_matrix(family)
     y = np.asarray(certificate, dtype=np.float64)
-    return float(np.max(y @ A)), float(y @ b)
+    parts = {}
+    start = 0
+    for p, q in SETTING_PAIRS:
+        marginal = family.marginal(p, q)
+        parts[(p, q)] = y[start:start + marginal.size].reshape(marginal.shape)
+        start += marginal.size
+    # (lambda, v_p, v_q) -> the five axes (lambda, v_a, v_a', v_b, v_b')
+    yta = (parts[("a", "b")][:, :, None, :, None]
+           + parts[("a", "b_prime")][:, :, None, None, :]
+           + parts[("a_prime", "b")][:, None, :, :, None]
+           + parts[("a_prime", "b_prime")][:, None, :, None, :])
+    b = np.concatenate([family.marginal(p, q).flat for p, q in SETTING_PAIRS])
+    return float(np.max(yta)), math.fsum(y * b)
 
 
 def classify(family: SettingPairMarginalFamily,

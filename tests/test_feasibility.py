@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,9 +17,11 @@ from helpers import (
     uniform_marginal_family,
 )
 
+from bellsim import feasibility
 from bellsim.correlation import bell_check, exact_report
-from bellsim.errors import NonViolatingAngles, WorkLimitExceeded
+from bellsim.errors import NonViolatingAngles, NumericalFailure, WorkLimitExceeded
 from bellsim.feasibility import (
+    CERTIFICATE_SLACK,
     MARGINAL_TOL,
     check_joint_existence,
     classify,
@@ -26,10 +30,12 @@ from bellsim.feasibility import (
     factorized_joint,
     family_distributions,
     family_from_joint,
+    marginal_residual,
     verify_certificate,
 )
 from bellsim.models import standard_settings
-from bellsim.qm import singlet_chsh
+from bellsim.qm import singlet_chsh, singlet_probabilities
+from bellsim.simplex import solve_equality_feasibility
 from bellsim.spaces import (
     SETTING_PAIRS,
     Distribution,
@@ -241,3 +247,180 @@ class TestWorkLimit:
         family = SettingPairMarginalFamily(spaces, marginals)
         with pytest.raises(WorkLimitExceeded):
             check_joint_existence(family, work_limit=16)
+
+
+_AXES = {"a": 1, "a_prime": 2, "b": 3, "b_prime": 4}
+
+
+def full_system(family):
+    """The whole marginal system, one row per marginal cell in the order
+    the certificate uses, built point by point from its definition."""
+    shape = tuple(s.cardinality for s in family.spaces)
+    points = list(itertools.product(*(range(c) for c in shape)))
+    rows, rhs = [], []
+    for p, q in SETTING_PAIRS:
+        weights = family.marginal(p, q).weights
+        for cell in itertools.product(*(range(c) for c in weights.shape)):
+            rows.append([float((pt[0], pt[_AXES[p]], pt[_AXES[q]]) == cell)
+                         for pt in points])
+            rhs.append(weights[cell])
+    return np.array(rows), np.array(rhs)
+
+
+def random_family(rng, cards):
+    """A factorized, joint-derived or per-pair-independent family; the
+    last kind is usually Infeasible."""
+    spaces = five_spaces(cards)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return construct_factorized_family(
+            random_distribution(rng, (spaces.lam,)),
+            random_apparatus_dists(rng, spaces))
+    if kind == 1:
+        return family_from_joint(random_distribution(rng, tuple(spaces)))
+    marginals = {}
+    for p, q in SETTING_PAIRS:
+        dom = (spaces.lam, spaces.for_setting(p), spaces.for_setting(q))
+        marginals[(p, q)] = random_distribution(rng, dom)
+    return SettingPairMarginalFamily(spaces, marginals)
+
+
+def assert_agrees_with_full_system(family):
+    """Block-split verdict equals the verdict of one solve of the stacked
+    system, with a witness checked against that system."""
+    A, b = full_system(family)
+    reference = solve_equality_feasibility(A, b)
+    verdict = check_joint_existence(family)
+    assert verdict.feasible == reference.feasible
+    if verdict.feasible:
+        assert_marginals_reproduced(family, verdict)
+        residual = float(np.max(np.abs(A @ verdict.joint.flat - b)))
+        assert residual <= MARGINAL_TOL
+        assert marginal_residual(family, verdict.joint) == pytest.approx(
+            residual, abs=1e-15)
+    else:
+        y = verdict.certificate
+        assert y.shape == b.shape
+        assert float(np.max(y @ A)) <= CERTIFICATE_SLACK
+        assert float(y @ b) > 1e-9
+        max_yta, ytb = verify_certificate(family, y)
+        assert max_yta == pytest.approx(float(np.max(y @ A)), abs=1e-12)
+        assert ytb == pytest.approx(float(y @ b), abs=1e-12)
+        assert verdict.violation == ytb
+    return verdict
+
+
+def singlet_block(angles, mass):
+    """The singlet outcome table of every pair, scaled to total ``mass``."""
+    by_name = {s.name: s for s in angles}
+    return {(p, q): mass * np.array(singlet_probabilities(
+                by_name[p], by_name[q]).probabilities).reshape(2, 2)
+            for p, q in SETTING_PAIRS}
+
+
+class TestBlockSplit:
+    def test_random_families_match_full_system(self):
+        rng = np.random.default_rng(47)
+        seen = {True: 0, False: 0}
+        for _ in range(40):
+            cards = tuple(int(c) for c in rng.integers(1, 4, size=5))
+            verdict = assert_agrees_with_full_system(random_family(rng, cards))
+            seen[verdict.feasible] += 1
+        assert seen[True] > 5 and seen[False] > 5
+
+    def test_point_mass_source_leaves_other_blocks_empty(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        spaces = five_spaces((3, 2, 3, 2, 2))
+        family = construct_factorized_family(
+            Distribution.point_mass((spaces.lam,), 1),
+            random_apparatus_dists(rng, spaces))
+        iterations = []
+
+        def counted(A, b):
+            result = solve_equality_feasibility(A, b)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(feasibility, "solve_equality_feasibility", counted)
+        verdict = assert_agrees_with_full_system(family)
+        assert verdict.feasible
+        # blocks with b = 0 start at a zero objective and take no pivot
+        assert iterations[0] == iterations[2] == 0 and iterations[1] > 0
+        assert np.all(verdict.joint.weights[[0, 2]] == 0.0)
+
+    def test_single_inconsistent_block(self):
+        rng = np.random.default_rng(49)
+        spaces = five_spaces((3, 2, 2, 2, 2))
+        joint = random_distribution(rng, tuple(spaces))
+        mass = float(joint.weights[1].sum())
+        singlet = singlet_block(TSIRELSON_ANGLES, mass)
+        marginals = {}
+        for pair, marginal in family_from_joint(joint).marginals.items():
+            weights = marginal.weights.copy()
+            weights[1] = singlet[pair]
+            marginals[pair] = Distribution(marginal.domain, weights)
+        family = SettingPairMarginalFamily(spaces, marginals)
+        verdict = assert_agrees_with_full_system(family)
+        assert verdict.status == "Infeasible"
+        # only the rows of block 1 carry weight: per pair, rows run
+        # lambda-major over four cells
+        for k in range(4):
+            group = verdict.certificate[12 * k:12 * (k + 1)].reshape(3, 4)
+            assert np.all(group[[0, 2]] == 0.0)
+            assert np.any(group[1] != 0.0)
+        # y^T b is the inconsistent block's phase-1 optimum
+        A, B = feasibility.constraint_matrix(family)
+        block = solve_equality_feasibility(A, B[1])
+        assert not block.feasible
+        assert verdict.violation == pytest.approx(block.objective, abs=1e-12)
+
+
+class TestSelfCheckedVerdicts:
+    def test_perturbed_joint_is_refused(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        family = family_from_joint(random_distribution(
+            rng, tuple(five_spaces((2, 2, 2, 2, 2)))))
+
+        def perturbed(A, b):
+            result = solve_equality_feasibility(A, b)
+            x = result.x.copy()
+            x[0] += 1e-6
+            return dataclasses.replace(result, x=x)
+
+        monkeypatch.setattr(feasibility, "solve_equality_feasibility", perturbed)
+        with pytest.raises(NumericalFailure) as exc:
+            check_joint_existence(family)
+        assert exc.value.module == "feasibility"
+
+    @pytest.mark.parametrize("perturb", [
+        lambda y: y + np.eye(y.size)[0] * 0.5,   # some column's y^T A > 0
+        lambda y: y * 0.0,                       # y^T b no longer positive
+    ], ids=["max_yta", "ytb"])
+    def test_perturbed_certificate_is_refused(self, monkeypatch, perturb):
+        family, _ = construct_nonlocal_witness(TSIRELSON_ANGLES)
+
+        def perturbed(A, b):
+            result = solve_equality_feasibility(A, b)
+            return dataclasses.replace(result,
+                                       certificate=perturb(result.certificate))
+
+        monkeypatch.setattr(feasibility, "solve_equality_feasibility", perturbed)
+        with pytest.raises(NumericalFailure) as exc:
+            check_joint_existence(family)
+        assert exc.value.module == "feasibility"
+
+    @pytest.mark.parametrize("excess, status", [
+        (1e-6, "Infeasible"), (1e-8, None), (-1e-8, "Feasible")])
+    def test_band_between_tolerances_is_refused(self, excess, status):
+        # CHSH value 2 + excess gives a phase-1 optimum of 2 * excess; in
+        # (FEASIBILITY_TOL, CERTIFICATE_SLACK] it is too large for a joint
+        # within MARGINAL_TOL and too small for a certificate that separates
+        e = {("a", "b"): 0.5, ("a", "b_prime"): 0.5, ("a_prime", "b"): 0.5,
+             ("a_prime", "b_prime"): -(0.5 + excess)}
+        family, _ = uniform_marginal_family(e)
+        if status is None:
+            with pytest.raises(NumericalFailure) as exc:
+                check_joint_existence(family)
+            assert exc.value.module == "feasibility"
+        else:
+            assert check_joint_existence(family).status == status

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bellsim.simplex import FEASIBILITY_TOL, solve_equality_feasibility
+from bellsim import simplex
+from bellsim.errors import TableauGrowth
+from bellsim.simplex import (FEASIBILITY_TOL, GROWTH_LIMIT,
+                             solve_equality_feasibility)
 
 
 def assert_valid_solution(A, b, result, tol=1e-9):
@@ -118,3 +121,34 @@ class TestDegenerate:
         A = np.array([[0.0, 1.0], [0.0, 1.0]])
         b = np.array([0.5, 0.5])
         assert_valid_solution(A, b, solve_equality_feasibility(A, b))
+
+    def test_degenerate_run_ends_under_bland_fallback(self, monkeypatch):
+        # 12x12 transportation problem whose row margins carry mass 1 and
+        # column margins mass 2: infeasible, and all but three margins are
+        # zero, so the optimum is reached through a run of 11 degenerate
+        # pivots; a threshold below that hands the run to Bland's rule
+        n = 12
+        A = np.zeros((2 * n, n * n))
+        for i in range(n):
+            A[i, i * n:(i + 1) * n] = 1.0
+            A[n + i, i::n] = 1.0
+        b = np.zeros(2 * n)
+        b[[n - 1, 2 * n - 2, 2 * n - 1]] = 1.0
+        assert solve_equality_feasibility(A, b).bland_pivots == 0
+        monkeypatch.setattr(simplex, "BLAND_AFTER", 5)
+        result = solve_equality_feasibility(A, b)
+        assert_valid_certificate(A, b, result)
+        assert result.objective == pytest.approx(1.0, abs=1e-12)
+        assert result.bland_pivots > 0
+
+
+class TestGrowthGuard:
+    def test_tiny_forced_pivot_raises(self):
+        # the only pivot is 1e-11, so the scaled pivot row grows by 1e11
+        A = np.array([[1e-11]])
+        b = np.array([1.0])
+        with pytest.raises(TableauGrowth) as exc:
+            solve_equality_feasibility(A, b)
+        assert exc.value.module == "simplex"
+        assert exc.value.growth > GROWTH_LIMIT
+        assert exc.value.limit == GROWTH_LIMIT
