@@ -71,12 +71,13 @@ def chsh_strategy_max(n: int) -> float:
 
     Enumerates all 2^(4n) assignments of the four response tables
     (two per side) over an n-point hidden space and all point-mass
-    distributions, returning max |S|.  The arithmetic is on small
-    integers, so the result is exact.
+    distributions, returning max |S|.  Every partial sum lies in
+    {-4..4}, so the arithmetic is done exactly in ``int8``.
     """
     m = 1 << n
     signs = np.where(
-        (np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1, -1.0, 1.0)
+        (np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1, -1, 1
+    ).astype(np.int8)
     best = 0.0
     for ib in range(m):
         u = signs[ib][None, :] + signs          # g_b + g_b' per candidate g_b'

@@ -231,11 +231,12 @@ class NonViolatingAngles(BellsimError):
 
 
 class InvalidStep(BellsimError):
-    """Grid step for the violation search is out of range."""
+    """Grid step or refinement round count for the violation search is out
+    of range."""
 
-    def __init__(self, step: float):
-        self.step = float(step)
-        super().__init__(f"grid step {self.step!r} must lie in (0, pi/4]")
+    def __init__(self, detail: str):
+        self.detail = detail
+        super().__init__(detail)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ All models are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -378,8 +379,10 @@ def stochastic_from_apparatus(model: ApparatusDeterministic,
             raise DomainMismatch(
                 f"apparatus distribution for {name!r} has domain {dist.labels}, "
                 f"expected ({expected.label!r},)")
-        indicator = (model.tables[name] > 0.0).astype(np.float64)
-        p_plus = indicator @ dist.flat
-        # guard against 1 + epsilon from the dot product
+        # fsum rounds the exact sum once, so no summation order (and no
+        # BLAS kernel) can change the bits
+        plus_weights = np.where(model.tables[name] > 0.0, dist.flat, 0.0)
+        p_plus = np.array([math.fsum(row) for row in plus_weights.tolist()])
+        # guard against 1 + epsilon from weights normalized within tolerance
         tables[name] = np.clip(p_plus, 0.0, 1.0)
     return StochasticSource(model.spaces.lam, tables)

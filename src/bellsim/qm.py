@@ -2,8 +2,7 @@
 
 This module is the oracle the hidden-variable machinery is tested
 against, so it is deliberately self-contained: outcome probabilities are
-computed by explicit amplitude construction, never from a correlation
-formula.
+computed from the outcome amplitudes, never from a correlation formula.
 
 Construction.  A spin measurement along planar angle t has eigenstates
 |+, t> = cos(t/2)|0> + sin(t/2)|1> and |-, t> = -sin(t/2)|0> + cos(t/2)|1>,
@@ -12,26 +11,42 @@ collected in the basis-change matrix U(t) with U[m, s] the coefficient of
 psi = (|01> - |10>)/sqrt(2).  The outcome amplitude is
 
     A[m, n] = sum_{s,t} U(a)[m, s] U(b)[n, t] psi[s, t]
+            = (U(a)[m, 0] U(b)[n, 1] - U(a)[m, 1] U(b)[n, 0]) / sqrt(2),
 
-and p_mn = |A[m, n]|^2.  Expanding the sum gives
-A[m, n] = (U(a)[m, 0] U(b)[n, 1] - U(a)[m, 1] U(b)[n, 0]) / sqrt(2), hence
-p_++ = p_-- = sin^2((a - b)/2) / 2 and p_+- = p_-+ = cos^2((a - b)/2) / 2,
-so the correlation is p_++ + p_-- - p_+- - p_-+ = -cos(a - b).  That
-closed form is used only as a cross-check; all returned numbers come from
-the amplitudes.
+so with c_t = cos(t/2) and s_t = sin(t/2)
+
+    x = A[+, +] =  A[-, -] = (c_a s_b - s_a c_b) * (1/sqrt(2)),
+    y = A[+, -] = -A[-, +] = (c_a c_b + s_a s_b) * (1/sqrt(2)),
+
+and p_++ = p_-- = x*x, p_+- = p_-+ = y*y.  These are the numbers returned,
+evaluated elementwise: no matrix product, so no BLAS kernel, touches them,
+and the half-angle cosines and sines come from ``math``, so their bits do
+not depend on numpy's SIMD dispatch either.  The same formula serves one
+setting pair (``singlet_probabilities``) and a whole angle grid
+(``max_violation_search``), so both give the same bits for the same
+angles.  Expanding x and y gives p_++ = sin^2((a - b)/2) / 2 and
+p_+- = cos^2((a - b)/2) / 2, hence the correlation
+p_++ + p_-- - p_+- - p_-+ = -cos(a - b); that closed form is used only as
+a cross-check.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStep, SideMismatch
-from .models import Setting, standard_settings
+from .models import Setting
 
 MAX_GRID_STEP = math.pi / 4
+#: Most grid points per scanned axis; the search scans this many cubed.
+MAX_GRID_POINTS = 1024
+MIN_GRID_STEP = 2.0 * math.pi / MAX_GRID_POINTS
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -48,13 +63,31 @@ class SingletPrediction:
     correlation: float
 
 
-def _basis_change(theta: float) -> np.ndarray:
-    h = theta / 2.0
-    return np.array([[math.cos(h), math.sin(h)],
-                     [-math.sin(h), math.cos(h)]])
+def _half_angles(angles: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """cos(t/2) and sin(t/2) for each angle t, taken from ``math``."""
+    halves = [t / 2.0 for t in angles]
+    return (np.array([math.cos(h) for h in halves]),
+            np.array([math.sin(h) for h in halves]))
 
 
-_SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]]) / math.sqrt(2.0)
+def _outcome_probabilities(ca, sa, cb, sb):
+    """(p_++, p_+-) from half-angle cosines and sines, elementwise over
+    scalars or broadcast arrays; p_-- = p_++ and p_-+ = p_+-."""
+    x = (ca * sb - sa * cb) * _INV_SQRT2
+    y = (ca * cb + sa * sb) * _INV_SQRT2
+    return x * x, y * y
+
+
+def _correlation(p_same, p_diff):
+    """E = p_++ + p_-- - p_+- - p_-+, summed in that order."""
+    return ((p_same + p_same) - p_diff) - p_diff
+
+
+def _correlations(a: tuple[np.ndarray, np.ndarray],
+                  b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """E(a_i, b_j) for every pair of half-angle entries of ``a`` and ``b``."""
+    (ca, sa), (cb, sb) = a, b
+    return _correlation(*_outcome_probabilities(ca[:, None], sa[:, None], cb, sb))
 
 
 def _reduced_relative_angle(a: float, b: float) -> float:
@@ -68,15 +101,14 @@ def singlet_probabilities(a: Setting, b: Setting) -> SingletPrediction:
         raise SideMismatch(f"first setting must be on side A, got {a.name!r}")
     if b.is_side_a:
         raise SideMismatch(f"second setting must be on side B, got {b.name!r}")
-    amplitudes = _basis_change(a.angle) @ _SINGLET @ _basis_change(b.angle).T
-    p = amplitudes * amplitudes
-    probabilities = (float(p[0, 0]), float(p[0, 1]), float(p[1, 0]), float(p[1, 1]))
-    correlation = p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]
+    ha, hb = a.angle / 2.0, b.angle / 2.0
+    p_same, p_diff = _outcome_probabilities(math.cos(ha), math.sin(ha),
+                                            math.cos(hb), math.sin(hb))
     return SingletPrediction(
         pair=(a, b),
         relative_angle=_reduced_relative_angle(a.angle, b.angle),
-        probabilities=probabilities,
-        correlation=float(correlation),
+        probabilities=(p_same, p_diff, p_diff, p_same),
+        correlation=_correlation(p_same, p_diff),
     )
 
 
@@ -98,8 +130,18 @@ def singlet_chsh(a: Setting, a_prime: Setting, b: Setting, b_prime: Setting) -> 
             - singlet_correlation(a_prime, b_prime))
 
 
-def _chsh_at(angles: tuple[float, float, float, float]) -> float:
-    return singlet_chsh(*standard_settings(*angles))
+def _abs_s(pair: np.ndarray, e_b: np.ndarray, e_b2: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """|S| = |((E(a,b) + E(a,b')) + E(a',b)) - E(a',b')|, summed in
+    ``singlet_chsh``'s order, over (..., b, b'), written into ``out`` if
+    given.
+
+    ``pair`` holds E(a,b) + E(a,b') over (b, b'); ``e_b`` and ``e_b2``
+    hold E(a',b) and E(a',b') with any leading a' axes.
+    """
+    s = np.add(pair, e_b[..., :, None], out=out)
+    np.subtract(s, e_b2[..., None, :], out=s)
+    return np.abs(s, out=s)
 
 
 def max_violation_search(grid_step: float, refine_rounds: int
@@ -108,42 +150,60 @@ def max_violation_search(grid_step: float, refine_rounds: int
 
     The correlation depends only on relative angles, so the first analyzer
     is fixed at 0 and the remaining three are scanned over [0, 2*pi) at
-    ``grid_step``.  Each refinement round halves the step and rescans a
-    one-old-step box around the incumbent, which is kept as a candidate,
-    so the reported |S| never decreases.  Ties go to the lexicographically
-    smallest angle tuple.  Returns (angles, |S|).
+    ``grid_step``, which must lie in [2*pi/MAX_GRID_POINTS, pi/4] so that
+    the scan of at most 1024^3 points ends in bounded time.  The
+    correlations come from the same elementwise amplitudes as
+    ``singlet_probabilities``: E(a', b) is built once for every grid pair,
+    and the grid is scanned one a' slice of (b, b') at a time, so memory
+    is O(n^2) for n points per axis.  Each refinement round halves the
+    step and rescans, as one 5x5x5 array, a one-old-step box around the
+    incumbent, which is itself a candidate, so the reported |S| never
+    decreases; rounds stop early once the half step is 0.0, where every
+    candidate is the incumbent.
+
+    Ties go to the first maximum in (a', b, b') loop order: the incumbent
+    is replaced only by a strictly larger |S|, and within one array the
+    first maximum in C order wins.  The result is bit-equal to calling
+    ``singlet_chsh`` at every candidate in that order.  Returns
+    (angles, |S|).
     """
-    if not (0.0 < grid_step <= MAX_GRID_STEP):
-        raise InvalidStep(grid_step)
+    if not (MIN_GRID_STEP <= grid_step <= MAX_GRID_STEP):
+        raise InvalidStep(
+            f"grid step {float(grid_step)!r} must lie in "
+            f"[2*pi/{MAX_GRID_POINTS}, pi/4] (at most {MAX_GRID_POINTS} "
+            "points per axis)")
     if refine_rounds < 0:
-        raise InvalidStep(refine_rounds)
+        raise InvalidStep(f"refine rounds {refine_rounds!r} must be at least 0")
 
-    two_pi = 2.0 * math.pi
-    n = int(math.ceil(two_pi / grid_step - 1e-12))
+    n = int(math.ceil(2.0 * math.pi / grid_step - 1e-12))
     axis = [k * grid_step for k in range(n)]
+    half_angles = _half_angles(axis)
+    e = _correlations(half_angles, half_angles)   # row 0 is a = axis[0] = 0
+    pair = e[0][:, None] + e[0][None, :]
+    best, best_angles = -1.0, (0.0, 0.0, 0.0, 0.0)
+    s = np.empty((n, n))
+    for i, e_i in enumerate(e):
+        _abs_s(pair, e_i, e_i, out=s)
+        top = float(s.max())
+        if top > best:
+            j, k = divmod(int(s.argmax()), n)
+            best, best_angles = top, (0.0, axis[i], axis[j], axis[k])
 
-    best_angles = (0.0, 0.0, 0.0, 0.0)
-    best = abs(_chsh_at(best_angles))
-    for a2 in axis:
-        for b in axis:
-            for b2 in axis:
-                s = abs(_chsh_at((0.0, a2, b, b2)))
-                if s > best:
-                    best = s
-                    best_angles = (0.0, a2, b, b2)
-
+    zero = _half_angles([0.0])
     step = grid_step
     for _ in range(refine_rounds):
         half = step / 2.0
+        if half == 0.0:
+            break
         offsets = [j * half for j in (-2, -1, 0, 1, 2)]
-        base = best_angles
-        for da2 in offsets:
-            for db in offsets:
-                for db2 in offsets:
-                    cand = (0.0, base[1] + da2, base[2] + db, base[3] + db2)
-                    s = abs(_chsh_at(cand))
-                    if s > best:
-                        best = s
-                        best_angles = cand
+        a2s, bs, b2s = ([base + d for d in offsets] for base in best_angles[1:])
+        h_a2, h_b, h_b2 = _half_angles(a2s), _half_angles(bs), _half_angles(b2s)
+        e0_b, e0_b2 = _correlations(zero, h_b)[0], _correlations(zero, h_b2)[0]
+        s = _abs_s(e0_b[:, None] + e0_b2[None, :],
+                   _correlations(h_a2, h_b), _correlations(h_a2, h_b2))
+        top = float(s.max())
+        if top > best:
+            i, j, k = np.unravel_index(int(s.argmax()), s.shape)
+            best, best_angles = top, (0.0, a2s[i], bs[j], b2s[k])
         step = half
     return best_angles, best

@@ -266,6 +266,14 @@ class TestQm:
         assert set(doc["angles"]) == {"a", "a_prime", "b", "b_prime"}
 
     def test_search_bad_step_exit(self, capsys):
-        code, _, err = run_cli(capsys, "qm", "search", "--grid-step", "2.0")
+        for step in ("2.0", "0.001"):
+            code, _, err = run_cli(capsys, "qm", "search", "--grid-step", step)
+            assert code == 1
+            assert "step" in err.lower()
+            assert "[2*pi/1024, pi/4]" in err
+
+    def test_search_negative_rounds_exit(self, capsys):
+        code, _, err = run_cli(capsys, "qm", "search", "--refine-rounds", "-1")
         assert code == 1
-        assert "step" in err.lower()
+        assert "refine rounds -1" in err
+        assert "grid step" not in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from bellsim.errors import InvalidStep, SideMismatch
 from bellsim.models import Setting, standard_settings
 from bellsim.qm import (
+    MAX_GRID_POINTS,
+    MIN_GRID_STEP,
     SingletPrediction,
     max_violation_search,
     singlet_chsh,
@@ -64,8 +67,8 @@ class TestSingletProbabilities:
         for _ in range(200):
             p = prediction(rng.uniform(-10, 10), rng.uniform(-10, 10))
             p_pp, p_pm, p_mp, p_mm = p.probabilities
-            assert p_pp == pytest.approx(p_mm, abs=TOL)
-            assert p_pm == pytest.approx(p_mp, abs=TOL)
+            assert np.float64(p_pp).tobytes() == np.float64(p_mm).tobytes()
+            assert np.float64(p_pm).tobytes() == np.float64(p_mp).tobytes()
             assert min(p.probabilities) >= -TOL
             assert sum(p.probabilities) == pytest.approx(1.0, abs=TOL)
 
@@ -109,7 +112,7 @@ class TestMaxViolationSearch:
     def test_reaches_tsirelson(self):
         angles, s = max_violation_search(math.pi / 8, 3)
         assert s >= TSIRELSON - 1e-3
-        assert abs(singlet_chsh(*standard_settings(*angles))) == pytest.approx(s, abs=TOL)
+        assert abs(singlet_chsh(*standard_settings(*angles))) == s
 
     def test_coarse_grid_already_violates(self):
         _, s = max_violation_search(math.pi / 4, 0)
@@ -125,11 +128,74 @@ class TestMaxViolationSearch:
             max_violation_search(0.0, 1)
         with pytest.raises(InvalidStep):
             max_violation_search(math.pi / 2, 1)
-        with pytest.raises(InvalidStep):
+        with pytest.raises(InvalidStep, match="refine rounds -1 must") as info:
             max_violation_search(math.pi / 8, -1)
+        assert "grid step" not in str(info.value)
+
+    def test_grid_capped_at_max_points_per_axis(self):
+        # the smallest accepted step gives exactly MAX_GRID_POINTS points
+        assert math.ceil(2.0 * math.pi / MIN_GRID_STEP - 1e-12) == MAX_GRID_POINTS == 1024
+        for step in (math.nextafter(MIN_GRID_STEP, 0.0), 0.001, math.nan):
+            with pytest.raises(InvalidStep, match=r"\[2\*pi/1024, pi/4\]"):
+                max_violation_search(step, 0)
+
+    def test_refinement_stops_once_half_step_is_zero(self):
+        # pi/4 halves to 0.0 after about 1075 rounds; later rounds would
+        # rescan only the incumbent, so a huge count must return at once
+        # with the same result as a count just past the underflow.
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(max_violation_search(math.pi / 4, 10**9)),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert results == [max_violation_search(math.pi / 4, 1100)]
+
+    @pytest.mark.parametrize("grid_step", [math.pi / 4, math.pi / 8, 0.2, 0.3, 0.5, 0.7])
+    def test_bit_equal_to_scalar_loop(self, grid_step):
+        want = scalar_search(grid_step, 4)
+        for rounds in range(5):
+            assert max_violation_search(grid_step, rounds) == want[rounds]
 
     def test_deterministic(self):
         assert max_violation_search(math.pi / 4, 2) == max_violation_search(math.pi / 4, 2)
+
+
+def scalar_search(grid_step: float, max_rounds: int
+                  ) -> list[tuple[tuple[float, float, float, float], float]]:
+    """Reference search: singlet_chsh at every candidate in (a', b, b')
+    loop order, replacing the incumbent only on a strictly larger |S|.
+    Entry r is the result after r refinement rounds."""
+    def abs_s(angles):
+        return abs(singlet_chsh(*standard_settings(*angles)))
+
+    n = int(math.ceil(2.0 * math.pi / grid_step - 1e-12))
+    axis = [k * grid_step for k in range(n)]
+    best_angles = (0.0, 0.0, 0.0, 0.0)
+    best = abs_s(best_angles)
+    for a2 in axis:
+        for b in axis:
+            for b2 in axis:
+                s = abs_s((0.0, a2, b, b2))
+                if s > best:
+                    best, best_angles = s, (0.0, a2, b, b2)
+    results = [(best_angles, best)]
+    step = grid_step
+    for _ in range(max_rounds):
+        half = step / 2.0
+        offsets = [j * half for j in (-2, -1, 0, 1, 2)]
+        base = best_angles
+        for da2 in offsets:
+            for db in offsets:
+                for db2 in offsets:
+                    cand = (0.0, base[1] + da2, base[2] + db, base[3] + db2)
+                    s = abs_s(cand)
+                    if s > best:
+                        best, best_angles = s, cand
+        results.append((best_angles, best))
+        step = half
+    return results
 
 
 def test_correlation_shortcut_matches_prediction():
