@@ -39,15 +39,22 @@ def outcome_cell_sums(weights: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 def mc_outcome_counts(cum: np.ndarray, codes: np.ndarray,
                       uniforms: np.ndarray) -> np.ndarray:
-    """Tally sampled outcomes by inverse-CDF lookup.
+    """Tally sampled outcomes against the cell edges of the weight CDF.
 
-    ``cum`` is the inclusive cumulative sum of the cell weights; each
-    uniform u selects the first cell with cum > u (clamped to the last
-    cell against roundoff at the top).  Returns int64 counts per outcome.
+    ``cum`` is the inclusive cumulative sum of the cell weights.  Inverse-CDF
+    lookup sends each uniform u to the first cell with cum > u, clamped to
+    the last cell against roundoff at the top, so cell i receives exactly
+    the draws with cum[i-1] <= u < cum[i] and the last cell every draw with
+    u >= cum[-2].  Rather than look up each draw, the draws are sorted once
+    and each edge cum[i] is located among them: the number of draws below
+    cum[i], differenced, is the size of that same partition.  Counts are
+    integers, so the result equals the per-draw lookup exactly.  Returns
+    int64 counts per outcome.
     """
-    idx = np.searchsorted(cum, uniforms, side="right")
-    np.minimum(idx, cum.shape[0] - 1, out=idx)
-    return np.bincount(codes[idx], minlength=4).astype(np.int64)
+    u = np.sort(uniforms)
+    below = np.searchsorted(u, cum[:-1], side="left")
+    per_cell = np.diff(below, prepend=0, append=u.shape[0])
+    return np.bincount(codes, weights=per_cell, minlength=4).astype(np.int64)
 
 
 def tableau_pivot(T: np.ndarray, pr: int, pc: int) -> None:

@@ -3,10 +3,12 @@
 Every (model, distribution-mode, setting-pair) combination reduces to an
 outcome decomposition: a flat list of cells, each carrying a nonnegative
 weight and a joint-outcome code in {0,1,2,3} for (++, +-, -+, --).  Exact
-probabilities are the per-code weight sums; Monte Carlo estimation draws
-cells by inverse-CDF lookup on the same weights.  The cell order is the
-row-major order of the underlying grid, which makes reports reproducible
-bit for bit.
+probabilities are the per-code weight sums; Monte Carlo estimation counts
+uniform draws per cell against the cell edges of the same weights' CDF
+(the draws are sorted once and each edge is located among them), which is
+the same partition as an inverse-CDF lookup of each draw.  The cell order
+is the row-major order of the underlying grid, which makes reports
+reproducible bit for bit.
 
 Supported combinations:
 
@@ -495,8 +497,11 @@ def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
     """Estimate the report by sampling outcome cells.
 
     Per pair k the stream is PCG64 seeded with SeedSequence(seed,
-    spawn_key=(k,)); the per-pair standard error is the plug-in binomial
-    formula sqrt((1 - E^2)/samples).
+    spawn_key=(k,)) and yields ``samples`` uniforms.  The per-cell counts
+    come from the sorted draws against the cell edges of the weight CDF,
+    the same partition as an inverse-CDF lookup of each draw, so the
+    randomness contract and every count are unchanged.  The per-pair
+    standard error is the plug-in binomial formula sqrt((1 - E^2)/samples).
     """
     if samples < 1:
         raise ZeroSamples()

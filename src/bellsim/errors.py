@@ -230,6 +230,19 @@ class NonViolatingAngles(BellsimError):
 # ---------------------------------------------------------------------------
 
 
+class NonFiniteAngle(BellsimError):
+    """An analyzer angle given to the singlet oracle is NaN or infinite;
+    names the module."""
+
+    module = "qm-reference"
+
+    def __init__(self, name: str, value: float):
+        self.name = name
+        self.value = float(value)
+        super().__init__(f"[{self.module}] angles must be finite, "
+                         f"got {name} = {self.value!r}")
+
+
 class InvalidStep(BellsimError):
     """Grid step or refinement round count for the violation search is out
     of range."""

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStep, SideMismatch
+from .errors import InvalidStep, NonFiniteAngle, SideMismatch
 from .models import Setting
 
 MAX_GRID_STEP = math.pi / 4
@@ -101,6 +101,9 @@ def singlet_probabilities(a: Setting, b: Setting) -> SingletPrediction:
         raise SideMismatch(f"first setting must be on side A, got {a.name!r}")
     if b.is_side_a:
         raise SideMismatch(f"second setting must be on side B, got {b.name!r}")
+    for s in (a, b):
+        if not math.isfinite(s.angle):
+            raise NonFiniteAngle(s.name, s.angle)
     ha, hb = a.angle / 2.0, b.angle / 2.0
     p_same, p_diff = _outcome_probabilities(math.cos(ha), math.sin(ha),
                                             math.cos(hb), math.sin(hb))

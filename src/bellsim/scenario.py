@@ -112,6 +112,7 @@ _ERROR_MODULE = {
     "OutOfRangeCorrelation": "correlation-engine",
     "ZeroSamples": "correlation-engine",
     "NonViolatingAngles": "qm-reference",
+    "NonFiniteAngle": "qm-reference",
     "InvalidStep": "qm-reference",
 }
 

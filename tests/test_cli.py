@@ -272,6 +272,30 @@ class TestQm:
             assert "step" in err.lower()
             assert "[2*pi/1024, pi/4]" in err
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_table_non_finite_angle_exit(self, capsys, bad, position):
+        angles = ["0.3", "0.3"]
+        angles[position] = bad
+        # "--" lets argparse take "-inf" as a positional value
+        code, out, err = run_cli(capsys, "qm", "table", "--", *angles)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bellsim: error: [qm-reference] angles must be finite")
+        assert f"got {('a', 'b')[position]} = {float(bad)!r}" in err
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_chsh_non_finite_angle_exit(self, capsys, bad, position):
+        angles = list(TSIRELSON)
+        angles[position] = bad
+        code, out, err = run_cli(capsys, "qm", "chsh", "--", *angles)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bellsim: error: [qm-reference] angles must be finite")
+        name = ("a", "a_prime", "b", "b_prime")[position]
+        assert f"got {name} = {float(bad)!r}" in err
+
     def test_search_negative_rounds_exit(self, capsys):
         code, _, err = run_cli(capsys, "qm", "search", "--refine-rounds", "-1")
         assert code == 1

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from bellsim.errors import InvalidStep, SideMismatch
+from bellsim.errors import BellsimError, InvalidStep, NonFiniteAngle, SideMismatch
 from bellsim.models import Setting, standard_settings
 from bellsim.qm import (
     MAX_GRID_POINTS,
@@ -29,6 +29,15 @@ def prediction(theta_a: float, theta_b: float) -> SingletPrediction:
 
 
 class TestSingletProbabilities:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_is_typed(self, bad):
+        for angles, name in (((bad, 0.0), "a"), ((0.0, bad), "b")):
+            with pytest.raises(NonFiniteAngle, match="angles must be finite") as info:
+                prediction(*angles)
+            assert isinstance(info.value, BellsimError)
+            assert info.value.module == "qm-reference"
+            assert info.value.name == name
+
     def test_aligned_analyzers_anticorrelate(self):
         p = prediction(0.7, 0.7)
         assert p.probabilities[0] == pytest.approx(0.0, abs=TOL)
