@@ -1,22 +1,29 @@
-"""Pure-Python/numpy reference implementations of the hot kernels.
+"""The numeric kernels of the report path, in numpy.
 
-Contract: every function here must produce bit-identical results to its
-compiled twin in ``_fast``.  That pins down not just the formulas but the
-floating-point evaluation order:
+Report bytes depend on the floating-point evaluation order of these
+kernels, not just on their formulas:
 
 * sums accumulate sequentially left to right (no pairwise or SIMD
   reassociation), so scalar accumulations are written as Python loops over
-  IEEE-754 doubles, which round exactly like a C loop compiled without
-  fused multiply-adds;
-* elementwise array operations (one rounding per element) may use numpy,
-  since per-element semantics match a per-cell C loop;
+  IEEE-754 doubles; a pairwise sum would round differently and change the
+  correlations a report prints;
+* elementwise array operations (one rounding per element) use numpy;
 * integer results (sample counts, strategy maxima over small integers) are
-  exact in both backends by construction.
+  exact by construction.
+
+Callers bind each kernel by name (``from ._kernels import ...``).
+``BACKEND`` names this implementation in environment records.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+BACKEND = "pure"
+
+#: Cells of the tableau that ``tableau_pivot`` updates per step (256 KiB
+#: of doubles), so that each step's gathered rows and update fit in cache.
+PIVOT_CHUNK_CELLS = 1 << 15
 
 
 def response_product_sum(f: np.ndarray, g: np.ndarray, w: np.ndarray) -> float:
@@ -58,17 +65,36 @@ def mc_outcome_counts(cum: np.ndarray, codes: np.ndarray,
 
 
 def tableau_pivot(T: np.ndarray, pr: int, pc: int) -> None:
-    """One dense simplex pivot on (pr, pc), in place.
+    """One simplex pivot on (pr, pc), in place, touching only the rows
+    it changes.
 
-    Scales the pivot row by the pivot, eliminates the pivot column from
-    every other row with a single multiply and subtract per cell, then
-    writes the exact unit column.  Rows other than the pivot row are
-    updated with one rounding per operation, matching the compiled loop.
+    Scales the pivot row by the pivot, subtracts the pivot-column entry
+    times the pivot row from every other row whose pivot-column entry is
+    nonzero (one rounding per multiply and per subtract), then writes the
+    exact unit column.  Those rows are updated a few at a time, about
+    ``PIVOT_CHUNK_CELLS`` cells per step: on a 257 x 4353 tableau (an 8^5
+    joint-composite block) this runs a pivot in 1.4 ms instead of 2.2 ms
+    for all rows at once, whose temporaries do not fit in cache.  Each
+    cell gets the same two roundings either way.
+
+    A row with a zero pivot-column entry is skipped: the dense update
+    would compute x - 0*y there, which returns x except that it turns a
+    -0.0 into +0.0 when 0*y is -0.0.  So only the sign of a zero can
+    differ from a dense pivot, and none reaches a report: no test in the
+    simplex tells -0.0 from +0.0, the joint is clipped with
+    ``np.maximum(x, 0.0)``, which gives +0.0, and certificates are built
+    from ``1 - entry``, which is 1.0 for either zero.  With positive
+    pivots, the only ones the simplex takes, on a tableau without -0.0,
+    no -0.0 arises short of underflow, and the result is the dense pivot
+    byte for byte.
     """
     T[pr, :] /= T[pr, pc]
-    col = T[:, pc].copy()
-    mask = np.arange(T.shape[0]) != pr
-    T[mask, :] -= col[mask, None] * T[pr, :]
+    rows = np.flatnonzero(T[:, pc])
+    rows = rows[rows != pr]
+    step = max(1, PIVOT_CHUNK_CELLS // T.shape[1])
+    for start in range(0, rows.size, step):
+        chunk = rows[start:start + step]
+        T[chunk] -= T[chunk, pc][:, None] * T[pr]
     T[:, pc] = 0.0
     T[pr, pc] = 1.0
 

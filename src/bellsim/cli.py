@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -51,8 +52,24 @@ def _float_list(text: str) -> tuple[float, ...]:
                                          f"{text!r}") from exc
 
 
+#: A token that starts like a negative number in any float spelling.
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with '-' and then a digit, '.digit', 'inf'
+    or 'nan' as a value, so negative numbers such as -1e-3, -.5, -inf or
+    the list -0.5,0,0,0 reach their argument's type instead of being taken
+    for an unknown option.  No bellsim option looks like that.  Subparsers
+    are built with this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellsim",
         description="Simulate and analyze hidden-variable models of the "
                     "EPR-Bell experiment.")

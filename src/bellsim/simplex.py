@@ -2,8 +2,14 @@
 
 Decides whether {x >= 0 : A x = b} is nonempty by minimizing the sum of
 artificial variables with a dense-tableau simplex.  Each iteration is a
-few vectorised numpy steps around one dense pivot, which is delegated to
-the kernel backends:
+few vectorised numpy steps around one pivot (``_kernels.tableau_pivot``).
+The pivot is row-sparse: it updates only the rows whose pivot-column
+entry is nonzero, which skips exactly the updates that subtract zero.
+On the 8^5 blocks of the joint-existence LP the pivot column is on
+average 2% nonzero for factorized families and 64% for joint-composite
+ones, so this saves much of a dense pivot's work, and the tableau
+differs from a dense pivot's at most in the sign of a zero, which
+nothing below tells apart.  The other steps:
 
 * pricing takes the column whose reduced cost per unit length of its
   edge is most negative (steepest edge, Goldfarb and Reid 1977); the edge

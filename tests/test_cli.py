@@ -222,6 +222,20 @@ class TestGenerate:
         assert code == 1
         assert "angles" in err
 
+    @pytest.mark.parametrize("first", ["-0.5", "-1e-3", "-.25", "-2.5E-1"])
+    def test_negative_angles_any_spelling(self, capsys, first):
+        code, out, err = run_cli(capsys, "generate", "factorized",
+                                 "--angles", f"{first},0,0,-1e-3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["settings"] == {
+            "a": float(first), "a_prime": 0.0, "b": 0.0, "b_prime": -1e-3}
+
+    def test_negative_infinite_angle_exit(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "factorized",
+                                 "--angles", "-inf,0,0,0")
+        assert (code, out) == (1, "")
+        assert "angles must be finite" in err
+
 
 class TestEnumerateBound:
     def test_small_cardinality(self, capsys):
@@ -295,6 +309,31 @@ class TestQm:
         assert err.startswith("bellsim: error: [qm-reference] angles must be finite")
         name = ("a", "a_prime", "b", "b_prime")[position]
         assert f"got {name} = {float(bad)!r}" in err
+
+    @pytest.mark.parametrize("angle", ["-1e-3", "-2.5e-1", "-.5", "-1E+0", "-0.5"])
+    def test_negative_angles_any_spelling(self, capsys, angle):
+        code, out, err = run_cli(capsys, "qm", "table", "0", angle)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["angles"] == {"a": 0.0, "b": float(angle)}
+        code, out, err = run_cli(capsys, "qm", "chsh", angle, "0", "0", angle)
+        assert (code, err) == (0, "")
+        angles = json.loads(out)["angles"]
+        assert angles["a"] == angles["b_prime"] == float(angle)
+
+    @pytest.mark.parametrize("bad", ["-inf", "-Infinity", "-nan"])
+    def test_negative_non_finite_angle_without_separator_exit(self, capsys, bad):
+        for argv in (["table", "0", bad], ["chsh", "0", "0", "0", bad]):
+            code, out, err = run_cli(capsys, "qm", *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(
+                "bellsim: error: [qm-reference] angles must be finite")
+            assert f"= {float(bad)!r}" in err
+
+    def test_unknown_dash_token_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["qm", "table", "0", "-x"])
+        assert exc.value.code == 2
+        assert "required: angle_b" in capsys.readouterr().err
 
     def test_search_negative_rounds_exit(self, capsys):
         code, _, err = run_cli(capsys, "qm", "search", "--refine-rounds", "-1")
