@@ -6,7 +6,7 @@ Subpackages and modules
 spaces        finite hidden-variable spaces, distributions, products, marginals
 models        response-model families and reductions between them
 correlation   correlation functions, CHSH, exact and Monte Carlo estimation
-feasibility   joint-distribution existence (LP) and local/nonlocal classification
+feasibility   joint-distribution existence (witness or LP), local/nonlocal classification
 simplex       self-contained phase-1 simplex solver used by feasibility
 qm            quantum singlet-state reference predictions
 scenario      scenario-file schema, templates, load/save

@@ -23,16 +23,23 @@ row-major over (lambda, lambda_p, lambda_q) inside a group.  So y^T b is
 the sum of the infeasible blocks' phase-1 optima and y^T A <= 0 still
 holds column by column.
 
-Feasible verdicts carry an explicit joint (renormalized, then checked
-against the marginals); Infeasible verdicts carry the certificate,
-reported raw and checked to separate.  Both checks are computed from the
-marginal structure in a fixed order, never by a matrix product, and a
-verdict that fails its check raises :class:`NumericalFailure` instead of
-being returned.  A family whose distance from locality (the phase-1
-optimum) lies between the solver's ``FEASIBILITY_TOL`` and
-``CERTIFICATE_SLACK`` gets neither verdict: its joint misses the marginals
-by more than ``MARGINAL_TOL``, and its certificate is too weak to
-separate.
+A family that is Local by construction needs no LP: a FactorizedApparatus
+family is reproduced by the product joint (``factorized_joint``) and a
+JointComposite family by its own joint.  ``check_witness`` turns such a
+construction witness into a verdict, with the same work limit and the
+same joint check as the LP's Feasible branch; ``check_joint_existence``
+stays the LP, for SettingDependent families and library callers.
+
+Feasible verdicts carry an explicit joint, renormalized and then checked
+against the marginals by the same step on both paths; Infeasible
+verdicts carry the certificate, reported raw and checked to separate.
+Both checks are computed from the marginal structure in a fixed order,
+never by a matrix product, and a verdict that fails its check raises
+:class:`NumericalFailure` instead of being returned.  A family whose
+distance from locality (the phase-1 optimum) lies between the solver's
+``FEASIBILITY_TOL`` and ``CERTIFICATE_SLACK`` gets neither verdict from
+the LP: its joint misses the marginals by more than ``MARGINAL_TOL``,
+and its certificate is too weak to separate.
 """
 
 from __future__ import annotations
@@ -144,6 +151,47 @@ def marginal_residual(family: SettingPairMarginalFamily,
                for p, q in SETTING_PAIRS)
 
 
+def _admit(family: SettingPairMarginalFamily, work_limit: int) -> None:
+    """Validate the family and refuse more composite points than
+    ``work_limit``."""
+    family.validate()
+    n = math.prod(s.cardinality for s in family.spaces)
+    if n > work_limit:
+        raise WorkLimitExceeded(n, work_limit)
+
+
+def _feasible_verdict(family: SettingPairMarginalFamily,
+                     joint: Distribution) -> FeasibilityVerdict:
+    """The Feasible verdict of a joint over the family's five spaces.
+
+    The joint is rescaled to exact total mass 1, the one explicit
+    renormalization in the pipeline, and checked against every marginal;
+    raises :class:`NumericalFailure` when it misses one by more than
+    ``MARGINAL_TOL``.
+    """
+    joint = renormalize(joint)
+    residual = marginal_residual(family, joint)
+    if not residual <= MARGINAL_TOL:
+        raise NumericalFailure(
+            "feasibility", f"joint misses the marginals by {residual!r}, "
+            f"tolerance is {MARGINAL_TOL!r}")
+    return FeasibilityVerdict(status="Feasible", joint=joint,
+                              residual=residual)
+
+
+def check_witness(family: SettingPairMarginalFamily, joint: Distribution,
+                  work_limit: int = DEFAULT_WORK_LIMIT) -> FeasibilityVerdict:
+    """The Feasible verdict of a family that is Local by construction,
+    carried by its construction witness ``joint`` instead of an LP joint.
+
+    Validates the family and applies ``work_limit`` exactly as
+    :func:`check_joint_existence` does; raises :class:`NumericalFailure`
+    when the witness misses the marginals by more than ``MARGINAL_TOL``.
+    """
+    _admit(family, work_limit)
+    return _feasible_verdict(family, joint)
+
+
 def check_joint_existence(family: SettingPairMarginalFamily,
                           work_limit: int = DEFAULT_WORK_LIMIT
                           ) -> FeasibilityVerdict:
@@ -154,25 +202,13 @@ def check_joint_existence(family: SettingPairMarginalFamily,
     :class:`NumericalFailure` when the joint misses the marginals by more
     than ``MARGINAL_TOL`` or the certificate does not separate.
     """
-    family.validate()
-    spaces = family.spaces
-    n = math.prod(s.cardinality for s in spaces)
-    if n > work_limit:
-        raise WorkLimitExceeded(n, work_limit)
+    _admit(family, work_limit)
     A, B = constraint_matrix(family)
     results = [solve_equality_feasibility(A, b) for b in B]
     if all(r.feasible for r in results):
-        # tiny negatives were already clipped; rescaling to exact total
-        # mass 1 is the one explicit renormalization in the pipeline
+        # tiny negatives were already clipped by the solver
         x = np.concatenate([r.x for r in results])
-        joint = renormalize(Distribution(tuple(spaces), x))
-        residual = marginal_residual(family, joint)
-        if not residual <= MARGINAL_TOL:
-            raise NumericalFailure(
-                "feasibility", f"joint misses the marginals by {residual!r}, "
-                f"tolerance is {MARGINAL_TOL!r}")
-        return FeasibilityVerdict(status="Feasible", joint=joint,
-                                  residual=residual)
+        return _feasible_verdict(family, Distribution(tuple(family.spaces), x))
     Y = np.zeros(B.shape)
     for lam, r in enumerate(results):
         if not r.feasible:

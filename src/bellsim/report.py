@@ -5,11 +5,16 @@ timestamps, hostnames, or backend tags), so a given scenario plus CLI
 flags always produces byte-identical text.  Analyses always execute and
 appear in the canonical order correlations, chsh, bell-check,
 feasibility, emulation, whatever order the scenario requested them in.
+
+The feasibility analysis of a FactorizedApparatus or JointComposite
+scenario reports its construction witness (the product joint, or the
+scenario's own joint), checked against the marginals; only
+SettingDependent families go through the joint-existence LP.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any
 
 from .correlation import (BellVerdict, CorrelationReport, EstimatorInfo,
                           FactorizedApparatus, JointComposite,
@@ -18,14 +23,14 @@ from .correlation import (BellVerdict, CorrelationReport, EstimatorInfo,
 from .errors import (BellsimError, NumericalFailure, ParseError,
                      ValidationError, WorkLimitExceeded)
 from .feasibility import (DEFAULT_WORK_LIMIT, check_joint_existence,
-                          construct_factorized_family, family_from_joint,
+                          check_witness, construct_factorized_family,
+                          factorized_joint, family_from_joint,
                           verify_certificate)
 from .models import (SETTING_NAMES, ApparatusDeterministic, Setting,
                      StochasticSource, effective_response_apparatus,
                      effective_response_stochastic)
 from .qm import max_violation_search, singlet_chsh, singlet_probabilities
-from .scenario import (ANALYSES, SCHEMA_VERSION, Scenario, module_for_error,
-                       render_document)
+from .scenario import ANALYSES, SCHEMA_VERSION, Scenario, module_for_error
 from .spaces import (SETTING_PAIRS, Distribution, FiveSpaces,
                      SettingPairMarginalFamily)
 
@@ -65,12 +70,18 @@ def _dist_doc(dist: Distribution) -> dict[str, Any]:
             "weights": [float(w) for w in dist.flat]}
 
 
-def _family_from_mode(dists) -> SettingPairMarginalFamily:
-    """The setting-pair marginal family a distribution mode induces."""
+def _family_from_mode(dists) -> tuple[SettingPairMarginalFamily,
+                                      Distribution | None]:
+    """The setting-pair marginal family a distribution mode induces, and
+    the joint that reproduces it by construction: the product joint of a
+    FactorizedApparatus family, the scenario's own joint of a
+    JointComposite one, and None for SettingDependent, whose verdict the
+    LP decides."""
     if isinstance(dists, FactorizedApparatus):
-        return construct_factorized_family(dists.rho, dists.apparatus)
+        return (construct_factorized_family(dists.rho, dists.apparatus),
+                factorized_joint(dists.rho, dists.apparatus))
     if isinstance(dists, JointComposite):
-        return family_from_joint(dists.joint)
+        return family_from_joint(dists.joint), dists.joint
     if isinstance(dists, SettingDependent):
         m = dists.marginals
         spaces = FiveSpaces(m[("a", "b")].domain[0],
@@ -78,14 +89,17 @@ def _family_from_mode(dists) -> SettingPairMarginalFamily:
                             m[("a_prime", "b")].domain[1],
                             m[("a", "b")].domain[2],
                             m[("a", "b_prime")].domain[2])
-        return SettingPairMarginalFamily(spaces, m)
+        return SettingPairMarginalFamily(spaces, m), None
     raise ValidationError("cli-harness",
                           f"no marginal family for mode {dists.mode}")
 
 
 def _feasibility_doc(dists, work_limit: int) -> dict[str, Any]:
-    family = _family_from_mode(dists)
-    verdict = check_joint_existence(family, work_limit)
+    family, witness = _family_from_mode(dists)
+    if witness is None:
+        verdict = check_joint_existence(family, work_limit)
+    else:
+        verdict = check_witness(family, witness, work_limit)
     if verdict.feasible:
         return {"status": verdict.status,
                 "classification": "Local",
@@ -138,7 +152,8 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
     """Execute the scenario's analyses and assemble the report document.
 
     ``seed_override`` replaces the scenario's monte-carlo seed (ignored for
-    the exact estimator); ``work_limit`` caps the feasibility LP size.
+    the exact estimator); ``work_limit`` caps the composite points of the
+    feasibility analysis.
     Verdicts are report content, never errors; errors mean the scenario
     could not be executed at all.
     """
@@ -254,7 +269,3 @@ def qm_search_doc(grid_step: float, refine_rounds: int) -> dict[str, Any]:
         "angles": {name: angle for name, angle in zip(SETTING_NAMES, angles)},
         "abs_s": best,
     }
-
-
-def render_report(doc: Mapping[str, Any]) -> str:
-    return render_document(doc)

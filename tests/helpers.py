@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from bellsim.models import (
@@ -12,7 +14,10 @@ from bellsim.models import (
     StochasticSource,
     standard_settings,
 )
+from bellsim.report import _family_from_mode
+from bellsim.scenario import parse_scenario, write_scenario
 from bellsim.spaces import (
+    SETTING_PAIRS,
     SIDE_A_NAMES,
     SIDE_B_NAMES,
     Distribution,
@@ -116,3 +121,16 @@ def chsh_symmetrization_max(e_by_pair) -> float:
         signs[flip] = -1.0
         best = max(best, abs(float(signs @ e)))
     return best
+
+
+def setting_dependent_copy(source, target) -> None:
+    """Write the scenario file ``source`` to ``target`` with its
+    distributions replaced by the four pair marginals of its family (mode
+    SettingDependent), so that its feasibility analysis runs the LP."""
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    family, _ = _family_from_mode(parse_scenario(doc).distributions)
+    doc["distributions"] = {"mode": "SettingDependent", "marginals": {
+        f"{p}|{q}": {"domain": list(family.marginal(p, q).labels),
+                     "weights": [float(w) for w in family.marginal(p, q).flat]}
+        for p, q in SETTING_PAIRS}}
+    write_scenario(target, doc)

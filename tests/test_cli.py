@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import setting_dependent_copy
 
-from bellsim import feasibility
+from bellsim import feasibility, report
 from bellsim.cli import main
+from bellsim.spaces import Distribution
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 BUNDLED = sorted(SCENARIOS.glob("*.scenario"))
@@ -140,6 +143,14 @@ class TestRun:
         assert code == 1
         assert "work limit" in err.lower() or "limit" in err.lower()
 
+    def test_work_limit_exit_joint_composite(self, capsys):
+        code, out, err = run_cli(capsys, "run",
+                                 str(SCENARIOS / "joint-composite.scenario"),
+                                 "--work-limit", "4")
+        assert code == 1
+        assert out == ""
+        assert "limit is 4" in err
+
 
     def test_joint_composite_5_cards_bounded_time(self, capsys, tmp_path):
         scenario = tmp_path / "joint5.scenario"
@@ -165,7 +176,8 @@ class TestRun:
         assert feas["residual"] <= 1e-9
 
     def test_unchecked_verdict_exit_names_feasibility(self, capsys,
-                                                      monkeypatch):
+                                                      monkeypatch, tmp_path):
+        # a SettingDependent Local scenario: its verdict comes from the LP
         real = feasibility.solve_equality_feasibility
 
         def off_by_a_little(A, b):
@@ -176,11 +188,69 @@ class TestRun:
 
         monkeypatch.setattr(feasibility, "solve_equality_feasibility",
                             off_by_a_little)
+        copy = tmp_path / "copy.scenario"
+        setting_dependent_copy(SCENARIOS / "factorized.scenario", copy)
+        code, out, err = run_cli(capsys, "run", str(copy))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bellsim: error: [feasibility] ")
+
+    def test_unchecked_witness_exit_names_feasibility(self, capsys,
+                                                      monkeypatch):
+        real = report.factorized_joint
+
+        def off_by_a_little(rho, apparatus):
+            joint = real(rho, apparatus)
+            weights = joint.weights.copy()
+            weights.flat[0] += 1e-6
+            return Distribution(joint.domain, weights)
+
+        monkeypatch.setattr(report, "factorized_joint", off_by_a_little)
         code, out, err = run_cli(capsys, "run",
                                  str(SCENARIOS / "factorized.scenario"))
         assert code == 1
         assert out == ""
         assert err.startswith("bellsim: error: [feasibility] ")
+
+    def test_factorized_joint_is_the_product_witness(self, capsys, tmp_path):
+        scenario = tmp_path / "factorized.scenario"
+        assert run_cli(capsys, "generate", "factorized", "--cards",
+                       "3,4,2,4,3", "--seed", "2", "-o", str(scenario))[0] == 0
+        code, out, _ = run_cli(capsys, "run", str(scenario))
+        assert code == 0
+        feas = json.loads(out)["analyses"]["feasibility"]
+        dists = json.loads(scenario.read_text())["distributions"]
+        factors = [dists["rho"]] + [dists["apparatus"][name] for name in
+                                    ("a", "a_prime", "b", "b_prime")]
+        product = functools.reduce(np.multiply.outer,
+                                   [np.array(f["weights"]) for f in factors])
+        expected = product / float(np.sum(product))
+        assert feas["joint"]["domain"] == [f["domain"][0] for f in factors]
+        assert feas["joint"]["weights"] == expected.reshape(-1).tolist()
+
+    def test_joint_composite_joint_is_the_scenario_joint(self, capsys):
+        path = SCENARIOS / "joint-composite.scenario"
+        code, out, _ = run_cli(capsys, "run", str(path))
+        assert code == 0
+        feas = json.loads(out)["analyses"]["feasibility"]
+        source = json.loads(path.read_text())["distributions"]["joint"]
+        weights = np.array(source["weights"])
+        assert feas["joint"]["domain"] == source["domain"]
+        assert (feas["joint"]["weights"]
+                == (weights / float(np.sum(weights))).tolist())
+
+    @pytest.mark.parametrize("template", ["factorized", "joint-composite"])
+    def test_8_cards_bounded_time(self, capsys, tmp_path, template):
+        scenario = tmp_path / "big.scenario"
+        assert run_cli(capsys, "generate", template, "--cards", "8,8,8,8,8",
+                       "--seed", "1", "-o", str(scenario))[0] == 0
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, "run", str(scenario))
+        assert time.monotonic() - start < 2.0
+        assert code == 0
+        feas = json.loads(out)["analyses"]["feasibility"]
+        assert feas["status"] == "Feasible"
+        assert feas["residual"] <= 1e-9
 
 
 class TestGenerate:

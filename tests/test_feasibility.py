@@ -24,6 +24,7 @@ from bellsim.feasibility import (
     CERTIFICATE_SLACK,
     MARGINAL_TOL,
     check_joint_existence,
+    check_witness,
     classify,
     construct_factorized_family,
     construct_nonlocal_witness,
@@ -247,6 +248,47 @@ class TestWorkLimit:
         family = SettingPairMarginalFamily(spaces, marginals)
         with pytest.raises(WorkLimitExceeded):
             check_joint_existence(family, work_limit=16)
+
+
+class TestConstructionWitness:
+    def test_factorized_witness_is_the_renormalized_product(self):
+        rng = np.random.default_rng(51)
+        spaces = five_spaces((3, 2, 4, 2, 3))
+        rho = random_distribution(rng, (spaces.lam,))
+        apparatus = random_apparatus_dists(rng, spaces)
+        family = construct_factorized_family(rho, apparatus)
+        joint = factorized_joint(rho, apparatus)
+        verdict = check_witness(family, joint)
+        assert_marginals_reproduced(family, verdict)
+        np.testing.assert_array_equal(
+            verdict.joint.weights, joint.weights / float(np.sum(joint.flat)))
+        assert verdict.residual == marginal_residual(family, verdict.joint)
+
+    def test_joint_composite_witness_agrees_with_the_lp(self):
+        rng = np.random.default_rng(52)
+        joint = random_distribution(rng, tuple(five_spaces((2, 3, 2, 3, 2))))
+        family = family_from_joint(joint)
+        verdict = check_witness(family, joint)
+        assert_marginals_reproduced(family, verdict)
+        assert verdict.status == check_joint_existence(family).status
+
+    def test_perturbed_witness_is_refused(self):
+        rng = np.random.default_rng(53)
+        joint = random_distribution(rng, tuple(five_spaces((2, 2, 2, 2, 2))))
+        family = family_from_joint(joint)
+        weights = joint.weights.copy()
+        weights.flat[0] += 1e-6
+        with pytest.raises(NumericalFailure) as exc:
+            check_witness(family, Distribution(joint.domain, weights))
+        assert exc.value.module == "feasibility"
+
+    def test_work_limit_applies(self):
+        joint = Distribution.uniform(tuple(five_spaces((2, 2, 2, 2, 2))))
+        family = family_from_joint(joint)
+        assert check_witness(family, joint, work_limit=32).feasible
+        with pytest.raises(WorkLimitExceeded) as exc:
+            check_witness(family, joint, work_limit=31)
+        assert exc.value.required == 32
 
 
 _AXES = {"a": 1, "a_prime": 2, "b": 3, "b_prime": 4}

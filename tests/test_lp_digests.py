@@ -1,20 +1,33 @@
-"""Exact report bytes, and so the joint-existence LP, are pinned.
+"""Exact report bytes are pinned: the construction witnesses and the
+joint-existence LP.
 
 Each case generates a scenario with the exact estimator, runs it through
-the CLI and compares the sha256 of the report text with a digest recorded
-with the dense simplex pivot, which updates every tableau row.  The
-digests pin the Feasible joint weights of factorized and joint-composite
-families and the Farkas certificate of a setting-dependent witness, so
-any change to the pivot path (pricing, ratio test, pivot arithmetic) that
-moves one bit of a joint or a certificate changes a digest.  They also pin
-the generated scenario, whose sha256 every report carries.
+the CLI and compares the sha256 of the report text with a recorded
+digest.  Every digest also pins the generated scenario, whose sha256
+every report carries.
+
+- Factorized and joint-composite families are Local by construction, so
+  their reports carry the construction witness (the renormalized product
+  joint, or the scenario's own joint) and never reach the LP.  Their
+  digests pin that witness and its residual.
+- The setting-dependent witness pins the Farkas certificate of the LP.
+- SettingDependent copies of the factorized and joint-composite families
+  (the same four pair marginals under mode SettingDependent) send those
+  families through the LP's Feasible path.  Their digests were recorded
+  while factorized and joint-composite reports still came from the LP,
+  and each copy's joint equals, byte for byte, the joint the LP then
+  reported for the original scenario.  So any change to the pivot path (pricing, ratio
+  test, pivot arithmetic) that moves one bit of a joint or a certificate
+  changes a digest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
+from helpers import setting_dependent_copy
 
 from bellsim.cli import main
 
@@ -22,13 +35,13 @@ from bellsim.cli import main
 #: `bellsim run` report of the generated file.
 GENERATED = {
     ("factorized", "4,4,4,4,4", 1):
-        "9791d6cf4cbed574e0ebaa328eaaa547e1e9f513df23cd0606db3a484ac29810",
+        "3c3fe47cc4c409ec665f3d77d9e57b8768e43466ff75babb98695a5c58d06478",
     ("factorized", "2,4,4,4,4", 1):
-        "adf2fcb84542a1b9eea8d3a9e60a6ad5c4f64a2eab855966eba7e334df8783cb",
+        "57d2946ff2273d19544de039c7e1e7777f7fa4cf665a5c96c4fee03a06a5c2e9",
     ("joint-composite", "4,4,4,4,4", 1):
-        "e0e7eff6311f53f1cfafd724553915704f509bde27b66b8b82c788787463c1c1",
+        "071447b02c1bd34ea65febc2815c7206d017538ff295c5332f21d5d0906d813e",
     ("joint-composite", "2,4,4,4,4", 1):
-        "78e73c87c72e25981e102f013711cd7b8ed530723ab54071765ac15c93303cb2",
+        "b30d2a4879e1d394438742d62e762ce48fbeb00bfaa3b77f6ff4529092aaf40c",
     ("setting-dependent-witness", "4,4,4,4,4", 1):
         "74c2413a2921a53a10fde60249b594bf2bf239c76bda2450fc72eedccb20ca71",
 }
@@ -45,3 +58,36 @@ def test_generated_exact_report_pinned(capsys, tmp_path, case):
     assert main(["run", str(scenario)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GENERATED[case]
+
+
+#: (template, cardinalities, generation seed) -> sha256 of the
+#: `bellsim run` report of the generated file with its distributions
+#: replaced by the four pair marginals of its family (mode
+#: SettingDependent), which sends the family through the LP.
+SETTING_DEPENDENT_COPIES = {
+    ("factorized", "4,4,4,4,4", 1):
+        "02a7f83e986b932bf8077b3909393db17500424c815ed4598e4babfcf542ca8e",
+    ("factorized", "2,4,4,4,4", 1):
+        "a83f86b52213094f648f89bf6efe0b42e929e94ae178dea4281aded13d007367",
+    ("joint-composite", "4,4,4,4,4", 1):
+        "0e6c6fbd06fbdbda835584f5ae439c50f8701d5de65620dd7b38791f3481a463",
+    ("joint-composite", "2,4,4,4,4", 1):
+        "c7cc7a6c52627e5a5d9dfb4fa74283178fc4de66394fa89874205697868361ab",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SETTING_DEPENDENT_COPIES),
+                         ids=lambda c: f"{c[0]}-{c[1]}-seed{c[2]}")
+def test_setting_dependent_copy_report_pinned(capsys, tmp_path, case):
+    template, cards, seed = case
+    scenario = tmp_path / "generated.scenario"
+    copy = tmp_path / "copy.scenario"
+    assert main(["generate", template, "--cards", cards, "--seed", str(seed),
+                 "--estimator", "exact", "-o", str(scenario)]) == 0
+    setting_dependent_copy(scenario, copy)
+    capsys.readouterr()
+    assert main(["run", str(copy)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["distribution_mode"] == "SettingDependent"
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == SETTING_DEPENDENT_COPIES[case])

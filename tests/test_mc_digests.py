@@ -34,9 +34,11 @@ GENERATED = {
 }
 
 #: sha256 of `bellsim run scenarios/joint-composite.scenario` (Monte Carlo,
-#: 1e5 samples).
+#: 1e5 samples).  Its feasibility section carries the scenario's own joint,
+#: the construction witness; every other field is as the per-draw lookup
+#: gave it.
 JOINT_COMPOSITE = (
-    "dce4e2cdf5fc2c406ef6139455b690ad05954c3b10e79f37126749339579ce30")
+    "10b6591fef2c986b6e480a0bfc526ea96470574753f64f707439c475b60a44de")
 
 
 def _report_digest(capsys, *argv: str) -> str:
