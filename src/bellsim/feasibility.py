@@ -45,7 +45,7 @@ and its certificate is too weak to separate.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import reduce
 from typing import Literal
@@ -179,17 +179,21 @@ def _feasible_verdict(family: SettingPairMarginalFamily,
                               residual=residual)
 
 
-def check_witness(family: SettingPairMarginalFamily, joint: Distribution,
+def check_witness(family: SettingPairMarginalFamily,
+                  witness: Callable[[], Distribution],
                   work_limit: int = DEFAULT_WORK_LIMIT) -> FeasibilityVerdict:
     """The Feasible verdict of a family that is Local by construction,
-    carried by its construction witness ``joint`` instead of an LP joint.
+    carried by its construction witness instead of an LP joint.
 
     Validates the family and applies ``work_limit`` exactly as
-    :func:`check_joint_existence` does; raises :class:`NumericalFailure`
-    when the witness misses the marginals by more than ``MARGINAL_TOL``.
+    :func:`check_joint_existence` does, and only then calls ``witness``
+    to build the joint, so that an oversized family is refused before
+    anything of its full size is allocated.  Raises
+    :class:`NumericalFailure` when the witness misses the marginals by
+    more than ``MARGINAL_TOL``.
     """
     _admit(family, work_limit)
-    return _feasible_verdict(family, joint)
+    return _feasible_verdict(family, witness())
 
 
 def check_joint_existence(family: SettingPairMarginalFamily,

@@ -14,6 +14,8 @@ SettingDependent families go through the joint-existence LP.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import partial
 from typing import Any
 
 from .correlation import (BellVerdict, CorrelationReport, EstimatorInfo,
@@ -71,17 +73,18 @@ def _dist_doc(dist: Distribution) -> dict[str, Any]:
 
 
 def _family_from_mode(dists) -> tuple[SettingPairMarginalFamily,
-                                      Distribution | None]:
+                                      Callable[[], Distribution] | None]:
     """The setting-pair marginal family a distribution mode induces, and
-    the joint that reproduces it by construction: the product joint of a
-    FactorizedApparatus family, the scenario's own joint of a
-    JointComposite one, and None for SettingDependent, whose verdict the
-    LP decides."""
+    a builder of the joint that reproduces it by construction: the
+    product joint of a FactorizedApparatus family, the scenario's own
+    joint of a JointComposite one, and None for SettingDependent, whose
+    verdict the LP decides.  The product joint is built only when the
+    builder is called, after the work limit has admitted the family."""
     if isinstance(dists, FactorizedApparatus):
         return (construct_factorized_family(dists.rho, dists.apparatus),
-                factorized_joint(dists.rho, dists.apparatus))
+                partial(factorized_joint, dists.rho, dists.apparatus))
     if isinstance(dists, JointComposite):
-        return family_from_joint(dists.joint), dists.joint
+        return family_from_joint(dists.joint), lambda: dists.joint
     if isinstance(dists, SettingDependent):
         m = dists.marginals
         spaces = FiveSpaces(m[("a", "b")].domain[0],

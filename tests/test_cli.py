@@ -143,6 +143,19 @@ class TestRun:
         assert code == 1
         assert "work limit" in err.lower() or "limit" in err.lower()
 
+    def test_work_limit_exit_builds_no_witness(self, capsys, monkeypatch):
+        # the refusal comes before the full-size product joint is allocated
+        def unbuildable(rho, apparatus):
+            raise AssertionError("witness built before the work limit")
+
+        monkeypatch.setattr(report, "factorized_joint", unbuildable)
+        code, out, err = run_cli(capsys, "run",
+                                 str(SCENARIOS / "factorized.scenario"),
+                                 "--work-limit", "4")
+        assert code == 1
+        assert out == ""
+        assert "limit is 4" in err
+
     def test_work_limit_exit_joint_composite(self, capsys):
         code, out, err = run_cli(capsys, "run",
                                  str(SCENARIOS / "joint-composite.scenario"),

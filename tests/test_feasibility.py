@@ -258,7 +258,7 @@ class TestConstructionWitness:
         apparatus = random_apparatus_dists(rng, spaces)
         family = construct_factorized_family(rho, apparatus)
         joint = factorized_joint(rho, apparatus)
-        verdict = check_witness(family, joint)
+        verdict = check_witness(family, lambda: joint)
         assert_marginals_reproduced(family, verdict)
         np.testing.assert_array_equal(
             verdict.joint.weights, joint.weights / float(np.sum(joint.flat)))
@@ -268,7 +268,7 @@ class TestConstructionWitness:
         rng = np.random.default_rng(52)
         joint = random_distribution(rng, tuple(five_spaces((2, 3, 2, 3, 2))))
         family = family_from_joint(joint)
-        verdict = check_witness(family, joint)
+        verdict = check_witness(family, lambda: joint)
         assert_marginals_reproduced(family, verdict)
         assert verdict.status == check_joint_existence(family).status
 
@@ -279,16 +279,26 @@ class TestConstructionWitness:
         weights = joint.weights.copy()
         weights.flat[0] += 1e-6
         with pytest.raises(NumericalFailure) as exc:
-            check_witness(family, Distribution(joint.domain, weights))
+            check_witness(family, lambda: Distribution(joint.domain, weights))
         assert exc.value.module == "feasibility"
 
     def test_work_limit_applies(self):
         joint = Distribution.uniform(tuple(five_spaces((2, 2, 2, 2, 2))))
         family = family_from_joint(joint)
-        assert check_witness(family, joint, work_limit=32).feasible
+        assert check_witness(family, lambda: joint, work_limit=32).feasible
         with pytest.raises(WorkLimitExceeded) as exc:
-            check_witness(family, joint, work_limit=31)
+            check_witness(family, lambda: joint, work_limit=31)
         assert exc.value.required == 32
+
+    def test_refused_family_builds_no_witness(self):
+        joint = Distribution.uniform(tuple(five_spaces((2, 2, 2, 2, 2))))
+        family = family_from_joint(joint)
+
+        def unbuildable():
+            raise AssertionError("witness built before the work limit")
+
+        with pytest.raises(WorkLimitExceeded):
+            check_witness(family, unbuildable, work_limit=31)
 
 
 _AXES = {"a": 1, "a_prime": 2, "b": 3, "b_prime": 4}
