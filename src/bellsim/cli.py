@@ -181,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             doc = qm_search_doc(args.grid_step, args.refine_rounds)
     except BellsimError as exc:
-        print(f"bellsim: error: {exc}", file=sys.stderr)
+        print(f"bellsim: error: [{exc.module}] {exc}", file=sys.stderr)
         return 1
     _emit(render_document(doc), args.output)
     return 0

@@ -41,11 +41,11 @@ from ._kernels import (
     response_product_sum,
 )
 from .errors import (
-    DomainMismatch,
+    CorrelationDomainMismatch,
+    CorrelationSideMismatch,
     IncompatibleModeModel,
     NotAProbabilityVector,
     OutOfRangeCorrelation,
-    SideMismatch,
     WorkLimitExceeded,
     ZeroSamples,
 )
@@ -61,7 +61,6 @@ from .models import (
 from .spaces import (
     SETTING_PAIRS,
     Distribution,
-    FiveSpaces,
     pair_key,
     validate_distribution,
 )
@@ -112,7 +111,7 @@ class SettingDependent:
     def __post_init__(self) -> None:
         marginals = {pair_key(*k): v for k, v in self.marginals.items()}
         if set(marginals) != set(SETTING_PAIRS):
-            raise DomainMismatch(
+            raise CorrelationDomainMismatch(
                 f"need one marginal per setting pair {SETTING_PAIRS}, "
                 f"got {sorted(marginals)}")
         for dist in marginals.values():
@@ -135,7 +134,8 @@ class FactorizedApparatus:
         apparatus = dict(self.apparatus)
         for name in ("a", "a_prime", "b", "b_prime"):
             if name not in apparatus:
-                raise DomainMismatch(f"missing apparatus distribution for {name!r}")
+                raise CorrelationDomainMismatch(
+                    f"missing apparatus distribution for {name!r}")
             validate_distribution(apparatus[name])
         object.__setattr__(self, "apparatus", apparatus)
 
@@ -151,7 +151,7 @@ class JointComposite:
     def __post_init__(self) -> None:
         validate_distribution(self.joint)
         if len(self.joint.domain) != 5:
-            raise DomainMismatch(
+            raise CorrelationDomainMismatch(
                 f"composite joint needs a five-space domain, got {self.joint.labels}")
 
 
@@ -207,7 +207,7 @@ class CorrelationReport:
         for pc in self.pairs:
             if pc.pair == key:
                 return pc
-        raise DomainMismatch(f"no pair ({p!r}, {q!r}) in report")
+        raise CorrelationDomainMismatch(f"no pair ({p!r}, {q!r}) in report")
 
 
 @dataclass(frozen=True)
@@ -275,9 +275,11 @@ def _codes_from_signs(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _check_pair(pair: tuple[Setting, Setting]) -> tuple[Setting, Setting]:
     p, q = pair
     if not p.is_side_a:
-        raise SideMismatch(f"first setting of a pair must be side A, got {p.name!r}")
+        raise CorrelationSideMismatch(
+            f"first setting of a pair must be side A, got {p.name!r}")
     if q.is_side_a:
-        raise SideMismatch(f"second setting of a pair must be side B, got {q.name!r}")
+        raise CorrelationSideMismatch(
+            f"second setting of a pair must be side B, got {q.name!r}")
     return p, q
 
 
@@ -290,7 +292,7 @@ def _source_weights(model, dists, pair_names) -> np.ndarray:
     else:
         raise IncompatibleModeModel(dists.mode, model.kind)
     if rho.domain != (model.lam,):
-        raise DomainMismatch(
+        raise CorrelationDomainMismatch(
             f"distribution domain {rho.labels} does not match the model's "
             f"source space {model.lam.label!r}")
     return rho.flat
@@ -303,12 +305,12 @@ def _apparatus_triple(model: ApparatusDeterministic, dists,
     expected = (spaces.lam, spaces.for_setting(p.name), spaces.for_setting(q.name))
     if isinstance(dists, FactorizedApparatus):
         if dists.rho.domain != (spaces.lam,):
-            raise DomainMismatch(
+            raise CorrelationDomainMismatch(
                 f"source distribution domain {dists.rho.labels} does not match "
                 f"{spaces.lam.label!r}")
         for name in (p.name, q.name):
             if dists.apparatus[name].domain != (spaces.for_setting(name),):
-                raise DomainMismatch(
+                raise CorrelationDomainMismatch(
                     f"apparatus distribution for {name!r} does not live on "
                     f"{spaces.for_setting(name).label!r}")
         w = dists.rho.flat[:, None, None] * dists.apparatus[p.name].flat[None, :, None]
@@ -316,7 +318,7 @@ def _apparatus_triple(model: ApparatusDeterministic, dists,
     if isinstance(dists, SettingDependent):
         marginal = dists.marginals[(p.name, q.name)]
         if marginal.domain != expected:
-            raise DomainMismatch(
+            raise CorrelationDomainMismatch(
                 f"marginal for ({p.name!r}, {q.name!r}) has domain "
                 f"{marginal.labels}, expected {tuple(s.label for s in expected)}")
         return marginal.weights
@@ -368,7 +370,7 @@ def _composite_decomposition(model: ApparatusDeterministic, dists: JointComposit
                              p: Setting, q: Setting) -> OutcomeDecomposition:
     spaces = model.spaces
     if dists.joint.domain != tuple(spaces):
-        raise DomainMismatch(
+        raise CorrelationDomainMismatch(
             f"composite joint domain {dists.joint.labels} does not match the "
             f"model's five spaces {tuple(s.label for s in spaces)}")
     shape = dists.joint.shape
@@ -409,7 +411,7 @@ def _effective_vectors(model, dists, p: Setting, q: Setting):
             f_bar = _averaged_response(model, p.name, dists.apparatus[p.name])
             g_bar = _averaged_response(model, q.name, dists.apparatus[q.name])
             if dists.rho.domain != (model.spaces.lam,):
-                raise DomainMismatch(
+                raise CorrelationDomainMismatch(
                     f"source distribution domain {dists.rho.labels} does not "
                     f"match {model.spaces.lam.label!r}")
             return f_bar, g_bar, dists.rho.flat
@@ -426,7 +428,7 @@ def _averaged_response(model: ApparatusDeterministic, name: str,
     """Per-lambda apparatus average: one row dot per source point."""
     expected = model.spaces.for_setting(name)
     if apparatus_dist.domain != (expected,):
-        raise DomainMismatch(
+        raise CorrelationDomainMismatch(
             f"apparatus distribution for {name!r} does not live on {expected.label!r}")
     table = model.tables[name]
     ones = np.ones(table.shape[1])
@@ -461,7 +463,7 @@ def _ordered_pairs(settings) -> tuple[tuple[Setting, Setting], ...]:
     for s in (a, a_prime, b, b_prime):
         by_name[s.name] = s
     if set(by_name) != {"a", "a_prime", "b", "b_prime"}:
-        raise SideMismatch(
+        raise CorrelationSideMismatch(
             f"need the four canonical settings, got {sorted(by_name)}")
     return tuple((by_name[p], by_name[q]) for p, q in SETTING_PAIRS)
 
@@ -542,7 +544,7 @@ def enumerate_bound(lambda_cardinality: int,
     source distribution.
     """
     if lambda_cardinality < 1:
-        raise DomainMismatch("source cardinality must be at least 1")
+        raise CorrelationDomainMismatch("source cardinality must be at least 1")
     strategies = 2 ** (4 * lambda_cardinality)
     if strategies > work_limit:
         raise WorkLimitExceeded(strategies, work_limit)

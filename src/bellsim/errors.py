@@ -4,21 +4,44 @@ Every public operation raises subclasses of :class:`BellsimError` instead of
 bare ValueError/KeyError, and each exception carries the offending payload
 (index, sum, label, ...) as attributes so callers and tests can inspect the
 exact violation.
+
+Every class names, in its ``module`` attribute, the bellsim module whose
+code raises it: ``hv-core`` (spaces.py), ``response-models`` (models.py),
+``correlation-engine`` (correlation.py), ``feasibility``, ``simplex``,
+``qm-reference`` (qm.py) or ``cli-harness`` (scenario.py, report.py,
+cli.py).  Each section below that defines classes of its own has a
+private base carrying its tag.  A class raised from a second module gets a
+two-line subclass in that module's section that overrides ``module``, so
+this file is the one place that knows every tag and ``except
+DomainMismatch`` still catches them all.  Messages carry no tag; the CLI
+prints ``[module] message``.
 """
 
 from __future__ import annotations
 
 
 class BellsimError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``detail`` is the
+    message; ``module`` names the module that raised the error, and every
+    subclass sets it."""
+
+    module: str
+
+    def __init__(self, detail: str):
+        self.detail = detail
+        super().__init__(detail)
 
 
 # ---------------------------------------------------------------------------
-# Hidden-variable spaces and distributions
+# Hidden-variable spaces and distributions (spaces.py)
 # ---------------------------------------------------------------------------
 
 
-class NegativeWeight(BellsimError):
+class _HvCoreError(BellsimError):
+    module = "hv-core"
+
+
+class NegativeWeight(_HvCoreError):
     """A distribution weight is negative."""
 
     def __init__(self, index: int, value: float):
@@ -27,7 +50,7 @@ class NegativeWeight(BellsimError):
         super().__init__(f"weight at flat index {self.index} is negative: {self.value!r}")
 
 
-class NotNormalized(BellsimError):
+class NotNormalized(_HvCoreError):
     """Distribution weights do not sum to one within tolerance."""
 
     def __init__(self, total: float):
@@ -35,7 +58,7 @@ class NotNormalized(BellsimError):
         super().__init__(f"weights sum to {self.total!r}, expected 1 within 1e-12")
 
 
-class ShapeMismatch(BellsimError):
+class ShapeMismatch(_HvCoreError):
     """Weight count does not match the product of the domain cardinalities."""
 
     def __init__(self, expected: int, actual: int):
@@ -44,7 +67,7 @@ class ShapeMismatch(BellsimError):
         super().__init__(f"expected {self.expected} weights for the domain, got {self.actual}")
 
 
-class OverlappingDomains(BellsimError):
+class OverlappingDomains(_HvCoreError):
     """Two factors of a product share a hidden-variable space."""
 
     def __init__(self, label: str):
@@ -52,7 +75,7 @@ class OverlappingDomains(BellsimError):
         super().__init__(f"space {label!r} appears in more than one factor")
 
 
-class InvalidPart(BellsimError):
+class InvalidPart(_HvCoreError):
     """A factor passed to a product is not a valid distribution."""
 
     def __init__(self, index: int, cause: BellsimError):
@@ -61,14 +84,14 @@ class InvalidPart(BellsimError):
         super().__init__(f"factor {self.index} is invalid: {cause}")
 
 
-class EmptyKeepSet(BellsimError):
+class EmptyKeepSet(_HvCoreError):
     """Marginalization must keep at least one space."""
 
     def __init__(self) -> None:
         super().__init__("the set of spaces to keep is empty")
 
 
-class UnknownSpace(BellsimError):
+class UnknownSpace(_HvCoreError):
     """A referenced space is not part of the distribution's domain."""
 
     def __init__(self, label: str):
@@ -76,12 +99,21 @@ class UnknownSpace(BellsimError):
         super().__init__(f"space {label!r} is not in the domain")
 
 
+class InvalidFamily(_HvCoreError):
+    """A space, setting pair or setting-pair marginal family violates its
+    structural invariants."""
+
+
 # ---------------------------------------------------------------------------
-# Response models
+# Response models (models.py)
 # ---------------------------------------------------------------------------
 
 
-class KindMismatch(BellsimError):
+class _ResponseModelsError(BellsimError):
+    module = "response-models"
+
+
+class KindMismatch(_ResponseModelsError):
     """An operation was applied to an incompatible response-model kind."""
 
     def __init__(self, expected: str, actual: str):
@@ -90,14 +122,14 @@ class KindMismatch(BellsimError):
         super().__init__(f"operation expects a {expected} model, got {actual}")
 
 
-class MissingRemoteSetting(BellsimError):
+class MissingRemoteSetting(_ResponseModelsError):
     """A contextual model was queried without the remote setting."""
 
     def __init__(self) -> None:
         super().__init__("contextual outcome queries require the remote setting")
 
 
-class PointDimensionMismatch(BellsimError):
+class PointDimensionMismatch(_ResponseModelsError):
     """A hidden point has the wrong number of components for the model kind."""
 
     def __init__(self, expected: int, actual: int):
@@ -106,23 +138,15 @@ class PointDimensionMismatch(BellsimError):
         super().__init__(f"hidden point has {self.actual} components, expected {self.expected}")
 
 
-class DomainMismatch(BellsimError):
+class DomainMismatch(_ResponseModelsError):
     """Spaces supplied to an operation do not match the model's declared spaces."""
 
-    def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(detail)
 
-
-class SideMismatch(BellsimError):
+class SideMismatch(_ResponseModelsError):
     """A setting appears on the wrong side of the experiment."""
 
-    def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(detail)
 
-
-class RemoteDependenceForbidden(BellsimError):
+class RemoteDependenceForbidden(_ResponseModelsError):
     """A contextual model marked as space-like separated depends on the
     remote setting."""
 
@@ -134,19 +158,19 @@ class RemoteDependenceForbidden(BellsimError):
 
 
 # ---------------------------------------------------------------------------
-# Correlation engine
+# Correlation engine (correlation.py)
 # ---------------------------------------------------------------------------
 
 
-class NotAProbabilityVector(BellsimError):
+class _CorrelationError(BellsimError):
+    module = "correlation-engine"
+
+
+class NotAProbabilityVector(_CorrelationError):
     """Four joint-outcome probabilities are negative or do not sum to one."""
 
-    def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(detail)
 
-
-class IncompatibleModeModel(BellsimError):
+class IncompatibleModeModel(_CorrelationError):
     """The scenario-distribution mode cannot drive the given model kind."""
 
     def __init__(self, mode: str, kind: str):
@@ -155,7 +179,7 @@ class IncompatibleModeModel(BellsimError):
         super().__init__(f"distribution mode {mode!r} is incompatible with model kind {kind!r}")
 
 
-class OutOfRangeCorrelation(BellsimError):
+class OutOfRangeCorrelation(_CorrelationError):
     """A correlation value lies outside [-1, 1]."""
 
     def __init__(self, value: float):
@@ -163,7 +187,7 @@ class OutOfRangeCorrelation(BellsimError):
         super().__init__(f"correlation {self.value!r} lies outside [-1, 1]")
 
 
-class WorkLimitExceeded(BellsimError):
+class WorkLimitExceeded(_CorrelationError):
     """The requested computation exceeds the configured work limit."""
 
     def __init__(self, required: int, limit: int):
@@ -172,49 +196,36 @@ class WorkLimitExceeded(BellsimError):
         super().__init__(f"requires {self.required} units of work, limit is {self.limit}")
 
 
-class ZeroSamples(BellsimError):
+class ZeroSamples(_CorrelationError):
     """Monte Carlo estimation needs at least one sample."""
 
     def __init__(self) -> None:
         super().__init__("sample count must be at least 1")
 
 
+class CorrelationDomainMismatch(DomainMismatch):
+    module = "correlation-engine"
+
+
+class CorrelationSideMismatch(SideMismatch):
+    module = "correlation-engine"
+
+
 # ---------------------------------------------------------------------------
-# Joint-distribution feasibility
+# Joint-distribution feasibility (feasibility.py)
 # ---------------------------------------------------------------------------
 
 
-class InvalidFamily(BellsimError):
-    """A setting-pair marginal family violates its structural invariants."""
-
-    def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(detail)
+class _FeasibilityError(BellsimError):
+    module = "feasibility"
 
 
-class NumericalFailure(BellsimError):
-    """A numeric result failed its own check; names the module that
-    produced it, so no unchecked number reaches a report."""
-
-    def __init__(self, module: str, detail: str):
-        self.module = module
-        self.detail = detail
-        super().__init__(f"[{module}] {detail}")
+class NumericalFailure(_FeasibilityError):
+    """A numeric result failed its own check, so no unchecked number
+    reaches a report."""
 
 
-class TableauGrowth(NumericalFailure):
-    """Simplex tableau entries grew past the limit relative to the start
-    tableau, so the pivots that follow can no longer be trusted."""
-
-    def __init__(self, growth: float, limit: float):
-        self.growth = float(growth)
-        self.limit = float(limit)
-        super().__init__(
-            "simplex",
-            f"tableau entries grew by a factor {self.growth!r}, limit is {self.limit!r}")
-
-
-class NonViolatingAngles(BellsimError):
+class NonViolatingAngles(_FeasibilityError):
     """The singlet CHSH value at the given angles does not exceed the bound."""
 
     def __init__(self, s: float):
@@ -225,56 +236,80 @@ class NonViolatingAngles(BellsimError):
         )
 
 
+class FeasibilityWorkLimitExceeded(WorkLimitExceeded):
+    module = "feasibility"
+
+
 # ---------------------------------------------------------------------------
-# Quantum reference
+# Simplex (simplex.py)
 # ---------------------------------------------------------------------------
 
 
-class NonFiniteAngle(BellsimError):
-    """An analyzer angle given to the singlet oracle is NaN or infinite;
-    names the module."""
+class SimplexNumericalFailure(NumericalFailure):
+    module = "simplex"
 
+
+class SimplexWorkLimitExceeded(WorkLimitExceeded):
+    module = "simplex"
+
+
+class TableauGrowth(SimplexNumericalFailure):
+    """Simplex tableau entries grew past the limit relative to the start
+    tableau, so the pivots that follow can no longer be trusted."""
+
+    def __init__(self, growth: float, limit: float):
+        self.growth = float(growth)
+        self.limit = float(limit)
+        super().__init__(
+            f"tableau entries grew by a factor {self.growth!r}, limit is {self.limit!r}")
+
+
+# ---------------------------------------------------------------------------
+# Quantum reference (qm.py)
+# ---------------------------------------------------------------------------
+
+
+class _QmError(BellsimError):
     module = "qm-reference"
+
+
+class NonFiniteAngle(_QmError):
+    """An analyzer angle given to the singlet oracle is NaN or infinite."""
 
     def __init__(self, name: str, value: float):
         self.name = name
         self.value = float(value)
-        super().__init__(f"[{self.module}] angles must be finite, "
-                         f"got {name} = {self.value!r}")
+        super().__init__(f"angles must be finite, got {name} = {self.value!r}")
 
 
-class InvalidStep(BellsimError):
+class InvalidStep(_QmError):
     """Grid step or refinement round count for the violation search is out
     of range."""
 
-    def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(detail)
+
+class QmSideMismatch(SideMismatch):
+    module = "qm-reference"
 
 
 # ---------------------------------------------------------------------------
-# Scenario files and CLI
+# Scenario files, reports and CLI (scenario.py, report.py, cli.py)
 # ---------------------------------------------------------------------------
 
 
-class ParseError(BellsimError):
+class _CliError(BellsimError):
+    module = "cli-harness"
+
+
+class ParseError(_CliError):
     """A scenario file could not be parsed."""
 
-    def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(detail)
+
+class ValidationError(_CliError):
+    """A parsed scenario's parts do not fit together (model kind, mode and
+    requested analyses)."""
 
 
-class ValidationError(BellsimError):
-    """A parsed scenario failed a module validation; names the module."""
-
-    def __init__(self, module: str, detail: str):
-        self.module = module
-        self.detail = detail
-        super().__init__(f"[{module}] {detail}")
-
-
-class UnknownTemplate(BellsimError):
+class UnknownTemplate(_CliError):
     """Requested scenario template does not exist."""
 
     def __init__(self, name: str, known: tuple[str, ...]):
@@ -283,10 +318,10 @@ class UnknownTemplate(BellsimError):
         super().__init__(f"unknown template {name!r}; known templates: {', '.join(known)}")
 
 
-class ParameterOutOfRange(BellsimError):
+class ParameterOutOfRange(_CliError):
     """A template parameter is outside its documented range."""
 
     def __init__(self, name: str, detail: str):
+        super().__init__(f"parameter {name!r}: {detail}")
         self.name = name
         self.detail = detail
-        super().__init__(f"parameter {name!r}: {detail}")

@@ -53,7 +53,8 @@ from typing import Literal
 import numpy as np
 
 from .correlation import BELL_BOUND_TOL, SettingDependent
-from .errors import NonViolatingAngles, NumericalFailure, WorkLimitExceeded
+from .errors import (FeasibilityWorkLimitExceeded, NonViolatingAngles,
+                     NumericalFailure)
 from .models import SETTING_NAMES, ApparatusDeterministic, Setting
 from .qm import singlet_chsh, singlet_probabilities
 from .simplex import solve_equality_feasibility
@@ -157,7 +158,7 @@ def _admit(family: SettingPairMarginalFamily, work_limit: int) -> None:
     family.validate()
     n = math.prod(s.cardinality for s in family.spaces)
     if n > work_limit:
-        raise WorkLimitExceeded(n, work_limit)
+        raise FeasibilityWorkLimitExceeded(n, work_limit)
 
 
 def _feasible_verdict(family: SettingPairMarginalFamily,
@@ -172,9 +173,8 @@ def _feasible_verdict(family: SettingPairMarginalFamily,
     joint = renormalize(joint)
     residual = marginal_residual(family, joint)
     if not residual <= MARGINAL_TOL:
-        raise NumericalFailure(
-            "feasibility", f"joint misses the marginals by {residual!r}, "
-            f"tolerance is {MARGINAL_TOL!r}")
+        raise NumericalFailure(f"joint misses the marginals by {residual!r}, "
+                               f"tolerance is {MARGINAL_TOL!r}")
     return FeasibilityVerdict(status="Feasible", joint=joint,
                               residual=residual)
 
@@ -224,9 +224,8 @@ def check_joint_existence(family: SettingPairMarginalFamily,
                         for part in np.split(Y, ends[:-1], axis=1)])
     max_yta, ytb = verify_certificate(family, y)
     if not max_yta <= CERTIFICATE_SLACK < ytb:
-        raise NumericalFailure(
-            "feasibility", f"certificate does not separate: max y^T A = "
-            f"{max_yta!r}, y^T b = {ytb!r}")
+        raise NumericalFailure(f"certificate does not separate: max y^T A = "
+                               f"{max_yta!r}, y^T b = {ytb!r}")
     return FeasibilityVerdict(status="Infeasible", certificate=y,
                               violation=ytb)
 

@@ -37,7 +37,6 @@ from .errors import (
     SideMismatch,
 )
 from .spaces import (
-    APPARATUS_LABELS,
     SIDE_A_NAMES,
     SIDE_B_NAMES,
     Distribution,
@@ -138,9 +137,6 @@ class DeterministicSource:
             frozen[name] = arr
         object.__setattr__(self, "tables", frozen)
 
-    def response_vector(self, setting: Setting) -> np.ndarray:
-        return self.tables[setting.name]
-
     def __eq__(self, other: object) -> bool:
         return _tables_equal(self, other)
 
@@ -165,9 +161,6 @@ class StochasticSource:
                 raise DomainMismatch(f"table for {name!r} must lie in [0, 1]")
             frozen[name] = arr
         object.__setattr__(self, "tables", frozen)
-
-    def probability_vector(self, setting: Setting) -> np.ndarray:
-        return self.tables[setting.name]
 
     def __eq__(self, other: object) -> bool:
         return _tables_equal(self, other)
@@ -260,9 +253,6 @@ class ApparatusDeterministic:
             _check_signs(arr, f"table for {name!r}")
             frozen[name] = arr
         object.__setattr__(self, "tables", frozen)
-
-    def response_table(self, setting: Setting) -> np.ndarray:
-        return self.tables[setting.name]
 
     def __eq__(self, other: object) -> bool:
         return _tables_equal(self, other)

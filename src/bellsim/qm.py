@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStep, NonFiniteAngle, SideMismatch
+from .errors import InvalidStep, NonFiniteAngle, QmSideMismatch
 from .models import Setting
 
 MAX_GRID_STEP = math.pi / 4
@@ -98,9 +98,9 @@ def _reduced_relative_angle(a: float, b: float) -> float:
 def singlet_probabilities(a: Setting, b: Setting) -> SingletPrediction:
     """Outcome probabilities for measuring the singlet at settings (a, b)."""
     if not a.is_side_a:
-        raise SideMismatch(f"first setting must be on side A, got {a.name!r}")
+        raise QmSideMismatch(f"first setting must be on side A, got {a.name!r}")
     if b.is_side_a:
-        raise SideMismatch(f"second setting must be on side B, got {b.name!r}")
+        raise QmSideMismatch(f"second setting must be on side B, got {b.name!r}")
     for s in (a, b):
         if not math.isfinite(s.angle):
             raise NonFiniteAngle(s.name, s.angle)
@@ -123,10 +123,10 @@ def singlet_chsh(a: Setting, a_prime: Setting, b: Setting, b_prime: Setting) -> 
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b') for the singlet."""
     for s in (a, a_prime):
         if not s.is_side_a:
-            raise SideMismatch(f"{s.name!r} must be on side A")
+            raise QmSideMismatch(f"{s.name!r} must be on side A")
     for s in (b, b_prime):
         if s.is_side_a:
-            raise SideMismatch(f"{s.name!r} must be on side B")
+            raise QmSideMismatch(f"{s.name!r} must be on side B")
     return (singlet_correlation(a, b)
             + singlet_correlation(a, b_prime)
             + singlet_correlation(a_prime, b)

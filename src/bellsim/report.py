@@ -22,17 +22,15 @@ from .correlation import (BellVerdict, CorrelationReport, EstimatorInfo,
                           FactorizedApparatus, JointComposite,
                           SettingDependent, SourceOnly, bell_check,
                           enumerate_bound, exact_report, monte_carlo_report)
-from .errors import (BellsimError, NumericalFailure, ParseError,
-                     ValidationError, WorkLimitExceeded)
+from .errors import ValidationError
 from .feasibility import (DEFAULT_WORK_LIMIT, check_joint_existence,
                           check_witness, construct_factorized_family,
                           factorized_joint, family_from_joint,
                           verify_certificate)
-from .models import (SETTING_NAMES, ApparatusDeterministic, Setting,
-                     StochasticSource, effective_response_apparatus,
+from .models import (SETTING_NAMES, Setting, effective_response_apparatus,
                      effective_response_stochastic)
 from .qm import max_violation_search, singlet_chsh, singlet_probabilities
-from .scenario import ANALYSES, SCHEMA_VERSION, Scenario, module_for_error
+from .scenario import ANALYSES, SCHEMA_VERSION, Scenario, dist_doc
 from .spaces import (SETTING_PAIRS, Distribution, FiveSpaces,
                      SettingPairMarginalFamily)
 
@@ -67,11 +65,6 @@ def _bell_doc(verdict: BellVerdict) -> dict[str, Any]:
     return {"s": verdict.s, "verdict": verdict.label, "excess": verdict.excess}
 
 
-def _dist_doc(dist: Distribution) -> dict[str, Any]:
-    return {"domain": list(dist.labels),
-            "weights": [float(w) for w in dist.flat]}
-
-
 def _family_from_mode(dists) -> tuple[SettingPairMarginalFamily,
                                       Callable[[], Distribution] | None]:
     """The setting-pair marginal family a distribution mode induces, and
@@ -93,8 +86,7 @@ def _family_from_mode(dists) -> tuple[SettingPairMarginalFamily,
                             m[("a", "b")].domain[2],
                             m[("a", "b_prime")].domain[2])
         return SettingPairMarginalFamily(spaces, m), None
-    raise ValidationError("cli-harness",
-                          f"no marginal family for mode {dists.mode}")
+    raise ValidationError(f"no marginal family for mode {dists.mode}")
 
 
 def _feasibility_doc(dists, work_limit: int) -> dict[str, Any]:
@@ -107,7 +99,7 @@ def _feasibility_doc(dists, work_limit: int) -> dict[str, Any]:
         return {"status": verdict.status,
                 "classification": "Local",
                 "residual": verdict.residual,
-                "joint": _dist_doc(verdict.joint)}
+                "joint": dist_doc(verdict.joint)}
     max_yta, ytb = verify_certificate(family, verdict.certificate)
     return {"status": verdict.status,
             "classification": "Nonlocal",
@@ -158,7 +150,8 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
     the exact estimator); ``work_limit`` caps the composite points of the
     feasibility analysis.
     Verdicts are report content, never errors; errors mean the scenario
-    could not be executed at all.
+    could not be executed at all, and each propagates as raised, tagged
+    with the module that raised it.
     """
     requested = tuple(a for a in ANALYSES if a in scenario.run.analyses)
     doc: dict[str, Any] = {
@@ -170,40 +163,34 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
         "distribution_mode": scenario.distributions.mode,
         "analyses": {},
     }
-    try:
-        primary = _correlation_report(scenario.model, scenario.distributions,
-                                      scenario.settings, scenario.run.estimator,
-                                      seed_override)
-        for name in requested:
-            if name == "correlations":
-                doc["analyses"][name] = {
-                    "estimator": _estimator_doc(primary.estimator),
-                    "pairs": _pairs_doc(primary),
-                }
-            elif name == "chsh":
-                doc["analyses"][name] = {
-                    "s": primary.s,
-                    "terms": [{"pair": list(pc.pair), "sign": sign,
-                               "correlation": pc.correlation}
-                              for pc, sign in zip(primary.pairs,
-                                                  (1.0, 1.0, 1.0, -1.0))],
-                }
-            elif name == "bell-check":
-                doc["analyses"][name] = _bell_doc(primary.bound)
-            elif name == "feasibility":
-                doc["analyses"][name] = _feasibility_doc(scenario.distributions,
-                                                         work_limit)
-            else:
-                comparison_report = _correlation_report(
-                    scenario.comparison_model, SourceOnly(scenario.distributions.rho),
-                    scenario.settings, scenario.run.estimator, seed_override)
-                doc["analyses"][name] = _emulation_doc(scenario, primary,
-                                                       comparison_report)
-    except (ParseError, ValidationError, WorkLimitExceeded, NumericalFailure):
-        raise
-    except BellsimError as exc:
-        raise ValidationError(module_for_error(exc),
-                              f"{type(exc).__name__}: {exc}") from exc
+    primary = _correlation_report(scenario.model, scenario.distributions,
+                                  scenario.settings, scenario.run.estimator,
+                                  seed_override)
+    for name in requested:
+        if name == "correlations":
+            doc["analyses"][name] = {
+                "estimator": _estimator_doc(primary.estimator),
+                "pairs": _pairs_doc(primary),
+            }
+        elif name == "chsh":
+            doc["analyses"][name] = {
+                "s": primary.s,
+                "terms": [{"pair": list(pc.pair), "sign": sign,
+                           "correlation": pc.correlation}
+                          for pc, sign in zip(primary.pairs,
+                                              (1.0, 1.0, 1.0, -1.0))],
+            }
+        elif name == "bell-check":
+            doc["analyses"][name] = _bell_doc(primary.bound)
+        elif name == "feasibility":
+            doc["analyses"][name] = _feasibility_doc(scenario.distributions,
+                                                     work_limit)
+        else:
+            comparison_report = _correlation_report(
+                scenario.comparison_model, SourceOnly(scenario.distributions.rho),
+                scenario.settings, scenario.run.estimator, seed_override)
+            doc["analyses"][name] = _emulation_doc(scenario, primary,
+                                                   comparison_report)
     return doc
 
 

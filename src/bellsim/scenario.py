@@ -45,10 +45,13 @@ Distribution payloads carry a ``mode`` tag:
 
 where DIST is {"domain": ["lambda", ...], "weights": [flat row-major floats]}.
 
-Parsing is strict: structural problems raise ParseError naming the field,
-while payloads that fail a module validation raise ValidationError naming
-the module.  ``generate_scenario`` emits ready-to-run documents for the
-four bundled templates.
+Parsing is strict: structural problems raise ParseError naming the field.
+Payloads go straight to the constructors of their modules, so a payload
+that breaks a module's invariant raises that module's error (for example
+NegativeWeight, tagged ``hv-core``).  Parts that do not fit together
+(model kind, mode and requested analyses) raise ValidationError.
+``generate_scenario`` emits ready-to-run documents for the four bundled
+templates.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ import numpy as np
 from .correlation import (EstimatorInfo, FactorizedApparatus, JointComposite,
                           ScenarioDistributions, SettingDependent, SourceOnly)
 from .errors import (BellsimError, ParameterOutOfRange, ParseError,
-                     UnknownTemplate, ValidationError, WorkLimitExceeded)
+                     UnknownTemplate, ValidationError)
 from .feasibility import construct_nonlocal_witness
 from .models import (SETTING_NAMES, ApparatusDeterministic, Contextual,
                      DeterministicSource, ResponseModel, Setting,
@@ -89,47 +92,6 @@ _MODE_TAGS = ("SourceOnly", "SettingDependent", "FactorizedApparatus",
 _SPACE_KEYS = ("source", "a", "a_prime", "b", "b_prime")
 
 TSIRELSON_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
-
-# module attribution for errors raised while a payload is being built;
-# used when no more specific parse-site context is available
-_ERROR_MODULE = {
-    "NegativeWeight": "hv-core",
-    "NotNormalized": "hv-core",
-    "ShapeMismatch": "hv-core",
-    "OverlappingDomains": "hv-core",
-    "InvalidPart": "hv-core",
-    "EmptyKeepSet": "hv-core",
-    "UnknownSpace": "hv-core",
-    "InvalidFamily": "hv-core",
-    "KindMismatch": "response-models",
-    "MissingRemoteSetting": "response-models",
-    "PointDimensionMismatch": "response-models",
-    "DomainMismatch": "response-models",
-    "SideMismatch": "response-models",
-    "RemoteDependenceForbidden": "response-models",
-    "NotAProbabilityVector": "correlation-engine",
-    "IncompatibleModeModel": "correlation-engine",
-    "OutOfRangeCorrelation": "correlation-engine",
-    "ZeroSamples": "correlation-engine",
-    "NonViolatingAngles": "qm-reference",
-    "NonFiniteAngle": "qm-reference",
-    "InvalidStep": "qm-reference",
-}
-
-
-def module_for_error(exc: BellsimError) -> str:
-    return _ERROR_MODULE.get(type(exc).__name__, "cli-harness")
-
-
-def _validated(module: str, fn, *args, **kwargs):
-    """Run a module constructor, converting its errors to ValidationError."""
-    try:
-        return fn(*args, **kwargs)
-    except (ParseError, ValidationError, WorkLimitExceeded):
-        raise
-    except BellsimError as exc:
-        raise ValidationError(module, f"{type(exc).__name__}: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class RunBlock:
@@ -212,7 +174,7 @@ def _parse_spaces(value: Any) -> dict[str, HiddenSpace]:
             raise ParseError(f"{where}: duplicate space label {label!r}")
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
             raise ParseError(f"{where}: values must be an array of strings")
-        registry[label] = _validated("hv-core", HiddenSpace, label, tuple(values))
+        registry[label] = HiddenSpace(label, tuple(values))
     return registry
 
 
@@ -246,8 +208,8 @@ def _parse_distribution(value: Any, registry: Mapping[str, HiddenSpace],
         raise ParseError(f"{where}: domain must be a nonempty array of labels")
     spaces = tuple(_lookup_space(registry, lbl, f"{where}.domain") for lbl in domain)
     weights = _array(_require(value, "weights", where), f"{where}.weights")
-    dist = _validated("hv-core", Distribution, spaces, weights)
-    _validated("hv-core", validate_distribution, dist)
+    dist = Distribution(spaces, weights)
+    validate_distribution(dist)
     return dist
 
 
@@ -273,7 +235,7 @@ def _parse_model(value: Any, registry: Mapping[str, HiddenSpace],
         tables = {name: _array(tbl, f"{where}.tables.{name}")
                   for name, tbl in tables_doc.items()}
         cls = DeterministicSource if kind == "DeterministicSource" else StochasticSource
-        return _validated("response-models", cls, lam, tables)
+        return cls(lam, tables)
 
     if kind == "Contextual":
         lam = _lookup_space(registry, _require(value, "space", where),
@@ -285,7 +247,7 @@ def _parse_model(value: Any, registry: Mapping[str, HiddenSpace],
         for key, tbl in tables_doc.items():
             own, remote = _split_pair(key, f"{where}.tables")
             tables[(own, remote)] = _array(tbl, f"{where}.tables.{key}")
-        return _validated("response-models", Contextual, lam, tables, separated)
+        return Contextual(lam, tables, separated)
 
     spaces_doc = _mapping(_require(value, "spaces", where), f"{where}.spaces")
     missing = [k for k in _SPACE_KEYS if k not in spaces_doc]
@@ -295,7 +257,7 @@ def _parse_model(value: Any, registry: Mapping[str, HiddenSpace],
                         for k in _SPACE_KEYS))
     tables = {name: _array(tbl, f"{where}.tables.{name}")
               for name, tbl in tables_doc.items()}
-    return _validated("response-models", ApparatusDeterministic, five, tables)
+    return ApparatusDeterministic(five, tables)
 
 
 def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
@@ -309,7 +271,7 @@ def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
     if mode == "SourceOnly":
         rho = _parse_distribution(_require(value, "rho", where), registry,
                                   f"{where}.rho")
-        return _validated("correlation-engine", SourceOnly, rho)
+        return SourceOnly(rho)
 
     if mode == "SettingDependent":
         marginals_doc = _mapping(_require(value, "marginals", where),
@@ -317,10 +279,10 @@ def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
         marginals = {}
         for key, payload in marginals_doc.items():
             p, q = _split_pair(key, f"{where}.marginals")
-            pair = _validated("hv-core", pair_key, p, q)
+            pair = pair_key(p, q)
             marginals[pair] = _parse_distribution(payload, registry,
                                                   f"{where}.marginals.{key}")
-        return _validated("correlation-engine", SettingDependent, marginals)
+        return SettingDependent(marginals)
 
     if mode == "FactorizedApparatus":
         rho = _parse_distribution(_require(value, "rho", where), registry,
@@ -330,11 +292,11 @@ def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
         apparatus = {name: _parse_distribution(payload, registry,
                                                f"{where}.apparatus.{name}")
                      for name, payload in apparatus_doc.items()}
-        return _validated("correlation-engine", FactorizedApparatus, rho, apparatus)
+        return FactorizedApparatus(rho, apparatus)
 
     joint = _parse_distribution(_require(value, "joint", where), registry,
                                 f"{where}.joint")
-    return _validated("correlation-engine", JointComposite, joint)
+    return JointComposite(joint)
 
 
 def _parse_run(value: Any) -> RunBlock:
@@ -379,42 +341,34 @@ def _check_cross_constraints(scenario: Scenario) -> None:
     model, dists = scenario.model, scenario.distributions
     if isinstance(model, _SOURCE_KINDS) and not isinstance(
             dists, (SourceOnly, SettingDependent)):
-        raise ValidationError("cli-harness",
-                              f"model kind {model.kind} requires mode SourceOnly "
+        raise ValidationError(f"model kind {model.kind} requires mode SourceOnly "
                               f"or SettingDependent, got {dists.mode}")
     if isinstance(model, ApparatusDeterministic) and isinstance(dists, SourceOnly):
-        raise ValidationError("cli-harness",
-                              "model kind ApparatusDeterministic cannot run "
+        raise ValidationError("model kind ApparatusDeterministic cannot run "
                               "under mode SourceOnly")
 
     if "feasibility" in scenario.run.analyses:
         if isinstance(dists, SourceOnly):
-            raise ValidationError("cli-harness",
-                                  "feasibility analysis is undefined for mode "
+            raise ValidationError("feasibility analysis is undefined for mode "
                                   "SourceOnly; it needs a setting-pair marginal family")
         if isinstance(dists, SettingDependent):
             any_dist = next(iter(dists.marginals.values()))
             if len(any_dist.domain) != 3:
                 raise ValidationError(
-                    "cli-harness",
                     "feasibility analysis needs (lambda, lambda_p, lambda_q) "
                     "marginals, not source-only ones")
 
     if "emulation" in scenario.run.analyses:
         if scenario.comparison_model is None:
-            raise ValidationError("cli-harness",
-                                  "emulation analysis requires comparison_model")
+            raise ValidationError("emulation analysis requires comparison_model")
         if not isinstance(model, ApparatusDeterministic):
-            raise ValidationError("cli-harness",
-                                  "emulation analysis requires an "
+            raise ValidationError("emulation analysis requires an "
                                   "ApparatusDeterministic primary model")
         if not isinstance(scenario.comparison_model, StochasticSource):
-            raise ValidationError("cli-harness",
-                                  "emulation analysis requires a StochasticSource "
+            raise ValidationError("emulation analysis requires a StochasticSource "
                                   "comparison model")
         if not isinstance(dists, FactorizedApparatus):
-            raise ValidationError("cli-harness",
-                                  "emulation analysis requires mode "
+            raise ValidationError("emulation analysis requires mode "
                                   "FactorizedApparatus")
 
 
@@ -475,7 +429,9 @@ def write_scenario(path: str | Path, doc: Mapping[str, Any]) -> None:
     Path(path).write_text(render_document(doc), encoding="utf-8")
 
 
-def _dist_doc(dist: Distribution) -> dict[str, Any]:
+def dist_doc(dist: Distribution) -> dict[str, Any]:
+    """A distribution as its file and report form: domain labels plus flat
+    row-major weights."""
     return {"domain": list(dist.labels),
             "weights": [float(w) for w in dist.flat]}
 
@@ -574,7 +530,8 @@ def generate_scenario(template: str, parameters: Mapping[str, Any] | None = None
     """Emit a ready-to-run scenario document for a named template.
 
     Recognized parameters (all optional): ``seed`` (table randomization),
-    ``cards`` (five space cardinalities), ``angles`` (four analyzer angles,
+    ``cards`` (five space cardinalities; the setting-dependent witness
+    accepts only its fixed 1,2,2,2,2), ``angles`` (four analyzer angles,
     default Tsirelson configuration), ``estimator`` ('exact' or
     'monte-carlo'), ``samples`` and ``mc_seed`` (monte-carlo only), and
     ``description``.
@@ -603,8 +560,8 @@ def generate_scenario(template: str, parameters: Mapping[str, Any] | None = None
             "model": _apparatus_model_doc(model),
             "distributions": {
                 "mode": "FactorizedApparatus",
-                "rho": _dist_doc(rho),
-                "apparatus": {name: _dist_doc(apparatus[name])
+                "rho": dist_doc(rho),
+                "apparatus": {name: dist_doc(apparatus[name])
                               for name in SETTING_NAMES},
             },
             "run": {"estimator": estimator,
@@ -625,7 +582,7 @@ def generate_scenario(template: str, parameters: Mapping[str, Any] | None = None
             "spaces": [_space_doc(s) for s in five],
             "settings": _settings_doc(angles),
             "model": _apparatus_model_doc(model),
-            "distributions": {"mode": "JointComposite", "joint": _dist_doc(joint)},
+            "distributions": {"mode": "JointComposite", "joint": dist_doc(joint)},
             "run": {"estimator": estimator,
                     "analyses": ["correlations", "chsh", "bell-check",
                                  "feasibility"]},
@@ -637,10 +594,16 @@ def generate_scenario(template: str, parameters: Mapping[str, Any] | None = None
             family, model = construct_nonlocal_witness(tuple(settings))
         except BellsimError as exc:
             raise ParameterOutOfRange("angles", str(exc)) from exc
+        fixed = tuple(s.cardinality for s in family.spaces)
+        if "cards" in parameters and cards != fixed:
+            raise ParameterOutOfRange(
+                "cards", f"the witness template's spaces have fixed "
+                f"cardinalities {','.join(map(str, fixed))}, "
+                f"got {','.join(map(str, cards))}")
         description = parameters.get(
             "description", "setting-dependent apparatus marginals tuned to the "
             "singlet; violates the bound and admits no joint distribution")
-        marginals = {f"{p}|{q}": _dist_doc(family.marginals[(p, q)])
+        marginals = {f"{p}|{q}": dist_doc(family.marginals[(p, q)])
                      for p, q in SETTING_PAIRS}
         return {
             "schema_version": SCHEMA_VERSION,
@@ -668,8 +631,8 @@ def generate_scenario(template: str, parameters: Mapping[str, Any] | None = None
         "model": _apparatus_model_doc(model),
         "distributions": {
             "mode": "FactorizedApparatus",
-            "rho": _dist_doc(rho),
-            "apparatus": {name: _dist_doc(apparatus[name])
+            "rho": dist_doc(rho),
+            "apparatus": {name: dist_doc(apparatus[name])
                           for name in SETTING_NAMES},
         },
         "comparison_model": _source_model_doc(comparison),

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import tableau_pivot
-from .errors import NumericalFailure, TableauGrowth, WorkLimitExceeded
+from .errors import (SimplexNumericalFailure, SimplexWorkLimitExceeded,
+                     TableauGrowth)
 
 #: Phase-1 objective at or below this counts as feasible.
 FEASIBILITY_TOL = 1e-9
@@ -155,8 +156,8 @@ def solve_equality_feasibility(A: np.ndarray, b: np.ndarray,
         if leaving < 0:
             # the phase-1 objective is bounded below by 0, so an improving
             # column always has a pivot in exact arithmetic
-            raise NumericalFailure(
-                "simplex", f"improving column {entering} has no pivot entry")
+            raise SimplexNumericalFailure(
+                f"improving column {entering} has no pivot entry")
         rhs[leaving] = max(rhs[leaving], 0.0)
         degenerate_run = degenerate_run + 1 if rhs[leaving] <= PIVOT_TOL else 0
         tableau_pivot(T, leaving, entering)
@@ -167,7 +168,7 @@ def solve_equality_feasibility(A: np.ndarray, b: np.ndarray,
         if growth > GROWTH_LIMIT:
             raise TableauGrowth(growth, GROWTH_LIMIT)
         if iterations > max_iterations:
-            raise WorkLimitExceeded(iterations, max_iterations)
+            raise SimplexWorkLimitExceeded(iterations, max_iterations)
 
     objective = -T[m, -1]
     if objective <= tol:

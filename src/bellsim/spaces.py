@@ -61,9 +61,6 @@ APPARATUS_LABELS = {
     "b_prime": "lambda_b_prime",
 }
 
-#: Conventional label for the source space.
-SOURCE_LABEL = "lambda"
-
 
 def pair_key(p: str, q: str) -> tuple[str, str]:
     """Normalize a setting pair to (side-A name, side-B name)."""
@@ -158,12 +155,6 @@ class Distribution:
     def flat(self) -> np.ndarray:
         """Row-major 1-D view of the weights."""
         return self.weights.reshape(-1)
-
-    def space(self, label: str) -> HiddenSpace:
-        for s in self.domain:
-            if s.label == label:
-                return s
-        raise UnknownSpace(label)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Distribution):

@@ -15,6 +15,7 @@ from helpers import setting_dependent_copy
 
 from bellsim import feasibility, report
 from bellsim.cli import main
+from bellsim.errors import BellsimError
 from bellsim.spaces import Distribution
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -128,8 +129,7 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", str(bad))
         assert code == 1
         assert out == ""
-        assert "hv-core" in err
-        assert "NegativeWeight" in err
+        assert err.startswith("bellsim: error: [hv-core] weight at flat index")
 
     def test_missing_file_exit(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", str(tmp_path / "nope.scenario"))
@@ -266,6 +266,74 @@ class TestRun:
         assert feas["residual"] <= 1e-9
 
 
+def _edited(tmp_path, name: str, edit) -> str:
+    """A copy of a bundled scenario with ``edit`` applied to its document."""
+    doc = json.loads((SCENARIOS / name).read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _swap_ab_apparatus(doc):
+    marginal = doc["distributions"]["marginals"]["a|b"]
+    lam, lam_a, lam_b = marginal["domain"]
+    marginal["domain"] = [lam, lam_b, lam_a]
+
+
+def _negative_weight(doc):
+    doc["distributions"]["marginals"]["a|b"]["weights"][0] = -0.25
+
+
+def _half_sign(doc):
+    doc["model"]["tables"]["a"][0][0] = 0.5
+
+
+MODULE_TAGS = ("hv-core", "response-models", "correlation-engine",
+               "feasibility", "simplex", "qm-reference", "cli-harness")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestErrorTags:
+    def test_every_error_class_names_a_module(self):
+        classes = list(_subclasses(BellsimError))
+        assert len(classes) > 30
+        untagged = [c.__name__ for c in classes
+                    if getattr(c, "module", None) not in MODULE_TAGS]
+        assert untagged == []
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (lambda _: ["qm", "search", "--grid-step", "2"], "[qm-reference] grid step"),
+        (lambda _: ["enumerate-bound", "9"], "[correlation-engine] requires"),
+        (lambda _: ["enumerate-bound", "0"], "[correlation-engine] source"),
+        (lambda _: ["run", str(SCENARIOS / "factorized.scenario"),
+                    "--work-limit", "4"], "[feasibility] requires 32 units"),
+        (lambda _: ["generate", "foo"], "[cli-harness] unknown template"),
+        (lambda p: ["run", str(p / "absent.scenario")],
+         "[cli-harness] cannot read"),
+        (lambda p: ["run", _edited(p, "singlet-witness.scenario",
+                                   _swap_ab_apparatus)],
+         "[correlation-engine] "),
+        (lambda p: ["run", _edited(p, "singlet-witness.scenario",
+                                   _negative_weight)],
+         "[hv-core] weight at flat index 0 is negative"),
+        (lambda p: ["run", _edited(p, "factorized.scenario", _half_sign)],
+         "[response-models] table for 'a' must contain only +1/-1"),
+    ], ids=["qm-search-step", "enumerate-bound-9", "enumerate-bound-0",
+            "work-limit", "unknown-template", "missing-file",
+            "swapped-domain", "negative-weight", "half-sign"])
+    def test_stderr_names_the_module(self, capsys, tmp_path, argv, prefix):
+        code, out, err = run_cli(capsys, *argv(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("bellsim: error: " + prefix)
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestGenerate:
     def test_generate_then_run(self, capsys, tmp_path):
         out = tmp_path / "gen.scenario"
@@ -298,6 +366,12 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "foo")
         assert code == 1
         assert "unknown template" in err
+
+    def test_witness_refuses_other_cards_exit(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "setting-dependent-witness",
+                                 "--cards", "8,8,8,8,8")
+        assert (code, out) == (1, "")
+        assert err.startswith("bellsim: error: [cli-harness] parameter 'cards': ")
 
     def test_bad_angles_exit(self, capsys):
         code, _, err = run_cli(capsys, "generate", "setting-dependent-witness",

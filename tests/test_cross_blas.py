@@ -1,9 +1,12 @@
-"""Report bytes do not depend on the BLAS kernel or its thread count.
+"""Report bytes do not depend on the BLAS kernel, its thread count or
+numpy's SIMD dispatch.
 
-Every report-producing command runs in two child processes: one with
-OpenBLAS choosing its kernel and thread count for this CPU, and one forced
-to the generic Prescott kernel on one thread.  Any report arithmetic that
-went through BLAS would round differently in the two and change bytes.
+Every report-producing command runs in child processes: a native one, with
+OpenBLAS and numpy choosing their kernels for this CPU; one with OpenBLAS
+forced to the generic Prescott kernel on one thread; and one with numpy's
+AVX2 and AVX-512 loops disabled, as on an x86-64-v2 CPU.  Any report
+arithmetic that went through BLAS, or that rounded differently in a wider
+SIMD loop, would change bytes.
 """
 
 from __future__ import annotations
@@ -35,18 +38,28 @@ COMMANDS = (
         "--cards", "8,8,8,8,8"]]
 )
 
+#: numpy's dispatch then runs no loop wider than its x86-64-v2 baseline.
+NO_AVX = ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")
+
 # Runs each argv list from argv[1] (JSON) through the CLI and prints a JSON
-# object mapping the joined command to its report text.
-CHILD = """
-import contextlib, io, json, sys
+# object with "reports", mapping the joined command to its report text, and
+# "simd_found", the SIMD extensions np.show_runtime() lists as found.
+CHILD = r"""
+import contextlib, io, json, re, sys
+import numpy as np
 from bellsim.cli import main
+runtime = io.StringIO()
+with contextlib.redirect_stdout(runtime):
+    np.show_runtime()
+found = re.search(r"'found': \[([^\]]*)\]", runtime.getvalue())
 reports = {}
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0, argv
     reports[" ".join(argv)] = out.getvalue()
-print(json.dumps(reports))
+print(json.dumps({"reports": reports,
+                  "simd_found": re.findall(r"'(\w+)'", found[1] if found else "")}))
 """
 
 
@@ -58,23 +71,42 @@ def _blas_name() -> str:
         return " ".join(info.get("libraries", []))
 
 
-def _reports(blas_env: dict[str, str]) -> dict[str, str]:
+def _child(child_env: dict[str, str]) -> dict:
     env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")}
+           if k not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS",
+                        "NPY_DISABLE_CPU_FEATURES")}
     src = str(Path(bellsim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.update(blas_env)
+    env.update(child_env)
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(COMMANDS)],
                           env=env, capture_output=True, text=True, timeout=300,
                           check=True)
     return json.loads(done.stdout)
 
 
+@pytest.fixture(scope="module")
+def native() -> dict:
+    return _child({})
+
+
+def _changed(native: dict, other: dict) -> list[str]:
+    reports, others = native["reports"], other["reports"]
+    assert list(reports) == [" ".join(argv) for argv in COMMANDS]
+    return [cmd for cmd in reports if reports[cmd] != others[cmd]]
+
+
 @pytest.mark.skipif("openblas" not in _blas_name().lower(),
                     reason="numpy is not built on OpenBLAS")
-def test_report_bytes_identical_across_blas_kernels():
-    native = _reports({})
-    forced = _reports({"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"})
-    assert list(native) == [" ".join(argv) for argv in COMMANDS]
-    changed = [cmd for cmd in native if native[cmd] != forced[cmd]]
-    assert changed == []
+def test_report_bytes_identical_across_blas_kernels(native):
+    forced = _child({"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"})
+    assert _changed(native, forced) == []
+
+
+def test_report_bytes_identical_without_avx(native):
+    if not set(NO_AVX) & set(native["simd_found"]):
+        pytest.skip(f"this CPU has none of {', '.join(NO_AVX)}")
+    reduced = _child({"NPY_DISABLE_CPU_FEATURES": ",".join(NO_AVX)})
+    still_found = set(NO_AVX) & set(reduced["simd_found"])
+    if still_found:
+        pytest.skip(f"numpy did not disable {', '.join(sorted(still_found))}")
+    assert _changed(native, reduced) == []

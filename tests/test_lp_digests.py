@@ -42,7 +42,7 @@ GENERATED = {
         "071447b02c1bd34ea65febc2815c7206d017538ff295c5332f21d5d0906d813e",
     ("joint-composite", "2,4,4,4,4", 1):
         "b30d2a4879e1d394438742d62e762ce48fbeb00bfaa3b77f6ff4529092aaf40c",
-    ("setting-dependent-witness", "4,4,4,4,4", 1):
+    ("setting-dependent-witness", "1,2,2,2,2", 1):
         "74c2413a2921a53a10fde60249b594bf2bf239c76bda2450fc72eedccb20ca71",
 }
 

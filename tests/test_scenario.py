@@ -9,7 +9,8 @@ import pytest
 
 from bellsim.correlation import (FactorizedApparatus, JointComposite,
                                  SettingDependent)
-from bellsim.errors import (ParameterOutOfRange, ParseError, UnknownTemplate,
+from bellsim.errors import (DomainMismatch, NegativeWeight, NotNormalized,
+                            ParameterOutOfRange, ParseError, UnknownTemplate,
                             ValidationError)
 from bellsim.models import ApparatusDeterministic, StochasticSource
 from bellsim.scenario import (ANALYSES, SCHEMA_VERSION, TEMPLATES,
@@ -204,30 +205,28 @@ class TestValidationAttribution:
     def test_negative_weight_names_hv_core(self):
         doc = witness_doc()
         doc["distributions"]["marginals"]["a|b"]["weights"][0] = -0.5
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(NegativeWeight) as exc:
             parse_scenario(doc)
         assert exc.value.module == "hv-core"
-        assert "NegativeWeight" in exc.value.detail
 
     def test_unnormalized_names_hv_core(self):
         doc = generate_scenario("factorized", {"seed": 0})
         doc["distributions"]["rho"]["weights"] = [0.1, 0.1]
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(NotNormalized) as exc:
             parse_scenario(doc)
         assert exc.value.module == "hv-core"
-        assert "NotNormalized" in exc.value.detail
 
     def test_bad_sign_table_names_response_models(self):
         doc = generate_scenario("factorized", {"seed": 0})
         doc["model"]["tables"]["a"][0][0] = 0.5
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(DomainMismatch) as exc:
             parse_scenario(doc)
         assert exc.value.module == "response-models"
 
     def test_missing_marginal_names_correlation_engine(self):
         doc = witness_doc()
         del doc["distributions"]["marginals"]["a|b"]
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(DomainMismatch) as exc:
             parse_scenario(doc)
         assert exc.value.module == "correlation-engine"
 
@@ -293,6 +292,18 @@ class TestGeneration:
             generate_scenario("setting-dependent-witness",
                               {"angles": (0.0, math.pi / 2, 0.0, math.pi / 2)})
         assert exc.value.name == "angles"
+
+    @pytest.mark.parametrize("cards", [(8, 8, 8, 8, 8), (2, 2, 2, 2, 2)])
+    def test_witness_refuses_other_cards(self, cards):
+        with pytest.raises(ParameterOutOfRange) as exc:
+            generate_scenario("setting-dependent-witness", {"cards": cards})
+        assert exc.value.name == "cards"
+        assert exc.value.module == "cli-harness"
+
+    def test_witness_accepts_its_fixed_cards(self):
+        assert (generate_scenario("setting-dependent-witness",
+                                  {"cards": (1, 2, 2, 2, 2)})
+                == witness_doc())
 
     def test_bad_samples(self):
         with pytest.raises(ParameterOutOfRange, match="samples"):
