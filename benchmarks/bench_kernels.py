@@ -37,12 +37,17 @@ def bench_outcome_cell_sums(rng):
 
 
 def bench_mc_outcome_counts(rng):
+    """Drawing and counting 10^6 uniforms from a fresh PCG64 stream."""
     cells = 64
     weights = rng.dirichlet(np.ones(cells))
     cum = np.cumsum(weights)
     codes = rng.integers(0, 4, size=cells).astype(np.uint8)
-    u = rng.random(1_000_000)
-    return _time(lambda: _kernels.mc_outcome_counts(cum, codes, u), 10)
+
+    def run():
+        draws = _kernels.UniformDraws(np.random.default_rng(7), 1_000_000)
+        _kernels.mc_outcome_counts(cum, codes, draws)
+
+    return _time(run, 10)
 
 
 def bench_tableau_pivot(rng):

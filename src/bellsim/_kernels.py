@@ -17,6 +17,9 @@ Callers bind each kernel by name (``from ._kernels import ...``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any
+
 import numpy as np
 
 BACKEND = "pure"
@@ -24,6 +27,23 @@ BACKEND = "pure"
 #: Cells of the tableau that ``tableau_pivot`` updates per step (256 KiB
 #: of doubles), so that each step's gathered rows and update fit in cache.
 PIVOT_CHUNK_CELLS = 1 << 15
+
+#: Uniforms that ``mc_outcome_counts`` draws and sorts per step (512 KiB
+#: of doubles), so that a count's memory does not grow with its samples.
+MC_CHUNK_DRAWS = 1 << 16
+
+
+@dataclass(frozen=True)
+class UniformDraws:
+    """``size`` uniforms on [0, 1), taken in order from ``rng`` (a numpy
+    ``Generator``, or anything with a ``random(out=...)`` method).
+
+    ``np.size`` of the stream is its sample count, as for an array of the
+    draws, which is how the benchmark's tracer counts the samples of a call.
+    """
+
+    rng: Any
+    size: int
 
 
 def response_product_sum(f: np.ndarray, g: np.ndarray, w: np.ndarray) -> float:
@@ -45,22 +65,31 @@ def outcome_cell_sums(weights: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def mc_outcome_counts(cum: np.ndarray, codes: np.ndarray,
-                      uniforms: np.ndarray) -> np.ndarray:
+                      draws: UniformDraws) -> np.ndarray:
     """Tally sampled outcomes against the cell edges of the weight CDF.
 
     ``cum`` is the inclusive cumulative sum of the cell weights.  Inverse-CDF
     lookup sends each uniform u to the first cell with cum > u, clamped to
     the last cell against roundoff at the top, so cell i receives exactly
     the draws with cum[i-1] <= u < cum[i] and the last cell every draw with
-    u >= cum[-2].  Rather than look up each draw, the draws are sorted once
-    and each edge cum[i] is located among them: the number of draws below
-    cum[i], differenced, is the size of that same partition.  Counts are
-    integers, so the result equals the per-draw lookup exactly.  Returns
-    int64 counts per outcome.
+    u >= cum[-2].  Rather than look up each draw, the draws are taken
+    ``MC_CHUNK_DRAWS`` at a time into one reused buffer, which is sorted in
+    place, and each edge cum[i] is located among them; the number of draws
+    below each edge, summed over the chunks and differenced, is the size of
+    that same partition.  Counts are integers and add up over any split of
+    the draws, so the result equals the per-draw lookup exactly, and memory
+    is bounded by the chunk whatever ``draws.size``.  Returns int64 counts
+    per outcome.
     """
-    u = np.sort(uniforms)
-    below = np.searchsorted(u, cum[:-1], side="left")
-    per_cell = np.diff(below, prepend=0, append=u.shape[0])
+    below = np.zeros(cum.shape[0] - 1, dtype=np.int64)
+    buf = np.empty(min(draws.size, MC_CHUNK_DRAWS))
+    edges = cum[:-1]
+    for start in range(0, draws.size, MC_CHUNK_DRAWS):
+        chunk = buf[:min(MC_CHUNK_DRAWS, draws.size - start)]
+        draws.rng.random(out=chunk)
+        chunk.sort()
+        below += np.searchsorted(chunk, edges, side="left")
+    per_cell = np.diff(below, prepend=0, append=draws.size)
     return np.bincount(codes, weights=per_cell, minlength=4).astype(np.int64)
 
 

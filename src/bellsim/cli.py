@@ -105,9 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default 0,pi/2,pi/4,-pi/4)")
     p_gen.add_argument("--estimator", choices=("exact", "monte-carlo"),
                        default="exact", help="estimator for the run block")
-    p_gen.add_argument("--samples", type=int, default=100_000,
-                       help="monte-carlo sample count (default 100000)")
-    p_gen.add_argument("--mc-seed", type=int, default=0,
+    p_gen.add_argument("--samples", type=int, default=None,
+                       help="monte-carlo sample count per setting pair "
+                            "(default 100000)")
+    p_gen.add_argument("--mc-seed", type=int, default=None,
                        help="monte-carlo stream seed (default 0)")
     p_gen.add_argument("--description", default=None,
                        help="override the template's description text")
@@ -163,8 +164,11 @@ def main(argv: list[str] | None = None) -> int:
             doc = run_scenario(scenario, seed_override=args.seed,
                                work_limit=args.work_limit)
         elif args.command == "generate":
-            parameters = {"seed": args.seed, "estimator": args.estimator,
-                          "samples": args.samples, "mc_seed": args.mc_seed}
+            parameters = {"seed": args.seed, "estimator": args.estimator}
+            if args.samples is not None:
+                parameters["samples"] = args.samples
+            if args.mc_seed is not None:
+                parameters["mc_seed"] = args.mc_seed
             if args.cards is not None:
                 parameters["cards"] = args.cards
             if args.angles is not None:

@@ -5,10 +5,10 @@ outcome decomposition: a flat list of cells, each carrying a nonnegative
 weight and a joint-outcome code in {0,1,2,3} for (++, +-, -+, --).  Exact
 probabilities are the per-code weight sums; Monte Carlo estimation counts
 uniform draws per cell against the cell edges of the same weights' CDF
-(the draws are sorted once and each edge is located among them), which is
-the same partition as an inverse-CDF lookup of each draw.  The cell order
-is the row-major order of the underlying grid, which makes reports
-reproducible bit for bit.
+(the draws are taken and sorted one fixed-size chunk at a time and each
+edge is located in every chunk), which is the same partition as an
+inverse-CDF lookup of each draw.  The cell order is the row-major order of
+the underlying grid, which makes reports reproducible bit for bit.
 
 Supported combinations:
 
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
+    UniformDraws,
     chsh_strategy_max,
     mc_outcome_counts,
     outcome_cell_sums,
@@ -75,6 +76,11 @@ CORRELATION_RANGE_TOL = 1e-12
 #: Exhaustive enumeration refuses above this many strategy combinations
 #: (2^(4n) at source cardinality n, so n <= 6 by default).
 DEFAULT_ENUM_WORK_LIMIT = 2**24
+
+#: Monte Carlo refuses more samples per setting pair than this, so that a
+#: report ends in bounded time (10^9 per pair is about 50 s for the four
+#: pairs on one x86-64 core).
+MAX_SAMPLES = 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +505,27 @@ def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
     """Estimate the report by sampling outcome cells.
 
     Per pair k the stream is PCG64 seeded with SeedSequence(seed,
-    spawn_key=(k,)) and yields ``samples`` uniforms.  The per-cell counts
-    come from the sorted draws against the cell edges of the weight CDF,
-    the same partition as an inverse-CDF lookup of each draw, so the
-    randomness contract and every count are unchanged.  The per-pair
+    spawn_key=(k,)) and yields ``samples`` uniforms.  They are drawn and
+    counted against the cell edges of the weight CDF one chunk at a time;
+    PCG64 turns each 64-bit output into one double, so the chunks are the
+    same stream as one whole draw, and the counts of the chunks add up to
+    the partition of an inverse-CDF lookup of each draw.  Memory is bounded
+    by the chunk, and time by ``MAX_SAMPLES`` per pair.  The per-pair
     standard error is the plug-in binomial formula sqrt((1 - E^2)/samples).
     """
     if samples < 1:
         raise ZeroSamples()
+    if samples > MAX_SAMPLES:
+        raise WorkLimitExceeded(samples, MAX_SAMPLES)
     per_pair = []
     for k, (p, q) in enumerate(_ordered_pairs(settings)):
         dec = outcome_decomposition(model, dists, (p, q))
         cum = np.cumsum(dec.weights)
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
-        uniforms = rng.random(samples)
         counts = mc_outcome_counts(np.ascontiguousarray(cum),
-                                   np.ascontiguousarray(dec.codes), uniforms)
+                                   np.ascontiguousarray(dec.codes),
+                                   UniformDraws(rng, samples))
         probs = tuple(float(c) / samples for c in counts)
         e_hat = probs[0] + probs[3] - probs[1] - probs[2]
         se = math.sqrt(max(0.0, 1.0 - e_hat * e_hat) / samples)

@@ -65,8 +65,9 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .correlation import (EstimatorInfo, FactorizedApparatus, JointComposite,
-                          ScenarioDistributions, SettingDependent, SourceOnly)
+from .correlation import (MAX_SAMPLES, EstimatorInfo, FactorizedApparatus,
+                          JointComposite, ScenarioDistributions,
+                          SettingDependent, SourceOnly)
 from .errors import (BellsimError, ParameterOutOfRange, ParseError,
                      UnknownTemplate, ValidationError)
 from .feasibility import construct_nonlocal_witness
@@ -511,12 +512,18 @@ def _random_five(rng: np.random.Generator, cards: tuple[int, ...]
 def _estimator_doc(parameters: Mapping[str, Any]) -> dict[str, Any]:
     method = parameters.get("estimator", "exact")
     if method == "exact":
+        for name in ("samples", "mc_seed"):
+            if name in parameters:
+                raise ParameterOutOfRange(
+                    name, "applies only to the monte-carlo estimator")
         return {"method": "exact"}
     if method == "monte-carlo":
         samples = int(parameters.get("samples", 100_000))
         seed = int(parameters.get("mc_seed", 0))
         if samples < 1:
             raise ParameterOutOfRange("samples", "must be at least 1")
+        if samples > MAX_SAMPLES:
+            raise ParameterOutOfRange("samples", f"must be at most {MAX_SAMPLES}")
         if seed < 0:
             raise ParameterOutOfRange("mc_seed", "must be nonnegative")
         return {"method": "monte-carlo", "samples": samples, "seed": seed}
@@ -533,8 +540,8 @@ def generate_scenario(template: str, parameters: Mapping[str, Any] | None = None
     ``cards`` (five space cardinalities; the setting-dependent witness
     accepts only its fixed 1,2,2,2,2), ``angles`` (four analyzer angles,
     default Tsirelson configuration), ``estimator`` ('exact' or
-    'monte-carlo'), ``samples`` and ``mc_seed`` (monte-carlo only), and
-    ``description``.
+    'monte-carlo'), ``samples`` and ``mc_seed`` (monte-carlo only, refused
+    with the exact estimator), and ``description``.
     """
     if template not in TEMPLATES:
         raise UnknownTemplate(template, TEMPLATES)

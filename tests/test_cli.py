@@ -7,6 +7,7 @@ import functools
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ from helpers import setting_dependent_copy
 
 from bellsim import feasibility, report
 from bellsim.cli import main
-from bellsim.errors import BellsimError
+from bellsim.correlation import MAX_SAMPLES
+from bellsim.errors import BellsimError, WorkLimitExceeded
+from bellsim.scenario import load_scenario
 from bellsim.spaces import Distribution
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -165,6 +168,33 @@ class TestRun:
         assert "limit is 4" in err
 
 
+    def test_samples_above_the_cap_exit(self, capsys, tmp_path):
+        path = _edited(tmp_path, "joint-composite.scenario", _too_many_samples)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "run", path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == (f"bellsim: error: [correlation-engine] requires "
+                       f"{MAX_SAMPLES + 1} units of work, limit is {MAX_SAMPLES}\n")
+        assert peak < 2 * 2**20  # a whole draw would be 8 GB
+
+    def test_samples_above_the_cap_run_scenario(self, tmp_path):
+        scenario = load_scenario(
+            _edited(tmp_path, "joint-composite.scenario", _too_many_samples))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WorkLimitExceeded) as exc:
+                report.run_scenario(scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.module == "correlation-engine"
+        assert exc.value.required == MAX_SAMPLES + 1
+        assert peak < 2 * 2**20
+
     def test_joint_composite_5_cards_bounded_time(self, capsys, tmp_path):
         scenario = tmp_path / "joint5.scenario"
         report = tmp_path / "joint5.json"
@@ -275,6 +305,10 @@ def _edited(tmp_path, name: str, edit) -> str:
     return str(path)
 
 
+def _too_many_samples(doc):
+    doc["run"]["estimator"]["samples"] = MAX_SAMPLES + 1
+
+
 def _swap_ab_apparatus(doc):
     marginal = doc["distributions"]["marginals"]["a|b"]
     lam, lam_a, lam_b = marginal["domain"]
@@ -361,6 +395,35 @@ class TestGenerate:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["run"]["estimator"] == {"method": "monte-carlo",
                                            "samples": 1000, "seed": 12}
+
+    @pytest.mark.parametrize("flags", [("--samples", "0", "--mc-seed", "-3"),
+                                       ("--samples", "1000"),
+                                       ("--mc-seed", "3")])
+    def test_exact_estimator_refuses_monte_carlo_flags(self, capsys, flags):
+        code, out, err = run_cli(capsys, "generate", "factorized", *flags)
+        assert (code, out) == (1, "")
+        name = "samples" if flags[0] == "--samples" else "mc_seed"
+        assert err == (f"bellsim: error: [cli-harness] parameter {name!r}: "
+                       "applies only to the monte-carlo estimator\n")
+
+    def test_monte_carlo_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "generate", "factorized",
+                               "--estimator", "monte-carlo")
+        assert code == 0
+        assert json.loads(out)["run"]["estimator"] == {
+            "method": "monte-carlo", "samples": 100_000, "seed": 0}
+
+    def test_samples_above_the_cap_refused(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "factorized",
+                                 "--estimator", "monte-carlo",
+                                 "--samples", str(MAX_SAMPLES + 1))
+        assert (code, out) == (1, "")
+        assert err.startswith("bellsim: error: [cli-harness] parameter 'samples': ")
+        code, out, _ = run_cli(capsys, "generate", "factorized",
+                               "--estimator", "monte-carlo",
+                               "--samples", str(MAX_SAMPLES))
+        assert code == 0
+        assert json.loads(out)["run"]["estimator"]["samples"] == MAX_SAMPLES
 
     def test_unknown_template_exit(self, capsys):
         code, _, err = run_cli(capsys, "generate", "foo")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from helpers import (
 from bellsim.correlation import (
     BELL_BOUND_TOL,
     DEFAULT_ENUM_WORK_LIMIT,
+    MAX_SAMPLES,
     FactorizedApparatus,
     JointComposite,
     SettingDependent,
@@ -340,6 +342,27 @@ class TestMonteCarlo:
         model, dists = shared_coin()
         with pytest.raises(ZeroSamples):
             monte_carlo_report(model, dists, FOUR_SETTINGS, 0, seed=0)
+
+    def test_memory_bounded_by_the_chunk(self):
+        """numpy reports its buffers to tracemalloc; one whole draw of 2e6
+        uniforms and its sorted copy would peak at 32 MB."""
+        rng = np.random.default_rng(17)
+        model = random_stochastic(rng, 3)
+        dists = SourceOnly(random_distribution(rng, (model.lam,)))
+        tracemalloc.start()
+        try:
+            monte_carlo_report(model, dists, FOUR_SETTINGS, 2_000_000, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_samples_above_the_cap_refused(self):
+        model, dists = shared_coin()
+        with pytest.raises(WorkLimitExceeded) as exc:
+            monte_carlo_report(model, dists, FOUR_SETTINGS, MAX_SAMPLES + 1, seed=0)
+        assert (exc.value.required, exc.value.limit) == (MAX_SAMPLES + 1, MAX_SAMPLES)
+        assert exc.value.module == "correlation-engine"
 
     def test_convergence_within_five_standard_errors(self):
         rng = np.random.default_rng(16)

@@ -16,18 +16,40 @@ def test_chsh_strategy_max_is_exactly_two(n):
     assert _kernels.chsh_strategy_max(n) == 2.0
 
 
+class _Replay:
+    """A draw source that hands out fixed uniforms in order, as a
+    Generator's ``random(out=...)`` hands out its stream."""
+
+    def __init__(self, uniforms):
+        self._u = np.asarray(uniforms, dtype=np.float64)
+        self._pos = 0
+
+    def random(self, out):
+        n = out.shape[0]
+        assert self._pos + n <= self._u.shape[0], "more draws than replayed"
+        out[...] = self._u[self._pos:self._pos + n]
+        self._pos += n
+
+
+def _counts(cum, codes, u):
+    """``mc_outcome_counts`` on the fixed draws ``u``."""
+    u = np.asarray(u, dtype=np.float64)
+    return _kernels.mc_outcome_counts(cum, codes,
+                                      _kernels.UniformDraws(_Replay(u), u.shape[0]))
+
+
 def test_mc_outcome_counts_top_edge_clamped():
     cum = np.array([0.5, 1.0 - 1e-12])
     codes = np.array([0, 3], dtype=np.uint8)
     u = np.array([1.0 - 1e-13])  # beyond the last cumulative value
-    assert _kernels.mc_outcome_counts(cum, codes, u)[3] == 1
+    assert _counts(cum, codes, u)[3] == 1
 
 
 def test_mc_outcome_counts_zero_weight_cells_never_sampled():
     cum = np.array([0.5, 0.5, 1.0])  # middle cell has zero mass
     codes = np.array([0, 1, 2], dtype=np.uint8)
     u = np.linspace(0.0, 0.999, 1001)
-    assert _kernels.mc_outcome_counts(cum, codes, u)[1] == 0
+    assert _counts(cum, codes, u)[1] == 0
 
 
 def _scalar_mc_counts(cum, codes, uniforms):
@@ -53,16 +75,15 @@ def _edge_heavy_draws(rng, cum, n):
 
 
 def _check_mc_counts(cum, codes, u):
-    counts = _kernels.mc_outcome_counts(cum, codes, u)
+    counts = _counts(cum, codes, u)
     assert counts.dtype == np.int64
     assert counts.tolist() == _scalar_mc_counts(cum, codes, u)
     assert int(counts.sum()) == u.shape[0]
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_mc_outcome_counts_equal_scalar_lookup(seed):
-    """Random CDFs with leading, interior and trailing zero-weight runs."""
-    rng = np.random.default_rng(seed)
+def _random_cdf(rng):
+    """A random CDF with leading, interior and trailing zero-weight runs,
+    and outcome codes for its cells."""
     cells = int(rng.integers(2, 300))
     weights = rng.random(cells)
     weights[rng.random(cells) < 0.2] = 0.0
@@ -72,7 +93,14 @@ def test_mc_outcome_counts_equal_scalar_lookup(seed):
     if weights.sum() == 0.0:
         weights[cells // 2] = 1.0
     cum = np.cumsum(weights / weights.sum())
-    codes = rng.integers(0, 4, size=cells).astype(np.uint8)
+    return cum, rng.integers(0, 4, size=cells).astype(np.uint8)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mc_outcome_counts_equal_scalar_lookup(seed):
+    """Random CDFs with leading, interior and trailing zero-weight runs."""
+    rng = np.random.default_rng(seed)
+    cum, codes = _random_cdf(rng)
     _check_mc_counts(cum, codes, _edge_heavy_draws(rng, cum, 2000))
 
 
@@ -83,7 +111,7 @@ def test_mc_outcome_counts_single_cell():
         codes = np.array([code], dtype=np.uint8)
         u = _edge_heavy_draws(rng, cum, 500)
         _check_mc_counts(cum, codes, u)
-        assert _kernels.mc_outcome_counts(cum, codes, u)[code] == u.shape[0]
+        assert _counts(cum, codes, u)[code] == u.shape[0]
 
 
 def test_mc_outcome_counts_top_below_and_above_one():
@@ -100,8 +128,54 @@ def test_mc_outcome_counts_draws_on_every_edge():
     cum = np.array([0.0, 0.25, 0.25, 0.5, 1.0])
     codes = np.array([0, 1, 2, 3, 0], dtype=np.uint8)
     u = np.array([0.0, 0.25, 0.5, 0.9999])
-    assert _kernels.mc_outcome_counts(cum, codes, u).tolist() == [2, 1, 0, 1]
+    assert _counts(cum, codes, u).tolist() == [2, 1, 0, 1]
     _check_mc_counts(cum, codes, u)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_mc_outcome_counts_fixed_draws_in_small_chunks(chunk, monkeypatch):
+    """Edge-heavy fixed draws split into chunks of one and of three draws,
+    so that draws on the edges straddle many chunk boundaries."""
+    monkeypatch.setattr(_kernels, "MC_CHUNK_DRAWS", chunk)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        cum, codes = _random_cdf(rng)
+        _check_mc_counts(cum, codes, _edge_heavy_draws(rng, cum, 300))
+    for top in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+        cum = np.array([0.0, 0.25, 0.25, 0.5, top, top])
+        codes = np.array([0, 1, 2, 3, 0, 2], dtype=np.uint8)
+        _check_mc_counts(cum, codes, np.concatenate(
+            [_edge_heavy_draws(rng, cum, 100), [top, 1.0 - 2.0 ** -53]]))
+
+
+def _stream(seed, k):
+    """The generator of setting pair k under Monte Carlo seed ``seed``."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
+
+
+_C = _kernels.MC_CHUNK_DRAWS
+
+
+@pytest.mark.parametrize("samples", [1, _C - 1, _C, _C + 1, 3 * _C + 7])
+@pytest.mark.parametrize("top", [1.0 - 1e-12, 1.0 + 2.0 ** -52])
+def test_mc_outcome_counts_chunked_stream_equals_whole_draw(samples, top):
+    """Chunked draws from a pair's stream count the same as one whole-array
+    draw from the same seed looked up per draw, across chunk boundaries,
+    on a CDF with leading and trailing zero-weight cells."""
+    rng = np.random.default_rng(samples)
+    weights = np.concatenate([[0.0, 0.0], rng.random(37), [0.0, 0.0, 0.0]])
+    weights[rng.random(weights.size) < 0.2] = 0.0
+    cum = np.minimum(np.cumsum(weights / weights.sum()), top)
+    cum[-3:] = top  # the trailing zero-weight cells end at the top edge
+    codes = rng.integers(0, 4, size=cum.size).astype(np.uint8)
+    for k in range(4):
+        counts = _kernels.mc_outcome_counts(
+            cum, codes, _kernels.UniformDraws(_stream(11, k), samples))
+        u = _stream(11, k).random(samples)
+        cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+        want = np.bincount(codes[cells], minlength=4)
+        assert counts.tolist() == want.tolist()
 
 
 def test_tableau_pivot_column_is_exact_unit():
