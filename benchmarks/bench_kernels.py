@@ -37,7 +37,8 @@ def bench_outcome_cell_sums(rng):
 
 
 def bench_mc_outcome_counts(rng):
-    """Drawing and counting 10^6 uniforms from a fresh PCG64 stream."""
+    """Drawing and counting 10^6 uniforms from a fresh PCG64 stream, in
+    one segment per CPU the process may run on."""
     cells = 64
     weights = rng.dirichlet(np.ones(cells))
     cum = np.cumsum(weights)

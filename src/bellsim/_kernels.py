@@ -17,6 +17,8 @@ Callers bind each kernel by name (``from ._kernels import ...``).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -37,6 +39,11 @@ MC_CHUNK_DRAWS = 1 << 16
 class UniformDraws:
     """``size`` uniforms on [0, 1), taken in order from ``rng`` (a numpy
     ``Generator``, or anything with a ``random(out=...)`` method).
+
+    ``mc_outcome_counts`` may count the stream in contiguous segments, one
+    per available CPU, each drawn from a copy of a PCG64 ``rng``'s bit
+    generator jumped ahead to its first draw; the draws, and ``rng``'s
+    state afterwards, are those of one whole draw.
 
     ``np.size`` of the stream is its sample count, as for an array of the
     draws, which is how the benchmark's tracer counts the samples of a call.
@@ -73,24 +80,99 @@ def mc_outcome_counts(cum: np.ndarray, codes: np.ndarray,
     the last cell against roundoff at the top, so cell i receives exactly
     the draws with cum[i-1] <= u < cum[i] and the last cell every draw with
     u >= cum[-2].  Rather than look up each draw, the draws are taken
-    ``MC_CHUNK_DRAWS`` at a time into one reused buffer, which is sorted in
+    ``MC_CHUNK_DRAWS`` at a time into a reused buffer, which is sorted in
     place, and each edge cum[i] is located among them; the number of draws
     below each edge, summed over the chunks and differenced, is the size of
     that same partition.  Counts are integers and add up over any split of
-    the draws, so the result equals the per-draw lookup exactly, and memory
-    is bounded by the chunk whatever ``draws.size``.  Returns int64 counts
-    per outcome.
+    the draws, so the result equals the per-draw lookup exactly.
+
+    The ``draws.size`` draws are cut into one contiguous segment of whole
+    chunks per available CPU (at most one per chunk).  Segment w draws from
+    a copy of the stream's bit generator jumped ahead to the segment's
+    first draw with ``advance``, so every draw is the one the whole stream
+    would give at that position.  The calling thread counts segment 0 from
+    ``draws.rng`` itself and one thread per further segment counts the
+    rest; every generator and buffer is made before any thread starts, and
+    the threads call only numpy.  ``draws.rng`` ends advanced by
+    ``draws.size``, as after one whole draw.  A source without a PCG64
+    ``bit_generator`` is counted in one segment (Philox's ``advance``,
+    for one, does not count draws).  Memory is one 512 KiB chunk buffer
+    per segment, whatever ``draws.size``.  Returns int64 counts per
+    outcome.
     """
-    below = np.zeros(cum.shape[0] - 1, dtype=np.int64)
-    buf = np.empty(min(draws.size, MC_CHUNK_DRAWS))
     edges = cum[:-1]
-    for start in range(0, draws.size, MC_CHUNK_DRAWS):
-        chunk = buf[:min(MC_CHUNK_DRAWS, draws.size - start)]
-        draws.rng.random(out=chunk)
+    chunks = -(-draws.size // MC_CHUNK_DRAWS)
+    bit_generator = getattr(draws.rng, "bit_generator", None)
+    parts = 1
+    if isinstance(bit_generator, np.random.PCG64):
+        parts = max(1, min(_available_cpus(), chunks))
+    bounds = [min(draws.size, (w * chunks // parts) * MC_CHUNK_DRAWS)
+              for w in range(parts + 1)]
+    rngs = [draws.rng] + [_jumped(bit_generator, start) for start in bounds[1:-1]]
+    bufs = [np.empty(min(end - start, MC_CHUNK_DRAWS))
+            for start, end in zip(bounds, bounds[1:])]
+    below = np.zeros((parts, edges.shape[0]), dtype=np.int64)
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def count(w: int) -> None:
+        try:
+            _count_segment(rngs[w], bufs[w], edges, bounds[w + 1] - bounds[w],
+                           below[w], stop)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for w in range(1, parts):
+            thread = threading.Thread(target=count, args=(w,), daemon=True)
+            thread.start()
+            threads.append(thread)
+        _count_segment(rngs[0], bufs[0], edges, bounds[1], below[0], stop)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    if parts > 1:
+        bit_generator.advance(draws.size - bounds[1])
+    per_cell = np.diff(below.sum(axis=0), prepend=0, append=draws.size)
+    return np.bincount(codes, weights=per_cell, minlength=4).astype(np.int64)
+
+
+def _count_segment(rng: Any, buf: np.ndarray, edges: np.ndarray, size: int,
+                   below: np.ndarray, stop: threading.Event) -> None:
+    """Add to ``below`` the draws under each edge among the next ``size``
+    draws of ``rng``, one chunk of ``buf`` at a time, until done or
+    ``stop`` is set."""
+    for start in range(0, size, MC_CHUNK_DRAWS):
+        if stop.is_set():
+            return
+        chunk = buf[:min(MC_CHUNK_DRAWS, size - start)]
+        rng.random(out=chunk)
         chunk.sort()
         below += np.searchsorted(chunk, edges, side="left")
-    per_cell = np.diff(below, prepend=0, append=draws.size)
-    return np.bincount(codes, weights=per_cell, minlength=4).astype(np.int64)
+
+
+def _jumped(bit_generator: Any, delta: int) -> np.random.Generator:
+    """A generator on a copy of ``bit_generator`` advanced by ``delta``
+    draws."""
+    copy = type(bit_generator)()
+    copy.state = bit_generator.state
+    copy.advance(delta)
+    return np.random.Generator(copy)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def tableau_pivot(T: np.ndarray, pr: int, pc: int) -> None:

@@ -5,9 +5,10 @@ outcome decomposition: a flat list of cells, each carrying a nonnegative
 weight and a joint-outcome code in {0,1,2,3} for (++, +-, -+, --).  Exact
 probabilities are the per-code weight sums; Monte Carlo estimation counts
 uniform draws per cell against the cell edges of the same weights' CDF
-(the draws are taken and sorted one fixed-size chunk at a time and each
-edge is located in every chunk), which is the same partition as an
-inverse-CDF lookup of each draw.  The cell order is the row-major order of
+(the draws are taken and sorted one fixed-size chunk at a time, in one
+jumped-ahead segment of the stream per available CPU, and each edge is
+located in every chunk), which is the same partition as an inverse-CDF
+lookup of each draw.  The cell order is the row-major order of
 the underlying grid, which makes reports reproducible bit for bit.
 
 Supported combinations:
@@ -45,6 +46,7 @@ from .errors import (
     CorrelationDomainMismatch,
     CorrelationSideMismatch,
     IncompatibleModeModel,
+    NegativeSeed,
     NotAProbabilityVector,
     OutOfRangeCorrelation,
     WorkLimitExceeded,
@@ -506,17 +508,24 @@ def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
 
     Per pair k the stream is PCG64 seeded with SeedSequence(seed,
     spawn_key=(k,)) and yields ``samples`` uniforms.  They are drawn and
-    counted against the cell edges of the weight CDF one chunk at a time;
-    PCG64 turns each 64-bit output into one double, so the chunks are the
-    same stream as one whole draw, and the counts of the chunks add up to
-    the partition of an inverse-CDF lookup of each draw.  Memory is bounded
-    by the chunk, and time by ``MAX_SAMPLES`` per pair.  The per-pair
-    standard error is the plug-in binomial formula sqrt((1 - E^2)/samples).
+    counted against the cell edges of the weight CDF one chunk at a time,
+    in one contiguous segment of the stream per available CPU, each
+    segment from a copy of the generator jumped ahead to its first draw;
+    PCG64 turns each 64-bit output into one double, so the segments and
+    their chunks are the same stream as one whole draw, and their counts
+    add up to the partition of an inverse-CDF lookup of each draw.  Report
+    bytes therefore do not depend on the CPU count.  The kernel is called
+    once per pair from the calling thread.  Memory is 512 KiB per segment,
+    and time is bounded by ``MAX_SAMPLES`` per pair.  A negative seed is
+    refused before any stream is built.  The per-pair standard error is
+    the plug-in binomial formula sqrt((1 - E^2)/samples).
     """
     if samples < 1:
         raise ZeroSamples()
     if samples > MAX_SAMPLES:
         raise WorkLimitExceeded(samples, MAX_SAMPLES)
+    if seed < 0:
+        raise NegativeSeed(seed)
     per_pair = []
     for k, (p, q) in enumerate(_ordered_pairs(settings)):
         dec = outcome_decomposition(model, dists, (p, q))

@@ -203,6 +203,14 @@ class ZeroSamples(_CorrelationError):
         super().__init__("sample count must be at least 1")
 
 
+class NegativeSeed(_CorrelationError):
+    """A Monte Carlo seed is negative; SeedSequence entropy must not be."""
+
+    def __init__(self, seed: int):
+        self.seed = int(seed)
+        super().__init__(f"seed must be nonnegative, got {self.seed}")
+
+
 class CorrelationDomainMismatch(DomainMismatch):
     module = "correlation-engine"
 

@@ -149,8 +149,11 @@ def solve_equality_feasibility(A: np.ndarray, b: np.ndarray,
         if bland:
             entering = int(improving[0])
         else:
-            # reduced cost per unit length of the edge the column moves along
-            edge = np.sqrt(1.0 + np.square(T[:m, :n + m]).sum(axis=0))
+            # reduced cost per unit length of the edge the column moves
+            # along; einsum sums the squares row by row, as a sum over
+            # axis 0 would, without a tableau-sized temporary
+            V = T[:m, :n + m]
+            edge = np.sqrt(1.0 + np.einsum("ij,ij->j", V, V))
             entering = int(improving[np.argmin(cost[improving] / edge[improving])])
         leaving = _leaving_row(T[:m, entering], rhs, basis, bland)
         if leaving < 0:

@@ -124,6 +124,21 @@ class TestRun:
         _, overridden_again, _ = run_cli(capsys, "run", path, "--seed", "99")
         assert overridden == overridden_again
 
+    def test_negative_seed_override_refused(self, capsys):
+        code, out, err = run_cli(capsys, "run",
+                                 str(SCENARIOS / "joint-composite.scenario"),
+                                 "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == ("bellsim: error: [correlation-engine] seed must be "
+                       "nonnegative, got -1\n")
+
+    def test_exact_run_ignores_a_negative_seed(self, capsys):
+        path = str(SCENARIOS / "factorized.scenario")
+        _, base, _ = run_cli(capsys, "run", path)
+        code, overridden, _ = run_cli(capsys, "run", path, "--seed", "-1")
+        assert code == 0
+        assert overridden == base
+
     def test_negative_weight_exit_and_message(self, capsys, tmp_path):
         doc = json.loads((SCENARIOS / "singlet-witness.scenario").read_text())
         doc["distributions"]["marginals"]["a|b"]["weights"][0] = -0.25

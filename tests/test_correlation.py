@@ -19,6 +19,7 @@ from helpers import (
     random_weights,
 )
 
+from bellsim._kernels import MC_CHUNK_DRAWS, _available_cpus
 from bellsim.correlation import (
     BELL_BOUND_TOL,
     DEFAULT_ENUM_WORK_LIMIT,
@@ -38,6 +39,7 @@ from bellsim.correlation import (
 from bellsim.errors import (
     DomainMismatch,
     IncompatibleModeModel,
+    NegativeSeed,
     NotAProbabilityVector,
     OutOfRangeCorrelation,
     WorkLimitExceeded,
@@ -345,17 +347,31 @@ class TestMonteCarlo:
 
     def test_memory_bounded_by_the_chunk(self):
         """numpy reports its buffers to tracemalloc; one whole draw of 2e6
-        uniforms and its sorted copy would peak at 32 MB."""
+        uniforms and its sorted copy would peak at 32 MB.  Each segment of
+        a pair's stream, one per available CPU, has one 512 KiB chunk
+        buffer; with two segments the bound is 2 MiB."""
         rng = np.random.default_rng(17)
         model = random_stochastic(rng, 3)
         dists = SourceOnly(random_distribution(rng, (model.lam,)))
+        segments = min(_available_cpus(), -(-2_000_000 // MC_CHUNK_DRAWS))
         tracemalloc.start()
         try:
             monte_carlo_report(model, dists, FOUR_SETTINGS, 2_000_000, seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 2**20 + segments * MC_CHUNK_DRAWS * 8
+
+    def test_negative_seed_refused_before_any_stream(self, monkeypatch):
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("stream built for a negative seed")
+
+        monkeypatch.setattr(np.random, "SeedSequence", unbuildable)
+        model, dists = shared_coin()
+        with pytest.raises(NegativeSeed) as exc:
+            monte_carlo_report(model, dists, FOUR_SETTINGS, 10, seed=-1)
+        assert exc.value.seed == -1
+        assert exc.value.module == "correlation-engine"
 
     def test_samples_above_the_cap_refused(self):
         model, dists = shared_coin()

@@ -1,12 +1,14 @@
-"""Report bytes do not depend on the BLAS kernel, its thread count or
-numpy's SIMD dispatch.
+"""Report bytes do not depend on the BLAS kernel, its thread count,
+numpy's SIMD dispatch or the number of CPUs.
 
 Every report-producing command runs in child processes: a native one, with
 OpenBLAS and numpy choosing their kernels for this CPU; one with OpenBLAS
 forced to the generic Prescott kernel on one thread; and one with numpy's
 AVX2 and AVX-512 loops disabled, as on an x86-64-v2 CPU.  Any report
 arithmetic that went through BLAS, or that rounded differently in a wider
-SIMD loop, would change bytes.
+SIMD loop, would change bytes.  Monte Carlo reports are also compared
+between a native child, which counts each pair's stream in one segment
+per CPU, and a child pinned to one CPU, which counts it in one segment.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 import bellsim
+from bellsim.cli import main
 from bellsim.scenario import TEMPLATES
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -43,9 +46,12 @@ NO_AVX = ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")
 
 # Runs each argv list from argv[1] (JSON) through the CLI and prints a JSON
 # object with "reports", mapping the joined command to its report text, and
-# "simd_found", the SIMD extensions np.show_runtime() lists as found.
+# "simd_found", the SIMD extensions np.show_runtime() lists as found.  An
+# argv[2], when given, is the one CPU the child pins itself to first.
 CHILD = r"""
-import contextlib, io, json, re, sys
+import contextlib, io, json, os, re, sys
+if len(sys.argv) > 2:
+    os.sched_setaffinity(0, {int(sys.argv[2])})
 import numpy as np
 from bellsim.cli import main
 runtime = io.StringIO()
@@ -71,14 +77,16 @@ def _blas_name() -> str:
         return " ".join(info.get("libraries", []))
 
 
-def _child(child_env: dict[str, str]) -> dict:
+def _child(child_env: dict[str, str], commands=COMMANDS,
+           cpu: int | None = None) -> dict:
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS",
                         "NPY_DISABLE_CPU_FEATURES")}
     src = str(Path(bellsim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(child_env)
-    done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(COMMANDS)],
+    pin = [] if cpu is None else [str(cpu)]
+    done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)] + pin,
                           env=env, capture_output=True, text=True, timeout=300,
                           check=True)
     return json.loads(done.stdout)
@@ -89,9 +97,9 @@ def native() -> dict:
     return _child({})
 
 
-def _changed(native: dict, other: dict) -> list[str]:
+def _changed(native: dict, other: dict, commands=COMMANDS) -> list[str]:
     reports, others = native["reports"], other["reports"]
-    assert list(reports) == [" ".join(argv) for argv in COMMANDS]
+    assert list(reports) == [" ".join(argv) for argv in commands]
     return [cmd for cmd in reports if reports[cmd] != others[cmd]]
 
 
@@ -110,3 +118,21 @@ def test_report_bytes_identical_without_avx(native):
     if still_found:
         pytest.skip(f"numpy did not disable {', '.join(sorted(still_found))}")
     assert _changed(native, reduced) == []
+
+
+def test_monte_carlo_bytes_identical_on_one_cpu(tmp_path):
+    """Both scenarios have at least two chunks of draws per pair, so the
+    native child splits each pair's stream when it has two or more CPUs."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is not available")
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("only one CPU is available, so no child splits a stream")
+    witness = tmp_path / "witness.scenario"
+    assert main(["generate", "setting-dependent-witness", "--estimator",
+                 "monte-carlo", "--samples", "200000", "-o", str(witness)]) == 0
+    commands = [["run", str(SCENARIOS / "joint-composite.scenario")],
+                ["run", str(witness)]]
+    native = _child({}, commands)
+    pinned = _child({}, commands, cpu=cpus[0])
+    assert _changed(native, pinned, commands) == []

@@ -4,11 +4,17 @@ numpy, implementation (``BACKEND == "pure"``)."""
 from __future__ import annotations
 
 import bisect
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellsim import _kernels
+from bellsim import _kernels, correlation
+from bellsim.scenario import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -176,6 +182,147 @@ def test_mc_outcome_counts_chunked_stream_equals_whole_draw(samples, top):
         cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
         want = np.bincount(codes[cells], minlength=4)
         assert counts.tolist() == want.tolist()
+
+
+def _segment_cdf():
+    """A CDF with leading and trailing zero-weight cells, its top edge at
+    1 - 1e-12, and outcome codes for its cells."""
+    rng = np.random.default_rng(12)
+    weights = np.concatenate([[0.0], rng.random(29), [0.0, 0.0]])
+    cum = np.minimum(np.cumsum(weights / weights.sum()), 1.0 - 1e-12)
+    cum[-3:] = 1.0 - 1e-12
+    return cum, rng.integers(0, 4, size=cum.size).astype(np.uint8)
+
+
+@pytest.mark.parametrize("samples", [0, 1, _C - 1, _C, _C + 1, 3 * _C + 7, 7 * _C])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_mc_outcome_counts_segments_equal_whole_draw(samples, cpus, monkeypatch):
+    """Counting a pair's stream in one jumped-ahead segment per CPU gives
+    the counts of one whole draw, and leaves the generator where one whole
+    draw would."""
+    monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
+    jumps = []
+    real_jumped = _kernels._jumped
+    monkeypatch.setattr(_kernels, "_jumped",
+                        lambda bg, delta: jumps.append(delta) or real_jumped(bg, delta))
+    cum, codes = _segment_cdf()
+    for k in range(2):
+        rng = _stream(13, k)
+        counts = _kernels.mc_outcome_counts(cum, codes,
+                                            _kernels.UniformDraws(rng, samples))
+        reference = _stream(13, k)
+        u = reference.random(samples)
+        cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+        assert counts.tolist() == np.bincount(codes[cells], minlength=4).tolist()
+        assert rng.random() == reference.random()
+    chunks = -(-samples // _C)
+    assert len(jumps) == 2 * (max(1, min(cpus, chunks)) - 1)
+
+
+def test_mc_outcome_counts_segments_under_fast_thread_switching(monkeypatch):
+    """More segments than cores, with the interpreter switching threads
+    every microsecond: no count is lost or added."""
+    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 8)
+    cum, codes = _segment_cdf()
+    samples = 8 * _C + 3
+    u = _stream(17, 0).random(samples)
+    cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+    want = np.bincount(codes[cells], minlength=4).tolist()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            counts = _kernels.mc_outcome_counts(
+                cum, codes, _kernels.UniformDraws(_stream(17, 0), samples))
+            assert counts.tolist() == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _FailingRng:
+    """Draws from ``gen`` and raises ``exc`` on its call number ``after``
+    of ``random`` (never, for 0), counting its calls."""
+
+    def __init__(self, gen, after, exc):
+        self.bit_generator = gen.bit_generator
+        self._gen, self._after, self._exc = gen, after, exc
+        self.calls = 0
+
+    def random(self, out):
+        self.calls += 1
+        if self.calls == self._after:
+            raise self._exc("failed draw")
+        self._gen.random(out=out)
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_mc_outcome_counts_worker_error_reaches_the_caller(exc, monkeypatch):
+    """A draw that fails partway through segment 1 is raised in the caller
+    once every thread is joined."""
+    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
+    real_jumped = _kernels._jumped
+    failing = []
+
+    def jumped(bg, delta):
+        gen = real_jumped(bg, delta)
+        if not failing:
+            failing.append(_FailingRng(gen, 2, exc))
+            return failing[0]
+        return gen
+
+    monkeypatch.setattr(_kernels, "_jumped", jumped)
+    cum, codes = _segment_cdf()
+    before = threading.active_count()
+    with pytest.raises(exc, match="failed draw"):
+        _kernels.mc_outcome_counts(cum, codes,
+                                   _kernels.UniformDraws(_stream(3, 0), 9 * _C))
+    assert failing[0].calls == 2
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_mc_outcome_counts_caller_error_stops_the_workers(exc, monkeypatch):
+    """A draw that fails partway through segment 0, in the calling thread,
+    stops the other segments at their next chunk and is raised once every
+    thread is joined."""
+    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
+    real_jumped = _kernels._jumped
+    workers = []
+
+    def jumped(bg, delta):
+        workers.append(_FailingRng(real_jumped(bg, delta), 0, exc))
+        return workers[-1]
+
+    monkeypatch.setattr(_kernels, "_jumped", jumped)
+    cum, codes = _segment_cdf()
+    rng = _FailingRng(_stream(3, 0), 2, exc)
+    before = threading.active_count()
+    with pytest.raises(exc, match="failed draw"):
+        _kernels.mc_outcome_counts(cum, codes,
+                                   _kernels.UniformDraws(rng, 3 * 64 * _C))
+    assert threading.active_count() == before
+    assert len(workers) == 2
+    assert all(worker.calls < 64 for worker in workers)
+
+
+def test_monte_carlo_report_calls_the_kernel_once_per_pair_from_the_caller(
+        monkeypatch):
+    """A tracer that wraps ``correlation.mc_outcome_counts`` sees one call
+    per setting pair, made from the calling thread, with the pair's sample
+    count as ``np.size`` of its draws."""
+    calls = []
+    real = correlation.mc_outcome_counts
+
+    def traced(cum, codes, draws):
+        calls.append((threading.current_thread(), int(np.size(draws))))
+        return real(cum, codes, draws)
+
+    monkeypatch.setattr(correlation, "mc_outcome_counts", traced)
+    scenario = load_scenario(SCENARIOS / "joint-composite.scenario")
+    samples = 3 * _C + 7
+    correlation.monte_carlo_report(scenario.model, scenario.distributions,
+                                   scenario.settings, samples, seed=5)
+    assert calls == [(threading.main_thread(), samples)] * 4
 
 
 def test_tableau_pivot_column_is_exact_unit():
