@@ -34,6 +34,14 @@ PIVOT_CHUNK_CELLS = 1 << 15
 #: of doubles), so that a count's memory does not grow with its samples.
 MC_CHUNK_DRAWS = 1 << 16
 
+#: Most segments ``mc_outcome_counts`` cuts one pair's draws into.  The
+#: CPU count it reads is the affinity mask, which ignores a CPU quota, so
+#: a process may get more segments than CPUs to run them.  Forced on a
+#: 2-CPU machine, the ``monte-carlo`` benchmark pass took 0.39 s in one
+#: segment, 0.25 s in 2, 0.29 s in 4, 0.32 s in 8, 0.43 s in 16 and
+#: 0.49 s in 32, and each segment holds one more chunk buffer.
+MC_MAX_SEGMENTS = 4
+
 
 @dataclass(frozen=True)
 class UniformDraws:
@@ -42,8 +50,8 @@ class UniformDraws:
 
     ``mc_outcome_counts`` may count the stream in contiguous segments, one
     per available CPU, each drawn from a copy of a PCG64 ``rng``'s bit
-    generator jumped ahead to its first draw; the draws, and ``rng``'s
-    state afterwards, are those of one whole draw.
+    generator jumped ahead to its first draw; the draws, and every draw
+    ``rng`` gives afterwards, are those of one whole draw.
 
     ``np.size`` of the stream is its sample count, as for an array of the
     draws, which is how the benchmark's tracer counts the samples of a call.
@@ -87,25 +95,30 @@ def mc_outcome_counts(cum: np.ndarray, codes: np.ndarray,
     the draws, so the result equals the per-draw lookup exactly.
 
     The ``draws.size`` draws are cut into one contiguous segment of whole
-    chunks per available CPU (at most one per chunk).  Segment w draws from
-    a copy of the stream's bit generator jumped ahead to the segment's
-    first draw with ``advance``, so every draw is the one the whole stream
-    would give at that position.  The calling thread counts segment 0 from
+    chunks per available CPU (at most one per chunk, and at most
+    ``MC_MAX_SEGMENTS``).  Segment w draws from a copy of the stream's bit
+    generator jumped ahead to the segment's first draw with ``advance``, so
+    every draw is the one the whole stream would give at that position.  The calling thread counts segment 0 from
     ``draws.rng`` itself and one thread per further segment counts the
     rest; every generator and buffer is made before any thread starts, and
     the threads call only numpy.  ``draws.rng`` ends advanced by
     ``draws.size``, as after one whole draw.  A source without a PCG64
     ``bit_generator`` is counted in one segment (Philox's ``advance``,
-    for one, does not count draws).  Memory is one 512 KiB chunk buffer
-    per segment, whatever ``draws.size``.  Returns int64 counts per
-    outcome.
+    for one, does not count draws), and so is a PCG64 that holds the
+    unused half of a 64-bit output from a 32-bit draw, which ``advance``
+    would drop.  If the call is abandoned (an error in any thread, or an
+    interrupt while the caller counts or waits), every thread stops at
+    its next chunk and is joined before the error is raised.  Memory is
+    one 512 KiB chunk buffer per segment, whatever ``draws.size``.
+    Returns int64 counts per outcome.
     """
     edges = cum[:-1]
     chunks = -(-draws.size // MC_CHUNK_DRAWS)
     bit_generator = getattr(draws.rng, "bit_generator", None)
     parts = 1
-    if isinstance(bit_generator, np.random.PCG64):
-        parts = max(1, min(_available_cpus(), chunks))
+    if (isinstance(bit_generator, np.random.PCG64)
+            and not bit_generator.state["has_uint32"]):
+        parts = max(1, min(_available_cpus(), MC_MAX_SEGMENTS, chunks))
     bounds = [min(draws.size, (w * chunks // parts) * MC_CHUNK_DRAWS)
               for w in range(parts + 1)]
     rngs = [draws.rng] + [_jumped(bit_generator, start) for start in bounds[1:-1]]
@@ -126,16 +139,17 @@ def mc_outcome_counts(cum: np.ndarray, codes: np.ndarray,
     threads = []
     try:
         for w in range(1, parts):
-            thread = threading.Thread(target=count, args=(w,), daemon=True)
+            thread = threading.Thread(target=count, args=(w,))
             thread.start()
             threads.append(thread)
         _count_segment(rngs[0], bufs[0], edges, bounds[1], below[0], stop)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
         for thread in threads:
             thread.join()
+    except BaseException:
+        stop.set()
+        for thread in threads:
+            thread.join()
+        raise
     if errors:
         raise errors[0]
     if parts > 1:

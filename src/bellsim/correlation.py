@@ -6,8 +6,8 @@ weight and a joint-outcome code in {0,1,2,3} for (++, +-, -+, --).  Exact
 probabilities are the per-code weight sums; Monte Carlo estimation counts
 uniform draws per cell against the cell edges of the same weights' CDF
 (the draws are taken and sorted one fixed-size chunk at a time, in one
-jumped-ahead segment of the stream per available CPU, and each edge is
-located in every chunk), which is the same partition as an inverse-CDF
+jumped-ahead segment of the stream per available CPU, up to four, and
+each edge is located in every chunk), which is the same partition as an inverse-CDF
 lookup of each draw.  The cell order is the row-major order of
 the underlying grid, which makes reports reproducible bit for bit.
 
@@ -509,11 +509,12 @@ def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
     Per pair k the stream is PCG64 seeded with SeedSequence(seed,
     spawn_key=(k,)) and yields ``samples`` uniforms.  They are drawn and
     counted against the cell edges of the weight CDF one chunk at a time,
-    in one contiguous segment of the stream per available CPU, each
-    segment from a copy of the generator jumped ahead to its first draw;
-    PCG64 turns each 64-bit output into one double, so the segments and
-    their chunks are the same stream as one whole draw, and their counts
-    add up to the partition of an inverse-CDF lookup of each draw.  Report
+    in one contiguous segment of the stream per available CPU, up to
+    ``MC_MAX_SEGMENTS``, each segment from a copy of the generator jumped
+    ahead to its first draw; PCG64 turns each 64-bit output into one
+    double, so the segments and their chunks are the same stream as one
+    whole draw, and their counts add up to the partition of an
+    inverse-CDF lookup of each draw.  Report
     bytes therefore do not depend on the CPU count.  The kernel is called
     once per pair from the calling thread.  Memory is 512 KiB per segment,
     and time is bounded by ``MAX_SAMPLES`` per pair.  A negative seed is

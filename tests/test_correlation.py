@@ -19,7 +19,7 @@ from helpers import (
     random_weights,
 )
 
-from bellsim._kernels import MC_CHUNK_DRAWS, _available_cpus
+from bellsim import _kernels
 from bellsim.correlation import (
     BELL_BOUND_TOL,
     DEFAULT_ENUM_WORK_LIMIT,
@@ -345,22 +345,22 @@ class TestMonteCarlo:
         with pytest.raises(ZeroSamples):
             monte_carlo_report(model, dists, FOUR_SETTINGS, 0, seed=0)
 
-    def test_memory_bounded_by_the_chunk(self):
+    def test_memory_bounded_by_the_chunk(self, monkeypatch):
         """numpy reports its buffers to tracemalloc; one whole draw of 2e6
         uniforms and its sorted copy would peak at 32 MB.  Each segment of
-        a pair's stream, one per available CPU, has one 512 KiB chunk
-        buffer; with two segments the bound is 2 MiB."""
+        a pair's stream has one 512 KiB chunk buffer; the CPU count is
+        pinned to two segments so that the bound holds on any machine."""
+        monkeypatch.setattr(_kernels, "_available_cpus", lambda: 2)
         rng = np.random.default_rng(17)
         model = random_stochastic(rng, 3)
         dists = SourceOnly(random_distribution(rng, (model.lam,)))
-        segments = min(_available_cpus(), -(-2_000_000 // MC_CHUNK_DRAWS))
         tracemalloc.start()
         try:
             monte_carlo_report(model, dists, FOUR_SETTINGS, 2_000_000, seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20 + segments * MC_CHUNK_DRAWS * 8
+        assert peak < 2 * 2**20
 
     def test_negative_seed_refused_before_any_stream(self, monkeypatch):
         def unbuildable(*args, **kwargs):

@@ -4,9 +4,9 @@ numpy, implementation (``BACKEND == "pure"``)."""
 from __future__ import annotations
 
 import bisect
-import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,12 +194,13 @@ def _segment_cdf():
     return cum, rng.integers(0, 4, size=cum.size).astype(np.uint8)
 
 
-@pytest.mark.parametrize("samples", [0, 1, _C - 1, _C, _C + 1, 3 * _C + 7, 7 * _C])
-@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("samples",
+                         [0, 1, _C - 1, _C, _C + 1, 3 * _C + 7, 7 * _C, 8 * _C + 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
 def test_mc_outcome_counts_segments_equal_whole_draw(samples, cpus, monkeypatch):
-    """Counting a pair's stream in one jumped-ahead segment per CPU gives
-    the counts of one whole draw, and leaves the generator where one whole
-    draw would."""
+    """Counting a pair's stream in one jumped-ahead segment per CPU, up to
+    ``MC_MAX_SEGMENTS``, gives the counts of one whole draw, and leaves the
+    generator where one whole draw would."""
     monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
     jumps = []
     real_jumped = _kernels._jumped
@@ -216,27 +217,26 @@ def test_mc_outcome_counts_segments_equal_whole_draw(samples, cpus, monkeypatch)
         assert counts.tolist() == np.bincount(codes[cells], minlength=4).tolist()
         assert rng.random() == reference.random()
     chunks = -(-samples // _C)
-    assert len(jumps) == 2 * (max(1, min(cpus, chunks)) - 1)
+    parts = max(1, min(cpus, _kernels.MC_MAX_SEGMENTS, chunks))
+    assert len(jumps) == 2 * (parts - 1)
 
 
-def test_mc_outcome_counts_segments_under_fast_thread_switching(monkeypatch):
-    """More segments than cores, with the interpreter switching threads
-    every microsecond: no count is lost or added."""
-    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 8)
+def test_mc_outcome_counts_buffered_half_draw_keeps_one_segment(monkeypatch):
+    """A generator that holds the unused half of a 64-bit output, after a
+    32-bit draw, is counted in one segment: ``advance`` would drop that
+    half, so the next 32-bit draw would differ from the whole draw's."""
+    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
     cum, codes = _segment_cdf()
-    samples = 8 * _C + 3
-    u = _stream(17, 0).random(samples)
+    rng, reference = _stream(5, 0), _stream(5, 0)
+    for gen in (rng, reference):
+        gen.integers(2**32, dtype=np.uint32)
+    counts = _kernels.mc_outcome_counts(cum, codes,
+                                        _kernels.UniformDraws(rng, 3 * _C))
+    u = reference.random(3 * _C)
     cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-    want = np.bincount(codes[cells], minlength=4).tolist()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            counts = _kernels.mc_outcome_counts(
-                cum, codes, _kernels.UniformDraws(_stream(17, 0), samples))
-            assert counts.tolist() == want
-    finally:
-        sys.setswitchinterval(interval)
+    assert counts.tolist() == np.bincount(codes[cells], minlength=4).tolist()
+    assert (rng.integers(2**32, dtype=np.uint32)
+            == reference.integers(2**32, dtype=np.uint32))
 
 
 class _FailingRng:
@@ -303,6 +303,61 @@ def test_mc_outcome_counts_caller_error_stops_the_workers(exc, monkeypatch):
     assert threading.active_count() == before
     assert len(workers) == 2
     assert all(worker.calls < 64 for worker in workers)
+
+
+class _HeldRng:
+    """Draws from ``gen``, holding its second call of ``random`` until the
+    first event in ``stops`` is set."""
+
+    def __init__(self, gen, stops):
+        self.bit_generator = gen.bit_generator
+        self._gen, self._stops = gen, stops
+        self.calls = 0
+
+    def random(self, out):
+        self.calls += 1
+        if self.calls == 2:
+            self._stops[0].wait(10)
+        self._gen.random(out=out)
+
+
+def test_mc_outcome_counts_interrupt_while_joining_stops_the_workers(
+        monkeypatch):
+    """An interrupt that reaches the caller while it waits for the other
+    segments (a signal handler raising inside ``join``) stops them at their
+    next chunk and is raised once every thread is joined."""
+    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
+    stops, interrupted, workers = [], [], []
+
+    class Event(threading.Event):
+        def __init__(self):
+            super().__init__()
+            stops.append(self)
+
+    class Thread(threading.Thread):
+        def join(self, timeout=None):
+            if not interrupted:
+                interrupted.append(self)
+                raise KeyboardInterrupt("interrupted join")
+            super().join(timeout)
+
+    real_jumped = _kernels._jumped
+
+    def jumped(bg, delta):
+        workers.append(_HeldRng(real_jumped(bg, delta), stops))
+        return workers[-1]
+
+    monkeypatch.setattr(_kernels, "threading",
+                        SimpleNamespace(Event=Event, Thread=Thread))
+    monkeypatch.setattr(_kernels, "_jumped", jumped)
+    cum, codes = _segment_cdf()
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt, match="interrupted join"):
+        _kernels.mc_outcome_counts(cum, codes,
+                                   _kernels.UniformDraws(_stream(3, 0), 12 * _C))
+    assert threading.active_count() == before
+    assert len(workers) == 2
+    assert all(worker.calls <= 2 for worker in workers)
 
 
 def test_monte_carlo_report_calls_the_kernel_once_per_pair_from_the_caller(
