@@ -4,8 +4,9 @@ Run as a script:
 
     python3 benchmarks/bench_kernels.py
 
-Each kernel runs on one fixed input; the best of several repeats is
-printed in milliseconds.
+Each kernel runs on one fixed input, ``mc_outcome_counts`` on one for each
+of its two counting paths; the best of several repeats is printed in
+milliseconds.
 """
 
 from __future__ import annotations
@@ -36,19 +37,27 @@ def bench_outcome_cell_sums(rng):
     return _time(lambda: _kernels.outcome_cell_sums(w, codes), 20)
 
 
-def bench_mc_outcome_counts(rng):
+def _bench_mc_outcome_counts(cum, codes):
     """Drawing and counting 10^6 uniforms from a fresh PCG64 stream, in
     one segment per CPU the process may run on."""
-    cells = 64
-    weights = rng.dirichlet(np.ones(cells))
-    cum = np.cumsum(weights)
-    codes = rng.integers(0, 4, size=cells).astype(np.uint8)
-
     def run():
         draws = _kernels.UniformDraws(np.random.default_rng(7), 1_000_000)
-        _kernels.mc_outcome_counts(cum, codes, draws)
+        _kernels.mc_outcome_counts([cum], [codes], draws)
 
     return _time(run, 10)
+
+
+def bench_mc_outcome_counts_compare(rng):
+    """Four cells of four codes: three edges, counted by comparison passes."""
+    cum = np.cumsum(rng.dirichlet(np.ones(4)))
+    return _bench_mc_outcome_counts(cum, np.arange(4, dtype=np.uint8))
+
+
+def bench_mc_outcome_counts_sort(rng):
+    """512 cells (an 8^3 apparatus triple) of random codes: hundreds of
+    edges, counted by sorting each chunk."""
+    cum = np.cumsum(rng.dirichlet(np.ones(512)))
+    return _bench_mc_outcome_counts(cum, rng.integers(0, 4, size=512).astype(np.uint8))
 
 
 def bench_tableau_pivot(rng):
@@ -76,7 +85,8 @@ def bench_chsh_strategy_max(_rng):
 BENCHES = [
     ("response_product_sum (n=2e5)", bench_response_product_sum),
     ("outcome_cell_sums   (n=2e5)", bench_outcome_cell_sums),
-    ("mc_outcome_counts   (1e6 draws)", bench_mc_outcome_counts),
+    ("mc_outcome_counts   (4 cells, 1e6)", bench_mc_outcome_counts_compare),
+    ("mc_outcome_counts   (512 cells, 1e6)", bench_mc_outcome_counts_sort),
     ("tableau_pivot       (257x4353)", bench_tableau_pivot),
     ("chsh_strategy_max   (n=5)", bench_chsh_strategy_max),
 ]
@@ -84,11 +94,11 @@ BENCHES = [
 
 def main() -> None:
     rng = np.random.default_rng(2024)
-    header = f"{'kernel':<34} {'time [ms]':>10}"
+    header = f"{'kernel':<38} {'time [ms]':>10}"
     print(header)
     print("-" * len(header))
     for name, bench in BENCHES:
-        print(f"{name:<34} {bench(rng) * 1e3:>10.3f}")
+        print(f"{name:<38} {bench(rng) * 1e3:>10.3f}")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -30,7 +31,7 @@ BACKEND = "pure"
 #: of doubles), so that each step's gathered rows and update fit in cache.
 PIVOT_CHUNK_CELLS = 1 << 15
 
-#: Uniforms that ``mc_outcome_counts`` draws and sorts per step (512 KiB
+#: Uniforms that ``mc_outcome_counts`` draws and counts per step (512 KiB
 #: of doubles), so that a count's memory does not grow with its samples.
 MC_CHUNK_DRAWS = 1 << 16
 
@@ -42,14 +43,24 @@ MC_CHUNK_DRAWS = 1 << 16
 #: 0.49 s in 32, and each segment holds one more chunk buffer.
 MC_MAX_SEGMENTS = 4
 
+#: Most cell edges, summed over its CDFs, that ``mc_outcome_counts``
+#: counts with one comparison pass per edge and chunk rather than by
+#: sorting the chunk.  On one core of a 2-vCPU x86-64 container, sorting a
+#: 2^16-draw chunk took 0.42 ms and one ``np.count_nonzero(chunk < e)``
+#: pass 0.019 ms (drawing the chunk: 0.28 ms), so the passes win below
+#: about 22 edges; 16 stays below that break-even with a margin for
+#: machines where a pass costs relatively more.
+MC_COMPARE_EDGES = 16
+
 
 @dataclass(frozen=True)
 class UniformDraws:
     """``size`` uniforms on [0, 1), taken in order from ``rng`` (a numpy
     ``Generator``, or anything with a ``random(out=...)`` method).
 
-    ``mc_outcome_counts`` may count the stream in contiguous segments, one
-    per available CPU, each drawn from a copy of a PCG64 ``rng``'s bit
+    ``mc_outcome_counts`` draws the stream once, whatever the number of
+    CDFs it counts it against, and may count it in contiguous segments,
+    one per available CPU, each drawn from a copy of a PCG64 ``rng``'s bit
     generator jumped ahead to its first draw; the draws, and every draw
     ``rng`` gives afterwards, are those of one whole draw.
 
@@ -79,29 +90,39 @@ def outcome_cell_sums(weights: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return np.bincount(codes, weights=weights, minlength=4).astype(np.float64)
 
 
-def mc_outcome_counts(cum: np.ndarray, codes: np.ndarray,
+def mc_outcome_counts(cums: Sequence[np.ndarray], codes: Sequence[np.ndarray],
                       draws: UniformDraws) -> np.ndarray:
-    """Tally sampled outcomes against the cell edges of the weight CDF.
+    """Tally one stream of sampled outcomes against each of several CDFs.
 
-    ``cum`` is the inclusive cumulative sum of the cell weights.  Inverse-CDF
-    lookup sends each uniform u to the first cell with cum > u, clamped to
-    the last cell against roundoff at the top, so cell i receives exactly
-    the draws with cum[i-1] <= u < cum[i] and the last cell every draw with
-    u >= cum[-2].  Rather than look up each draw, the draws are taken
-    ``MC_CHUNK_DRAWS`` at a time into a reused buffer, which is sorted in
-    place, and each edge cum[i] is located among them; the number of draws
-    below each edge, summed over the chunks and differenced, is the size of
-    that same partition.  Counts are integers and add up over any split of
-    the draws, so the result equals the per-draw lookup exactly.
+    ``cums[r]`` is the inclusive cumulative sum of the cell weights of
+    CDF r and ``codes[r]`` the outcome code of each of its cells.
+    Inverse-CDF lookup sends each uniform u to the first cell with
+    cum > u, clamped to the last cell against roundoff at the top, so
+    cell i receives exactly the draws with cum[i-1] <= u < cum[i] and the
+    last cell every draw with u >= cum[-2].  Rather than look up each
+    draw, the number of draws below each edge cum[i] is counted, summed
+    over the draws and differenced, which is the size of that same
+    partition.  An edge between two cells of the same code is dropped
+    first: the differences of the edges on either side of it telescope,
+    so the run of cells between two kept edges gets the sum of their
+    counts.  Counts are integers and add up over any split of the draws,
+    so the result equals the per-draw lookup exactly.
+
+    The draws are taken ``MC_CHUNK_DRAWS`` at a time into a reused buffer,
+    once for all the CDFs.  With at most ``MC_COMPARE_EDGES`` kept edges
+    in all, each chunk is counted with one comparison pass per edge;
+    with more, the chunk is sorted in place and every edge is located
+    among it with one binary search.
 
     The ``draws.size`` draws are cut into one contiguous segment of whole
     chunks per available CPU (at most one per chunk, and at most
     ``MC_MAX_SEGMENTS``).  Segment w draws from a copy of the stream's bit
-    generator jumped ahead to the segment's first draw with ``advance``, so
-    every draw is the one the whole stream would give at that position.  The calling thread counts segment 0 from
-    ``draws.rng`` itself and one thread per further segment counts the
-    rest; every generator and buffer is made before any thread starts, and
-    the threads call only numpy.  ``draws.rng`` ends advanced by
+    generator jumped ahead to the segment's first draw with ``advance``,
+    so every draw is the one the whole stream would give at that
+    position.  The calling thread counts segment 0 from ``draws.rng``
+    itself and one thread per further segment counts the rest; every
+    generator and buffer is made before any thread starts, and the
+    threads call only numpy.  ``draws.rng`` ends advanced by
     ``draws.size``, as after one whole draw.  A source without a PCG64
     ``bit_generator`` is counted in one segment (Philox's ``advance``,
     for one, does not count draws), and so is a PCG64 that holds the
@@ -110,9 +131,10 @@ def mc_outcome_counts(cum: np.ndarray, codes: np.ndarray,
     interrupt while the caller counts or waits), every thread stops at
     its next chunk and is joined before the error is raised.  Memory is
     one 512 KiB chunk buffer per segment, whatever ``draws.size``.
-    Returns int64 counts per outcome.
+    Returns int64 counts per outcome, one row of four per CDF.
     """
-    edges = cum[:-1]
+    kept = [np.flatnonzero(c[1:] != c[:-1]) for c in codes]
+    edges = np.concatenate([cum[k] for cum, k in zip(cums, kept)])
     chunks = -(-draws.size // MC_CHUNK_DRAWS)
     bit_generator = getattr(draws.rng, "bit_generator", None)
     parts = 1
@@ -154,8 +176,12 @@ def mc_outcome_counts(cum: np.ndarray, codes: np.ndarray,
         raise errors[0]
     if parts > 1:
         bit_generator.advance(draws.size - bounds[1])
-    per_cell = np.diff(below.sum(axis=0), prepend=0, append=draws.size)
-    return np.bincount(codes, weights=per_cell, minlength=4).astype(np.int64)
+    totals = np.split(below.sum(axis=0), np.cumsum([k.size for k in kept])[:-1])
+    out = np.empty((len(kept), 4), dtype=np.int64)
+    for row, (c, k, total) in enumerate(zip(codes, kept, totals)):
+        per_run = np.diff(total, prepend=0, append=draws.size)
+        out[row] = np.bincount(c[np.append(0, k + 1)], weights=per_run, minlength=4)
+    return out
 
 
 def _count_segment(rng: Any, buf: np.ndarray, edges: np.ndarray, size: int,
@@ -163,13 +189,18 @@ def _count_segment(rng: Any, buf: np.ndarray, edges: np.ndarray, size: int,
     """Add to ``below`` the draws under each edge among the next ``size``
     draws of ``rng``, one chunk of ``buf`` at a time, until done or
     ``stop`` is set."""
+    compare = edges.tolist() if edges.shape[0] <= MC_COMPARE_EDGES else None
     for start in range(0, size, MC_CHUNK_DRAWS):
         if stop.is_set():
             return
         chunk = buf[:min(MC_CHUNK_DRAWS, size - start)]
         rng.random(out=chunk)
-        chunk.sort()
-        below += np.searchsorted(chunk, edges, side="left")
+        if compare is None:
+            chunk.sort()
+            below += np.searchsorted(chunk, edges, side="left")
+        else:
+            for j, edge in enumerate(compare):
+                below[j] += np.count_nonzero(chunk < edge)
 
 
 def _jumped(bit_generator: Any, delta: int) -> np.random.Generator:

@@ -5,10 +5,12 @@ outcome decomposition: a flat list of cells, each carrying a nonnegative
 weight and a joint-outcome code in {0,1,2,3} for (++, +-, -+, --).  Exact
 probabilities are the per-code weight sums; Monte Carlo estimation counts
 uniform draws per cell against the cell edges of the same weights' CDF
-(the draws are taken and sorted one fixed-size chunk at a time, in one
-jumped-ahead segment of the stream per available CPU, up to four, and
-each edge is located in every chunk), which is the same partition as an inverse-CDF
-lookup of each draw.  The cell order is the row-major order of
+(the draws are taken one fixed-size chunk at a time, in one jumped-ahead
+segment of the stream per available CPU, up to four; an edge between
+cells of the same code is dropped, and each remaining edge is counted in
+every chunk by a comparison pass when there are few, by sorting the chunk
+and a binary search otherwise), which is the same partition as an
+inverse-CDF lookup of each draw.  The cell order is the row-major order of
 the underlying grid, which makes reports reproducible bit for bit.
 
 Supported combinations:
@@ -24,7 +26,11 @@ Randomness contract: Monte Carlo uses numpy's PCG64.  The generator for
 setting pair k (in canonical pair order) is seeded with
 SeedSequence(entropy=seed, spawn_key=(k,)), so per-pair streams are
 independent of each other and of any future sharding, and identical
-inputs give bit-identical reports on every platform and backend.
+inputs give bit-identical reports on every platform and backend.  An
+emulation run counts the comparison model from the same pair streams as
+the primary model (common random numbers), so each stream is drawn once
+and the comparison report equals that of a run of the comparison model
+alone with the same seed.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import overload
 
 import numpy as np
 
@@ -80,8 +87,11 @@ CORRELATION_RANGE_TOL = 1e-12
 DEFAULT_ENUM_WORK_LIMIT = 2**24
 
 #: Monte Carlo refuses more samples per setting pair than this, so that a
-#: report ends in bounded time (10^9 per pair is about 50 s for the four
-#: pairs on one x86-64 core).
+#: report ends in bounded time: 10^9 per pair is about 34 s for the four
+#: pairs on one x86-64 core when each chunk is sorted (8.4 ns a draw on a
+#: 512-cell CDF) and 12 s when it is counted by comparison passes (3.0 ns
+#: a draw on a 4-cell CDF).  An emulation's comparison model is counted
+#: from the same draws, so it adds little to either.
 MAX_SAMPLES = 10**9
 
 
@@ -502,8 +512,21 @@ def exact_report(model: ResponseModel, dists: ScenarioDistributions,
     return _report_from_pair_probs(per_pair, EstimatorInfo(method="exact"))
 
 
+@overload
 def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
-                       settings, samples: int, seed: int) -> CorrelationReport:
+                       settings, samples: int, seed: int,
+                       comparison: None = None) -> CorrelationReport: ...
+
+
+@overload
+def monte_carlo_report(
+        model: ResponseModel, dists: ScenarioDistributions, settings,
+        samples: int, seed: int,
+        comparison: tuple[ResponseModel, ScenarioDistributions],
+) -> tuple[CorrelationReport, CorrelationReport]: ...
+
+
+def monte_carlo_report(model, dists, settings, samples, seed, comparison=None):
     """Estimate the report by sampling outcome cells.
 
     Per pair k the stream is PCG64 seeded with SeedSequence(seed,
@@ -514,12 +537,21 @@ def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
     ahead to its first draw; PCG64 turns each 64-bit output into one
     double, so the segments and their chunks are the same stream as one
     whole draw, and their counts add up to the partition of an
-    inverse-CDF lookup of each draw.  Report
-    bytes therefore do not depend on the CPU count.  The kernel is called
-    once per pair from the calling thread.  Memory is 512 KiB per segment,
-    and time is bounded by ``MAX_SAMPLES`` per pair.  A negative seed is
-    refused before any stream is built.  The per-pair standard error is
-    the plug-in binomial formula sqrt((1 - E^2)/samples).
+    inverse-CDF lookup of each draw.  Report bytes therefore do not
+    depend on the CPU count.
+
+    With a ``comparison`` (model, distributions), such as the collapsed
+    stochastic model of an emulation, its report is estimated from the
+    same pair streams (common random numbers): each stream is drawn once
+    and counted against both models' CDFs, and ``(primary, comparison)``
+    is returned.  The comparison report is the one a call for the
+    comparison model alone, with the same seed, would return.
+
+    The kernel is called once per pair from the calling thread.  Memory
+    is 512 KiB per segment, and time is bounded by ``MAX_SAMPLES`` per
+    pair.  A negative seed is refused before any stream is built.  The
+    per-pair standard error is the plug-in binomial formula
+    sqrt((1 - E^2)/samples).
     """
     if samples < 1:
         raise ZeroSamples()
@@ -527,21 +559,24 @@ def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
         raise WorkLimitExceeded(samples, MAX_SAMPLES)
     if seed < 0:
         raise NegativeSeed(seed)
-    per_pair = []
+    models = [(model, dists)] if comparison is None else [(model, dists), comparison]
+    per_model: list[list] = [[] for _ in models]
     for k, (p, q) in enumerate(_ordered_pairs(settings)):
-        dec = outcome_decomposition(model, dists, (p, q))
-        cum = np.cumsum(dec.weights)
+        decs = [outcome_decomposition(m, d, (p, q)) for m, d in models]
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
-        counts = mc_outcome_counts(np.ascontiguousarray(cum),
-                                   np.ascontiguousarray(dec.codes),
+        counts = mc_outcome_counts([np.cumsum(dec.weights) for dec in decs],
+                                   [np.ascontiguousarray(dec.codes) for dec in decs],
                                    UniformDraws(rng, samples))
-        probs = tuple(float(c) / samples for c in counts)
-        e_hat = probs[0] + probs[3] - probs[1] - probs[2]
-        se = math.sqrt(max(0.0, 1.0 - e_hat * e_hat) / samples)
-        per_pair.append(((p, q), probs, se))
-    return _report_from_pair_probs(
-        per_pair, EstimatorInfo(method="monte-carlo", samples=samples, seed=seed))
+        for per_pair, row in zip(per_model, counts):
+            probs = tuple(float(c) / samples for c in row)
+            e_hat = probs[0] + probs[3] - probs[1] - probs[2]
+            se = math.sqrt(max(0.0, 1.0 - e_hat * e_hat) / samples)
+            per_pair.append(((p, q), probs, se))
+    estimator = EstimatorInfo(method="monte-carlo", samples=samples, seed=seed)
+    reports = tuple(_report_from_pair_probs(per_pair, estimator)
+                    for per_pair in per_model)
+    return reports[0] if comparison is None else reports
 
 
 # ---------------------------------------------------------------------------

@@ -134,12 +134,23 @@ def _emulation_doc(scenario: Scenario, primary: CorrelationReport,
             "comparison_s": comparison_report.s}
 
 
-def _correlation_report(model, dists, settings, estimator: EstimatorInfo,
-                        seed_override: int | None) -> CorrelationReport:
+def _correlation_reports(scenario: Scenario, comparison: tuple | None,
+                         seed_override: int | None
+                         ) -> tuple[CorrelationReport, CorrelationReport | None]:
+    """The scenario model's report and, for a ``comparison`` (model,
+    distributions), that model's report under the same estimator; a
+    Monte Carlo run counts both from the same pair streams."""
+    model, dists, settings = (scenario.model, scenario.distributions,
+                              scenario.settings)
+    estimator = scenario.run.estimator
     if estimator.method == "exact":
-        return exact_report(model, dists, settings)
+        return (exact_report(model, dists, settings),
+                None if comparison is None else exact_report(*comparison, settings))
     seed = estimator.seed if seed_override is None else seed_override
-    return monte_carlo_report(model, dists, settings, estimator.samples, seed)
+    if comparison is None:
+        return monte_carlo_report(model, dists, settings, estimator.samples, seed), None
+    return monte_carlo_report(model, dists, settings, estimator.samples, seed,
+                              comparison=comparison)
 
 
 def run_scenario(scenario: Scenario, seed_override: int | None = None,
@@ -163,9 +174,12 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
         "distribution_mode": scenario.distributions.mode,
         "analyses": {},
     }
-    primary = _correlation_report(scenario.model, scenario.distributions,
-                                  scenario.settings, scenario.run.estimator,
-                                  seed_override)
+    comparison = None
+    if "emulation" in requested:
+        comparison = (scenario.comparison_model,
+                      SourceOnly(scenario.distributions.rho))
+    primary, comparison_report = _correlation_reports(scenario, comparison,
+                                                      seed_override)
     for name in requested:
         if name == "correlations":
             doc["analyses"][name] = {
@@ -186,9 +200,6 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
             doc["analyses"][name] = _feasibility_doc(scenario.distributions,
                                                      work_limit)
         else:
-            comparison_report = _correlation_report(
-                scenario.comparison_model, SourceOnly(scenario.distributions.rho),
-                scenario.settings, scenario.run.estimator, seed_override)
             doc["analyses"][name] = _emulation_doc(scenario, primary,
                                                    comparison_report)
     return doc

@@ -70,6 +70,12 @@ BLAND_AFTER = 200
 #: Largest allowed scaled pivot row, relative to the starting tableau.
 GROWTH_LIMIT = 1e10
 
+#: Byte boundary the tableau starts on.  A pivot's speed depended on where
+#: the heap put the tableau: 200 pivots on a 65 x 326 tableau took 0.049 ms
+#: each with its data at byte offset 0, 16 or 32 mod 64, and 0.065 ms at
+#: offset 48.
+TABLEAU_ALIGN = 64
+
 
 @dataclass(frozen=True)
 class SimplexResult:
@@ -87,6 +93,17 @@ class SimplexResult:
     objective: float
     iterations: int
     bland_pivots: int = 0
+
+
+def _aligned_zeros(shape: tuple[int, int]) -> np.ndarray:
+    """A zero float64 array of ``shape`` whose data starts on a
+    ``TABLEAU_ALIGN``-byte boundary: a view into a slightly larger buffer,
+    at its first aligned element."""
+    size = shape[0] * shape[1]
+    itemsize = np.dtype(np.float64).itemsize
+    buf = np.zeros(size + TABLEAU_ALIGN // itemsize)
+    start = (-buf.ctypes.data % TABLEAU_ALIGN) // itemsize
+    return buf[start:start + size].reshape(shape)
 
 
 def _leaving_row(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
@@ -128,7 +145,7 @@ def solve_equality_feasibility(A: np.ndarray, b: np.ndarray,
     # tableau rows 0..m-1: [A | I | b]; row m: phase-1 reduced costs.
     # With the artificial basis, the reduced cost of original column j is
     # -sum_i A[i, j] and the objective cell holds -sum(b).
-    T = np.zeros((m + 1, n + m + 1))
+    T = _aligned_zeros((m + 1, n + m + 1))
     T[:m, :n] = A
     T[:m, n:n + m] = np.eye(m)
     T[:m, -1] = b

@@ -1,4 +1,5 @@
-"""The kernel timing script runs and times every kernel."""
+"""The kernel timing script runs and times every kernel, and both
+counting paths of ``mc_outcome_counts``."""
 
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ def test_bench_kernels_prints_one_row_per_kernel():
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["kernel", "time", "[ms]"]
     rows = [line.split() for line in lines[2:]]
-    assert sorted(row[0] for row in rows) == sorted(_kernel_names())
+    # mc_outcome_counts has one row per counting path
+    assert sorted(row[0] for row in rows) == sorted(_kernel_names()
+                                                    + ["mc_outcome_counts"])
     for row in rows:
         assert float(row[-1]) > 0.0

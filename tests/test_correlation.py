@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -55,6 +56,8 @@ from bellsim.models import (
     standard_settings,
 )
 from bellsim.qm import singlet_probabilities
+from bellsim.report import run_scenario
+from bellsim.scenario import generate_scenario, parse_scenario
 from bellsim.spaces import SETTING_PAIRS, Distribution, HiddenSpace
 
 A, A2, B, B2 = FOUR_SETTINGS
@@ -379,6 +382,30 @@ class TestMonteCarlo:
             monte_carlo_report(model, dists, FOUR_SETTINGS, MAX_SAMPLES + 1, seed=0)
         assert (exc.value.required, exc.value.limit) == (MAX_SAMPLES + 1, MAX_SAMPLES)
         assert exc.value.module == "correlation-engine"
+
+    @pytest.mark.parametrize("cards", [(1, 2, 2, 2, 2), (3,) * 5, (8,) * 5])
+    def test_emulation_comparison_equals_a_standalone_report(self, cards):
+        """The comparison model of an emulation is counted from the
+        primary model's pair streams, and its report block is byte-equal
+        to a Monte Carlo report of the comparison model alone with the
+        same seed (comparison passes at 1x2^4, sorting at 8^5)."""
+        doc = generate_scenario("stochastic-equivalent",
+                                {"cards": cards, "estimator": "monte-carlo",
+                                 "samples": 150_000, "mc_seed": 8})
+        scenario = parse_scenario(doc)
+        comparison = (scenario.comparison_model,
+                      SourceOnly(scenario.distributions.rho))
+        alone = monte_carlo_report(*comparison, scenario.settings, 150_000, seed=8)
+        primary, shared = monte_carlo_report(
+            scenario.model, scenario.distributions, scenario.settings, 150_000,
+            seed=8, comparison=comparison)
+        assert shared == alone
+        assert primary == monte_carlo_report(scenario.model, scenario.distributions,
+                                             scenario.settings, 150_000, seed=8)
+        emulation = run_scenario(scenario)["analyses"]["emulation"]
+        block = json.dumps([[pair["comparison_correlation"] for pair in emulation["pairs"]],
+                            emulation["comparison_s"]])
+        assert block == json.dumps([[pc.correlation for pc in alone.pairs], alone.s])
 
     def test_convergence_within_five_standard_errors(self):
         rng = np.random.default_rng(16)

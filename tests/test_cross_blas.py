@@ -121,8 +121,11 @@ def test_report_bytes_identical_without_avx(native):
 
 
 def test_monte_carlo_bytes_identical_on_one_cpu(tmp_path):
-    """Both scenarios have at least two chunks of draws per pair, so the
-    native child splits each pair's stream when it has two or more CPUs."""
+    """Every scenario has at least two chunks of draws per pair, so the
+    native child splits each pair's stream when it has two or more CPUs.
+    The witness counts its few edges by comparison passes; the 8^5
+    emulation counts the primary and comparison models together from one
+    stream per pair, by sorting."""
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("os.sched_setaffinity is not available")
     cpus = sorted(os.sched_getaffinity(0))
@@ -131,8 +134,13 @@ def test_monte_carlo_bytes_identical_on_one_cpu(tmp_path):
     witness = tmp_path / "witness.scenario"
     assert main(["generate", "setting-dependent-witness", "--estimator",
                  "monte-carlo", "--samples", "200000", "-o", str(witness)]) == 0
+    emulation = tmp_path / "emulation.scenario"
+    assert main(["generate", "stochastic-equivalent", "--cards", "8,8,8,8,8",
+                 "--estimator", "monte-carlo", "--samples", "200000",
+                 "-o", str(emulation)]) == 0
     commands = [["run", str(SCENARIOS / "joint-composite.scenario")],
-                ["run", str(witness)]]
+                ["run", str(witness)],
+                ["run", str(emulation)]]
     native = _child({}, commands)
     pinned = _child({}, commands, cpu=cpus[0])
     assert _changed(native, pinned, commands) == []

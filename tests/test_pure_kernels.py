@@ -11,8 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bellsim import _kernels, correlation
-from bellsim.scenario import load_scenario
+from bellsim import _kernels, correlation, report
+from bellsim.scenario import generate_scenario, load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -40,8 +40,8 @@ class _Replay:
 def _counts(cum, codes, u):
     """``mc_outcome_counts`` on the fixed draws ``u``."""
     u = np.asarray(u, dtype=np.float64)
-    return _kernels.mc_outcome_counts(cum, codes,
-                                      _kernels.UniformDraws(_Replay(u), u.shape[0]))
+    return _kernels.mc_outcome_counts(
+        [cum], [codes], _kernels.UniformDraws(_Replay(u), u.shape[0]))[0]
 
 
 def test_mc_outcome_counts_top_edge_clamped():
@@ -177,7 +177,7 @@ def test_mc_outcome_counts_chunked_stream_equals_whole_draw(samples, top):
     codes = rng.integers(0, 4, size=cum.size).astype(np.uint8)
     for k in range(4):
         counts = _kernels.mc_outcome_counts(
-            cum, codes, _kernels.UniformDraws(_stream(11, k), samples))
+            [cum], [codes], _kernels.UniformDraws(_stream(11, k), samples))[0]
         u = _stream(11, k).random(samples)
         cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
         want = np.bincount(codes[cells], minlength=4)
@@ -209,8 +209,8 @@ def test_mc_outcome_counts_segments_equal_whole_draw(samples, cpus, monkeypatch)
     cum, codes = _segment_cdf()
     for k in range(2):
         rng = _stream(13, k)
-        counts = _kernels.mc_outcome_counts(cum, codes,
-                                            _kernels.UniformDraws(rng, samples))
+        counts = _kernels.mc_outcome_counts([cum], [codes],
+                                            _kernels.UniformDraws(rng, samples))[0]
         reference = _stream(13, k)
         u = reference.random(samples)
         cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
@@ -230,8 +230,8 @@ def test_mc_outcome_counts_buffered_half_draw_keeps_one_segment(monkeypatch):
     rng, reference = _stream(5, 0), _stream(5, 0)
     for gen in (rng, reference):
         gen.integers(2**32, dtype=np.uint32)
-    counts = _kernels.mc_outcome_counts(cum, codes,
-                                        _kernels.UniformDraws(rng, 3 * _C))
+    counts = _kernels.mc_outcome_counts([cum], [codes],
+                                        _kernels.UniformDraws(rng, 3 * _C))[0]
     u = reference.random(3 * _C)
     cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
     assert counts.tolist() == np.bincount(codes[cells], minlength=4).tolist()
@@ -274,7 +274,7 @@ def test_mc_outcome_counts_worker_error_reaches_the_caller(exc, monkeypatch):
     cum, codes = _segment_cdf()
     before = threading.active_count()
     with pytest.raises(exc, match="failed draw"):
-        _kernels.mc_outcome_counts(cum, codes,
+        _kernels.mc_outcome_counts([cum], [codes],
                                    _kernels.UniformDraws(_stream(3, 0), 9 * _C))
     assert failing[0].calls == 2
     assert threading.active_count() == before
@@ -298,7 +298,7 @@ def test_mc_outcome_counts_caller_error_stops_the_workers(exc, monkeypatch):
     rng = _FailingRng(_stream(3, 0), 2, exc)
     before = threading.active_count()
     with pytest.raises(exc, match="failed draw"):
-        _kernels.mc_outcome_counts(cum, codes,
+        _kernels.mc_outcome_counts([cum], [codes],
                                    _kernels.UniformDraws(rng, 3 * 64 * _C))
     assert threading.active_count() == before
     assert len(workers) == 2
@@ -353,18 +353,150 @@ def test_mc_outcome_counts_interrupt_while_joining_stops_the_workers(
     cum, codes = _segment_cdf()
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt, match="interrupted join"):
-        _kernels.mc_outcome_counts(cum, codes,
+        _kernels.mc_outcome_counts([cum], [codes],
                                    _kernels.UniformDraws(_stream(3, 0), 12 * _C))
     assert threading.active_count() == before
     assert len(workers) == 2
     assert all(worker.calls <= 2 for worker in workers)
 
 
+def _whole_draw_counts(cum, codes, u):
+    """Counts of a per-draw lookup of the draws ``u``, clamped to the
+    last cell."""
+    cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+    return np.bincount(codes[cells], minlength=4).tolist()
+
+
+def _run_cdf(rng, edges, top):
+    """A CDF whose cells form ``edges + 1`` runs of one to three cells of
+    the same code, neighbouring runs differing, so ``edges`` edges are left
+    once same-code edges are dropped.  When there are at least two runs
+    the first has no weight (its edge is at 0), and with three or more so
+    has one interior run (two equal edges).  The top edge is ``top``."""
+    run_codes = [int(rng.integers(4))]
+    for _ in range(edges):
+        run_codes.append((run_codes[-1] + int(rng.integers(1, 4))) % 4)
+    sizes = rng.integers(1, 4, size=edges + 1)
+    weights = np.split(rng.random(int(sizes.sum())), np.cumsum(sizes)[:-1])
+    if edges >= 1:
+        weights[0][:] = 0.0
+    if edges >= 2:
+        weights[edges // 2 + 1][:] = 0.0
+    weights = np.concatenate(weights)
+    cum = np.minimum(np.cumsum(weights / weights.sum()), top)
+    cum[-1] = top
+    return cum, np.repeat(run_codes, sizes).astype(np.uint8)
+
+
+def _kept_edges(codes):
+    return int(np.count_nonzero(codes[1:] != codes[:-1]))
+
+
+class _Recording:
+    """Draws from ``gen``, keeping the last buffer it filled."""
+
+    def __init__(self, gen):
+        self.bit_generator = gen.bit_generator
+        self._gen = gen
+        self.out = None
+
+    def random(self, out):
+        self._gen.random(out=out)
+        self.out = out
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+@pytest.mark.parametrize("extra", [0, 1], ids=["compare-edges", "compare-edges-plus-one"])
+def test_mc_outcome_counts_paths_agree_at_the_threshold(extra, cpus, monkeypatch):
+    """At exactly ``MC_COMPARE_EDGES`` kept edges a chunk is counted by
+    comparison passes and left in draw order, at one more it is sorted;
+    either path, forced on the same CDF, gives the whole draw's counts,
+    on one CPU and split into segments."""
+    monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
+    default = _kernels.MC_COMPARE_EDGES
+    edges = default + extra
+    rng = np.random.default_rng(20 + extra)
+    samples = 3 * _C + 7
+    for k, top in enumerate((1.0 - 1e-12, 1.0 + 2.0 ** -52)):
+        cum, codes = _run_cdf(rng, edges, top)
+        assert _kept_edges(codes) == edges
+        want = _whole_draw_counts(cum, codes, _stream(17, k).random(samples))
+        source = _Recording(_stream(17, k))
+        counts = _kernels.mc_outcome_counts([cum], [codes],
+                                            _kernels.UniformDraws(source, samples))
+        assert counts[0].tolist() == want
+        assert bool(np.all(source.out[1:] >= source.out[:-1])) == (extra == 1)
+        for threshold in (edges - 1, edges):
+            monkeypatch.setattr(_kernels, "MC_COMPARE_EDGES", threshold)
+            rng_k, reference = _stream(17, k), _stream(17, k)
+            counts = _kernels.mc_outcome_counts(
+                [cum], [codes], _kernels.UniformDraws(rng_k, samples))
+            assert counts[0].tolist() == want
+            reference.random(samples)
+            assert rng_k.random() == reference.random()
+        monkeypatch.setattr(_kernels, "MC_COMPARE_EDGES", default)
+
+
+def _edge_case_cdfs(rng):
+    """CDFs with merged same-code runs, zero-weight cells, an edge at 0,
+    top edges below, at and above 1, all cells of one code, and a single
+    cell."""
+    cdfs = [_run_cdf(rng, edges, top)
+            for edges in (1, 2, 5, 12)
+            for top in (1.0 - 1e-12, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52,
+                        1.0 + 1e-12)]
+    cdfs.append((np.array([0.0, 0.2, 0.2, 0.5, 1.0]),
+                 np.array([2, 2, 2, 2, 2], dtype=np.uint8)))
+    cdfs += [(np.array([top]), np.array([code], dtype=np.uint8))
+             for code, top in enumerate((1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0))]
+    return cdfs
+
+
+@pytest.mark.parametrize("threshold", [-1, 10**6], ids=["sort", "compare"])
+def test_mc_outcome_counts_edge_case_cdfs_on_either_path(threshold, monkeypatch):
+    """Edge-heavy fixed draws, including draws on every edge, counted on
+    the forced sort path and the forced comparison path."""
+    monkeypatch.setattr(_kernels, "MC_COMPARE_EDGES", threshold)
+    rng = np.random.default_rng(21)
+    for cum, codes in _edge_case_cdfs(rng):
+        u = _edge_heavy_draws(rng, cum, 300)
+        _check_mc_counts(cum, codes, np.concatenate([u, [1.0 - 2.0 ** -53]]))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+@pytest.mark.parametrize("sizes", [(3, 5), (1, 4, 9), (3, 40), (0, 2, 30)],
+                         ids=lambda sizes: "-".join(map(str, sizes)))
+def test_mc_outcome_counts_of_several_cdfs_equal_separate_counts(sizes, cpus,
+                                                                 monkeypatch):
+    """Two or three CDFs counted from one stream, on the comparison path
+    (at most ``MC_COMPARE_EDGES`` edges in all) or the sort path, give
+    each CDF the counts of that stream counted alone, and leave the
+    generator where one whole draw would."""
+    monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
+    rng = np.random.default_rng(22)
+    cdfs = [_run_cdf(rng, edges, top)
+            for edges, top in zip(sizes, (1.0 - 1e-12, 1.0, 1.0 + 2.0 ** -52))]
+    cums, codes = [cum for cum, _ in cdfs], [c for _, c in cdfs]
+    samples = 3 * _C + 7
+    for k in range(2):
+        rng_k, reference = _stream(19, k), _stream(19, k)
+        together = _kernels.mc_outcome_counts(cums, codes,
+                                              _kernels.UniformDraws(rng_k, samples))
+        assert together.dtype == np.int64 and together.shape == (len(cdfs), 4)
+        u = reference.random(samples)
+        for row, (cum, c) in zip(together, cdfs):
+            alone = _kernels.mc_outcome_counts(
+                [cum], [c], _kernels.UniformDraws(_stream(19, k), samples))[0]
+            assert row.tolist() == alone.tolist() == _whole_draw_counts(cum, c, u)
+        assert rng_k.random() == reference.random()
+
+
 def test_monte_carlo_report_calls_the_kernel_once_per_pair_from_the_caller(
         monkeypatch):
     """A tracer that wraps ``correlation.mc_outcome_counts`` sees one call
     per setting pair, made from the calling thread, with the pair's sample
-    count as ``np.size`` of its draws."""
+    count as ``np.size`` of its draws, also for an emulation report, which
+    counts the comparison model from the same calls."""
     calls = []
     real = correlation.mc_outcome_counts
 
@@ -377,6 +509,13 @@ def test_monte_carlo_report_calls_the_kernel_once_per_pair_from_the_caller(
     samples = 3 * _C + 7
     correlation.monte_carlo_report(scenario.model, scenario.distributions,
                                    scenario.settings, samples, seed=5)
+    assert calls == [(threading.main_thread(), samples)] * 4
+    # an emulation run draws each pair's stream once for both models
+    calls.clear()
+    doc = generate_scenario("stochastic-equivalent",
+                            {"cards": (8,) * 5, "estimator": "monte-carlo",
+                             "samples": samples, "mc_seed": 5})
+    report.run_scenario(parse_scenario(doc))
     assert calls == [(threading.main_thread(), samples)] * 4
 
 

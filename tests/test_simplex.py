@@ -152,3 +152,23 @@ class TestGrowthGuard:
         assert exc.value.module == "simplex"
         assert exc.value.growth > GROWTH_LIMIT
         assert exc.value.limit == GROWTH_LIMIT
+
+
+def test_tableau_starts_on_a_64_byte_boundary(monkeypatch):
+    """Every pivot of a solve works on a tableau whose data starts on a
+    ``TABLEAU_ALIGN``-byte boundary, wherever the heap puts the buffer."""
+    addresses = []
+    real = simplex.tableau_pivot
+
+    def pivot(T, pr, pc):
+        addresses.append(T.ctypes.data)
+        real(T, pr, pc)
+
+    monkeypatch.setattr(simplex, "tableau_pivot", pivot)
+    rng = np.random.default_rng(3)
+    for m, n in ((1, 2), (3, 5), (7, 11), (20, 40)):
+        A = rng.random((m, n))
+        b = A @ rng.random(n)
+        assert_valid_solution(A, b, solve_equality_feasibility(A, b))
+    assert addresses
+    assert all(address % simplex.TABLEAU_ALIGN == 0 for address in addresses)
