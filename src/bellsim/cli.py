@@ -34,6 +34,7 @@ from .report import (enumerate_bound_doc, qm_chsh_doc, qm_search_doc,
                      qm_table_doc, run_scenario)
 from .scenario import (TEMPLATES, generate_scenario, load_scenario,
                        render_document)
+from .spaces import SETTING_NAMES
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -131,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_chsh = qm_sub.add_parser("chsh", parents=[common],
                                help="CHSH value for four analyzer angles")
-    for name in ("a", "a_prime", "b", "b_prime"):
+    for name in SETTING_NAMES:
         p_chsh.add_argument(name, type=float, help=f"analyzer angle {name} (radians)")
 
     p_search = qm_sub.add_parser("search", parents=[common],
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.qm_command == "table":
             doc = qm_table_doc(args.angle_a, args.angle_b)
         elif args.qm_command == "chsh":
-            doc = qm_chsh_doc((args.a, args.a_prime, args.b, args.b_prime))
+            doc = qm_chsh_doc(tuple(getattr(args, name) for name in SETTING_NAMES))
         else:
             doc = qm_search_doc(args.grid_step, args.refine_rounds)
     except BellsimError as exc:

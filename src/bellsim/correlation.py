@@ -60,17 +60,20 @@ from .errors import (
     ZeroSamples,
 )
 from .models import (
-    COMPOSITE_AXIS,
     ApparatusDeterministic,
     Contextual,
     DeterministicSource,
     ResponseModel,
     Setting,
     StochasticSource,
+    effective_response_apparatus,
 )
 from .spaces import (
+    SETTING_NAMES,
     SETTING_PAIRS,
     Distribution,
+    FiveSpaces,
+    on_five_axes,
     pair_key,
     validate_distribution,
 )
@@ -150,7 +153,7 @@ class FactorizedApparatus:
     def __post_init__(self) -> None:
         validate_distribution(self.rho)
         apparatus = dict(self.apparatus)
-        for name in ("a", "a_prime", "b", "b_prime"):
+        for name in SETTING_NAMES:
             if name not in apparatus:
                 raise CorrelationDomainMismatch(
                     f"missing apparatus distribution for {name!r}")
@@ -316,21 +319,28 @@ def _source_weights(model, dists, pair_names) -> np.ndarray:
     return rho.flat
 
 
+def _check_factorized(spaces: FiveSpaces, dists: FactorizedApparatus,
+                      names: tuple[str, str]) -> None:
+    """Refuse a source distribution or a named setting's apparatus
+    distribution that does not live on its space of ``spaces``."""
+    if dists.rho.domain != (spaces.lam,):
+        raise CorrelationDomainMismatch(
+            f"source distribution domain {dists.rho.labels} does not match "
+            f"{spaces.lam.label!r}")
+    for name in names:
+        if dists.apparatus[name].domain != (spaces.for_setting(name),):
+            raise CorrelationDomainMismatch(
+                f"apparatus distribution for {name!r} does not live on "
+                f"{spaces.for_setting(name).label!r}")
+
+
 def _apparatus_triple(model: ApparatusDeterministic, dists,
                       p: Setting, q: Setting) -> np.ndarray:
     """Grid weights over (lambda, lambda_p, lambda_q) for an apparatus model."""
     spaces = model.spaces
     expected = (spaces.lam, spaces.for_setting(p.name), spaces.for_setting(q.name))
     if isinstance(dists, FactorizedApparatus):
-        if dists.rho.domain != (spaces.lam,):
-            raise CorrelationDomainMismatch(
-                f"source distribution domain {dists.rho.labels} does not match "
-                f"{spaces.lam.label!r}")
-        for name in (p.name, q.name):
-            if dists.apparatus[name].domain != (spaces.for_setting(name),):
-                raise CorrelationDomainMismatch(
-                    f"apparatus distribution for {name!r} does not live on "
-                    f"{spaces.for_setting(name).label!r}")
+        _check_factorized(spaces, dists, (p.name, q.name))
         w = dists.rho.flat[:, None, None] * dists.apparatus[p.name].flat[None, :, None]
         return w * dists.apparatus[q.name].flat[None, None, :]
     if isinstance(dists, SettingDependent):
@@ -392,17 +402,9 @@ def _composite_decomposition(model: ApparatusDeterministic, dists: JointComposit
             f"composite joint domain {dists.joint.labels} does not match the "
             f"model's five spaces {tuple(s.label for s in spaces)}")
     shape = dists.joint.shape
-    f_grid = np.broadcast_to(_embed_axis(model.tables[p.name], p.name), shape)
-    g_grid = np.broadcast_to(_embed_axis(model.tables[q.name], q.name), shape)
+    f_grid, g_grid = (np.broadcast_to(on_five_axes(model.tables[s.name], (s.name,)),
+                                      shape) for s in (p, q))
     return OutcomeDecomposition(dists.joint.flat, _codes_from_signs(f_grid, g_grid))
-
-
-def _embed_axis(table: np.ndarray, name: str) -> np.ndarray:
-    """View a (lambda, lambda_setting) table inside the five-axis grid."""
-    index: list = [None] * 5
-    index[0] = slice(None)
-    index[COMPOSITE_AXIS[name]] = slice(None)
-    return table[tuple(index)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +428,9 @@ def _effective_vectors(model, dists, p: Setting, q: Setting):
         return f_bar, g_bar, w
     if isinstance(model, ApparatusDeterministic):
         if isinstance(dists, FactorizedApparatus):
-            f_bar = _averaged_response(model, p.name, dists.apparatus[p.name])
-            g_bar = _averaged_response(model, q.name, dists.apparatus[q.name])
-            if dists.rho.domain != (model.spaces.lam,):
-                raise CorrelationDomainMismatch(
-                    f"source distribution domain {dists.rho.labels} does not "
-                    f"match {model.spaces.lam.label!r}")
+            _check_factorized(model.spaces, dists, (p.name, q.name))
+            f_bar, g_bar = (_averaged_response(model, s, dists.apparatus[s.name])
+                            for s in (p, q))
             return f_bar, g_bar, dists.rho.flat
         if isinstance(dists, (JointComposite, SettingDependent)):
             dec = outcome_decomposition(model, dists, (p, q))
@@ -441,20 +440,11 @@ def _effective_vectors(model, dists, p: Setting, q: Setting):
     raise IncompatibleModeModel(dists.mode, getattr(model, "kind", type(model).__name__))
 
 
-def _averaged_response(model: ApparatusDeterministic, name: str,
+def _averaged_response(model: ApparatusDeterministic, setting: Setting,
                        apparatus_dist: Distribution) -> np.ndarray:
     """Per-lambda apparatus average: one row dot per source point."""
-    expected = model.spaces.for_setting(name)
-    if apparatus_dist.domain != (expected,):
-        raise CorrelationDomainMismatch(
-            f"apparatus distribution for {name!r} does not live on {expected.label!r}")
-    table = model.tables[name]
-    ones = np.ones(table.shape[1])
-    out = np.empty(table.shape[0])
-    for i in range(table.shape[0]):
-        out[i] = response_product_sum(np.ascontiguousarray(table[i]), ones,
-                                      apparatus_dist.flat)
-    return out
+    return np.array([effective_response_apparatus(model, setting, i, apparatus_dist)
+                     for i in range(model.spaces.lam.cardinality)])
 
 
 def exact_correlation(model: ResponseModel, dists: ScenarioDistributions,
@@ -476,11 +466,8 @@ def exact_correlation(model: ResponseModel, dists: ScenarioDistributions,
 
 
 def _ordered_pairs(settings) -> tuple[tuple[Setting, Setting], ...]:
-    a, a_prime, b, b_prime = settings
-    by_name = {}
-    for s in (a, a_prime, b, b_prime):
-        by_name[s.name] = s
-    if set(by_name) != {"a", "a_prime", "b", "b_prime"}:
+    by_name = {s.name: s for s in settings}
+    if sorted(s.name for s in settings) != sorted(SETTING_NAMES):
         raise CorrelationSideMismatch(
             f"need the four canonical settings, got {sorted(by_name)}")
     return tuple((by_name[p], by_name[q]) for p, q in SETTING_PAIRS)

@@ -55,17 +55,20 @@ import numpy as np
 from .correlation import BELL_BOUND_TOL, SettingDependent
 from .errors import (FeasibilityWorkLimitExceeded, NonViolatingAngles,
                      NumericalFailure)
-from .models import SETTING_NAMES, ApparatusDeterministic, Setting
+from .models import ApparatusDeterministic, Setting
 from .qm import singlet_chsh, singlet_probabilities
 from .simplex import solve_equality_feasibility
 from .spaces import (
     APPARATUS_LABELS,
+    SETTING_AXIS,
+    SETTING_NAMES,
     SETTING_PAIRS,
     Distribution,
     FiveSpaces,
     HiddenSpace,
     SettingPairMarginalFamily,
     marginalize,
+    on_five_axes,
     product_distribution,
     renormalize,
 )
@@ -77,9 +80,6 @@ MARGINAL_TOL = 1e-9
 CERTIFICATE_SLACK = 1e-7
 
 DEFAULT_WORK_LIMIT = 65536
-
-#: Axis of each setting's apparatus space in a five-space joint.
-_PAIR_AXES = {"a": 1, "a_prime": 2, "b": 3, "b_prime": 4}
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def constraint_matrix(family: SettingPairMarginalFamily
     grids = np.indices(shape).reshape(4, n)
     blocks = []
     for p, q in SETTING_PAIRS:
-        ax_p, ax_q = _PAIR_AXES[p] - 1, _PAIR_AXES[q] - 1
+        ax_p, ax_q = SETTING_AXIS[p] - 1, SETTING_AXIS[q] - 1
         rows = grids[ax_p] * shape[ax_q] + grids[ax_q]
         block = np.zeros((shape[ax_p] * shape[ax_q], n))
         block[rows, np.arange(n)] = 1.0
@@ -138,7 +138,7 @@ def _pair_marginal(weights: np.ndarray, p: str, q: str) -> np.ndarray:
     """The (lambda, lambda_p, lambda_q) marginal of a five-axis weight
     array, summed one slice at a time in index order."""
     for axis in (4, 3, 2, 1):
-        if axis not in (_PAIR_AXES[p], _PAIR_AXES[q]):
+        if axis not in (SETTING_AXIS[p], SETTING_AXIS[q]):
             weights = reduce(np.add, np.moveaxis(weights, axis, 0))
     return weights
 
@@ -243,17 +243,14 @@ def verify_certificate(family: SettingPairMarginalFamily,
     exactly rounded.
     """
     y = np.asarray(certificate, dtype=np.float64)
-    parts = {}
+    parts = []
     start = 0
-    for p, q in SETTING_PAIRS:
-        marginal = family.marginal(p, q)
-        parts[(p, q)] = y[start:start + marginal.size].reshape(marginal.shape)
+    for pair in SETTING_PAIRS:
+        marginal = family.marginal(*pair)
+        part = y[start:start + marginal.size].reshape(marginal.shape)
+        parts.append(on_five_axes(part, pair))
         start += marginal.size
-    # (lambda, v_p, v_q) -> the five axes (lambda, v_a, v_a', v_b, v_b')
-    yta = (parts[("a", "b")][:, :, None, :, None]
-           + parts[("a", "b_prime")][:, :, None, None, :]
-           + parts[("a_prime", "b")][:, None, :, :, None]
-           + parts[("a_prime", "b_prime")][:, None, :, None, :])
+    yta = reduce(np.add, parts)
     b = np.concatenate([family.marginal(p, q).flat for p, q in SETTING_PAIRS])
     return float(np.max(yta)), math.fsum(y * b)
 

@@ -37,19 +37,18 @@ from .errors import (
     SideMismatch,
 )
 from .spaces import (
+    SETTING_NAMES,
     SIDE_A_NAMES,
     SIDE_B_NAMES,
     Distribution,
     FiveSpaces,
     HiddenSpace,
+    on_five_axes,
 )
 
-SETTING_NAMES = SIDE_A_NAMES + SIDE_B_NAMES
-
-#: Composite flat-index order is row-major over (lambda, lambda_a,
-#: lambda_a_prime, lambda_b, lambda_b_prime); the axis of each setting's
-#: apparatus space in that order.
-COMPOSITE_AXIS = {"a": 1, "a_prime": 2, "b": 3, "b_prime": 4}
+#: The settings on the far side of each setting, in canonical order.
+_REMOTES = {name: SIDE_B_NAMES if name in SIDE_A_NAMES else SIDE_A_NAMES
+            for name in SETTING_NAMES}
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,9 @@ class Setting:
 def standard_settings(theta_a: float, theta_a_prime: float, theta_b: float,
                       theta_b_prime: float) -> tuple[Setting, Setting, Setting, Setting]:
     """The four canonical settings (a, a_prime, b, b_prime) at given angles."""
-    return (
-        Setting("A", "a", theta_a),
-        Setting("A", "a_prime", theta_a_prime),
-        Setting("B", "b", theta_b),
-        Setting("B", "b_prime", theta_b_prime),
-    )
+    angles = (theta_a, theta_a_prime, theta_b, theta_b_prime)
+    return tuple(Setting("A" if name in SIDE_A_NAMES else "B", name, angle)
+                 for name, angle in zip(SETTING_NAMES, angles))
 
 
 def _freeze_table(values, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -157,7 +153,7 @@ class StochasticSource:
             if name not in self.tables:
                 raise DomainMismatch(f"missing probability table for setting {name!r}")
             arr = _freeze_table(self.tables[name], shape, f"table for {name!r}")
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also refuses NaN
                 raise DomainMismatch(f"table for {name!r} must lie in [0, 1]")
             frozen[name] = arr
         object.__setattr__(self, "tables", frozen)
@@ -185,8 +181,7 @@ class Contextual:
     def __post_init__(self) -> None:
         shape = (self.lam.cardinality,)
         frozen = {}
-        for own in SETTING_NAMES:
-            remotes = SIDE_B_NAMES if own in SIDE_A_NAMES else SIDE_A_NAMES
+        for own, remotes in _REMOTES.items():
             for remote in remotes:
                 key = (own, remote)
                 if key not in self.tables:
@@ -213,19 +208,14 @@ class Contextual:
     def from_deterministic(cls, model: "DeterministicSource",
                            separated: bool = True) -> "Contextual":
         """Embed a local model as a (remote-independent) contextual one."""
-        tables = {}
-        for own in SETTING_NAMES:
-            remotes = SIDE_B_NAMES if own in SIDE_A_NAMES else SIDE_A_NAMES
-            for remote in remotes:
-                tables[(own, remote)] = model.tables[own]
+        tables = {(own, remote): model.tables[own]
+                  for own, remotes in _REMOTES.items() for remote in remotes}
         return cls(model.lam, tables, separated=separated)
 
     def to_deterministic(self) -> "DeterministicSource":
         """Strip the remote index; requires remote-independent tables."""
         tables = {}
-        for own in SETTING_NAMES:
-            remotes = SIDE_B_NAMES if own in SIDE_A_NAMES else SIDE_A_NAMES
-            first, second = remotes
+        for own, (first, second) in _REMOTES.items():
             if not np.array_equal(self.tables[(own, first)], self.tables[(own, second)]):
                 raise RemoteDependenceForbidden(own)
             tables[own] = self.tables[(own, first)]
@@ -309,15 +299,15 @@ def effective_response_apparatus(model: ApparatusDeterministic, setting: Setting
     return response_product_sum(row, ones, apparatus_dist.flat)
 
 
-def composite_space(spaces: FiveSpaces, label: str = "lambda_tilde") -> HiddenSpace:
+def composite_space(spaces: FiveSpaces) -> HiddenSpace:
     """The product space of all five factors, in row-major point order."""
     values = []
     for idx in np.ndindex(*(s.cardinality for s in spaces)):
         values.append("|".join(spaces[k].values[i] for k, i in enumerate(idx)))
-    return HiddenSpace(label, tuple(values))
+    return HiddenSpace("lambda_tilde", tuple(values))
 
 
-def flatten_joint(joint: Distribution, label: str = "lambda_tilde") -> Distribution:
+def flatten_joint(joint: Distribution) -> Distribution:
     """Re-index a five-space joint as a distribution over the composite space.
 
     The composite space enumerates points in row-major order over the five
@@ -326,29 +316,19 @@ def flatten_joint(joint: Distribution, label: str = "lambda_tilde") -> Distribut
     if len(joint.domain) != 5:
         raise DomainMismatch(
             f"composite joint needs a five-space domain, got {joint.labels}")
-    tilde = composite_space(FiveSpaces(*joint.domain), label)
+    tilde = composite_space(FiveSpaces(*joint.domain))
     return Distribution((tilde,), joint.flat)
 
 
-def lift_to_composite(model: ApparatusDeterministic,
-                      spaces: FiveSpaces | None = None) -> DeterministicSource:
+def lift_to_composite(model: ApparatusDeterministic) -> DeterministicSource:
     """Re-express an apparatus model as a source-only model on the composite
     variable: the response at a composite point reads off the source and
     own-apparatus components and ignores everything else."""
-    if spaces is None:
-        spaces = model.spaces
-    if spaces != model.spaces:
-        raise DomainMismatch("supplied spaces do not match the model's spaces")
-    shape = tuple(s.cardinality for s in spaces)
-    tilde = composite_space(spaces)
-    tables = {}
-    for name in SETTING_NAMES:
-        axes = [None] * 5
-        axes[0] = slice(None)
-        axes[COMPOSITE_AXIS[name]] = slice(None)
-        grid = np.broadcast_to(model.tables[name][tuple(axes)], shape)
-        tables[name] = grid.reshape(-1)
-    return DeterministicSource(tilde, tables)
+    shape = tuple(s.cardinality for s in model.spaces)
+    tables = {name: np.broadcast_to(on_five_axes(model.tables[name], (name,)),
+                                    shape).reshape(-1)
+              for name in SETTING_NAMES}
+    return DeterministicSource(composite_space(model.spaces), tables)
 
 
 def stochastic_from_apparatus(model: ApparatusDeterministic,

@@ -27,11 +27,11 @@ from .feasibility import (DEFAULT_WORK_LIMIT, check_joint_existence,
                           check_witness, construct_factorized_family,
                           factorized_joint, family_from_joint,
                           verify_certificate)
-from .models import (SETTING_NAMES, Setting, effective_response_apparatus,
-                     effective_response_stochastic)
+from .models import (Setting, effective_response_apparatus,
+                     effective_response_stochastic, standard_settings)
 from .qm import max_violation_search, singlet_chsh, singlet_probabilities
 from .scenario import ANALYSES, SCHEMA_VERSION, Scenario, dist_doc
-from .spaces import (SETTING_PAIRS, Distribution, FiveSpaces,
+from .spaces import (SETTING_NAMES, SETTING_PAIRS, Distribution, FiveSpaces,
                      SettingPairMarginalFamily)
 
 _CELL_LABELS = ("++", "+-", "-+", "--")
@@ -80,11 +80,11 @@ def _family_from_mode(dists) -> tuple[SettingPairMarginalFamily,
         return family_from_joint(dists.joint), lambda: dists.joint
     if isinstance(dists, SettingDependent):
         m = dists.marginals
-        spaces = FiveSpaces(m[("a", "b")].domain[0],
-                            m[("a", "b")].domain[1],
-                            m[("a_prime", "b")].domain[1],
-                            m[("a", "b")].domain[2],
-                            m[("a", "b_prime")].domain[2])
+        # each setting's space as the first pair naming it has it
+        space = {name: s for pair in reversed(SETTING_PAIRS)
+                 for name, s in zip(pair, m[pair].domain[1:])}
+        spaces = FiveSpaces(m[SETTING_PAIRS[0]].domain[0],
+                            *(space[name] for name in SETTING_NAMES))
         return SettingPairMarginalFamily(spaces, m), None
     raise ValidationError(f"no marginal family for mode {dists.mode}")
 
@@ -243,17 +243,13 @@ def qm_table_doc(angle_a: float, angle_b: float) -> dict[str, Any]:
 
 
 def qm_chsh_doc(angles: tuple[float, float, float, float]) -> dict[str, Any]:
-    names = dict(zip(SETTING_NAMES, angles))
-    a = Setting("A", "a", names["a"])
-    a_prime = Setting("A", "a_prime", names["a_prime"])
-    b = Setting("B", "b", names["b"])
-    b_prime = Setting("B", "b_prime", names["b_prime"])
-    by_name = {s.name: s for s in (a, a_prime, b, b_prime)}
-    s = singlet_chsh(a, a_prime, b, b_prime)
+    settings = standard_settings(*angles)
+    by_name = {s.name: s for s in settings}
+    s = singlet_chsh(*settings)
     return {
         "report_version": SCHEMA_VERSION,
         "command": "qm-chsh",
-        "angles": {name: float(x) for name, x in names.items()},
+        "angles": {name: float(x) for name, x in zip(SETTING_NAMES, angles)},
         "pairs": [_qm_pair_doc(by_name[p], by_name[q]) for p, q in SETTING_PAIRS],
         "s": s,
         "bell_check": _bell_doc(bell_check(s)),

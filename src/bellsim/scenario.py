@@ -71,26 +71,38 @@ from .correlation import (MAX_SAMPLES, EstimatorInfo, FactorizedApparatus,
 from .errors import (BellsimError, ParameterOutOfRange, ParseError,
                      UnknownTemplate, ValidationError)
 from .feasibility import construct_nonlocal_witness
-from .models import (SETTING_NAMES, ApparatusDeterministic, Contextual,
-                     DeterministicSource, ResponseModel, Setting,
-                     StochasticSource, standard_settings,
-                     stochastic_from_apparatus)
-from .spaces import (SETTING_PAIRS, Distribution, FiveSpaces, HiddenSpace,
-                     pair_key, validate_distribution)
+from .models import (ApparatusDeterministic, Contextual, DeterministicSource,
+                     ResponseModel, Setting, StochasticSource,
+                     standard_settings, stochastic_from_apparatus)
+from .spaces import (APPARATUS_LABELS, SETTING_NAMES, SETTING_PAIRS,
+                     Distribution, FiveSpaces, HiddenSpace, pair_key,
+                     validate_distribution)
 
 SCHEMA_VERSION = 1
 
 ANALYSES = ("correlations", "chsh", "bell-check", "feasibility", "emulation")
 
-TEMPLATES = ("factorized", "joint-composite", "setting-dependent-witness",
-             "stochastic-equivalent")
+#: Each bundled template and its default description.
+_DESCRIPTIONS = {
+    "factorized": "factorized apparatus correlations; the bound-respecting "
+                  "construction with independent per-setting noise",
+    "joint-composite": "one joint distribution over the composite hidden "
+                       "variable; every setting-pair marginal comes from it",
+    "setting-dependent-witness": "setting-dependent apparatus marginals tuned "
+                                 "to the singlet; violates the bound and "
+                                 "admits no joint distribution",
+    "stochastic-equivalent": "apparatus model plus its collapsed stochastic "
+                             "equivalent; both report the same correlations",
+}
+
+TEMPLATES = tuple(_DESCRIPTIONS)
 
 _MODEL_KINDS = ("DeterministicSource", "StochasticSource", "Contextual",
                 "ApparatusDeterministic")
 _MODE_TAGS = ("SourceOnly", "SettingDependent", "FactorizedApparatus",
               "JointComposite")
 
-_SPACE_KEYS = ("source", "a", "a_prime", "b", "b_prime")
+_SPACE_KEYS = ("source",) + SETTING_NAMES
 
 TSIRELSON_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
@@ -141,7 +153,13 @@ def _mapping(value: Any, where: str) -> Mapping[str, Any]:
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value: Any, where: str) -> int:
@@ -193,12 +211,9 @@ def _parse_settings(value: Any) -> tuple[Setting, Setting, Setting, Setting]:
     extra = set(value) - set(SETTING_NAMES)
     if extra:
         raise ParseError(f"settings: unknown setting name(s) {sorted(extra)}")
-    out = []
-    for name in SETTING_NAMES:
-        angle = _number(_require(value, name, "settings"), f"settings.{name}")
-        side = "A" if name in ("a", "a_prime") else "B"
-        out.append(Setting(side, name, angle))
-    return tuple(out)
+    return standard_settings(*(_number(_require(value, name, "settings"),
+                                       f"settings.{name}")
+                               for name in SETTING_NAMES))
 
 
 def _parse_distribution(value: Any, registry: Mapping[str, HiddenSpace],
@@ -448,20 +463,14 @@ def _source_model_doc(model: DeterministicSource | StochasticSource) -> dict[str
 
 
 def _apparatus_model_doc(model: ApparatusDeterministic) -> dict[str, Any]:
-    spaces = model.spaces
     return {"kind": model.kind,
-            "spaces": {"source": spaces.lam.label,
-                       "a": spaces.for_setting("a").label,
-                       "a_prime": spaces.for_setting("a_prime").label,
-                       "b": spaces.for_setting("b").label,
-                       "b_prime": spaces.for_setting("b_prime").label},
+            "spaces": {key: s.label for key, s in zip(_SPACE_KEYS, model.spaces)},
             "tables": {name: [[float(v) for v in row] for row in model.tables[name]]
                        for name in SETTING_NAMES}}
 
 
 def _settings_doc(angles: tuple[float, float, float, float]) -> dict[str, float]:
-    return {"a": float(angles[0]), "a_prime": float(angles[1]),
-            "b": float(angles[2]), "b_prime": float(angles[3])}
+    return {name: float(x) for name, x in zip(SETTING_NAMES, angles)}
 
 
 def _check_cards(cards: tuple[int, ...]) -> tuple[int, ...]:
@@ -493,7 +502,7 @@ def _random_five(rng: np.random.Generator, cards: tuple[int, ...]
                  ) -> tuple[FiveSpaces, ApparatusDeterministic, Distribution,
                             dict[str, Distribution]]:
     """Random apparatus model and factorized distributions on fresh spaces."""
-    labels = ("lambda", "lambda_a", "lambda_a_prime", "lambda_b", "lambda_b_prime")
+    labels = ("lambda",) + tuple(APPARATUS_LABELS[name] for name in SETTING_NAMES)
     five = FiveSpaces(*(HiddenSpace.of_size(lbl, c)
                         for lbl, c in zip(labels, cards)))
     tables = {name: rng.choice([-1.0, 1.0],
@@ -554,95 +563,45 @@ def generate_scenario(template: str, parameters: Mapping[str, Any] | None = None
     estimator = _estimator_doc(parameters)
     rng = np.random.default_rng(seed)
 
-    if template == "factorized":
-        five, model, rho, apparatus = _random_five(rng, cards)
-        description = parameters.get(
-            "description", "factorized apparatus correlations; the bound-"
-            "respecting construction with independent per-setting noise")
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "description": description,
-            "spaces": [_space_doc(s) for s in five],
-            "settings": _settings_doc(angles),
-            "model": _apparatus_model_doc(model),
-            "distributions": {
-                "mode": "FactorizedApparatus",
-                "rho": dist_doc(rho),
-                "apparatus": {name: dist_doc(apparatus[name])
-                              for name in SETTING_NAMES},
-            },
-            "run": {"estimator": estimator,
-                    "analyses": ["correlations", "chsh", "bell-check",
-                                 "feasibility"]},
-        }
-
-    if template == "joint-composite":
-        five, model, _, _ = _random_five(rng, cards)
-        size = int(np.prod([s.cardinality for s in five]))
-        joint = Distribution(tuple(five), rng.dirichlet(np.ones(size)))
-        description = parameters.get(
-            "description", "one joint distribution over the composite hidden "
-            "variable; every setting-pair marginal comes from it")
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "description": description,
-            "spaces": [_space_doc(s) for s in five],
-            "settings": _settings_doc(angles),
-            "model": _apparatus_model_doc(model),
-            "distributions": {"mode": "JointComposite", "joint": dist_doc(joint)},
-            "run": {"estimator": estimator,
-                    "analyses": ["correlations", "chsh", "bell-check",
-                                 "feasibility"]},
-        }
-
+    analyses = ["correlations", "chsh", "bell-check", "feasibility"]
+    comparison = None
     if template == "setting-dependent-witness":
-        settings = standard_settings(*angles)
         try:
-            family, model = construct_nonlocal_witness(tuple(settings))
+            family, model = construct_nonlocal_witness(standard_settings(*angles))
         except BellsimError as exc:
             raise ParameterOutOfRange("angles", str(exc)) from exc
-        fixed = tuple(s.cardinality for s in family.spaces)
+        five = family.spaces
+        fixed = tuple(s.cardinality for s in five)
         if "cards" in parameters and cards != fixed:
             raise ParameterOutOfRange(
                 "cards", f"the witness template's spaces have fixed "
                 f"cardinalities {','.join(map(str, fixed))}, "
                 f"got {','.join(map(str, cards))}")
-        description = parameters.get(
-            "description", "setting-dependent apparatus marginals tuned to the "
-            "singlet; violates the bound and admits no joint distribution")
-        marginals = {f"{p}|{q}": dist_doc(family.marginals[(p, q)])
-                     for p, q in SETTING_PAIRS}
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "description": description,
-            "spaces": [_space_doc(s) for s in family.spaces],
-            "settings": _settings_doc(angles),
-            "model": _apparatus_model_doc(model),
-            "distributions": {"mode": "SettingDependent", "marginals": marginals},
-            "run": {"estimator": estimator,
-                    "analyses": ["correlations", "chsh", "bell-check",
-                                 "feasibility"]},
-        }
-
-    # stochastic-equivalent
-    five, model, rho, apparatus = _random_five(rng, cards)
-    comparison = stochastic_from_apparatus(model, apparatus)
-    description = parameters.get(
-        "description", "apparatus model plus its collapsed stochastic "
-        "equivalent; both report the same correlations")
-    return {
+        distributions = {"mode": "SettingDependent",
+                         "marginals": {f"{p}|{q}": dist_doc(family.marginals[(p, q)])
+                                       for p, q in SETTING_PAIRS}}
+    else:
+        five, model, rho, apparatus = _random_five(rng, cards)
+        if template == "joint-composite":
+            size = int(np.prod([s.cardinality for s in five]))
+            joint = Distribution(tuple(five), rng.dirichlet(np.ones(size)))
+            distributions = {"mode": "JointComposite", "joint": dist_doc(joint)}
+        else:
+            distributions = {"mode": "FactorizedApparatus", "rho": dist_doc(rho),
+                             "apparatus": {name: dist_doc(apparatus[name])
+                                           for name in SETTING_NAMES}}
+        if template == "stochastic-equivalent":
+            comparison = stochastic_from_apparatus(model, apparatus)
+            analyses[-1] = "emulation"
+    doc = {
         "schema_version": SCHEMA_VERSION,
-        "description": description,
+        "description": parameters.get("description", _DESCRIPTIONS[template]),
         "spaces": [_space_doc(s) for s in five],
         "settings": _settings_doc(angles),
         "model": _apparatus_model_doc(model),
-        "distributions": {
-            "mode": "FactorizedApparatus",
-            "rho": dist_doc(rho),
-            "apparatus": {name: dist_doc(apparatus[name])
-                          for name in SETTING_NAMES},
-        },
-        "comparison_model": _source_model_doc(comparison),
-        "run": {"estimator": estimator,
-                "analyses": ["correlations", "chsh", "bell-check", "emulation"]},
+        "distributions": distributions,
     }
+    if comparison is not None:
+        doc["comparison_model"] = _source_model_doc(comparison)
+    doc["run"] = {"estimator": estimator, "analyses": analyses}
+    return doc

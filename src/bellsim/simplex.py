@@ -128,8 +128,7 @@ def _leaving_row(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
     return int(rows[np.argmin(basis[rows])])
 
 
-def solve_equality_feasibility(A: np.ndarray, b: np.ndarray,
-                               tol: float = FEASIBILITY_TOL) -> SimplexResult:
+def solve_equality_feasibility(A: np.ndarray, b: np.ndarray) -> SimplexResult:
     """Find x >= 0 with A x = b, or a certificate that none exists."""
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -191,7 +190,7 @@ def solve_equality_feasibility(A: np.ndarray, b: np.ndarray,
             raise SimplexWorkLimitExceeded(iterations, max_iterations)
 
     objective = -T[m, -1]
-    if objective <= tol:
+    if objective <= FEASIBILITY_TOL:
         x = np.zeros(n)
         structural = basis < n
         x[basis[structural]] = rhs[structural]

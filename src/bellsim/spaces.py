@@ -13,8 +13,12 @@ so everything here is safe to share across parallel workers.
 
 The canonical experiment uses five spaces: one for the particle source
 (``lambda``) and one per analyzer setting (``lambda_a``, ``lambda_a_prime``,
-``lambda_b``, ``lambda_b_prime``).  Setting names and pair order are fixed
-module-wide by the constants below.
+``lambda_b``, ``lambda_b_prime``).  This module is the single definition
+of that layout: ``SETTING_NAMES`` orders the settings, ``SETTING_AXIS``
+gives the axis of each setting's apparatus space in a five-space array
+(also its ``FiveSpaces`` index), and ``on_five_axes`` views a
+(lambda, lambda_p[, lambda_q]) array inside the five-axis grid.  Every
+other module reads these names instead of its own copy.
 """
 
 from __future__ import annotations
@@ -44,6 +48,13 @@ NORMALIZATION_TOL = 1e-12
 SIDE_A_NAMES = ("a", "a_prime")
 SIDE_B_NAMES = ("b", "b_prime")
 
+#: All four setting names in canonical order, side A first.
+SETTING_NAMES = SIDE_A_NAMES + SIDE_B_NAMES
+
+#: Axis of each setting's apparatus space in the row-major five-space
+#: order (lambda, lambda_a, lambda_a_prime, lambda_b, lambda_b_prime).
+SETTING_AXIS = {name: axis for axis, name in enumerate(SETTING_NAMES, start=1)}
+
 #: The four setting pairs in the order they enter the CHSH combination
 #: S = E(a,b) + E(a,b') + E(a',b) - E(a',b').
 SETTING_PAIRS = (
@@ -54,12 +65,15 @@ SETTING_PAIRS = (
 )
 
 #: Conventional space label for the apparatus variable of each setting.
-APPARATUS_LABELS = {
-    "a": "lambda_a",
-    "a_prime": "lambda_a_prime",
-    "b": "lambda_b",
-    "b_prime": "lambda_b_prime",
-}
+APPARATUS_LABELS = {name: "lambda_" + name for name in SETTING_NAMES}
+
+
+def on_five_axes(arr: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """View an array over (lambda, the spaces of ``names``) inside the
+    five-axis grid, with length-1 axes for the other settings.  ``names``
+    must be in ``SETTING_NAMES`` order, as the array's axes are."""
+    axes = {0} | {SETTING_AXIS[name] for name in names}
+    return arr[tuple(slice(None) if k in axes else None for k in range(5))]
 
 
 def pair_key(p: str, q: str) -> tuple[str, str]:
@@ -109,13 +123,12 @@ class FiveSpaces(NamedTuple):
     lam_b_prime: HiddenSpace
 
     def for_setting(self, name: str) -> HiddenSpace:
-        index = {"a": 1, "a_prime": 2, "b": 3, "b_prime": 4}[name]
-        return self[index]
+        return self[SETTING_AXIS[name]]
 
     @classmethod
     def binary_apparatus(cls, lam: HiddenSpace) -> "FiveSpaces":
         return cls(lam, *(HiddenSpace.binary(APPARATUS_LABELS[s])
-                          for s in SIDE_A_NAMES + SIDE_B_NAMES))
+                          for s in SETTING_NAMES))
 
 
 @dataclass(frozen=True)
@@ -195,7 +208,7 @@ def validate_distribution(d: Distribution) -> None:
         i = int(negative[0])
         raise NegativeWeight(i, flat[i])
     total = float(np.sum(flat))
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # also refuses NaN
         raise NotNormalized(total)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import time
@@ -338,6 +339,32 @@ def _half_sign(doc):
     doc["model"]["tables"]["a"][0][0] = 0.5
 
 
+def _nan_source_weight(doc):
+    doc["distributions"]["rho"]["weights"][0] = math.nan
+
+
+def _nan_source_weight_monte_carlo(doc):
+    _nan_source_weight(doc)
+    doc["run"]["estimator"] = {"method": "monte-carlo", "samples": 1000,
+                               "seed": 1}
+
+
+def _nan_comparison_table(doc):
+    doc["comparison_model"]["tables"]["a"][0] = math.nan
+
+
+def _nan_angle(doc):
+    doc["settings"]["a"] = math.nan
+
+
+def _infinite_angle(doc):
+    doc["settings"]["b_prime"] = math.inf
+
+
+def _huge_integer_angle(doc):
+    doc["settings"]["b"] = 10 ** 400
+
+
 MODULE_TAGS = ("hv-core", "response-models", "correlation-engine",
                "feasibility", "simplex", "qm-reference", "cli-harness")
 
@@ -373,9 +400,27 @@ class TestErrorTags:
          "[hv-core] weight at flat index 0 is negative"),
         (lambda p: ["run", _edited(p, "factorized.scenario", _half_sign)],
          "[response-models] table for 'a' must contain only +1/-1"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _nan_source_weight)],
+         "[hv-core] weights sum to nan"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _nan_source_weight_monte_carlo)],
+         "[hv-core] weights sum to nan"),
+        (lambda p: ["run", _edited(p, "stochastic-equivalent.scenario",
+                                   _nan_comparison_table)],
+         "[response-models] table for 'a' must lie in [0, 1]"),
+        (lambda p: ["run", _edited(p, "factorized.scenario", _nan_angle)],
+         "[cli-harness] settings.a: expected a finite number, got nan"),
+        (lambda p: ["run", _edited(p, "factorized.scenario", _infinite_angle)],
+         "[cli-harness] settings.b_prime: expected a finite number, got inf"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _huge_integer_angle)],
+         "[cli-harness] settings.b: expected a finite number, got 1000"),
     ], ids=["qm-search-step", "enumerate-bound-9", "enumerate-bound-0",
             "work-limit", "unknown-template", "missing-file",
-            "swapped-domain", "negative-weight", "half-sign"])
+            "swapped-domain", "negative-weight", "half-sign", "nan-weight",
+            "nan-weight-monte-carlo", "nan-comparison-table", "nan-angle",
+            "infinite-angle", "huge-integer-angle"])
     def test_stderr_names_the_module(self, capsys, tmp_path, argv, prefix):
         code, out, err = run_cli(capsys, *argv(tmp_path))
         assert (code, out) == (1, "")
@@ -575,3 +620,52 @@ class TestQm:
         assert code == 1
         assert "refine rounds -1" in err
         assert "grid step" not in err
+
+
+_PINNED_GENERATE = ("--seed", "2", "--cards", "3,2,4,2,3",
+                    "--angles", "0.3,1.1,-2,4",
+                    "--description", "pinned generate bytes")
+_PINNED_EXACT = ("generate", "stochastic-equivalent", "--seed", "2",
+                 "--cards", "3,2,4,2,3", "--estimator", "exact")
+
+#: case -> (commands, run in order with {tmp} replaced by a scratch file
+#: path; sha256 of the last command's standard output).  These pin the
+#: generated documents of every template, the exact emulation report and
+#: the qm chsh document, which the report digests do not cover.
+PINNED_OUTPUT = {
+    "generate-factorized": (
+        [("generate", "factorized", *_PINNED_GENERATE)],
+        "bf9bedebbe12ee90357a77993f0af7c5be13fb4f955e90b1344340d2ac8bc9c6"),
+    "generate-joint-composite": (
+        [("generate", "joint-composite", *_PINNED_GENERATE)],
+        "46761a60a766603c4410fc3a59bb146ec4eb83a87cd440626db97bbbd49a15d3"),
+    "generate-witness": (
+        [("generate", "setting-dependent-witness", "--angles",
+          "0.1,1.7,0.8,-0.7", "--description", "pinned generate bytes")],
+        "93960d02640443b6d1ed6bdd69c25526bcf7b3cd8158e1a2e1dcb7c79c6b3e99"),
+    "generate-stochastic-equivalent": (
+        [("generate", "stochastic-equivalent", *_PINNED_GENERATE)],
+        "164a0fde25751b282e0459e65b4669ee99d2a0dc7f62ee2e5e9ec581ed663dce"),
+    "generate-stochastic-equivalent-exact": (
+        [_PINNED_EXACT],
+        "d6138195d925f56897ccf26bb0aaf80aa6156d7f4fd4f984d2a38bc43a500dac"),
+    "run-stochastic-equivalent-exact": (
+        [(*_PINNED_EXACT, "-o", "{tmp}"), ("run", "{tmp}")],
+        "5ce2d78c709206ded7533b5c6945367af3041774f27397f47e0af77ff8724382"),
+    "qm-chsh-tsirelson": (
+        [("qm", "chsh", *TSIRELSON)],
+        "cb6bcfbf53014025a5303c9ff2240d318b5e75b5c9320acbe796d24a0b46cf21"),
+    "qm-chsh-other": (
+        [("qm", "chsh", "0.3", "1.1", "-2", "4")],
+        "44662d92bb3d307c238da97368067c442277b323111322d2b435bc79dd69d89b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUT))
+def test_output_bytes_pinned(capsys, tmp_path, case):
+    commands, digest = PINNED_OUTPUT[case]
+    tmp = str(tmp_path / "pinned.scenario")
+    for argv in commands:
+        code, out, err = run_cli(capsys, *(a.replace("{tmp}", tmp) for a in argv))
+        assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

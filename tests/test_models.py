@@ -234,12 +234,6 @@ class TestLiftToComposite:
                 want = outcome(model, setting, (idx[0], idx[axis[setting.name]]))
                 assert got == want
 
-    def test_spaces_must_match(self):
-        model = passthrough_apparatus()
-        other = five_spaces((3, 2, 2, 2, 2))
-        with pytest.raises(DomainMismatch):
-            lift_to_composite(model, other)
-
     def test_composite_value_labels_row_major(self):
         spaces = five_spaces((1, 2, 1, 1, 1))
         tilde = composite_space(spaces)
