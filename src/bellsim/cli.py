@@ -28,6 +28,7 @@ import re
 import sys
 from pathlib import Path
 
+from .correlation import DEFAULT_ENUM_WORK_LIMIT
 from .errors import BellsimError
 from .feasibility import DEFAULT_WORK_LIMIT
 from .report import (enumerate_bound_doc, qm_chsh_doc, qm_search_doc,
@@ -119,8 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("cardinality", type=int,
                         help="source-space cardinality n; enumerates 2^(4n) "
                              "strategies")
-    p_enum.add_argument("--work-limit", type=int, default=None,
-                        help="cap on enumerated strategies")
+    p_enum.add_argument("--work-limit", type=int, default=DEFAULT_ENUM_WORK_LIMIT,
+                        help="cap on enumerated strategies "
+                             f"(default {DEFAULT_ENUM_WORK_LIMIT})")
 
     p_qm = sub.add_parser("qm", help="quantum singlet reference predictions")
     qm_sub = p_qm.add_subparsers(dest="qm_command", required=True)

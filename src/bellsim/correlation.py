@@ -47,7 +47,6 @@ from ._kernels import (
     chsh_strategy_max,
     mc_outcome_counts,
     outcome_cell_sums,
-    response_product_sum,
 )
 from .errors import (
     CorrelationDomainMismatch,
@@ -66,13 +65,11 @@ from .models import (
     ResponseModel,
     Setting,
     StochasticSource,
-    effective_response_apparatus,
 )
 from .spaces import (
     SETTING_NAMES,
     SETTING_PAIRS,
     Distribution,
-    FiveSpaces,
     on_five_axes,
     pair_key,
     validate_distribution,
@@ -319,28 +316,21 @@ def _source_weights(model, dists, pair_names) -> np.ndarray:
     return rho.flat
 
 
-def _check_factorized(spaces: FiveSpaces, dists: FactorizedApparatus,
-                      names: tuple[str, str]) -> None:
-    """Refuse a source distribution or a named setting's apparatus
-    distribution that does not live on its space of ``spaces``."""
-    if dists.rho.domain != (spaces.lam,):
-        raise CorrelationDomainMismatch(
-            f"source distribution domain {dists.rho.labels} does not match "
-            f"{spaces.lam.label!r}")
-    for name in names:
-        if dists.apparatus[name].domain != (spaces.for_setting(name),):
-            raise CorrelationDomainMismatch(
-                f"apparatus distribution for {name!r} does not live on "
-                f"{spaces.for_setting(name).label!r}")
-
-
 def _apparatus_triple(model: ApparatusDeterministic, dists,
                       p: Setting, q: Setting) -> np.ndarray:
     """Grid weights over (lambda, lambda_p, lambda_q) for an apparatus model."""
     spaces = model.spaces
     expected = (spaces.lam, spaces.for_setting(p.name), spaces.for_setting(q.name))
     if isinstance(dists, FactorizedApparatus):
-        _check_factorized(spaces, dists, (p.name, q.name))
+        if dists.rho.domain != (spaces.lam,):
+            raise CorrelationDomainMismatch(
+                f"source distribution domain {dists.rho.labels} does not match "
+                f"{spaces.lam.label!r}")
+        for name in (p.name, q.name):
+            if dists.apparatus[name].domain != (spaces.for_setting(name),):
+                raise CorrelationDomainMismatch(
+                    f"apparatus distribution for {name!r} does not live on "
+                    f"{spaces.for_setting(name).label!r}")
         w = dists.rho.flat[:, None, None] * dists.apparatus[p.name].flat[None, :, None]
         return w * dists.apparatus[q.name].flat[None, None, :]
     if isinstance(dists, SettingDependent):
@@ -408,59 +398,6 @@ def _composite_decomposition(model: ApparatusDeterministic, dists: JointComposit
 
 
 # ---------------------------------------------------------------------------
-# Exact evaluation
-# ---------------------------------------------------------------------------
-
-
-def _effective_vectors(model, dists, p: Setting, q: Setting):
-    """Response vectors and weights for the direct summation formulas."""
-    pair_names = (p.name, q.name)
-    if isinstance(model, DeterministicSource):
-        w = _source_weights(model, dists, pair_names)
-        return model.tables[p.name], model.tables[q.name], w
-    if isinstance(model, Contextual):
-        w = _source_weights(model, dists, pair_names)
-        return model.response_vector(p, q), model.response_vector(q, p), w
-    if isinstance(model, StochasticSource):
-        w = _source_weights(model, dists, pair_names)
-        f_bar = 2.0 * model.tables[p.name] - 1.0
-        g_bar = 2.0 * model.tables[q.name] - 1.0
-        return f_bar, g_bar, w
-    if isinstance(model, ApparatusDeterministic):
-        if isinstance(dists, FactorizedApparatus):
-            _check_factorized(model.spaces, dists, (p.name, q.name))
-            f_bar, g_bar = (_averaged_response(model, s, dists.apparatus[s.name])
-                            for s in (p, q))
-            return f_bar, g_bar, dists.rho.flat
-        if isinstance(dists, (JointComposite, SettingDependent)):
-            dec = outcome_decomposition(model, dists, (p, q))
-            signs = np.array([1.0, -1.0, -1.0, 1.0])
-            return signs[dec.codes], np.ones_like(dec.weights), dec.weights
-        raise IncompatibleModeModel(dists.mode, model.kind)
-    raise IncompatibleModeModel(dists.mode, getattr(model, "kind", type(model).__name__))
-
-
-def _averaged_response(model: ApparatusDeterministic, setting: Setting,
-                       apparatus_dist: Distribution) -> np.ndarray:
-    """Per-lambda apparatus average: one row dot per source point."""
-    return np.array([effective_response_apparatus(model, setting, i, apparatus_dist)
-                     for i in range(model.spaces.lam.cardinality)])
-
-
-def exact_correlation(model: ResponseModel, dists: ScenarioDistributions,
-                      pair: tuple[Setting, Setting]) -> float:
-    """E(p, q) by exact summation over the hidden-variable grid."""
-    p, q = _check_pair(pair)
-    f, g, w = _effective_vectors(model, dists, p, q)
-    value = response_product_sum(np.ascontiguousarray(f, dtype=np.float64),
-                                 np.ascontiguousarray(g, dtype=np.float64),
-                                 np.ascontiguousarray(w, dtype=np.float64))
-    if abs(value) > 1.0 + CORRELATION_RANGE_TOL:
-        raise OutOfRangeCorrelation(value)
-    return value
-
-
-# ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
@@ -474,10 +411,15 @@ def _ordered_pairs(settings) -> tuple[tuple[Setting, Setting], ...]:
 
 
 def _report_from_pair_probs(per_pair, estimator: EstimatorInfo) -> CorrelationReport:
+    """The report of per-pair outcome probabilities.  A Monte Carlo
+    estimator adds each pair's plug-in binomial standard error
+    sqrt((1 - E^2)/samples)."""
     pairs = []
     correlations = []
-    for (p, q), probs, se in per_pair:
+    for (p, q), probs in per_pair:
         e = correlation_from_probabilities(*probs)
+        se = (None if estimator.samples is None
+              else math.sqrt(max(0.0, 1.0 - e * e) / estimator.samples))
         pairs.append(PairCorrelation(pair=(p.name, q.name), probabilities=probs,
                                      correlation=e, standard_error=se))
         correlations.append(e)
@@ -495,7 +437,7 @@ def exact_report(model: ResponseModel, dists: ScenarioDistributions,
         sums = outcome_cell_sums(np.ascontiguousarray(dec.weights),
                                  np.ascontiguousarray(dec.codes))
         probs = (float(sums[0]), float(sums[1]), float(sums[2]), float(sums[3]))
-        per_pair.append(((p, q), probs, None))
+        per_pair.append(((p, q), probs))
     return _report_from_pair_probs(per_pair, EstimatorInfo(method="exact"))
 
 
@@ -536,9 +478,7 @@ def monte_carlo_report(model, dists, settings, samples, seed, comparison=None):
 
     The kernel is called once per pair from the calling thread.  Memory
     is 512 KiB per segment, and time is bounded by ``MAX_SAMPLES`` per
-    pair.  A negative seed is refused before any stream is built.  The
-    per-pair standard error is the plug-in binomial formula
-    sqrt((1 - E^2)/samples).
+    pair.  A negative seed is refused before any stream is built.
     """
     if samples < 1:
         raise ZeroSamples()
@@ -556,10 +496,7 @@ def monte_carlo_report(model, dists, settings, samples, seed, comparison=None):
                                    [np.ascontiguousarray(dec.codes) for dec in decs],
                                    UniformDraws(rng, samples))
         for per_pair, row in zip(per_model, counts):
-            probs = tuple(float(c) / samples for c in row)
-            e_hat = probs[0] + probs[3] - probs[1] - probs[2]
-            se = math.sqrt(max(0.0, 1.0 - e_hat * e_hat) / samples)
-            per_pair.append(((p, q), probs, se))
+            per_pair.append(((p, q), tuple(float(c) / samples for c in row)))
     estimator = EstimatorInfo(method="monte-carlo", samples=samples, seed=seed)
     reports = tuple(_report_from_pair_probs(per_pair, estimator)
                     for per_pair in per_model)

@@ -18,7 +18,8 @@ from collections.abc import Callable
 from functools import partial
 from typing import Any
 
-from .correlation import (BellVerdict, CorrelationReport, EstimatorInfo,
+from .correlation import (DEFAULT_ENUM_WORK_LIMIT, BellVerdict,
+                          CorrelationReport, EstimatorInfo,
                           FactorizedApparatus, JointComposite,
                           SettingDependent, SourceOnly, bell_check,
                           enumerate_bound, exact_report, monte_carlo_report)
@@ -211,9 +212,8 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
 
 
 def enumerate_bound_doc(lambda_cardinality: int,
-                        work_limit: int | None = None) -> dict[str, Any]:
-    kwargs = {} if work_limit is None else {"work_limit": work_limit}
-    result = enumerate_bound(lambda_cardinality, **kwargs)
+                        work_limit: int = DEFAULT_ENUM_WORK_LIMIT) -> dict[str, Any]:
+    result = enumerate_bound(lambda_cardinality, work_limit)
     return {
         "report_version": SCHEMA_VERSION,
         "command": "enumerate-bound",

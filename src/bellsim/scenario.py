@@ -45,7 +45,9 @@ Distribution payloads carry a ``mode`` tag:
 
 where DIST is {"domain": ["lambda", ...], "weights": [flat row-major floats]}.
 
-Parsing is strict: structural problems raise ParseError naming the field.
+Parsing is strict: structural problems, a key the schema does not define
+at any level, two marginal keys for one setting pair and a key repeated
+within one JSON object raise ParseError naming the field.
 Payloads go straight to the constructors of their modules, so a payload
 that breaks a module's invariant raises that module's error (for example
 NegativeWeight, tagged ``hv-core``).  Parts that do not fit together
@@ -97,12 +99,26 @@ _DESCRIPTIONS = {
 
 TEMPLATES = tuple(_DESCRIPTIONS)
 
-_MODEL_KINDS = ("DeterministicSource", "StochasticSource", "Contextual",
-                "ApparatusDeterministic")
-_MODE_TAGS = ("SourceOnly", "SettingDependent", "FactorizedApparatus",
-              "JointComposite")
+#: The top-level fields of a scenario document.
+_FIELDS = ("schema_version", "description", "spaces", "settings", "model",
+           "distributions", "comparison_model", "run")
+
+#: The fields of each model kind and of each distribution mode.
+_MODEL_FIELDS = {"DeterministicSource": ("kind", "space", "tables"),
+                 "StochasticSource": ("kind", "space", "tables"),
+                 "Contextual": ("kind", "space", "separated", "tables"),
+                 "ApparatusDeterministic": ("kind", "spaces", "tables")}
+_MODE_FIELDS = {"SourceOnly": ("mode", "rho"),
+                "SettingDependent": ("mode", "marginals"),
+                "FactorizedApparatus": ("mode", "rho", "apparatus"),
+                "JointComposite": ("mode", "joint")}
 
 _SPACE_KEYS = ("source",) + SETTING_NAMES
+
+#: Contextual table names and SettingDependent marginal keys: each setting
+#: with each setting of the other side.
+_OWN_REMOTE = tuple(f"{own}|{remote}" for p, q in SETTING_PAIRS
+                    for own, remote in ((p, q), (q, p)))
 
 TSIRELSON_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
@@ -150,6 +166,27 @@ def _mapping(value: Any, where: str) -> Mapping[str, Any]:
     return value
 
 
+def _fields(value: Any, allowed: tuple[str, ...], where: str,
+            what: str = "field") -> Mapping[str, Any]:
+    """``value`` as an object whose every key is one of ``allowed``."""
+    value = _mapping(value, where)
+    for key in value:
+        if key not in allowed:
+            raise ParseError(f"{where}.{key}: unknown {what}; expected one of "
+                             f"{list(allowed)}")
+    return value
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's members, refusing a key that appears twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"{key}: field repeated within one JSON object")
+        doc[key] = value
+    return doc
+
+
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {type(value).__name__}")
@@ -184,7 +221,7 @@ def _parse_spaces(value: Any) -> dict[str, HiddenSpace]:
     registry: dict[str, HiddenSpace] = {}
     for i, item in enumerate(value):
         where = f"spaces[{i}]"
-        item = _mapping(item, where)
+        item = _fields(item, ("label", "values"), where)
         label = _require(item, "label", where)
         values = _require(item, "values", where)
         if not isinstance(label, str):
@@ -207,10 +244,7 @@ def _lookup_space(registry: Mapping[str, HiddenSpace], label: Any,
 
 
 def _parse_settings(value: Any) -> tuple[Setting, Setting, Setting, Setting]:
-    value = _mapping(value, "settings")
-    extra = set(value) - set(SETTING_NAMES)
-    if extra:
-        raise ParseError(f"settings: unknown setting name(s) {sorted(extra)}")
+    value = _fields(value, SETTING_NAMES, "settings", "setting name")
     return standard_settings(*(_number(_require(value, name, "settings"),
                                        f"settings.{name}")
                                for name in SETTING_NAMES))
@@ -218,7 +252,7 @@ def _parse_settings(value: Any) -> tuple[Setting, Setting, Setting, Setting]:
 
 def _parse_distribution(value: Any, registry: Mapping[str, HiddenSpace],
                         where: str) -> Distribution:
-    value = _mapping(value, where)
+    value = _fields(value, ("domain", "weights"), where)
     domain = _require(value, "domain", where)
     if not isinstance(domain, list) or not domain:
         raise ParseError(f"{where}: domain must be a nonempty array of labels")
@@ -229,51 +263,39 @@ def _parse_distribution(value: Any, registry: Mapping[str, HiddenSpace],
     return dist
 
 
-def _split_pair(key: str, where: str) -> tuple[str, str]:
-    parts = key.split("|")
-    if len(parts) != 2:
-        raise ParseError(f"{where}: key {key!r} must look like 'own|remote'")
-    return parts[0], parts[1]
-
-
 def _parse_model(value: Any, registry: Mapping[str, HiddenSpace],
                  where: str) -> ResponseModel:
     value = _mapping(value, where)
     kind = _require(value, "kind", where)
-    if kind not in _MODEL_KINDS:
+    if kind not in _MODEL_FIELDS:
         raise ParseError(f"{where}: unknown model kind {kind!r}; "
-                         f"expected one of {_MODEL_KINDS}")
-    tables_doc = _mapping(_require(value, "tables", where), f"{where}.tables")
-
-    if kind in ("DeterministicSource", "StochasticSource"):
-        lam = _lookup_space(registry, _require(value, "space", where),
-                            f"{where}.space")
-        tables = {name: _array(tbl, f"{where}.tables.{name}")
-                  for name, tbl in tables_doc.items()}
-        cls = DeterministicSource if kind == "DeterministicSource" else StochasticSource
-        return cls(lam, tables)
-
-    if kind == "Contextual":
-        lam = _lookup_space(registry, _require(value, "space", where),
-                            f"{where}.space")
-        separated = value.get("separated", False)
-        if not isinstance(separated, bool):
-            raise ParseError(f"{where}.separated: expected true or false")
-        tables = {}
-        for key, tbl in tables_doc.items():
-            own, remote = _split_pair(key, f"{where}.tables")
-            tables[(own, remote)] = _array(tbl, f"{where}.tables.{key}")
-        return Contextual(lam, tables, separated)
-
-    spaces_doc = _mapping(_require(value, "spaces", where), f"{where}.spaces")
-    missing = [k for k in _SPACE_KEYS if k not in spaces_doc]
-    if missing:
-        raise ParseError(f"{where}.spaces: missing key(s) {missing}")
-    five = FiveSpaces(*(_lookup_space(registry, spaces_doc[k], f"{where}.spaces.{k}")
-                        for k in _SPACE_KEYS))
+                         f"expected one of {tuple(_MODEL_FIELDS)}")
+    _fields(value, _MODEL_FIELDS[kind], where)
+    tables_doc = _fields(_require(value, "tables", where),
+                         _OWN_REMOTE if kind == "Contextual" else SETTING_NAMES,
+                         f"{where}.tables", "table")
     tables = {name: _array(tbl, f"{where}.tables.{name}")
               for name, tbl in tables_doc.items()}
-    return ApparatusDeterministic(five, tables)
+
+    if kind == "ApparatusDeterministic":
+        spaces_doc = _fields(_require(value, "spaces", where), _SPACE_KEYS,
+                             f"{where}.spaces")
+        five = FiveSpaces(*(_lookup_space(registry,
+                                          _require(spaces_doc, k, f"{where}.spaces"),
+                                          f"{where}.spaces.{k}")
+                            for k in _SPACE_KEYS))
+        return ApparatusDeterministic(five, tables)
+
+    lam = _lookup_space(registry, _require(value, "space", where), f"{where}.space")
+    if kind == "DeterministicSource":
+        return DeterministicSource(lam, tables)
+    if kind == "StochasticSource":
+        return StochasticSource(lam, tables)
+    separated = value.get("separated", False)
+    if not isinstance(separated, bool):
+        raise ParseError(f"{where}.separated: expected true or false")
+    return Contextual(lam, {tuple(name.split("|")): tbl for name, tbl in tables.items()},
+                      separated)
 
 
 def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
@@ -281,8 +303,10 @@ def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
     where = "distributions"
     value = _mapping(value, where)
     mode = _require(value, "mode", where)
-    if mode not in _MODE_TAGS:
-        raise ParseError(f"{where}: unknown mode {mode!r}; expected one of {_MODE_TAGS}")
+    if mode not in _MODE_FIELDS:
+        raise ParseError(f"{where}: unknown mode {mode!r}; "
+                         f"expected one of {tuple(_MODE_FIELDS)}")
+    _fields(value, _MODE_FIELDS[mode], where)
 
     if mode == "SourceOnly":
         rho = _parse_distribution(_require(value, "rho", where), registry,
@@ -290,12 +314,14 @@ def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
         return SourceOnly(rho)
 
     if mode == "SettingDependent":
-        marginals_doc = _mapping(_require(value, "marginals", where),
-                                 f"{where}.marginals")
+        marginals_doc = _fields(_require(value, "marginals", where), _OWN_REMOTE,
+                                f"{where}.marginals", "setting pair")
         marginals = {}
         for key, payload in marginals_doc.items():
-            p, q = _split_pair(key, f"{where}.marginals")
-            pair = pair_key(p, q)
+            pair = pair_key(*key.split("|"))
+            if pair in marginals:
+                raise ParseError(f"{where}.marginals.{key}: a second key for "
+                                 f"the setting pair {pair}")
             marginals[pair] = _parse_distribution(payload, registry,
                                                   f"{where}.marginals.{key}")
         return SettingDependent(marginals)
@@ -303,8 +329,8 @@ def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
     if mode == "FactorizedApparatus":
         rho = _parse_distribution(_require(value, "rho", where), registry,
                                   f"{where}.rho")
-        apparatus_doc = _mapping(_require(value, "apparatus", where),
-                                 f"{where}.apparatus")
+        apparatus_doc = _fields(_require(value, "apparatus", where),
+                                SETTING_NAMES, f"{where}.apparatus", "setting name")
         apparatus = {name: _parse_distribution(payload, registry,
                                                f"{where}.apparatus.{name}")
                      for name, payload in apparatus_doc.items()}
@@ -317,12 +343,14 @@ def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
 
 def _parse_run(value: Any) -> RunBlock:
     where = "run"
-    value = _mapping(value, where)
+    value = _fields(value, ("estimator", "analyses"), where)
     est_doc = _mapping(_require(value, "estimator", where), f"{where}.estimator")
     method = _require(est_doc, "method", f"{where}.estimator")
     if method == "exact":
+        _fields(est_doc, ("method",), f"{where}.estimator")
         estimator = EstimatorInfo(method="exact")
     elif method == "monte-carlo":
+        _fields(est_doc, ("method", "samples", "seed"), f"{where}.estimator")
         samples = _integer(_require(est_doc, "samples", f"{where}.estimator"),
                            f"{where}.estimator.samples")
         seed = _integer(_require(est_doc, "seed", f"{where}.estimator"),
@@ -390,7 +418,7 @@ def _check_cross_constraints(scenario: Scenario) -> None:
 
 def parse_scenario(doc: Any, digest: str = "") -> Scenario:
     """Build a validated Scenario from a decoded JSON document."""
-    doc = _mapping(doc, "scenario")
+    doc = _fields(doc, _FIELDS, "scenario")
     version = _integer(_require(doc, "schema_version", "scenario"), "schema_version")
     if version != SCHEMA_VERSION:
         raise ParseError(f"schema_version: unsupported version {version}; "
@@ -424,7 +452,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path.name}: invalid JSON ({exc})") from exc
     return parse_scenario(doc, digest="sha256:" + sha256(raw).hexdigest())

@@ -17,7 +17,7 @@ from helpers import setting_dependent_copy
 
 from bellsim import feasibility, report
 from bellsim.cli import main
-from bellsim.correlation import MAX_SAMPLES
+from bellsim.correlation import DEFAULT_ENUM_WORK_LIMIT, MAX_SAMPLES
 from bellsim.errors import BellsimError, WorkLimitExceeded
 from bellsim.scenario import load_scenario
 from bellsim.spaces import Distribution
@@ -365,6 +365,43 @@ def _huge_integer_angle(doc):
     doc["settings"]["b"] = 10 ** 400
 
 
+def _table_x(doc):
+    doc["model"]["tables"]["x"] = [[0.5]]
+
+
+def _apparatus_c(doc):
+    apparatus = doc["distributions"]["apparatus"]
+    apparatus["c"] = apparatus["a"]
+
+
+def _exact_samples(doc):
+    doc["run"]["estimator"]["samples"] = 1000
+
+
+def _bogus_top_level(doc):
+    doc["bogus"] = 1
+
+
+def _joint_beside_factorized(doc):
+    doc["distributions"]["joint"] = doc["distributions"]["rho"]
+
+
+def _both_pair_orders(doc):
+    marginals = doc["distributions"]["marginals"]
+    marginals["b|a"] = marginals["a|b"]
+
+
+def _repeated_key(tmp_path) -> str:
+    """A copy of the factorized scenario whose distributions object
+    states its mode twice."""
+    text = (SCENARIOS / "factorized.scenario").read_text(encoding="utf-8")
+    mode = '"mode": "FactorizedApparatus"'
+    assert text.count(mode) == 1
+    path = tmp_path / "factorized.scenario"
+    path.write_text(text.replace(mode, f"{mode}, {mode}"), encoding="utf-8")
+    return str(path)
+
+
 MODULE_TAGS = ("hv-core", "response-models", "correlation-engine",
                "feasibility", "simplex", "qm-reference", "cli-harness")
 
@@ -416,11 +453,31 @@ class TestErrorTags:
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _huge_integer_angle)],
          "[cli-harness] settings.b: expected a finite number, got 1000"),
+        (lambda p: ["run", _edited(p, "factorized.scenario", _table_x)],
+         "[cli-harness] model.tables.x: unknown table"),
+        (lambda p: ["run", _edited(p, "factorized.scenario", _apparatus_c)],
+         "[cli-harness] distributions.apparatus.c: unknown setting name"),
+        (lambda p: ["run", _edited(p, "factorized.scenario", _exact_samples)],
+         "[cli-harness] run.estimator.samples: unknown field"),
+        (lambda p: ["run", _edited(p, "factorized.scenario", _bogus_top_level)],
+         "[cli-harness] scenario.bogus: unknown field"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _joint_beside_factorized)],
+         "[cli-harness] distributions.joint: unknown field"),
+        (lambda p: ["run", _edited(p, "singlet-witness.scenario",
+                                   _both_pair_orders)],
+         "[cli-harness] distributions.marginals.b|a: a second key for the "
+         "setting pair ('a', 'b')"),
+        (lambda p: ["run", _repeated_key(p)],
+         "[cli-harness] mode: field repeated within one JSON object"),
     ], ids=["qm-search-step", "enumerate-bound-9", "enumerate-bound-0",
             "work-limit", "unknown-template", "missing-file",
             "swapped-domain", "negative-weight", "half-sign", "nan-weight",
             "nan-weight-monte-carlo", "nan-comparison-table", "nan-angle",
-            "infinite-angle", "huge-integer-angle"])
+            "infinite-angle", "huge-integer-angle", "unknown-table",
+            "unknown-apparatus-setting", "exact-estimator-samples",
+            "unknown-top-level-field", "joint-beside-factorized",
+            "both-pair-orders", "repeated-key"])
     def test_stderr_names_the_module(self, capsys, tmp_path, argv, prefix):
         code, out, err = run_cli(capsys, *argv(tmp_path))
         assert (code, out) == (1, "")
@@ -531,6 +588,13 @@ class TestEnumerateBound:
                                "--work-limit", "1000")
         assert code == 1
         assert "limit" in err.lower()
+
+    def test_help_shows_the_default_work_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate-bound", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"cap on enumerated strategies (default {DEFAULT_ENUM_WORK_LIMIT})" in help_text
 
 
 class TestQm:

@@ -33,7 +33,6 @@ from bellsim.correlation import (
     chsh,
     correlation_from_probabilities,
     enumerate_bound,
-    exact_correlation,
     exact_report,
     monte_carlo_report,
 )
@@ -51,6 +50,8 @@ from bellsim.models import (
     ApparatusDeterministic,
     Contextual,
     DeterministicSource,
+    StochasticSource,
+    effective_response_apparatus,
     flatten_joint,
     lift_to_composite,
     standard_settings,
@@ -78,6 +79,71 @@ def shared_coin():
     tables = {n: np.array([1.0, -1.0]) for n in SETTING_NAMES}
     model = DeterministicSource(lam, tables)
     return model, SourceOnly(Distribution.uniform((lam,)))
+
+
+#: Each model kind under each distribution mode it accepts.
+REFERENCE_CASES = [(kind, mode) for kind in (DeterministicSource, Contextual,
+                                             StochasticSource)
+                   for mode in (SourceOnly, SettingDependent)] + [
+    (ApparatusDeterministic, mode)
+    for mode in (FactorizedApparatus, JointComposite, SettingDependent)]
+
+
+def _reference_case(rng, kind, mode):
+    """A random model of ``kind`` and distributions of ``mode`` for it."""
+    if kind is ApparatusDeterministic:
+        model = random_apparatus(rng, rng.integers(1, 4, size=5))
+        spaces = model.spaces
+        if mode is FactorizedApparatus:
+            return model, FactorizedApparatus(
+                random_distribution(rng, (spaces.lam,)),
+                random_apparatus_dists(rng, spaces))
+        if mode is JointComposite:
+            return model, JointComposite(random_distribution(rng, tuple(spaces)))
+        return model, SettingDependent({
+            (p, q): random_distribution(
+                rng, (spaces.lam, spaces.for_setting(p), spaces.for_setting(q)))
+            for p, q in SETTING_PAIRS})
+    card = int(rng.integers(1, 5))
+    model = {DeterministicSource: random_deterministic, Contextual: random_contextual,
+             StochasticSource: random_stochastic}[kind](rng, card)
+    if mode is SourceOnly:
+        return model, SourceOnly(random_distribution(rng, (model.lam,)))
+    return model, SettingDependent({pair: random_distribution(rng, (model.lam,))
+                                    for pair in SETTING_PAIRS})
+
+
+def _reference_sum(model, dists, p: str, q: str) -> float:
+    """E(p, q) written out from the tables, independently of the outcome
+    cells: sum w f g over lambda for the source kinds (f = 2 p(+1) - 1 for
+    StochasticSource), Bell's sum of rho times the apparatus-averaged
+    responses for FactorizedApparatus, and a direct sum over the joint or
+    the (lambda, lambda_p, lambda_q) marginal for the other apparatus
+    modes."""
+    if isinstance(model, ApparatusDeterministic):
+        f, g = model.tables[p], model.tables[q]
+        if isinstance(dists, FactorizedApparatus):
+            settings = {s.name: s for s in FOUR_SETTINGS}
+            averaged = {name: [effective_response_apparatus(
+                model, settings[name], i, dists.apparatus[name])
+                for i in range(model.spaces.lam.cardinality)] for name in (p, q)}
+            return sum(w * averaged[p][i] * averaged[q][i]
+                       for i, w in enumerate(dists.rho.flat))
+        if isinstance(dists, JointComposite):
+            axis = {name: 1 + k for k, name in enumerate(SETTING_NAMES)}
+            joint = dists.joint.weights
+            return sum(joint[idx] * f[idx[0], idx[axis[p]]] * g[idx[0], idx[axis[q]]]
+                       for idx in np.ndindex(joint.shape))
+        marginal = dists.marginals[(p, q)].weights
+        return sum(w * f[i, j] * g[i, k] for (i, j, k), w in np.ndenumerate(marginal))
+    w = (dists.rho if isinstance(dists, SourceOnly) else dists.marginals[(p, q)]).flat
+    if isinstance(model, Contextual):
+        f, g = model.tables[(p, q)], model.tables[(q, p)]
+    elif isinstance(model, StochasticSource):
+        f, g = 2.0 * model.tables[p] - 1.0, 2.0 * model.tables[q] - 1.0
+    else:
+        f, g = model.tables[p], model.tables[q]
+    return float(np.sum(w * f * g))
 
 
 class TestCorrelationFromProbabilities:
@@ -134,16 +200,22 @@ class TestBellCheck:
         assert not bell_check(-(2.0 + 1.1e-9)).satisfied
 
 
+def exact_e(model, dists, pair) -> float:
+    """E(p, q) as the exact report gives it."""
+    p, q = pair
+    return exact_report(model, dists, FOUR_SETTINGS).pair(p.name, q.name).correlation
+
+
 class TestExactCorrelation:
     def test_constant_responders(self):
         model = constant_deterministic(1.0, -1.0, lam_card=3)
         rho = SourceOnly(random_distribution(np.random.default_rng(0),
                                              (model.lam,)))
-        assert exact_correlation(model, rho, (A, B)) == pytest.approx(-1.0, abs=TOL)
+        assert exact_e(model, rho, (A, B)) == pytest.approx(-1.0, abs=TOL)
 
     def test_shared_coin(self):
         model, dists = shared_coin()
-        assert exact_correlation(model, dists, (A, B)) == pytest.approx(1.0, abs=TOL)
+        assert exact_e(model, dists, (A, B)) == pytest.approx(1.0, abs=TOL)
 
     def test_factorized_equals_composite_lift(self):
         rng = np.random.default_rng(1)
@@ -158,9 +230,9 @@ class TestExactCorrelation:
             lifted = lift_to_composite(model)
             flat = SourceOnly(flatten_joint(joint.joint))
             for pair in ((A, B), (A, B2), (A2, B), (A2, B2)):
-                e_fact = exact_correlation(model, factorized, pair)
-                e_joint = exact_correlation(model, joint, pair)
-                e_lift = exact_correlation(lifted, flat, pair)
+                e_fact = exact_e(model, factorized, pair)
+                e_joint = exact_e(model, joint, pair)
+                e_lift = exact_e(lifted, flat, pair)
                 assert abs(e_fact - e_joint) <= TOL
                 assert abs(e_joint - e_lift) <= TOL
 
@@ -171,8 +243,7 @@ class TestExactCorrelation:
             ctx = Contextual.from_deterministic(det)
             dists = SourceOnly(random_distribution(rng, (det.lam,)))
             for pair in ((A, B), (A, B2), (A2, B), (A2, B2)):
-                assert abs(exact_correlation(det, dists, pair)
-                           - exact_correlation(ctx, dists, pair)) <= TOL
+                assert abs(exact_e(det, dists, pair) - exact_e(ctx, dists, pair)) <= TOL
 
     def test_incompatible_mode(self):
         det = random_deterministic(np.random.default_rng(3), 2)
@@ -181,16 +252,16 @@ class TestExactCorrelation:
             random_distribution(np.random.default_rng(5), (app.spaces.lam,)),
             random_apparatus_dists(np.random.default_rng(6), app.spaces))
         with pytest.raises(IncompatibleModeModel):
-            exact_correlation(det, factorized, (A, B))
+            exact_report(det, factorized, FOUR_SETTINGS)
         rho = SourceOnly(random_distribution(np.random.default_rng(7), (det.lam,)))
         with pytest.raises(IncompatibleModeModel):
-            exact_correlation(app, rho, (A, B))
+            exact_report(app, rho, FOUR_SETTINGS)
 
     def test_domain_mismatch(self):
         det = random_deterministic(np.random.default_rng(8), 2)
         other = SourceOnly(Distribution.uniform((HiddenSpace.of_size("lambda", 3),)))
         with pytest.raises(DomainMismatch):
-            exact_correlation(det, other, (A, B))
+            exact_report(det, other, FOUR_SETTINGS)
 
 
 class TestBoundRecovery:
@@ -283,18 +354,17 @@ class TestReports:
         e = [report.pair(p, q).correlation for p, q in SETTING_PAIRS]
         assert report.s == pytest.approx(e[0] + e[1] + e[2] - e[3], abs=TOL)
 
-    def test_exact_report_matches_exact_correlation(self):
+    @pytest.mark.parametrize("kind, mode", REFERENCE_CASES,
+                             ids=[f"{k.__name__}-{m.__name__}"
+                                  for k, m in REFERENCE_CASES])
+    def test_exact_report_matches_an_independent_sum(self, kind, mode):
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            model = random_apparatus(rng, rng.integers(1, 4, size=5))
-            dists = FactorizedApparatus(
-                random_distribution(rng, (model.spaces.lam,)),
-                random_apparatus_dists(rng, model.spaces))
+        for _ in range(10):
+            model, dists = _reference_case(rng, kind, mode)
             report = exact_report(model, dists, FOUR_SETTINGS)
-            pairs = dict(zip(SETTING_PAIRS, ((A, B), (A, B2), (A2, B), (A2, B2))))
-            for names, pair in pairs.items():
-                assert report.pair(*names).correlation == pytest.approx(
-                    exact_correlation(model, dists, pair), abs=1e-10)
+            for p, q in SETTING_PAIRS:
+                assert report.pair(p, q).correlation == pytest.approx(
+                    _reference_sum(model, dists, p, q), abs=TOL)
 
     def test_pair_order_is_canonical(self):
         model, dists = shared_coin()
@@ -446,17 +516,3 @@ class TestEnumerateBound:
     def test_respects_raised_limit(self):
         result = enumerate_bound(5, work_limit=2 ** 20)
         assert result.max_abs_s == 2.0
-
-
-class TestStochasticExactPath:
-    def test_matches_effective_response_formula(self):
-        # E = sum over lambda of f_bar * g_bar * rho, assembled by hand
-        rng = np.random.default_rng(17)
-        model = random_stochastic(rng, 4)
-        rho = random_distribution(rng, (model.lam,))
-        dists = SourceOnly(rho)
-        for pair, (p, q) in zip(((A, B), (A2, B2)), (("a", "b"), ("a_prime", "b_prime"))):
-            f_bar = 2.0 * model.tables[p] - 1.0
-            g_bar = 2.0 * model.tables[q] - 1.0
-            want = float(np.sum(f_bar * g_bar * rho.flat))
-            assert exact_correlation(model, dists, pair) == pytest.approx(want, abs=TOL)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -100,7 +101,64 @@ class TestParsedContent:
         assert sc.run.estimator.seed == 4
 
 
+def contextual_doc():
+    """A Contextual model under SourceOnly, with every own|remote table."""
+    tables = {f"{own}|{remote}": [1.0, -1.0]
+              for own, remote in (("a", "b"), ("a", "b_prime"), ("a_prime", "b"),
+                                  ("a_prime", "b_prime"))}
+    tables.update({"|".join(reversed(k.split("|"))): v for k, v in tables.items()})
+    return {"schema_version": 1,
+            "spaces": [{"label": "lambda", "values": ["0", "1"]}],
+            "settings": {"a": 0.0, "a_prime": 1.0, "b": 2.0, "b_prime": 3.0},
+            "model": {"kind": "Contextual", "space": "lambda", "separated": False,
+                      "tables": tables},
+            "distributions": {"mode": "SourceOnly",
+                              "rho": {"domain": ["lambda"], "weights": [0.5, 0.5]}},
+            "run": {"estimator": {"method": "exact"},
+                    "analyses": ["correlations", "chsh"]}}
+
+
+def _field(path) -> str:
+    """The field name a ParseError gives for a path of keys and indices."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+#: A document builder and the path of a field its schema does not define.
+UNKNOWN_FIELDS = [
+    (witness_doc, ("spaces", 0, "size")),
+    (witness_doc, ("distributions", "marginals", "a|b", "labels")),
+    (witness_doc, ("model", "separated")),
+    (witness_doc, ("model", "space")),
+    (witness_doc, ("model", "spaces", "c")),
+    (witness_doc, ("distributions", "rho")),
+    (witness_doc, ("run", "seed")),
+    (lambda: generate_scenario("factorized", {"estimator": "monte-carlo"}),
+     ("run", "estimator", "chunk")),
+    (lambda: generate_scenario("stochastic-equivalent", {}),
+     ("comparison_model", "spaces")),
+    (lambda: generate_scenario("stochastic-equivalent", {}),
+     ("comparison_model", "tables", "a|b")),
+    (contextual_doc, ("model", "tables", "a|a_prime")),
+    (contextual_doc, ("model", "tables", "a")),
+    (contextual_doc, ("distributions", "marginals")),
+]
+
+
 class TestParseErrors:
+    def test_contextual_doc_parses(self):
+        assert parse_scenario(contextual_doc()).model.kind == "Contextual"
+
+    @pytest.mark.parametrize("make, path", UNKNOWN_FIELDS,
+                             ids=[_field(path) for _, path in UNKNOWN_FIELDS])
+    def test_unknown_field_names_it(self, make, path):
+        doc = make()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = {}
+        with pytest.raises(ParseError, match="^" + re.escape(f"{_field(path)}: unknown ")):
+            parse_scenario(doc)
+
     def test_not_an_object(self):
         with pytest.raises(ParseError):
             parse_scenario([1, 2, 3])
@@ -157,7 +215,8 @@ class TestParseErrors:
         doc = witness_doc()
         doc["distributions"]["marginals"]["a-b"] = \
             doc["distributions"]["marginals"].pop("a|b")
-        with pytest.raises(ParseError, match="own|remote"):
+        with pytest.raises(ParseError,
+                           match=r"^distributions\.marginals\.a-b: unknown setting pair"):
             parse_scenario(doc)
 
     def test_unknown_analysis(self):
