@@ -61,11 +61,12 @@ def bench_mc_outcome_counts_sort(rng):
 
 
 def bench_tableau_pivot(rng):
-    """One pivot on a tableau of the shape of an 8^5 joint-composite LP
-    block (256 rows, 4096 + 256 columns, plus the cost row and the right-hand
-    side) with about 30% nonzeros in the pivot column.  The pivot updates
-    only the rows with a nonzero pivot-column entry, so its cost follows
-    that density.  The copy the pivot works on is made outside the timing."""
+    """One pivot on a tableau of the shape of an LP block of the
+    SettingDependent copy of an 8^5 joint-composite family, that is, of
+    its four pair marginals in SettingDependent mode (256 rows, 4096 + 256
+    columns, plus the cost row and the right-hand side), with about 30%
+    nonzeros in the pivot column.  The pivot updates only the rows with a
+    nonzero pivot-column entry, so its cost follows that density.  The copy the pivot works on is made outside the timing."""
     T = rng.normal(size=(257, 4353))
     pr, pc = 100, 2000
     T[rng.random(257) >= 0.3, pc] = 0.0

@@ -228,10 +228,11 @@ def tableau_pivot(T: np.ndarray, pr: int, pc: int) -> None:
     times the pivot row from every other row whose pivot-column entry is
     nonzero (one rounding per multiply and per subtract), then writes the
     exact unit column.  Those rows are updated a few at a time, about
-    ``PIVOT_CHUNK_CELLS`` cells per step: on a 257 x 4353 tableau (an 8^5
-    joint-composite block) this runs a pivot in 1.4 ms instead of 2.2 ms
-    for all rows at once, whose temporaries do not fit in cache.  Each
-    cell gets the same two roundings either way.
+    ``PIVOT_CHUNK_CELLS`` cells per step: on a 257 x 4353 tableau (a block
+    of the SettingDependent copy of an 8^5 joint-composite family, that
+    is, of its marginals in SettingDependent mode) this runs a pivot in
+    1.4 ms instead of 2.2 ms for all rows at once, whose temporaries do
+    not fit in cache.  Each cell gets the same two roundings either way.
 
     A row with a zero pivot-column entry is skipped: the dense update
     would compute x - 0*y there, which returns x except that it turns a

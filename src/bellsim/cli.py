@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .correlation import DEFAULT_ENUM_WORK_LIMIT
-from .errors import BellsimError
+from .errors import BellsimError, OutputError
 from .feasibility import DEFAULT_WORK_LIMIT
 from .report import (enumerate_bound_doc, qm_chsh_doc, qm_search_doc,
                      qm_table_doc, run_scenario)
@@ -155,8 +155,11 @@ def _emit(text: str, output: str | None) -> None:
     base = os.environ.get("BELLSIM_OUTPUT_DIR")
     if base and not path.is_absolute():
         path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,10 +190,10 @@ def main(argv: list[str] | None = None) -> int:
             doc = qm_chsh_doc(tuple(getattr(args, name) for name in SETTING_NAMES))
         else:
             doc = qm_search_doc(args.grid_step, args.refine_rounds)
+        _emit(render_document(doc), args.output)
     except BellsimError as exc:
         print(f"bellsim: error: [{exc.module}] {exc}", file=sys.stderr)
         return 1
-    _emit(render_document(doc), args.output)
     return 0
 
 

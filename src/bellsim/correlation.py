@@ -70,8 +70,10 @@ from .spaces import (
     SETTING_NAMES,
     SETTING_PAIRS,
     Distribution,
+    FiveSpaces,
     on_five_axes,
     pair_key,
+    product_distribution,
     validate_distribution,
 )
 
@@ -117,7 +119,8 @@ class SettingDependent:
     """One distribution per setting pair.
 
     For source-only model kinds the marginals live on (lambda,); for the
-    apparatus kind they live on (lambda, lambda_p, lambda_q).  This is the
+    apparatus kind they live on (lambda, lambda_p, lambda_q) and form the
+    setting-pair marginal family of the feasibility analysis.  This is the
     escape hatch that a setting-independent source distribution closes:
     nothing here forces the four marginals to be consistent.
     """
@@ -135,6 +138,27 @@ class SettingDependent:
         for dist in marginals.values():
             validate_distribution(dist)
         object.__setattr__(self, "marginals", marginals)
+
+    def marginal(self, p: str, q: str) -> Distribution:
+        return self.marginals[pair_key(p, q)]
+
+    @property
+    def spaces(self) -> FiveSpaces:
+        """The five spaces of an apparatus-kind family, read off the
+        (a, b), (a, b') and (a', b) marginals.  Raises
+        CorrelationDomainMismatch unless every marginal lives on
+        (lambda, lambda_p, lambda_q) of these spaces."""
+        domains = [self.marginals[pair].domain for pair in SETTING_PAIRS]
+        if all(len(d) == 3 for d in domains):
+            (lam, a, b), (_, _, b_prime), (_, a_prime, _), _ = domains
+            spaces = FiveSpaces(lam, a, a_prime, b, b_prime)
+            if all(d == (lam, spaces.for_setting(p), spaces.for_setting(q))
+                   for (p, q), d in zip(SETTING_PAIRS, domains)):
+                return spaces
+        raise CorrelationDomainMismatch(
+            "setting-pair marginals need domains (lambda, lambda_p, lambda_q) "
+            f"over one set of five spaces, got "
+            f"{[self.marginals[pair].labels for pair in SETTING_PAIRS]}")
 
 
 @dataclass(frozen=True)
@@ -318,29 +342,24 @@ def _source_weights(model, dists, pair_names) -> np.ndarray:
 
 def _apparatus_triple(model: ApparatusDeterministic, dists,
                       p: Setting, q: Setting) -> np.ndarray:
-    """Grid weights over (lambda, lambda_p, lambda_q) for an apparatus model."""
+    """Grid weights over (lambda, lambda_p, lambda_q) for an apparatus
+    model: the product of the pair's parts, (rho, rho_p, rho_q) or its one
+    marginal, once their domains are checked against the model's."""
+    if isinstance(dists, FactorizedApparatus):
+        parts = [dists.rho, dists.apparatus[p.name], dists.apparatus[q.name]]
+    elif isinstance(dists, SettingDependent):
+        parts = [dists.marginal(p.name, q.name)]
+    else:
+        raise IncompatibleModeModel(dists.mode, model.kind)
     spaces = model.spaces
     expected = (spaces.lam, spaces.for_setting(p.name), spaces.for_setting(q.name))
-    if isinstance(dists, FactorizedApparatus):
-        if dists.rho.domain != (spaces.lam,):
-            raise CorrelationDomainMismatch(
-                f"source distribution domain {dists.rho.labels} does not match "
-                f"{spaces.lam.label!r}")
-        for name in (p.name, q.name):
-            if dists.apparatus[name].domain != (spaces.for_setting(name),):
-                raise CorrelationDomainMismatch(
-                    f"apparatus distribution for {name!r} does not live on "
-                    f"{spaces.for_setting(name).label!r}")
-        w = dists.rho.flat[:, None, None] * dists.apparatus[p.name].flat[None, :, None]
-        return w * dists.apparatus[q.name].flat[None, None, :]
-    if isinstance(dists, SettingDependent):
-        marginal = dists.marginals[(p.name, q.name)]
-        if marginal.domain != expected:
-            raise CorrelationDomainMismatch(
-                f"marginal for ({p.name!r}, {q.name!r}) has domain "
-                f"{marginal.labels}, expected {tuple(s.label for s in expected)}")
-        return marginal.weights
-    raise IncompatibleModeModel(dists.mode, model.kind)
+    domain = tuple(s for part in parts for s in part.domain)
+    if domain != expected:
+        raise CorrelationDomainMismatch(
+            f"{dists.mode} distributions for ({p.name!r}, {q.name!r}) live on "
+            f"{tuple(s.label for s in domain)}, expected "
+            f"{tuple(s.label for s in expected)}")
+    return product_distribution(parts).weights
 
 
 def outcome_decomposition(model: ResponseModel, dists: ScenarioDistributions,

@@ -100,8 +100,7 @@ class UnknownSpace(_HvCoreError):
 
 
 class InvalidFamily(_HvCoreError):
-    """A space, setting pair or setting-pair marginal family violates its
-    structural invariants."""
+    """A space or a setting pair violates its structural invariants."""
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +260,10 @@ class SimplexWorkLimitExceeded(WorkLimitExceeded):
     module = "simplex"
 
 
+class SimplexDomainMismatch(DomainMismatch):
+    module = "simplex"
+
+
 class TableauGrowth(SimplexNumericalFailure):
     """Simplex tableau entries grew past the limit relative to the start
     tableau, so the pivots that follow can no longer be trusted."""
@@ -315,6 +318,10 @@ class ParseError(_CliError):
 class ValidationError(_CliError):
     """A parsed scenario's parts do not fit together (model kind, mode and
     requested analyses)."""
+
+
+class OutputError(_CliError):
+    """A report or generated scenario could not be written."""
 
 
 class UnknownTemplate(_CliError):

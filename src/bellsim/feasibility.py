@@ -59,14 +59,12 @@ from .models import ApparatusDeterministic, Setting
 from .qm import singlet_chsh, singlet_probabilities
 from .simplex import solve_equality_feasibility
 from .spaces import (
-    APPARATUS_LABELS,
     SETTING_AXIS,
     SETTING_NAMES,
     SETTING_PAIRS,
     Distribution,
     FiveSpaces,
     HiddenSpace,
-    SettingPairMarginalFamily,
     marginalize,
     on_five_axes,
     product_distribution,
@@ -104,7 +102,7 @@ class FeasibilityVerdict:
         return self.status == "Feasible"
 
 
-def constraint_matrix(family: SettingPairMarginalFamily
+def constraint_matrix(family: SettingDependent
                       ) -> tuple[np.ndarray, np.ndarray]:
     """The lambda block of the marginal problem and every block's
     right-hand side.
@@ -143,7 +141,7 @@ def _pair_marginal(weights: np.ndarray, p: str, q: str) -> np.ndarray:
     return weights
 
 
-def marginal_residual(family: SettingPairMarginalFamily,
+def marginal_residual(family: SettingDependent,
                       joint: Distribution) -> float:
     """Largest |marginal of the joint - rho_pq| over every cell of every
     pair, pairs in canonical order."""
@@ -152,16 +150,15 @@ def marginal_residual(family: SettingPairMarginalFamily,
                for p, q in SETTING_PAIRS)
 
 
-def _admit(family: SettingPairMarginalFamily, work_limit: int) -> None:
-    """Validate the family and refuse more composite points than
-    ``work_limit``."""
-    family.validate()
+def _admit(family: SettingDependent, work_limit: int) -> None:
+    """Refuse a family whose marginals do not share five spaces, or that
+    has more composite points than ``work_limit``."""
     n = math.prod(s.cardinality for s in family.spaces)
     if n > work_limit:
         raise FeasibilityWorkLimitExceeded(n, work_limit)
 
 
-def _feasible_verdict(family: SettingPairMarginalFamily,
+def _feasible_verdict(family: SettingDependent,
                      joint: Distribution) -> FeasibilityVerdict:
     """The Feasible verdict of a joint over the family's five spaces.
 
@@ -179,13 +176,13 @@ def _feasible_verdict(family: SettingPairMarginalFamily,
                               residual=residual)
 
 
-def check_witness(family: SettingPairMarginalFamily,
+def check_witness(family: SettingDependent,
                   witness: Callable[[], Distribution],
                   work_limit: int = DEFAULT_WORK_LIMIT) -> FeasibilityVerdict:
     """The Feasible verdict of a family that is Local by construction,
     carried by its construction witness instead of an LP joint.
 
-    Validates the family and applies ``work_limit`` exactly as
+    Checks the family's spaces and applies ``work_limit`` exactly as
     :func:`check_joint_existence` does, and only then calls ``witness``
     to build the joint, so that an oversized family is refused before
     anything of its full size is allocated.  Raises
@@ -196,7 +193,7 @@ def check_witness(family: SettingPairMarginalFamily,
     return _feasible_verdict(family, witness())
 
 
-def check_joint_existence(family: SettingPairMarginalFamily,
+def check_joint_existence(family: SettingDependent,
                           work_limit: int = DEFAULT_WORK_LIMIT
                           ) -> FeasibilityVerdict:
     """Decide whether a joint over the composite variable returns every
@@ -230,7 +227,7 @@ def check_joint_existence(family: SettingPairMarginalFamily,
                               violation=ytb)
 
 
-def verify_certificate(family: SettingPairMarginalFamily,
+def verify_certificate(family: SettingDependent,
                        certificate: np.ndarray) -> tuple[float, float]:
     """Evaluate a separating functional against the family.
 
@@ -255,7 +252,7 @@ def verify_certificate(family: SettingPairMarginalFamily,
     return float(np.max(yta)), math.fsum(y * b)
 
 
-def classify(family: SettingPairMarginalFamily,
+def classify(family: SettingDependent,
              work_limit: int = DEFAULT_WORK_LIMIT) -> Literal["Local", "Nonlocal"]:
     """Local iff a joint distribution exists."""
     verdict = check_joint_existence(family, work_limit)
@@ -264,18 +261,11 @@ def classify(family: SettingPairMarginalFamily,
 
 def construct_factorized_family(rho: Distribution,
                                 apparatus: Mapping[str, Distribution]
-                                ) -> SettingPairMarginalFamily:
+                                ) -> SettingDependent:
     """Family whose every marginal is the three-factor product
     rho(lambda) rho_p(lambda_p) rho_q(lambda_q); always Local."""
-    spaces = FiveSpaces(rho.domain[0],
-                        *(apparatus[name].domain[0] for name in SETTING_NAMES))
-    marginals = {}
-    for p, q in SETTING_PAIRS:
-        marginals[(p, q)] = product_distribution(
-            [rho, apparatus[p], apparatus[q]])
-    family = SettingPairMarginalFamily(spaces, marginals)
-    family.validate()
-    return family
+    return SettingDependent({(p, q): product_distribution(
+        [rho, apparatus[p], apparatus[q]]) for p, q in SETTING_PAIRS})
 
 
 def factorized_joint(rho: Distribution, apparatus: Mapping[str, Distribution]
@@ -285,7 +275,7 @@ def factorized_joint(rho: Distribution, apparatus: Mapping[str, Distribution]
 
 
 def construct_nonlocal_witness(angles: tuple[Setting, Setting, Setting, Setting]
-                               ) -> tuple[SettingPairMarginalFamily,
+                               ) -> tuple[SettingDependent,
                                           ApparatusDeterministic]:
     """A marginal family with no joint distribution, plus the response
     model that reads its correlations out.
@@ -302,34 +292,19 @@ def construct_nonlocal_witness(angles: tuple[Setting, Setting, Setting, Setting]
     if abs(s) <= 2.0 + BELL_BOUND_TOL:
         raise NonViolatingAngles(s)
     lam = HiddenSpace("lambda", ("0",))
-    spaces = FiveSpaces(lam, *(HiddenSpace.binary(APPARATUS_LABELS[name])
-                               for name in SETTING_NAMES))
+    spaces = FiveSpaces.binary_apparatus(lam)
     tables = {name: np.array([[1.0, -1.0]]) for name in SETTING_NAMES}
-    model = ApparatusDeterministic(spaces, tables)
     by_name = {s_.name: s_ for s_ in angles}
-    marginals = {}
-    for p, q in SETTING_PAIRS:
-        probs = singlet_probabilities(by_name[p], by_name[q]).probabilities
-        dom = (lam, spaces.for_setting(p), spaces.for_setting(q))
-        marginals[(p, q)] = Distribution(dom, np.array(probs))
-    family = SettingPairMarginalFamily(spaces, marginals)
-    family.validate()
-    return family, model
+    family = SettingDependent({(p, q): Distribution(
+        (lam, spaces.for_setting(p), spaces.for_setting(q)),
+        np.array(singlet_probabilities(by_name[p], by_name[q]).probabilities))
+        for p, q in SETTING_PAIRS})
+    return family, ApparatusDeterministic(spaces, tables)
 
 
-def family_distributions(family: SettingPairMarginalFamily) -> SettingDependent:
-    """View a marginal family as engine inputs (one marginal per pair)."""
-    return SettingDependent(dict(family.marginals))
-
-
-def family_from_joint(joint: Distribution) -> SettingPairMarginalFamily:
+def family_from_joint(joint: Distribution) -> SettingDependent:
     """The four setting-pair marginals of an explicit five-space joint."""
     spaces = FiveSpaces(*joint.domain)
-    marginals = {}
-    for p, q in SETTING_PAIRS:
-        keep = (spaces.lam.label, spaces.for_setting(p).label,
-                spaces.for_setting(q).label)
-        marginals[(p, q)] = marginalize(joint, keep)
-    family = SettingPairMarginalFamily(spaces, marginals)
-    family.validate()
-    return family
+    return SettingDependent({(p, q): marginalize(
+        joint, (spaces.lam, spaces.for_setting(p), spaces.for_setting(q)))
+        for p, q in SETTING_PAIRS})

@@ -32,8 +32,7 @@ from .models import (Setting, effective_response_apparatus,
                      effective_response_stochastic, standard_settings)
 from .qm import max_violation_search, singlet_chsh, singlet_probabilities
 from .scenario import ANALYSES, SCHEMA_VERSION, Scenario, dist_doc
-from .spaces import (SETTING_NAMES, SETTING_PAIRS, Distribution, FiveSpaces,
-                     SettingPairMarginalFamily)
+from .spaces import SETTING_NAMES, SETTING_PAIRS, Distribution
 
 _CELL_LABELS = ("++", "+-", "-+", "--")
 
@@ -66,27 +65,22 @@ def _bell_doc(verdict: BellVerdict) -> dict[str, Any]:
     return {"s": verdict.s, "verdict": verdict.label, "excess": verdict.excess}
 
 
-def _family_from_mode(dists) -> tuple[SettingPairMarginalFamily,
+def _family_from_mode(dists) -> tuple[SettingDependent,
                                       Callable[[], Distribution] | None]:
     """The setting-pair marginal family a distribution mode induces, and
     a builder of the joint that reproduces it by construction: the
     product joint of a FactorizedApparatus family, the scenario's own
-    joint of a JointComposite one, and None for SettingDependent, whose
-    verdict the LP decides.  The product joint is built only when the
-    builder is called, after the work limit has admitted the family."""
+    joint of a JointComposite one, and None for SettingDependent, which
+    is its own family and whose verdict the LP decides.  The product
+    joint is built only when the builder is called, after the work limit
+    has admitted the family."""
     if isinstance(dists, FactorizedApparatus):
         return (construct_factorized_family(dists.rho, dists.apparatus),
                 partial(factorized_joint, dists.rho, dists.apparatus))
     if isinstance(dists, JointComposite):
         return family_from_joint(dists.joint), lambda: dists.joint
     if isinstance(dists, SettingDependent):
-        m = dists.marginals
-        # each setting's space as the first pair naming it has it
-        space = {name: s for pair in reversed(SETTING_PAIRS)
-                 for name, s in zip(pair, m[pair].domain[1:])}
-        spaces = FiveSpaces(m[SETTING_PAIRS[0]].domain[0],
-                            *(space[name] for name in SETTING_NAMES))
-        return SettingPairMarginalFamily(spaces, m), None
+        return dists, None
     raise ValidationError(f"no marginal family for mode {dists.mode}")
 
 

@@ -46,8 +46,9 @@ Distribution payloads carry a ``mode`` tag:
 where DIST is {"domain": ["lambda", ...], "weights": [flat row-major floats]}.
 
 Parsing is strict: structural problems, a key the schema does not define
-at any level, two marginal keys for one setting pair and a key repeated
-within one JSON object raise ParseError naming the field.
+at any level, nested DIST weights, two marginal keys for one setting pair
+and a key repeated within one JSON object raise ParseError naming the
+field.
 Payloads go straight to the constructors of their modules, so a payload
 that breaks a module's invariant raises that module's error (for example
 NegativeWeight, tagged ``hv-core``).  Parts that do not fit together
@@ -258,6 +259,8 @@ def _parse_distribution(value: Any, registry: Mapping[str, HiddenSpace],
         raise ParseError(f"{where}: domain must be a nonempty array of labels")
     spaces = tuple(_lookup_space(registry, lbl, f"{where}.domain") for lbl in domain)
     weights = _array(_require(value, "weights", where), f"{where}.weights")
+    if weights.ndim != 1:
+        raise ParseError(f"{where}.weights: expected a flat array of numbers")
     dist = Distribution(spaces, weights)
     validate_distribution(dist)
     return dist

@@ -6,17 +6,19 @@ few vectorised numpy steps around one pivot (``_kernels.tableau_pivot``).
 The pivot is row-sparse: it updates only the rows whose pivot-column
 entry is nonzero, which skips exactly the updates that subtract zero.
 On the 8^5 blocks of the joint-existence LP the pivot column is on
-average 2% nonzero for factorized families and 64% for joint-composite
-ones, so this saves much of a dense pivot's work, and the tableau
-differs from a dense pivot's at most in the sign of a zero, which
-nothing below tells apart.  The other steps:
+average 2% nonzero for the SettingDependent copy of a factorized family
+(its four pair marginals in SettingDependent mode, since factorized and
+joint-composite families skip the LP) and 64% for that of a
+joint-composite one, so this saves much of a dense pivot's work, and the
+tableau differs from a dense pivot's at most in the sign of a zero,
+which nothing below tells apart.  The other steps:
 
 * pricing takes the column whose reduced cost per unit length of its
   edge is most negative (steepest edge, Goldfarb and Reid 1977); the edge
   of column j has length sqrt(1 + |T[:, j]|^2), read off the tableau
-  column.  On the blocks of factorized marginal families the most
-  negative reduced cost alone (Dantzig's rule) takes up to 20 times more
-  pivots: 5170 against 225 on one 8^5 block;
+  column.  On the blocks of the SettingDependent copy of a factorized
+  family the most negative reduced cost alone (Dantzig's rule) takes up
+  to 20 times more pivots: 5170 against 225 on one 8^5 block;
 * the leaving row comes from a two-pass ratio test (Harris 1973).  Pass
   one finds the largest step that keeps every basic variable above
   ``-HARRIS_TOL``; pass two takes, among the rows whose own ratio is
@@ -48,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import tableau_pivot
-from .errors import (SimplexNumericalFailure, SimplexWorkLimitExceeded,
-                     TableauGrowth)
+from .errors import (SimplexDomainMismatch, SimplexNumericalFailure,
+                     SimplexWorkLimitExceeded, TableauGrowth)
 
 #: Phase-1 objective at or below this counts as feasible.
 FEASIBILITY_TOL = 1e-9
@@ -134,7 +136,7 @@ def solve_equality_feasibility(A: np.ndarray, b: np.ndarray) -> SimplexResult:
     b = np.asarray(b, dtype=np.float64)
     m, n = A.shape
     if b.shape != (m,):
-        raise ValueError(f"b has shape {b.shape}, expected ({m},)")
+        raise SimplexDomainMismatch(f"b has shape {b.shape}, expected ({m},)")
 
     # orient rows so the artificial start basis is feasible (b >= 0)
     flips = np.where(b < 0.0, -1.0, 1.0)

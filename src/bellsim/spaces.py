@@ -24,7 +24,7 @@ other module reads these names instead of its own copy.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -268,40 +268,3 @@ def marginalize(d: Distribution, keep: Iterable[HiddenSpace | str]) -> Distribut
     if not drop_axes:
         return Distribution(new_domain, d.weights)
     return Distribution(new_domain, d.weights.sum(axis=drop_axes))
-
-
-@dataclass(frozen=True)
-class SettingPairMarginalFamily:
-    """Four setting-indexed distributions over (source, apparatus-p, apparatus-q).
-
-    One marginal per setting pair (p, q); each lives on the domain
-    (lam, space-of-p, space-of-q) and all four share the same source space.
-    """
-
-    spaces: FiveSpaces
-    marginals: Mapping[tuple[str, str], Distribution]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "marginals", dict(self.marginals))
-
-    def marginal(self, p: str, q: str) -> Distribution:
-        return self.marginals[pair_key(p, q)]
-
-    def validate(self) -> None:
-        if set(self.marginals) != set(SETTING_PAIRS):
-            raise InvalidFamily(
-                f"expected marginals for pairs {SETTING_PAIRS}, got {sorted(self.marginals)}"
-            )
-        for pair in SETTING_PAIRS:
-            dist = self.marginals[pair]
-            expected = (self.spaces.lam, self.spaces.for_setting(pair[0]),
-                        self.spaces.for_setting(pair[1]))
-            if dist.domain != expected:
-                raise InvalidFamily(
-                    f"marginal for {pair} has domain {dist.labels}, expected "
-                    f"{tuple(s.label for s in expected)}"
-                )
-            try:
-                validate_distribution(dist)
-            except (NegativeWeight, NotNormalized, ShapeMismatch) as exc:
-                raise InvalidFamily(f"marginal for {pair} is invalid: {exc}") from exc

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 
+from bellsim.correlation import SettingDependent
 from bellsim.models import (
     SETTING_NAMES,
     ApparatusDeterministic,
@@ -94,9 +95,6 @@ def uniform_marginal_family(e_by_pair):
     uniform and the pair correlation is exactly E.  Returns the family and
     the passthrough response model that realizes those correlations.
     """
-    from bellsim.models import ApparatusDeterministic
-    from bellsim.spaces import SETTING_PAIRS, SettingPairMarginalFamily
-
     lam = HiddenSpace("lambda", ("0",))
     spaces = FiveSpaces.binary_apparatus(lam)
     tables = {name: np.array([[1.0, -1.0]]) for name in SETTING_NAMES}
@@ -107,7 +105,7 @@ def uniform_marginal_family(e_by_pair):
         probs = np.array([(1 + e) / 4, (1 - e) / 4, (1 - e) / 4, (1 + e) / 4])
         dom = (lam, spaces.for_setting(p), spaces.for_setting(q))
         marginals[(p, q)] = Distribution(dom, probs)
-    return SettingPairMarginalFamily(spaces, marginals), model
+    return SettingDependent(marginals), model
 
 
 def chsh_symmetrization_max(e_by_pair) -> float:

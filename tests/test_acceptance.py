@@ -41,7 +41,6 @@ from bellsim.feasibility import (
     classify,
     construct_factorized_family,
     construct_nonlocal_witness,
-    family_distributions,
     verify_certificate,
 )
 from bellsim.models import (
@@ -125,12 +124,10 @@ def test_criterion_4_containment():
                           "verifiable certificate")
 def test_criterion_5_nonlocal_witness():
     family, model = construct_nonlocal_witness(FOUR_SETTINGS)
-    dists = family_distributions(family)
-
-    exact = exact_report(model, dists, FOUR_SETTINGS)
+    exact = exact_report(model, family, FOUR_SETTINGS)
     assert exact.s == pytest.approx(-TWO_ROOT_TWO, abs=1e-9)
 
-    mc = monte_carlo_report(model, dists, FOUR_SETTINGS, samples=10 ** 6,
+    mc = monte_carlo_report(model, family, FOUR_SETTINGS, samples=10 ** 6,
                             seed=20250825)
     s_se = math.sqrt(sum(pc.standard_error ** 2 for pc in mc.pairs))
     assert abs(mc.s - (-TWO_ROOT_TWO)) <= 4.0 * s_se
@@ -164,7 +161,7 @@ def test_criterion_6_classification_crosscheck():
         assert chsh_symmetrization_max(e) == pytest.approx(abs(s), abs=1e-12)
         trials += 1
         family, model = uniform_marginal_family(e)
-        report = exact_report(model, family_distributions(family), FOUR_SETTINGS)
+        report = exact_report(model, family, FOUR_SETTINGS)
         verdict = classify(family)
         if verdict == "Local":
             locals_seen += 1

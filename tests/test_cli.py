@@ -391,6 +391,23 @@ def _both_pair_orders(doc):
     marginals["b|a"] = marginals["a|b"]
 
 
+def _nested_rho_weights(doc):
+    rho = doc["distributions"]["rho"]
+    rho["weights"] = [[w] for w in rho["weights"]]
+
+
+def _moved(label, *keys):
+    """An edit that puts the distribution at ``keys`` under
+    ``distributions`` on the space ``label``; every space of the bundled
+    files has two values."""
+    def edit(doc):
+        dist = doc["distributions"]
+        for key in keys:
+            dist = dist[key]
+        dist["domain"] = [label]
+    return edit
+
+
 def _repeated_key(tmp_path) -> str:
     """A copy of the factorized scenario whose distributions object
     states its mode twice."""
@@ -470,6 +487,28 @@ class TestErrorTags:
          "setting pair ('a', 'b')"),
         (lambda p: ["run", _repeated_key(p)],
          "[cli-harness] mode: field repeated within one JSON object"),
+        (lambda p: ["qm", "chsh", "0", "1", "2", "3", "-o", str(p)],
+         "[cli-harness] cannot write "),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _nested_rho_weights)],
+         "[cli-harness] distributions.rho.weights: expected a flat array"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _moved("lambda_a", "rho"))],
+         "[correlation-engine] FactorizedApparatus distributions for ('a', 'b') "
+         "live on ('lambda_a', 'lambda_a', 'lambda_b'), expected "
+         "('lambda', 'lambda_a', 'lambda_b')"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _moved("lambda_b_prime", "rho"))],
+         "[correlation-engine] FactorizedApparatus distributions for ('a', 'b') "
+         "live on ('lambda_b_prime', 'lambda_a', 'lambda_b')"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _moved("lambda_b", "apparatus", "a"))],
+         "[correlation-engine] FactorizedApparatus distributions for ('a', 'b') "
+         "live on ('lambda', 'lambda_b', 'lambda_b')"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _moved("lambda", "apparatus", "a"))],
+         "[correlation-engine] FactorizedApparatus distributions for ('a', 'b') "
+         "live on ('lambda', 'lambda', 'lambda_b')"),
     ], ids=["qm-search-step", "enumerate-bound-9", "enumerate-bound-0",
             "work-limit", "unknown-template", "missing-file",
             "swapped-domain", "negative-weight", "half-sign", "nan-weight",
@@ -477,7 +516,9 @@ class TestErrorTags:
             "infinite-angle", "huge-integer-angle", "unknown-table",
             "unknown-apparatus-setting", "exact-estimator-samples",
             "unknown-top-level-field", "joint-beside-factorized",
-            "both-pair-orders", "repeated-key"])
+            "both-pair-orders", "repeated-key", "output-is-directory",
+            "nested-weights", "rho-on-lambda-a", "rho-on-lambda-b-prime",
+            "apparatus-a-on-lambda-b", "apparatus-a-on-lambda"])
     def test_stderr_names_the_module(self, capsys, tmp_path, argv, prefix):
         code, out, err = run_cli(capsys, *argv(tmp_path))
         assert (code, out) == (1, "")

@@ -37,14 +37,17 @@ from bellsim.correlation import (
     monte_carlo_report,
 )
 from bellsim.errors import (
+    CorrelationDomainMismatch,
     DomainMismatch,
     IncompatibleModeModel,
     NegativeSeed,
     NotAProbabilityVector,
+    NotNormalized,
     OutOfRangeCorrelation,
     WorkLimitExceeded,
     ZeroSamples,
 )
+from bellsim.feasibility import check_joint_existence
 from bellsim.models import (
     SETTING_NAMES,
     ApparatusDeterministic,
@@ -337,6 +340,75 @@ class TestSettingDependentEscape:
         for p, q in SETTING_PAIRS:
             want = singlet_probabilities(settings[p], settings[q]).correlation
             assert report.pair(p, q).correlation == pytest.approx(want, abs=TOL)
+
+
+class TestSettingDependentFamily:
+    def make_family(self):
+        spaces = five_spaces((2, 2, 2, 2, 2))
+        return SettingDependent({
+            (p, q): Distribution.uniform(
+                (spaces.lam, spaces.for_setting(p), spaces.for_setting(q)))
+            for p, q in SETTING_PAIRS}), spaces
+
+    def test_valid_family_accepts(self):
+        family, spaces = self.make_family()
+        assert family.spaces == spaces
+
+    def test_marginal_lookup_symmetric(self):
+        family, _ = self.make_family()
+        assert family.marginal("a", "b") is family.marginal("b", "a")
+        assert family.marginal("b_prime", "a_prime") is family.marginals[
+            ("a_prime", "b_prime")]
+
+    def test_missing_pair_rejected(self):
+        family, _ = self.make_family()
+        broken = dict(family.marginals)
+        del broken[("a", "b")]
+        with pytest.raises(CorrelationDomainMismatch):
+            SettingDependent(broken)
+
+    def test_wrong_domain_rejected(self):
+        family, spaces = self.make_family()
+        broken = dict(family.marginals)
+        broken[("a", "b")] = Distribution.uniform((spaces.lam,))
+        with pytest.raises(CorrelationDomainMismatch):
+            SettingDependent(broken).spaces
+
+    def test_source_only_marginals_have_no_spaces(self):
+        lam = HiddenSpace.of_size("lambda", 2)
+        family = SettingDependent({pair: Distribution.uniform((lam,))
+                                   for pair in SETTING_PAIRS})
+        with pytest.raises(CorrelationDomainMismatch):
+            family.spaces
+        with pytest.raises(CorrelationDomainMismatch):
+            check_joint_existence(family)
+
+    def test_inconsistent_spaces_rejected(self):
+        # (a, b') names a lambda_a of three values, (a, b) one of two
+        family, spaces = self.make_family()
+        other = HiddenSpace.of_size("lambda_a", 3)
+        broken = dict(family.marginals)
+        broken[("a", "b_prime")] = Distribution.uniform(
+            (spaces.lam, other, spaces.lam_b_prime))
+        with pytest.raises(CorrelationDomainMismatch) as exc:
+            SettingDependent(broken).spaces
+        assert exc.value.module == "correlation-engine"
+
+    def test_swapped_axes_rejected(self):
+        family, spaces = self.make_family()
+        broken = dict(family.marginals)
+        broken[("a_prime", "b")] = Distribution.uniform(
+            (spaces.lam, spaces.lam_b, spaces.lam_a_prime))
+        with pytest.raises(CorrelationDomainMismatch):
+            SettingDependent(broken).spaces
+
+    def test_invalid_marginal_rejected(self):
+        family, _ = self.make_family()
+        broken = dict(family.marginals)
+        m = broken[("a", "b")]
+        broken[("a", "b")] = Distribution(m.domain, np.full(m.size, 0.5))
+        with pytest.raises(NotNormalized):
+            SettingDependent(broken)
 
 
 class TestReports:

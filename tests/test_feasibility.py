@@ -18,7 +18,7 @@ from helpers import (
 )
 
 from bellsim import feasibility
-from bellsim.correlation import bell_check, exact_report
+from bellsim.correlation import SettingDependent, bell_check, exact_report
 from bellsim.errors import NonViolatingAngles, NumericalFailure, WorkLimitExceeded
 from bellsim.feasibility import (
     CERTIFICATE_SLACK,
@@ -29,7 +29,6 @@ from bellsim.feasibility import (
     construct_factorized_family,
     construct_nonlocal_witness,
     factorized_joint,
-    family_distributions,
     family_from_joint,
     marginal_residual,
     verify_certificate,
@@ -42,7 +41,6 @@ from bellsim.spaces import (
     Distribution,
     FiveSpaces,
     HiddenSpace,
-    SettingPairMarginalFamily,
     marginalize,
 )
 
@@ -120,7 +118,7 @@ class TestRandomJointFamilies:
 class TestNonlocalWitness:
     def test_tsirelson_family_reaches_quantum_chsh(self):
         family, model = construct_nonlocal_witness(TSIRELSON_ANGLES)
-        report = exact_report(model, family_distributions(family), TSIRELSON_ANGLES)
+        report = exact_report(model, family, TSIRELSON_ANGLES)
         assert report.s == pytest.approx(-TSIRELSON, abs=1e-9)
         assert not report.bound.satisfied
 
@@ -181,7 +179,7 @@ class TestEquivalenceWithChsh:
                 continue
             trials += 1
             family, model = uniform_marginal_family(e)
-            report = exact_report(model, family_distributions(family), FOUR_SETTINGS)
+            report = exact_report(model, family, FOUR_SETTINGS)
             assert report.s == pytest.approx(s, abs=1e-12)
             verdict = classify(family)
             if verdict == "Local":
@@ -219,7 +217,7 @@ class TestInconsistentFamilies:
             else:
                 w = np.array([0.5, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
             marginals[(p, q)] = Distribution(dom, w)
-        family = SettingPairMarginalFamily(spaces, marginals)
+        family = SettingDependent(marginals)
         verdict = check_joint_existence(family)
         assert verdict.status == "Infeasible"
         max_ya, yb = verify_certificate(family, verdict.certificate)
@@ -233,7 +231,7 @@ class TestWorkLimit:
         for p, q in SETTING_PAIRS:
             dom = (spaces.lam, spaces.for_setting(p), spaces.for_setting(q))
             marginals[(p, q)] = Distribution.uniform(dom)
-        family = SettingPairMarginalFamily(spaces, marginals)
+        family = SettingDependent(marginals)
         with pytest.raises(WorkLimitExceeded) as exc:
             check_joint_existence(family)
         assert exc.value.required == 16 ** 4 * 4
@@ -245,7 +243,7 @@ class TestWorkLimit:
         for p, q in SETTING_PAIRS:
             dom = (spaces.lam, spaces.for_setting(p), spaces.for_setting(q))
             marginals[(p, q)] = Distribution.uniform(dom)
-        family = SettingPairMarginalFamily(spaces, marginals)
+        family = SettingDependent(marginals)
         with pytest.raises(WorkLimitExceeded):
             check_joint_existence(family, work_limit=16)
 
@@ -334,7 +332,7 @@ def random_family(rng, cards):
     for p, q in SETTING_PAIRS:
         dom = (spaces.lam, spaces.for_setting(p), spaces.for_setting(q))
         marginals[(p, q)] = random_distribution(rng, dom)
-    return SettingPairMarginalFamily(spaces, marginals)
+    return SettingDependent(marginals)
 
 
 def assert_agrees_with_full_system(family):
@@ -411,7 +409,7 @@ class TestBlockSplit:
             weights = marginal.weights.copy()
             weights[1] = singlet[pair]
             marginals[pair] = Distribution(marginal.domain, weights)
-        family = SettingPairMarginalFamily(spaces, marginals)
+        family = SettingDependent(marginals)
         verdict = assert_agrees_with_full_system(family)
         assert verdict.status == "Infeasible"
         # only the rows of block 1 carry weight: per pair, rows run

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellsim import simplex
-from bellsim.errors import TableauGrowth
+from bellsim.errors import DomainMismatch, TableauGrowth
 from bellsim.simplex import (FEASIBILITY_TOL, GROWTH_LIMIT,
                              solve_equality_feasibility)
 
@@ -54,6 +54,12 @@ class TestElementary:
         result = solve_equality_feasibility(A, b)
         assert_valid_solution(A, b, result)
         assert result.objective <= FEASIBILITY_TOL
+
+    def test_rhs_of_the_wrong_shape_refused(self):
+        with pytest.raises(DomainMismatch) as exc:
+            solve_equality_feasibility(np.eye(3), np.ones(2))
+        assert exc.value.module == "simplex"
+        assert str(exc.value) == "b has shape (2,), expected (3,)"
 
     def test_negative_rhs_handled_by_row_flip(self):
         A = np.array([[-1.0, 0.0], [0.0, 1.0]])

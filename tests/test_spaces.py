@@ -21,11 +21,8 @@ from bellsim.errors import (
 )
 from bellsim.spaces import (
     APPARATUS_LABELS,
-    SETTING_PAIRS,
     Distribution,
-    FiveSpaces,
     HiddenSpace,
-    SettingPairMarginalFamily,
     marginalize,
     product_distribution,
     validate_distribution,
@@ -244,35 +241,3 @@ def test_product_marginalizes_back_to_factors(cards, seed):
     for part in parts:
         back = marginalize(d, part.labels)
         np.testing.assert_allclose(back.flat, part.flat, atol=TOL)
-
-
-class TestSettingPairMarginalFamily:
-    def make_family(self):
-        lam = space("lambda", 2)
-        spaces = FiveSpaces.binary_apparatus(lam)
-        marginals = {}
-        for p, q in SETTING_PAIRS:
-            dom = (lam, spaces.for_setting(p), spaces.for_setting(q))
-            marginals[(p, q)] = Distribution.uniform(dom)
-        return SettingPairMarginalFamily(spaces, marginals)
-
-    def test_valid_family_accepts(self):
-        self.make_family().validate()
-
-    def test_marginal_lookup_symmetric(self):
-        fam = self.make_family()
-        assert fam.marginal("a", "b") is fam.marginal("b", "a")
-
-    def test_missing_pair_rejected(self):
-        fam = self.make_family()
-        broken = dict(fam.marginals)
-        del broken[("a", "b")]
-        with pytest.raises(InvalidFamily):
-            SettingPairMarginalFamily(fam.spaces, broken).validate()
-
-    def test_wrong_domain_rejected(self):
-        fam = self.make_family()
-        broken = dict(fam.marginals)
-        broken[("a", "b")] = Distribution.uniform((fam.spaces.lam,))
-        with pytest.raises(InvalidFamily):
-            SettingPairMarginalFamily(fam.spaces, broken).validate()
