@@ -89,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the scenario's monte-carlo seed")
     p_run.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT,
-                       help="cap on the composite points of the "
-                            "feasibility analysis "
+                       help="cap on the composite points of an apparatus "
+                            "scenario, checked before any analysis "
                             f"(default {DEFAULT_WORK_LIMIT})")
 
     p_gen = sub.add_parser("generate", parents=[common],

@@ -247,6 +247,10 @@ class FeasibilityWorkLimitExceeded(WorkLimitExceeded):
     module = "feasibility"
 
 
+class FeasibilityDomainMismatch(DomainMismatch):
+    module = "feasibility"
+
+
 # ---------------------------------------------------------------------------
 # Simplex (simplex.py)
 # ---------------------------------------------------------------------------
@@ -285,7 +289,8 @@ class _QmError(BellsimError):
 
 
 class NonFiniteAngle(_QmError):
-    """An analyzer angle given to the singlet oracle is NaN or infinite."""
+    """An analyzer angle given to the singlet oracle, or the difference of
+    two, is NaN or infinite."""
 
     def __init__(self, name: str, value: float):
         self.name = name

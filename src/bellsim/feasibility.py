@@ -1,14 +1,18 @@
-"""Joint-distribution existence for setting-pair marginal families.
+"""Joint-distribution existence for the apparatus distribution modes.
 
 A family of four distributions rho_pq(lambda, lambda_p, lambda_q) has
 *local correlations* when a single joint distribution over the composite
 variable (lambda, lambda_a, lambda_a', lambda_b, lambda_b') returns every
-rho_pq as a marginal, and *nonlocal correlations* otherwise.  Existence
-is decided exactly (up to the stated tolerances) as a linear feasibility
-problem: one nonnegative weight per composite point, one equality per
-marginal cell.  Total mass 1 is implied by any marginal's normalization,
-and the redundancy among the four shared lambda-marginals is left to the
-solver; inconsistent marginals simply come back Infeasible.
+rho_pq as a marginal, and *nonlocal correlations* otherwise.
+``check_joint_existence`` decides this for the family a distribution mode
+induces.  FactorizedApparatus and JointComposite modes are Local by
+construction: the product joint (``factorized_joint``) or the mode's own
+joint is the witness, and no LP runs.  For a SettingDependent family,
+existence is decided exactly (up to the stated tolerances) as a linear
+feasibility problem: one nonnegative weight per composite point, one
+equality per marginal cell.  Total mass 1 is implied by any marginal's
+normalization, and the redundancy among the four shared lambda-marginals
+is left to the solver; inconsistent marginals simply come back Infeasible.
 
 Every marginal cell fixes a lambda value, so the full system is block
 diagonal: one block per lambda, all equal to the same 0/1 matrix over the
@@ -23,17 +27,11 @@ row-major over (lambda, lambda_p, lambda_q) inside a group.  So y^T b is
 the sum of the infeasible blocks' phase-1 optima and y^T A <= 0 still
 holds column by column.
 
-A family that is Local by construction needs no LP: a FactorizedApparatus
-family is reproduced by the product joint (``factorized_joint``) and a
-JointComposite family by its own joint.  ``check_witness`` turns such a
-construction witness into a verdict, with the same work limit and the
-same joint check as the LP's Feasible branch; ``check_joint_existence``
-stays the LP, for SettingDependent families and library callers.
-
-Feasible verdicts carry an explicit joint, renormalized and then checked
-against the marginals by the same step on both paths; Infeasible
-verdicts carry the certificate, reported raw and checked to separate.
-Both checks are computed from the marginal structure in a fixed order,
+``admit`` refuses every mode with more composite points than the work
+limit before any joint is built.  Feasible verdicts carry an explicit
+joint, witness or LP solution, renormalized and then checked against the
+marginals by the same step; Infeasible verdicts carry the certificate,
+reported raw, and the two numbers of its separation check.  Both checks are computed from the marginal structure in a fixed order,
 never by a matrix product, and a verdict that fails its check raises
 :class:`NumericalFailure` instead of being returned.  A family whose
 distance from locality (the phase-1 optimum) lies between the solver's
@@ -45,16 +43,17 @@ and its certificate is too weak to separate.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 from typing import Literal
 
 import numpy as np
 
-from .correlation import BELL_BOUND_TOL, SettingDependent
-from .errors import (FeasibilityWorkLimitExceeded, NonViolatingAngles,
-                     NumericalFailure)
+from .correlation import (BELL_BOUND_TOL, FactorizedApparatus, JointComposite,
+                          SettingDependent)
+from .errors import (FeasibilityDomainMismatch, FeasibilityWorkLimitExceeded,
+                     NonViolatingAngles, NumericalFailure)
 from .models import ApparatusDeterministic, Setting
 from .qm import singlet_chsh, singlet_probabilities
 from .simplex import solve_equality_feasibility
@@ -85,10 +84,11 @@ class FeasibilityVerdict:
     """Outcome of the joint-existence decision.
 
     ``joint`` and ``residual`` are set when Feasible: the explicit joint
-    over the five spaces and its worst marginal-cell error.  ``certificate``
-    and ``violation`` are set when Infeasible: the separating functional
-    (ordered like the rows of the full system, see the module docstring)
-    and the amount y^T b by which the marginals break the certified bound.
+    over the five spaces and its worst marginal-cell error.  ``certificate``,
+    ``violation`` and ``max_yta`` are set when Infeasible: the separating
+    functional (ordered like the rows of the full system, see the module
+    docstring), then y^T b, the amount by which the marginals break the
+    certified bound, and the max of y^T A, from ``verify_certificate``.
     """
 
     status: Literal["Feasible", "Infeasible"]
@@ -96,6 +96,7 @@ class FeasibilityVerdict:
     residual: float | None = None
     certificate: np.ndarray | None = None
     violation: float | None = None
+    max_yta: float | None = None
 
     @property
     def feasible(self) -> bool:
@@ -150,10 +151,9 @@ def marginal_residual(family: SettingDependent,
                for p, q in SETTING_PAIRS)
 
 
-def _admit(family: SettingDependent, work_limit: int) -> None:
-    """Refuse a family whose marginals do not share five spaces, or that
-    has more composite points than ``work_limit``."""
-    n = math.prod(s.cardinality for s in family.spaces)
+def admit(spaces: FiveSpaces, work_limit: int) -> None:
+    """Refuse five spaces with more composite points than ``work_limit``."""
+    n = math.prod(s.cardinality for s in spaces)
     if n > work_limit:
         raise FeasibilityWorkLimitExceeded(n, work_limit)
 
@@ -176,34 +176,36 @@ def _feasible_verdict(family: SettingDependent,
                               residual=residual)
 
 
-def check_witness(family: SettingDependent,
-                  witness: Callable[[], Distribution],
-                  work_limit: int = DEFAULT_WORK_LIMIT) -> FeasibilityVerdict:
-    """The Feasible verdict of a family that is Local by construction,
-    carried by its construction witness instead of an LP joint.
-
-    Checks the family's spaces and applies ``work_limit`` exactly as
-    :func:`check_joint_existence` does, and only then calls ``witness``
-    to build the joint, so that an oversized family is refused before
-    anything of its full size is allocated.  Raises
-    :class:`NumericalFailure` when the witness misses the marginals by
-    more than ``MARGINAL_TOL``.
-    """
-    _admit(family, work_limit)
-    return _feasible_verdict(family, witness())
-
-
-def check_joint_existence(family: SettingDependent,
+def check_joint_existence(dists: SettingDependent | FactorizedApparatus
+                          | JointComposite,
                           work_limit: int = DEFAULT_WORK_LIMIT
                           ) -> FeasibilityVerdict:
     """Decide whether a joint over the composite variable returns every
-    family marginal, and produce the witness either way.
+    marginal of the family the mode ``dists`` induces, and produce the
+    witness either way.
 
-    ``work_limit`` caps the number of composite points.  Raises
+    A FactorizedApparatus or JointComposite mode is Feasible by
+    construction; its witness (the product joint or the mode's own joint)
+    is taken only after ``work_limit``, the cap on composite points, has
+    admitted the family.  A SettingDependent family goes to the LP.
+    Raises :class:`FeasibilityDomainMismatch` for any other mode, and
     :class:`NumericalFailure` when the joint misses the marginals by more
     than ``MARGINAL_TOL`` or the certificate does not separate.
     """
-    _admit(family, work_limit)
+    if isinstance(dists, FactorizedApparatus):
+        family = construct_factorized_family(dists.rho, dists.apparatus)
+        admit(family.spaces, work_limit)
+        return _feasible_verdict(family,
+                                 factorized_joint(dists.rho, dists.apparatus))
+    if isinstance(dists, JointComposite):
+        family = family_from_joint(dists.joint)
+        admit(family.spaces, work_limit)
+        return _feasible_verdict(family, dists.joint)
+    if not isinstance(dists, SettingDependent):
+        raise FeasibilityDomainMismatch(
+            f"no setting-pair marginal family for mode {dists.mode}")
+    family = dists
+    admit(family.spaces, work_limit)
     A, B = constraint_matrix(family)
     results = [solve_equality_feasibility(A, b) for b in B]
     if all(r.feasible for r in results):
@@ -224,7 +226,7 @@ def check_joint_existence(family: SettingDependent,
         raise NumericalFailure(f"certificate does not separate: max y^T A = "
                                f"{max_yta!r}, y^T b = {ytb!r}")
     return FeasibilityVerdict(status="Infeasible", certificate=y,
-                              violation=ytb)
+                              violation=ytb, max_yta=max_yta)
 
 
 def verify_certificate(family: SettingDependent,
@@ -252,10 +254,11 @@ def verify_certificate(family: SettingDependent,
     return float(np.max(yta)), math.fsum(y * b)
 
 
-def classify(family: SettingDependent,
+def classify(dists: SettingDependent | FactorizedApparatus | JointComposite,
              work_limit: int = DEFAULT_WORK_LIMIT) -> Literal["Local", "Nonlocal"]:
-    """Local iff a joint distribution exists."""
-    verdict = check_joint_existence(family, work_limit)
+    """Local iff a joint distribution returns every marginal of the family
+    the mode ``dists`` induces (see :func:`check_joint_existence`)."""
+    verdict = check_joint_existence(dists, work_limit)
     return "Local" if verdict.feasible else "Nonlocal"
 
 

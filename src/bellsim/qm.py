@@ -104,6 +104,8 @@ def singlet_probabilities(a: Setting, b: Setting) -> SingletPrediction:
     for s in (a, b):
         if not math.isfinite(s.angle):
             raise NonFiniteAngle(s.name, s.angle)
+    if not math.isfinite(a.angle - b.angle):
+        raise NonFiniteAngle(f"{a.name} - {b.name}", a.angle - b.angle)
     ha, hb = a.angle / 2.0, b.angle / 2.0
     p_same, p_diff = _outcome_probabilities(math.cos(ha), math.sin(ha),
                                             math.cos(hb), math.sin(hb))

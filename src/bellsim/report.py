@@ -6,33 +6,28 @@ flags always produces byte-identical text.  Analyses always execute and
 appear in the canonical order correlations, chsh, bell-check,
 feasibility, emulation, whatever order the scenario requested them in.
 
-The feasibility analysis of a FactorizedApparatus or JointComposite
-scenario reports its construction witness (the product joint, or the
-scenario's own joint), checked against the marginals; only
-SettingDependent families go through the joint-existence LP.
+The feasibility analysis renders one ``check_joint_existence`` verdict on
+the scenario's distribution mode: the checked construction witness of a
+FactorizedApparatus or JointComposite scenario, or the LP's joint or
+checked certificate for a SettingDependent one.  The work limit applies
+to an apparatus scenario before any analysis runs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from functools import partial
 from typing import Any
 
 from .correlation import (DEFAULT_ENUM_WORK_LIMIT, BellVerdict,
-                          CorrelationReport, EstimatorInfo,
-                          FactorizedApparatus, JointComposite,
-                          SettingDependent, SourceOnly, bell_check,
-                          enumerate_bound, exact_report, monte_carlo_report)
-from .errors import ValidationError
-from .feasibility import (DEFAULT_WORK_LIMIT, check_joint_existence,
-                          check_witness, construct_factorized_family,
-                          factorized_joint, family_from_joint,
-                          verify_certificate)
-from .models import (Setting, effective_response_apparatus,
+                          CorrelationReport, EstimatorInfo, SourceOnly,
+                          bell_check, enumerate_bound, exact_report,
+                          monte_carlo_report)
+from .feasibility import DEFAULT_WORK_LIMIT, admit, check_joint_existence
+from .models import (ApparatusDeterministic, Setting,
+                     effective_response_apparatus,
                      effective_response_stochastic, standard_settings)
 from .qm import max_violation_search, singlet_chsh, singlet_probabilities
 from .scenario import ANALYSES, SCHEMA_VERSION, Scenario, dist_doc
-from .spaces import SETTING_NAMES, SETTING_PAIRS, Distribution
+from .spaces import SETTING_NAMES, SETTING_PAIRS
 
 _CELL_LABELS = ("++", "+-", "-+", "--")
 
@@ -65,43 +60,19 @@ def _bell_doc(verdict: BellVerdict) -> dict[str, Any]:
     return {"s": verdict.s, "verdict": verdict.label, "excess": verdict.excess}
 
 
-def _family_from_mode(dists) -> tuple[SettingDependent,
-                                      Callable[[], Distribution] | None]:
-    """The setting-pair marginal family a distribution mode induces, and
-    a builder of the joint that reproduces it by construction: the
-    product joint of a FactorizedApparatus family, the scenario's own
-    joint of a JointComposite one, and None for SettingDependent, which
-    is its own family and whose verdict the LP decides.  The product
-    joint is built only when the builder is called, after the work limit
-    has admitted the family."""
-    if isinstance(dists, FactorizedApparatus):
-        return (construct_factorized_family(dists.rho, dists.apparatus),
-                partial(factorized_joint, dists.rho, dists.apparatus))
-    if isinstance(dists, JointComposite):
-        return family_from_joint(dists.joint), lambda: dists.joint
-    if isinstance(dists, SettingDependent):
-        return dists, None
-    raise ValidationError(f"no marginal family for mode {dists.mode}")
-
-
 def _feasibility_doc(dists, work_limit: int) -> dict[str, Any]:
-    family, witness = _family_from_mode(dists)
-    if witness is None:
-        verdict = check_joint_existence(family, work_limit)
-    else:
-        verdict = check_witness(family, witness, work_limit)
+    verdict = check_joint_existence(dists, work_limit)
     if verdict.feasible:
         return {"status": verdict.status,
                 "classification": "Local",
                 "residual": verdict.residual,
                 "joint": dist_doc(verdict.joint)}
-    max_yta, ytb = verify_certificate(family, verdict.certificate)
     return {"status": verdict.status,
             "classification": "Nonlocal",
             "violation": verdict.violation,
             "certificate": [float(y) for y in verdict.certificate],
-            "certificate_check": {"max_y_transpose_A": max_yta,
-                                  "y_transpose_b": ytb}}
+            "certificate_check": {"max_y_transpose_A": verdict.max_yta,
+                                  "y_transpose_b": verdict.violation}}
 
 
 def _emulation_doc(scenario: Scenario, primary: CorrelationReport,
@@ -153,12 +124,14 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
     """Execute the scenario's analyses and assemble the report document.
 
     ``seed_override`` replaces the scenario's monte-carlo seed (ignored for
-    the exact estimator); ``work_limit`` caps the composite points of the
-    feasibility analysis.
+    the exact estimator); ``work_limit`` caps the composite points of an
+    ApparatusDeterministic scenario, checked before any analysis runs.
     Verdicts are report content, never errors; errors mean the scenario
     could not be executed at all, and each propagates as raised, tagged
     with the module that raised it.
     """
+    if isinstance(scenario.model, ApparatusDeterministic):
+        admit(scenario.model.spaces, work_limit)
     requested = tuple(a for a in ANALYSES if a in scenario.run.analyses)
     doc: dict[str, Any] = {
         "report_version": SCHEMA_VERSION,

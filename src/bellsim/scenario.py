@@ -456,7 +456,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path.name}: invalid JSON ({exc})") from exc
     return parse_scenario(doc, digest="sha256:" + sha256(raw).hexdigest())
 

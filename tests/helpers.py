@@ -6,7 +6,8 @@ import json
 
 import numpy as np
 
-from bellsim.correlation import SettingDependent
+from bellsim.correlation import JointComposite, SettingDependent
+from bellsim.feasibility import construct_factorized_family, family_from_joint
 from bellsim.models import (
     SETTING_NAMES,
     ApparatusDeterministic,
@@ -15,7 +16,6 @@ from bellsim.models import (
     StochasticSource,
     standard_settings,
 )
-from bellsim.report import _family_from_mode
 from bellsim.scenario import parse_scenario, write_scenario
 from bellsim.spaces import (
     SETTING_PAIRS,
@@ -126,7 +126,9 @@ def setting_dependent_copy(source, target) -> None:
     distributions replaced by the four pair marginals of its family (mode
     SettingDependent), so that its feasibility analysis runs the LP."""
     doc = json.loads(source.read_text(encoding="utf-8"))
-    family, _ = _family_from_mode(parse_scenario(doc).distributions)
+    dists = parse_scenario(doc).distributions
+    family = (family_from_joint(dists.joint) if isinstance(dists, JointComposite)
+              else construct_factorized_family(dists.rho, dists.apparatus))
     doc["distributions"] = {"mode": "SettingDependent", "marginals": {
         f"{p}|{q}": {"domain": list(family.marginal(p, q).labels),
                      "weights": [float(w) for w in family.marginal(p, q).flat]}

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from helpers import setting_dependent_copy
 
-from bellsim import feasibility, report
+from bellsim import correlation, feasibility, report
 from bellsim.cli import main
 from bellsim.correlation import DEFAULT_ENUM_WORK_LIMIT, MAX_SAMPLES
 from bellsim.errors import BellsimError, WorkLimitExceeded
@@ -167,13 +167,26 @@ class TestRun:
         def unbuildable(rho, apparatus):
             raise AssertionError("witness built before the work limit")
 
-        monkeypatch.setattr(report, "factorized_joint", unbuildable)
+        monkeypatch.setattr(feasibility, "factorized_joint", unbuildable)
         code, out, err = run_cli(capsys, "run",
                                  str(SCENARIOS / "factorized.scenario"),
                                  "--work-limit", "4")
         assert code == 1
         assert out == ""
         assert "limit is 4" in err
+
+    def test_work_limit_applies_before_any_analysis(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # one pair's (lambda, lambda_a, lambda_b) weights would be 9e6 cells
+        def unbuildable(parts):
+            raise AssertionError("pair weights built before the work limit")
+
+        monkeypatch.setattr(correlation, "product_distribution", unbuildable)
+        code, out, err = run_cli(capsys, "run", _edited(
+            tmp_path, "factorized.scenario", _wide_apparatus))
+        assert (code, out) == (1, "")
+        assert err == ("bellsim: error: [feasibility] requires 9000000 units "
+                       "of work, limit is 65536\n")
 
     def test_work_limit_exit_joint_composite(self, capsys):
         code, out, err = run_cli(capsys, "run",
@@ -256,7 +269,7 @@ class TestRun:
 
     def test_unchecked_witness_exit_names_feasibility(self, capsys,
                                                       monkeypatch):
-        real = report.factorized_joint
+        real = feasibility.factorized_joint
 
         def off_by_a_little(rho, apparatus):
             joint = real(rho, apparatus)
@@ -264,7 +277,7 @@ class TestRun:
             weights.flat[0] += 1e-6
             return Distribution(joint.domain, weights)
 
-        monkeypatch.setattr(report, "factorized_joint", off_by_a_little)
+        monkeypatch.setattr(feasibility, "factorized_joint", off_by_a_little)
         code, out, err = run_cli(capsys, "run",
                                  str(SCENARIOS / "factorized.scenario"))
         assert code == 1
@@ -408,6 +421,57 @@ def _moved(label, *keys):
     return edit
 
 
+def _wide_apparatus(doc):
+    """Correlations only, on 3000-value lambda_a and lambda_b spaces and
+    singleton lambda, lambda_a' and lambda_b'."""
+    wide = [str(v) for v in range(3000)]
+    point = [1.0] + [0.0] * 2999
+    for space in doc["spaces"]:
+        space["values"] = wide if space["label"] in ("lambda_a", "lambda_b") else ["0"]
+    doc["model"]["tables"] = {"a": [[1.0] * 3000], "a_prime": [[1.0]],
+                              "b": [[-1.0] * 3000], "b_prime": [[1.0]]}
+    dists = doc["distributions"]
+    dists["rho"]["weights"] = [1.0]
+    for name, dist in dists["apparatus"].items():
+        dist["weights"] = point if name in ("a", "b") else [1.0]
+    doc["run"]["analyses"] = ["correlations"]
+
+
+def _set(*keys, value):
+    """An edit that sets the field at ``keys`` to ``value``."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+def _drop(*keys):
+    """An edit that deletes the field at ``keys``."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
+_LABELS = ["lambda", "lambda_a", "lambda_a_prime", "lambda_b",
+           "lambda_b_prime"]
+_MONTE_CARLO = {"method": "monte-carlo", "samples": 1000, "seed": 1}
+
+
+def _apparatus_under_source_only(doc):
+    doc["distributions"] = {"mode": "SourceOnly",
+                            "rho": doc["distributions"]["rho"]}
+    doc["run"]["analyses"] = ["correlations"]
+
+
+def _deeply_nested(tmp_path) -> str:
+    path = tmp_path / "deep.scenario"
+    path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    return str(path)
+
+
 def _repeated_key(tmp_path) -> str:
     """A copy of the factorized scenario whose distributions object
     states its mode twice."""
@@ -509,6 +573,89 @@ class TestErrorTags:
                                    _moved("lambda", "apparatus", "a"))],
          "[correlation-engine] FactorizedApparatus distributions for ('a', 'b') "
          "live on ('lambda', 'lambda', 'lambda_b')"),
+        (lambda _: ["qm", "table", "1e308", "-1e308"],
+         "[qm-reference] angles must be finite, got a - b = inf"),
+        (lambda _: ["qm", "chsh", "1e308", "0", "-1e308", "0"],
+         "[qm-reference] angles must be finite, got a - b = inf"),
+        (lambda _: ["generate", "setting-dependent-witness",
+                    "--angles", "1e308,0,-1e308,0"],
+         "[cli-harness] parameter 'angles': angles must be finite, "
+         "got a - b = inf"),
+        (lambda p: ["run", _deeply_nested(p)],
+         "[cli-harness] deep.scenario: invalid JSON (maximum recursion"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("schema_version", value="1"))],
+         "[cli-harness] schema_version: expected an integer"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("distributions", "rho", "weights",
+                                        value=1.0))],
+         "[cli-harness] distributions.rho.weights: expected an array"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("spaces", value={}))],
+         "[cli-harness] spaces: expected an array of declarations"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("spaces", 0, "label", value=7))],
+         "[cli-harness] spaces[0]: label must be a string"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("spaces", 0, "values", value=[0, 1]))],
+         "[cli-harness] spaces[0]: values must be an array of strings"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("distributions", "rho", "domain",
+                                        value=[0]))],
+         "[cli-harness] distributions.rho.domain: space reference must be a "
+         "string label"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("distributions", "rho", "domain",
+                                        value=[]))],
+         "[cli-harness] distributions.rho: domain must be a nonempty array"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("run", "estimator",
+                                        value={**_MONTE_CARLO, "samples": 0}))],
+         "[cli-harness] run.estimator.samples: must be at least 1"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("run", "estimator",
+                                        value={**_MONTE_CARLO, "seed": -1}))],
+         "[cli-harness] run.estimator.seed: must be nonnegative"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("run", "analyses", value=[]))],
+         "[cli-harness] run.analyses: expected a nonempty array"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("description", value=3))],
+         "[cli-harness] description: expected a string"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _apparatus_under_source_only)],
+         "[cli-harness] model kind ApparatusDeterministic cannot run under "
+         "mode SourceOnly"),
+        (lambda p: ["run", _edited(p, "stochastic-equivalent.scenario",
+                                   _drop("comparison_model"))],
+         "[cli-harness] emulation analysis requires comparison_model"),
+        (lambda p: ["run", _edited(p, "stochastic-equivalent.scenario",
+                                   _set("distributions", value={
+                                       "mode": "JointComposite",
+                                       "joint": {"domain": _LABELS,
+                                                 "weights": [1 / 32] * 32}}))],
+         "[cli-harness] emulation analysis requires mode FactorizedApparatus"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("model", "tables", "a", value=[[1.0]]))],
+         "[response-models] table for 'a' has shape (1, 1), expected (2, 2)"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _drop("model", "tables", "b"))],
+         "[response-models] missing response table for setting 'b'"),
+        (lambda p: ["run", _edited(p, "stochastic-equivalent.scenario",
+                                   _drop("comparison_model", "tables", "a"))],
+         "[response-models] missing probability table for setting 'a'"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _drop("distributions", "apparatus",
+                                         "b_prime"))],
+         "[correlation-engine] missing apparatus distribution for 'b_prime'"),
+        (lambda p: ["run", _edited(p, "joint-composite.scenario",
+                                   _set("distributions", "joint", value={
+                                       "domain": _LABELS[:4],
+                                       "weights": [1 / 16] * 16}))],
+         "[correlation-engine] composite joint needs a five-space domain"),
+        (lambda _: ["generate", "factorized", "--estimator", "monte-carlo",
+                    "--mc-seed", "-1"],
+         "[cli-harness] parameter 'mc_seed': must be nonnegative"),
     ], ids=["qm-search-step", "enumerate-bound-9", "enumerate-bound-0",
             "work-limit", "unknown-template", "missing-file",
             "swapped-domain", "negative-weight", "half-sign", "nan-weight",
@@ -518,7 +665,17 @@ class TestErrorTags:
             "unknown-top-level-field", "joint-beside-factorized",
             "both-pair-orders", "repeated-key", "output-is-directory",
             "nested-weights", "rho-on-lambda-a", "rho-on-lambda-b-prime",
-            "apparatus-a-on-lambda-b", "apparatus-a-on-lambda"])
+            "apparatus-a-on-lambda-b", "apparatus-a-on-lambda",
+            "qm-table-overflowing-difference", "qm-chsh-overflowing-difference",
+            "witness-overflowing-difference", "deeply-nested-json",
+            "string-schema-version", "scalar-weights", "spaces-object",
+            "integer-space-label", "integer-space-values", "integer-domain-label",
+            "empty-domain", "zero-samples", "negative-mc-seed",
+            "no-analyses", "integer-description", "apparatus-under-source-only",
+            "emulation-without-comparison", "emulation-under-joint-composite",
+            "one-by-one-table", "missing-model-table",
+            "missing-comparison-table", "missing-apparatus-distribution",
+            "four-space-joint", "generate-negative-mc-seed"])
     def test_stderr_names_the_module(self, capsys, tmp_path, argv, prefix):
         code, out, err = run_cli(capsys, *argv(tmp_path))
         assert (code, out) == (1, "")
@@ -607,6 +764,15 @@ class TestGenerate:
         assert (code, err) == (0, "")
         assert json.loads(out)["settings"] == {
             "a": float(first), "a_prime": 0.0, "b": 0.0, "b_prime": -1e-3}
+
+    @pytest.mark.parametrize("flag, value, kind", [("--cards", "2,x", "integer"),
+                                                   ("--angles", "0,x", "number")])
+    def test_malformed_list_exits_2(self, capsys, flag, value, kind):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "factorized", flag, value])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: not a comma-separated {kind} list: "
+                f"{value!r}") in capsys.readouterr().err
 
     def test_negative_infinite_angle_exit(self, capsys):
         code, out, err = run_cli(capsys, "generate", "factorized",

@@ -18,13 +18,24 @@ from helpers import (
 )
 
 from bellsim import feasibility
-from bellsim.correlation import SettingDependent, bell_check, exact_report
-from bellsim.errors import NonViolatingAngles, NumericalFailure, WorkLimitExceeded
+from bellsim.correlation import (
+    FactorizedApparatus,
+    JointComposite,
+    SettingDependent,
+    SourceOnly,
+    bell_check,
+    exact_report,
+)
+from bellsim.errors import (
+    DomainMismatch,
+    NonViolatingAngles,
+    NumericalFailure,
+    WorkLimitExceeded,
+)
 from bellsim.feasibility import (
     CERTIFICATE_SLACK,
     MARGINAL_TOL,
     check_joint_existence,
-    check_witness,
     classify,
     construct_factorized_family,
     construct_nonlocal_witness,
@@ -131,6 +142,8 @@ class TestNonlocalWitness:
         assert max_ya <= 1e-7
         assert yb > 1e-9
         assert verdict.violation == pytest.approx(yb, abs=1e-12)
+        # the verdict carries the check it made, bit for bit
+        assert (verdict.max_yta, verdict.violation) == (max_ya, yb)
         assert classify(family) == "Nonlocal"
 
     def test_non_violating_angles_rejected(self):
@@ -248,6 +261,14 @@ class TestWorkLimit:
             check_joint_existence(family, work_limit=16)
 
 
+def uniform_factorized(cards) -> FactorizedApparatus:
+    spaces = five_spaces(cards)
+    return FactorizedApparatus(
+        Distribution.uniform((spaces.lam,)),
+        {n: Distribution.uniform((spaces.for_setting(n),))
+         for n in ("a", "a_prime", "b", "b_prime")})
+
+
 class TestConstructionWitness:
     def test_factorized_witness_is_the_renormalized_product(self):
         rng = np.random.default_rng(51)
@@ -256,7 +277,7 @@ class TestConstructionWitness:
         apparatus = random_apparatus_dists(rng, spaces)
         family = construct_factorized_family(rho, apparatus)
         joint = factorized_joint(rho, apparatus)
-        verdict = check_witness(family, lambda: joint)
+        verdict = check_joint_existence(FactorizedApparatus(rho, apparatus))
         assert_marginals_reproduced(family, verdict)
         np.testing.assert_array_equal(
             verdict.joint.weights, joint.weights / float(np.sum(joint.flat)))
@@ -266,37 +287,48 @@ class TestConstructionWitness:
         rng = np.random.default_rng(52)
         joint = random_distribution(rng, tuple(five_spaces((2, 3, 2, 3, 2))))
         family = family_from_joint(joint)
-        verdict = check_witness(family, lambda: joint)
+        verdict = check_joint_existence(JointComposite(joint))
         assert_marginals_reproduced(family, verdict)
         assert verdict.status == check_joint_existence(family).status
 
-    def test_perturbed_witness_is_refused(self):
-        rng = np.random.default_rng(53)
-        joint = random_distribution(rng, tuple(five_spaces((2, 2, 2, 2, 2))))
-        family = family_from_joint(joint)
-        weights = joint.weights.copy()
-        weights.flat[0] += 1e-6
+    def test_perturbed_witness_is_refused(self, monkeypatch):
+        real = feasibility.factorized_joint
+
+        def off_by_a_little(rho, apparatus):
+            joint = real(rho, apparatus)
+            weights = joint.weights.copy()
+            weights.flat[0] += 1e-6
+            return Distribution(joint.domain, weights)
+
+        monkeypatch.setattr(feasibility, "factorized_joint", off_by_a_little)
         with pytest.raises(NumericalFailure) as exc:
-            check_witness(family, lambda: Distribution(joint.domain, weights))
+            check_joint_existence(uniform_factorized((2, 2, 2, 2, 2)))
         assert exc.value.module == "feasibility"
 
     def test_work_limit_applies(self):
         joint = Distribution.uniform(tuple(five_spaces((2, 2, 2, 2, 2))))
-        family = family_from_joint(joint)
-        assert check_witness(family, lambda: joint, work_limit=32).feasible
+        dists = JointComposite(joint)
+        assert check_joint_existence(dists, work_limit=32).feasible
         with pytest.raises(WorkLimitExceeded) as exc:
-            check_witness(family, lambda: joint, work_limit=31)
+            check_joint_existence(dists, work_limit=31)
         assert exc.value.required == 32
 
-    def test_refused_family_builds_no_witness(self):
-        joint = Distribution.uniform(tuple(five_spaces((2, 2, 2, 2, 2))))
-        family = family_from_joint(joint)
-
-        def unbuildable():
+    def test_refused_family_builds_no_witness(self, monkeypatch):
+        def unbuildable(rho, apparatus):
             raise AssertionError("witness built before the work limit")
 
+        monkeypatch.setattr(feasibility, "factorized_joint", unbuildable)
         with pytest.raises(WorkLimitExceeded):
-            check_witness(family, unbuildable, work_limit=31)
+            check_joint_existence(uniform_factorized((2, 2, 2, 2, 2)),
+                                  work_limit=31)
+
+    def test_source_only_mode_is_refused(self):
+        rho = Distribution.uniform((five_spaces((2, 2, 2, 2, 2)).lam,))
+        with pytest.raises(DomainMismatch) as exc:
+            check_joint_existence(SourceOnly(rho))
+        assert exc.value.module == "feasibility"
+        assert str(exc.value) == ("no setting-pair marginal family for mode "
+                                  "SourceOnly")
 
 
 _AXES = {"a": 1, "a_prime": 2, "b": 3, "b_prime": 4}
