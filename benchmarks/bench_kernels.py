@@ -22,14 +22,6 @@ def _time(fn, repeats: int, setup=lambda: None) -> float:
     return min(timeit.repeat(fn, setup, number=1, repeat=repeats))
 
 
-def bench_response_product_sum(rng):
-    n = 200_000
-    f = rng.choice([-1.0, 1.0], size=n)
-    g = rng.choice([-1.0, 1.0], size=n)
-    w = rng.dirichlet(np.ones(n))
-    return _time(lambda: _kernels.response_product_sum(f, g, w), 5)
-
-
 def bench_outcome_cell_sums(rng):
     n = 200_000
     w = rng.random(n)
@@ -84,7 +76,6 @@ def bench_chsh_strategy_max(_rng):
 
 
 BENCHES = [
-    ("response_product_sum (n=2e5)", bench_response_product_sum),
     ("outcome_cell_sums   (n=2e5)", bench_outcome_cell_sums),
     ("mc_outcome_counts   (4 cells, 1e6)", bench_mc_outcome_counts_compare),
     ("mc_outcome_counts   (512 cells, 1e6)", bench_mc_outcome_counts_sort),

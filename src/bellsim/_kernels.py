@@ -3,16 +3,16 @@
 Report bytes depend on the floating-point evaluation order of these
 kernels, not just on their formulas:
 
-* sums accumulate sequentially left to right (no pairwise or SIMD
-  reassociation), so scalar accumulations are written as Python loops over
-  IEEE-754 doubles; a pairwise sum would round differently and change the
-  correlations a report prints;
+* weight totals accumulate in input order (``np.bincount``), never by a
+  pairwise or SIMD-reassociated sum, which would round differently and
+  change the correlations a report prints;
 * elementwise array operations (one rounding per element) use numpy;
 * integer results (sample counts, strategy maxima over small integers) are
   exact by construction.
 
 Callers bind each kernel by name (``from ._kernels import ...``).
-``BACKEND`` names this implementation in environment records.
+``BACKEND`` names this implementation; it stays because the benchmark
+harness (``perfbench/run.py``) reads it into its environment record.
 """
 
 from __future__ import annotations
@@ -70,14 +70,6 @@ class UniformDraws:
 
     rng: Any
     size: int
-
-
-def response_product_sum(f: np.ndarray, g: np.ndarray, w: np.ndarray) -> float:
-    """Return sum_i f[i]*g[i]*w[i], accumulated sequentially."""
-    acc = 0.0
-    for fi, gi, wi in zip(f.tolist(), g.tolist(), w.tolist()):
-        acc += fi * gi * wi
-    return acc
 
 
 def outcome_cell_sums(weights: np.ndarray, codes: np.ndarray) -> np.ndarray:

@@ -543,9 +543,12 @@ def enumerate_bound(lambda_cardinality: int,
     """
     if lambda_cardinality < 1:
         raise CorrelationDomainMismatch("source cardinality must be at least 1")
-    strategies = 2 ** (4 * lambda_cardinality)
-    if strategies > work_limit:
-        raise WorkLimitExceeded(strategies, work_limit)
+    bits = 4 * lambda_cardinality
+    # 2**bits > work_limit exactly when bits reaches the limit's bit length,
+    # so a refused count is never formed, and printed only when it is short
+    if bits >= max(work_limit, 0).bit_length():
+        raise WorkLimitExceeded(2 ** bits if bits <= 64 else f"2**{bits}", work_limit)
+    strategies = 2 ** bits
     max_abs_s = float(chsh_strategy_max(lambda_cardinality))
     return BoundEnumeration(
         lambda_cardinality=lambda_cardinality,

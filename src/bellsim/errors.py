@@ -121,22 +121,6 @@ class KindMismatch(_ResponseModelsError):
         super().__init__(f"operation expects a {expected} model, got {actual}")
 
 
-class MissingRemoteSetting(_ResponseModelsError):
-    """A contextual model was queried without the remote setting."""
-
-    def __init__(self) -> None:
-        super().__init__("contextual outcome queries require the remote setting")
-
-
-class PointDimensionMismatch(_ResponseModelsError):
-    """A hidden point has the wrong number of components for the model kind."""
-
-    def __init__(self, expected: int, actual: int):
-        self.expected = int(expected)
-        self.actual = int(actual)
-        super().__init__(f"hidden point has {self.actual} components, expected {self.expected}")
-
-
 class DomainMismatch(_ResponseModelsError):
     """Spaces supplied to an operation do not match the model's declared spaces."""
 
@@ -187,10 +171,12 @@ class OutOfRangeCorrelation(_CorrelationError):
 
 
 class WorkLimitExceeded(_CorrelationError):
-    """The requested computation exceeds the configured work limit."""
+    """The requested computation exceeds the configured work limit.
+    ``required`` is the work count, or for a count too long to print, its
+    power-of-two expression (``"2**14288"``)."""
 
-    def __init__(self, required: int, limit: int):
-        self.required = int(required)
+    def __init__(self, required: int | str, limit: int):
+        self.required = required if isinstance(required, str) else int(required)
         self.limit = int(limit)
         super().__init__(f"requires {self.required} units of work, limit is {self.limit}")
 

@@ -28,7 +28,7 @@ the sum of the infeasible blocks' phase-1 optima and y^T A <= 0 still
 holds column by column.
 
 ``admit`` refuses every mode with more composite points than the work
-limit before any joint is built.  Feasible verdicts carry an explicit
+limit before any family or joint is built.  Feasible verdicts carry an explicit
 joint, witness or LP solution, renormalized and then checked against the
 marginals by the same step; Infeasible verdicts carry the certificate,
 reported raw, and the two numbers of its separation check.  Both checks are computed from the marginal structure in a fixed order,
@@ -158,6 +158,25 @@ def admit(spaces: FiveSpaces, work_limit: int) -> None:
         raise FeasibilityWorkLimitExceeded(n, work_limit)
 
 
+def _mode_spaces(dists: SettingDependent | FactorizedApparatus
+                 | JointComposite) -> FiveSpaces:
+    """The five spaces of the composite variable of a mode, read off its
+    distributions before any family or joint is built."""
+    if isinstance(dists, SettingDependent):
+        return dists.spaces
+    if isinstance(dists, JointComposite):
+        return FiveSpaces(*dists.joint.domain)
+    if isinstance(dists, FactorizedApparatus):
+        parts = [dists.rho] + [dists.apparatus[name] for name in SETTING_NAMES]
+        if all(len(part.domain) == 1 for part in parts):
+            return FiveSpaces(*(part.domain[0] for part in parts))
+        raise FeasibilityDomainMismatch(
+            "FactorizedApparatus distributions need one space each, got "
+            f"{[part.labels for part in parts]}")
+    raise FeasibilityDomainMismatch(
+        f"no setting-pair marginal family for mode {dists.mode}")
+
+
 def _feasible_verdict(family: SettingDependent,
                      joint: Distribution) -> FeasibilityVerdict:
     """The Feasible verdict of a joint over the family's five spaces.
@@ -184,28 +203,23 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     marginal of the family the mode ``dists`` induces, and produce the
     witness either way.
 
-    A FactorizedApparatus or JointComposite mode is Feasible by
-    construction; its witness (the product joint or the mode's own joint)
-    is taken only after ``work_limit``, the cap on composite points, has
-    admitted the family.  A SettingDependent family goes to the LP.
+    ``work_limit``, the cap on composite points, applies to the mode's
+    five spaces before any family, joint or LP is built.  A
+    FactorizedApparatus or JointComposite mode is Feasible by
+    construction, with its witness (the product joint or the mode's own
+    joint).  A SettingDependent family goes to the LP.
     Raises :class:`FeasibilityDomainMismatch` for any other mode, and
     :class:`NumericalFailure` when the joint misses the marginals by more
     than ``MARGINAL_TOL`` or the certificate does not separate.
     """
+    admit(_mode_spaces(dists), work_limit)
     if isinstance(dists, FactorizedApparatus):
         family = construct_factorized_family(dists.rho, dists.apparatus)
-        admit(family.spaces, work_limit)
         return _feasible_verdict(family,
                                  factorized_joint(dists.rho, dists.apparatus))
     if isinstance(dists, JointComposite):
-        family = family_from_joint(dists.joint)
-        admit(family.spaces, work_limit)
-        return _feasible_verdict(family, dists.joint)
-    if not isinstance(dists, SettingDependent):
-        raise FeasibilityDomainMismatch(
-            f"no setting-pair marginal family for mode {dists.mode}")
+        return _feasible_verdict(family_from_joint(dists.joint), dists.joint)
     family = dists
-    admit(family.spaces, work_limit)
     A, B = constraint_matrix(family)
     results = [solve_equality_feasibility(A, b) for b in B]
     if all(r.feasible for r in results):

@@ -9,9 +9,6 @@ ApparatusDeterministic  f(setting, lambda, lambda_setting)
 
 Tables are explicit finite arrays indexed by value position in the
 declared spaces; closed-form rules are entered by tabulating them.
-Hidden points are given as value indices: a bare int or 1-tuple for the
-source-only kinds, a (lambda, lambda_setting) index pair for the
-apparatus kind.
 
 Settings carry a planar analyzer angle; the singlet correlation depends
 only on the relative angle, so full 3-D unit vectors are not needed.
@@ -27,15 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import response_product_sum
-from .errors import (
-    DomainMismatch,
-    KindMismatch,
-    MissingRemoteSetting,
-    PointDimensionMismatch,
-    RemoteDependenceForbidden,
-    SideMismatch,
-)
+from .errors import (DomainMismatch, KindMismatch, RemoteDependenceForbidden,
+                     SideMismatch)
 from .spaces import (
     SETTING_NAMES,
     SIDE_A_NAMES,
@@ -101,16 +91,6 @@ def _tables_equal(left, right) -> bool:
     if spaces_l != spaces_r or set(left.tables) != set(right.tables):
         return False
     return all(np.array_equal(left.tables[k], right.tables[k]) for k in left.tables)
-
-
-def _point_indices(point, expected: int) -> tuple[int, ...]:
-    if isinstance(point, (int, np.integer)):
-        point = (int(point),)
-    else:
-        point = tuple(int(c) for c in point)
-    if len(point) != expected:
-        raise PointDimensionMismatch(expected, len(point))
-    return point
 
 
 @dataclass(frozen=True)
@@ -251,54 +231,6 @@ class ApparatusDeterministic:
 ResponseModel = DeterministicSource | StochasticSource | Contextual | ApparatusDeterministic
 
 
-def outcome(model: ResponseModel, setting: Setting, point,
-            remote: Setting | None = None) -> int:
-    """Evaluate a deterministic model at one hidden point; returns +1 or -1."""
-    if isinstance(model, StochasticSource):
-        raise KindMismatch("deterministic", model.kind)
-    if isinstance(model, Contextual):
-        if remote is None:
-            raise MissingRemoteSetting()
-        (i,) = _point_indices(point, 1)
-        return int(model.response_vector(setting, remote)[i])
-    if remote is not None:
-        raise KindMismatch("Contextual", model.kind)
-    if isinstance(model, DeterministicSource):
-        (i,) = _point_indices(point, 1)
-        return int(model.tables[setting.name][i])
-    if isinstance(model, ApparatusDeterministic):
-        i, j = _point_indices(point, 2)
-        return int(model.tables[setting.name][i, j])
-    raise KindMismatch("deterministic", type(model).__name__)
-
-
-def effective_response_stochastic(model: StochasticSource, setting: Setting,
-                                  lam_index: int) -> float:
-    """Outcome expectation 2*p(+1) - 1 at one (setting, lambda)."""
-    if not isinstance(model, StochasticSource):
-        raise KindMismatch("StochasticSource", getattr(model, "kind", type(model).__name__))
-    (i,) = _point_indices(lam_index, 1)
-    return 2.0 * float(model.tables[setting.name][i]) - 1.0
-
-
-def effective_response_apparatus(model: ApparatusDeterministic, setting: Setting,
-                                 lam_index: int, apparatus_dist: Distribution) -> float:
-    """Outcome expectation averaged over the apparatus variable:
-    sum over lambda_s of f(setting, lambda, lambda_s) * rho_setting(lambda_s)."""
-    if not isinstance(model, ApparatusDeterministic):
-        raise KindMismatch("ApparatusDeterministic",
-                           getattr(model, "kind", type(model).__name__))
-    expected = model.spaces.for_setting(setting.name)
-    if apparatus_dist.domain != (expected,):
-        raise DomainMismatch(
-            f"apparatus distribution domain {apparatus_dist.labels} does not match "
-            f"space {expected.label!r} of setting {setting.name!r}")
-    (i,) = _point_indices(lam_index, 1)
-    row = np.ascontiguousarray(model.tables[setting.name][i])
-    ones = np.ones_like(row)
-    return response_product_sum(row, ones, apparatus_dist.flat)
-
-
 def composite_space(spaces: FiveSpaces) -> HiddenSpace:
     """The product space of all five factors, in row-major point order."""
     values = []
@@ -331,15 +263,13 @@ def lift_to_composite(model: ApparatusDeterministic) -> DeterministicSource:
     return DeterministicSource(composite_space(model.spaces), tables)
 
 
-def stochastic_from_apparatus(model: ApparatusDeterministic,
-                              apparatus_dists: Mapping[str, Distribution]
-                              ) -> StochasticSource:
-    """Collapse apparatus randomness into outcome probabilities:
-    p(+1 | setting, lambda) = total apparatus weight where f = +1."""
+def _check_apparatus_dists(model: ApparatusDeterministic,
+                           apparatus_dists: Mapping[str, Distribution]) -> None:
+    """Refuse a model of another kind, and a missing apparatus
+    distribution or one off its setting's space."""
     if not isinstance(model, ApparatusDeterministic):
         raise KindMismatch("ApparatusDeterministic",
                            getattr(model, "kind", type(model).__name__))
-    tables = {}
     for name in SETTING_NAMES:
         if name not in apparatus_dists:
             raise DomainMismatch(f"missing apparatus distribution for setting {name!r}")
@@ -349,9 +279,41 @@ def stochastic_from_apparatus(model: ApparatusDeterministic,
             raise DomainMismatch(
                 f"apparatus distribution for {name!r} has domain {dist.labels}, "
                 f"expected ({expected.label!r},)")
+
+
+def effective_responses(model: ApparatusDeterministic,
+                        apparatus_dists: Mapping[str, Distribution]
+                        ) -> dict[str, np.ndarray]:
+    """Outcome expectation of each setting at every lambda, averaged over
+    the apparatus variable: sum over lambda_s of
+    f(setting, lambda, lambda_s) * rho_setting(lambda_s).
+
+    Each product is exact (f = +1 or -1), and each lambda's sum runs left
+    to right over lambda_s from 0.0, so no summation kernel changes the
+    bits."""
+    _check_apparatus_dists(model, apparatus_dists)
+    out = {}
+    for name in SETTING_NAMES:
+        signed = model.tables[name] * apparatus_dists[name].flat
+        acc = np.zeros(signed.shape[0])
+        for column in signed.T:
+            acc += column
+        out[name] = acc
+    return out
+
+
+def stochastic_from_apparatus(model: ApparatusDeterministic,
+                              apparatus_dists: Mapping[str, Distribution]
+                              ) -> StochasticSource:
+    """Collapse apparatus randomness into outcome probabilities:
+    p(+1 | setting, lambda) = total apparatus weight where f = +1."""
+    _check_apparatus_dists(model, apparatus_dists)
+    tables = {}
+    for name in SETTING_NAMES:
         # fsum rounds the exact sum once, so no summation order (and no
         # BLAS kernel) can change the bits
-        plus_weights = np.where(model.tables[name] > 0.0, dist.flat, 0.0)
+        plus_weights = np.where(model.tables[name] > 0.0,
+                                apparatus_dists[name].flat, 0.0)
         p_plus = np.array([math.fsum(row) for row in plus_weights.tolist()])
         # guard against 1 + epsilon from weights normalized within tolerance
         tables[name] = np.clip(p_plus, 0.0, 1.0)

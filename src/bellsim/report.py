@@ -22,9 +22,8 @@ from .correlation import (DEFAULT_ENUM_WORK_LIMIT, BellVerdict,
                           bell_check, enumerate_bound, exact_report,
                           monte_carlo_report)
 from .feasibility import DEFAULT_WORK_LIMIT, admit, check_joint_existence
-from .models import (ApparatusDeterministic, Setting,
-                     effective_response_apparatus,
-                     effective_response_stochastic, standard_settings)
+from .models import (ApparatusDeterministic, Setting, effective_responses,
+                     standard_settings)
 from .qm import max_violation_search, singlet_chsh, singlet_probabilities
 from .scenario import ANALYSES, SCHEMA_VERSION, Scenario, dist_doc
 from .spaces import SETTING_NAMES, SETTING_PAIRS
@@ -77,16 +76,11 @@ def _feasibility_doc(dists, work_limit: int) -> dict[str, Any]:
 
 def _emulation_doc(scenario: Scenario, primary: CorrelationReport,
                    comparison_report: CorrelationReport) -> dict[str, Any]:
-    model = scenario.model
     comparison = scenario.comparison_model
-    dists = scenario.distributions
-    gap = 0.0
-    for setting in scenario.settings:
-        apparatus = dists.apparatus[setting.name]
-        for i in range(model.spaces.lam.cardinality):
-            averaged = effective_response_apparatus(model, setting, i, apparatus)
-            collapsed = effective_response_stochastic(comparison, setting, i)
-            gap = max(gap, abs(averaged - collapsed))
+    averaged = effective_responses(scenario.model,
+                                   scenario.distributions.apparatus)
+    gap = max(float(abs(averaged[name] - (2.0 * comparison.tables[name] - 1.0)).max())
+              for name in SETTING_NAMES)
     pairs = []
     for pc, cc in zip(primary.pairs, comparison_report.pairs):
         pairs.append({"pair": list(pc.pair),

@@ -211,7 +211,7 @@ def _array(value: Any, where: str) -> np.ndarray:
         raise ParseError(f"{where}: expected an array, got {type(value).__name__}")
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: not a numeric array ({exc})") from exc
     return arr
 

@@ -45,14 +45,13 @@ from bellsim.feasibility import (
 )
 from bellsim.models import (
     Setting,
-    effective_response_apparatus,
-    effective_response_stochastic,
+    effective_responses,
     flatten_joint,
     lift_to_composite,
     stochastic_from_apparatus,
 )
 from bellsim.qm import max_violation_search, singlet_correlation
-from bellsim.spaces import SETTING_PAIRS, marginalize
+from bellsim.spaces import SETTING_NAMES, SETTING_PAIRS, marginalize
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
@@ -183,12 +182,10 @@ def test_criterion_7_stochastic_emulation():
         rho = random_distribution(rng, (model.spaces.lam,))
         apparatus = random_apparatus_dists(rng, model.spaces)
         stochastic = stochastic_from_apparatus(model, apparatus)
-        for setting in FOUR_SETTINGS:
-            dist = apparatus[setting.name]
-            for i in range(model.spaces.lam.cardinality):
-                averaged = effective_response_apparatus(model, setting, i, dist)
-                collapsed = effective_response_stochastic(stochastic, setting, i)
-                assert abs(averaged - collapsed) <= 1e-12
+        averaged = effective_responses(model, apparatus)
+        for name in SETTING_NAMES:
+            collapsed = 2.0 * stochastic.tables[name] - 1.0
+            assert np.all(np.abs(averaged[name] - collapsed) <= 1e-12)
         via_apparatus = exact_report(model, FactorizedApparatus(rho, apparatus),
                                      FOUR_SETTINGS)
         via_stochastic = exact_report(stochastic, SourceOnly(rho), FOUR_SETTINGS)

@@ -656,6 +656,18 @@ class TestErrorTags:
         (lambda _: ["generate", "factorized", "--estimator", "monte-carlo",
                     "--mc-seed", "-1"],
          "[cli-harness] parameter 'mc_seed': must be nonnegative"),
+        (lambda _: ["enumerate-bound", "3572"],
+         "[correlation-engine] requires 2**14288 units of work, limit is 16777216"),
+        (lambda _: ["enumerate-bound", "1000000"],
+         "[correlation-engine] requires 2**4000000 units of work"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("distributions", "rho", "weights", 0,
+                                        value=10 ** 400))],
+         "[cli-harness] distributions.rho.weights: not a numeric array"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("model", "tables", "a", 0, 0,
+                                        value=10 ** 400))],
+         "[cli-harness] model.tables.a: not a numeric array"),
     ], ids=["qm-search-step", "enumerate-bound-9", "enumerate-bound-0",
             "work-limit", "unknown-template", "missing-file",
             "swapped-domain", "negative-weight", "half-sign", "nan-weight",
@@ -675,7 +687,9 @@ class TestErrorTags:
             "emulation-without-comparison", "emulation-under-joint-composite",
             "one-by-one-table", "missing-model-table",
             "missing-comparison-table", "missing-apparatus-distribution",
-            "four-space-joint", "generate-negative-mc-seed"])
+            "four-space-joint", "generate-negative-mc-seed",
+            "enumerate-bound-3572", "enumerate-bound-1000000",
+            "huge-integer-weight", "huge-integer-table-entry"])
     def test_stderr_names_the_module(self, capsys, tmp_path, argv, prefix):
         code, out, err = run_cli(capsys, *argv(tmp_path))
         assert (code, out) == (1, "")

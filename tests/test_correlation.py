@@ -54,7 +54,7 @@ from bellsim.models import (
     Contextual,
     DeterministicSource,
     StochasticSource,
-    effective_response_apparatus,
+    effective_responses,
     flatten_joint,
     lift_to_composite,
     standard_settings,
@@ -126,10 +126,7 @@ def _reference_sum(model, dists, p: str, q: str) -> float:
     if isinstance(model, ApparatusDeterministic):
         f, g = model.tables[p], model.tables[q]
         if isinstance(dists, FactorizedApparatus):
-            settings = {s.name: s for s in FOUR_SETTINGS}
-            averaged = {name: [effective_response_apparatus(
-                model, settings[name], i, dists.apparatus[name])
-                for i in range(model.spaces.lam.cardinality)] for name in (p, q)}
+            averaged = effective_responses(model, dists.apparatus)
             return sum(w * averaged[p][i] * averaged[q][i]
                        for i, w in enumerate(dists.rho.flat))
         if isinstance(dists, JointComposite):
@@ -584,6 +581,15 @@ class TestEnumerateBound:
         assert exc.value.limit == DEFAULT_ENUM_WORK_LIMIT
         with pytest.raises(WorkLimitExceeded):
             enumerate_bound(3, work_limit=2 ** 10)
+
+    def test_refused_count_is_never_formed(self):
+        with pytest.raises(WorkLimitExceeded) as exc:
+            enumerate_bound(10 ** 9)
+        assert exc.value.required == "2**4000000000"
+        with pytest.raises(WorkLimitExceeded) as exc:
+            enumerate_bound(1, work_limit=-1)
+        assert exc.value.required == 16
+        assert enumerate_bound(6, work_limit=2 ** 24).strategies == 2 ** 24
 
     def test_respects_raised_limit(self):
         result = enumerate_bound(5, work_limit=2 ** 20)

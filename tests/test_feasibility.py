@@ -28,6 +28,7 @@ from bellsim.correlation import (
 )
 from bellsim.errors import (
     DomainMismatch,
+    FeasibilityWorkLimitExceeded,
     NonViolatingAngles,
     NumericalFailure,
     WorkLimitExceeded,
@@ -321,6 +322,31 @@ class TestConstructionWitness:
         with pytest.raises(WorkLimitExceeded):
             check_joint_existence(uniform_factorized((2, 2, 2, 2, 2)),
                                   work_limit=31)
+
+    @pytest.mark.parametrize("mode", ["factorized", "joint-composite"])
+    def test_refused_mode_builds_no_family(self, monkeypatch, mode):
+        if mode == "factorized":
+            dists = uniform_factorized((2, 2, 2, 2, 2))
+        else:
+            dists = JointComposite(Distribution.uniform(tuple(five_spaces((2,) * 5))))
+
+        def unbuildable(*args):
+            raise AssertionError("family built before the work limit")
+
+        monkeypatch.setattr(feasibility, "product_distribution", unbuildable)
+        monkeypatch.setattr(feasibility, "marginalize", unbuildable)
+        with pytest.raises(FeasibilityWorkLimitExceeded) as exc:
+            check_joint_existence(dists, work_limit=31)
+        assert exc.value.required == 32
+
+    def test_factorized_part_on_two_spaces_is_refused(self):
+        dists = uniform_factorized((2, 2, 2, 2, 2))
+        spaces = five_spaces((2, 2, 2, 2, 2))
+        dists = FactorizedApparatus(
+            Distribution.uniform((spaces.lam, spaces.lam_a)), dists.apparatus)
+        with pytest.raises(DomainMismatch) as exc:
+            check_joint_existence(dists)
+        assert exc.value.module == "feasibility"
 
     def test_source_only_mode_is_refused(self):
         rho = Distribution.uniform((five_spaces((2, 2, 2, 2, 2)).lam,))

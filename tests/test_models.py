@@ -1,6 +1,8 @@
-"""Response models: outcomes, effective responses, reductions."""
+"""Response models: tables, effective responses, reductions."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +16,6 @@ from helpers import (
 from bellsim.errors import (
     DomainMismatch,
     KindMismatch,
-    MissingRemoteSetting,
-    PointDimensionMismatch,
     RemoteDependenceForbidden,
     SideMismatch,
 )
@@ -27,10 +27,8 @@ from bellsim.models import (
     Setting,
     StochasticSource,
     composite_space,
-    effective_response_apparatus,
-    effective_response_stochastic,
+    effective_responses,
     lift_to_composite,
-    outcome,
     standard_settings,
     stochastic_from_apparatus,
 )
@@ -71,17 +69,19 @@ class TestSetting:
 
 
 class TestOutcome:
+    """Outcomes are read off the response tables."""
+
     def test_constant_responder(self):
         lam = HiddenSpace.of_size("lambda", 3)
         model = DeterministicSource(lam, {n: np.ones(3) for n in SETTING_NAMES})
-        assert outcome(model, A, 0) == 1
-        assert outcome(model, B2, 2) == 1
+        assert model.tables["a"][0] == 1
+        assert model.tables["b_prime"][2] == 1
 
     def test_apparatus_passthrough(self):
         model = passthrough_apparatus()
         # lambda_a value "-1" sits at index 1
-        assert outcome(model, A, (0, 1)) == -1
-        assert outcome(model, A, (0, 0)) == 1
+        assert model.tables["a"][0, 1] == -1
+        assert model.tables["a"][0, 0] == 1
 
     def test_contextual_remote_flip(self):
         lam = HiddenSpace.of_size("lambda", 1)
@@ -93,38 +93,15 @@ class TestOutcome:
             tables[(own, "a")] = np.array([1.0])
             tables[(own, "a_prime")] = np.array([1.0])
         model = Contextual(lam, tables)
-        assert outcome(model, A, 0, remote=B) == 1
-        assert outcome(model, A, 0, remote=B2) == -1
-
-    def test_stochastic_rejected(self):
-        lam = HiddenSpace.of_size("lambda", 2)
-        model = StochasticSource(lam, {n: np.full(2, 0.5) for n in SETTING_NAMES})
-        with pytest.raises(KindMismatch):
-            outcome(model, A, 0)
-
-    def test_missing_remote(self):
-        lam = HiddenSpace.of_size("lambda", 1)
-        model = Contextual.from_deterministic(
-            DeterministicSource(lam, {n: np.ones(1) for n in SETTING_NAMES}),
-            separated=False)
-        with pytest.raises(MissingRemoteSetting):
-            outcome(model, A, 0)
-
-    def test_point_dimension(self):
-        model = passthrough_apparatus()
-        with pytest.raises(PointDimensionMismatch) as exc:
-            outcome(model, A, 0)
-        assert (exc.value.expected, exc.value.actual) == (2, 1)
-        det = random_deterministic(np.random.default_rng(0), 2)
-        with pytest.raises(PointDimensionMismatch):
-            outcome(det, A, (0, 1))
+        assert model.response_vector(A, B)[0] == 1
+        assert model.response_vector(A, B2)[0] == -1
 
     def test_remote_same_side_rejected(self):
         lam = HiddenSpace.of_size("lambda", 1)
         model = Contextual.from_deterministic(
             DeterministicSource(lam, {n: np.ones(1) for n in SETTING_NAMES}))
         with pytest.raises(SideMismatch):
-            outcome(model, A, 0, remote=A2)
+            model.response_vector(A, A2)
 
 
 class TestSeparatedFlag:
@@ -149,61 +126,119 @@ class TestSeparatedFlag:
             np.testing.assert_array_equal(back.tables[name], det.tables[name])
 
 
+def _left_to_right(model, dists, name):
+    """Scalar reference for one setting of ``effective_responses``: per
+    lambda, sum f * rho_s over lambda_s left to right from 0.0."""
+    out = []
+    for row in model.tables[name].tolist():
+        acc = 0.0
+        for f, w in zip(row, dists[name].flat.tolist()):
+            acc += f * w
+        out.append(acc)
+    return out
+
+
+def _biased_dists(spaces, p):
+    """Every apparatus distribution at (p, 1 - p) on a binary space."""
+    return {n: Distribution((spaces.for_setting(n),), [p, 1.0 - p])
+            for n in SETTING_NAMES}
+
+
 class TestEffectiveResponseStochastic:
+    """The collapsed stochastic model's expectation 2 p(+1) - 1 against
+    the apparatus average it emulates."""
+
     @pytest.mark.parametrize("p,expected", [(1.0, 1.0), (0.5, 0.0), (0.8, 0.6)])
     def test_values(self, p, expected):
-        lam = HiddenSpace.of_size("lambda", 1)
-        model = StochasticSource(lam, {n: np.array([p]) for n in SETTING_NAMES})
-        assert effective_response_stochastic(model, A, 0) == pytest.approx(expected, abs=TOL)
+        model = passthrough_apparatus()
+        dists = _biased_dists(model.spaces, p)
+        st = stochastic_from_apparatus(model, dists)
+        averaged = effective_responses(model, dists)
+        for name in SETTING_NAMES:
+            np.testing.assert_allclose(2.0 * st.tables[name] - 1.0, expected, atol=TOL)
+            np.testing.assert_allclose(averaged[name], expected, atol=TOL)
 
     def test_kind_mismatch(self):
+        dists = random_apparatus_dists(np.random.default_rng(1), binary_spaces())
         det = random_deterministic(np.random.default_rng(1), 2)
-        with pytest.raises(KindMismatch):
-            effective_response_stochastic(det, A, 0)
+        stochastic = StochasticSource(det.lam, {n: np.full(2, 0.5) for n in SETTING_NAMES})
+        for model in (det, stochastic):
+            with pytest.raises(KindMismatch):
+                effective_responses(model, dists)
 
     def test_range(self):
         rng = np.random.default_rng(2)
-        lam = HiddenSpace.of_size("lambda", 4)
-        model = StochasticSource(lam, {n: rng.random(4) for n in SETTING_NAMES})
-        for i in range(4):
-            for s in (A, A2, B, B2):
-                assert -1.0 <= effective_response_stochastic(model, s, i) <= 1.0
+        for _ in range(20):
+            model = random_apparatus(rng, rng.integers(1, 4, size=5))
+            st = stochastic_from_apparatus(model, random_apparatus_dists(rng, model.spaces))
+            for name in SETTING_NAMES:
+                collapsed = 2.0 * st.tables[name] - 1.0
+                assert np.all((-1.0 <= collapsed) & (collapsed <= 1.0))
 
 
 class TestEffectiveResponseApparatus:
     def test_symmetric_average(self):
         model = passthrough_apparatus()
-        rho = Distribution.uniform((model.spaces.lam_a,))
-        assert effective_response_apparatus(model, A, 0, rho) == pytest.approx(0.0, abs=TOL)
+        averaged = effective_responses(model, _biased_dists(model.spaces, 0.5))
+        np.testing.assert_allclose(averaged["a"], 0.0, atol=TOL)
 
     def test_apparatus_independent_limit(self):
         spaces = binary_spaces()
         tables = {n: np.full((2, spaces.for_setting(n).cardinality), -1.0)
                   for n in SETTING_NAMES}
         model = ApparatusDeterministic(spaces, tables)
-        rho = Distribution((spaces.lam_b,), [0.3, 0.7])
-        assert effective_response_apparatus(model, B, 1, rho) == pytest.approx(-1.0, abs=TOL)
+        averaged = effective_responses(model, _biased_dists(spaces, 0.3))
+        np.testing.assert_allclose(averaged["b"], -1.0, atol=TOL)
 
     def test_biased_average(self):
         model = passthrough_apparatus()
-        rho = Distribution((model.spaces.lam_a,), [0.75, 0.25])
-        assert effective_response_apparatus(model, A, 0, rho) == pytest.approx(0.5, abs=TOL)
+        averaged = effective_responses(model, _biased_dists(model.spaces, 0.75))
+        np.testing.assert_allclose(averaged["a"], 0.5, atol=TOL)
 
     def test_domain_mismatch(self):
         model = passthrough_apparatus()
-        rho_wrong = Distribution.uniform((model.spaces.lam_b,))
+        dists = _biased_dists(model.spaces, 0.5)
+        dists["a"] = Distribution.uniform((model.spaces.lam_b,))
         with pytest.raises(DomainMismatch):
-            effective_response_apparatus(model, A, 0, rho_wrong)
+            effective_responses(model, dists)
+        del dists["a"]
+        with pytest.raises(DomainMismatch):
+            effective_responses(model, dists)
 
     def test_range_randomized(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             model = random_apparatus(rng, rng.integers(1, 4, size=5))
-            dists = random_apparatus_dists(rng, model.spaces)
-            for s in (A, A2, B, B2):
-                for i in range(model.spaces.lam.cardinality):
-                    val = effective_response_apparatus(model, s, i, dists[s.name])
-                    assert -1.0 - TOL <= val <= 1.0 + TOL
+            averaged = effective_responses(model, random_apparatus_dists(rng, model.spaces))
+            for name in SETTING_NAMES:
+                assert averaged[name].shape == (model.spaces.lam.cardinality,)
+                assert np.all(np.abs(averaged[name]) <= 1.0 + TOL)
+
+    def test_matches_scalar_left_to_right_reference(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            # up to 12 apparatus values: past numpy's 8-way unrolled sums
+            model = random_apparatus(rng, rng.integers(1, 13, size=5))
+            dists = {}
+            for n in SETTING_NAMES:
+                space = model.spaces.for_setting(n)
+                w = rng.random(space.cardinality) * (rng.random(space.cardinality) < 0.7)
+                w[rng.integers(space.cardinality)] += 1.0  # keep one weight nonzero
+                dists[n] = Distribution((space,), w / w.sum())
+            averaged = effective_responses(model, dists)
+            for n in SETTING_NAMES:
+                assert averaged[n].tolist() == _left_to_right(model, dists, n)
+
+    def test_sums_left_to_right_not_exactly_rounded(self):
+        # (0.1 + 0.7) - 0.2 rounds to 0.5999999999999999; the exactly
+        # rounded sum of the same three doubles is 0.6
+        spaces = five_spaces((1, 3, 3, 3, 3))
+        model = ApparatusDeterministic(spaces, {n: [[1.0, 1.0, -1.0]] for n in SETTING_NAMES})
+        dists = {n: Distribution((spaces.for_setting(n),), [0.1, 0.7, 0.2])
+                 for n in SETTING_NAMES}
+        averaged = effective_responses(model, dists)
+        assert averaged["a"][0] == 0.5999999999999999
+        assert math.fsum([0.1, 0.7, -0.2]) == 0.6
 
 
 class TestLiftToComposite:
@@ -228,10 +263,10 @@ class TestLiftToComposite:
         model = random_apparatus(rng, (2, 2, 2, 2, 2))
         lifted = lift_to_composite(model)
         axis = {"a": 1, "a_prime": 2, "b": 3, "b_prime": 4}
-        for setting in (A, A2, B, B2):
+        for name in SETTING_NAMES:
             for flat, idx in enumerate(np.ndindex(2, 2, 2, 2, 2)):
-                got = outcome(lifted, setting, flat)
-                want = outcome(model, setting, (idx[0], idx[axis[setting.name]]))
+                got = lifted.tables[name][flat]
+                want = model.tables[name][idx[0], idx[axis[name]]]
                 assert got == want
 
     def test_composite_value_labels_row_major(self):
@@ -263,12 +298,10 @@ class TestStochasticFromApparatus:
         model = random_apparatus(rng, (2, 2, 2, 2, 2))
         dists = random_apparatus_dists(rng, model.spaces)
         st = stochastic_from_apparatus(model, dists)
-        for setting in (A, A2, B, B2):
-            for i in range(2):
-                got = effective_response_stochastic(st, setting, i)
-                want = effective_response_apparatus(model, setting, i,
-                                                    dists[setting.name])
-                assert got == pytest.approx(want, abs=TOL)
+        averaged = effective_responses(model, dists)
+        for name in SETTING_NAMES:
+            np.testing.assert_allclose(2.0 * st.tables[name] - 1.0, averaged[name],
+                                       rtol=0.0, atol=TOL)
 
     def test_emulation_property_randomized(self):
         rng = np.random.default_rng(8)
@@ -276,12 +309,9 @@ class TestStochasticFromApparatus:
             model = random_apparatus(rng, rng.integers(1, 4, size=5))
             dists = random_apparatus_dists(rng, model.spaces)
             st = stochastic_from_apparatus(model, dists)
-            for setting in (A, A2, B, B2):
-                for i in range(model.spaces.lam.cardinality):
-                    got = effective_response_stochastic(st, setting, i)
-                    want = effective_response_apparatus(model, setting, i,
-                                                        dists[setting.name])
-                    assert abs(got - want) <= TOL
+            averaged = effective_responses(model, dists)
+            for name in SETTING_NAMES:
+                assert np.all(np.abs(2.0 * st.tables[name] - 1.0 - averaged[name]) <= TOL)
 
     def test_missing_distribution(self):
         model = passthrough_apparatus()

@@ -529,13 +529,6 @@ def test_tableau_pivot_column_is_exact_unit():
     assert np.all(col[np.arange(6) != 3] == 0.0)
 
 
-def test_response_product_sum_accumulates_sequentially():
-    # left to right gives 1.0; a pairwise sum gives 0.0, an exact one 2.0
-    ones = np.ones(4)
-    w = np.array([1e16, 1.0, -1e16, 1.0])
-    assert _kernels.response_product_sum(ones, ones, w) == 1.0
-
-
 def _dense_pivot(T, pr, pc):
     """Reference: the dense pivot, which updates every row but the pivot
     row whatever its pivot-column entry."""
