@@ -173,12 +173,14 @@ class OutOfRangeCorrelation(_CorrelationError):
 class WorkLimitExceeded(_CorrelationError):
     """The requested computation exceeds the configured work limit.
     ``required`` is the work count, or for a count too long to print, its
-    power-of-two expression (``"2**14288"``)."""
+    power-of-two expression (``"2**14288"``); ``unit`` names what is
+    counted."""
 
-    def __init__(self, required: int | str, limit: int):
+    def __init__(self, required: int | str, limit: int,
+                 unit: str = "units of work"):
         self.required = required if isinstance(required, str) else int(required)
         self.limit = int(limit)
-        super().__init__(f"requires {self.required} units of work, limit is {self.limit}")
+        super().__init__(f"requires {self.required} {unit}, limit is {self.limit}")
 
 
 class ZeroSamples(_CorrelationError):

@@ -7,12 +7,20 @@ rho_pq as a marginal, and *nonlocal correlations* otherwise.
 ``check_joint_existence`` decides this for the family a distribution mode
 induces.  FactorizedApparatus and JointComposite modes are Local by
 construction: the product joint (``factorized_joint``) or the mode's own
-joint is the witness, and no LP runs.  For a SettingDependent family,
-existence is decided exactly (up to the stated tolerances) as a linear
-feasibility problem: one nonnegative weight per composite point, one
-equality per marginal cell.  Total mass 1 is implied by any marginal's
-normalization, and the redundancy among the four shared lambda-marginals
-is left to the solver; inconsistent marginals simply come back Infeasible.
+joint is the witness, and no LP runs.
+
+A SettingDependent family read out by an ApparatusDeterministic model
+whose S breaks the Bell bound needs no LP either: no joint exists (Fine,
+PRL 48, 291 (1982)), and the response tables give the Farkas certificate
+in closed form (see ``_chsh_certificate``).  It is checked like any other
+certificate, and it is reported when y^T b = |S| - 2 exceeds
+``CERTIFICATE_SLACK``; otherwise the family goes to the LP.  For the
+other SettingDependent families, existence is decided exactly (up to the
+stated tolerances) as a linear feasibility problem: one nonnegative
+weight per composite point, one equality per marginal cell.  Total mass 1
+is implied by any marginal's normalization, and the redundancy among the
+four shared lambda-marginals is left to the solver; inconsistent
+marginals simply come back Infeasible.
 
 Every marginal cell fixes a lambda value, so the full system is block
 diagonal: one block per lambda, all equal to the same 0/1 matrix over the
@@ -28,16 +36,19 @@ the sum of the infeasible blocks' phase-1 optima and y^T A <= 0 still
 holds column by column.
 
 ``admit`` refuses every mode with more composite points than the work
-limit before any family or joint is built.  Feasible verdicts carry an explicit
-joint, witness or LP solution, renormalized and then checked against the
-marginals by the same step; Infeasible verdicts carry the certificate,
-reported raw, and the two numbers of its separation check.  Both checks are computed from the marginal structure in a fixed order,
-never by a matrix product, and a verdict that fails its check raises
-:class:`NumericalFailure` instead of being returned.  A family whose
-distance from locality (the phase-1 optimum) lies between the solver's
-``FEASIBILITY_TOL`` and ``CERTIFICATE_SLACK`` gets neither verdict from
-the LP: its joint misses the marginals by more than ``MARGINAL_TOL``,
-and its certificate is too weak to separate.
+limit before any family or joint is built, and a family that reaches the
+LP is refused when one block's simplex tableau would exceed
+``LP_CELL_LIMIT`` cells, before any block is built.  Feasible verdicts
+carry an explicit joint, witness or LP solution, renormalized and then
+checked against the marginals by the same step; Infeasible verdicts
+carry the certificate, reported raw, and the two numbers of its
+separation check.  Both checks are computed from the marginal structure
+in a fixed order, never by a matrix product, and a verdict that fails
+its check raises :class:`NumericalFailure` instead of being returned.  A
+family whose distance from locality (the phase-1 optimum) lies between
+the solver's ``FEASIBILITY_TOL`` and ``CERTIFICATE_SLACK`` gets neither
+verdict from the LP: its joint misses the marginals by more than
+``MARGINAL_TOL``, and its certificate is too weak to separate.
 """
 
 from __future__ import annotations
@@ -58,6 +69,7 @@ from .models import ApparatusDeterministic, Setting
 from .qm import singlet_chsh, singlet_probabilities
 from .simplex import solve_equality_feasibility
 from .spaces import (
+    CHSH_SIGNS,
     SETTING_AXIS,
     SETTING_NAMES,
     SETTING_PAIRS,
@@ -77,6 +89,11 @@ MARGINAL_TOL = 1e-9
 CERTIFICATE_SLACK = 1e-7
 
 DEFAULT_WORK_LIMIT = 65536
+
+#: Cap on one lambda block's simplex tableau, (m + 1)(n + m + 1) cells for a
+#: block of m marginal cells and n apparatus points: the block of four
+#: eight-valued apparatus spaces, the largest that ``generate`` writes.
+LP_CELL_LIMIT = (4 * 8 ** 2 + 1) * (8 ** 4 + 4 * 8 ** 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -158,6 +175,20 @@ def admit(spaces: FiveSpaces, work_limit: int) -> None:
         raise FeasibilityWorkLimitExceeded(n, work_limit)
 
 
+def _admit_lp(family: SettingDependent) -> None:
+    """Refuse a family whose LP blocks exceed ``LP_CELL_LIMIT`` tableau
+    cells, before any block is built."""
+    cards = [s.cardinality for s in family.spaces]
+    m = sum(cards[SETTING_AXIS[p]] * cards[SETTING_AXIS[q]]
+            for p, q in SETTING_PAIRS)
+    n = math.prod(cards[1:])
+    cells = (m + 1) * (n + m + 1)
+    if cells > LP_CELL_LIMIT:
+        raise FeasibilityWorkLimitExceeded(
+            cells, LP_CELL_LIMIT,
+            f"tableau cells for an LP block of {m} rows and {n} columns")
+
+
 def _mode_spaces(dists: SettingDependent | FactorizedApparatus
                  | JointComposite) -> FiveSpaces:
     """The five spaces of the composite variable of a mode, read off its
@@ -195,9 +226,36 @@ def _feasible_verdict(family: SettingDependent,
                               residual=residual)
 
 
+def _chsh_certificate(family: SettingDependent,
+                      model: ApparatusDeterministic) -> np.ndarray:
+    """The CHSH functional of the response tables as a certificate.
+
+    y_pq(lambda, v_p, v_q) = g sigma_pq f_p(lambda, v_p) f_q(lambda, v_q)
+    - 1/2, laid out like the rows of the full system, with sigma the CHSH
+    signs and g the sign of S.  Every column's y^T A is g times the CHSH
+    sum of four +-1 values, minus 2, so at most 0 exactly; y^T b is
+    |S| - 2.  Raises :class:`FeasibilityDomainMismatch` unless the model
+    and the family share their five spaces.
+    """
+    if model.spaces != family.spaces:
+        model_spaces, family_spaces = (
+            [f"{s.label}:{s.cardinality}" for s in spaces]
+            for spaces in (model.spaces, family.spaces))
+        raise FeasibilityDomainMismatch(
+            f"model spaces {model_spaces} differ from the family's "
+            f"{family_spaces}")
+    t = np.concatenate([
+        sign * (model.tables[p][:, :, None] * model.tables[q][:, None, :]).ravel()
+        for sign, (p, q) in zip(CHSH_SIGNS, SETTING_PAIRS)])
+    b = np.concatenate([family.marginal(p, q).flat for p, q in SETTING_PAIRS])
+    g = 1.0 if math.fsum(t * b) >= 0.0 else -1.0
+    return g * t - 0.5
+
+
 def check_joint_existence(dists: SettingDependent | FactorizedApparatus
                           | JointComposite,
-                          work_limit: int = DEFAULT_WORK_LIMIT
+                          work_limit: int = DEFAULT_WORK_LIMIT,
+                          model: ApparatusDeterministic | None = None
                           ) -> FeasibilityVerdict:
     """Decide whether a joint over the composite variable returns every
     marginal of the family the mode ``dists`` induces, and produce the
@@ -207,10 +265,15 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     five spaces before any family, joint or LP is built.  A
     FactorizedApparatus or JointComposite mode is Feasible by
     construction, with its witness (the product joint or the mode's own
-    joint).  A SettingDependent family goes to the LP.
-    Raises :class:`FeasibilityDomainMismatch` for any other mode, and
+    joint).  A SettingDependent family read out by an ApparatusDeterministic
+    ``model`` is Infeasible, with the closed-form CHSH certificate, when
+    that certificate separates; every other SettingDependent family goes
+    to the LP, once its blocks fit ``LP_CELL_LIMIT``.
+    Raises :class:`FeasibilityDomainMismatch` for any other mode or for a
+    model whose spaces differ from the family's,
+    :class:`FeasibilityWorkLimitExceeded` past either limit, and
     :class:`NumericalFailure` when the joint misses the marginals by more
-    than ``MARGINAL_TOL`` or the certificate does not separate.
+    than ``MARGINAL_TOL`` or the LP's certificate does not separate.
     """
     admit(_mode_spaces(dists), work_limit)
     if isinstance(dists, FactorizedApparatus):
@@ -220,6 +283,13 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     if isinstance(dists, JointComposite):
         return _feasible_verdict(family_from_joint(dists.joint), dists.joint)
     family = dists
+    if isinstance(model, ApparatusDeterministic):
+        y = _chsh_certificate(family, model)
+        max_yta, ytb = verify_certificate(family, y)
+        if max_yta <= CERTIFICATE_SLACK < ytb:
+            return FeasibilityVerdict(status="Infeasible", certificate=y,
+                                      violation=ytb, max_yta=max_yta)
+    _admit_lp(family)
     A, B = constraint_matrix(family)
     results = [solve_equality_feasibility(A, b) for b in B]
     if all(r.feasible for r in results):

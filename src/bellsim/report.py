@@ -7,10 +7,12 @@ appear in the canonical order correlations, chsh, bell-check,
 feasibility, emulation, whatever order the scenario requested them in.
 
 The feasibility analysis renders one ``check_joint_existence`` verdict on
-the scenario's distribution mode: the checked construction witness of a
-FactorizedApparatus or JointComposite scenario, or the LP's joint or
-checked certificate for a SettingDependent one.  The work limit applies
-to an apparatus scenario before any analysis runs.
+the scenario's distribution mode and model: the checked construction
+witness of a FactorizedApparatus or JointComposite scenario, and for a
+SettingDependent one the closed-form CHSH certificate when the model reads
+a Bell violation off the marginals, else the LP's joint or checked
+certificate.  The work limit applies to an apparatus scenario before any
+analysis runs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .models import (ApparatusDeterministic, Setting, effective_responses,
                      standard_settings)
 from .qm import max_violation_search, singlet_chsh, singlet_probabilities
 from .scenario import ANALYSES, SCHEMA_VERSION, Scenario, dist_doc
-from .spaces import SETTING_NAMES, SETTING_PAIRS
+from .spaces import CHSH_SIGNS, SETTING_NAMES, SETTING_PAIRS
 
 _CELL_LABELS = ("++", "+-", "-+", "--")
 
@@ -59,8 +61,9 @@ def _bell_doc(verdict: BellVerdict) -> dict[str, Any]:
     return {"s": verdict.s, "verdict": verdict.label, "excess": verdict.excess}
 
 
-def _feasibility_doc(dists, work_limit: int) -> dict[str, Any]:
-    verdict = check_joint_existence(dists, work_limit)
+def _feasibility_doc(scenario: Scenario, work_limit: int) -> dict[str, Any]:
+    verdict = check_joint_existence(scenario.distributions, work_limit,
+                                    scenario.model)
     if verdict.feasible:
         return {"status": verdict.status,
                 "classification": "Local",
@@ -153,14 +156,12 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
                 "s": primary.s,
                 "terms": [{"pair": list(pc.pair), "sign": sign,
                            "correlation": pc.correlation}
-                          for pc, sign in zip(primary.pairs,
-                                              (1.0, 1.0, 1.0, -1.0))],
+                          for pc, sign in zip(primary.pairs, CHSH_SIGNS)],
             }
         elif name == "bell-check":
             doc["analyses"][name] = _bell_doc(primary.bound)
         elif name == "feasibility":
-            doc["analyses"][name] = _feasibility_doc(scenario.distributions,
-                                                     work_limit)
+            doc["analyses"][name] = _feasibility_doc(scenario, work_limit)
         else:
             doc["analyses"][name] = _emulation_doc(scenario, primary,
                                                    comparison_report)

@@ -64,6 +64,9 @@ SETTING_PAIRS = (
     ("a_prime", "b_prime"),
 )
 
+#: The sign of each pair's correlation in S, in ``SETTING_PAIRS`` order.
+CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
+
 #: Conventional space label for the apparatus variable of each setting.
 APPARATUS_LABELS = {name: "lambda_" + name for name in SETTING_NAMES}
 

@@ -267,6 +267,24 @@ class TestRun:
         assert out == ""
         assert err.startswith("bellsim: error: [feasibility] ")
 
+    @pytest.mark.parametrize("cards, rows", [((1, 16, 16, 16, 16), 1024),
+                                             ((1, 2, 128, 2, 128), 16900)],
+                             ids=["1x16^4", "1x2x128x2x128"])
+    def test_oversized_lp_block_exits_before_it_is_built(
+            self, capsys, monkeypatch, tmp_path, cards, rows):
+        # uniform marginals, read out by all-(+1) tables: S = 2, so no
+        # closed-form certificate, and the LP block is refused unbuilt
+        def unbuildable(family):
+            raise AssertionError("LP block built past the cell limit")
+
+        monkeypatch.setattr(feasibility, "constraint_matrix", unbuildable)
+        path = _edited(tmp_path, "singlet-witness.scenario",
+                       functools.partial(_uniform_on, cards))
+        code, out, err = run_cli(capsys, "run", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("bellsim: error: [feasibility] requires ")
+        assert f"an LP block of {rows} rows and 65536 columns" in err
+
     def test_unchecked_witness_exit_names_feasibility(self, capsys,
                                                       monkeypatch):
         real = feasibility.factorized_joint
@@ -332,6 +350,20 @@ def _edited(tmp_path, name: str, edit) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def _uniform_on(cards, doc):
+    """Uniform marginals and all-(+1) tables on spaces of ``cards``."""
+    for space, c in zip(doc["spaces"], cards):
+        space["values"] = [str(k) for k in range(c)]
+    card = {space["label"]: c for space, c in zip(doc["spaces"], cards)}
+    model = doc["model"]
+    for name in model["tables"]:
+        model["tables"][name] = np.ones(
+            (cards[0], card[model["spaces"][name]])).tolist()
+    for marginal in doc["distributions"]["marginals"].values():
+        size = math.prod(card[label] for label in marginal["domain"])
+        marginal["weights"] = [1.0 / size] * size
 
 
 def _too_many_samples(doc):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from bellsim.correlation import (
 )
 from bellsim.errors import (
     DomainMismatch,
+    FeasibilityDomainMismatch,
     FeasibilityWorkLimitExceeded,
     NonViolatingAngles,
     NumericalFailure,
@@ -35,6 +37,7 @@ from bellsim.errors import (
 )
 from bellsim.feasibility import (
     CERTIFICATE_SLACK,
+    LP_CELL_LIMIT,
     MARGINAL_TOL,
     check_joint_existence,
     classify,
@@ -45,7 +48,7 @@ from bellsim.feasibility import (
     marginal_residual,
     verify_certificate,
 )
-from bellsim.models import standard_settings
+from bellsim.models import ApparatusDeterministic, standard_settings
 from bellsim.qm import singlet_chsh, singlet_probabilities
 from bellsim.simplex import solve_equality_feasibility
 from bellsim.spaces import (
@@ -54,6 +57,7 @@ from bellsim.spaces import (
     FiveSpaces,
     HiddenSpace,
     marginalize,
+    on_five_axes,
 )
 
 TSIRELSON_ANGLES = FOUR_SETTINGS
@@ -532,3 +536,208 @@ class TestSelfCheckedVerdicts:
             assert exc.value.module == "feasibility"
         else:
             assert check_joint_existence(family).status == status
+
+
+def singlet_spread(rng, cards, side_a_sign=1.0):
+    """Singlet marginals spread over random apparatus values, read out by
+    random sign tables, with the Tsirelson angles turned by a random offset.
+
+    Each row of a sign table holds both signs, and a value v of setting p
+    carries the weight rho(lambda) P_pq(s_p(v), s_q(v')) w_p(v) w_q(v'),
+    with w_p a probability vector inside each sign class.  So the tables
+    read out the singlet correlations, |S| = 2 sqrt(2), in every block.
+    ``side_a_sign`` = -1 negates both side-A tables, which flips the sign
+    of S.  Returns the family, the model and the settings.
+    """
+    spaces = five_spaces(cards)
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    settings = standard_settings(*(s.angle + theta for s in TSIRELSON_ANGLES))
+    by_name = {s.name: s for s in settings}
+    rho = rng.dirichlet(np.ones(cards[0]))
+    signs, spread = {}, {}
+    for name, c in zip(("a", "a_prime", "b", "b_prime"), cards[1:]):
+        base = np.where(np.arange(c) < (c + 1) // 2, 1.0, -1.0)
+        signs[name] = np.array([rng.permutation(base)
+                                for _ in range(cards[0])])
+        spread[name] = np.zeros_like(signs[name])
+        for lam in range(cards[0]):
+            for sign in (1.0, -1.0):
+                cls = np.flatnonzero(signs[name][lam] == sign)
+                spread[name][lam, cls] = rng.dirichlet(np.ones(cls.size))
+    marginals = {}
+    for p, q in SETTING_PAIRS:
+        cells = np.array(singlet_probabilities(by_name[p],
+                                               by_name[q]).probabilities)
+        # cell index of (s_p, s_q): ++, +-, -+, --
+        code = (1.0 - signs[p][:, :, None]) + (1.0 - signs[q][:, None, :]) / 2
+        weights = (rho[:, None, None] * cells[code.astype(int)]
+                   * spread[p][:, :, None] * spread[q][:, None, :])
+        dom = (spaces.lam, spaces.for_setting(p), spaces.for_setting(q))
+        marginals[(p, q)] = Distribution(dom, weights)
+    tables = {name: signs[name] * (side_a_sign if name in ("a", "a_prime")
+                                   else 1.0) for name in signs}
+    return (SettingDependent(marginals), ApparatusDeterministic(spaces, tables),
+            settings)
+
+
+def exact_separation(family, y):
+    """(max y^T A, y^T b) of a certificate in exact rational arithmetic."""
+    parts, start = [], 0
+    for pair in SETTING_PAIRS:
+        marginal = family.marginal(*pair)
+        part = np.array([Fraction(float(v)) for v in y[start:start + marginal.size]],
+                        dtype=object).reshape(marginal.shape)
+        parts.append(on_five_axes(part, pair))
+        start += marginal.size
+    yta = parts[0] + parts[1] + parts[2] + parts[3]
+    b = np.concatenate([family.marginal(p, q).flat for p, q in SETTING_PAIRS])
+    return max(yta.flat), sum(Fraction(float(v)) * Fraction(float(w))
+                              for v, w in zip(y, b))
+
+
+def no_lp(A, b):
+    raise AssertionError("the LP ran")
+
+
+class TestChshCertificate:
+    @pytest.mark.parametrize("cards", [(2, 2, 2, 2, 2), (3, 4, 4, 4, 4),
+                                       (1, 16, 16, 16, 16)],
+                             ids=lambda c: "x".join(map(str, c)))
+    @pytest.mark.parametrize("side_a_sign", [1.0, -1.0], ids=["S<0", "S>0"])
+    def test_violating_family_is_certified_without_the_lp(
+            self, monkeypatch, cards, side_a_sign):
+        rng = np.random.default_rng(53)
+        family, model, settings = singlet_spread(rng, cards, side_a_sign)
+        bell = exact_report(model, family, settings).bound
+        assert bell.s * side_a_sign < -2.8
+        monkeypatch.setattr(feasibility, "solve_equality_feasibility", no_lp)
+        monkeypatch.setattr(feasibility, "constraint_matrix", no_lp)
+        verdict = check_joint_existence(family, model=model)
+        assert verdict.status == "Infeasible"
+        assert verdict.max_yta == 0.0
+        assert verdict.violation == pytest.approx(bell.excess, abs=1e-12)
+        assert (verdict.max_yta, verdict.violation) == verify_certificate(
+            family, verdict.certificate)
+        max_yta, ytb = exact_separation(family, verdict.certificate)
+        assert max_yta == 0 and ytb > 0
+
+    def test_witness_certificate_is_half_the_lp_certificate(self):
+        # on the binary witness the LP's phase-1 dual is 2 y
+        family, model = construct_nonlocal_witness(TSIRELSON_ANGLES)
+        closed = check_joint_existence(family, model=model)
+        lp = check_joint_existence(family)
+        np.testing.assert_array_equal(2.0 * closed.certificate, lp.certificate)
+        assert closed.violation == pytest.approx(TSIRELSON - 2.0, abs=1e-12)
+
+    def test_bell_satisfying_nonlocal_family_reaches_the_lp(self, monkeypatch):
+        # all-(+1) tables read S = 2 off the witness marginals, which no
+        # joint returns; only the LP can say so
+        family, witness_model = construct_nonlocal_witness(TSIRELSON_ANGLES)
+        model = ApparatusDeterministic(
+            witness_model.spaces,
+            {name: np.ones((1, 2)) for name in witness_model.tables})
+        calls = []
+
+        def counted(A, b):
+            calls.append(b)
+            return solve_equality_feasibility(A, b)
+
+        monkeypatch.setattr(feasibility, "solve_equality_feasibility", counted)
+        verdict = check_joint_existence(family, model=model)
+        reference = check_joint_existence(family)
+        assert len(calls) == 2
+        assert verdict.status == "Infeasible"
+        np.testing.assert_array_equal(verdict.certificate, reference.certificate)
+        assert (verdict.violation, verdict.max_yta) == (reference.violation,
+                                                        reference.max_yta)
+
+    @pytest.mark.parametrize("excess", [8e-8, 1e-8])
+    def test_excess_within_the_slack_reaches_the_lp(self, monkeypatch, excess):
+        # the closed form gives y^T b = excess <= CERTIFICATE_SLACK and
+        # declines; the LP's optimum is 2 * excess: Infeasible at 8e-8,
+        # inside the band between the tolerances at 1e-8
+        e = {("a", "b"): 0.5, ("a", "b_prime"): 0.5, ("a_prime", "b"): 0.5,
+             ("a_prime", "b_prime"): -(0.5 + excess)}
+        family, model = uniform_marginal_family(e)
+        y = feasibility._chsh_certificate(family, model)
+        assert 0.0 < verify_certificate(family, y)[1] <= CERTIFICATE_SLACK
+        calls = []
+
+        def counted(A, b):
+            calls.append(b)
+            return solve_equality_feasibility(A, b)
+
+        monkeypatch.setattr(feasibility, "solve_equality_feasibility", counted)
+        if excess < 5e-8:
+            with pytest.raises(NumericalFailure) as exc:
+                check_joint_existence(family, model=model)
+            assert exc.value.module == "feasibility"
+        else:
+            verdict = check_joint_existence(family, model=model)
+            assert verdict.status == "Infeasible"
+            assert verdict.violation == pytest.approx(2.0 * excess, rel=1e-6)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cards", [(2, 2, 2, 2, 2), (1, 2, 2, 3, 2)])
+    def test_model_on_other_spaces_is_refused(self, cards):
+        family, _ = construct_nonlocal_witness(TSIRELSON_ANGLES)
+        spaces = five_spaces(cards)
+        model = ApparatusDeterministic(spaces, {
+            name: np.ones((cards[0], spaces.for_setting(name).cardinality))
+            for name in ("a", "a_prime", "b", "b_prime")})
+        with pytest.raises(FeasibilityDomainMismatch) as exc:
+            check_joint_existence(family, model=model)
+        assert exc.value.module == "feasibility"
+        assert "differ from the family's" in str(exc.value)
+
+
+def uniform_family(cards) -> SettingDependent:
+    spaces = five_spaces(cards)
+    return SettingDependent({(p, q): Distribution.uniform(
+        (spaces.lam, spaces.for_setting(p), spaces.for_setting(q)))
+        for p, q in SETTING_PAIRS})
+
+
+class ReachedTheLp(Exception):
+    pass
+
+
+class TestLpCellLimit:
+    def test_limit_is_the_eight_valued_block(self):
+        m, n = 4 * 8 ** 2, 8 ** 4
+        assert LP_CELL_LIMIT == (m + 1) * (n + m + 1) == 257 * 4353
+
+    @pytest.mark.parametrize("cards", [(8, 8, 8, 8, 8), (1, 8, 8, 8, 8),
+                                       (16, 8, 8, 8, 8), (1, 1, 1, 64, 64)],
+                             ids=lambda c: "x".join(map(str, c)))
+    def test_admitted_shapes_reach_the_lp(self, monkeypatch, cards):
+        def reached(family):
+            raise ReachedTheLp
+
+        monkeypatch.setattr(feasibility, "constraint_matrix", reached)
+        with pytest.raises(ReachedTheLp):
+            check_joint_existence(uniform_family(cards))
+
+    @pytest.mark.parametrize("cards, rows, cols", [
+        ((1, 16, 16, 16, 16), 1024, 65536),
+        ((1, 2, 128, 2, 128), 16900, 65536),
+        ((1, 8, 8, 8, 9), 272, 4608),
+    ], ids=lambda c: "x".join(map(str, c)) if isinstance(c, tuple) else None)
+    def test_oversized_block_is_refused_before_it_is_built(
+            self, monkeypatch, cards, rows, cols):
+        monkeypatch.setattr(feasibility, "constraint_matrix", no_lp)
+        with pytest.raises(FeasibilityWorkLimitExceeded) as exc:
+            check_joint_existence(uniform_family(cards))
+        cells = (rows + 1) * (cols + rows + 1)
+        assert (exc.value.required, exc.value.limit) == (cells, LP_CELL_LIMIT)
+        assert str(exc.value) == (
+            f"requires {cells} tableau cells for an LP block of {rows} rows "
+            f"and {cols} columns, limit is {LP_CELL_LIMIT}")
+
+    def test_certificate_comes_before_the_limit(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        family, model, _ = singlet_spread(rng, (1, 2, 128, 2, 128))
+        monkeypatch.setattr(feasibility, "constraint_matrix", no_lp)
+        assert check_joint_existence(family, model=model).max_yta == 0.0
+        with pytest.raises(FeasibilityWorkLimitExceeded):
+            check_joint_existence(family)

@@ -10,7 +10,12 @@ every report carries.
   their reports carry the construction witness (the renormalized product
   joint, or the scenario's own joint) and never reach the LP.  Their
   digests pin that witness and its residual.
-- The setting-dependent witness pins the Farkas certificate of the LP.
+- The setting-dependent witness breaks the Bell bound, so its report
+  carries the closed-form CHSH certificate of its response tables, and
+  its digest pins that certificate.  The same witness marginals read out
+  by all-(+1) tables have S = 2, so that certificate declines them and
+  they reach the LP; the digest of that report's feasibility section pins
+  the Farkas certificate of the LP, which never sees the tables.
 - SettingDependent copies of the factorized and joint-composite families
   (the same four pair marginals under mode SettingDependent) send those
   families through the LP's Feasible path.  Their digests were recorded
@@ -43,7 +48,7 @@ GENERATED = {
     ("joint-composite", "2,4,4,4,4", 1):
         "b30d2a4879e1d394438742d62e762ce48fbeb00bfaa3b77f6ff4529092aaf40c",
     ("setting-dependent-witness", "1,2,2,2,2", 1):
-        "74c2413a2921a53a10fde60249b594bf2bf239c76bda2450fc72eedccb20ca71",
+        "a0444c8a2dda692cffa02b5152391d8e08f937734c4eff3a6c3d5777654b601a",
 }
 
 
@@ -58,6 +63,33 @@ def test_generated_exact_report_pinned(capsys, tmp_path, case):
     assert main(["run", str(scenario)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GENERATED[case]
+
+
+#: sha256 of the feasibility section, dumped with ``indent=2``, of the
+#: report of the generated setting-dependent witness (cards 1,2,2,2,2,
+#: seed 1) with every response table set to +1.  It equals that of the
+#: witness's own report while the witness still went through the LP.
+WITNESS_LP_FEASIBILITY = (
+    "f7235d01f68ba6a919abc1ffeeeee96ad954b3c6ded0f24850e51ab467653988")
+
+
+def test_witness_lp_certificate_pinned(capsys, tmp_path):
+    scenario = tmp_path / "witness.scenario"
+    assert main(["generate", "setting-dependent-witness", "--cards",
+                 "1,2,2,2,2", "--seed", "1", "--estimator", "exact",
+                 "-o", str(scenario)]) == 0
+    doc = json.loads(scenario.read_text(encoding="utf-8"))
+    doc["model"]["tables"] = {name: [[1.0, 1.0]]
+                              for name in doc["model"]["tables"]}
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", str(scenario)]) == 0
+    analyses = json.loads(capsys.readouterr().out)["analyses"]
+    assert analyses["chsh"]["s"] == pytest.approx(2.0, abs=1e-12)
+    assert analyses["bell-check"]["verdict"] == "Satisfied"
+    section = json.dumps(analyses["feasibility"], indent=2)
+    assert (hashlib.sha256(section.encode("utf-8")).hexdigest()
+            == WITNESS_LP_FEASIBILITY)
 
 
 #: (template, cardinalities, generation seed) -> sha256 of the

@@ -28,9 +28,9 @@ GENERATED = {
     ("stochastic-equivalent", ("--cards", "8,8,8,8,8"), 5, 200_000):
         "c1a6607cd629ba1adfd6a16f7d0ff99d9bca29251763cecf15c84df40aeae239",
     ("setting-dependent-witness", (), 4, 200_000):
-        "62a0e791a46d723f176535785164bc41365b404d4978699661746fc8b0b6e78b",
+        "5e191f082fec867b32fecee56d25ee7d1509e02a4ab18ba61b5d5a05ee44db60",
     ("setting-dependent-witness", (), 5, 200_000):
-        "fdca9ebda16510c25472a3bb217e2fa15ade9680ac6435dbec25c5c90d642b05",
+        "5944d018251fe0e251128008725f104c003271eb2dfefa4babdcc688858906e7",
 }
 
 #: sha256 of `bellsim run scenarios/joint-composite.scenario` (Monte Carlo,
