@@ -53,14 +53,16 @@ def bench_mc_outcome_counts_sort(rng):
 
 
 def bench_tableau_pivot(rng):
-    """One pivot on a tableau of the shape of an LP block of the
-    SettingDependent copy of an 8^5 joint-composite family, that is, of
-    its four pair marginals in SettingDependent mode (256 rows, 4096 + 256
-    columns, plus the cost row and the right-hand side), with about 30%
-    nonzeros in the pivot column.  The pivot updates only the rows with a
-    nonzero pivot-column entry, so its cost follows that density.  The copy the pivot works on is made outside the timing."""
-    T = rng.normal(size=(257, 4353))
-    pr, pc = 100, 2000
+    """One pivot on the simplex state of an LP block of four eight-valued
+    apparatus spaces, as in the SettingDependent copy of an 8^5
+    joint-composite family, that is, its four pair marginals in
+    SettingDependent mode: B^-1 (256 x 256), the entering column and the
+    right-hand side, plus the cost row, with about 30% nonzeros in the
+    entering column, the pivot column.  The pivot updates only the rows
+    with a nonzero pivot-column entry, so its cost follows that density.
+    The copy the pivot works on is made outside the timing."""
+    T = rng.normal(size=(257, 258))
+    pr, pc = 100, 256
     T[rng.random(257) >= 0.3, pc] = 0.0
     T[pr, pc] = 3.0
     work = {}
@@ -79,7 +81,7 @@ BENCHES = [
     ("outcome_cell_sums   (n=2e5)", bench_outcome_cell_sums),
     ("mc_outcome_counts   (4 cells, 1e6)", bench_mc_outcome_counts_compare),
     ("mc_outcome_counts   (512 cells, 1e6)", bench_mc_outcome_counts_sort),
-    ("tableau_pivot       (257x4353)", bench_tableau_pivot),
+    ("tableau_pivot       (257x258)", bench_tableau_pivot),
     ("chsh_strategy_max   (n=5)", bench_chsh_strategy_max),
 ]
 

@@ -27,10 +27,6 @@ import numpy as np
 
 BACKEND = "pure"
 
-#: Cells of the tableau that ``tableau_pivot`` updates per step (256 KiB
-#: of doubles), so that each step's gathered rows and update fit in cache.
-PIVOT_CHUNK_CELLS = 1 << 15
-
 #: Uniforms that ``mc_outcome_counts`` draws and counts per step (512 KiB
 #: of doubles), so that a count's memory does not grow with its samples.
 MC_CHUNK_DRAWS = 1 << 16
@@ -219,12 +215,7 @@ def tableau_pivot(T: np.ndarray, pr: int, pc: int) -> None:
     Scales the pivot row by the pivot, subtracts the pivot-column entry
     times the pivot row from every other row whose pivot-column entry is
     nonzero (one rounding per multiply and per subtract), then writes the
-    exact unit column.  Those rows are updated a few at a time, about
-    ``PIVOT_CHUNK_CELLS`` cells per step: on a 257 x 4353 tableau (a block
-    of the SettingDependent copy of an 8^5 joint-composite family, that
-    is, of its marginals in SettingDependent mode) this runs a pivot in
-    1.4 ms instead of 2.2 ms for all rows at once, whose temporaries do
-    not fit in cache.  Each cell gets the same two roundings either way.
+    exact unit column.
 
     A row with a zero pivot-column entry is skipped: the dense update
     would compute x - 0*y there, which returns x except that it turns a
@@ -240,10 +231,7 @@ def tableau_pivot(T: np.ndarray, pr: int, pc: int) -> None:
     T[pr, :] /= T[pr, pc]
     rows = np.flatnonzero(T[:, pc])
     rows = rows[rows != pr]
-    step = max(1, PIVOT_CHUNK_CELLS // T.shape[1])
-    for start in range(0, rows.size, step):
-        chunk = rows[start:start + step]
-        T[chunk] -= T[chunk, pc][:, None] * T[pr]
+    T[rows] -= T[rows, pc][:, None] * T[pr]
     T[:, pc] = 0.0
     T[pr, pc] = 1.0
 

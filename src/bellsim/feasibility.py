@@ -23,32 +23,34 @@ four shared lambda-marginals is left to the solver; inconsistent
 marginals simply come back Infeasible.
 
 Every marginal cell fixes a lambda value, so the full system is block
-diagonal: one block per lambda, all equal to the same 0/1 matrix over the
-apparatus points (see ``constraint_matrix``) and differing only in their
-right-hand sides.  Each block is solved on its own.  The joint is the
+diagonal: one block per lambda, all equal to the same implicit 0/1
+matrix over the apparatus points (see ``simplex``) and differing only in
+their right-hand sides, the weights rho_pq(lambda, ., .).  Each block is
+solved on its own by ``simplex.solve_block``.  The joint is the
 concatenation of the block solutions, and the family is Infeasible
 exactly when some block is.  The certificate then holds, at the rows of
 each infeasible block, that block's phase-1 dual, and zeros elsewhere
 (the zero vector is a valid dual of a feasible block), laid out in the
 full system's row order: grouped by setting pair in canonical order,
 row-major over (lambda, lambda_p, lambda_q) inside a group.  So y^T b is
-the sum of the infeasible blocks' phase-1 optima and y^T A <= 0 still
-holds column by column.
+the sum of the infeasible blocks' final phase-1 objectives and
+y^T A <= 0 still holds column by column.
 
 ``admit`` refuses every mode with more composite points than the work
 limit before any family or joint is built, and a family that reaches the
-LP is refused when one block's simplex tableau would exceed
-``LP_CELL_LIMIT`` cells, before any block is built.  Feasible verdicts
+LP is refused when one block, counted in the cells of a dense tableau,
+exceeds ``LP_CELL_LIMIT``, before any block is solved.  Feasible verdicts
 carry an explicit joint, witness or LP solution, renormalized and then
 checked against the marginals by the same step; Infeasible verdicts
 carry the certificate, reported raw, and the two numbers of its
 separation check.  Both checks are computed from the marginal structure
 in a fixed order, never by a matrix product, and a verdict that fails
 its check raises :class:`NumericalFailure` instead of being returned.  A
-family whose distance from locality (the phase-1 optimum) lies between
-the solver's ``FEASIBILITY_TOL`` and ``CERTIFICATE_SLACK`` gets neither
-verdict from the LP: its joint misses the marginals by more than
-``MARGINAL_TOL``, and its certificate is too weak to separate.
+family whose final phase-1 objective, at least its distance from
+locality, lies between the solver's ``FEASIBILITY_TOL`` and
+``CERTIFICATE_SLACK`` gets neither verdict from the LP: its joint misses
+the marginals by more than ``MARGINAL_TOL``, and its certificate is too
+weak to separate.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .errors import (FeasibilityDomainMismatch, FeasibilityWorkLimitExceeded,
                      NonViolatingAngles, NumericalFailure)
 from .models import ApparatusDeterministic, Setting
 from .qm import singlet_chsh, singlet_probabilities
-from .simplex import solve_equality_feasibility
+from .simplex import column_sums, pair_rows, solve_block
 from .spaces import (
     CHSH_SIGNS,
     SETTING_AXIS,
@@ -77,7 +79,6 @@ from .spaces import (
     FiveSpaces,
     HiddenSpace,
     marginalize,
-    on_five_axes,
     product_distribution,
     renormalize,
 )
@@ -90,8 +91,8 @@ CERTIFICATE_SLACK = 1e-7
 
 DEFAULT_WORK_LIMIT = 65536
 
-#: Cap on one lambda block's simplex tableau, (m + 1)(n + m + 1) cells for a
-#: block of m marginal cells and n apparatus points: the block of four
+#: Cap on one lambda block, counted as the (m + 1)(n + m + 1) cells of a dense
+#: tableau for m marginal cells and n apparatus points: the block of four
 #: eight-valued apparatus spaces, the largest that ``generate`` writes.
 LP_CELL_LIMIT = (4 * 8 ** 2 + 1) * (8 ** 4 + 4 * 8 ** 2 + 1)
 
@@ -118,36 +119,6 @@ class FeasibilityVerdict:
     @property
     def feasible(self) -> bool:
         return self.status == "Feasible"
-
-
-def constraint_matrix(family: SettingDependent
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The lambda block of the marginal problem and every block's
-    right-hand side.
-
-    Returns ``(A, B)``: block lambda of the system is A x = B[lambda].
-    Columns of A are apparatus points (lambda_a, lambda_a', lambda_b,
-    lambda_b') in row-major order.  Rows are grouped by setting pair in
-    canonical order, and inside a group run row-major over
-    (lambda_p, lambda_q); column (v_a, v_a', v_b, v_b') has a one in the
-    row of each pair's cell (v_p, v_q).  Row lambda of B holds the
-    marginal weights rho_pq(lambda, ., .) in the same row order.
-    """
-    spaces = family.spaces
-    shape = tuple(s.cardinality for s in spaces)[1:]
-    n = math.prod(shape)
-    grids = np.indices(shape).reshape(4, n)
-    blocks = []
-    for p, q in SETTING_PAIRS:
-        ax_p, ax_q = SETTING_AXIS[p] - 1, SETTING_AXIS[q] - 1
-        rows = grids[ax_p] * shape[ax_q] + grids[ax_q]
-        block = np.zeros((shape[ax_p] * shape[ax_q], n))
-        block[rows, np.arange(n)] = 1.0
-        blocks.append(block)
-    lam = spaces.lam.cardinality
-    rhs = [family.marginal(p, q).weights.reshape(lam, -1)
-           for p, q in SETTING_PAIRS]
-    return np.vstack(blocks), np.hstack(rhs)
 
 
 def _pair_marginal(weights: np.ndarray, p: str, q: str) -> np.ndarray:
@@ -177,7 +148,7 @@ def admit(spaces: FiveSpaces, work_limit: int) -> None:
 
 def _admit_lp(family: SettingDependent) -> None:
     """Refuse a family whose LP blocks exceed ``LP_CELL_LIMIT`` tableau
-    cells, before any block is built."""
+    cells, before any block is solved."""
     cards = [s.cardinality for s in family.spaces]
     m = sum(cards[SETTING_AXIS[p]] * cards[SETTING_AXIS[q]]
             for p, q in SETTING_PAIRS)
@@ -290,8 +261,11 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
             return FeasibilityVerdict(status="Infeasible", certificate=y,
                                       violation=ytb, max_yta=max_yta)
     _admit_lp(family)
-    A, B = constraint_matrix(family)
-    results = [solve_equality_feasibility(A, b) for b in B]
+    cards = tuple(space.cardinality for space in family.spaces)
+    # row lambda: block lambda's right-hand side, pairs in canonical order
+    B = np.hstack([family.marginal(p, q).weights.reshape(cards[0], -1)
+                   for p, q in SETTING_PAIRS])
+    results = [solve_block(cards[1:], b) for b in B]
     if all(r.feasible for r in results):
         # tiny negatives were already clipped by the solver
         x = np.concatenate([r.x for r in results])
@@ -321,19 +295,11 @@ def verify_certificate(family: SettingDependent,
     the first at most ~0 (no nonnegative x can beat it) and the second
     strictly positive, together proving A x = b, x >= 0 unsolvable.  The
     column of composite point (lambda, v_a, v_a', v_b, v_b') has a one in
-    each pair's row (lambda, v_p, v_q), so its y^T A is the four-term sum
-    y_ab + y_ab' + y_a'b + y_a'b', added in that order; y^T b is summed
-    exactly rounded.
+    each pair's row (lambda, v_p, v_q), so its y^T A is a four-term sum
+    (``simplex.column_sums``); y^T b is summed exactly rounded.
     """
     y = np.asarray(certificate, dtype=np.float64)
-    parts = []
-    start = 0
-    for pair in SETTING_PAIRS:
-        marginal = family.marginal(*pair)
-        part = y[start:start + marginal.size].reshape(marginal.shape)
-        parts.append(on_five_axes(part, pair))
-        start += marginal.size
-    yta = reduce(np.add, parts)
+    yta = column_sums(y, pair_rows([space.cardinality for space in family.spaces]))
     b = np.concatenate([family.marginal(p, q).flat for p, q in SETTING_PAIRS])
     return float(np.max(yta)), math.fsum(y * b)
 

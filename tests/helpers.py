@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 
+from bellsim.cli import main
 from bellsim.correlation import JointComposite, SettingDependent
 from bellsim.feasibility import construct_factorized_family, family_from_joint
 from bellsim.models import (
@@ -24,6 +26,7 @@ from bellsim.spaces import (
     Distribution,
     FiveSpaces,
     HiddenSpace,
+    on_five_axes,
 )
 
 FOUR_SETTINGS = standard_settings(0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
@@ -121,6 +124,20 @@ def chsh_symmetrization_max(e_by_pair) -> float:
     return best
 
 
+def plus_one_witness(target) -> None:
+    """Write the generated setting-dependent witness (cards 1,2,2,2,2, seed
+    1, exact estimator) to ``target`` with every response table set to +1.
+    The tables then read S = 2 off marginals that no joint returns, so its
+    feasibility analysis runs the LP and ends Infeasible."""
+    assert main(["generate", "setting-dependent-witness", "--cards",
+                 "1,2,2,2,2", "--seed", "1", "--estimator", "exact",
+                 "-o", str(target)]) == 0
+    doc = json.loads(target.read_text(encoding="utf-8"))
+    doc["model"]["tables"] = {name: [[1.0, 1.0]]
+                              for name in doc["model"]["tables"]}
+    target.write_text(json.dumps(doc), encoding="utf-8")
+
+
 def setting_dependent_copy(source, target) -> None:
     """Write the scenario file ``source`` to ``target`` with its
     distributions replaced by the four pair marginals of its family (mode
@@ -134,3 +151,18 @@ def setting_dependent_copy(source, target) -> None:
                      "weights": [float(w) for w in family.marginal(p, q).flat]}
         for p, q in SETTING_PAIRS}}
     write_scenario(target, doc)
+
+
+def exact_separation(family, y):
+    """(max y^T A, y^T b) of a certificate in exact rational arithmetic."""
+    parts, start = [], 0
+    for pair in SETTING_PAIRS:
+        marginal = family.marginal(*pair)
+        part = np.array([Fraction(float(v)) for v in y[start:start + marginal.size]],
+                        dtype=object).reshape(marginal.shape)
+        parts.append(on_five_axes(part, pair))
+        start += marginal.size
+    yta = parts[0] + parts[1] + parts[2] + parts[3]
+    b = np.concatenate([family.marginal(p, q).flat for p, q in SETTING_PAIRS])
+    return max(yta.flat), sum(Fraction(float(v)) * Fraction(float(w))
+                              for v, w in zip(y, b))

@@ -250,16 +250,15 @@ class TestRun:
     def test_unchecked_verdict_exit_names_feasibility(self, capsys,
                                                       monkeypatch, tmp_path):
         # a SettingDependent Local scenario: its verdict comes from the LP
-        real = feasibility.solve_equality_feasibility
+        real = feasibility.solve_block
 
-        def off_by_a_little(A, b):
-            result = real(A, b)
+        def off_by_a_little(shape, b):
+            result = real(shape, b)
             x = result.x.copy()
             x[0] += 1e-6
             return dataclasses.replace(result, x=x)
 
-        monkeypatch.setattr(feasibility, "solve_equality_feasibility",
-                            off_by_a_little)
+        monkeypatch.setattr(feasibility, "solve_block", off_by_a_little)
         copy = tmp_path / "copy.scenario"
         setting_dependent_copy(SCENARIOS / "factorized.scenario", copy)
         code, out, err = run_cli(capsys, "run", str(copy))
@@ -274,10 +273,10 @@ class TestRun:
             self, capsys, monkeypatch, tmp_path, cards, rows):
         # uniform marginals, read out by all-(+1) tables: S = 2, so no
         # closed-form certificate, and the LP block is refused unbuilt
-        def unbuildable(family):
-            raise AssertionError("LP block built past the cell limit")
+        def unsolvable(shape, b):
+            raise AssertionError("LP block solved past the cell limit")
 
-        monkeypatch.setattr(feasibility, "constraint_matrix", unbuildable)
+        monkeypatch.setattr(feasibility, "solve_block", unsolvable)
         path = _edited(tmp_path, "singlet-witness.scenario",
                        functools.partial(_uniform_on, cards))
         code, out, err = run_cli(capsys, "run", path)

@@ -6,7 +6,10 @@ OpenBLAS and numpy choosing their kernels for this CPU; one with OpenBLAS
 forced to the generic Prescott kernel on one thread; and one with numpy's
 AVX2 and AVX-512 loops disabled, as on an x86-64-v2 CPU.  Any report
 arithmetic that went through BLAS, or that rounded differently in a wider
-SIMD loop, would change bytes.  Monte Carlo reports are also compared
+SIMD loop, would change bytes.  No bundled scenario reaches the LP, so
+two more runs do: the SettingDependent copy of the bundled factorized
+scenario (Feasible) and the generated witness read out by all-(+1) tables
+(Infeasible).  Monte Carlo reports are also compared
 between a native child, which counts each pair's stream in one segment
 per CPU, and a child pinned to one CPU, which counts it in one segment.
 """
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import plus_one_witness, setting_dependent_copy
 
 import bellsim
 from bellsim.cli import main
@@ -93,8 +97,20 @@ def _child(child_env: dict[str, str], commands=COMMANDS,
 
 
 @pytest.fixture(scope="module")
-def native() -> dict:
-    return _child({})
+def commands(tmp_path_factory) -> list[list[str]]:
+    """``COMMANDS`` plus two runs that reach the LP, written to a
+    temporary directory."""
+    root = tmp_path_factory.mktemp("lp")
+    copy = root / "factorized-copy.scenario"
+    setting_dependent_copy(SCENARIOS / "factorized.scenario", copy)
+    witness = root / "witness-plus-one.scenario"
+    plus_one_witness(witness)
+    return COMMANDS + [["run", str(copy)], ["run", str(witness)]]
+
+
+@pytest.fixture(scope="module")
+def native(commands) -> dict:
+    return _child({}, commands)
 
 
 def _changed(native: dict, other: dict, commands=COMMANDS) -> list[str]:
@@ -105,19 +121,20 @@ def _changed(native: dict, other: dict, commands=COMMANDS) -> list[str]:
 
 @pytest.mark.skipif("openblas" not in _blas_name().lower(),
                     reason="numpy is not built on OpenBLAS")
-def test_report_bytes_identical_across_blas_kernels(native):
-    forced = _child({"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"})
-    assert _changed(native, forced) == []
+def test_report_bytes_identical_across_blas_kernels(native, commands):
+    forced = _child({"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"},
+                    commands)
+    assert _changed(native, forced, commands) == []
 
 
-def test_report_bytes_identical_without_avx(native):
+def test_report_bytes_identical_without_avx(native, commands):
     if not set(NO_AVX) & set(native["simd_found"]):
         pytest.skip(f"this CPU has none of {', '.join(NO_AVX)}")
-    reduced = _child({"NPY_DISABLE_CPU_FEATURES": ",".join(NO_AVX)})
+    reduced = _child({"NPY_DISABLE_CPU_FEATURES": ",".join(NO_AVX)}, commands)
     still_found = set(NO_AVX) & set(reduced["simd_found"])
     if still_found:
         pytest.skip(f"numpy did not disable {', '.join(sorted(still_found))}")
-    assert _changed(native, reduced) == []
+    assert _changed(native, reduced, commands) == []
 
 
 def test_monte_carlo_bytes_identical_on_one_cpu(tmp_path):

@@ -5,13 +5,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from dense_lp import constraint_matrix, solve_equality_feasibility
 from helpers import (
     FOUR_SETTINGS,
     chsh_symmetrization_max,
+    exact_separation,
     five_spaces,
     random_apparatus_dists,
     random_distribution,
@@ -50,14 +51,13 @@ from bellsim.feasibility import (
 )
 from bellsim.models import ApparatusDeterministic, standard_settings
 from bellsim.qm import singlet_chsh, singlet_probabilities
-from bellsim.simplex import solve_equality_feasibility
+from bellsim.simplex import solve_block
 from bellsim.spaces import (
     SETTING_PAIRS,
     Distribution,
     FiveSpaces,
     HiddenSpace,
     marginalize,
-    on_five_axes,
 )
 
 TSIRELSON_ANGLES = FOUR_SETTINGS
@@ -448,12 +448,12 @@ class TestBlockSplit:
             random_apparatus_dists(rng, spaces))
         iterations = []
 
-        def counted(A, b):
-            result = solve_equality_feasibility(A, b)
+        def counted(shape, b):
+            result = solve_block(shape, b)
             iterations.append(result.iterations)
             return result
 
-        monkeypatch.setattr(feasibility, "solve_equality_feasibility", counted)
+        monkeypatch.setattr(feasibility, "solve_block", counted)
         verdict = assert_agrees_with_full_system(family)
         assert verdict.feasible
         # blocks with b = 0 start at a zero objective and take no pivot
@@ -481,8 +481,8 @@ class TestBlockSplit:
             assert np.all(group[[0, 2]] == 0.0)
             assert np.any(group[1] != 0.0)
         # y^T b is the inconsistent block's phase-1 optimum
-        A, B = feasibility.constraint_matrix(family)
-        block = solve_equality_feasibility(A, B[1])
+        _, B = constraint_matrix(family)
+        block = solve_block((2, 2, 2, 2), B[1])
         assert not block.feasible
         assert verdict.violation == pytest.approx(block.objective, abs=1e-12)
 
@@ -493,13 +493,13 @@ class TestSelfCheckedVerdicts:
         family = family_from_joint(random_distribution(
             rng, tuple(five_spaces((2, 2, 2, 2, 2)))))
 
-        def perturbed(A, b):
-            result = solve_equality_feasibility(A, b)
+        def perturbed(shape, b):
+            result = solve_block(shape, b)
             x = result.x.copy()
             x[0] += 1e-6
             return dataclasses.replace(result, x=x)
 
-        monkeypatch.setattr(feasibility, "solve_equality_feasibility", perturbed)
+        monkeypatch.setattr(feasibility, "solve_block", perturbed)
         with pytest.raises(NumericalFailure) as exc:
             check_joint_existence(family)
         assert exc.value.module == "feasibility"
@@ -511,12 +511,12 @@ class TestSelfCheckedVerdicts:
     def test_perturbed_certificate_is_refused(self, monkeypatch, perturb):
         family, _ = construct_nonlocal_witness(TSIRELSON_ANGLES)
 
-        def perturbed(A, b):
-            result = solve_equality_feasibility(A, b)
+        def perturbed(shape, b):
+            result = solve_block(shape, b)
             return dataclasses.replace(result,
                                        certificate=perturb(result.certificate))
 
-        monkeypatch.setattr(feasibility, "solve_equality_feasibility", perturbed)
+        monkeypatch.setattr(feasibility, "solve_block", perturbed)
         with pytest.raises(NumericalFailure) as exc:
             check_joint_existence(family)
         assert exc.value.module == "feasibility"
@@ -580,22 +580,7 @@ def singlet_spread(rng, cards, side_a_sign=1.0):
             settings)
 
 
-def exact_separation(family, y):
-    """(max y^T A, y^T b) of a certificate in exact rational arithmetic."""
-    parts, start = [], 0
-    for pair in SETTING_PAIRS:
-        marginal = family.marginal(*pair)
-        part = np.array([Fraction(float(v)) for v in y[start:start + marginal.size]],
-                        dtype=object).reshape(marginal.shape)
-        parts.append(on_five_axes(part, pair))
-        start += marginal.size
-    yta = parts[0] + parts[1] + parts[2] + parts[3]
-    b = np.concatenate([family.marginal(p, q).flat for p, q in SETTING_PAIRS])
-    return max(yta.flat), sum(Fraction(float(v)) * Fraction(float(w))
-                              for v, w in zip(y, b))
-
-
-def no_lp(A, b):
+def no_lp(shape, b):
     raise AssertionError("the LP ran")
 
 
@@ -610,8 +595,7 @@ class TestChshCertificate:
         family, model, settings = singlet_spread(rng, cards, side_a_sign)
         bell = exact_report(model, family, settings).bound
         assert bell.s * side_a_sign < -2.8
-        monkeypatch.setattr(feasibility, "solve_equality_feasibility", no_lp)
-        monkeypatch.setattr(feasibility, "constraint_matrix", no_lp)
+        monkeypatch.setattr(feasibility, "solve_block", no_lp)
         verdict = check_joint_existence(family, model=model)
         assert verdict.status == "Infeasible"
         assert verdict.max_yta == 0.0
@@ -638,11 +622,11 @@ class TestChshCertificate:
             {name: np.ones((1, 2)) for name in witness_model.tables})
         calls = []
 
-        def counted(A, b):
+        def counted(shape, b):
             calls.append(b)
-            return solve_equality_feasibility(A, b)
+            return solve_block(shape, b)
 
-        monkeypatch.setattr(feasibility, "solve_equality_feasibility", counted)
+        monkeypatch.setattr(feasibility, "solve_block", counted)
         verdict = check_joint_existence(family, model=model)
         reference = check_joint_existence(family)
         assert len(calls) == 2
@@ -663,11 +647,11 @@ class TestChshCertificate:
         assert 0.0 < verify_certificate(family, y)[1] <= CERTIFICATE_SLACK
         calls = []
 
-        def counted(A, b):
+        def counted(shape, b):
             calls.append(b)
-            return solve_equality_feasibility(A, b)
+            return solve_block(shape, b)
 
-        monkeypatch.setattr(feasibility, "solve_equality_feasibility", counted)
+        monkeypatch.setattr(feasibility, "solve_block", counted)
         if excess < 5e-8:
             with pytest.raises(NumericalFailure) as exc:
                 check_joint_existence(family, model=model)
@@ -711,10 +695,10 @@ class TestLpCellLimit:
                                        (16, 8, 8, 8, 8), (1, 1, 1, 64, 64)],
                              ids=lambda c: "x".join(map(str, c)))
     def test_admitted_shapes_reach_the_lp(self, monkeypatch, cards):
-        def reached(family):
+        def reached(shape, b):
             raise ReachedTheLp
 
-        monkeypatch.setattr(feasibility, "constraint_matrix", reached)
+        monkeypatch.setattr(feasibility, "solve_block", reached)
         with pytest.raises(ReachedTheLp):
             check_joint_existence(uniform_family(cards))
 
@@ -725,7 +709,7 @@ class TestLpCellLimit:
     ], ids=lambda c: "x".join(map(str, c)) if isinstance(c, tuple) else None)
     def test_oversized_block_is_refused_before_it_is_built(
             self, monkeypatch, cards, rows, cols):
-        monkeypatch.setattr(feasibility, "constraint_matrix", no_lp)
+        monkeypatch.setattr(feasibility, "solve_block", no_lp)
         with pytest.raises(FeasibilityWorkLimitExceeded) as exc:
             check_joint_existence(uniform_family(cards))
         cells = (rows + 1) * (cols + rows + 1)
@@ -737,7 +721,7 @@ class TestLpCellLimit:
     def test_certificate_comes_before_the_limit(self, monkeypatch):
         rng = np.random.default_rng(54)
         family, model, _ = singlet_spread(rng, (1, 2, 128, 2, 128))
-        monkeypatch.setattr(feasibility, "constraint_matrix", no_lp)
+        monkeypatch.setattr(feasibility, "solve_block", no_lp)
         assert check_joint_existence(family, model=model).max_yta == 0.0
         with pytest.raises(FeasibilityWorkLimitExceeded):
             check_joint_existence(family)

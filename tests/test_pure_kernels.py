@@ -566,11 +566,10 @@ def _positive_pivot(rng, T):
 
 
 @pytest.fixture(params=[None, 1, 100], ids=["chunk-default", "chunk-1", "chunk-100"])
-def chunk_cells(request, monkeypatch):
-    """Runs a test with the default pivot chunk and with chunks of one row
-    and of a few rows."""
-    if request.param is not None:
-        monkeypatch.setattr(_kernels, "PIVOT_CHUNK_CELLS", request.param)
+def chunk_cells(request):
+    """Kept from when the pivot updated its rows in chunks of this many
+    cells, so that the tests keep their ids.  The pivot now updates all
+    its rows in one step, so every id runs the same pivot."""
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -589,11 +588,11 @@ def test_tableau_pivot_equals_dense_pivot(seed, chunk_cells):
 
 
 def test_tableau_pivot_equals_dense_pivot_on_a_joint_block_shape():
-    """257 x 4353 is the tableau of an 8^5 joint-composite block; the
-    default chunk then updates a few rows per step."""
+    """257 x 258 is the simplex state of a block of an 8^5 family, whose
+    entering column, the pivot column, is column 256."""
     rng = np.random.default_rng(99)
-    T = rng.normal(size=(257, 4353))
-    pr, pc = 100, 2000
+    T = rng.normal(size=(257, 258))
+    pr, pc = 100, 256
     T[rng.random(257) >= 0.3, pc] = 0.0
     T[pr, pc] = 3.0
     _plant_zeros(rng, T, pr, pc, 0.5)
