@@ -30,11 +30,13 @@ def bench_outcome_cell_sums(rng):
 
 
 def _bench_mc_outcome_counts(cum, codes):
-    """Drawing and counting 10^6 uniforms from a fresh PCG64 stream, in
-    one segment per CPU the process may run on."""
+    """Drawing and counting 10^6 uniforms as four fresh PCG64 streams of
+    2.5 * 10^5, one per setting pair, on one thread per CPU the process
+    may run on, up to four."""
     def run():
-        draws = _kernels.UniformDraws(np.random.default_rng(7), 1_000_000)
-        _kernels.mc_outcome_counts([cum], [codes], draws)
+        rngs = [np.random.default_rng([7, k]) for k in range(4)]
+        _kernels.mc_outcome_counts([[cum]] * 4, [[codes]] * 4,
+                                   _kernels.StreamDraws(rngs, 250_000))
 
     return _time(run, 10)
 

@@ -31,14 +31,6 @@ BACKEND = "pure"
 #: of doubles), so that a count's memory does not grow with its samples.
 MC_CHUNK_DRAWS = 1 << 16
 
-#: Most segments ``mc_outcome_counts`` cuts one pair's draws into.  The
-#: CPU count it reads is the affinity mask, which ignores a CPU quota, so
-#: a process may get more segments than CPUs to run them.  Forced on a
-#: 2-CPU machine, the ``monte-carlo`` benchmark pass took 0.39 s in one
-#: segment, 0.25 s in 2, 0.29 s in 4, 0.32 s in 8, 0.43 s in 16 and
-#: 0.49 s in 32, and each segment holds one more chunk buffer.
-MC_MAX_SEGMENTS = 4
-
 #: Most cell edges, summed over its CDFs, that ``mc_outcome_counts``
 #: counts with one comparison pass per edge and chunk rather than by
 #: sorting the chunk.  On one core of a 2-vCPU x86-64 container, sorting a
@@ -50,22 +42,22 @@ MC_COMPARE_EDGES = 16
 
 
 @dataclass(frozen=True)
-class UniformDraws:
-    """``size`` uniforms on [0, 1), taken in order from ``rng`` (a numpy
-    ``Generator``, or anything with a ``random(out=...)`` method).
+class StreamDraws:
+    """``samples`` uniforms on [0, 1) from each generator of ``rngs`` (numpy
+    ``Generator``s, or anything with a ``random(out=...)`` method), taken
+    in order from where each generator stands.
 
-    ``mc_outcome_counts`` draws the stream once, whatever the number of
-    CDFs it counts it against, and may count it in contiguous segments,
-    one per available CPU, each drawn from a copy of a PCG64 ``rng``'s bit
-    generator jumped ahead to its first draw; the draws, and every draw
-    ``rng`` gives afterwards, are those of one whole draw.
-
-    ``np.size`` of the stream is its sample count, as for an array of the
-    draws, which is how the benchmark's tracer counts the samples of a call.
+    ``np.size`` of the draws is their total sample count over all the
+    streams, as for an array of the draws, which is how the benchmark's
+    tracer counts the samples of a call.
     """
 
-    rng: Any
-    size: int
+    rngs: Sequence[Any]
+    samples: int
+
+    @property
+    def size(self) -> int:
+        return len(self.rngs) * self.samples
 
 
 def outcome_cell_sums(weights: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -78,13 +70,15 @@ def outcome_cell_sums(weights: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return np.bincount(codes, weights=weights, minlength=4).astype(np.float64)
 
 
-def mc_outcome_counts(cums: Sequence[np.ndarray], codes: Sequence[np.ndarray],
-                      draws: UniformDraws) -> np.ndarray:
-    """Tally one stream of sampled outcomes against each of several CDFs.
+def mc_outcome_counts(cums: Sequence[Sequence[np.ndarray]],
+                      codes: Sequence[Sequence[np.ndarray]],
+                      draws: StreamDraws) -> list[np.ndarray]:
+    """Tally each of several streams of sampled outcomes against each of
+    its CDFs.
 
-    ``cums[r]`` is the inclusive cumulative sum of the cell weights of
-    CDF r and ``codes[r]`` the outcome code of each of its cells.
-    Inverse-CDF lookup sends each uniform u to the first cell with
+    ``cums[s][r]`` is the inclusive cumulative sum of the cell weights of
+    CDF r of stream s, and ``codes[s][r]`` the outcome code of each of its
+    cells.  Inverse-CDF lookup sends each uniform u to the first cell with
     cum > u, clamped to the last cell against roundoff at the top, so
     cell i receives exactly the draws with cum[i-1] <= u < cum[i] and the
     last cell every draw with u >= cum[-2].  Rather than look up each
@@ -96,52 +90,36 @@ def mc_outcome_counts(cums: Sequence[np.ndarray], codes: Sequence[np.ndarray],
     counts.  Counts are integers and add up over any split of the draws,
     so the result equals the per-draw lookup exactly.
 
-    The draws are taken ``MC_CHUNK_DRAWS`` at a time into a reused buffer,
-    once for all the CDFs.  With at most ``MC_COMPARE_EDGES`` kept edges
-    in all, each chunk is counted with one comparison pass per edge;
-    with more, the chunk is sorted in place and every edge is located
-    among it with one binary search.
+    Stream s draws its ``draws.samples`` uniforms from ``draws.rngs[s]``
+    ``MC_CHUNK_DRAWS`` at a time into a reused buffer, once for all its
+    CDFs.  With at most ``MC_COMPARE_EDGES`` kept edges in all, each chunk
+    is counted with one comparison pass per edge; with more, the chunk is
+    sorted in place and every edge is located among it with one binary
+    search.
 
-    The ``draws.size`` draws are cut into one contiguous segment of whole
-    chunks per available CPU (at most one per chunk, and at most
-    ``MC_MAX_SEGMENTS``).  Segment w draws from a copy of the stream's bit
-    generator jumped ahead to the segment's first draw with ``advance``,
-    so every draw is the one the whole stream would give at that
-    position.  The calling thread counts segment 0 from ``draws.rng``
-    itself and one thread per further segment counts the rest; every
-    generator and buffer is made before any thread starts, and the
-    threads call only numpy.  ``draws.rng`` ends advanced by
-    ``draws.size``, as after one whole draw.  A source without a PCG64
-    ``bit_generator`` is counted in one segment (Philox's ``advance``,
-    for one, does not count draws), and so is a PCG64 that holds the
-    unused half of a 64-bit output from a 32-bit draw, which ``advance``
-    would drop.  If the call is abandoned (an error in any thread, or an
-    interrupt while the caller counts or waits), every thread stops at
-    its next chunk and is joined before the error is raised.  Memory is
-    one 512 KiB chunk buffer per segment, whatever ``draws.size``.
-    Returns int64 counts per outcome, one row of four per CDF.
+    Each stream is counted whole and in order by one of
+    min(available CPUs, streams) threads, the streams dealt out to them in
+    turn; the calling thread counts the first share, and each thread
+    reuses one 512 KiB chunk buffer and calls only numpy.  Every draw is
+    therefore the one a whole draw of its stream gives, and every
+    generator ends advanced by ``draws.samples``.  If the call is
+    abandoned (an error in any thread, or an interrupt while the caller
+    counts or waits), every thread stops at its next chunk and is joined
+    before the error is raised.  Returns, per stream, int64 counts per
+    outcome, one row of four per CDF.
     """
-    kept = [np.flatnonzero(c[1:] != c[:-1]) for c in codes]
-    edges = np.concatenate([cum[k] for cum, k in zip(cums, kept)])
-    chunks = -(-draws.size // MC_CHUNK_DRAWS)
-    bit_generator = getattr(draws.rng, "bit_generator", None)
-    parts = 1
-    if (isinstance(bit_generator, np.random.PCG64)
-            and not bit_generator.state["has_uint32"]):
-        parts = max(1, min(_available_cpus(), MC_MAX_SEGMENTS, chunks))
-    bounds = [min(draws.size, (w * chunks // parts) * MC_CHUNK_DRAWS)
-              for w in range(parts + 1)]
-    rngs = [draws.rng] + [_jumped(bit_generator, start) for start in bounds[1:-1]]
-    bufs = [np.empty(min(end - start, MC_CHUNK_DRAWS))
-            for start, end in zip(bounds, bounds[1:])]
-    below = np.zeros((parts, edges.shape[0]), dtype=np.int64)
+    streams = len(draws.rngs)
+    parts = max(1, min(_available_cpus(), streams))
+    out: list[Any] = [None] * streams
     stop = threading.Event()
     errors: list[BaseException] = []
 
     def count(w: int) -> None:
         try:
-            _count_segment(rngs[w], bufs[w], edges, bounds[w + 1] - bounds[w],
-                           below[w], stop)
+            buf = np.empty(min(draws.samples, MC_CHUNK_DRAWS))
+            for s in range(w, streams, parts):
+                out[s] = _count_stream(draws.rngs[s], buf, cums[s], codes[s],
+                                       draws.samples, stop)
         except BaseException as exc:
             errors.append(exc)
             stop.set()
@@ -152,7 +130,7 @@ def mc_outcome_counts(cums: Sequence[np.ndarray], codes: Sequence[np.ndarray],
             thread = threading.Thread(target=count, args=(w,))
             thread.start()
             threads.append(thread)
-        _count_segment(rngs[0], bufs[0], edges, bounds[1], below[0], stop)
+        count(0)
         for thread in threads:
             thread.join()
     except BaseException:
@@ -162,25 +140,21 @@ def mc_outcome_counts(cums: Sequence[np.ndarray], codes: Sequence[np.ndarray],
         raise
     if errors:
         raise errors[0]
-    if parts > 1:
-        bit_generator.advance(draws.size - bounds[1])
-    totals = np.split(below.sum(axis=0), np.cumsum([k.size for k in kept])[:-1])
-    out = np.empty((len(kept), 4), dtype=np.int64)
-    for row, (c, k, total) in enumerate(zip(codes, kept, totals)):
-        per_run = np.diff(total, prepend=0, append=draws.size)
-        out[row] = np.bincount(c[np.append(0, k + 1)], weights=per_run, minlength=4)
     return out
 
 
-def _count_segment(rng: Any, buf: np.ndarray, edges: np.ndarray, size: int,
-                   below: np.ndarray, stop: threading.Event) -> None:
-    """Add to ``below`` the draws under each edge among the next ``size``
-    draws of ``rng``, one chunk of ``buf`` at a time, until done or
-    ``stop`` is set."""
+def _count_stream(rng: Any, buf: np.ndarray, cums: Sequence[np.ndarray],
+                  codes: Sequence[np.ndarray], size: int,
+                  stop: threading.Event) -> np.ndarray:
+    """The counts of the next ``size`` draws of ``rng`` against each CDF,
+    drawn one chunk of ``buf`` at a time, until done or ``stop`` is set."""
+    kept = [np.flatnonzero(c[1:] != c[:-1]) for c in codes]
+    edges = np.concatenate([cum[k] for cum, k in zip(cums, kept)])
+    below = np.zeros(edges.shape[0], dtype=np.int64)
     compare = edges.tolist() if edges.shape[0] <= MC_COMPARE_EDGES else None
     for start in range(0, size, MC_CHUNK_DRAWS):
         if stop.is_set():
-            return
+            break
         chunk = buf[:min(MC_CHUNK_DRAWS, size - start)]
         rng.random(out=chunk)
         if compare is None:
@@ -189,15 +163,12 @@ def _count_segment(rng: Any, buf: np.ndarray, edges: np.ndarray, size: int,
         else:
             for j, edge in enumerate(compare):
                 below[j] += np.count_nonzero(chunk < edge)
-
-
-def _jumped(bit_generator: Any, delta: int) -> np.random.Generator:
-    """A generator on a copy of ``bit_generator`` advanced by ``delta``
-    draws."""
-    copy = type(bit_generator)()
-    copy.state = bit_generator.state
-    copy.advance(delta)
-    return np.random.Generator(copy)
+    totals = np.split(below, np.cumsum([k.size for k in kept])[:-1])
+    out = np.empty((len(kept), 4), dtype=np.int64)
+    for row, (c, k, total) in enumerate(zip(codes, kept, totals)):
+        per_run = np.diff(total, prepend=0, append=size)
+        out[row] = np.bincount(c[np.append(0, k + 1)], weights=per_run, minlength=4)
+    return out
 
 
 def _available_cpus() -> int:

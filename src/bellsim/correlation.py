@@ -5,11 +5,11 @@ outcome decomposition: a flat list of cells, each carrying a nonnegative
 weight and a joint-outcome code in {0,1,2,3} for (++, +-, -+, --).  Exact
 probabilities are the per-code weight sums; Monte Carlo estimation counts
 uniform draws per cell against the cell edges of the same weights' CDF
-(the draws are taken one fixed-size chunk at a time, in one jumped-ahead
-segment of the stream per available CPU, up to four; an edge between
-cells of the same code is dropped, and each remaining edge is counted in
-every chunk by a comparison pass when there are few, by sorting the chunk
-and a binary search otherwise), which is the same partition as an
+(the draws are taken one fixed-size chunk at a time, each pair's stream
+whole and in order on one of up to four threads; an edge between cells
+of the same code is dropped, and each remaining edge is counted in every
+chunk by a comparison pass when there are few, by sorting the chunk and
+a binary search otherwise), which is the same partition as an
 inverse-CDF lookup of each draw.  The cell order is the row-major order of
 the underlying grid, which makes reports reproducible bit for bit.
 
@@ -43,7 +43,7 @@ from typing import overload
 import numpy as np
 
 from ._kernels import (
-    UniformDraws,
+    StreamDraws,
     chsh_strategy_max,
     mc_outcome_counts,
     outcome_cell_sums,
@@ -92,8 +92,9 @@ DEFAULT_ENUM_WORK_LIMIT = 2**24
 #: report ends in bounded time: 10^9 per pair is about 34 s for the four
 #: pairs on one x86-64 core when each chunk is sorted (8.4 ns a draw on a
 #: 512-cell CDF) and 12 s when it is counted by comparison passes (3.0 ns
-#: a draw on a 4-cell CDF).  An emulation's comparison model is counted
-#: from the same draws, so it adds little to either.
+#: a draw on a 4-cell CDF); the four pair streams are counted on up to
+#: four threads, one per available CPU.  An emulation's comparison model
+#: is counted from the same draws, so it adds little to either.
 MAX_SAMPLES = 10**9
 
 
@@ -479,14 +480,11 @@ def monte_carlo_report(model, dists, settings, samples, seed, comparison=None):
 
     Per pair k the stream is PCG64 seeded with SeedSequence(seed,
     spawn_key=(k,)) and yields ``samples`` uniforms.  They are drawn and
-    counted against the cell edges of the weight CDF one chunk at a time,
-    in one contiguous segment of the stream per available CPU, up to
-    ``MC_MAX_SEGMENTS``, each segment from a copy of the generator jumped
-    ahead to its first draw; PCG64 turns each 64-bit output into one
-    double, so the segments and their chunks are the same stream as one
-    whole draw, and their counts add up to the partition of an
-    inverse-CDF lookup of each draw.  Report bytes therefore do not
-    depend on the CPU count.
+    counted against the cell edges of the weight CDF one chunk at a time;
+    each stream is drawn whole and in order, the four of them on up to
+    one thread per available CPU, so their counts are the partition of an
+    inverse-CDF lookup of each draw of a whole draw, and report bytes do
+    not depend on the CPU count.
 
     With a ``comparison`` (model, distributions), such as the collapsed
     stochastic model of an emulation, its report is estimated from the
@@ -495,9 +493,11 @@ def monte_carlo_report(model, dists, settings, samples, seed, comparison=None):
     is returned.  The comparison report is the one a call for the
     comparison model alone, with the same seed, would return.
 
-    The kernel is called once per pair from the calling thread.  Memory
-    is 512 KiB per segment, and time is bounded by ``MAX_SAMPLES`` per
-    pair.  A negative seed is refused before any stream is built.
+    Every pair's decompositions and generators are built first, and the
+    kernel is called once, from the calling thread, for all four pairs.
+    Memory is 512 KiB per counting thread, and time is bounded by
+    ``MAX_SAMPLES`` per pair.  A negative seed is refused before any
+    stream is built.
     """
     if samples < 1:
         raise ZeroSamples()
@@ -506,16 +506,17 @@ def monte_carlo_report(model, dists, settings, samples, seed, comparison=None):
     if seed < 0:
         raise NegativeSeed(seed)
     models = [(model, dists)] if comparison is None else [(model, dists), comparison]
-    per_model: list[list] = [[] for _ in models]
-    for k, (p, q) in enumerate(_ordered_pairs(settings)):
-        decs = [outcome_decomposition(m, d, (p, q)) for m, d in models]
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
-        counts = mc_outcome_counts([np.cumsum(dec.weights) for dec in decs],
-                                   [np.ascontiguousarray(dec.codes) for dec in decs],
-                                   UniformDraws(rng, samples))
-        for per_pair, row in zip(per_model, counts):
-            per_pair.append(((p, q), tuple(float(c) / samples for c in row)))
+    pairs = _ordered_pairs(settings)
+    decs = [[outcome_decomposition(m, d, pair) for m, d in models] for pair in pairs]
+    rngs = [np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
+        for k in range(len(pairs))]
+    counts = mc_outcome_counts(
+        [[np.cumsum(dec.weights) for dec in pair_decs] for pair_decs in decs],
+        [[np.ascontiguousarray(dec.codes) for dec in pair_decs] for pair_decs in decs],
+        StreamDraws(rngs, samples))
+    per_model = [[(pair, tuple(float(c) / samples for c in rows[i]))
+                  for pair, rows in zip(pairs, counts)] for i in range(len(models))]
     estimator = EstimatorInfo(method="monte-carlo", samples=samples, seed=seed)
     reports = tuple(_report_from_pair_probs(per_pair, estimator)
                     for per_pair in per_model)

@@ -39,7 +39,8 @@ y^T A <= 0 still holds column by column.
 ``admit`` refuses every mode with more composite points than the work
 limit before any family or joint is built, and a family that reaches the
 LP is refused when one block, counted in the cells of a dense tableau,
-exceeds ``LP_CELL_LIMIT``, before any block is solved.  Feasible verdicts
+exceeds ``LP_CELL_LIMIT``, or all its blocks together exceed
+``LP_TOTAL_CELL_LIMIT``, before any block is solved.  Feasible verdicts
 carry an explicit joint, witness or LP solution, renormalized and then
 checked against the marginals by the same step; Infeasible verdicts
 carry the certificate, reported raw, and the two numbers of its
@@ -96,6 +97,11 @@ DEFAULT_WORK_LIMIT = 65536
 #: eight-valued apparatus spaces, the largest that ``generate`` writes.
 LP_CELL_LIMIT = (4 * 8 ** 2 + 1) * (8 ** 4 + 4 * 8 ** 2 + 1)
 
+#: Cap on those cells summed over the lambda blocks of a family: sixteen
+#: blocks of four eight-valued apparatus spaces, whose Local 16 x 8^4 family
+#: took 3.5-5.2 s through ``bellsim run`` on a 2-vCPU x86-64 container.
+LP_TOTAL_CELL_LIMIT = 16 * LP_CELL_LIMIT
+
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
@@ -130,12 +136,13 @@ def _pair_marginal(weights: np.ndarray, p: str, q: str) -> np.ndarray:
     return weights
 
 
-def marginal_residual(family: SettingDependent,
+def marginal_residual(marginals: Mapping[tuple[str, str], Distribution],
                       joint: Distribution) -> float:
     """Largest |marginal of the joint - rho_pq| over every cell of every
-    pair, pairs in canonical order."""
+    pair of ``marginals`` (keyed like a family's), pairs in canonical
+    order."""
     return max(float(np.max(np.abs(_pair_marginal(joint.weights, p, q)
-                                   - family.marginal(p, q).weights)))
+                                   - marginals[p, q].weights)))
                for p, q in SETTING_PAIRS)
 
 
@@ -148,7 +155,8 @@ def admit(spaces: FiveSpaces, work_limit: int) -> None:
 
 def _admit_lp(family: SettingDependent) -> None:
     """Refuse a family whose LP blocks exceed ``LP_CELL_LIMIT`` tableau
-    cells, before any block is solved."""
+    cells each, or ``LP_TOTAL_CELL_LIMIT`` together, before any block is
+    solved."""
     cards = [s.cardinality for s in family.spaces]
     m = sum(cards[SETTING_AXIS[p]] * cards[SETTING_AXIS[q]]
             for p, q in SETTING_PAIRS)
@@ -158,6 +166,10 @@ def _admit_lp(family: SettingDependent) -> None:
         raise FeasibilityWorkLimitExceeded(
             cells, LP_CELL_LIMIT,
             f"tableau cells for an LP block of {m} rows and {n} columns")
+    if cards[0] * cells > LP_TOTAL_CELL_LIMIT:
+        raise FeasibilityWorkLimitExceeded(
+            cards[0] * cells, LP_TOTAL_CELL_LIMIT,
+            f"tableau cells for {cards[0]} LP blocks of {m} rows and {n} columns")
 
 
 def _mode_spaces(dists: SettingDependent | FactorizedApparatus
@@ -179,9 +191,10 @@ def _mode_spaces(dists: SettingDependent | FactorizedApparatus
         f"no setting-pair marginal family for mode {dists.mode}")
 
 
-def _feasible_verdict(family: SettingDependent,
-                     joint: Distribution) -> FeasibilityVerdict:
-    """The Feasible verdict of a joint over the family's five spaces.
+def _feasible_verdict(marginals: Mapping[tuple[str, str], Distribution],
+                      joint: Distribution) -> FeasibilityVerdict:
+    """The Feasible verdict of a joint over the five spaces of the four
+    pair ``marginals``.
 
     The joint is rescaled to exact total mass 1, the one explicit
     renormalization in the pipeline, and checked against every marginal;
@@ -189,7 +202,7 @@ def _feasible_verdict(family: SettingDependent,
     ``MARGINAL_TOL``.
     """
     joint = renormalize(joint)
-    residual = marginal_residual(family, joint)
+    residual = marginal_residual(marginals, joint)
     if not residual <= MARGINAL_TOL:
         raise NumericalFailure(f"joint misses the marginals by {residual!r}, "
                                f"tolerance is {MARGINAL_TOL!r}")
@@ -239,7 +252,8 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     joint).  A SettingDependent family read out by an ApparatusDeterministic
     ``model`` is Infeasible, with the closed-form CHSH certificate, when
     that certificate separates; every other SettingDependent family goes
-    to the LP, once its blocks fit ``LP_CELL_LIMIT``.
+    to the LP, once its blocks fit ``LP_CELL_LIMIT`` and
+    ``LP_TOTAL_CELL_LIMIT``.
     Raises :class:`FeasibilityDomainMismatch` for any other mode or for a
     model whose spaces differ from the family's,
     :class:`FeasibilityWorkLimitExceeded` past either limit, and
@@ -248,11 +262,11 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     """
     admit(_mode_spaces(dists), work_limit)
     if isinstance(dists, FactorizedApparatus):
-        family = construct_factorized_family(dists.rho, dists.apparatus)
-        return _feasible_verdict(family,
+        return _feasible_verdict(_factorized_marginals(dists.rho, dists.apparatus),
                                  factorized_joint(dists.rho, dists.apparatus))
     if isinstance(dists, JointComposite):
-        return _feasible_verdict(family_from_joint(dists.joint), dists.joint)
+        return _feasible_verdict(family_from_joint(dists.joint).marginals,
+                                 dists.joint)
     family = dists
     if isinstance(model, ApparatusDeterministic):
         y = _chsh_certificate(family, model)
@@ -269,7 +283,8 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     if all(r.feasible for r in results):
         # tiny negatives were already clipped by the solver
         x = np.concatenate([r.x for r in results])
-        return _feasible_verdict(family, Distribution(tuple(family.spaces), x))
+        return _feasible_verdict(family.marginals,
+                                 Distribution(tuple(family.spaces), x))
     Y = np.zeros(B.shape)
     for lam, r in enumerate(results):
         if not r.feasible:
@@ -312,13 +327,22 @@ def classify(dists: SettingDependent | FactorizedApparatus | JointComposite,
     return "Local" if verdict.feasible else "Nonlocal"
 
 
+def _factorized_marginals(rho: Distribution,
+                          apparatus: Mapping[str, Distribution]
+                          ) -> dict[tuple[str, str], Distribution]:
+    """The products rho(lambda) rho_p(lambda_p) rho_q(lambda_q) per pair,
+    unvalidated: three parts each within the normalization tolerance of 1
+    may give a product that is not."""
+    return {(p, q): product_distribution([rho, apparatus[p], apparatus[q]])
+            for p, q in SETTING_PAIRS}
+
+
 def construct_factorized_family(rho: Distribution,
                                 apparatus: Mapping[str, Distribution]
                                 ) -> SettingDependent:
     """Family whose every marginal is the three-factor product
     rho(lambda) rho_p(lambda_p) rho_q(lambda_q); always Local."""
-    return SettingDependent({(p, q): product_distribution(
-        [rho, apparatus[p], apparatus[q]]) for p, q in SETTING_PAIRS})
+    return SettingDependent(_factorized_marginals(rho, apparatus))
 
 
 def factorized_joint(rho: Distribution, apparatus: Mapping[str, Distribution]

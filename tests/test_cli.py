@@ -284,6 +284,24 @@ class TestRun:
         assert err.startswith("bellsim: error: [feasibility] requires ")
         assert f"an LP block of {rows} rows and 65536 columns" in err
 
+    def test_too_many_lp_blocks_exit_within_a_second(self, capsys, monkeypatch,
+                                                     tmp_path):
+        # 152 blocks of 862 rows and 430 columns, each under the block
+        # limit, are refused together before any is solved
+        def unsolvable(shape, b):
+            raise AssertionError("LP block solved past the summed cell limit")
+
+        monkeypatch.setattr(feasibility, "solve_block", unsolvable)
+        path = _edited(tmp_path, "singlet-witness.scenario",
+                       functools.partial(_uniform_on, (152, 1, 1, 1, 430)))
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "run", path)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == ("bellsim: error: [feasibility] requires 169610568 "
+                       "tableau cells for 152 LP blocks of 862 rows and 430 "
+                       f"columns, limit is {feasibility.LP_TOTAL_CELL_LIMIT}\n")
+
     def test_unchecked_witness_exit_names_feasibility(self, capsys,
                                                       monkeypatch):
         real = feasibility.factorized_joint
@@ -316,6 +334,27 @@ class TestRun:
         expected = product / float(np.sum(product))
         assert feas["joint"]["domain"] == [f["domain"][0] for f in factors]
         assert feas["joint"]["weights"] == expected.reshape(-1).tolist()
+
+    def test_factorized_parts_at_the_normalization_tolerance(self, capsys,
+                                                             tmp_path):
+        """rho and the four apparatus vectors each total 1 + 0.9e-12,
+        inside the normalization tolerance, so their pair products total
+        more than it; the witness is checked against those products, which
+        are not validated again."""
+        scenario = tmp_path / "factorized.scenario"
+        assert run_cli(capsys, "generate", "factorized", "--seed", "1",
+                       "-o", str(scenario))[0] == 0
+        doc = json.loads(scenario.read_text())
+        dists = doc["distributions"]
+        for part in [dists["rho"], *dists["apparatus"].values()]:
+            part["weights"][-1] += 0.9e-12
+            assert 1.0 + 0.8e-12 < math.fsum(part["weights"]) < 1.0 + 1e-12
+        scenario.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "run", str(scenario))
+        assert (code, err) == (0, "")
+        feas = json.loads(out)["analyses"]["feasibility"]
+        assert feas["status"] == "Feasible"
+        assert feas["residual"] <= 1e-9
 
     def test_joint_composite_joint_is_the_scenario_joint(self, capsys):
         path = SCENARIOS / "joint-composite.scenario"

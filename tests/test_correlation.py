@@ -489,9 +489,10 @@ class TestMonteCarlo:
 
     def test_memory_bounded_by_the_chunk(self, monkeypatch):
         """numpy reports its buffers to tracemalloc; one whole draw of 2e6
-        uniforms and its sorted copy would peak at 32 MB.  Each segment of
-        a pair's stream has one 512 KiB chunk buffer; the CPU count is
-        pinned to two segments so that the bound holds on any machine."""
+        uniforms and its sorted copy would peak at 32 MB.  Each thread
+        that counts pair streams has one 512 KiB chunk buffer; the CPU
+        count is pinned to two threads so that the bound holds on any
+        machine."""
         monkeypatch.setattr(_kernels, "_available_cpus", lambda: 2)
         rng = np.random.default_rng(17)
         model = random_stochastic(rng, 3)

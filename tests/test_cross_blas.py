@@ -10,8 +10,8 @@ SIMD loop, would change bytes.  No bundled scenario reaches the LP, so
 two more runs do: the SettingDependent copy of the bundled factorized
 scenario (Feasible) and the generated witness read out by all-(+1) tables
 (Infeasible).  Monte Carlo reports are also compared
-between a native child, which counts each pair's stream in one segment
-per CPU, and a child pinned to one CPU, which counts it in one segment.
+between a native child, which counts the four pair streams on one thread
+per CPU, and a child pinned to one CPU, which counts them on one thread.
 """
 
 from __future__ import annotations
@@ -138,16 +138,16 @@ def test_report_bytes_identical_without_avx(native, commands):
 
 
 def test_monte_carlo_bytes_identical_on_one_cpu(tmp_path):
-    """Every scenario has at least two chunks of draws per pair, so the
-    native child splits each pair's stream when it has two or more CPUs.
-    The witness counts its few edges by comparison passes; the 8^5
-    emulation counts the primary and comparison models together from one
-    stream per pair, by sorting."""
+    """Every scenario has at least two chunks of draws per pair, and the
+    native child counts the four pair streams on two or more threads when
+    it has two or more CPUs.  The witness counts its few edges by
+    comparison passes; the 8^5 emulation counts the primary and
+    comparison models together from one stream per pair, by sorting."""
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("os.sched_setaffinity is not available")
     cpus = sorted(os.sched_getaffinity(0))
     if len(cpus) < 2:
-        pytest.skip("only one CPU is available, so no child splits a stream")
+        pytest.skip("only one CPU is available, so no child uses threads")
     witness = tmp_path / "witness.scenario"
     assert main(["generate", "setting-dependent-witness", "--estimator",
                  "monte-carlo", "--samples", "200000", "-o", str(witness)]) == 0

@@ -39,6 +39,7 @@ from bellsim.errors import (
 from bellsim.feasibility import (
     CERTIFICATE_SLACK,
     LP_CELL_LIMIT,
+    LP_TOTAL_CELL_LIMIT,
     MARGINAL_TOL,
     check_joint_existence,
     classify,
@@ -286,7 +287,8 @@ class TestConstructionWitness:
         assert_marginals_reproduced(family, verdict)
         np.testing.assert_array_equal(
             verdict.joint.weights, joint.weights / float(np.sum(joint.flat)))
-        assert verdict.residual == marginal_residual(family, verdict.joint)
+        assert verdict.residual == marginal_residual(family.marginals,
+                                                     verdict.joint)
 
     def test_joint_composite_witness_agrees_with_the_lp(self):
         rng = np.random.default_rng(52)
@@ -408,7 +410,7 @@ def assert_agrees_with_full_system(family):
         assert_marginals_reproduced(family, verdict)
         residual = float(np.max(np.abs(A @ verdict.joint.flat - b)))
         assert residual <= MARGINAL_TOL
-        assert marginal_residual(family, verdict.joint) == pytest.approx(
+        assert marginal_residual(family.marginals, verdict.joint) == pytest.approx(
             residual, abs=1e-15)
     else:
         y = verdict.certificate
@@ -717,6 +719,33 @@ class TestLpCellLimit:
         assert str(exc.value) == (
             f"requires {cells} tableau cells for an LP block of {rows} rows "
             f"and {cols} columns, limit is {LP_CELL_LIMIT}")
+
+    @pytest.mark.parametrize("cards, rows, cols", [
+        ((152, 1, 1, 1, 430), 862, 430),
+        ((1395, 1, 1, 1, 45), 92, 45),
+    ], ids=lambda c: "x".join(map(str, c)) if isinstance(c, tuple) else None)
+    def test_too_many_blocks_are_refused_before_any_is_solved(
+            self, monkeypatch, cards, rows, cols):
+        monkeypatch.setattr(feasibility, "solve_block", no_lp)
+        with pytest.raises(FeasibilityWorkLimitExceeded) as exc:
+            check_joint_existence(uniform_family(cards))
+        cells = cards[0] * (rows + 1) * (cols + rows + 1)
+        assert (exc.value.required, exc.value.limit) == (cells, LP_TOTAL_CELL_LIMIT)
+        assert str(exc.value) == (
+            f"requires {cells} tableau cells for {cards[0]} LP blocks of "
+            f"{rows} rows and {cols} columns, limit is {LP_TOTAL_CELL_LIMIT}")
+
+    def test_blocks_up_to_the_summed_limit_reach_the_lp(self, monkeypatch):
+        """1394 blocks of 92 x 45 hold 17,890,596 cells, just under the
+        summed limit, which is that of sixteen 8^4 blocks."""
+        assert LP_TOTAL_CELL_LIMIT == 16 * LP_CELL_LIMIT
+
+        def reached(shape, b):
+            raise ReachedTheLp
+
+        monkeypatch.setattr(feasibility, "solve_block", reached)
+        with pytest.raises(ReachedTheLp):
+            check_joint_existence(uniform_family((1394, 1, 1, 1, 45)))
 
     def test_certificate_comes_before_the_limit(self, monkeypatch):
         rng = np.random.default_rng(54)

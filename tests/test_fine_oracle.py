@@ -163,7 +163,7 @@ def assert_agrees_with_fine(blocks) -> bool:
     A, B = constraint_matrix(family)
     assert all(solve_equality_feasibility(A, b).feasible for b in B) == local
     if local:
-        assert marginal_residual(family, verdict.joint) <= MARGINAL_TOL
+        assert marginal_residual(family.marginals, verdict.joint) <= MARGINAL_TOL
     else:
         max_yta, ytb = exact_separation(family, verdict.certificate)
         assert max_yta <= Fraction(CERTIFICATE_SLACK) < ytb

@@ -4,6 +4,7 @@ numpy, implementation (``BACKEND == "pure"``)."""
 from __future__ import annotations
 
 import bisect
+import sys
 import threading
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from bellsim import _kernels, correlation, report
+from bellsim.cli import main
 from bellsim.scenario import generate_scenario, load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -38,10 +40,17 @@ class _Replay:
 
 
 def _counts(cum, codes, u):
-    """``mc_outcome_counts`` on the fixed draws ``u``."""
+    """``mc_outcome_counts`` on the fixed draws ``u``, one stream of one
+    CDF."""
     u = np.asarray(u, dtype=np.float64)
     return _kernels.mc_outcome_counts(
-        [cum], [codes], _kernels.UniformDraws(_Replay(u), u.shape[0]))[0]
+        [[cum]], [[codes]], _kernels.StreamDraws([_Replay(u)], u.shape[0]))[0][0]
+
+
+def _one_stream(cums, codes, rng, samples):
+    """``mc_outcome_counts`` of one stream against the CDFs ``cums``."""
+    return _kernels.mc_outcome_counts([cums], [codes],
+                                      _kernels.StreamDraws([rng], samples))[0]
 
 
 def test_mc_outcome_counts_top_edge_clamped():
@@ -176,8 +185,7 @@ def test_mc_outcome_counts_chunked_stream_equals_whole_draw(samples, top):
     cum[-3:] = top  # the trailing zero-weight cells end at the top edge
     codes = rng.integers(0, 4, size=cum.size).astype(np.uint8)
     for k in range(4):
-        counts = _kernels.mc_outcome_counts(
-            [cum], [codes], _kernels.UniformDraws(_stream(11, k), samples))[0]
+        counts = _one_stream([cum], [codes], _stream(11, k), samples)[0]
         u = _stream(11, k).random(samples)
         cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
         want = np.bincount(codes[cells], minlength=4)
@@ -194,49 +202,86 @@ def _segment_cdf():
     return cum, rng.integers(0, 4, size=cum.size).astype(np.uint8)
 
 
+def _stream_counts(cum, codes, rngs, samples):
+    """``mc_outcome_counts`` of the streams ``rngs``, each against the one
+    CDF ``cum``, as rows of four counts."""
+    counts = _kernels.mc_outcome_counts([[cum]] * len(rngs), [[codes]] * len(rngs),
+                                        _kernels.StreamDraws(rngs, samples))
+    return [row[0].tolist() for row in counts]
+
+
+def _counting_threads(monkeypatch):
+    """Make ``mc_outcome_counts`` record each thread it starts."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(_kernels, "threading",
+                        SimpleNamespace(Event=threading.Event, Thread=Thread))
+    return started
+
+
 @pytest.mark.parametrize("samples",
                          [0, 1, _C - 1, _C, _C + 1, 3 * _C + 7, 7 * _C, 8 * _C + 3])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
 def test_mc_outcome_counts_segments_equal_whole_draw(samples, cpus, monkeypatch):
-    """Counting a pair's stream in one jumped-ahead segment per CPU, up to
-    ``MC_MAX_SEGMENTS``, gives the counts of one whole draw, and leaves the
-    generator where one whole draw would."""
+    """The four pair streams of one call, each a segment of the call's
+    draws counted whole on one of min(CPUs, 4) threads, give the counts of
+    a whole draw of each stream, and leave every generator where one
+    whole draw would."""
     monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
-    jumps = []
-    real_jumped = _kernels._jumped
-    monkeypatch.setattr(_kernels, "_jumped",
-                        lambda bg, delta: jumps.append(delta) or real_jumped(bg, delta))
+    started = _counting_threads(monkeypatch)
     cum, codes = _segment_cdf()
-    for k in range(2):
-        rng = _stream(13, k)
-        counts = _kernels.mc_outcome_counts([cum], [codes],
-                                            _kernels.UniformDraws(rng, samples))[0]
+    rngs = [_stream(13, k) for k in range(4)]
+    counts = _stream_counts(cum, codes, rngs, samples)
+    for k, (rng, row) in enumerate(zip(rngs, counts)):
         reference = _stream(13, k)
         u = reference.random(samples)
         cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-        assert counts.tolist() == np.bincount(codes[cells], minlength=4).tolist()
+        assert row == np.bincount(codes[cells], minlength=4).tolist()
         assert rng.random() == reference.random()
-    chunks = -(-samples // _C)
-    parts = max(1, min(cpus, _kernels.MC_MAX_SEGMENTS, chunks))
-    assert len(jumps) == 2 * (parts - 1)
+    assert len(started) == min(cpus, 4) - 1
+
+
+def test_mc_outcome_counts_many_streams_under_fast_thread_switches(monkeypatch):
+    """Twelve streams on twelve threads, more than there are cores, with
+    the interpreter switching threads every few microseconds: every
+    stream still gets its own whole draw's counts."""
+    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 12)
+    started = _counting_threads(monkeypatch)
+    cum, codes = _segment_cdf()
+    samples = 2 * _C + 5
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = _stream_counts(cum, codes, [_stream(23, k) for k in range(12)],
+                                samples)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 11 and threading.active_count() == before
+    for k, row in enumerate(counts):
+        assert row == _whole_draw_counts(cum, codes, _stream(23, k).random(samples))
 
 
 def test_mc_outcome_counts_buffered_half_draw_keeps_one_segment(monkeypatch):
-    """A generator that holds the unused half of a 64-bit output, after a
-    32-bit draw, is counted in one segment: ``advance`` would drop that
-    half, so the next 32-bit draw would differ from the whole draw's."""
+    """A PCG64 that holds the unused half of a 64-bit output, after a
+    32-bit draw, is counted from where it stands: its doubles are those of
+    a whole draw, and the next 32-bit draw is the held half."""
     monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
     cum, codes = _segment_cdf()
-    rng, reference = _stream(5, 0), _stream(5, 0)
-    for gen in (rng, reference):
+    rngs, references = ([_stream(5, k) for k in range(4)] for _ in range(2))
+    for gen in rngs + references:
         gen.integers(2**32, dtype=np.uint32)
-    counts = _kernels.mc_outcome_counts([cum], [codes],
-                                        _kernels.UniformDraws(rng, 3 * _C))[0]
-    u = reference.random(3 * _C)
-    cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-    assert counts.tolist() == np.bincount(codes[cells], minlength=4).tolist()
-    assert (rng.integers(2**32, dtype=np.uint32)
-            == reference.integers(2**32, dtype=np.uint32))
+    counts = _stream_counts(cum, codes, rngs, 3 * _C)
+    for rng, reference, row in zip(rngs, references, counts):
+        u = reference.random(3 * _C)
+        cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+        assert row == np.bincount(codes[cells], minlength=4).tolist()
+        assert (rng.integers(2**32, dtype=np.uint32)
+                == reference.integers(2**32, dtype=np.uint32))
 
 
 class _FailingRng:
@@ -244,7 +289,6 @@ class _FailingRng:
     of ``random`` (never, for 0), counting its calls."""
 
     def __init__(self, gen, after, exc):
-        self.bit_generator = gen.bit_generator
         self._gen, self._after, self._exc = gen, after, exc
         self.calls = 0
 
@@ -257,52 +301,34 @@ class _FailingRng:
 
 @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
 def test_mc_outcome_counts_worker_error_reaches_the_caller(exc, monkeypatch):
-    """A draw that fails partway through segment 1 is raised in the caller
-    once every thread is joined."""
+    """A draw that fails partway through stream 1, on a worker thread, is
+    raised in the caller once every thread is joined."""
     monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
-    real_jumped = _kernels._jumped
-    failing = []
-
-    def jumped(bg, delta):
-        gen = real_jumped(bg, delta)
-        if not failing:
-            failing.append(_FailingRng(gen, 2, exc))
-            return failing[0]
-        return gen
-
-    monkeypatch.setattr(_kernels, "_jumped", jumped)
+    failing = _FailingRng(_stream(3, 1), 2, exc)
+    rngs = [_stream(3, 0), failing, _stream(3, 2), _stream(3, 3)]
     cum, codes = _segment_cdf()
     before = threading.active_count()
     with pytest.raises(exc, match="failed draw"):
-        _kernels.mc_outcome_counts([cum], [codes],
-                                   _kernels.UniformDraws(_stream(3, 0), 9 * _C))
-    assert failing[0].calls == 2
+        _stream_counts(cum, codes, rngs, 9 * _C)
+    assert failing.calls == 2
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
 def test_mc_outcome_counts_caller_error_stops_the_workers(exc, monkeypatch):
-    """A draw that fails partway through segment 0, in the calling thread,
-    stops the other segments at their next chunk and is raised once every
-    thread is joined."""
+    """A draw that fails partway through stream 0, in the calling thread,
+    stops the other streams at their next chunk and is raised once every
+    thread is joined; the caller's second stream is never drawn."""
     monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
-    real_jumped = _kernels._jumped
-    workers = []
-
-    def jumped(bg, delta):
-        workers.append(_FailingRng(real_jumped(bg, delta), 0, exc))
-        return workers[-1]
-
-    monkeypatch.setattr(_kernels, "_jumped", jumped)
+    rngs = ([_FailingRng(_stream(3, 0), 2, exc)]
+            + [_FailingRng(_stream(3, k), 0, exc) for k in (1, 2, 3)])
     cum, codes = _segment_cdf()
-    rng = _FailingRng(_stream(3, 0), 2, exc)
     before = threading.active_count()
     with pytest.raises(exc, match="failed draw"):
-        _kernels.mc_outcome_counts([cum], [codes],
-                                   _kernels.UniformDraws(rng, 3 * 64 * _C))
+        _stream_counts(cum, codes, rngs, 64 * _C)
     assert threading.active_count() == before
-    assert len(workers) == 2
-    assert all(worker.calls < 64 for worker in workers)
+    assert all(rng.calls < 64 for rng in rngs[1:3])
+    assert rngs[3].calls == 0
 
 
 class _HeldRng:
@@ -310,7 +336,6 @@ class _HeldRng:
     first event in ``stops`` is set."""
 
     def __init__(self, gen, stops):
-        self.bit_generator = gen.bit_generator
         self._gen, self._stops = gen, stops
         self.calls = 0
 
@@ -324,10 +349,10 @@ class _HeldRng:
 def test_mc_outcome_counts_interrupt_while_joining_stops_the_workers(
         monkeypatch):
     """An interrupt that reaches the caller while it waits for the other
-    segments (a signal handler raising inside ``join``) stops them at their
+    streams (a signal handler raising inside ``join``) stops them at their
     next chunk and is raised once every thread is joined."""
     monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
-    stops, interrupted, workers = [], [], []
+    stops, interrupted = [], []
 
     class Event(threading.Event):
         def __init__(self):
@@ -341,22 +366,15 @@ def test_mc_outcome_counts_interrupt_while_joining_stops_the_workers(
                 raise KeyboardInterrupt("interrupted join")
             super().join(timeout)
 
-    real_jumped = _kernels._jumped
-
-    def jumped(bg, delta):
-        workers.append(_HeldRng(real_jumped(bg, delta), stops))
-        return workers[-1]
-
     monkeypatch.setattr(_kernels, "threading",
                         SimpleNamespace(Event=Event, Thread=Thread))
-    monkeypatch.setattr(_kernels, "_jumped", jumped)
+    workers = [_HeldRng(_stream(3, k), stops) for k in (1, 2)]
+    rngs = [_stream(3, 0), *workers, _stream(3, 3)]
     cum, codes = _segment_cdf()
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt, match="interrupted join"):
-        _kernels.mc_outcome_counts([cum], [codes],
-                                   _kernels.UniformDraws(_stream(3, 0), 12 * _C))
+        _stream_counts(cum, codes, rngs, 12 * _C)
     assert threading.active_count() == before
-    assert len(workers) == 2
     assert all(worker.calls <= 2 for worker in workers)
 
 
@@ -396,7 +414,6 @@ class _Recording:
     """Draws from ``gen``, keeping the last buffer it filled."""
 
     def __init__(self, gen):
-        self.bit_generator = gen.bit_generator
         self._gen = gen
         self.out = None
 
@@ -410,31 +427,32 @@ class _Recording:
 def test_mc_outcome_counts_paths_agree_at_the_threshold(extra, cpus, monkeypatch):
     """At exactly ``MC_COMPARE_EDGES`` kept edges a chunk is counted by
     comparison passes and left in draw order, at one more it is sorted;
-    either path, forced on the same CDF, gives the whole draw's counts,
-    on one CPU and split into segments."""
+    either path, forced on the same CDFs, gives each stream the whole
+    draw's counts, on one thread and on several."""
     monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
-    default = _kernels.MC_COMPARE_EDGES
-    edges = default + extra
+    edges = _kernels.MC_COMPARE_EDGES + extra
     rng = np.random.default_rng(20 + extra)
     samples = 3 * _C + 7
-    for k, top in enumerate((1.0 - 1e-12, 1.0 + 2.0 ** -52)):
-        cum, codes = _run_cdf(rng, edges, top)
-        assert _kept_edges(codes) == edges
-        want = _whole_draw_counts(cum, codes, _stream(17, k).random(samples))
-        source = _Recording(_stream(17, k))
-        counts = _kernels.mc_outcome_counts([cum], [codes],
-                                            _kernels.UniformDraws(source, samples))
-        assert counts[0].tolist() == want
+    cdfs = [_run_cdf(rng, edges, top) for top in (1.0 - 1e-12, 1.0 + 2.0 ** -52)]
+    cums, codes = [[cum] for cum, _ in cdfs], [[c] for _, c in cdfs]
+    assert all(_kept_edges(c) == edges for _, c in cdfs)
+    want = [[_whole_draw_counts(cum, c, _stream(17, k).random(samples))]
+            for k, (cum, c) in enumerate(cdfs)]
+    sources = [_Recording(_stream(17, k)) for k in range(2)]
+    counts = _kernels.mc_outcome_counts(cums, codes,
+                                        _kernels.StreamDraws(sources, samples))
+    assert [row.tolist() for row in counts] == want
+    for source in sources:
         assert bool(np.all(source.out[1:] >= source.out[:-1])) == (extra == 1)
-        for threshold in (edges - 1, edges):
-            monkeypatch.setattr(_kernels, "MC_COMPARE_EDGES", threshold)
-            rng_k, reference = _stream(17, k), _stream(17, k)
-            counts = _kernels.mc_outcome_counts(
-                [cum], [codes], _kernels.UniformDraws(rng_k, samples))
-            assert counts[0].tolist() == want
+    for threshold in (edges - 1, edges):
+        monkeypatch.setattr(_kernels, "MC_COMPARE_EDGES", threshold)
+        rngs, references = ([_stream(17, k) for k in range(2)] for _ in range(2))
+        counts = _kernels.mc_outcome_counts(cums, codes,
+                                            _kernels.StreamDraws(rngs, samples))
+        assert [row.tolist() for row in counts] == want
+        for rng_k, reference in zip(rngs, references):
             reference.random(samples)
             assert rng_k.random() == reference.random()
-        monkeypatch.setattr(_kernels, "MC_COMPARE_EDGES", default)
 
 
 def _edge_case_cdfs(rng):
@@ -468,35 +486,34 @@ def test_mc_outcome_counts_edge_case_cdfs_on_either_path(threshold, monkeypatch)
                          ids=lambda sizes: "-".join(map(str, sizes)))
 def test_mc_outcome_counts_of_several_cdfs_equal_separate_counts(sizes, cpus,
                                                                  monkeypatch):
-    """Two or three CDFs counted from one stream, on the comparison path
-    (at most ``MC_COMPARE_EDGES`` edges in all) or the sort path, give
-    each CDF the counts of that stream counted alone, and leave the
-    generator where one whole draw would."""
+    """Two or three CDFs counted from each of two streams, on the
+    comparison path (at most ``MC_COMPARE_EDGES`` edges in all) or the
+    sort path, give each CDF the counts of its stream counted alone, and
+    leave every generator where one whole draw would."""
     monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
     rng = np.random.default_rng(22)
     cdfs = [_run_cdf(rng, edges, top)
             for edges, top in zip(sizes, (1.0 - 1e-12, 1.0, 1.0 + 2.0 ** -52))]
     cums, codes = [cum for cum, _ in cdfs], [c for _, c in cdfs]
     samples = 3 * _C + 7
-    for k in range(2):
-        rng_k, reference = _stream(19, k), _stream(19, k)
-        together = _kernels.mc_outcome_counts(cums, codes,
-                                              _kernels.UniformDraws(rng_k, samples))
-        assert together.dtype == np.int64 and together.shape == (len(cdfs), 4)
+    rngs, references = ([_stream(19, k) for k in range(2)] for _ in range(2))
+    together = _kernels.mc_outcome_counts([cums] * 2, [codes] * 2,
+                                          _kernels.StreamDraws(rngs, samples))
+    for k, (rows, rng_k, reference) in enumerate(zip(together, rngs, references)):
+        assert rows.dtype == np.int64 and rows.shape == (len(cdfs), 4)
         u = reference.random(samples)
-        for row, (cum, c) in zip(together, cdfs):
-            alone = _kernels.mc_outcome_counts(
-                [cum], [c], _kernels.UniformDraws(_stream(19, k), samples))[0]
+        for row, (cum, c) in zip(rows, cdfs):
+            alone = _one_stream([cum], [c], _stream(19, k), samples)[0]
             assert row.tolist() == alone.tolist() == _whole_draw_counts(cum, c, u)
         assert rng_k.random() == reference.random()
 
 
-def test_monte_carlo_report_calls_the_kernel_once_per_pair_from_the_caller(
+def test_monte_carlo_report_calls_the_kernel_once_per_report_from_the_caller(
         monkeypatch):
     """A tracer that wraps ``correlation.mc_outcome_counts`` sees one call
-    per setting pair, made from the calling thread, with the pair's sample
+    per report, made from the calling thread, with the four pairs' sample
     count as ``np.size`` of its draws, also for an emulation report, which
-    counts the comparison model from the same calls."""
+    counts the comparison model from the same call."""
     calls = []
     real = correlation.mc_outcome_counts
 
@@ -509,14 +526,32 @@ def test_monte_carlo_report_calls_the_kernel_once_per_pair_from_the_caller(
     samples = 3 * _C + 7
     correlation.monte_carlo_report(scenario.model, scenario.distributions,
                                    scenario.settings, samples, seed=5)
-    assert calls == [(threading.main_thread(), samples)] * 4
+    assert calls == [(threading.main_thread(), 4 * samples)]
     # an emulation run draws each pair's stream once for both models
     calls.clear()
     doc = generate_scenario("stochastic-equivalent",
                             {"cards": (8,) * 5, "estimator": "monte-carlo",
                              "samples": samples, "mc_seed": 5})
     report.run_scenario(parse_scenario(doc))
-    assert calls == [(threading.main_thread(), samples)] * 4
+    assert calls == [(threading.main_thread(), 4 * samples)]
+
+
+def test_monte_carlo_report_bytes_do_not_depend_on_the_cpu_count(
+        monkeypatch, capsys, tmp_path):
+    """The bundled joint-composite scenario and a generated 8^5 emulation
+    give byte-identical reports whether their four pair streams are
+    counted on one thread or spread over up to four."""
+    emulation = tmp_path / "emulation.scenario"
+    assert main(["generate", "stochastic-equivalent", "--cards", "8,8,8,8,8",
+                 "--seed", "3", "--estimator", "monte-carlo",
+                 "--samples", str(3 * _C + 7), "-o", str(emulation)]) == 0
+    for path in (SCENARIOS / "joint-composite.scenario", emulation):
+        reports = set()
+        for cpus in (1, 2, 3, 4, 8):
+            monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
+            assert main(["run", str(path)]) == 0
+            reports.add(capsys.readouterr().out)
+        assert len(reports) == 1
 
 
 def test_tableau_pivot_column_is_exact_unit():
