@@ -76,7 +76,9 @@ def bench_tableau_pivot(rng):
 
 
 def bench_chsh_strategy_max(_rng):
-    return _time(lambda: _kernels.chsh_strategy_max(5), 3)
+    """n = 6, the largest source cardinality the default enumerate work
+    limit of 2^24 strategies admits."""
+    return _time(lambda: _kernels.chsh_strategy_max(6), 20)
 
 
 BENCHES = [
@@ -84,7 +86,7 @@ BENCHES = [
     ("mc_outcome_counts   (4 cells, 1e6)", bench_mc_outcome_counts_compare),
     ("mc_outcome_counts   (512 cells, 1e6)", bench_mc_outcome_counts_sort),
     ("tableau_pivot       (257x258)", bench_tableau_pivot),
-    ("chsh_strategy_max   (n=5)", bench_chsh_strategy_max),
+    ("chsh_strategy_max   (n=6)", bench_chsh_strategy_max),
 ]
 
 

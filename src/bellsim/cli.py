@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate-bound", parents=[common],
                             help="exhaustive deterministic-strategy bound check")
     p_enum.add_argument("cardinality", type=int,
-                        help="source-space cardinality n; enumerates 2^(4n) "
+                        help="source-space cardinality n; covers 2^(4n) "
                              "strategies")
     p_enum.add_argument("--work-limit", type=int, default=DEFAULT_ENUM_WORK_LIMIT,
                         help="cap on enumerated strategies "

@@ -538,9 +538,11 @@ def enumerate_bound(lambda_cardinality: int,
                     work_limit: int = DEFAULT_ENUM_WORK_LIMIT) -> BoundEnumeration:
     """Maximum |S| over every deterministic source-only strategy.
 
-    Enumerates all 2^(4n) response-table assignments (two settings per
-    side) on an n-point source space together with every point-mass
-    source distribution.
+    Covers all 2^(4n) response-table assignments (two settings per side)
+    on an n-point source space together with every point-mass source
+    distribution: Bob's two tables are enumerated, and Alice's two are
+    maximised in closed form at each point (``chsh_strategy_max``).
+    ``work_limit`` caps the 2^(4n) strategies covered.
     """
     if lambda_cardinality < 1:
         raise CorrelationDomainMismatch("source cardinality must be at least 1")

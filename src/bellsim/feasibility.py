@@ -26,7 +26,8 @@ Every marginal cell fixes a lambda value, so the full system is block
 diagonal: one block per lambda, all equal to the same implicit 0/1
 matrix over the apparatus points (see ``simplex``) and differing only in
 their right-hand sides, the weights rho_pq(lambda, ., .).  Each block is
-solved on its own by ``simplex.solve_block``.  The joint is the
+solved on its own by ``simplex.solve_block``, all on one ``pair_rows``
+index of that matrix, built once per family.  The joint is the
 concatenation of the block solutions, and the family is Infeasible
 exactly when some block is.  The certificate then holds, at the rows of
 each infeasible block, that block's phase-1 dual, and zeros elsewhere
@@ -279,7 +280,8 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     # row lambda: block lambda's right-hand side, pairs in canonical order
     B = np.hstack([family.marginal(p, q).weights.reshape(cards[0], -1)
                    for p, q in SETTING_PAIRS])
-    results = [solve_block(cards[1:], b) for b in B]
+    rows = pair_rows((1, *cards[1:]))
+    results = [solve_block(cards[1:], b, rows) for b in B]
     if all(r.feasible for r in results):
         # tiny negatives were already clipped by the solver
         x = np.concatenate([r.x for r in results])

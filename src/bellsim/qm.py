@@ -149,6 +149,38 @@ def _abs_s(pair: np.ndarray, e_b: np.ndarray, e_b2: np.ndarray,
     return np.abs(s, out=s)
 
 
+#: How far u (or v) may fall short of its slice's max or min while still
+#: picking a candidate b (or b'); see ``max_violation_search``.
+_SPLIT_SLACK = 1e-13
+
+
+def _near(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Indices of the entries of ``x`` within ``_SPLIT_SLACK`` of ``lo`` or
+    ``hi``, ascending."""
+    return np.flatnonzero((x <= lo + _SPLIT_SLACK) | (x >= hi - _SPLIT_SLACK))
+
+
+def _scan_grid(e: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """The first maximal |S| in (a', b, b') order over the grid whose
+    correlations E(axis_i, axis_j) are ``e``, row 0 at a = 0, and its
+    (a', b, b') indices, by the split of ``max_violation_search``."""
+    u = e[0] + e
+    v = e[0] - e
+    u_lo, u_hi = u.min(axis=1), u.max(axis=1)
+    v_lo, v_hi = v.min(axis=1), v.max(axis=1)
+    top = np.maximum(u_hi + v_hi, -(u_lo + v_lo))
+    best, best_index = -1.0, (0, 0, 0)
+    for i in np.flatnonzero(top >= top.max() - 2.0 * _SPLIT_SLACK):
+        bs = _near(u[i], u_lo[i], u_hi[i])
+        b2s = _near(v[i], v_lo[i], v_hi[i])
+        s = _abs_s(e[0][bs, None] + e[0][b2s], e[i][bs], e[i][b2s])
+        value = float(s.max())
+        if value > best:
+            j, k = divmod(int(s.argmax()), b2s.size)
+            best, best_index = value, (int(i), int(bs[j]), int(b2s[k]))
+    return best, best_index
+
+
 def max_violation_search(grid_step: float, refine_rounds: int
                          ) -> tuple[tuple[float, float, float, float], float]:
     """Locate a maximal |S| configuration by grid search plus refinement.
@@ -158,13 +190,26 @@ def max_violation_search(grid_step: float, refine_rounds: int
     ``grid_step``, which must lie in [2*pi/MAX_GRID_POINTS, pi/4] so that
     the scan of at most 1024^3 points ends in bounded time.  The
     correlations come from the same elementwise amplitudes as
-    ``singlet_probabilities``: E(a', b) is built once for every grid pair,
-    and the grid is scanned one a' slice of (b, b') at a time, so memory
-    is O(n^2) for n points per axis.  Each refinement round halves the
-    step and rescans, as one 5x5x5 array, a one-old-step box around the
-    incumbent, which is itself a candidate, so the reported |S| never
-    decreases; rounds stop early once the half step is 0.0, where every
-    candidate is the incumbent.
+    ``singlet_probabilities``: E(a', b) is built once for every grid pair.
+    Each refinement round halves the step and rescans, as one 5x5x5 array,
+    a one-old-step box around the incumbent, which is itself a candidate,
+    so the reported |S| never decreases; rounds stop early once the half
+    step is 0.0, where every candidate is the incumbent.
+
+    The grid scan uses the split S = u(b) + v(b') on each a' slice, with
+    u = E(0,b) + E(a',b) and v = E(0,b') - E(a',b'): the slice's largest S
+    is max u + max v and its smallest min u + min v, so its top |S| is
+    found in O(n) rather than O(n^2) for n points per axis.  u and v only
+    pick candidates; |S| itself is evaluated in ``singlet_chsh``'s order.
+    The evaluated S and u + v each round three times, on terms of size at
+    most 2 (correlations lie in [-1, 1]) and partial sums of size at most
+    4, so each lies within (2 + 3 + 4) * 2^-53 of the exact sum and the
+    two differ by less than 2e-15.  That is far below ``_SPLIT_SLACK`` =
+    1e-13, the slack delta of the candidates: a slice whose top is more
+    than 2 * delta below the best slice's top cannot hold the maximum, and
+    on a slice the maximum lies on a b whose u is within delta of the
+    slice's max or min of u, and a b' whose v is within delta of the max
+    or min of v.  |S| is evaluated on those candidate pairs only.
 
     Ties go to the first maximum in (a', b, b') loop order: the incumbent
     is replaced only by a strictly larger |S|, and within one array the
@@ -184,15 +229,8 @@ def max_violation_search(grid_step: float, refine_rounds: int
     axis = [k * grid_step for k in range(n)]
     half_angles = _half_angles(axis)
     e = _correlations(half_angles, half_angles)   # row 0 is a = axis[0] = 0
-    pair = e[0][:, None] + e[0][None, :]
-    best, best_angles = -1.0, (0.0, 0.0, 0.0, 0.0)
-    s = np.empty((n, n))
-    for i, e_i in enumerate(e):
-        _abs_s(pair, e_i, e_i, out=s)
-        top = float(s.max())
-        if top > best:
-            j, k = divmod(int(s.argmax()), n)
-            best, best_angles = top, (0.0, axis[i], axis[j], axis[k])
+    best, (i, j, k) = _scan_grid(e)
+    best_angles = (0.0, axis[i], axis[j], axis[k])
 
     zero = _half_angles([0.0])
     step = grid_step

@@ -153,15 +153,19 @@ def _leaving_row(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
     return int(rows[np.argmin(basis[rows])])
 
 
-def solve_block(shape: Sequence[int], b: np.ndarray) -> SimplexResult:
+def solve_block(shape: Sequence[int], b: np.ndarray,
+                rows: np.ndarray | None = None) -> SimplexResult:
     """Find x >= 0 with A x = b for the four-cycle block of ``shape`` =
     (d_a, d_a', d_b, d_b'), or a certificate that none exists.
 
     ``b`` holds the block's marginal cells in row order and must be
     nonnegative, as marginals are; otherwise, or when its length is not
     the block's row count, raises :class:`SimplexDomainMismatch`.
+    ``rows`` is ``pair_rows((1, *shape))``, built here if not given, so
+    that the blocks of one family can share it.
     """
-    rows = pair_rows((1, *shape))
+    if rows is None:
+        rows = pair_rows((1, *shape))
     n = math.prod(shape)
     m = sum(shape[SETTING_AXIS[p] - 1] * shape[SETTING_AXIS[q] - 1]
             for p, q in SETTING_PAIRS)

@@ -252,8 +252,8 @@ class TestRun:
         # a SettingDependent Local scenario: its verdict comes from the LP
         real = feasibility.solve_block
 
-        def off_by_a_little(shape, b):
-            result = real(shape, b)
+        def off_by_a_little(shape, b, rows):
+            result = real(shape, b, rows)
             x = result.x.copy()
             x[0] += 1e-6
             return dataclasses.replace(result, x=x)
@@ -273,7 +273,7 @@ class TestRun:
             self, capsys, monkeypatch, tmp_path, cards, rows):
         # uniform marginals, read out by all-(+1) tables: S = 2, so no
         # closed-form certificate, and the LP block is refused unbuilt
-        def unsolvable(shape, b):
+        def unsolvable(shape, b, rows):
             raise AssertionError("LP block solved past the cell limit")
 
         monkeypatch.setattr(feasibility, "solve_block", unsolvable)
@@ -288,7 +288,7 @@ class TestRun:
                                                      tmp_path):
         # 152 blocks of 862 rows and 430 columns, each under the block
         # limit, are refused together before any is solved
-        def unsolvable(shape, b):
+        def unsolvable(shape, b, rows):
             raise AssertionError("LP block solved past the summed cell limit")
 
         monkeypatch.setattr(feasibility, "solve_block", unsolvable)
@@ -879,6 +879,15 @@ class TestEnumerateBound:
                                "--work-limit", "1000")
         assert code == 1
         assert "limit" in err.lower()
+
+    def test_seven_points_under_a_raised_limit_end_within_a_second(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, "enumerate-bound", "7",
+                               "--work-limit", str(2 ** 28))
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["max_abs_s"], doc["strategies"]) == (2.0, 2 ** 28)
 
     def test_help_shows_the_default_work_limit(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -52,7 +52,7 @@ from bellsim.feasibility import (
 )
 from bellsim.models import ApparatusDeterministic, standard_settings
 from bellsim.qm import singlet_chsh, singlet_probabilities
-from bellsim.simplex import solve_block
+from bellsim.simplex import pair_rows, solve_block
 from bellsim.spaces import (
     SETTING_PAIRS,
     Distribution,
@@ -450,8 +450,8 @@ class TestBlockSplit:
             random_apparatus_dists(rng, spaces))
         iterations = []
 
-        def counted(shape, b):
-            result = solve_block(shape, b)
+        def counted(shape, b, rows):
+            result = solve_block(shape, b, rows)
             iterations.append(result.iterations)
             return result
 
@@ -461,6 +461,20 @@ class TestBlockSplit:
         # blocks with b = 0 start at a zero objective and take no pivot
         assert iterations[0] == iterations[2] == 0 and iterations[1] > 0
         assert np.all(verdict.joint.weights[[0, 2]] == 0.0)
+
+    def test_blocks_share_one_pair_rows_index(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        family = random_family(rng, (4, 2, 3, 2, 2))
+        seen = []
+
+        def recorded(shape, b, rows):
+            seen.append(rows)
+            return solve_block(shape, b, rows)
+
+        monkeypatch.setattr(feasibility, "solve_block", recorded)
+        assert_agrees_with_full_system(family)
+        assert len(seen) == 4 and all(rows is seen[0] for rows in seen)
+        np.testing.assert_array_equal(seen[0], pair_rows((1, 2, 3, 2, 2)))
 
     def test_single_inconsistent_block(self):
         rng = np.random.default_rng(49)
@@ -495,8 +509,8 @@ class TestSelfCheckedVerdicts:
         family = family_from_joint(random_distribution(
             rng, tuple(five_spaces((2, 2, 2, 2, 2)))))
 
-        def perturbed(shape, b):
-            result = solve_block(shape, b)
+        def perturbed(shape, b, rows):
+            result = solve_block(shape, b, rows)
             x = result.x.copy()
             x[0] += 1e-6
             return dataclasses.replace(result, x=x)
@@ -513,8 +527,8 @@ class TestSelfCheckedVerdicts:
     def test_perturbed_certificate_is_refused(self, monkeypatch, perturb):
         family, _ = construct_nonlocal_witness(TSIRELSON_ANGLES)
 
-        def perturbed(shape, b):
-            result = solve_block(shape, b)
+        def perturbed(shape, b, rows):
+            result = solve_block(shape, b, rows)
             return dataclasses.replace(result,
                                        certificate=perturb(result.certificate))
 
@@ -582,7 +596,7 @@ def singlet_spread(rng, cards, side_a_sign=1.0):
             settings)
 
 
-def no_lp(shape, b):
+def no_lp(shape, b, rows):
     raise AssertionError("the LP ran")
 
 
@@ -624,9 +638,9 @@ class TestChshCertificate:
             {name: np.ones((1, 2)) for name in witness_model.tables})
         calls = []
 
-        def counted(shape, b):
+        def counted(shape, b, rows):
             calls.append(b)
-            return solve_block(shape, b)
+            return solve_block(shape, b, rows)
 
         monkeypatch.setattr(feasibility, "solve_block", counted)
         verdict = check_joint_existence(family, model=model)
@@ -649,9 +663,9 @@ class TestChshCertificate:
         assert 0.0 < verify_certificate(family, y)[1] <= CERTIFICATE_SLACK
         calls = []
 
-        def counted(shape, b):
+        def counted(shape, b, rows):
             calls.append(b)
-            return solve_block(shape, b)
+            return solve_block(shape, b, rows)
 
         monkeypatch.setattr(feasibility, "solve_block", counted)
         if excess < 5e-8:
@@ -697,7 +711,7 @@ class TestLpCellLimit:
                                        (16, 8, 8, 8, 8), (1, 1, 1, 64, 64)],
                              ids=lambda c: "x".join(map(str, c)))
     def test_admitted_shapes_reach_the_lp(self, monkeypatch, cards):
-        def reached(shape, b):
+        def reached(shape, b, rows):
             raise ReachedTheLp
 
         monkeypatch.setattr(feasibility, "solve_block", reached)
@@ -740,7 +754,7 @@ class TestLpCellLimit:
         summed limit, which is that of sixteen 8^4 blocks."""
         assert LP_TOTAL_CELL_LIMIT == 16 * LP_CELL_LIMIT
 
-        def reached(shape, b):
+        def reached(shape, b, rows):
             raise ReachedTheLp
 
         monkeypatch.setattr(feasibility, "solve_block", reached)

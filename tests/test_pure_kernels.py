@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from strategy_reference import int8_strategy_max, loop_strategy_max
 
 from bellsim import _kernels, correlation, report
 from bellsim.cli import main
@@ -22,6 +23,16 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_chsh_strategy_max_is_exactly_two(n):
     assert _kernels.chsh_strategy_max(n) == 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_chsh_strategy_max_matches_the_int8_enumeration(n):
+    assert _kernels.chsh_strategy_max(n) == int8_strategy_max(n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_chsh_strategy_max_matches_every_point_sum(n):
+    assert _kernels.chsh_strategy_max(n) == loop_strategy_max(n)
 
 
 class _Replay:

@@ -14,6 +14,9 @@ from bellsim.qm import (
     MAX_GRID_POINTS,
     MIN_GRID_STEP,
     SingletPrediction,
+    _abs_s,
+    _correlations,
+    _half_angles,
     max_violation_search,
     singlet_chsh,
     singlet_correlation,
@@ -167,8 +170,65 @@ class TestMaxViolationSearch:
         for rounds in range(5):
             assert max_violation_search(grid_step, rounds) == want[rounds]
 
+    @pytest.mark.parametrize("grid_step", [0.05, 0.01])
+    @pytest.mark.parametrize("rounds", [0, 3])
+    def test_bit_equal_to_the_slice_scan(self, grid_step, rounds):
+        assert max_violation_search(grid_step, rounds) == slice_scan_search(
+            grid_step, rounds)
+
+    @pytest.mark.parametrize("points", [34, 86])
+    def test_candidates_reach_past_the_rounded_extremes(self, points):
+        # At 34 points per axis the best slice's |S| ties exactly at
+        # (b, b') = (4, 29), (4, 30), (21, 12) and (21, 13), and v at
+        # b' = 29 is one ulp above v's min, so taking only the b' at the
+        # min would report (4, 30).  At 86 points the maximal |S| lies
+        # on a b' one ulp above v's min, so its |S| would be lost.
+        step = 2.0 * math.pi / points
+        assert max_violation_search(step, 0) == slice_scan_search(step, 0)
+
     def test_deterministic(self):
         assert max_violation_search(math.pi / 4, 2) == max_violation_search(math.pi / 4, 2)
+
+
+def slice_scan_search(grid_step: float, refine_rounds: int
+                      ) -> tuple[tuple[float, float, float, float], float]:
+    """Reference search: |S| over every (b, b') of each a' slice, one n x n
+    array at a time, in ``singlet_chsh``'s order, and the same refinement
+    as ``max_violation_search``.  The incumbent is replaced only by a
+    strictly larger |S|, and within one array the first maximum in C order
+    wins."""
+    n = int(math.ceil(2.0 * math.pi / grid_step - 1e-12))
+    axis = [k * grid_step for k in range(n)]
+    half_angles = _half_angles(axis)
+    e = _correlations(half_angles, half_angles)
+    pair = e[0][:, None] + e[0][None, :]
+    best, best_angles = -1.0, (0.0, 0.0, 0.0, 0.0)
+    s = np.empty((n, n))
+    for i, e_i in enumerate(e):
+        _abs_s(pair, e_i, e_i, out=s)
+        top = float(s.max())
+        if top > best:
+            j, k = divmod(int(s.argmax()), n)
+            best, best_angles = top, (0.0, axis[i], axis[j], axis[k])
+
+    zero = _half_angles([0.0])
+    step = grid_step
+    for _ in range(refine_rounds):
+        half = step / 2.0
+        if half == 0.0:
+            break
+        offsets = [j * half for j in (-2, -1, 0, 1, 2)]
+        a2s, bs, b2s = ([base + d for d in offsets] for base in best_angles[1:])
+        h_a2, h_b, h_b2 = _half_angles(a2s), _half_angles(bs), _half_angles(b2s)
+        e0_b, e0_b2 = _correlations(zero, h_b)[0], _correlations(zero, h_b2)[0]
+        s = _abs_s(e0_b[:, None] + e0_b2[None, :],
+                   _correlations(h_a2, h_b), _correlations(h_a2, h_b2))
+        top = float(s.max())
+        if top > best:
+            i, j, k = np.unravel_index(int(s.argmax()), s.shape)
+            best, best_angles = top, (0.0, a2s[i], bs[j], b2s[k])
+        step = half
+    return best_angles, best
 
 
 def scalar_search(grid_step: float, max_rounds: int
