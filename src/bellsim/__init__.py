@@ -12,6 +12,7 @@ qm            quantum singlet-state reference predictions
 scenario      scenario-file schema, templates, load/save
 report        analysis report rendering
 cli           command-line harness
+errors        one exception class per module tag, printed by the CLI as [tag]
 """
 
 from __future__ import annotations

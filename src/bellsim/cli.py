@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .correlation import DEFAULT_ENUM_WORK_LIMIT
-from .errors import BellsimError, OutputError
+from .errors import BellsimError, CliError
 from .feasibility import DEFAULT_WORK_LIMIT
 from .report import (enumerate_bound_doc, qm_chsh_doc, qm_search_doc,
                      qm_table_doc, run_scenario)
@@ -159,7 +159,7 @@ def _emit(text: str, output: str | None) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:

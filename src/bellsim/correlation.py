@@ -48,16 +48,7 @@ from ._kernels import (
     mc_outcome_counts,
     outcome_cell_sums,
 )
-from .errors import (
-    CorrelationDomainMismatch,
-    CorrelationSideMismatch,
-    IncompatibleModeModel,
-    NegativeSeed,
-    NotAProbabilityVector,
-    OutOfRangeCorrelation,
-    WorkLimitExceeded,
-    ZeroSamples,
-)
+from .errors import CorrelationError, IncompatibleModeModel, work_limit_detail
 from .models import (
     ApparatusDeterministic,
     Contextual,
@@ -133,7 +124,7 @@ class SettingDependent:
     def __post_init__(self) -> None:
         marginals = {pair_key(*k): v for k, v in self.marginals.items()}
         if set(marginals) != set(SETTING_PAIRS):
-            raise CorrelationDomainMismatch(
+            raise CorrelationError(
                 f"need one marginal per setting pair {SETTING_PAIRS}, "
                 f"got {sorted(marginals)}")
         for dist in marginals.values():
@@ -147,7 +138,7 @@ class SettingDependent:
     def spaces(self) -> FiveSpaces:
         """The five spaces of an apparatus-kind family, read off the
         (a, b), (a, b') and (a', b) marginals.  Raises
-        CorrelationDomainMismatch unless every marginal lives on
+        CorrelationError unless every marginal lives on
         (lambda, lambda_p, lambda_q) of these spaces."""
         domains = [self.marginals[pair].domain for pair in SETTING_PAIRS]
         if all(len(d) == 3 for d in domains):
@@ -156,7 +147,7 @@ class SettingDependent:
             if all(d == (lam, spaces.for_setting(p), spaces.for_setting(q))
                    for (p, q), d in zip(SETTING_PAIRS, domains)):
                 return spaces
-        raise CorrelationDomainMismatch(
+        raise CorrelationError(
             "setting-pair marginals need domains (lambda, lambda_p, lambda_q) "
             f"over one set of five spaces, got "
             f"{[self.marginals[pair].labels for pair in SETTING_PAIRS]}")
@@ -177,7 +168,7 @@ class FactorizedApparatus:
         apparatus = dict(self.apparatus)
         for name in SETTING_NAMES:
             if name not in apparatus:
-                raise CorrelationDomainMismatch(
+                raise CorrelationError(
                     f"missing apparatus distribution for {name!r}")
             validate_distribution(apparatus[name])
         object.__setattr__(self, "apparatus", apparatus)
@@ -194,7 +185,7 @@ class JointComposite:
     def __post_init__(self) -> None:
         validate_distribution(self.joint)
         if len(self.joint.domain) != 5:
-            raise CorrelationDomainMismatch(
+            raise CorrelationError(
                 f"composite joint needs a five-space domain, got {self.joint.labels}")
 
 
@@ -250,7 +241,7 @@ class CorrelationReport:
         for pc in self.pairs:
             if pc.pair == key:
                 return pc
-        raise CorrelationDomainMismatch(f"no pair ({p!r}, {q!r}) in report")
+        raise CorrelationError(f"no pair ({p!r}, {q!r}) in report")
 
 
 @dataclass(frozen=True)
@@ -274,10 +265,10 @@ def correlation_from_probabilities(p_pp: float, p_pm: float, p_mp: float,
     probs = (p_pp, p_pm, p_mp, p_mm)
     for value in probs:
         if value < -PROB_TOL:
-            raise NotAProbabilityVector(f"negative probability {value!r}")
+            raise CorrelationError(f"negative probability {value!r}")
     total = math.fsum(probs)
     if abs(total - 1.0) > PROB_TOL:
-        raise NotAProbabilityVector(f"probabilities sum to {total!r}, expected 1")
+        raise CorrelationError(f"probabilities sum to {total!r}, expected 1")
     return p_pp + p_mm - p_pm - p_mp
 
 
@@ -286,7 +277,7 @@ def chsh(e_ab: float, e_ab_prime: float, e_a_prime_b: float,
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
     for value in (e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime):
         if abs(value) > 1.0 + CORRELATION_RANGE_TOL:
-            raise OutOfRangeCorrelation(value)
+            raise CorrelationError(f"correlation {float(value)!r} lies outside [-1, 1]")
     return e_ab + e_ab_prime + e_a_prime_b - e_a_prime_b_prime
 
 
@@ -318,10 +309,10 @@ def _codes_from_signs(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _check_pair(pair: tuple[Setting, Setting]) -> tuple[Setting, Setting]:
     p, q = pair
     if not p.is_side_a:
-        raise CorrelationSideMismatch(
+        raise CorrelationError(
             f"first setting of a pair must be side A, got {p.name!r}")
     if q.is_side_a:
-        raise CorrelationSideMismatch(
+        raise CorrelationError(
             f"second setting of a pair must be side B, got {q.name!r}")
     return p, q
 
@@ -335,7 +326,7 @@ def _source_weights(model, dists, pair_names) -> np.ndarray:
     else:
         raise IncompatibleModeModel(dists.mode, model.kind)
     if rho.domain != (model.lam,):
-        raise CorrelationDomainMismatch(
+        raise CorrelationError(
             f"distribution domain {rho.labels} does not match the model's "
             f"source space {model.lam.label!r}")
     return rho.flat
@@ -356,7 +347,7 @@ def _apparatus_triple(model: ApparatusDeterministic, dists,
     expected = (spaces.lam, spaces.for_setting(p.name), spaces.for_setting(q.name))
     domain = tuple(s for part in parts for s in part.domain)
     if domain != expected:
-        raise CorrelationDomainMismatch(
+        raise CorrelationError(
             f"{dists.mode} distributions for ({p.name!r}, {q.name!r}) live on "
             f"{tuple(s.label for s in domain)}, expected "
             f"{tuple(s.label for s in expected)}")
@@ -408,7 +399,7 @@ def _composite_decomposition(model: ApparatusDeterministic, dists: JointComposit
                              p: Setting, q: Setting) -> OutcomeDecomposition:
     spaces = model.spaces
     if dists.joint.domain != tuple(spaces):
-        raise CorrelationDomainMismatch(
+        raise CorrelationError(
             f"composite joint domain {dists.joint.labels} does not match the "
             f"model's five spaces {tuple(s.label for s in spaces)}")
     shape = dists.joint.shape
@@ -425,7 +416,7 @@ def _composite_decomposition(model: ApparatusDeterministic, dists: JointComposit
 def _ordered_pairs(settings) -> tuple[tuple[Setting, Setting], ...]:
     by_name = {s.name: s for s in settings}
     if sorted(s.name for s in settings) != sorted(SETTING_NAMES):
-        raise CorrelationSideMismatch(
+        raise CorrelationError(
             f"need the four canonical settings, got {sorted(by_name)}")
     return tuple((by_name[p], by_name[q]) for p, q in SETTING_PAIRS)
 
@@ -500,11 +491,11 @@ def monte_carlo_report(model, dists, settings, samples, seed, comparison=None):
     stream is built.
     """
     if samples < 1:
-        raise ZeroSamples()
+        raise CorrelationError("sample count must be at least 1")
     if samples > MAX_SAMPLES:
-        raise WorkLimitExceeded(samples, MAX_SAMPLES)
+        raise CorrelationError(work_limit_detail(samples, MAX_SAMPLES))
     if seed < 0:
-        raise NegativeSeed(seed)
+        raise CorrelationError(f"seed must be nonnegative, got {int(seed)}")
     models = [(model, dists)] if comparison is None else [(model, dists), comparison]
     pairs = _ordered_pairs(settings)
     decs = [[outcome_decomposition(m, d, pair) for m, d in models] for pair in pairs]
@@ -545,12 +536,13 @@ def enumerate_bound(lambda_cardinality: int,
     ``work_limit`` caps the 2^(4n) strategies covered.
     """
     if lambda_cardinality < 1:
-        raise CorrelationDomainMismatch("source cardinality must be at least 1")
+        raise CorrelationError("source cardinality must be at least 1")
     bits = 4 * lambda_cardinality
     # 2**bits > work_limit exactly when bits reaches the limit's bit length,
     # so a refused count is never formed, and printed only when it is short
     if bits >= max(work_limit, 0).bit_length():
-        raise WorkLimitExceeded(2 ** bits if bits <= 64 else f"2**{bits}", work_limit)
+        raise CorrelationError(work_limit_detail(
+            2 ** bits if bits <= 64 else f"2**{bits}", work_limit))
     strategies = 2 ** bits
     max_abs_s = float(chsh_strategy_max(lambda_cardinality))
     return BoundEnumeration(

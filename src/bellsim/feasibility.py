@@ -47,7 +47,7 @@ checked against the marginals by the same step; Infeasible verdicts
 carry the certificate, reported raw, and the two numbers of its
 separation check.  Both checks are computed from the marginal structure
 in a fixed order, never by a matrix product, and a verdict that fails
-its check raises :class:`NumericalFailure` instead of being returned.  A
+its check raises :class:`FeasibilityError` instead of being returned.  A
 family whose final phase-1 objective, at least its distance from
 locality, lies between the solver's ``FEASIBILITY_TOL`` and
 ``CERTIFICATE_SLACK`` gets neither verdict from the LP: its joint misses
@@ -67,8 +67,7 @@ import numpy as np
 
 from .correlation import (BELL_BOUND_TOL, FactorizedApparatus, JointComposite,
                           SettingDependent)
-from .errors import (FeasibilityDomainMismatch, FeasibilityWorkLimitExceeded,
-                     NonViolatingAngles, NumericalFailure)
+from .errors import FeasibilityError, work_limit_detail
 from .models import ApparatusDeterministic, Setting
 from .qm import singlet_chsh, singlet_probabilities
 from .simplex import column_sums, pair_rows, solve_block
@@ -151,7 +150,7 @@ def admit(spaces: FiveSpaces, work_limit: int) -> None:
     """Refuse five spaces with more composite points than ``work_limit``."""
     n = math.prod(s.cardinality for s in spaces)
     if n > work_limit:
-        raise FeasibilityWorkLimitExceeded(n, work_limit)
+        raise FeasibilityError(work_limit_detail(n, work_limit))
 
 
 def _admit_lp(family: SettingDependent) -> None:
@@ -164,13 +163,13 @@ def _admit_lp(family: SettingDependent) -> None:
     n = math.prod(cards[1:])
     cells = (m + 1) * (n + m + 1)
     if cells > LP_CELL_LIMIT:
-        raise FeasibilityWorkLimitExceeded(
+        raise FeasibilityError(work_limit_detail(
             cells, LP_CELL_LIMIT,
-            f"tableau cells for an LP block of {m} rows and {n} columns")
+            f"tableau cells for an LP block of {m} rows and {n} columns"))
     if cards[0] * cells > LP_TOTAL_CELL_LIMIT:
-        raise FeasibilityWorkLimitExceeded(
+        raise FeasibilityError(work_limit_detail(
             cards[0] * cells, LP_TOTAL_CELL_LIMIT,
-            f"tableau cells for {cards[0]} LP blocks of {m} rows and {n} columns")
+            f"tableau cells for {cards[0]} LP blocks of {m} rows and {n} columns"))
 
 
 def _mode_spaces(dists: SettingDependent | FactorizedApparatus
@@ -185,10 +184,10 @@ def _mode_spaces(dists: SettingDependent | FactorizedApparatus
         parts = [dists.rho] + [dists.apparatus[name] for name in SETTING_NAMES]
         if all(len(part.domain) == 1 for part in parts):
             return FiveSpaces(*(part.domain[0] for part in parts))
-        raise FeasibilityDomainMismatch(
+        raise FeasibilityError(
             "FactorizedApparatus distributions need one space each, got "
             f"{[part.labels for part in parts]}")
-    raise FeasibilityDomainMismatch(
+    raise FeasibilityError(
         f"no setting-pair marginal family for mode {dists.mode}")
 
 
@@ -199,13 +198,13 @@ def _feasible_verdict(marginals: Mapping[tuple[str, str], Distribution],
 
     The joint is rescaled to exact total mass 1, the one explicit
     renormalization in the pipeline, and checked against every marginal;
-    raises :class:`NumericalFailure` when it misses one by more than
+    raises :class:`FeasibilityError` when it misses one by more than
     ``MARGINAL_TOL``.
     """
     joint = renormalize(joint)
     residual = marginal_residual(marginals, joint)
     if not residual <= MARGINAL_TOL:
-        raise NumericalFailure(f"joint misses the marginals by {residual!r}, "
+        raise FeasibilityError(f"joint misses the marginals by {residual!r}, "
                                f"tolerance is {MARGINAL_TOL!r}")
     return FeasibilityVerdict(status="Feasible", joint=joint,
                               residual=residual)
@@ -219,14 +218,14 @@ def _chsh_certificate(family: SettingDependent,
     - 1/2, laid out like the rows of the full system, with sigma the CHSH
     signs and g the sign of S.  Every column's y^T A is g times the CHSH
     sum of four +-1 values, minus 2, so at most 0 exactly; y^T b is
-    |S| - 2.  Raises :class:`FeasibilityDomainMismatch` unless the model
+    |S| - 2.  Raises :class:`FeasibilityError` unless the model
     and the family share their five spaces.
     """
     if model.spaces != family.spaces:
         model_spaces, family_spaces = (
             [f"{s.label}:{s.cardinality}" for s in spaces]
             for spaces in (model.spaces, family.spaces))
-        raise FeasibilityDomainMismatch(
+        raise FeasibilityError(
             f"model spaces {model_spaces} differ from the family's "
             f"{family_spaces}")
     t = np.concatenate([
@@ -255,11 +254,10 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     that certificate separates; every other SettingDependent family goes
     to the LP, once its blocks fit ``LP_CELL_LIMIT`` and
     ``LP_TOTAL_CELL_LIMIT``.
-    Raises :class:`FeasibilityDomainMismatch` for any other mode or for a
-    model whose spaces differ from the family's,
-    :class:`FeasibilityWorkLimitExceeded` past either limit, and
-    :class:`NumericalFailure` when the joint misses the marginals by more
-    than ``MARGINAL_TOL`` or the LP's certificate does not separate.
+    Raises :class:`FeasibilityError` for any other mode or for a model
+    whose spaces differ from the family's, past either limit, and when
+    the joint misses the marginals by more than ``MARGINAL_TOL`` or the
+    LP's certificate does not separate.
     """
     admit(_mode_spaces(dists), work_limit)
     if isinstance(dists, FactorizedApparatus):
@@ -298,7 +296,7 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
                         for part in np.split(Y, ends[:-1], axis=1)])
     max_yta, ytb = verify_certificate(family, y)
     if not max_yta <= CERTIFICATE_SLACK < ytb:
-        raise NumericalFailure(f"certificate does not separate: max y^T A = "
+        raise FeasibilityError(f"certificate does not separate: max y^T A = "
                                f"{max_yta!r}, y^T b = {ytb!r}")
     return FeasibilityVerdict(status="Infeasible", certificate=y,
                               violation=ytb, max_yta=max_yta)
@@ -364,12 +362,14 @@ def construct_nonlocal_witness(angles: tuple[Setting, Setting, Setting, Setting]
     through; each rho_pq places the four (lambda_p, lambda_q) cells at the
     singlet outcome probabilities for that setting pair.  Requires angles
     where the singlet CHSH value exceeds the bound, otherwise the family
-    would be Local and NonViolatingAngles is raised instead.
+    would be Local and :class:`FeasibilityError` is raised instead.
     """
     a, a_prime, b, b_prime = angles
     s = singlet_chsh(a, a_prime, b, b_prime)
     if abs(s) <= 2.0 + BELL_BOUND_TOL:
-        raise NonViolatingAngles(s)
+        raise FeasibilityError(
+            f"singlet CHSH value {float(s)!r} does not violate the bound; "
+            "the witness construction needs |S| > 2")
     lam = HiddenSpace("lambda", ("0",))
     spaces = FiveSpaces.binary_apparatus(lam)
     tables = {name: np.array([[1.0, -1.0]]) for name in SETTING_NAMES}

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DomainMismatch, KindMismatch, RemoteDependenceForbidden,
-                     SideMismatch)
+from .errors import RemoteDependenceForbidden, ResponseModelError
 from .spaces import (
     SETTING_NAMES,
     SIDE_A_NAMES,
@@ -51,10 +50,10 @@ class Setting:
 
     def __post_init__(self) -> None:
         if self.side not in ("A", "B"):
-            raise SideMismatch(f"side must be 'A' or 'B', got {self.side!r}")
+            raise ResponseModelError(f"side must be 'A' or 'B', got {self.side!r}")
         expected = SIDE_A_NAMES if self.side == "A" else SIDE_B_NAMES
         if self.name not in expected:
-            raise SideMismatch(
+            raise ResponseModelError(
                 f"setting {self.name!r} is not valid on side {self.side}")
 
     @property
@@ -73,14 +72,14 @@ def standard_settings(theta_a: float, theta_a_prime: float, theta_b: float,
 def _freeze_table(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.shape != shape:
-        raise DomainMismatch(f"{what} has shape {arr.shape}, expected {shape}")
+        raise ResponseModelError(f"{what} has shape {arr.shape}, expected {shape}")
     arr.setflags(write=False)
     return arr
 
 
 def _check_signs(arr: np.ndarray, what: str) -> None:
     if not np.all(np.abs(arr) == 1.0):
-        raise DomainMismatch(f"{what} must contain only +1/-1 entries")
+        raise ResponseModelError(f"{what} must contain only +1/-1 entries")
 
 
 def _tables_equal(left, right) -> bool:
@@ -107,7 +106,7 @@ class DeterministicSource:
         frozen = {}
         for name in SETTING_NAMES:
             if name not in self.tables:
-                raise DomainMismatch(f"missing response table for setting {name!r}")
+                raise ResponseModelError(f"missing response table for setting {name!r}")
             arr = _freeze_table(self.tables[name], shape, f"table for {name!r}")
             _check_signs(arr, f"table for {name!r}")
             frozen[name] = arr
@@ -131,10 +130,10 @@ class StochasticSource:
         frozen = {}
         for name in SETTING_NAMES:
             if name not in self.tables:
-                raise DomainMismatch(f"missing probability table for setting {name!r}")
+                raise ResponseModelError(f"missing probability table for setting {name!r}")
             arr = _freeze_table(self.tables[name], shape, f"table for {name!r}")
             if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also refuses NaN
-                raise DomainMismatch(f"table for {name!r} must lie in [0, 1]")
+                raise ResponseModelError(f"table for {name!r} must lie in [0, 1]")
             frozen[name] = arr
         object.__setattr__(self, "tables", frozen)
 
@@ -165,7 +164,7 @@ class Contextual:
             for remote in remotes:
                 key = (own, remote)
                 if key not in self.tables:
-                    raise DomainMismatch(f"missing table for (own, remote) = {key}")
+                    raise ResponseModelError(f"missing table for (own, remote) = {key}")
                 arr = _freeze_table(self.tables[key], shape, f"table for {key}")
                 _check_signs(arr, f"table for {key}")
                 frozen[key] = arr
@@ -180,7 +179,7 @@ class Contextual:
 
     def response_vector(self, setting: Setting, remote: Setting) -> np.ndarray:
         if setting.side == remote.side:
-            raise SideMismatch(
+            raise ResponseModelError(
                 f"remote setting {remote.name!r} is on the same side as {setting.name!r}")
         return self.tables[(setting.name, remote.name)]
 
@@ -216,7 +215,7 @@ class ApparatusDeterministic:
         frozen = {}
         for name in SETTING_NAMES:
             if name not in self.tables:
-                raise DomainMismatch(f"missing response table for setting {name!r}")
+                raise ResponseModelError(f"missing response table for setting {name!r}")
             shape = (self.spaces.lam.cardinality,
                      self.spaces.for_setting(name).cardinality)
             arr = _freeze_table(self.tables[name], shape, f"table for {name!r}")
@@ -246,7 +245,7 @@ def flatten_joint(joint: Distribution) -> Distribution:
     factors, so the weights transfer unchanged.
     """
     if len(joint.domain) != 5:
-        raise DomainMismatch(
+        raise ResponseModelError(
             f"composite joint needs a five-space domain, got {joint.labels}")
     tilde = composite_space(FiveSpaces(*joint.domain))
     return Distribution((tilde,), joint.flat)
@@ -268,15 +267,16 @@ def _check_apparatus_dists(model: ApparatusDeterministic,
     """Refuse a model of another kind, and a missing apparatus
     distribution or one off its setting's space."""
     if not isinstance(model, ApparatusDeterministic):
-        raise KindMismatch("ApparatusDeterministic",
-                           getattr(model, "kind", type(model).__name__))
+        kind = getattr(model, "kind", type(model).__name__)
+        raise ResponseModelError(
+            f"operation expects a ApparatusDeterministic model, got {kind}")
     for name in SETTING_NAMES:
         if name not in apparatus_dists:
-            raise DomainMismatch(f"missing apparatus distribution for setting {name!r}")
+            raise ResponseModelError(f"missing apparatus distribution for setting {name!r}")
         dist = apparatus_dists[name]
         expected = model.spaces.for_setting(name)
         if dist.domain != (expected,):
-            raise DomainMismatch(
+            raise ResponseModelError(
                 f"apparatus distribution for {name!r} has domain {dist.labels}, "
                 f"expected ({expected.label!r},)")
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStep, NonFiniteAngle, QmSideMismatch
+from .errors import NonFiniteAngle, QmError
 from .models import Setting
 
 MAX_GRID_STEP = math.pi / 4
@@ -98,9 +98,9 @@ def _reduced_relative_angle(a: float, b: float) -> float:
 def singlet_probabilities(a: Setting, b: Setting) -> SingletPrediction:
     """Outcome probabilities for measuring the singlet at settings (a, b)."""
     if not a.is_side_a:
-        raise QmSideMismatch(f"first setting must be on side A, got {a.name!r}")
+        raise QmError(f"first setting must be on side A, got {a.name!r}")
     if b.is_side_a:
-        raise QmSideMismatch(f"second setting must be on side B, got {b.name!r}")
+        raise QmError(f"second setting must be on side B, got {b.name!r}")
     for s in (a, b):
         if not math.isfinite(s.angle):
             raise NonFiniteAngle(s.name, s.angle)
@@ -125,10 +125,10 @@ def singlet_chsh(a: Setting, a_prime: Setting, b: Setting, b_prime: Setting) -> 
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b') for the singlet."""
     for s in (a, a_prime):
         if not s.is_side_a:
-            raise QmSideMismatch(f"{s.name!r} must be on side A")
+            raise QmError(f"{s.name!r} must be on side A")
     for s in (b, b_prime):
         if s.is_side_a:
-            raise QmSideMismatch(f"{s.name!r} must be on side B")
+            raise QmError(f"{s.name!r} must be on side B")
     return (singlet_correlation(a, b)
             + singlet_correlation(a, b_prime)
             + singlet_correlation(a_prime, b)
@@ -218,12 +218,12 @@ def max_violation_search(grid_step: float, refine_rounds: int
     (angles, |S|).
     """
     if not (MIN_GRID_STEP <= grid_step <= MAX_GRID_STEP):
-        raise InvalidStep(
+        raise QmError(
             f"grid step {float(grid_step)!r} must lie in "
             f"[2*pi/{MAX_GRID_POINTS}, pi/4] (at most {MAX_GRID_POINTS} "
             "points per axis)")
     if refine_rounds < 0:
-        raise InvalidStep(f"refine rounds {refine_rounds!r} must be at least 0")
+        raise QmError(f"refine rounds {refine_rounds!r} must be at least 0")
 
     n = int(math.ceil(2.0 * math.pi / grid_step - 1e-12))
     axis = [k * grid_step for k in range(n)]

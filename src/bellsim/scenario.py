@@ -47,12 +47,12 @@ where DIST is {"domain": ["lambda", ...], "weights": [flat row-major floats]}.
 
 Parsing is strict: structural problems, a key the schema does not define
 at any level, nested DIST weights, two marginal keys for one setting pair
-and a key repeated within one JSON object raise ParseError naming the
+and a key repeated within one JSON object raise CliError naming the
 field.
 Payloads go straight to the constructors of their modules, so a payload
 that breaks a module's invariant raises that module's error (for example
-NegativeWeight, tagged ``hv-core``).  Parts that do not fit together
-(model kind, mode and requested analyses) raise ValidationError.
+a negative weight raises HvCoreError, tagged ``hv-core``).  Parts that do
+not fit together (model kind, mode and requested analyses) raise CliError.
 ``generate_scenario`` emits ready-to-run documents for the four bundled
 templates.
 """
@@ -71,8 +71,7 @@ import numpy as np
 from .correlation import (MAX_SAMPLES, EstimatorInfo, FactorizedApparatus,
                           JointComposite, ScenarioDistributions,
                           SettingDependent, SourceOnly)
-from .errors import (BellsimError, ParameterOutOfRange, ParseError,
-                     UnknownTemplate, ValidationError)
+from .errors import BellsimError, CliError, ParameterOutOfRange
 from .feasibility import construct_nonlocal_witness
 from .models import (ApparatusDeterministic, Contextual, DeterministicSource,
                      ResponseModel, Setting, StochasticSource,
@@ -157,13 +156,13 @@ class Scenario:
 
 def _require(doc: Mapping[str, Any], key: str, where: str) -> Any:
     if key not in doc:
-        raise ParseError(f"{where}: missing required field {key!r}")
+        raise CliError(f"{where}: missing required field {key!r}")
     return doc[key]
 
 
 def _mapping(value: Any, where: str) -> Mapping[str, Any]:
     if not isinstance(value, dict):
-        raise ParseError(f"{where}: expected an object, got {type(value).__name__}")
+        raise CliError(f"{where}: expected an object, got {type(value).__name__}")
     return value
 
 
@@ -173,8 +172,8 @@ def _fields(value: Any, allowed: tuple[str, ...], where: str,
     value = _mapping(value, where)
     for key in value:
         if key not in allowed:
-            raise ParseError(f"{where}.{key}: unknown {what}; expected one of "
-                             f"{list(allowed)}")
+            raise CliError(f"{where}.{key}: unknown {what}; expected one of "
+                           f"{list(allowed)}")
     return value
 
 
@@ -183,42 +182,42 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ParseError(f"{key}: field repeated within one JSON object")
+            raise CliError(f"{key}: field repeated within one JSON object")
         doc[key] = value
     return doc
 
 
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: expected a number, got {type(value).__name__}")
+        raise CliError(f"{where}: expected a number, got {type(value).__name__}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+        raise CliError(f"{where}: expected a finite number, got {value!r}")
     return number
 
 
 def _integer(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer, got {type(value).__name__}")
+        raise CliError(f"{where}: expected an integer, got {type(value).__name__}")
     return value
 
 
 def _array(value: Any, where: str) -> np.ndarray:
     if not isinstance(value, list):
-        raise ParseError(f"{where}: expected an array, got {type(value).__name__}")
+        raise CliError(f"{where}: expected an array, got {type(value).__name__}")
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: not a numeric array ({exc})") from exc
+        raise CliError(f"{where}: not a numeric array ({exc})") from exc
     return arr
 
 
 def _parse_spaces(value: Any) -> dict[str, HiddenSpace]:
     if not isinstance(value, list):
-        raise ParseError("spaces: expected an array of declarations")
+        raise CliError("spaces: expected an array of declarations")
     registry: dict[str, HiddenSpace] = {}
     for i, item in enumerate(value):
         where = f"spaces[{i}]"
@@ -226,11 +225,11 @@ def _parse_spaces(value: Any) -> dict[str, HiddenSpace]:
         label = _require(item, "label", where)
         values = _require(item, "values", where)
         if not isinstance(label, str):
-            raise ParseError(f"{where}: label must be a string")
+            raise CliError(f"{where}: label must be a string")
         if label in registry:
-            raise ParseError(f"{where}: duplicate space label {label!r}")
+            raise CliError(f"{where}: duplicate space label {label!r}")
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise ParseError(f"{where}: values must be an array of strings")
+            raise CliError(f"{where}: values must be an array of strings")
         registry[label] = HiddenSpace(label, tuple(values))
     return registry
 
@@ -238,9 +237,9 @@ def _parse_spaces(value: Any) -> dict[str, HiddenSpace]:
 def _lookup_space(registry: Mapping[str, HiddenSpace], label: Any,
                   where: str) -> HiddenSpace:
     if not isinstance(label, str):
-        raise ParseError(f"{where}: space reference must be a string label")
+        raise CliError(f"{where}: space reference must be a string label")
     if label not in registry:
-        raise ParseError(f"{where}: unknown space label {label!r}")
+        raise CliError(f"{where}: unknown space label {label!r}")
     return registry[label]
 
 
@@ -256,11 +255,11 @@ def _parse_distribution(value: Any, registry: Mapping[str, HiddenSpace],
     value = _fields(value, ("domain", "weights"), where)
     domain = _require(value, "domain", where)
     if not isinstance(domain, list) or not domain:
-        raise ParseError(f"{where}: domain must be a nonempty array of labels")
+        raise CliError(f"{where}: domain must be a nonempty array of labels")
     spaces = tuple(_lookup_space(registry, lbl, f"{where}.domain") for lbl in domain)
     weights = _array(_require(value, "weights", where), f"{where}.weights")
     if weights.ndim != 1:
-        raise ParseError(f"{where}.weights: expected a flat array of numbers")
+        raise CliError(f"{where}.weights: expected a flat array of numbers")
     dist = Distribution(spaces, weights)
     validate_distribution(dist)
     return dist
@@ -271,8 +270,8 @@ def _parse_model(value: Any, registry: Mapping[str, HiddenSpace],
     value = _mapping(value, where)
     kind = _require(value, "kind", where)
     if kind not in _MODEL_FIELDS:
-        raise ParseError(f"{where}: unknown model kind {kind!r}; "
-                         f"expected one of {tuple(_MODEL_FIELDS)}")
+        raise CliError(f"{where}: unknown model kind {kind!r}; "
+                       f"expected one of {tuple(_MODEL_FIELDS)}")
     _fields(value, _MODEL_FIELDS[kind], where)
     tables_doc = _fields(_require(value, "tables", where),
                          _OWN_REMOTE if kind == "Contextual" else SETTING_NAMES,
@@ -296,7 +295,7 @@ def _parse_model(value: Any, registry: Mapping[str, HiddenSpace],
         return StochasticSource(lam, tables)
     separated = value.get("separated", False)
     if not isinstance(separated, bool):
-        raise ParseError(f"{where}.separated: expected true or false")
+        raise CliError(f"{where}.separated: expected true or false")
     return Contextual(lam, {tuple(name.split("|")): tbl for name, tbl in tables.items()},
                       separated)
 
@@ -307,8 +306,8 @@ def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
     value = _mapping(value, where)
     mode = _require(value, "mode", where)
     if mode not in _MODE_FIELDS:
-        raise ParseError(f"{where}: unknown mode {mode!r}; "
-                         f"expected one of {tuple(_MODE_FIELDS)}")
+        raise CliError(f"{where}: unknown mode {mode!r}; "
+                       f"expected one of {tuple(_MODE_FIELDS)}")
     _fields(value, _MODE_FIELDS[mode], where)
 
     if mode == "SourceOnly":
@@ -323,8 +322,8 @@ def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
         for key, payload in marginals_doc.items():
             pair = pair_key(*key.split("|"))
             if pair in marginals:
-                raise ParseError(f"{where}.marginals.{key}: a second key for "
-                                 f"the setting pair {pair}")
+                raise CliError(f"{where}.marginals.{key}: a second key for "
+                               f"the setting pair {pair}")
             marginals[pair] = _parse_distribution(payload, registry,
                                                   f"{where}.marginals.{key}")
         return SettingDependent(marginals)
@@ -359,24 +358,24 @@ def _parse_run(value: Any) -> RunBlock:
         seed = _integer(_require(est_doc, "seed", f"{where}.estimator"),
                         f"{where}.estimator.seed")
         if samples < 1:
-            raise ParseError(f"{where}.estimator.samples: must be at least 1")
+            raise CliError(f"{where}.estimator.samples: must be at least 1")
         if seed < 0:
-            raise ParseError(f"{where}.estimator.seed: must be nonnegative")
+            raise CliError(f"{where}.estimator.seed: must be nonnegative")
         estimator = EstimatorInfo(method="monte-carlo", samples=samples, seed=seed)
     else:
-        raise ParseError(f"{where}.estimator.method: unknown method {method!r}; "
-                         "expected 'exact' or 'monte-carlo'")
+        raise CliError(f"{where}.estimator.method: unknown method {method!r}; "
+                       "expected 'exact' or 'monte-carlo'")
 
     analyses = _require(value, "analyses", where)
     if not isinstance(analyses, list) or not analyses:
-        raise ParseError(f"{where}.analyses: expected a nonempty array")
+        raise CliError(f"{where}.analyses: expected a nonempty array")
     seen = []
     for name in analyses:
         if name not in ANALYSES:
-            raise ParseError(f"{where}.analyses: unknown analysis {name!r}; "
-                             f"expected one of {ANALYSES}")
+            raise CliError(f"{where}.analyses: unknown analysis {name!r}; "
+                           f"expected one of {ANALYSES}")
         if name in seen:
-            raise ParseError(f"{where}.analyses: duplicate analysis {name!r}")
+            raise CliError(f"{where}.analyses: duplicate analysis {name!r}")
         seen.append(name)
     return RunBlock(estimator=estimator, analyses=tuple(seen))
 
@@ -388,35 +387,35 @@ def _check_cross_constraints(scenario: Scenario) -> None:
     model, dists = scenario.model, scenario.distributions
     if isinstance(model, _SOURCE_KINDS) and not isinstance(
             dists, (SourceOnly, SettingDependent)):
-        raise ValidationError(f"model kind {model.kind} requires mode SourceOnly "
-                              f"or SettingDependent, got {dists.mode}")
+        raise CliError(f"model kind {model.kind} requires mode SourceOnly "
+                       f"or SettingDependent, got {dists.mode}")
     if isinstance(model, ApparatusDeterministic) and isinstance(dists, SourceOnly):
-        raise ValidationError("model kind ApparatusDeterministic cannot run "
-                              "under mode SourceOnly")
+        raise CliError("model kind ApparatusDeterministic cannot run "
+                       "under mode SourceOnly")
 
     if "feasibility" in scenario.run.analyses:
         if isinstance(dists, SourceOnly):
-            raise ValidationError("feasibility analysis is undefined for mode "
-                                  "SourceOnly; it needs a setting-pair marginal family")
+            raise CliError("feasibility analysis is undefined for mode "
+                           "SourceOnly; it needs a setting-pair marginal family")
         if isinstance(dists, SettingDependent):
             any_dist = next(iter(dists.marginals.values()))
             if len(any_dist.domain) != 3:
-                raise ValidationError(
+                raise CliError(
                     "feasibility analysis needs (lambda, lambda_p, lambda_q) "
                     "marginals, not source-only ones")
 
     if "emulation" in scenario.run.analyses:
         if scenario.comparison_model is None:
-            raise ValidationError("emulation analysis requires comparison_model")
+            raise CliError("emulation analysis requires comparison_model")
         if not isinstance(model, ApparatusDeterministic):
-            raise ValidationError("emulation analysis requires an "
-                                  "ApparatusDeterministic primary model")
+            raise CliError("emulation analysis requires an "
+                           "ApparatusDeterministic primary model")
         if not isinstance(scenario.comparison_model, StochasticSource):
-            raise ValidationError("emulation analysis requires a StochasticSource "
-                                  "comparison model")
+            raise CliError("emulation analysis requires a StochasticSource "
+                           "comparison model")
         if not isinstance(dists, FactorizedApparatus):
-            raise ValidationError("emulation analysis requires mode "
-                                  "FactorizedApparatus")
+            raise CliError("emulation analysis requires mode "
+                           "FactorizedApparatus")
 
 
 def parse_scenario(doc: Any, digest: str = "") -> Scenario:
@@ -424,11 +423,11 @@ def parse_scenario(doc: Any, digest: str = "") -> Scenario:
     doc = _fields(doc, _FIELDS, "scenario")
     version = _integer(_require(doc, "schema_version", "scenario"), "schema_version")
     if version != SCHEMA_VERSION:
-        raise ParseError(f"schema_version: unsupported version {version}; "
-                         f"this build reads version {SCHEMA_VERSION}")
+        raise CliError(f"schema_version: unsupported version {version}; "
+                       f"this build reads version {SCHEMA_VERSION}")
     description = doc.get("description", "")
     if not isinstance(description, str):
-        raise ParseError("description: expected a string")
+        raise CliError("description: expected a string")
 
     registry = _parse_spaces(_require(doc, "spaces", "scenario"))
     settings = _parse_settings(_require(doc, "settings", "scenario"))
@@ -453,11 +452,11 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         raw = path.read_bytes()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"{path.name}: invalid JSON ({exc})") from exc
+        raise CliError(f"{path.name}: invalid JSON ({exc})") from exc
     return parse_scenario(doc, digest="sha256:" + sha256(raw).hexdigest())
 
 
@@ -584,7 +583,8 @@ def generate_scenario(template: str, parameters: Mapping[str, Any] | None = None
     with the exact estimator), and ``description``.
     """
     if template not in TEMPLATES:
-        raise UnknownTemplate(template, TEMPLATES)
+        raise CliError(f"unknown template {template!r}; "
+                       f"known templates: {', '.join(TEMPLATES)}")
     parameters = dict(parameters or {})
     seed = int(parameters.get("seed", 0))
     if seed < 0:

@@ -42,7 +42,7 @@ joint-composite one.  The other steps:
   objective again, which rules out cycling;
 * after every pivot the scaled pivot row, over the structural columns
   and the state, is checked against 4, the largest entry of the starting
-  tableau: growth past ``GROWTH_LIMIT`` raises :class:`TableauGrowth`
+  tableau: growth past ``GROWTH_LIMIT`` raises :class:`SimplexError`
   instead of returning numbers that have lost their precision.
 
 Redundant rows are harmless: their artificials stay basic at zero.  A
@@ -63,8 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import tableau_pivot
-from .errors import (SimplexDomainMismatch, SimplexNumericalFailure,
-                     SimplexWorkLimitExceeded, TableauGrowth)
+from .errors import SimplexError, work_limit_detail
 from .spaces import SETTING_AXIS, SETTING_PAIRS
 
 #: Phase-1 objective at or below this counts as feasible.
@@ -160,7 +159,7 @@ def solve_block(shape: Sequence[int], b: np.ndarray,
 
     ``b`` holds the block's marginal cells in row order and must be
     nonnegative, as marginals are; otherwise, or when its length is not
-    the block's row count, raises :class:`SimplexDomainMismatch`.
+    the block's row count, raises :class:`SimplexError`.
     ``rows`` is ``pair_rows((1, *shape))``, built here if not given, so
     that the blocks of one family can share it.
     """
@@ -171,9 +170,9 @@ def solve_block(shape: Sequence[int], b: np.ndarray,
             for p, q in SETTING_PAIRS)
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (m,):
-        raise SimplexDomainMismatch(f"b has shape {b.shape}, expected ({m},)")
+        raise SimplexError(f"b has shape {b.shape}, expected ({m},)")
     if not np.all(b >= 0.0):
-        raise SimplexDomainMismatch(
+        raise SimplexError(
             f"b has an entry {float(np.min(b))!r}, expected none below 0")
 
     # state rows 0..m-1: [B^-1 | entering column | x_B]; row m: the
@@ -207,7 +206,7 @@ def solve_block(shape: Sequence[int], b: np.ndarray,
         if leaving < 0:
             # the phase-1 objective is bounded below by 0, so an improving
             # column always has a pivot in exact arithmetic
-            raise SimplexNumericalFailure(
+            raise SimplexError(
                 f"improving column {entering} has no pivot entry")
         rhs[leaving] = max(rhs[leaving], 0.0)
         degenerate_run = degenerate_run + 1 if rhs[leaving] <= PIVOT_TOL else 0
@@ -234,9 +233,10 @@ def solve_block(shape: Sequence[int], b: np.ndarray,
         growth = max(float(np.abs(alpha).max()),
                      float(np.abs(S[leaving]).max())) / 4.0
         if growth > GROWTH_LIMIT:
-            raise TableauGrowth(growth, GROWTH_LIMIT)
+            raise SimplexError(f"tableau entries grew by a factor {float(growth)!r}, "
+                               f"limit is {float(GROWTH_LIMIT)!r}")
         if iterations > max_iterations:
-            raise SimplexWorkLimitExceeded(iterations, max_iterations)
+            raise SimplexError(work_limit_detail(iterations, max_iterations))
 
     objective = -S[m, -1]
     if objective <= FEASIBILITY_TOL:

@@ -30,16 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EmptyKeepSet,
-    InvalidFamily,
-    InvalidPart,
-    NegativeWeight,
-    NotNormalized,
-    OverlappingDomains,
-    ShapeMismatch,
-    UnknownSpace,
-)
+from .errors import HvCoreError, NotNormalized
 
 #: Normalization tolerance for exact-arithmetic paths.
 NORMALIZATION_TOL = 1e-12
@@ -85,7 +76,7 @@ def pair_key(p: str, q: str) -> tuple[str, str]:
         return (p, q)
     if p in SIDE_B_NAMES and q in SIDE_A_NAMES:
         return (q, p)
-    raise InvalidFamily(f"({p!r}, {q!r}) is not a valid setting pair")
+    raise HvCoreError(f"({p!r}, {q!r}) is not a valid setting pair")
 
 
 @dataclass(frozen=True)
@@ -98,9 +89,9 @@ class HiddenSpace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(str(v) for v in self.values))
         if len(self.values) < 1:
-            raise InvalidFamily(f"space {self.label!r} must have at least one value")
+            raise HvCoreError(f"space {self.label!r} must have at least one value")
         if len(set(self.values)) != len(self.values):
-            raise InvalidFamily(f"space {self.label!r} has duplicate value labels")
+            raise HvCoreError(f"space {self.label!r} has duplicate value labels")
 
     @property
     def cardinality(self) -> int:
@@ -198,18 +189,19 @@ class Distribution:
 def validate_distribution(d: Distribution) -> None:
     """Enforce the probability invariants; raises on the first violation.
 
-    Checks, in order: weight count matches the domain (ShapeMismatch), all
-    weights nonnegative (NegativeWeight, reported with the row-major flat
-    index), and total weight 1 within NORMALIZATION_TOL (NotNormalized).
+    Checks, in order: weight count matches the domain, all weights
+    nonnegative (reported with the row-major flat index), and total weight
+    1 within NORMALIZATION_TOL (NotNormalized).  Raises HvCoreError only.
     """
     expected = d.size
     if d.weights.size != expected:
-        raise ShapeMismatch(expected, d.weights.size)
+        raise HvCoreError(f"expected {expected} weights for the domain, "
+                          f"got {int(d.weights.size)}")
     flat = d.flat
     negative = np.flatnonzero(flat < 0.0)
     if negative.size:
         i = int(negative[0])
-        raise NegativeWeight(i, flat[i])
+        raise HvCoreError(f"weight at flat index {i} is negative: {float(flat[i])!r}")
     total = float(np.sum(flat))
     if not abs(total - 1.0) <= NORMALIZATION_TOL:  # also refuses NaN
         raise NotNormalized(total)
@@ -231,17 +223,17 @@ def product_distribution(parts: Sequence[Distribution]) -> Distribution:
     """
     parts = list(parts)
     if not parts:
-        raise InvalidPart(0, EmptyKeepSet())
+        raise HvCoreError("factor 0 is invalid: the set of spaces to keep is empty")
     for i, part in enumerate(parts):
         try:
             validate_distribution(part)
-        except (NegativeWeight, NotNormalized, ShapeMismatch) as exc:
-            raise InvalidPart(i, exc) from exc
+        except HvCoreError as exc:
+            raise HvCoreError(f"factor {i} is invalid: {exc}") from exc
     seen: set[str] = set()
     for part in parts:
         for s in part.domain:
             if s.label in seen:
-                raise OverlappingDomains(s.label)
+                raise HvCoreError(f"space {s.label!r} appears in more than one factor")
             seen.add(s.label)
     domain = tuple(s for part in parts for s in part.domain)
     weights = parts[0].weights
@@ -262,10 +254,10 @@ def marginalize(d: Distribution, keep: Iterable[HiddenSpace | str]) -> Distribut
     for item in keep:
         label = item.label if isinstance(item, HiddenSpace) else str(item)
         if label not in d.labels:
-            raise UnknownSpace(label)
+            raise HvCoreError(f"space {label!r} is not in the domain")
         keep_labels.add(label)
     if not keep_labels:
-        raise EmptyKeepSet()
+        raise HvCoreError("the set of spaces to keep is empty")
     drop_axes = tuple(i for i, s in enumerate(d.domain) if s.label not in keep_labels)
     new_domain = tuple(s for s in d.domain if s.label in keep_labels)
     if not drop_axes:

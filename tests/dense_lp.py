@@ -17,8 +17,7 @@ import numpy as np
 
 from bellsim import simplex
 from bellsim._kernels import tableau_pivot
-from bellsim.errors import (SimplexDomainMismatch, SimplexNumericalFailure,
-                            SimplexWorkLimitExceeded, TableauGrowth)
+from bellsim.errors import SimplexError, work_limit_detail
 from bellsim.simplex import PIVOT_TOL, SimplexResult, _leaving_row
 from bellsim.spaces import SETTING_AXIS, SETTING_PAIRS
 
@@ -53,7 +52,7 @@ def solve_equality_feasibility(A: np.ndarray, b: np.ndarray) -> SimplexResult:
     b = np.asarray(b, dtype=np.float64)
     m, n = A.shape
     if b.shape != (m,):
-        raise SimplexDomainMismatch(f"b has shape {b.shape}, expected ({m},)")
+        raise SimplexError(f"b has shape {b.shape}, expected ({m},)")
 
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
@@ -81,7 +80,7 @@ def solve_equality_feasibility(A: np.ndarray, b: np.ndarray) -> SimplexResult:
             entering = int(improving[np.argmin(cost[improving] / edge[improving])])
         leaving = _leaving_row(T[:m, entering], rhs, basis, bland)
         if leaving < 0:
-            raise SimplexNumericalFailure(
+            raise SimplexError(
                 f"improving column {entering} has no pivot entry")
         rhs[leaving] = max(rhs[leaving], 0.0)
         degenerate_run = degenerate_run + 1 if rhs[leaving] <= PIVOT_TOL else 0
@@ -91,9 +90,10 @@ def solve_equality_feasibility(A: np.ndarray, b: np.ndarray) -> SimplexResult:
         bland_pivots += bland
         growth = float(np.abs(T[leaving]).max()) / start_scale
         if growth > simplex.GROWTH_LIMIT:
-            raise TableauGrowth(growth, simplex.GROWTH_LIMIT)
+            raise SimplexError(f"tableau entries grew by a factor {growth!r}, "
+                               f"limit is {simplex.GROWTH_LIMIT!r}")
         if iterations > max_iterations:
-            raise SimplexWorkLimitExceeded(iterations, max_iterations)
+            raise SimplexError(work_limit_detail(iterations, max_iterations))
 
     objective = -T[m, -1]
     if objective <= simplex.FEASIBILITY_TOL:

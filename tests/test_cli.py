@@ -18,7 +18,7 @@ from helpers import setting_dependent_copy
 from bellsim import correlation, feasibility, report
 from bellsim.cli import main
 from bellsim.correlation import DEFAULT_ENUM_WORK_LIMIT, MAX_SAMPLES
-from bellsim.errors import BellsimError, WorkLimitExceeded
+from bellsim.errors import BellsimError, CorrelationError
 from bellsim.scenario import load_scenario
 from bellsim.spaces import Distribution
 
@@ -215,13 +215,13 @@ class TestRun:
             _edited(tmp_path, "joint-composite.scenario", _too_many_samples))
         tracemalloc.start()
         try:
-            with pytest.raises(WorkLimitExceeded) as exc:
+            with pytest.raises(CorrelationError,
+                               match=f"^requires {MAX_SAMPLES + 1} units of work") as exc:
                 report.run_scenario(scenario)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert exc.value.module == "correlation-engine"
-        assert exc.value.required == MAX_SAMPLES + 1
         assert peak < 2 * 2**20
 
     def test_joint_composite_5_cards_bounded_time(self, capsys, tmp_path):
@@ -565,11 +565,8 @@ def _subclasses(cls):
 
 class TestErrorTags:
     def test_every_error_class_names_a_module(self):
-        classes = list(_subclasses(BellsimError))
-        assert len(classes) > 30
-        untagged = [c.__name__ for c in classes
-                    if getattr(c, "module", None) not in MODULE_TAGS]
-        assert untagged == []
+        tags = {getattr(c, "module", None) for c in _subclasses(BellsimError)}
+        assert tags == set(MODULE_TAGS)
 
     @pytest.mark.parametrize("argv, prefix", [
         (lambda _: ["qm", "search", "--grid-step", "2"], "[qm-reference] grid step"),
@@ -760,11 +757,23 @@ class TestErrorTags:
             "four-space-joint", "generate-negative-mc-seed",
             "enumerate-bound-3572", "enumerate-bound-1000000",
             "huge-integer-weight", "huge-integer-table-entry"])
-    def test_stderr_names_the_module(self, capsys, tmp_path, argv, prefix):
+    def test_stderr_names_the_module(self, capsys, monkeypatch, tmp_path, argv,
+                                     prefix):
+        raised = []
+        init = BellsimError.__init__
+
+        def recorded(self, detail):
+            init(self, detail)
+            raised.append(self)
+
+        monkeypatch.setattr(BellsimError, "__init__", recorded)
         code, out, err = run_cli(capsys, *argv(tmp_path))
         assert (code, out) == (1, "")
         assert err.startswith("bellsim: error: " + prefix)
         assert err.count("\n") == 1 and err.endswith("\n")
+        # the detail of every error is its message, and the last one is printed
+        assert [exc.detail for exc in raised] == [str(exc) for exc in raised]
+        assert err == f"bellsim: error: [{raised[-1].module}] {raised[-1].detail}\n"
 
 
 class TestGenerate:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,14 +29,7 @@ from bellsim.correlation import (
     bell_check,
     exact_report,
 )
-from bellsim.errors import (
-    DomainMismatch,
-    FeasibilityDomainMismatch,
-    FeasibilityWorkLimitExceeded,
-    NonViolatingAngles,
-    NumericalFailure,
-    WorkLimitExceeded,
-)
+from bellsim.errors import FeasibilityError
 from bellsim.feasibility import (
     CERTIFICATE_SLACK,
     LP_CELL_LIMIT,
@@ -63,6 +57,15 @@ from bellsim.spaces import (
 
 TSIRELSON_ANGLES = FOUR_SETTINGS
 TSIRELSON = 2.0 * math.sqrt(2.0)
+#: The starts of the refusals of an unchecked Feasible and Infeasible verdict.
+JOINT_REFUSED = "^joint misses the marginals by "
+CERTIFICATE_REFUSED = r"^certificate does not separate: max y\^T A = "
+
+
+def _non_violating(settings) -> str:
+    """The refusal of witness angles, naming their singlet CHSH value."""
+    return (f"^singlet CHSH value {re.escape(repr(singlet_chsh(*settings)))} "
+            "does not violate the bound")
 
 
 def assert_marginals_reproduced(family, verdict):
@@ -154,13 +157,11 @@ class TestNonlocalWitness:
 
     def test_non_violating_angles_rejected(self):
         flat = standard_settings(0.0, math.pi / 2, 0.0, math.pi / 2)
-        with pytest.raises(NonViolatingAngles) as exc:
+        with pytest.raises(FeasibilityError, match=_non_violating(flat)):
             construct_nonlocal_witness(flat)
-        assert abs(exc.value.s) <= 2.0
         equal = standard_settings(1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(NonViolatingAngles) as exc:
+        with pytest.raises(FeasibilityError, match=_non_violating(equal)):
             construct_nonlocal_witness(equal)
-        assert exc.value.s == pytest.approx(-2.0, abs=1e-12)
 
     def test_witness_family_is_setting_dependent(self):
         family, _ = construct_nonlocal_witness(TSIRELSON_ANGLES)
@@ -251,10 +252,9 @@ class TestWorkLimit:
             dom = (spaces.lam, spaces.for_setting(p), spaces.for_setting(q))
             marginals[(p, q)] = Distribution.uniform(dom)
         family = SettingDependent(marginals)
-        with pytest.raises(WorkLimitExceeded) as exc:
+        with pytest.raises(FeasibilityError, match=f"^requires {16 ** 4 * 4} units "
+                           "of work, limit is 65536$"):
             check_joint_existence(family)
-        assert exc.value.required == 16 ** 4 * 4
-        assert exc.value.limit == 65536
 
     def test_lowered_limit(self):
         spaces = five_spaces((2, 2, 2, 2, 2))
@@ -263,7 +263,8 @@ class TestWorkLimit:
             dom = (spaces.lam, spaces.for_setting(p), spaces.for_setting(q))
             marginals[(p, q)] = Distribution.uniform(dom)
         family = SettingDependent(marginals)
-        with pytest.raises(WorkLimitExceeded):
+        with pytest.raises(FeasibilityError,
+                           match="^requires 32 units of work, limit is 16$"):
             check_joint_existence(family, work_limit=16)
 
 
@@ -308,7 +309,7 @@ class TestConstructionWitness:
             return Distribution(joint.domain, weights)
 
         monkeypatch.setattr(feasibility, "factorized_joint", off_by_a_little)
-        with pytest.raises(NumericalFailure) as exc:
+        with pytest.raises(FeasibilityError, match=JOINT_REFUSED) as exc:
             check_joint_existence(uniform_factorized((2, 2, 2, 2, 2)))
         assert exc.value.module == "feasibility"
 
@@ -316,16 +317,17 @@ class TestConstructionWitness:
         joint = Distribution.uniform(tuple(five_spaces((2, 2, 2, 2, 2))))
         dists = JointComposite(joint)
         assert check_joint_existence(dists, work_limit=32).feasible
-        with pytest.raises(WorkLimitExceeded) as exc:
+        with pytest.raises(FeasibilityError,
+                           match="^requires 32 units of work, limit is 31$"):
             check_joint_existence(dists, work_limit=31)
-        assert exc.value.required == 32
 
     def test_refused_family_builds_no_witness(self, monkeypatch):
         def unbuildable(rho, apparatus):
             raise AssertionError("witness built before the work limit")
 
         monkeypatch.setattr(feasibility, "factorized_joint", unbuildable)
-        with pytest.raises(WorkLimitExceeded):
+        with pytest.raises(FeasibilityError,
+                           match="^requires 32 units of work, limit is 31$"):
             check_joint_existence(uniform_factorized((2, 2, 2, 2, 2)),
                                   work_limit=31)
 
@@ -341,22 +343,23 @@ class TestConstructionWitness:
 
         monkeypatch.setattr(feasibility, "product_distribution", unbuildable)
         monkeypatch.setattr(feasibility, "marginalize", unbuildable)
-        with pytest.raises(FeasibilityWorkLimitExceeded) as exc:
+        with pytest.raises(FeasibilityError,
+                           match="^requires 32 units of work, limit is 31$"):
             check_joint_existence(dists, work_limit=31)
-        assert exc.value.required == 32
 
     def test_factorized_part_on_two_spaces_is_refused(self):
         dists = uniform_factorized((2, 2, 2, 2, 2))
         spaces = five_spaces((2, 2, 2, 2, 2))
         dists = FactorizedApparatus(
             Distribution.uniform((spaces.lam, spaces.lam_a)), dists.apparatus)
-        with pytest.raises(DomainMismatch) as exc:
+        with pytest.raises(FeasibilityError, match="^FactorizedApparatus distributions "
+                           "need one space each, got ") as exc:
             check_joint_existence(dists)
         assert exc.value.module == "feasibility"
 
     def test_source_only_mode_is_refused(self):
         rho = Distribution.uniform((five_spaces((2, 2, 2, 2, 2)).lam,))
-        with pytest.raises(DomainMismatch) as exc:
+        with pytest.raises(FeasibilityError) as exc:
             check_joint_existence(SourceOnly(rho))
         assert exc.value.module == "feasibility"
         assert str(exc.value) == ("no setting-pair marginal family for mode "
@@ -516,7 +519,7 @@ class TestSelfCheckedVerdicts:
             return dataclasses.replace(result, x=x)
 
         monkeypatch.setattr(feasibility, "solve_block", perturbed)
-        with pytest.raises(NumericalFailure) as exc:
+        with pytest.raises(FeasibilityError, match=JOINT_REFUSED) as exc:
             check_joint_existence(family)
         assert exc.value.module == "feasibility"
 
@@ -533,7 +536,7 @@ class TestSelfCheckedVerdicts:
                                        certificate=perturb(result.certificate))
 
         monkeypatch.setattr(feasibility, "solve_block", perturbed)
-        with pytest.raises(NumericalFailure) as exc:
+        with pytest.raises(FeasibilityError, match=CERTIFICATE_REFUSED) as exc:
             check_joint_existence(family)
         assert exc.value.module == "feasibility"
 
@@ -547,7 +550,7 @@ class TestSelfCheckedVerdicts:
              ("a_prime", "b_prime"): -(0.5 + excess)}
         family, _ = uniform_marginal_family(e)
         if status is None:
-            with pytest.raises(NumericalFailure) as exc:
+            with pytest.raises(FeasibilityError, match=CERTIFICATE_REFUSED) as exc:
                 check_joint_existence(family)
             assert exc.value.module == "feasibility"
         else:
@@ -669,7 +672,7 @@ class TestChshCertificate:
 
         monkeypatch.setattr(feasibility, "solve_block", counted)
         if excess < 5e-8:
-            with pytest.raises(NumericalFailure) as exc:
+            with pytest.raises(FeasibilityError, match=CERTIFICATE_REFUSED) as exc:
                 check_joint_existence(family, model=model)
             assert exc.value.module == "feasibility"
         else:
@@ -685,10 +688,9 @@ class TestChshCertificate:
         model = ApparatusDeterministic(spaces, {
             name: np.ones((cards[0], spaces.for_setting(name).cardinality))
             for name in ("a", "a_prime", "b", "b_prime")})
-        with pytest.raises(FeasibilityDomainMismatch) as exc:
+        with pytest.raises(FeasibilityError, match="differ from the family's") as exc:
             check_joint_existence(family, model=model)
         assert exc.value.module == "feasibility"
-        assert "differ from the family's" in str(exc.value)
 
 
 def uniform_family(cards) -> SettingDependent:
@@ -726,10 +728,9 @@ class TestLpCellLimit:
     def test_oversized_block_is_refused_before_it_is_built(
             self, monkeypatch, cards, rows, cols):
         monkeypatch.setattr(feasibility, "solve_block", no_lp)
-        with pytest.raises(FeasibilityWorkLimitExceeded) as exc:
+        with pytest.raises(FeasibilityError) as exc:
             check_joint_existence(uniform_family(cards))
         cells = (rows + 1) * (cols + rows + 1)
-        assert (exc.value.required, exc.value.limit) == (cells, LP_CELL_LIMIT)
         assert str(exc.value) == (
             f"requires {cells} tableau cells for an LP block of {rows} rows "
             f"and {cols} columns, limit is {LP_CELL_LIMIT}")
@@ -741,10 +742,9 @@ class TestLpCellLimit:
     def test_too_many_blocks_are_refused_before_any_is_solved(
             self, monkeypatch, cards, rows, cols):
         monkeypatch.setattr(feasibility, "solve_block", no_lp)
-        with pytest.raises(FeasibilityWorkLimitExceeded) as exc:
+        with pytest.raises(FeasibilityError) as exc:
             check_joint_existence(uniform_family(cards))
         cells = cards[0] * (rows + 1) * (cols + rows + 1)
-        assert (exc.value.required, exc.value.limit) == (cells, LP_TOTAL_CELL_LIMIT)
         assert str(exc.value) == (
             f"requires {cells} tableau cells for {cards[0]} LP blocks of "
             f"{rows} rows and {cols} columns, limit is {LP_TOTAL_CELL_LIMIT}")
@@ -766,5 +766,5 @@ class TestLpCellLimit:
         family, model, _ = singlet_spread(rng, (1, 2, 128, 2, 128))
         monkeypatch.setattr(feasibility, "solve_block", no_lp)
         assert check_joint_existence(family, model=model).max_yta == 0.0
-        with pytest.raises(FeasibilityWorkLimitExceeded):
+        with pytest.raises(FeasibilityError, match="^requires "):
             check_joint_existence(family)

@@ -1,6 +1,7 @@
 """Every name a bellsim module imports is used by that module, every
-private module-level name is read somewhere in the package, and every
-error a module raises carries that module's tag.
+private module-level name is read somewhere in the package, every
+error a module raises carries that module's tag, and every error class
+is raised somewhere.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code checks.
 The package ``__init__`` is exempt from the import check, since its
@@ -131,6 +132,19 @@ def test_every_tag_names_its_modules():
         "simplex.py": "simplex", "qm.py": "qm-reference",
         "scenario.py": "cli-harness", "report.py": "cli-harness",
         "cli.py": "cli-harness"}
+
+
+def test_every_error_class_is_raised():
+    """Each class errors.py defines is named by a ``raise`` in the
+    package, or is a base of one that is."""
+    raised = {getattr(errors, name) for path in PACKAGE.glob("*.py")
+              for name, _ in _raised(ast.parse(path.read_text(encoding="utf-8")))
+              if hasattr(errors, name)}
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    dead = sorted(node.name for node in tree.body if isinstance(node, ast.ClassDef)
+                  and not any(issubclass(cls, getattr(errors, node.name))
+                              for cls in raised))
+    assert dead == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)

@@ -13,12 +13,7 @@ from helpers import (
     random_deterministic,
 )
 
-from bellsim.errors import (
-    DomainMismatch,
-    KindMismatch,
-    RemoteDependenceForbidden,
-    SideMismatch,
-)
+from bellsim.errors import RemoteDependenceForbidden, ResponseModelError
 from bellsim.models import (
     SETTING_NAMES,
     ApparatusDeterministic,
@@ -55,11 +50,11 @@ def passthrough_apparatus(spaces=None) -> ApparatusDeterministic:
 
 class TestSetting:
     def test_sides_enforced(self):
-        with pytest.raises(SideMismatch):
+        with pytest.raises(ResponseModelError, match="'b' is not valid on side A"):
             Setting("A", "b", 0.0)
-        with pytest.raises(SideMismatch):
+        with pytest.raises(ResponseModelError, match="'a_prime' is not valid on side B"):
             Setting("B", "a_prime", 0.0)
-        with pytest.raises(SideMismatch):
+        with pytest.raises(ResponseModelError, match="side must be 'A' or 'B', got 'C'"):
             Setting("C", "a", 0.0)
 
     def test_standard_layout(self):
@@ -100,7 +95,7 @@ class TestOutcome:
         lam = HiddenSpace.of_size("lambda", 1)
         model = Contextual.from_deterministic(
             DeterministicSource(lam, {n: np.ones(1) for n in SETTING_NAMES}))
-        with pytest.raises(SideMismatch):
+        with pytest.raises(ResponseModelError, match="is on the same side as"):
             model.response_vector(A, A2)
 
 
@@ -115,9 +110,9 @@ class TestSeparatedFlag:
             tables[(own, "a")] = np.array([1.0])
             tables[(own, "a_prime")] = np.array([1.0])
         Contextual(lam, tables, separated=False)
-        with pytest.raises(RemoteDependenceForbidden) as exc:
+        with pytest.raises(RemoteDependenceForbidden,
+                           match="^tables for own setting 'a' depend on"):
             Contextual(lam, tables, separated=True)
-        assert exc.value.own == "a"
 
     def test_round_trip_through_deterministic(self):
         det = random_deterministic(np.random.default_rng(5), 3)
@@ -163,7 +158,8 @@ class TestEffectiveResponseStochastic:
         det = random_deterministic(np.random.default_rng(1), 2)
         stochastic = StochasticSource(det.lam, {n: np.full(2, 0.5) for n in SETTING_NAMES})
         for model in (det, stochastic):
-            with pytest.raises(KindMismatch):
+            with pytest.raises(ResponseModelError,
+                               match=f"expects a ApparatusDeterministic model, got {model.kind}$"):
                 effective_responses(model, dists)
 
     def test_range(self):
@@ -199,10 +195,12 @@ class TestEffectiveResponseApparatus:
         model = passthrough_apparatus()
         dists = _biased_dists(model.spaces, 0.5)
         dists["a"] = Distribution.uniform((model.spaces.lam_b,))
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(ResponseModelError,
+                           match="apparatus distribution for 'a' has domain"):
             effective_responses(model, dists)
         del dists["a"]
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(ResponseModelError,
+                           match="missing apparatus distribution for setting 'a'"):
             effective_responses(model, dists)
 
     def test_range_randomized(self):
@@ -317,7 +315,8 @@ class TestStochasticFromApparatus:
         model = passthrough_apparatus()
         dists = random_apparatus_dists(np.random.default_rng(9), model.spaces)
         del dists["b_prime"]
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(ResponseModelError,
+                           match="missing apparatus distribution for setting 'b_prime'"):
             stochastic_from_apparatus(model, dists)
 
 
@@ -325,17 +324,18 @@ class TestTableValidation:
     def test_non_sign_entry_rejected(self):
         lam = HiddenSpace.of_size("lambda", 2)
         tables = {n: np.array([1.0, 0.5]) for n in SETTING_NAMES}
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(ResponseModelError, match=r"must contain only \+1/-1 entries"):
             DeterministicSource(lam, tables)
 
     def test_probability_out_of_range_rejected(self):
         lam = HiddenSpace.of_size("lambda", 2)
         tables = {n: np.array([0.5, 1.2]) for n in SETTING_NAMES}
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(ResponseModelError, match=r"must lie in \[0, 1\]"):
             StochasticSource(lam, tables)
 
     def test_missing_setting_rejected(self):
         lam = HiddenSpace.of_size("lambda", 2)
         tables = {n: np.ones(2) for n in SETTING_NAMES if n != "b"}
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(ResponseModelError,
+                           match="missing response table for setting 'b'"):
             DeterministicSource(lam, tables)

@@ -9,16 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.errors import (
-    EmptyKeepSet,
-    InvalidFamily,
-    InvalidPart,
-    NegativeWeight,
-    NotNormalized,
-    OverlappingDomains,
-    ShapeMismatch,
-    UnknownSpace,
-)
+from bellsim.errors import HvCoreError, NotNormalized
 from bellsim.spaces import (
     APPARATUS_LABELS,
     Distribution,
@@ -44,11 +35,11 @@ class TestHiddenSpace:
         assert s.values == ("+1", "-1")
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidFamily):
+        with pytest.raises(HvCoreError, match="must have at least one value"):
             HiddenSpace("lambda", ())
 
     def test_duplicate_values_rejected(self):
-        with pytest.raises(InvalidFamily):
+        with pytest.raises(HvCoreError, match="has duplicate value labels"):
             HiddenSpace("lambda", ("x", "x"))
 
 
@@ -59,27 +50,24 @@ class TestValidateDistribution:
 
     def test_sum_exceeds_one(self):
         d = Distribution((space("lambda", 2),), [0.5, 0.6])
-        with pytest.raises(NotNormalized) as exc:
+        with pytest.raises(NotNormalized, match=r"^weights sum to 1\.1, "):
             validate_distribution(d)
-        assert exc.value.total == pytest.approx(1.1, abs=TOL)
 
     def test_negative_weight_indexed(self):
         d = Distribution((space("lambda", 2),), [1.2, -0.2])
-        with pytest.raises(NegativeWeight) as exc:
+        with pytest.raises(HvCoreError, match="^weight at flat index 1 is negative"):
             validate_distribution(d)
-        assert exc.value.index == 1
 
     def test_shape_mismatch(self):
         d = Distribution((space("lambda", 3),), [0.5, 0.5])
-        with pytest.raises(ShapeMismatch) as exc:
+        with pytest.raises(HvCoreError, match="^expected 3 weights for the domain, got 2$"):
             validate_distribution(d)
-        assert (exc.value.expected, exc.value.actual) == (3, 2)
 
     def test_tolerance_boundary(self):
         d = Distribution((space("lambda", 2),), [0.5, 0.5 + 0.9e-12])
         validate_distribution(d)
         d = Distribution((space("lambda", 2),), [0.5, 0.5 + 1.1e-11])
-        with pytest.raises(NotNormalized):
+        with pytest.raises(NotNormalized, match="^weights sum to "):
             validate_distribution(d)
 
 
@@ -109,17 +97,16 @@ class TestProductDistribution:
     def test_overlapping_domains(self):
         parts = [Distribution((space("lambda", 2),), [0.5, 0.5]),
                  Distribution((space("lambda", 2),), [0.5, 0.5])]
-        with pytest.raises(OverlappingDomains) as exc:
+        with pytest.raises(HvCoreError,
+                           match="^space 'lambda' appears in more than one factor$"):
             product_distribution(parts)
-        assert exc.value.label == "lambda"
 
     def test_invalid_part_indexed(self):
         parts = [Distribution((space("lambda", 2),), [0.5, 0.5]),
                  Distribution((space("lambda_a", 2),), [0.5, 0.6])]
-        with pytest.raises(InvalidPart) as exc:
+        with pytest.raises(HvCoreError, match="^factor 1 is invalid: ") as exc:
             product_distribution(parts)
-        assert exc.value.index == 1
-        assert isinstance(exc.value.cause, NotNormalized)
+        assert isinstance(exc.value.__cause__, NotNormalized)
 
 
 class TestMarginalize:
@@ -157,14 +144,13 @@ class TestMarginalize:
 
     def test_empty_keep_set(self):
         d = Distribution.uniform((space("lambda", 2),))
-        with pytest.raises(EmptyKeepSet):
+        with pytest.raises(HvCoreError, match="^the set of spaces to keep is empty$"):
             marginalize(d, ())
 
     def test_unknown_space(self):
         d = Distribution.uniform((space("lambda", 2),))
-        with pytest.raises(UnknownSpace) as exc:
+        with pytest.raises(HvCoreError, match="^space 'lambda_b' is not in the domain$"):
             marginalize(d, ("lambda_b",))
-        assert exc.value.label == "lambda_b"
 
     def test_product_joint_marginal_recovers_three_factor_product(self):
         # Build the five-factor product joint, marginalize to the source
