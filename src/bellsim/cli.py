@@ -17,11 +17,15 @@ the only environment configuration the tool reads.  Exit status is 0
 whenever the requested run completes, whether or not the report's
 verdicts say Satisfied or Violated; it is nonzero only for parse,
 validation, and execution errors.
+
+The argument parser is built once per process, on the first ``main``
+call rather than at import, and every later call reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -70,6 +74,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bellsim",

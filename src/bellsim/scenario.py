@@ -63,6 +63,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from hashlib import sha256
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -467,8 +468,41 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def render_document(doc: Mapping[str, Any]) -> str:
     """Deterministic JSON text: two-space indent, insertion order, one
-    trailing newline, and a hard failure on non-finite numbers."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    trailing newline, and a hard failure on non-finite numbers.
+
+    The text is byte for byte ``json.dumps(doc, indent=2, allow_nan=False)
+    + "\\n"``, written by :func:`_json_text` because an indent keeps
+    ``json`` off its C encoder.  Dict keys must be strings, as they are in
+    every document bellsim renders.  A value the writer does not know,
+    such as a non-finite float or a numpy integer, goes to ``json.dumps``
+    and fails there with the exception the whole document would raise.
+    """
+    return _json_text(doc, "") + "\n"
+
+
+def _json_text(value: Any, indent: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{inner}{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items())
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if all(isinstance(x, float) and math.isfinite(x) for x in value):
+            items = map(float.__repr__, value)
+        else:
+            items = (_json_text(item, inner) for item in value)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(value, indent=2, allow_nan=False)
 
 
 def write_scenario(path: str | Path, doc: Mapping[str, Any]) -> None:

@@ -223,7 +223,7 @@ def product_distribution(parts: Sequence[Distribution]) -> Distribution:
     """
     parts = list(parts)
     if not parts:
-        raise HvCoreError("factor 0 is invalid: the set of spaces to keep is empty")
+        raise HvCoreError("a product needs at least one factor")
     for i, part in enumerate(parts):
         try:
             validate_distribution(part)

@@ -7,6 +7,9 @@ import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 from helpers import setting_dependent_copy
 
-from bellsim import correlation, feasibility, report
+from bellsim import cli, correlation, feasibility, report
 from bellsim.cli import main
 from bellsim.correlation import DEFAULT_ENUM_WORK_LIMIT, MAX_SAMPLES
 from bellsim.errors import BellsimError, CorrelationError
@@ -993,6 +996,50 @@ class TestQm:
         assert code == 1
         assert "refine rounds -1" in err
         assert "grid step" not in err
+
+
+def _parser_exit_text(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return f"{exc.value.code}\n{captured.out}\n{captured.err}"
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_valid_call_after_a_usage_error(self, capsys):
+        cli._build_parser.cache_clear()
+        first = run_cli(capsys, "qm", "chsh", *TSIRELSON)
+        cli._build_parser.cache_clear()
+        assert _parser_exit_text(capsys, "run").startswith("2\n")
+        assert run_cli(capsys, "qm", "chsh", *TSIRELSON) == first
+        assert cli._build_parser.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["qm", "chsh", "--help"],
+                                      ["run"], ["qm", "chsh", "1"], ["bogus"],
+                                      ["generate", "x", "--cards", "a"]],
+                             ids=" ".join)
+    def test_help_and_usage_errors_repeat(self, capsys, argv):
+        cli._build_parser.cache_clear()
+        texts = [_parser_exit_text(capsys, *argv) for _ in range(3)]
+        assert texts[0] == texts[2]
+        assert cli._build_parser.cache_info().hits == 2
+
+    def test_import_builds_no_parser(self):
+        child = ("import argparse\n"
+                 "built = []\n"
+                 "init = argparse.ArgumentParser.__init__\n"
+                 "argparse.ArgumentParser.__init__ = "
+                 "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+                 "import bellsim.cli\n"
+                 "print(len(built), bellsim.cli._build_parser.cache_info().currsize)\n")
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout == "0 0\n"
 
 
 _PINNED_GENERATE = ("--seed", "2", "--cards", "3,2,4,2,3",

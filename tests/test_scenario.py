@@ -6,7 +6,10 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.correlation import (FactorizedApparatus, JointComposite,
                                  SettingDependent)
@@ -377,3 +380,40 @@ class TestGeneration:
     def test_documents_are_json_serializable(self):
         for template, params in ALL_PARAMS:
             json.loads(render_document(generate_scenario(template, params)))
+
+
+_KEYS = st.text(max_size=6) | st.sampled_from(["", "\x00", "\n", '"', "\\",
+                                                "\u00e9", "\u2028", "\U0001f600"])
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 5e-324, 1.7e308]))
+_LEAVES = (st.none() | st.booleans() | st.integers(-2**80, 2**80) | _FLOATS
+           | _FLOATS.map(np.float64) | _KEYS)
+_TREES = st.recursive(
+    _LEAVES | st.lists(_FLOATS, max_size=5) | st.sampled_from([{}, [], ()]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_KEYS, children, max_size=4)),
+    max_leaves=25)
+
+
+class TestRender:
+    @given(st.dictionaries(_KEYS, _TREES, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_text_is_json_dumps_with_indent(self, doc):
+        assert render_document(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.int64(1),
+                                     object()],
+                             ids=["nan", "inf", "-inf", "int64", "object"])
+    @pytest.mark.parametrize("place", [lambda v: {"x": v},
+                                       lambda v: {"x": [0.5, v]},
+                                       lambda v: {"x": {"y": ("s", v)}}],
+                             ids=["value", "float-list", "nested"])
+    def test_unencodable_values_fail_as_json_dumps(self, bad, place):
+        doc = place(bad)
+        with pytest.raises(Exception) as want:
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(Exception) as got:
+            render_document(doc)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)

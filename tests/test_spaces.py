@@ -108,6 +108,10 @@ class TestProductDistribution:
             product_distribution(parts)
         assert isinstance(exc.value.__cause__, NotNormalized)
 
+    def test_no_parts(self):
+        with pytest.raises(HvCoreError, match="^a product needs at least one factor$"):
+            product_distribution([])
+
 
 class TestMarginalize:
     def test_marginal_of_uniform(self):
