@@ -4,9 +4,8 @@ Run as a script:
 
     python3 benchmarks/bench_kernels.py
 
-Each kernel runs on one fixed input, ``mc_outcome_counts`` on one for each
-of its two counting paths; the best of several repeats is printed in
-milliseconds.
+Each kernel runs on one fixed input; the best of several repeats is
+printed in milliseconds.
 """
 
 from __future__ import annotations
@@ -29,29 +28,15 @@ def bench_outcome_cell_sums(rng):
     return _time(lambda: _kernels.outcome_cell_sums(w, codes), 20)
 
 
-def _bench_mc_outcome_counts(cum, codes):
-    """Drawing and counting 10^6 uniforms as four fresh PCG64 streams of
-    2.5 * 10^5, one per setting pair, on one thread per CPU the process
-    may run on, up to four."""
-    def run():
-        rngs = [np.random.default_rng([7, k]) for k in range(4)]
-        _kernels.mc_outcome_counts([[cum]] * 4, [[codes]] * 4,
-                                   _kernels.StreamDraws(rngs, 250_000))
-
-    return _time(run, 10)
-
-
-def bench_mc_outcome_counts_compare(rng):
-    """Four cells of four codes: three edges, counted by comparison passes."""
-    cum = np.cumsum(rng.dirichlet(np.ones(4)))
-    return _bench_mc_outcome_counts(cum, np.arange(4, dtype=np.uint8))
-
-
-def bench_mc_outcome_counts_sort(rng):
-    """512 cells (an 8^3 apparatus triple) of random codes: hundreds of
-    edges, counted by sorting each chunk."""
-    cum = np.cumsum(rng.dirichlet(np.ones(512)))
-    return _bench_mc_outcome_counts(cum, rng.integers(0, 4, size=512).astype(np.uint8))
+def bench_mc_outcome_counts(rng):
+    """Counting 10^6 draws as four fresh PCG64 streams of 2.5 * 10^5, one
+    per setting pair, each against 512 cells (an 8^3 apparatus triple) of
+    random codes: their three edges between codes."""
+    weights = rng.dirichlet(np.ones(512))
+    codes = rng.integers(0, 4, size=512).astype(np.uint8)
+    seeds = [np.random.SeedSequence(7, spawn_key=(k,)) for k in range(4)]
+    return _time(lambda: _kernels.mc_outcome_counts(
+        [weights] * 4, [codes] * 4, _kernels.StreamDraws(seeds, 250_000)), 10)
 
 
 def bench_tableau_pivot(rng):
@@ -83,8 +68,7 @@ def bench_chsh_strategy_max(_rng):
 
 BENCHES = [
     ("outcome_cell_sums   (n=2e5)", bench_outcome_cell_sums),
-    ("mc_outcome_counts   (4 cells, 1e6)", bench_mc_outcome_counts_compare),
-    ("mc_outcome_counts   (512 cells, 1e6)", bench_mc_outcome_counts_sort),
+    ("mc_outcome_counts   (512 cells, 1e6)", bench_mc_outcome_counts),
     ("tableau_pivot       (257x258)", bench_tableau_pivot),
     ("chsh_strategy_max   (n=6)", bench_chsh_strategy_max),
 ]

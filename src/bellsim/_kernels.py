@@ -8,7 +8,9 @@ kernels, not just on their formulas:
   change the correlations a report prints;
 * elementwise array operations (one rounding per element) use numpy;
 * integer results (sample counts, strategy maxima over small integers) are
-  exact by construction.
+  exact by construction: once their edges are rounded to the 2^-53 grid
+  of a uniform, the Monte Carlo counts use integer arithmetic only, so
+  they cannot depend on BLAS, libm or the CPU.
 
 Callers bind each kernel by name (``from ._kernels import ...``).
 ``BACKEND`` names this implementation; it stays because the benchmark
@@ -17,8 +19,9 @@ harness (``perfbench/run.py``) reads it into its environment record.
 
 from __future__ import annotations
 
-import os
-import threading
+import bisect
+import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -27,37 +30,31 @@ import numpy as np
 
 BACKEND = "pure"
 
-#: Uniforms that ``mc_outcome_counts`` draws and counts per step (512 KiB
-#: of doubles), so that a count's memory does not grow with its samples.
-MC_CHUNK_DRAWS = 1 << 16
+#: Raw 64-bit words that ``mc_outcome_counts`` draws and counts per step
+#: (512 KiB), so that a count's memory does not grow with its samples.
+MC_CHUNK_WORDS = 1 << 16
 
-#: Most cell edges, summed over its CDFs, that ``mc_outcome_counts``
-#: counts with one comparison pass per edge and chunk rather than by
-#: sorting the chunk.  On one core of a 2-vCPU x86-64 container, sorting a
-#: 2^16-draw chunk took 0.42 ms and one ``np.count_nonzero(chunk < e)``
-#: pass 0.019 ms (drawing the chunk: 0.28 ms), so the passes win below
-#: about 22 edges; 16 stays below that break-even with a margin for
-#: machines where a pass costs relatively more.
-MC_COMPARE_EDGES = 16
+#: A uniform of ``Generator.random`` is k / 2^53 for a uniform integer k
+#: in [0, 2^53).
+_GRID = 1 << 53
 
 
 @dataclass(frozen=True)
 class StreamDraws:
-    """``samples`` uniforms on [0, 1) from each generator of ``rngs`` (numpy
-    ``Generator``s, or anything with a ``random(out=...)`` method), taken
-    in order from where each generator stands.
+    """``samples`` draws for each seed sequence of ``seeds``, each counted
+    from a fresh PCG64 of that seed sequence.
 
-    ``np.size`` of the draws is their total sample count over all the
-    streams, as for an array of the draws, which is how the benchmark's
-    tracer counts the samples of a call.
+    ``np.size`` of the draws is their total count over all the seeds, as
+    for an array of the draws, which is how the benchmark's tracer counts
+    the samples of a call.
     """
 
-    rngs: Sequence[Any]
+    seeds: Sequence[np.random.SeedSequence]
     samples: int
 
     @property
     def size(self) -> int:
-        return len(self.rngs) * self.samples
+        return len(self.seeds) * self.samples
 
 
 def outcome_cell_sums(weights: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -70,113 +67,73 @@ def outcome_cell_sums(weights: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return np.bincount(codes, weights=weights, minlength=4).astype(np.float64)
 
 
-def mc_outcome_counts(cums: Sequence[Sequence[np.ndarray]],
-                      codes: Sequence[Sequence[np.ndarray]],
-                      draws: StreamDraws) -> list[np.ndarray]:
-    """Tally each of several streams of sampled outcomes against each of
-    its CDFs.
+def mc_outcome_counts(weights: Sequence[np.ndarray], codes: Sequence[np.ndarray],
+                      draws: StreamDraws) -> np.ndarray:
+    """Outcome counts of ``draws.samples`` inverse-CDF draws from each of
+    several weighted cell lists.
 
-    ``cums[s][r]`` is the inclusive cumulative sum of the cell weights of
-    CDF r of stream s, and ``codes[s][r]`` the outcome code of each of its
-    cells.  Inverse-CDF lookup sends each uniform u to the first cell with
-    cum > u, clamped to the last cell against roundoff at the top, so
-    cell i receives exactly the draws with cum[i-1] <= u < cum[i] and the
-    last cell every draw with u >= cum[-2].  Rather than look up each
-    draw, the number of draws below each edge cum[i] is counted, summed
-    over the draws and differenced, which is the size of that same
-    partition.  An edge between two cells of the same code is dropped
-    first: the differences of the edges on either side of it telescope,
-    so the run of cells between two kept edges gets the sum of their
-    counts.  Counts are integers and add up over any split of the draws,
-    so the result equals the per-draw lookup exactly.
-
-    Stream s draws its ``draws.samples`` uniforms from ``draws.rngs[s]``
-    ``MC_CHUNK_DRAWS`` at a time into a reused buffer, once for all its
-    CDFs.  With at most ``MC_COMPARE_EDGES`` kept edges in all, each chunk
-    is counted with one comparison pass per edge; with more, the chunk is
-    sorted in place and every edge is located among it with one binary
-    search.
-
-    Each stream is counted whole and in order by one of
-    min(available CPUs, streams) threads, the streams dealt out to them in
-    turn; the calling thread counts the first share, and each thread
-    reuses one 512 KiB chunk buffer and calls only numpy.  Every draw is
-    therefore the one a whole draw of its stream gives, and every
-    generator ends advanced by ``draws.samples``.  If the call is
-    abandoned (an error in any thread, or an interrupt while the caller
-    counts or waits), every thread stops at its next chunk and is joined
-    before the error is raised.  Returns, per stream, int64 counts per
-    outcome, one row of four per CDF.
+    Row r has the cell weights ``weights[r]`` with outcome codes
+    ``codes[r]``, and is counted from a fresh PCG64 of ``draws.seeds[r]``.
+    The count of each code over N inverse-CDF draws is Multinomial(N, p),
+    with p the code masses (``outcome_cell_sums``), whatever the order of
+    the cells, so each row is counted from its four masses alone
+    (``_code_counts``).  Rows with equal masses and seeds get equal
+    counts.  Returns int64 counts, one row of four per row of the input.
     """
-    streams = len(draws.rngs)
-    parts = max(1, min(_available_cpus(), streams))
-    out: list[Any] = [None] * streams
-    stop = threading.Event()
-    errors: list[BaseException] = []
-
-    def count(w: int) -> None:
-        try:
-            buf = np.empty(min(draws.samples, MC_CHUNK_DRAWS))
-            for s in range(w, streams, parts):
-                out[s] = _count_stream(draws.rngs[s], buf, cums[s], codes[s],
-                                       draws.samples, stop)
-        except BaseException as exc:
-            errors.append(exc)
-            stop.set()
-
-    threads = []
-    try:
-        for w in range(1, parts):
-            thread = threading.Thread(target=count, args=(w,))
-            thread.start()
-            threads.append(thread)
-        count(0)
-        for thread in threads:
-            thread.join()
-    except BaseException:
-        stop.set()
-        for thread in threads:
-            thread.join()
-        raise
-    if errors:
-        raise errors[0]
-    return out
+    rows = [_code_counts(np.random.PCG64(seed), outcome_cell_sums(w, c).tolist(),
+                         draws.samples)
+            for w, c, seed in zip(weights, codes, draws.seeds)]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def _count_stream(rng: Any, buf: np.ndarray, cums: Sequence[np.ndarray],
-                  codes: Sequence[np.ndarray], size: int,
-                  stop: threading.Event) -> np.ndarray:
-    """The counts of the next ``size`` draws of ``rng`` against each CDF,
-    drawn one chunk of ``buf`` at a time, until done or ``stop`` is set."""
-    kept = [np.flatnonzero(c[1:] != c[:-1]) for c in codes]
-    edges = np.concatenate([cum[k] for cum, k in zip(cums, kept)])
-    below = np.zeros(edges.shape[0], dtype=np.int64)
-    compare = edges.tolist() if edges.shape[0] <= MC_COMPARE_EDGES else None
-    for start in range(0, size, MC_CHUNK_DRAWS):
-        if stop.is_set():
-            break
-        chunk = buf[:min(MC_CHUNK_DRAWS, size - start)]
-        rng.random(out=chunk)
-        if compare is None:
-            chunk.sort()
-            below += np.searchsorted(chunk, edges, side="left")
+def _code_counts(bitgen: Any, masses: list[float], samples: int) -> list[int]:
+    """The code counts of ``samples`` inverse-CDF draws against the four
+    code ``masses``, drawn from the raw bits of ``bitgen`` by dyadic
+    splitting, without drawing the uniforms.
+
+    The edges are the cumulative masses in code order, up to the last
+    code of positive mass, which also takes every draw at or above its
+    lower edge (the clamp against roundoff at the top).  So a code of zero
+    mass gets no draw, and neither does a code past an edge at or above
+    1.  A uniform u = k / 2^53 falls below an edge e exactly when
+    k < ceil(e * 2^53), so the counts are those of ``samples`` uniform
+    integers in [0, 2^53) in the bins that these integer edges cut.  A
+    dyadic interval [lo, lo + 2^b) holding n of the integers gives
+    Binomial(n, 1/2) of them to its lower half (``_ones``) and the rest to
+    its upper half.  From [0, 2^53), intervals are split depth first,
+    lower half first, while they hold any integer and an edge lies
+    strictly inside; any other interval's count goes whole to the code of
+    its first integer.  Past the rounding of the edges, the arithmetic is
+    on integers only.
+    """
+    last = max((k for k, m in enumerate(masses) if m > 0.0), default=3)
+    edges = [min(math.ceil(e * _GRID), _GRID) for e in itertools.accumulate(masses[:last])]
+    counts = [0] * 4
+    stack = [(0, _GRID, samples)]
+    while stack:
+        lo, width, n = stack.pop()
+        if n and any(lo < e < lo + width for e in edges):
+            left = _ones(bitgen, n)
+            width //= 2
+            stack += [(lo + width, width, n - left), (lo, width, left)]
         else:
-            for j, edge in enumerate(compare):
-                below[j] += np.count_nonzero(chunk < edge)
-    totals = np.split(below, np.cumsum([k.size for k in kept])[:-1])
-    out = np.empty((len(kept), 4), dtype=np.int64)
-    for row, (c, k, total) in enumerate(zip(codes, kept, totals)):
-        per_run = np.diff(total, prepend=0, append=size)
-        out[row] = np.bincount(c[np.append(0, k + 1)], weights=per_run, minlength=4)
-    return out
+            counts[bisect.bisect_right(edges, lo)] += n
+    return counts
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _ones(bitgen: Any, n: int) -> int:
+    """Binomial(n, 1/2): the set bits among the next n raw bits of
+    ``bitgen``, taken as n // 64 whole words, ``MC_CHUNK_WORDS`` at a
+    time, then the low n % 64 bits of one more word."""
+    words, rest = divmod(n, 64)
+    ones = 0
+    for start in range(0, words, MC_CHUNK_WORDS):
+        chunk = bitgen.random_raw(min(MC_CHUNK_WORDS, words - start))
+        # a chunk of 2^16 words has at most 2^22 set bits: uint32 sums them exactly
+        ones += int(np.bitwise_count(chunk).sum(dtype=np.uint32))
+    if rest:
+        ones += (bitgen.random_raw() & ((1 << rest) - 1)).bit_count()
+    return ones
 
 
 def tableau_pivot(T: np.ndarray, pr: int, pc: int) -> None:

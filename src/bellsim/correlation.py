@@ -3,15 +3,13 @@
 Every (model, distribution-mode, setting-pair) combination reduces to an
 outcome decomposition: a flat list of cells, each carrying a nonnegative
 weight and a joint-outcome code in {0,1,2,3} for (++, +-, -+, --).  Exact
-probabilities are the per-code weight sums; Monte Carlo estimation counts
-uniform draws per cell against the cell edges of the same weights' CDF
-(the draws are taken one fixed-size chunk at a time, each pair's stream
-whole and in order on one of up to four threads; an edge between cells
-of the same code is dropped, and each remaining edge is counted in every
-chunk by a comparison pass when there are few, by sorting the chunk and
-a binary search otherwise), which is the same partition as an
-inverse-CDF lookup of each draw.  The cell order is the row-major order of
-the underlying grid, which makes reports reproducible bit for bit.
+probabilities are the per-code weight sums.  Monte Carlo estimation draws
+the code counts of N inverse-CDF draws against the same four sums, which
+follow Multinomial(N, p) whatever the cell order, by exact dyadic
+splitting of [0, 1) on popcounts of raw PCG64 bits, without drawing the
+uniforms (``_kernels.mc_outcome_counts``).  The cell order is the
+row-major order of the underlying grid, which makes reports reproducible
+bit for bit.
 
 Supported combinations:
 
@@ -26,11 +24,11 @@ Randomness contract: Monte Carlo uses numpy's PCG64.  The generator for
 setting pair k (in canonical pair order) is seeded with
 SeedSequence(entropy=seed, spawn_key=(k,)), so per-pair streams are
 independent of each other and of any future sharding, and identical
-inputs give bit-identical reports on every platform and backend.  An
-emulation run counts the comparison model from the same pair streams as
-the primary model (common random numbers), so each stream is drawn once
-and the comparison report equals that of a run of the comparison model
-alone with the same seed.
+inputs give bit-identical reports on every platform and backend.  Each
+model of an emulation run counts from a fresh copy of each pair's
+stream, so the comparison report equals that of a run of the comparison
+model alone with the same seed, and two models with equal code masses get
+equal counts.
 """
 
 from __future__ import annotations
@@ -80,12 +78,11 @@ CORRELATION_RANGE_TOL = 1e-12
 DEFAULT_ENUM_WORK_LIMIT = 2**24
 
 #: Monte Carlo refuses more samples per setting pair than this, so that a
-#: report ends in bounded time: 10^9 per pair is about 34 s for the four
-#: pairs on one x86-64 core when each chunk is sorted (8.4 ns a draw on a
-#: 512-cell CDF) and 12 s when it is counted by comparison passes (3.0 ns
-#: a draw on a 4-cell CDF); the four pair streams are counted on up to
-#: four threads, one per available CPU.  An emulation's comparison model
-#: is counted from the same draws, so it adds little to either.
+#: report ends in bounded time.  Through the CLI on a 2-vCPU x86-64
+#: container, 10^9 per pair took 0.9-1.0 s on a factorized 2^5 scenario,
+#: 1.5-1.8 s at 8^5, and 2.8-2.9 s for an 8^5 emulation, which counts both
+#: models.  Against three edges the counter reads about 3.5 raw bits a
+#: draw, where drawing the uniform would take 64.
 MAX_SAMPLES = 10**9
 
 
@@ -470,25 +467,21 @@ def monte_carlo_report(model, dists, settings, samples, seed, comparison=None):
     """Estimate the report by sampling outcome cells.
 
     Per pair k the stream is PCG64 seeded with SeedSequence(seed,
-    spawn_key=(k,)) and yields ``samples`` uniforms.  They are drawn and
-    counted against the cell edges of the weight CDF one chunk at a time;
-    each stream is drawn whole and in order, the four of them on up to
-    one thread per available CPU, so their counts are the partition of an
-    inverse-CDF lookup of each draw of a whole draw, and report bytes do
-    not depend on the CPU count.
+    spawn_key=(k,)).  The counts of ``samples`` inverse-CDF draws against
+    the pair's four code masses are drawn from its raw bits by dyadic
+    splitting (``mc_outcome_counts``), with integer arithmetic only, so
+    report bytes do not depend on BLAS, libm or the CPU.
 
     With a ``comparison`` (model, distributions), such as the collapsed
-    stochastic model of an emulation, its report is estimated from the
-    same pair streams (common random numbers): each stream is drawn once
-    and counted against both models' CDFs, and ``(primary, comparison)``
-    is returned.  The comparison report is the one a call for the
-    comparison model alone, with the same seed, would return.
+    stochastic model of an emulation, its report is estimated from a
+    fresh copy of the same pair streams, and ``(primary, comparison)`` is
+    returned.  The comparison report is the one a call for the comparison
+    model alone, with the same seed, would return.
 
-    Every pair's decompositions and generators are built first, and the
-    kernel is called once, from the calling thread, for all four pairs.
-    Memory is 512 KiB per counting thread, and time is bounded by
-    ``MAX_SAMPLES`` per pair.  A negative seed is refused before any
-    stream is built.
+    Every pair's decompositions are built first, and the kernel is called
+    once for all pairs and models.  Memory is bounded by the kernel's
+    512 KiB chunk, and time by ``MAX_SAMPLES`` per pair.  A negative seed
+    is refused before any stream is built.
     """
     if samples < 1:
         raise CorrelationError("sample count must be at least 1")
@@ -498,19 +491,18 @@ def monte_carlo_report(model, dists, settings, samples, seed, comparison=None):
         raise CorrelationError(f"seed must be nonnegative, got {int(seed)}")
     models = [(model, dists)] if comparison is None else [(model, dists), comparison]
     pairs = _ordered_pairs(settings)
-    decs = [[outcome_decomposition(m, d, pair) for m, d in models] for pair in pairs]
-    rngs = [np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
-        for k in range(len(pairs))]
+    decs = [outcome_decomposition(m, d, pair) for m, d in models for pair in pairs]
     counts = mc_outcome_counts(
-        [[np.cumsum(dec.weights) for dec in pair_decs] for pair_decs in decs],
-        [[np.ascontiguousarray(dec.codes) for dec in pair_decs] for pair_decs in decs],
-        StreamDraws(rngs, samples))
-    per_model = [[(pair, tuple(float(c) / samples for c in rows[i]))
-                  for pair, rows in zip(pairs, counts)] for i in range(len(models))]
+        [np.ascontiguousarray(dec.weights) for dec in decs],
+        [np.ascontiguousarray(dec.codes) for dec in decs],
+        StreamDraws([np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+                     for _ in models for k in range(len(pairs))], samples))
     estimator = EstimatorInfo(method="monte-carlo", samples=samples, seed=seed)
-    reports = tuple(_report_from_pair_probs(per_pair, estimator)
-                    for per_pair in per_model)
+    reports = tuple(
+        _report_from_pair_probs([(pair, tuple(float(c) / samples for c in row))
+                                 for pair, row in zip(pairs, counts[i:i + len(pairs)])],
+                                estimator)
+        for i in range(0, len(decs), len(pairs)))
     return reports[0] if comparison is None else reports
 
 

@@ -1,5 +1,4 @@
-"""The kernel timing script runs and times every kernel, and both
-counting paths of ``mc_outcome_counts``."""
+"""The kernel timing script runs and times every kernel, once each."""
 
 from __future__ import annotations
 
@@ -28,8 +27,6 @@ def test_bench_kernels_prints_one_row_per_kernel():
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["kernel", "time", "[ms]"]
     rows = [line.split() for line in lines[2:]]
-    # mc_outcome_counts has one row per counting path
-    assert sorted(row[0] for row in rows) == sorted(_kernel_names()
-                                                    + ["mc_outcome_counts"])
+    assert sorted(row[0] for row in rows) == sorted(_kernel_names())
     for row in rows:
         assert float(row[-1]) > 0.0

@@ -20,7 +20,6 @@ from helpers import (
     random_weights,
 )
 
-from bellsim import _kernels
 from bellsim.correlation import (
     BELL_BOUND_TOL,
     DEFAULT_ENUM_WORK_LIMIT,
@@ -483,19 +482,17 @@ class TestMonteCarlo:
         with pytest.raises(CorrelationError, match="^sample count must be at least 1$"):
             monte_carlo_report(model, dists, FOUR_SETTINGS, 0, seed=0)
 
-    def test_memory_bounded_by_the_chunk(self, monkeypatch):
-        """numpy reports its buffers to tracemalloc; one whole draw of 2e6
-        uniforms and its sorted copy would peak at 32 MB.  Each thread
-        that counts pair streams has one 512 KiB chunk buffer; the CPU
-        count is pinned to two threads so that the bound holds on any
-        machine."""
-        monkeypatch.setattr(_kernels, "_available_cpus", lambda: 2)
+    def test_memory_bounded_by_the_chunk(self):
+        """numpy reports its buffers to tracemalloc.  At 2e8 samples a pair,
+        the first split alone reads 2e8 raw bits, 25 MB if drawn whole;
+        the counter draws at most ``MC_CHUNK_WORDS`` words (512 KiB) at a
+        time, whatever the machine."""
         rng = np.random.default_rng(17)
         model = random_stochastic(rng, 3)
         dists = SourceOnly(random_distribution(rng, (model.lam,)))
         tracemalloc.start()
         try:
-            monte_carlo_report(model, dists, FOUR_SETTINGS, 2_000_000, seed=5)
+            monte_carlo_report(model, dists, FOUR_SETTINGS, 200_000_000, seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -524,7 +521,8 @@ class TestMonteCarlo:
         """The comparison model of an emulation is counted from the
         primary model's pair streams, and its report block is byte-equal
         to a Monte Carlo report of the comparison model alone with the
-        same seed (comparison passes at 1x2^4, sorting at 8^5)."""
+        same seed (every model is counted from a fresh copy of its pair's
+        stream)."""
         doc = generate_scenario("stochastic-equivalent",
                                 {"cards": cards, "estimator": "monte-carlo",
                                  "samples": 150_000, "mc_seed": 8})

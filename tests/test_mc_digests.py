@@ -1,10 +1,10 @@
 """Monte Carlo report bytes are pinned.
 
 Each case below runs a Monte Carlo report through the CLI and compares the
-sha256 of its text with a digest recorded from the per-draw inverse-CDF
-lookup (one binary search per uniform).  Counting the draws by any other
-method must give the same partition of the draws into cells, so any change
-to the sampling path (streams, draws, cell counting) that moves an
+sha256 of its text with a digest recorded from the dyadic-splitting
+counter: each pair's four code counts drawn from the popcounts of raw bits
+of a fresh copy of its PCG64 stream.  Any change to the sampling path
+(streams, bits, splits, the edges of the code masses) that moves an
 estimate by one count changes a digest.  The generated cases also pin the
 generated scenario, whose sha256 every report carries.
 """
@@ -24,21 +24,21 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 #: samples) -> sha256 of the `bellsim run` report of the generated file.
 GENERATED = {
     ("stochastic-equivalent", ("--cards", "8,8,8,8,8"), 4, 200_000):
-        "cc5c0cdb61c601f2cebfcffdecc7b4538509a4c5545fac6e7d2d8e8739c3ea82",
+        "81b4584a2ba7ea1eb1f235373bda8b3efcb3bb654f97822385c7178f5d71752a",
     ("stochastic-equivalent", ("--cards", "8,8,8,8,8"), 5, 200_000):
-        "c1a6607cd629ba1adfd6a16f7d0ff99d9bca29251763cecf15c84df40aeae239",
+        "b8880ee0e743152196580259869812850263ee49292ad0e7e03fdaf777d965b0",
     ("setting-dependent-witness", (), 4, 200_000):
-        "5e191f082fec867b32fecee56d25ee7d1509e02a4ab18ba61b5d5a05ee44db60",
+        "8f3acd8b1a3dc2fe99f792081c23d80bcac7a67d1535e87a321d7af94d184646",
     ("setting-dependent-witness", (), 5, 200_000):
-        "5944d018251fe0e251128008725f104c003271eb2dfefa4babdcc688858906e7",
+        "8ba3c19013e6ce3102e9c539c38238aa3a108a3c145894278ad7750a4f9fbf6e",
 }
 
 #: sha256 of `bellsim run scenarios/joint-composite.scenario` (Monte Carlo,
 #: 1e5 samples).  Its feasibility section carries the scenario's own joint,
-#: the construction witness; every other field is as the per-draw lookup
-#: gave it.
+#: the construction witness; every other field is as the dyadic-splitting
+#: counter gave it.
 JOINT_COMPOSITE = (
-    "10b6591fef2c986b6e480a0bfc526ea96470574753f64f707439c475b60a44de")
+    "45a7c62c3cf541d883a7dff6e4d947aeec70333a0031ea5311969d189c070d85")
 
 
 def _report_digest(capsys, *argv: str) -> str:

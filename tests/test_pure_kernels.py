@@ -3,18 +3,22 @@ numpy, implementation (``BACKEND == "pure"``)."""
 
 from __future__ import annotations
 
+import ast
 import bisect
+import itertools
+import math
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from strategy_reference import int8_strategy_max, loop_strategy_max
 
 from bellsim import _kernels, correlation, report
-from bellsim.cli import main
 from bellsim.scenario import generate_scenario, load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -35,81 +39,72 @@ def test_chsh_strategy_max_matches_every_point_sum(n):
     assert _kernels.chsh_strategy_max(n) == loop_strategy_max(n)
 
 
-class _Replay:
-    """A draw source that hands out fixed uniforms in order, as a
-    Generator's ``random(out=...)`` hands out its stream."""
-
-    def __init__(self, uniforms):
-        self._u = np.asarray(uniforms, dtype=np.float64)
-        self._pos = 0
-
-    def random(self, out):
-        n = out.shape[0]
-        assert self._pos + n <= self._u.shape[0], "more draws than replayed"
-        out[...] = self._u[self._pos:self._pos + n]
-        self._pos += n
+def _stream(seed, k):
+    """The seed sequence of setting pair k under Monte Carlo seed ``seed``."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
 
 
-def _counts(cum, codes, u):
-    """``mc_outcome_counts`` on the fixed draws ``u``, one stream of one
-    CDF."""
-    u = np.asarray(u, dtype=np.float64)
+def _counts(weights, codes, seed, samples):
+    """``mc_outcome_counts`` of one row."""
     return _kernels.mc_outcome_counts(
-        [[cum]], [[codes]], _kernels.StreamDraws([_Replay(u)], u.shape[0]))[0][0]
+        [np.asarray(weights, dtype=np.float64)], [np.asarray(codes, dtype=np.uint8)],
+        _kernels.StreamDraws([seed], samples))[0].tolist()
 
 
-def _one_stream(cums, codes, rng, samples):
-    """``mc_outcome_counts`` of one stream against the CDFs ``cums``."""
-    return _kernels.mc_outcome_counts([cums], [codes],
-                                      _kernels.StreamDraws([rng], samples))[0]
+def _reference_counts(weights, codes, seed, samples):
+    """Scalar reference for one row.  The code masses are summed cell by
+    cell in input order.  A dyadic block of integers k in [0, 2^53) is
+    split, by the popcount of its next raw bits, exactly when an
+    inverse-CDF lookup of u = k / 2^53 (the first code whose cumulative
+    mass exceeds u, clamped to the last code of positive mass) sends its
+    first and last integer to different codes; an unsplit block's count
+    goes to the code of its first integer.  Each block's words are drawn
+    whole, and counted one Python int at a time."""
+    masses = [0.0] * 4
+    for w, c in zip(np.asarray(weights).tolist(), np.asarray(codes).tolist()):
+        masses[c] += w
+    cum = list(itertools.accumulate(masses))
+    last = max((c for c in range(4) if masses[c] > 0.0), default=3)
+    bitgen = np.random.PCG64(seed)
+    counts = [0] * 4
 
+    def lookup(k):
+        return min(bisect.bisect_right(cum, k * 2.0 ** -53), last)
 
-def test_mc_outcome_counts_top_edge_clamped():
-    cum = np.array([0.5, 1.0 - 1e-12])
-    codes = np.array([0, 3], dtype=np.uint8)
-    u = np.array([1.0 - 1e-13])  # beyond the last cumulative value
-    assert _counts(cum, codes, u)[3] == 1
+    def visit(lo, bits, n):
+        if n and lookup(lo) != lookup(lo + (1 << bits) - 1):
+            left = sum(w.bit_count() for w in bitgen.random_raw(n // 64).tolist())
+            if n % 64:
+                left += (bitgen.random_raw() % (1 << n % 64)).bit_count()
+            visit(lo, bits - 1, left)
+            visit(lo + (1 << (bits - 1)), bits - 1, n - left)
+        else:
+            counts[lookup(lo)] += n
 
-
-def test_mc_outcome_counts_zero_weight_cells_never_sampled():
-    cum = np.array([0.5, 0.5, 1.0])  # middle cell has zero mass
-    codes = np.array([0, 1, 2], dtype=np.uint8)
-    u = np.linspace(0.0, 0.999, 1001)
-    assert _counts(cum, codes, u)[1] == 0
-
-
-def _scalar_mc_counts(cum, codes, uniforms):
-    """Reference tally: one inverse-CDF lookup per draw, clamped to the
-    last cell."""
-    cum = cum.tolist()
-    counts = [0, 0, 0, 0]
-    for u in uniforms.tolist():
-        cell = min(bisect.bisect_right(cum, u), len(cum) - 1)
-        counts[int(codes[cell])] += 1
+    visit(0, 53, samples)
     return counts
 
 
-def _edge_heavy_draws(rng, cum, n):
-    """Uniform draws plus every cumulative value, 0.0 and values above
-    cum[-1], shuffled."""
-    special = np.concatenate([cum, [0.0, 0.0, np.nextafter(cum[-1], 2.0)],
-                              rng.choice(cum, size=20)])
-    above = cum[-1] + (1.0 - cum[-1]) * rng.random(5) if cum[-1] < 1.0 else []
-    u = np.concatenate([rng.random(n), special, above])
-    rng.shuffle(u)
-    return u
+class _Bits:
+    """A bit source whose every raw word is ``word``: 0 sends every draw
+    to the upper half of each split, to the top integer 2^53 - 1, and
+    2^64 - 1 sends every draw to the lower half, to 0."""
+
+    def __init__(self, word):
+        self._word = word
+
+    def random_raw(self, size=None):
+        if size is None:
+            return self._word
+        return np.full(size, self._word, dtype=np.uint64)
 
 
-def _check_mc_counts(cum, codes, u):
-    counts = _counts(cum, codes, u)
-    assert counts.dtype == np.int64
-    assert counts.tolist() == _scalar_mc_counts(cum, codes, u)
-    assert int(counts.sum()) == u.shape[0]
+_TOP, _BOTTOM = _Bits(0), _Bits(2**64 - 1)
 
 
 def _random_cdf(rng):
-    """A random CDF with leading, interior and trailing zero-weight runs,
-    and outcome codes for its cells."""
+    """Random cell weights with leading, interior and trailing zero-weight
+    runs, normalised, and outcome codes for the cells."""
     cells = int(rng.integers(2, 300))
     weights = rng.random(cells)
     weights[rng.random(cells) < 0.2] = 0.0
@@ -118,419 +113,335 @@ def _random_cdf(rng):
     weights[cells - trail:] = 0.0
     if weights.sum() == 0.0:
         weights[cells // 2] = 1.0
-    cum = np.cumsum(weights / weights.sum())
-    return cum, rng.integers(0, 4, size=cells).astype(np.uint8)
+    return weights / weights.sum(), rng.integers(0, 4, size=cells).astype(np.uint8)
+
+
+def test_mc_outcome_counts_top_edge_clamped():
+    """Draws at the top integer, above masses that sum to 1 - 1e-12, go
+    to the last code of positive mass, and a code past an edge at or
+    above 1 gets none, whatever its mass."""
+    n = 1001
+    assert _kernels._code_counts(_TOP, [0.5, 0.0, 0.0, 0.5 - 1e-12], n) == [0, 0, 0, n]
+    assert _kernels._code_counts(_TOP, [0.5, 0.5 - 1e-12, 0.0, 0.0], n) == [0, n, 0, 0]
+    assert _kernels._code_counts(_TOP, [0.5, 0.5 + 1e-12, 0.25, 0.0], n) == [0, n, 0, 0]
+    assert _kernels._code_counts(_TOP, [1.0, 0.0, 0.0, 1e-3], n) == [n, 0, 0, 0]
+    counts = _counts([0.5, 0.5 + 1e-12, 0.25], [0, 1, 2], _stream(1, 0), n)
+    assert counts[2] == counts[3] == 0 and sum(counts) == n
+
+
+def test_mc_outcome_counts_zero_weight_cells_never_sampled():
+    weights, codes = [0.5, 0.0, 0.5, 0.0], [0, 1, 2, 3]  # codes 1 and 3 have no mass
+    for bits in (_TOP, _BOTTOM):
+        counts = _kernels._code_counts(bits, [0.5, 0.0, 0.5, 0.0], 1001)
+        assert counts[1] == counts[3] == 0
+    for k in range(20):
+        counts = _counts(weights, codes, _stream(2, k), 1001)
+        assert counts[1] == counts[3] == 0 and sum(counts) == 1001
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_mc_outcome_counts_equal_scalar_lookup(seed):
-    """Random CDFs with leading, interior and trailing zero-weight runs."""
+    """Random cells with leading, interior and trailing zero-weight runs
+    count as the scalar reference does."""
     rng = np.random.default_rng(seed)
-    cum, codes = _random_cdf(rng)
-    _check_mc_counts(cum, codes, _edge_heavy_draws(rng, cum, 2000))
+    weights, codes = _random_cdf(rng)
+    samples = int(rng.integers(1, 5000))
+    want = _reference_counts(weights, codes, _stream(seed, 0), samples)
+    assert _counts(weights, codes, _stream(seed, 0), samples) == want
+    assert sum(want) == samples
 
 
 def test_mc_outcome_counts_single_cell():
-    rng = np.random.default_rng(7)
-    cum = np.array([1.0])
     for code in range(4):
-        codes = np.array([code], dtype=np.uint8)
-        u = _edge_heavy_draws(rng, cum, 500)
-        _check_mc_counts(cum, codes, u)
-        assert _counts(cum, codes, u)[code] == u.shape[0]
+        for top in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+            for bits in (_TOP, _BOTTOM):
+                masses = [0.0] * 4
+                masses[code] = top
+                assert _kernels._code_counts(bits, masses, 500)[code] == 500
+            assert _counts([top], [code], _stream(3, code), 500)[code] == 500
 
 
 def test_mc_outcome_counts_top_below_and_above_one():
-    rng = np.random.default_rng(8)
-    codes = np.array([2, 0, 3, 1], dtype=np.uint8)
-    for top in (1.0 - 1e-12, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 1.0 + 1e-12):
-        cum = np.array([0.25, 0.5, 0.75, top])
-        u = _edge_heavy_draws(rng, cum, 1000)
-        _check_mc_counts(cum, codes, np.concatenate([u, [top, 1.0 - 2.0 ** -53]]))
+    """Masses that sum to just below, at and just above 1 count as the
+    scalar reference does, every draw counted once."""
+    codes = [2, 0, 3, 1]
+    for k, top in enumerate((1.0 - 1e-12, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52,
+                             1.0 + 1e-12)):
+        weights = [0.25, 0.25, 0.25, top - 0.75]
+        want = _reference_counts(weights, codes, _stream(8, k), 3001)
+        assert _counts(weights, codes, _stream(8, k), 3001) == want
+        assert sum(want) == 3001
+
+
+class _Path:
+    """A bit source for single draws: word i sends the draw to the lower
+    half of the i-th split when bit i of ``path`` (from the top) is 0."""
+
+    def __init__(self, path, depth):
+        self._bits = [1 - (path >> (depth - 1 - i) & 1) for i in range(depth)]
+
+    def random_raw(self, size=None):
+        assert size is None
+        return self._bits.pop(0) if self._bits else 1
 
 
 def test_mc_outcome_counts_draws_on_every_edge():
-    """Draws exactly on cum entries go to the next nonempty cell."""
-    cum = np.array([0.0, 0.25, 0.25, 0.5, 1.0])
-    codes = np.array([0, 1, 2, 3, 0], dtype=np.uint8)
-    u = np.array([0.0, 0.25, 0.5, 0.9999])
-    assert _counts(cum, codes, u).tolist() == [2, 1, 0, 1]
-    _check_mc_counts(cum, codes, u)
+    """A single draw steered into each eighth of [0, 1), with edges at 0
+    and twice at 5/8, goes to the code of positive mass whose cumulative
+    mass first exceeds the eighth's first point: a draw on an edge goes
+    to the next code of positive mass."""
+    masses = [0.0, 0.625, 0.0, 0.375]
+    cum = list(itertools.accumulate(masses))
+    for eighth in range(8):
+        want = [0] * 4
+        want[min(bisect.bisect_right(cum, eighth / 8), 3)] = 1
+        assert _kernels._code_counts(_Path(eighth, 3), masses, 1) == want
+
+
+class _Exhausted(Exception):
+    """A scripted bit source has no word left."""
+
+
+class _Script:
+    """A bit source that hands out the words of ``words`` in order."""
+
+    def __init__(self, words):
+        self._words = list(words)
+
+    def random_raw(self, size=None):
+        assert size is None, "a few draws take single words"
+        if not self._words:
+            raise _Exhausted
+        return self._words.pop(0)
+
+
+def _enumerated_law(masses, n):
+    """The law of ``_code_counts`` of n <= 3 draws, from every script of
+    words whose low n bits, the only ones a split of at most n draws
+    reads, take each of their 2^n values."""
+    law = {}
+    scripts = [()]
+    while scripts:
+        script = scripts.pop()
+        try:
+            counts = _kernels._code_counts(_Script(script), masses, n)
+        except _Exhausted:
+            scripts += [script + (w,) for w in range(2 ** n)]
+            continue
+        key = tuple(counts)
+        law[key] = law.get(key, 0) + Fraction(1, 2 ** (n * len(script)))
+    return law
+
+
+def _multinomial_law(masses, n):
+    law = {}
+    for draws in itertools.product(range(4), repeat=n):
+        key = tuple(draws.count(c) for c in range(4))
+        p = Fraction(1)
+        for c in draws:
+            p *= Fraction(masses[c])
+        law[key] = law.get(key, 0) + p
+    return {key: p for key, p in law.items() if p}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("masses", [(0.125, 0.375, 0.0, 0.5),
+                                    (0.0, 0.25, 0.625, 0.125),
+                                    (0.25, 0.25, 0.25, 0.25),
+                                    (0.0, 0.0, 0.0, 1.0)],
+                         ids=lambda m: "-".join(str(int(x * 8)) for x in m))
+def test_mc_outcome_counts_law_is_exact_for_few_draws(masses, n):
+    """For masses on a grid of eighths, the counts of n draws follow
+    Multinomial(n, masses) exactly, by enumeration of the bits."""
+    assert _enumerated_law(list(masses), n) == _multinomial_law(masses, n)
+
+
+def test_mc_outcome_counts_chi_square_over_many_seeds():
+    """2000 rows of 1000 draws against fixed masses: the chi-square
+    statistic of each row against Multinomial(1000, p), 3 degrees of
+    freedom, averages 3 within 5.5 of its standard errors (6 / 2000 per
+    row squared), exceeds its 95% point 7.815 in 5% +- 2% of rows, and
+    the pooled counts pass at the 0.1% level (16.27)."""
+    rows, n = 2000, 1000
+    weights = np.array([0.07, 0.2, 0.03, 0.31, 0.39])
+    codes = np.array([0, 1, 0, 2, 3], dtype=np.uint8)
+    p = _kernels.outcome_cell_sums(weights, codes)
+    counts = _kernels.mc_outcome_counts([weights] * rows, [codes] * rows,
+                                        _kernels.StreamDraws(
+                                            [_stream(31, k) for k in range(rows)], n))
+    assert (counts.sum(axis=1) == n).all()
+    stats = ((counts - n * p) ** 2 / (n * p)).sum(axis=1)
+    assert abs(stats.mean() - 3.0) < 5.5 * math.sqrt(6.0 / rows)
+    assert 0.03 < np.mean(stats > 7.815) < 0.07
+    pooled = counts.sum(axis=0)
+    assert ((pooled - rows * n * p) ** 2 / (rows * n * p)).sum() < 16.27
+
+
+_mass = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(masses=st.lists(_mass, min_size=4, max_size=4).filter(lambda m: sum(m) > 0.0),
+       scale=st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 2.0 ** -53, 1.5]),
+       samples=st.integers(0, 20_000), seed=st.integers(0, 2**63))
+def test_mc_outcome_counts_sum_to_n_and_skip_empty_codes(masses, scale, samples, seed):
+    """Counts sum to N; a code of zero mass gets none, and so does a code
+    past an edge at or above 1; the top draw and the bottom draw go to
+    the codes the lookup clamps them to; and the counts are those of the
+    scalar reference."""
+    total = math.fsum(masses)
+    masses = [m / total * scale for m in masses]
+    seed = np.random.SeedSequence(seed)
+    counts = _counts(masses, range(4), seed, samples)
+    assert sum(counts) == samples
+    assert counts == _reference_counts(masses, np.arange(4), seed, samples)
+    cum = list(itertools.accumulate(masses))
+    for c in range(4):
+        if masses[c] == 0.0 or (c and cum[c - 1] >= 1.0):
+            assert counts[c] == 0
+    last = max(c for c in range(4) if masses[c] > 0.0)
+    for bits, u in ((_TOP, 1.0 - 2.0 ** -53), (_BOTTOM, 0.0)):
+        want = [0] * 4
+        want[min(bisect.bisect_right(cum, u), last)] = samples
+        assert _kernels._code_counts(bits, masses, samples) == want
+
+
+def test_mc_outcome_counts_depend_on_the_code_masses_alone():
+    """Cells in any order and split any way, with the same code masses,
+    get the same counts from the same seed."""
+    coarse = ([0.25, 0.125, 0.5, 0.125], [0, 1, 2, 3])
+    fine = ([0.0625, 0.5, 0.125, 0.125, 0.125, 0.0625], [3, 2, 0, 0, 1, 3])
+    for k in range(4):
+        assert (_counts(*coarse, _stream(9, k), 10**6)
+                == _counts(*fine, _stream(9, k), 10**6))
+
+
+_C = _kernels.MC_CHUNK_WORDS
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_mc_outcome_counts_fixed_draws_in_small_chunks(chunk, monkeypatch):
-    """Edge-heavy fixed draws split into chunks of one and of three draws,
-    so that draws on the edges straddle many chunk boundaries."""
-    monkeypatch.setattr(_kernels, "MC_CHUNK_DRAWS", chunk)
+    """Raw words drawn one and three at a time count as whole draws do."""
+    monkeypatch.setattr(_kernels, "MC_CHUNK_WORDS", chunk)
     rng = np.random.default_rng(9)
-    for _ in range(5):
-        cum, codes = _random_cdf(rng)
-        _check_mc_counts(cum, codes, _edge_heavy_draws(rng, cum, 300))
-    for top in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
-        cum = np.array([0.0, 0.25, 0.25, 0.5, top, top])
-        codes = np.array([0, 1, 2, 3, 0, 2], dtype=np.uint8)
-        _check_mc_counts(cum, codes, np.concatenate(
-            [_edge_heavy_draws(rng, cum, 100), [top, 1.0 - 2.0 ** -53]]))
+    for k in range(5):
+        weights, codes = _random_cdf(rng)
+        want = _reference_counts(weights, codes, _stream(9, k), 64 * 40 + 13)
+        assert _counts(weights, codes, _stream(9, k), 64 * 40 + 13) == want
 
 
-def _stream(seed, k):
-    """The generator of setting pair k under Monte Carlo seed ``seed``."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
-
-
-_C = _kernels.MC_CHUNK_DRAWS
+def _edge_cells(top):
+    """Cells with leading and trailing zero-weight cells whose masses sum
+    to ``top``, and outcome codes for them."""
+    rng = np.random.default_rng(12)
+    weights = np.concatenate([[0.0], rng.random(29), [0.0, 0.0]])
+    weights[rng.random(weights.size) < 0.2] = 0.0
+    return weights / weights.sum() * top, rng.integers(0, 4, size=weights.size).astype(np.uint8)
 
 
 @pytest.mark.parametrize("samples", [1, _C - 1, _C, _C + 1, 3 * _C + 7])
 @pytest.mark.parametrize("top", [1.0 - 1e-12, 1.0 + 2.0 ** -52])
-def test_mc_outcome_counts_chunked_stream_equals_whole_draw(samples, top):
-    """Chunked draws from a pair's stream count the same as one whole-array
-    draw from the same seed looked up per draw, across chunk boundaries,
-    on a CDF with leading and trailing zero-weight cells."""
-    rng = np.random.default_rng(samples)
-    weights = np.concatenate([[0.0, 0.0], rng.random(37), [0.0, 0.0, 0.0]])
-    weights[rng.random(weights.size) < 0.2] = 0.0
-    cum = np.minimum(np.cumsum(weights / weights.sum()), top)
-    cum[-3:] = top  # the trailing zero-weight cells end at the top edge
-    codes = rng.integers(0, 4, size=cum.size).astype(np.uint8)
+def test_mc_outcome_counts_chunked_stream_equals_whole_draw(samples, top, monkeypatch):
+    """Draws just below, at and just above a whole number of words
+    (65535, 65536 and 65537 bits are 1023 words and 63 bits, 1024 words,
+    and 1024 words and 1 bit), their words drawn seven at a time so that
+    the large splits straddle many chunks, count as the reference drawing
+    each split's words whole does, with masses summing below or above 1."""
+    monkeypatch.setattr(_kernels, "MC_CHUNK_WORDS", 7)
+    weights, codes = _edge_cells(top)
     for k in range(4):
-        counts = _one_stream([cum], [codes], _stream(11, k), samples)[0]
-        u = _stream(11, k).random(samples)
-        cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-        want = np.bincount(codes[cells], minlength=4)
-        assert counts.tolist() == want.tolist()
-
-
-def _segment_cdf():
-    """A CDF with leading and trailing zero-weight cells, its top edge at
-    1 - 1e-12, and outcome codes for its cells."""
-    rng = np.random.default_rng(12)
-    weights = np.concatenate([[0.0], rng.random(29), [0.0, 0.0]])
-    cum = np.minimum(np.cumsum(weights / weights.sum()), 1.0 - 1e-12)
-    cum[-3:] = 1.0 - 1e-12
-    return cum, rng.integers(0, 4, size=cum.size).astype(np.uint8)
-
-
-def _stream_counts(cum, codes, rngs, samples):
-    """``mc_outcome_counts`` of the streams ``rngs``, each against the one
-    CDF ``cum``, as rows of four counts."""
-    counts = _kernels.mc_outcome_counts([[cum]] * len(rngs), [[codes]] * len(rngs),
-                                        _kernels.StreamDraws(rngs, samples))
-    return [row[0].tolist() for row in counts]
-
-
-def _counting_threads(monkeypatch):
-    """Make ``mc_outcome_counts`` record each thread it starts."""
-    started = []
-
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(_kernels, "threading",
-                        SimpleNamespace(Event=threading.Event, Thread=Thread))
-    return started
+        assert (_counts(weights, codes, _stream(11, k), samples)
+                == _reference_counts(weights, codes, _stream(11, k), samples))
 
 
 @pytest.mark.parametrize("samples",
                          [0, 1, _C - 1, _C, _C + 1, 3 * _C + 7, 7 * _C, 8 * _C + 3])
-@pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
-def test_mc_outcome_counts_segments_equal_whole_draw(samples, cpus, monkeypatch):
-    """The four pair streams of one call, each a segment of the call's
-    draws counted whole on one of min(CPUs, 4) threads, give the counts of
-    a whole draw of each stream, and leave every generator where one
-    whole draw would."""
-    monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
-    started = _counting_threads(monkeypatch)
-    cum, codes = _segment_cdf()
-    rngs = [_stream(13, k) for k in range(4)]
-    counts = _stream_counts(cum, codes, rngs, samples)
-    for k, (rng, row) in enumerate(zip(rngs, counts)):
-        reference = _stream(13, k)
-        u = reference.random(samples)
-        cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-        assert row == np.bincount(codes[cells], minlength=4).tolist()
-        assert rng.random() == reference.random()
-    assert len(started) == min(cpus, 4) - 1
+@pytest.mark.parametrize("streams", [1, 2, 3, 5, 8])
+def test_mc_outcome_counts_segments_equal_whole_draw(samples, streams):
+    """A call over the rows of several pair streams gives each row, its
+    segment of the result, the counts of a call of that row alone and of
+    the scalar reference: every row draws from a fresh copy of its own
+    stream."""
+    weights, codes = _edge_cells(1.0 - 1e-12)
+    seeds = [_stream(13, k) for k in range(streams)]
+    counts = _kernels.mc_outcome_counts([weights] * streams, [codes] * streams,
+                                        _kernels.StreamDraws(seeds, samples))
+    assert counts.dtype == np.int64 and counts.shape == (streams, 4)
+    for row, seed in zip(counts.tolist(), seeds):
+        assert row == _counts(weights, codes, seed, samples)
+        assert row == _reference_counts(weights, codes, seed, samples)
 
 
-def test_mc_outcome_counts_many_streams_under_fast_thread_switches(monkeypatch):
-    """Twelve streams on twelve threads, more than there are cores, with
-    the interpreter switching threads every few microseconds: every
-    stream still gets its own whole draw's counts."""
-    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 12)
-    started = _counting_threads(monkeypatch)
-    cum, codes = _segment_cdf()
-    samples = 2 * _C + 5
-    before, interval = threading.active_count(), sys.getswitchinterval()
+def test_mc_outcome_counts_many_streams_under_fast_thread_switches():
+    """The counter keeps no state between calls: twelve streams counted
+    in calls from four threads at once, with the interpreter switching
+    threads every few microseconds, get the counts of one serial call."""
+    weights, codes = _edge_cells(1.0)
+    seeds = [_stream(23, k) for k in range(12)]
+    samples = 2 * 64 * _C + 5
+
+    def call(part):
+        return _kernels.mc_outcome_counts([weights] * len(part), [codes] * len(part),
+                                          _kernels.StreamDraws(part, samples))
+
+    serial = call(seeds).tolist()
+    parts = [seeds[i::4] for i in range(4)]
+    results = [None] * 4
+
+    def work(i):
+        results[i] = call(parts[i]).tolist()
+
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        counts = _stream_counts(cum, codes, [_stream(23, k) for k in range(12)],
-                                samples)
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert len(started) == 11 and threading.active_count() == before
-    for k, row in enumerate(counts):
-        assert row == _whole_draw_counts(cum, codes, _stream(23, k).random(samples))
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(4):
+        assert results[i] == serial[i::4]
 
 
-def test_mc_outcome_counts_buffered_half_draw_keeps_one_segment(monkeypatch):
-    """A PCG64 that holds the unused half of a 64-bit output, after a
-    32-bit draw, is counted from where it stands: its doubles are those of
-    a whole draw, and the next 32-bit draw is the held half."""
-    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
-    cum, codes = _segment_cdf()
-    rngs, references = ([_stream(5, k) for k in range(4)] for _ in range(2))
-    for gen in rngs + references:
-        gen.integers(2**32, dtype=np.uint32)
-    counts = _stream_counts(cum, codes, rngs, 3 * _C)
-    for rng, reference, row in zip(rngs, references, counts):
-        u = reference.random(3 * _C)
-        cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-        assert row == np.bincount(codes[cells], minlength=4).tolist()
-        assert (rng.integers(2**32, dtype=np.uint32)
-                == reference.integers(2**32, dtype=np.uint32))
-
-
-class _FailingRng:
-    """Draws from ``gen`` and raises ``exc`` on its call number ``after``
-    of ``random`` (never, for 0), counting its calls."""
-
-    def __init__(self, gen, after, exc):
-        self._gen, self._after, self._exc = gen, after, exc
-        self.calls = 0
-
-    def random(self, out):
-        self.calls += 1
-        if self.calls == self._after:
-            raise self._exc("failed draw")
-        self._gen.random(out=out)
-
-
-@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
-def test_mc_outcome_counts_worker_error_reaches_the_caller(exc, monkeypatch):
-    """A draw that fails partway through stream 1, on a worker thread, is
-    raised in the caller once every thread is joined."""
-    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
-    failing = _FailingRng(_stream(3, 1), 2, exc)
-    rngs = [_stream(3, 0), failing, _stream(3, 2), _stream(3, 3)]
-    cum, codes = _segment_cdf()
-    before = threading.active_count()
-    with pytest.raises(exc, match="failed draw"):
-        _stream_counts(cum, codes, rngs, 9 * _C)
-    assert failing.calls == 2
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
-def test_mc_outcome_counts_caller_error_stops_the_workers(exc, monkeypatch):
-    """A draw that fails partway through stream 0, in the calling thread,
-    stops the other streams at their next chunk and is raised once every
-    thread is joined; the caller's second stream is never drawn."""
-    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
-    rngs = ([_FailingRng(_stream(3, 0), 2, exc)]
-            + [_FailingRng(_stream(3, k), 0, exc) for k in (1, 2, 3)])
-    cum, codes = _segment_cdf()
-    before = threading.active_count()
-    with pytest.raises(exc, match="failed draw"):
-        _stream_counts(cum, codes, rngs, 64 * _C)
-    assert threading.active_count() == before
-    assert all(rng.calls < 64 for rng in rngs[1:3])
-    assert rngs[3].calls == 0
-
-
-class _HeldRng:
-    """Draws from ``gen``, holding its second call of ``random`` until the
-    first event in ``stops`` is set."""
-
-    def __init__(self, gen, stops):
-        self._gen, self._stops = gen, stops
-        self.calls = 0
-
-    def random(self, out):
-        self.calls += 1
-        if self.calls == 2:
-            self._stops[0].wait(10)
-        self._gen.random(out=out)
-
-
-def test_mc_outcome_counts_interrupt_while_joining_stops_the_workers(
-        monkeypatch):
-    """An interrupt that reaches the caller while it waits for the other
-    streams (a signal handler raising inside ``join``) stops them at their
-    next chunk and is raised once every thread is joined."""
-    monkeypatch.setattr(_kernels, "_available_cpus", lambda: 3)
-    stops, interrupted = [], []
-
-    class Event(threading.Event):
-        def __init__(self):
-            super().__init__()
-            stops.append(self)
-
-    class Thread(threading.Thread):
-        def join(self, timeout=None):
-            if not interrupted:
-                interrupted.append(self)
-                raise KeyboardInterrupt("interrupted join")
-            super().join(timeout)
-
-    monkeypatch.setattr(_kernels, "threading",
-                        SimpleNamespace(Event=Event, Thread=Thread))
-    workers = [_HeldRng(_stream(3, k), stops) for k in (1, 2)]
-    rngs = [_stream(3, 0), *workers, _stream(3, 3)]
-    cum, codes = _segment_cdf()
-    before = threading.active_count()
-    with pytest.raises(KeyboardInterrupt, match="interrupted join"):
-        _stream_counts(cum, codes, rngs, 12 * _C)
-    assert threading.active_count() == before
-    assert all(worker.calls <= 2 for worker in workers)
-
-
-def _whole_draw_counts(cum, codes, u):
-    """Counts of a per-draw lookup of the draws ``u``, clamped to the
-    last cell."""
-    cells = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-    return np.bincount(codes[cells], minlength=4).tolist()
-
-
-def _run_cdf(rng, edges, top):
-    """A CDF whose cells form ``edges + 1`` runs of one to three cells of
-    the same code, neighbouring runs differing, so ``edges`` edges are left
-    once same-code edges are dropped.  When there are at least two runs
-    the first has no weight (its edge is at 0), and with three or more so
-    has one interior run (two equal edges).  The top edge is ``top``."""
-    run_codes = [int(rng.integers(4))]
-    for _ in range(edges):
-        run_codes.append((run_codes[-1] + int(rng.integers(1, 4))) % 4)
-    sizes = rng.integers(1, 4, size=edges + 1)
-    weights = np.split(rng.random(int(sizes.sum())), np.cumsum(sizes)[:-1])
-    if edges >= 1:
-        weights[0][:] = 0.0
-    if edges >= 2:
-        weights[edges // 2 + 1][:] = 0.0
-    weights = np.concatenate(weights)
-    cum = np.minimum(np.cumsum(weights / weights.sum()), top)
-    cum[-1] = top
-    return cum, np.repeat(run_codes, sizes).astype(np.uint8)
-
-
-def _kept_edges(codes):
-    return int(np.count_nonzero(codes[1:] != codes[:-1]))
-
-
-class _Recording:
-    """Draws from ``gen``, keeping the last buffer it filled."""
-
-    def __init__(self, gen):
-        self._gen = gen
-        self.out = None
-
-    def random(self, out):
-        self._gen.random(out=out)
-        self.out = out
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 5])
-@pytest.mark.parametrize("extra", [0, 1], ids=["compare-edges", "compare-edges-plus-one"])
-def test_mc_outcome_counts_paths_agree_at_the_threshold(extra, cpus, monkeypatch):
-    """At exactly ``MC_COMPARE_EDGES`` kept edges a chunk is counted by
-    comparison passes and left in draw order, at one more it is sorted;
-    either path, forced on the same CDFs, gives each stream the whole
-    draw's counts, on one thread and on several."""
-    monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
-    edges = _kernels.MC_COMPARE_EDGES + extra
-    rng = np.random.default_rng(20 + extra)
-    samples = 3 * _C + 7
-    cdfs = [_run_cdf(rng, edges, top) for top in (1.0 - 1e-12, 1.0 + 2.0 ** -52)]
-    cums, codes = [[cum] for cum, _ in cdfs], [[c] for _, c in cdfs]
-    assert all(_kept_edges(c) == edges for _, c in cdfs)
-    want = [[_whole_draw_counts(cum, c, _stream(17, k).random(samples))]
-            for k, (cum, c) in enumerate(cdfs)]
-    sources = [_Recording(_stream(17, k)) for k in range(2)]
-    counts = _kernels.mc_outcome_counts(cums, codes,
-                                        _kernels.StreamDraws(sources, samples))
-    assert [row.tolist() for row in counts] == want
-    for source in sources:
-        assert bool(np.all(source.out[1:] >= source.out[:-1])) == (extra == 1)
-    for threshold in (edges - 1, edges):
-        monkeypatch.setattr(_kernels, "MC_COMPARE_EDGES", threshold)
-        rngs, references = ([_stream(17, k) for k in range(2)] for _ in range(2))
-        counts = _kernels.mc_outcome_counts(cums, codes,
-                                            _kernels.StreamDraws(rngs, samples))
-        assert [row.tolist() for row in counts] == want
-        for rng_k, reference in zip(rngs, references):
-            reference.random(samples)
-            assert rng_k.random() == reference.random()
-
-
-def _edge_case_cdfs(rng):
-    """CDFs with merged same-code runs, zero-weight cells, an edge at 0,
-    top edges below, at and above 1, all cells of one code, and a single
-    cell."""
-    cdfs = [_run_cdf(rng, edges, top)
-            for edges in (1, 2, 5, 12)
-            for top in (1.0 - 1e-12, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52,
-                        1.0 + 1e-12)]
-    cdfs.append((np.array([0.0, 0.2, 0.2, 0.5, 1.0]),
-                 np.array([2, 2, 2, 2, 2], dtype=np.uint8)))
-    cdfs += [(np.array([top]), np.array([code], dtype=np.uint8))
-             for code, top in enumerate((1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0))]
-    return cdfs
-
-
-@pytest.mark.parametrize("threshold", [-1, 10**6], ids=["sort", "compare"])
-def test_mc_outcome_counts_edge_case_cdfs_on_either_path(threshold, monkeypatch):
-    """Edge-heavy fixed draws, including draws on every edge, counted on
-    the forced sort path and the forced comparison path."""
-    monkeypatch.setattr(_kernels, "MC_COMPARE_EDGES", threshold)
-    rng = np.random.default_rng(21)
-    for cum, codes in _edge_case_cdfs(rng):
-        u = _edge_heavy_draws(rng, cum, 300)
-        _check_mc_counts(cum, codes, np.concatenate([u, [1.0 - 2.0 ** -53]]))
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 5])
+@pytest.mark.parametrize("streams", [1, 2, 5])
 @pytest.mark.parametrize("sizes", [(3, 5), (1, 4, 9), (3, 40), (0, 2, 30)],
                          ids=lambda sizes: "-".join(map(str, sizes)))
-def test_mc_outcome_counts_of_several_cdfs_equal_separate_counts(sizes, cpus,
-                                                                 monkeypatch):
-    """Two or three CDFs counted from each of two streams, on the
-    comparison path (at most ``MC_COMPARE_EDGES`` edges in all) or the
-    sort path, give each CDF the counts of its stream counted alone, and
-    leave every generator where one whole draw would."""
-    monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
+def test_mc_outcome_counts_of_several_cdfs_equal_separate_counts(sizes, streams):
+    """Two or three cell lists of 1-40 cells, each counted from each of
+    several pair streams in one call, get the counts of each counted
+    alone (a size of 0 stands for a single cell)."""
     rng = np.random.default_rng(22)
-    cdfs = [_run_cdf(rng, edges, top)
-            for edges, top in zip(sizes, (1.0 - 1e-12, 1.0, 1.0 + 2.0 ** -52))]
-    cums, codes = [cum for cum, _ in cdfs], [c for _, c in cdfs]
-    samples = 3 * _C + 7
-    rngs, references = ([_stream(19, k) for k in range(2)] for _ in range(2))
-    together = _kernels.mc_outcome_counts([cums] * 2, [codes] * 2,
-                                          _kernels.StreamDraws(rngs, samples))
-    for k, (rows, rng_k, reference) in enumerate(zip(together, rngs, references)):
-        assert rows.dtype == np.int64 and rows.shape == (len(cdfs), 4)
-        u = reference.random(samples)
-        for row, (cum, c) in zip(rows, cdfs):
-            alone = _one_stream([cum], [c], _stream(19, k), samples)[0]
-            assert row.tolist() == alone.tolist() == _whole_draw_counts(cum, c, u)
-        assert rng_k.random() == reference.random()
+    cells = []
+    for size, top in zip(sizes, (1.0 - 1e-12, 1.0, 1.0 + 2.0 ** -52)):
+        weights = rng.random(max(size, 1))
+        cells.append((weights / weights.sum() * top,
+                      rng.integers(0, 4, size=weights.size).astype(np.uint8)))
+    rows = [(w, c, _stream(19, k)) for k in range(streams) for w, c in cells]
+    together = _kernels.mc_outcome_counts(
+        [w for w, _, _ in rows], [c for _, c, _ in rows],
+        _kernels.StreamDraws([s for _, _, s in rows], 3 * _C + 7))
+    assert together.shape == (len(rows), 4)
+    for row, (w, c, seed) in zip(together.tolist(), rows):
+        assert row == _counts(w, c, seed, 3 * _C + 7)
+        assert row == _reference_counts(w, c, seed, 3 * _C + 7)
 
 
 def test_monte_carlo_report_calls_the_kernel_once_per_report_from_the_caller(
         monkeypatch):
     """A tracer that wraps ``correlation.mc_outcome_counts`` sees one call
-    per report, made from the calling thread, with the four pairs' sample
-    count as ``np.size`` of its draws, also for an emulation report, which
-    counts the comparison model from the same call."""
+    per report, made from the calling thread, with the draws it counts as
+    ``np.size`` of its third argument: the four pairs' samples, and twice
+    that for an emulation report, which counts the comparison model in
+    the same call."""
     calls = []
     real = correlation.mc_outcome_counts
 
-    def traced(cum, codes, draws):
+    def traced(weights, codes, draws):
         calls.append((threading.current_thread(), int(np.size(draws))))
-        return real(cum, codes, draws)
+        return real(weights, codes, draws)
 
     monkeypatch.setattr(correlation, "mc_outcome_counts", traced)
     scenario = load_scenario(SCENARIOS / "joint-composite.scenario")
@@ -538,31 +449,28 @@ def test_monte_carlo_report_calls_the_kernel_once_per_report_from_the_caller(
     correlation.monte_carlo_report(scenario.model, scenario.distributions,
                                    scenario.settings, samples, seed=5)
     assert calls == [(threading.main_thread(), 4 * samples)]
-    # an emulation run draws each pair's stream once for both models
     calls.clear()
     doc = generate_scenario("stochastic-equivalent",
                             {"cards": (8,) * 5, "estimator": "monte-carlo",
                              "samples": samples, "mc_seed": 5})
     report.run_scenario(parse_scenario(doc))
-    assert calls == [(threading.main_thread(), 4 * samples)]
+    assert calls == [(threading.main_thread(), 8 * samples)]
 
 
-def test_monte_carlo_report_bytes_do_not_depend_on_the_cpu_count(
-        monkeypatch, capsys, tmp_path):
-    """The bundled joint-composite scenario and a generated 8^5 emulation
-    give byte-identical reports whether their four pair streams are
-    counted on one thread or spread over up to four."""
-    emulation = tmp_path / "emulation.scenario"
-    assert main(["generate", "stochastic-equivalent", "--cards", "8,8,8,8,8",
-                 "--seed", "3", "--estimator", "monte-carlo",
-                 "--samples", str(3 * _C + 7), "-o", str(emulation)]) == 0
-    for path in (SCENARIOS / "joint-composite.scenario", emulation):
-        reports = set()
-        for cpus in (1, 2, 3, 4, 8):
-            monkeypatch.setattr(_kernels, "_available_cpus", lambda: cpus)
-            assert main(["run", str(path)]) == 0
-            reports.add(capsys.readouterr().out)
-        assert len(reports) == 1
+def test_monte_carlo_report_bytes_do_not_depend_on_the_cpu_count():
+    """No bellsim module starts a thread or a process, or reads the CPU
+    count, so nothing in a report can depend on it
+    (``tests/test_cross_blas.py`` compares the bytes on one pinned CPU)."""
+    package = Path(report.__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.name.split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names}
+        modules |= {node.module.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module}
+        assert not modules & {"threading", "multiprocessing", "concurrent"}, path
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not attrs & {"sched_getaffinity", "cpu_count"}, path
 
 
 def test_tableau_pivot_column_is_exact_unit():
