@@ -24,11 +24,13 @@ Randomness contract: Monte Carlo uses numpy's PCG64.  The generator for
 setting pair k (in canonical pair order) is seeded with
 SeedSequence(entropy=seed, spawn_key=(k,)), so per-pair streams are
 independent of each other and of any future sharding, and identical
-inputs give bit-identical reports on every platform and backend.  Each
-model of an emulation run counts from a fresh copy of each pair's
-stream, so the comparison report equals that of a run of the comparison
-model alone with the same seed, and two models with equal code masses get
-equal counts.
+inputs give bit-identical reports on every platform and backend.  An
+emulation is two reports, one per model, on equal seeds, so models with
+equal code masses get equal counts.
+
+Each apparatus mode holds one setting-pair family, read by the
+correlations and by ``feasibility``: ``marginals`` rho_pq on five
+``spaces``, and a ``witness`` joint (None on SettingDependent).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import overload
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from .spaces import (
     SETTING_PAIRS,
     Distribution,
     FiveSpaces,
+    marginalize,
     on_five_axes,
     pair_key,
     product_distribution,
@@ -117,6 +120,7 @@ class SettingDependent:
     marginals: Mapping[tuple[str, str], Distribution]
 
     mode = "SettingDependent"
+    witness = None
 
     def __post_init__(self) -> None:
         marginals = {pair_key(*k): v for k, v in self.marginals.items()}
@@ -170,6 +174,32 @@ class FactorizedApparatus:
             validate_distribution(apparatus[name])
         object.__setattr__(self, "apparatus", apparatus)
 
+    @property
+    def spaces(self) -> FiveSpaces:
+        """The spaces of rho and the apparatus parts in setting order.
+        Raises CorrelationError unless every part lives on one space."""
+        parts = [self.rho] + [self.apparatus[name] for name in SETTING_NAMES]
+        if all(len(part.domain) == 1 for part in parts):
+            return FiveSpaces(*(part.domain[0] for part in parts))
+        raise CorrelationError(
+            "FactorizedApparatus distributions need one space each, got "
+            f"{[part.labels for part in parts]}")
+
+    @cached_property
+    def marginals(self) -> dict[tuple[str, str], Distribution]:
+        """The products rho(lambda) rho_p(lambda_p) rho_q(lambda_q) per
+        pair, unvalidated: three parts each within the normalization
+        tolerance of 1 may give a product that is not."""
+        return {(p, q): product_distribution(
+                    [self.rho, self.apparatus[p], self.apparatus[q]])
+                for p, q in SETTING_PAIRS}
+
+    @property
+    def witness(self) -> Distribution:
+        """The five-factor product joint."""
+        return product_distribution(
+            [self.rho] + [self.apparatus[name] for name in SETTING_NAMES])
+
 
 @dataclass(frozen=True)
 class JointComposite:
@@ -184,6 +214,22 @@ class JointComposite:
         if len(self.joint.domain) != 5:
             raise CorrelationError(
                 f"composite joint needs a five-space domain, got {self.joint.labels}")
+
+    @property
+    def spaces(self) -> FiveSpaces:
+        return FiveSpaces(*self.joint.domain)
+
+    @cached_property
+    def marginals(self) -> dict[tuple[str, str], Distribution]:
+        """The four setting-pair marginals of the joint."""
+        spaces = self.spaces
+        return {(p, q): marginalize(self.joint, (spaces.lam, spaces.for_setting(p),
+                                                 spaces.for_setting(q)))
+                for p, q in SETTING_PAIRS}
+
+    @property
+    def witness(self) -> Distribution:
+        return self.joint
 
 
 ScenarioDistributions = SourceOnly | SettingDependent | FactorizedApparatus | JointComposite
@@ -332,23 +378,24 @@ def _source_weights(model, dists, pair_names) -> np.ndarray:
 def _apparatus_triple(model: ApparatusDeterministic, dists,
                       p: Setting, q: Setting) -> np.ndarray:
     """Grid weights over (lambda, lambda_p, lambda_q) for an apparatus
-    model: the product of the pair's parts, (rho, rho_p, rho_q) or its one
-    marginal, once their domains are checked against the model's."""
-    if isinstance(dists, FactorizedApparatus):
-        parts = [dists.rho, dists.apparatus[p.name], dists.apparatus[q.name]]
-    elif isinstance(dists, SettingDependent):
-        parts = [dists.marginal(p.name, q.name)]
-    else:
+    model: the pair's marginal, once every pair's parts, (rho, rho_p,
+    rho_q) or its one marginal, are checked against the model's spaces,
+    as a FactorizedApparatus builds all four products at once."""
+    if not isinstance(dists, (FactorizedApparatus, SettingDependent)):
         raise IncompatibleModeModel(dists.mode, model.kind)
     spaces = model.spaces
-    expected = (spaces.lam, spaces.for_setting(p.name), spaces.for_setting(q.name))
-    domain = tuple(s for part in parts for s in part.domain)
-    if domain != expected:
-        raise CorrelationError(
-            f"{dists.mode} distributions for ({p.name!r}, {q.name!r}) live on "
-            f"{tuple(s.label for s in domain)}, expected "
-            f"{tuple(s.label for s in expected)}")
-    return product_distribution(parts).weights
+    for names in SETTING_PAIRS:
+        parts = ([dists.rho] + [dists.apparatus[name] for name in names]
+                 if isinstance(dists, FactorizedApparatus)
+                 else [dists.marginals[names]])
+        expected = (spaces.lam, *(spaces.for_setting(name) for name in names))
+        domain = tuple(s for part in parts for s in part.domain)
+        if domain != expected:
+            raise CorrelationError(
+                f"{dists.mode} distributions for {names} live on "
+                f"{tuple(s.label for s in domain)}, expected "
+                f"{tuple(s.label for s in expected)}")
+    return dists.marginals[p.name, q.name].weights
 
 
 def outcome_decomposition(model: ResponseModel, dists: ScenarioDistributions,
@@ -449,39 +496,21 @@ def exact_report(model: ResponseModel, dists: ScenarioDistributions,
     return _report_from_pair_probs(per_pair, EstimatorInfo(method="exact"))
 
 
-@overload
 def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
-                       settings, samples: int, seed: int,
-                       comparison: None = None) -> CorrelationReport: ...
-
-
-@overload
-def monte_carlo_report(
-        model: ResponseModel, dists: ScenarioDistributions, settings,
-        samples: int, seed: int,
-        comparison: tuple[ResponseModel, ScenarioDistributions],
-) -> tuple[CorrelationReport, CorrelationReport]: ...
-
-
-def monte_carlo_report(model, dists, settings, samples, seed, comparison=None):
+                       settings, samples: int, seed: int) -> CorrelationReport:
     """Estimate the report by sampling outcome cells.
 
     Per pair k the stream is PCG64 seeded with SeedSequence(seed,
     spawn_key=(k,)).  The counts of ``samples`` inverse-CDF draws against
     the pair's four code masses are drawn from its raw bits by dyadic
     splitting (``mc_outcome_counts``), with integer arithmetic only, so
-    report bytes do not depend on BLAS, libm or the CPU.
+    report bytes do not depend on BLAS, libm or the CPU.  An emulation
+    is two calls, one per model, with equal seeds.
 
-    With a ``comparison`` (model, distributions), such as the collapsed
-    stochastic model of an emulation, its report is estimated from a
-    fresh copy of the same pair streams, and ``(primary, comparison)`` is
-    returned.  The comparison report is the one a call for the comparison
-    model alone, with the same seed, would return.
-
-    Every pair's decompositions are built first, and the kernel is called
-    once for all pairs and models.  Memory is bounded by the kernel's
-    512 KiB chunk, and time by ``MAX_SAMPLES`` per pair.  A negative seed
-    is refused before any stream is built.
+    Every pair's decomposition is built first, and the kernel is called
+    once for all pairs.  Memory is bounded by the kernel's 512 KiB chunk,
+    and time by ``MAX_SAMPLES`` per pair.  A negative seed is refused
+    before any stream is built.
     """
     if samples < 1:
         raise CorrelationError("sample count must be at least 1")
@@ -489,21 +518,17 @@ def monte_carlo_report(model, dists, settings, samples, seed, comparison=None):
         raise CorrelationError(work_limit_detail(samples, MAX_SAMPLES))
     if seed < 0:
         raise CorrelationError(f"seed must be nonnegative, got {int(seed)}")
-    models = [(model, dists)] if comparison is None else [(model, dists), comparison]
     pairs = _ordered_pairs(settings)
-    decs = [outcome_decomposition(m, d, pair) for m, d in models for pair in pairs]
+    decs = [outcome_decomposition(model, dists, pair) for pair in pairs]
     counts = mc_outcome_counts(
         [np.ascontiguousarray(dec.weights) for dec in decs],
         [np.ascontiguousarray(dec.codes) for dec in decs],
         StreamDraws([np.random.SeedSequence(entropy=seed, spawn_key=(k,))
-                     for _ in models for k in range(len(pairs))], samples))
-    estimator = EstimatorInfo(method="monte-carlo", samples=samples, seed=seed)
-    reports = tuple(
-        _report_from_pair_probs([(pair, tuple(float(c) / samples for c in row))
-                                 for pair, row in zip(pairs, counts[i:i + len(pairs)])],
-                                estimator)
-        for i in range(0, len(decs), len(pairs)))
-    return reports[0] if comparison is None else reports
+                     for k in range(len(pairs))], samples))
+    return _report_from_pair_probs(
+        [(pair, tuple(float(c) / samples for c in row))
+         for pair, row in zip(pairs, counts)],
+        EstimatorInfo(method="monte-carlo", samples=samples, seed=seed))
 
 
 # ---------------------------------------------------------------------------

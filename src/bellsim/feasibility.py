@@ -5,9 +5,10 @@ A family of four distributions rho_pq(lambda, lambda_p, lambda_q) has
 variable (lambda, lambda_a, lambda_a', lambda_b, lambda_b') returns every
 rho_pq as a marginal, and *nonlocal correlations* otherwise.
 ``check_joint_existence`` decides this for the family a distribution mode
-induces.  FactorizedApparatus and JointComposite modes are Local by
-construction: the product joint (``factorized_joint``) or the mode's own
-joint is the witness, and no LP runs.
+induces, ``mode.marginals``.  FactorizedApparatus and JointComposite
+modes are Local by construction: ``mode.witness``, the product joint or
+the mode's own joint, is checked, and no LP runs (the LP decides
+``SettingDependent(mode.marginals)``).
 
 A SettingDependent family read out by an ApparatusDeterministic model
 whose S breaks the Bell bound needs no LP either: no joint exists (Fine,
@@ -66,7 +67,7 @@ from typing import Literal
 import numpy as np
 
 from .correlation import (BELL_BOUND_TOL, FactorizedApparatus, JointComposite,
-                          SettingDependent)
+                          SettingDependent, SourceOnly)
 from .errors import FeasibilityError, work_limit_detail
 from .models import ApparatusDeterministic, Setting
 from .qm import singlet_chsh, singlet_probabilities
@@ -79,8 +80,6 @@ from .spaces import (
     Distribution,
     FiveSpaces,
     HiddenSpace,
-    marginalize,
-    product_distribution,
     renormalize,
 )
 
@@ -172,25 +171,6 @@ def _admit_lp(family: SettingDependent) -> None:
             f"tableau cells for {cards[0]} LP blocks of {m} rows and {n} columns"))
 
 
-def _mode_spaces(dists: SettingDependent | FactorizedApparatus
-                 | JointComposite) -> FiveSpaces:
-    """The five spaces of the composite variable of a mode, read off its
-    distributions before any family or joint is built."""
-    if isinstance(dists, SettingDependent):
-        return dists.spaces
-    if isinstance(dists, JointComposite):
-        return FiveSpaces(*dists.joint.domain)
-    if isinstance(dists, FactorizedApparatus):
-        parts = [dists.rho] + [dists.apparatus[name] for name in SETTING_NAMES]
-        if all(len(part.domain) == 1 for part in parts):
-            return FiveSpaces(*(part.domain[0] for part in parts))
-        raise FeasibilityError(
-            "FactorizedApparatus distributions need one space each, got "
-            f"{[part.labels for part in parts]}")
-    raise FeasibilityError(
-        f"no setting-pair marginal family for mode {dists.mode}")
-
-
 def _feasible_verdict(marginals: Mapping[tuple[str, str], Distribution],
                       joint: Distribution) -> FeasibilityVerdict:
     """The Feasible verdict of a joint over the five spaces of the four
@@ -246,26 +226,25 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     witness either way.
 
     ``work_limit``, the cap on composite points, applies to the mode's
-    five spaces before any family, joint or LP is built.  A
+    ``spaces`` before any family, joint or LP is built.  A
     FactorizedApparatus or JointComposite mode is Feasible by
-    construction, with its witness (the product joint or the mode's own
-    joint).  A SettingDependent family read out by an ApparatusDeterministic
-    ``model`` is Infeasible, with the closed-form CHSH certificate, when
-    that certificate separates; every other SettingDependent family goes
-    to the LP, once its blocks fit ``LP_CELL_LIMIT`` and
-    ``LP_TOTAL_CELL_LIMIT``.
-    Raises :class:`FeasibilityError` for any other mode or for a model
-    whose spaces differ from the family's, past either limit, and when
-    the joint misses the marginals by more than ``MARGINAL_TOL`` or the
-    LP's certificate does not separate.
+    construction, with its ``witness``.  A SettingDependent family read
+    out by an ApparatusDeterministic ``model`` is Infeasible, with the
+    closed-form CHSH certificate, when that certificate separates; every
+    other SettingDependent family goes to the LP, once its blocks fit
+    ``LP_CELL_LIMIT`` and ``LP_TOTAL_CELL_LIMIT``.  Raises
+    :class:`FeasibilityError` for a SourceOnly mode or a model whose
+    spaces differ from the family's, past either limit, and when the
+    joint misses the marginals by more than ``MARGINAL_TOL`` or the LP's
+    certificate does not separate.
     """
-    admit(_mode_spaces(dists), work_limit)
-    if isinstance(dists, FactorizedApparatus):
-        return _feasible_verdict(_factorized_marginals(dists.rho, dists.apparatus),
-                                 factorized_joint(dists.rho, dists.apparatus))
-    if isinstance(dists, JointComposite):
-        return _feasible_verdict(family_from_joint(dists.joint).marginals,
-                                 dists.joint)
+    if isinstance(dists, SourceOnly):
+        raise FeasibilityError(
+            f"no setting-pair marginal family for mode {dists.mode}")
+    admit(dists.spaces, work_limit)
+    marginals, witness = dists.marginals, dists.witness
+    if witness is not None:
+        return _feasible_verdict(marginals, witness)
     family = dists
     if isinstance(model, ApparatusDeterministic):
         y = _chsh_certificate(family, model)
@@ -327,30 +306,6 @@ def classify(dists: SettingDependent | FactorizedApparatus | JointComposite,
     return "Local" if verdict.feasible else "Nonlocal"
 
 
-def _factorized_marginals(rho: Distribution,
-                          apparatus: Mapping[str, Distribution]
-                          ) -> dict[tuple[str, str], Distribution]:
-    """The products rho(lambda) rho_p(lambda_p) rho_q(lambda_q) per pair,
-    unvalidated: three parts each within the normalization tolerance of 1
-    may give a product that is not."""
-    return {(p, q): product_distribution([rho, apparatus[p], apparatus[q]])
-            for p, q in SETTING_PAIRS}
-
-
-def construct_factorized_family(rho: Distribution,
-                                apparatus: Mapping[str, Distribution]
-                                ) -> SettingDependent:
-    """Family whose every marginal is the three-factor product
-    rho(lambda) rho_p(lambda_p) rho_q(lambda_q); always Local."""
-    return SettingDependent(_factorized_marginals(rho, apparatus))
-
-
-def factorized_joint(rho: Distribution, apparatus: Mapping[str, Distribution]
-                     ) -> Distribution:
-    """The five-factor product joint witnessing construct_factorized_family."""
-    return product_distribution([rho] + [apparatus[name] for name in SETTING_NAMES])
-
-
 def construct_nonlocal_witness(angles: tuple[Setting, Setting, Setting, Setting]
                                ) -> tuple[SettingDependent,
                                           ApparatusDeterministic]:
@@ -379,11 +334,3 @@ def construct_nonlocal_witness(angles: tuple[Setting, Setting, Setting, Setting]
         np.array(singlet_probabilities(by_name[p], by_name[q]).probabilities))
         for p, q in SETTING_PAIRS})
     return family, ApparatusDeterministic(spaces, tables)
-
-
-def family_from_joint(joint: Distribution) -> SettingDependent:
-    """The four setting-pair marginals of an explicit five-space joint."""
-    spaces = FiveSpaces(*joint.domain)
-    return SettingDependent({(p, q): marginalize(
-        joint, (spaces.lam, spaces.for_setting(p), spaces.for_setting(q)))
-        for p, q in SETTING_PAIRS})

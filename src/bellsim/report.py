@@ -97,25 +97,6 @@ def _emulation_doc(scenario: Scenario, primary: CorrelationReport,
             "comparison_s": comparison_report.s}
 
 
-def _correlation_reports(scenario: Scenario, comparison: tuple | None,
-                         seed_override: int | None
-                         ) -> tuple[CorrelationReport, CorrelationReport | None]:
-    """The scenario model's report and, for a ``comparison`` (model,
-    distributions), that model's report under the same estimator; a
-    Monte Carlo run counts both from the same pair streams."""
-    model, dists, settings = (scenario.model, scenario.distributions,
-                              scenario.settings)
-    estimator = scenario.run.estimator
-    if estimator.method == "exact":
-        return (exact_report(model, dists, settings),
-                None if comparison is None else exact_report(*comparison, settings))
-    seed = estimator.seed if seed_override is None else seed_override
-    if comparison is None:
-        return monte_carlo_report(model, dists, settings, estimator.samples, seed), None
-    return monte_carlo_report(model, dists, settings, estimator.samples, seed,
-                              comparison=comparison)
-
-
 def run_scenario(scenario: Scenario, seed_override: int | None = None,
                  work_limit: int = DEFAULT_WORK_LIMIT) -> dict[str, Any]:
     """Execute the scenario's analyses and assemble the report document.
@@ -139,12 +120,17 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
         "distribution_mode": scenario.distributions.mode,
         "analyses": {},
     }
-    comparison = None
+    models = [(scenario.model, scenario.distributions)]
     if "emulation" in requested:
-        comparison = (scenario.comparison_model,
-                      SourceOnly(scenario.distributions.rho))
-    primary, comparison_report = _correlation_reports(scenario, comparison,
-                                                      seed_override)
+        models.append((scenario.comparison_model,
+                       SourceOnly(scenario.distributions.rho)))
+    estimator = scenario.run.estimator
+    seed = estimator.seed if seed_override is None else seed_override
+    primary, *comparison = [
+        exact_report(model, dists, scenario.settings)
+        if estimator.method == "exact" else
+        monte_carlo_report(model, dists, scenario.settings, estimator.samples, seed)
+        for model, dists in models]
     for name in requested:
         if name == "correlations":
             doc["analyses"][name] = {
@@ -163,8 +149,7 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
         elif name == "feasibility":
             doc["analyses"][name] = _feasibility_doc(scenario, work_limit)
         else:
-            doc["analyses"][name] = _emulation_doc(scenario, primary,
-                                                   comparison_report)
+            doc["analyses"][name] = _emulation_doc(scenario, primary, *comparison)
     return doc
 
 

@@ -169,7 +169,8 @@ class Distribution:
         return self.domain == other.domain and np.array_equal(self.weights, other.weights)
 
     def __hash__(self) -> int:  # frozen dataclass with array payload
-        return hash((self.domain, self.weights.tobytes()))
+        # -0.0 + 0.0 is +0.0, so weights equal under __eq__ hash alike
+        return hash((self.domain, (self.weights + 0.0).tobytes()))
 
     @classmethod
     def uniform(cls, domain: Sequence[HiddenSpace]) -> "Distribution":

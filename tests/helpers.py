@@ -8,8 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from bellsim.cli import main
-from bellsim.correlation import JointComposite, SettingDependent
-from bellsim.feasibility import construct_factorized_family, family_from_joint
+from bellsim.correlation import SettingDependent
 from bellsim.models import (
     SETTING_NAMES,
     ApparatusDeterministic,
@@ -140,15 +139,14 @@ def plus_one_witness(target) -> None:
 
 def setting_dependent_copy(source, target) -> None:
     """Write the scenario file ``source`` to ``target`` with its
-    distributions replaced by the four pair marginals of its family (mode
-    SettingDependent), so that its feasibility analysis runs the LP."""
+    distributions replaced by ``SettingDependent(mode.marginals)``, the
+    four pair marginals of its mode, so that its feasibility analysis
+    runs the LP."""
     doc = json.loads(source.read_text(encoding="utf-8"))
-    dists = parse_scenario(doc).distributions
-    family = (family_from_joint(dists.joint) if isinstance(dists, JointComposite)
-              else construct_factorized_family(dists.rho, dists.apparatus))
+    marginals = parse_scenario(doc).distributions.marginals
     doc["distributions"] = {"mode": "SettingDependent", "marginals": {
-        f"{p}|{q}": {"domain": list(family.marginal(p, q).labels),
-                     "weights": [float(w) for w in family.marginal(p, q).flat]}
+        f"{p}|{q}": {"domain": list(marginals[p, q].labels),
+                     "weights": [float(w) for w in marginals[p, q].flat]}
         for p, q in SETTING_PAIRS}}
     write_scenario(target, doc)
 

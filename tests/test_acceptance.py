@@ -29,6 +29,7 @@ from bellsim.correlation import (
     BELL_BOUND_TOL,
     FactorizedApparatus,
     JointComposite,
+    SettingDependent,
     SourceOnly,
     bell_check,
     enumerate_bound,
@@ -39,7 +40,6 @@ from bellsim.feasibility import (
     CERTIFICATE_SLACK,
     check_joint_existence,
     classify,
-    construct_factorized_family,
     construct_nonlocal_witness,
     verify_certificate,
 )
@@ -109,7 +109,7 @@ def test_criterion_4_containment():
         model = random_apparatus(rng, cards)
         rho = random_distribution(rng, (model.spaces.lam,))
         apparatus = random_apparatus_dists(rng, model.spaces)
-        family = construct_factorized_family(rho, apparatus)
+        family = SettingDependent(FactorizedApparatus(rho, apparatus).marginals)
         verdict = check_joint_existence(family)
         assert verdict.feasible
         for pair in SETTING_PAIRS:

@@ -23,7 +23,7 @@ from bellsim.cli import main
 from bellsim.correlation import DEFAULT_ENUM_WORK_LIMIT, MAX_SAMPLES
 from bellsim.errors import BellsimError, CorrelationError
 from bellsim.scenario import load_scenario
-from bellsim.spaces import Distribution
+from bellsim.spaces import SETTING_PAIRS, Distribution
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 BUNDLED = sorted(SCENARIOS.glob("*.scenario"))
@@ -167,10 +167,11 @@ class TestRun:
 
     def test_work_limit_exit_builds_no_witness(self, capsys, monkeypatch):
         # the refusal comes before the full-size product joint is allocated
-        def unbuildable(rho, apparatus):
+        def unbuildable(dists):
             raise AssertionError("witness built before the work limit")
 
-        monkeypatch.setattr(feasibility, "factorized_joint", unbuildable)
+        monkeypatch.setattr(correlation.FactorizedApparatus, "witness",
+                            property(unbuildable))
         code, out, err = run_cli(capsys, "run",
                                  str(SCENARIOS / "factorized.scenario"),
                                  "--work-limit", "4")
@@ -307,20 +308,39 @@ class TestRun:
 
     def test_unchecked_witness_exit_names_feasibility(self, capsys,
                                                       monkeypatch):
-        real = feasibility.factorized_joint
+        real = correlation.FactorizedApparatus.witness
 
-        def off_by_a_little(rho, apparatus):
-            joint = real(rho, apparatus)
+        def off_by_a_little(dists):
+            joint = real.fget(dists)
             weights = joint.weights.copy()
             weights.flat[0] += 1e-6
             return Distribution(joint.domain, weights)
 
-        monkeypatch.setattr(feasibility, "factorized_joint", off_by_a_little)
+        monkeypatch.setattr(correlation.FactorizedApparatus, "witness",
+                            property(off_by_a_little))
         code, out, err = run_cli(capsys, "run",
                                  str(SCENARIOS / "factorized.scenario"))
         assert code == 1
         assert out == ""
         assert err.startswith("bellsim: error: [feasibility] ")
+
+    def test_factorized_run_builds_each_product_once(self, monkeypatch):
+        # the correlations and the feasibility analysis read one family
+        built = []
+        real = correlation.product_distribution
+
+        def counted(parts):
+            built.append(tuple(s.label for part in parts for s in part.domain))
+            return real(parts)
+
+        monkeypatch.setattr(correlation, "product_distribution", counted)
+        report.run_scenario(load_scenario(SCENARIOS / "factorized.scenario"))
+        assert built == [("lambda", f"lambda_{p}", f"lambda_{q}")
+                         for p, q in SETTING_PAIRS] + [(
+                             "lambda", "lambda_a", "lambda_a_prime", "lambda_b",
+                             "lambda_b_prime")]
+        assert not hasattr(feasibility, "product_distribution")
+        assert not hasattr(feasibility, "marginalize")
 
     def test_factorized_joint_is_the_product_witness(self, capsys, tmp_path):
         scenario = tmp_path / "factorized.scenario"
@@ -643,6 +663,10 @@ class TestErrorTags:
                                    _moved("lambda", "apparatus", "a"))],
          "[correlation-engine] FactorizedApparatus distributions for ('a', 'b') "
          "live on ('lambda', 'lambda', 'lambda_b')"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _moved("lambda_b", "apparatus", "a_prime"))],
+         "[correlation-engine] FactorizedApparatus distributions for "
+         "('a_prime', 'b') live on ('lambda', 'lambda_b', 'lambda_b')"),
         (lambda _: ["qm", "table", "1e308", "-1e308"],
          "[qm-reference] angles must be finite, got a - b = inf"),
         (lambda _: ["qm", "chsh", "1e308", "0", "-1e308", "0"],
@@ -748,6 +772,7 @@ class TestErrorTags:
             "both-pair-orders", "repeated-key", "output-is-directory",
             "nested-weights", "rho-on-lambda-a", "rho-on-lambda-b-prime",
             "apparatus-a-on-lambda-b", "apparatus-a-on-lambda",
+            "apparatus-a-prime-on-lambda-b",
             "qm-table-overflowing-difference", "qm-chsh-overflowing-difference",
             "witness-overflowing-difference", "deeply-nested-json",
             "string-schema-version", "scalar-weights", "spaces-object",

@@ -518,28 +518,24 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("cards", [(1, 2, 2, 2, 2), (3,) * 5, (8,) * 5])
     def test_emulation_comparison_equals_a_standalone_report(self, cards):
-        """The comparison model of an emulation is counted from the
-        primary model's pair streams, and its report block is byte-equal
-        to a Monte Carlo report of the comparison model alone with the
-        same seed (every model is counted from a fresh copy of its pair's
-        stream)."""
+        """An emulation reports its comparison model on the scenario's
+        seed: the emulation block of ``run_scenario`` is byte-equal to
+        Monte Carlo reports of the scenario model and of the comparison
+        model, each alone, with that seed."""
         doc = generate_scenario("stochastic-equivalent",
                                 {"cards": cards, "estimator": "monte-carlo",
                                  "samples": 150_000, "mc_seed": 8})
         scenario = parse_scenario(doc)
-        comparison = (scenario.comparison_model,
-                      SourceOnly(scenario.distributions.rho))
-        alone = monte_carlo_report(*comparison, scenario.settings, 150_000, seed=8)
-        primary, shared = monte_carlo_report(
-            scenario.model, scenario.distributions, scenario.settings, 150_000,
-            seed=8, comparison=comparison)
-        assert shared == alone
-        assert primary == monte_carlo_report(scenario.model, scenario.distributions,
-                                             scenario.settings, 150_000, seed=8)
+        primary = monte_carlo_report(scenario.model, scenario.distributions,
+                                     scenario.settings, 150_000, seed=8)
+        alone = monte_carlo_report(scenario.comparison_model,
+                                   SourceOnly(scenario.distributions.rho),
+                                   scenario.settings, 150_000, seed=8)
         emulation = run_scenario(scenario)["analyses"]["emulation"]
-        block = json.dumps([[pair["comparison_correlation"] for pair in emulation["pairs"]],
-                            emulation["comparison_s"]])
-        assert block == json.dumps([[pc.correlation for pc in alone.pairs], alone.s])
+        for key, report in (("correlation", primary), ("comparison_correlation", alone)):
+            block = json.dumps([pair[key] for pair in emulation["pairs"]])
+            assert block == json.dumps([pc.correlation for pc in report.pairs])
+        assert (emulation["s"], emulation["comparison_s"]) == (primary.s, alone.s)
 
     def test_convergence_within_five_standard_errors(self):
         rng = np.random.default_rng(16)

@@ -20,7 +20,7 @@ from helpers import (
     uniform_marginal_family,
 )
 
-from bellsim import feasibility
+from bellsim import correlation, feasibility
 from bellsim.correlation import (
     FactorizedApparatus,
     JointComposite,
@@ -29,7 +29,7 @@ from bellsim.correlation import (
     bell_check,
     exact_report,
 )
-from bellsim.errors import FeasibilityError
+from bellsim.errors import CorrelationError, FeasibilityError
 from bellsim.feasibility import (
     CERTIFICATE_SLACK,
     LP_CELL_LIMIT,
@@ -37,10 +37,7 @@ from bellsim.feasibility import (
     MARGINAL_TOL,
     check_joint_existence,
     classify,
-    construct_factorized_family,
     construct_nonlocal_witness,
-    factorized_joint,
-    family_from_joint,
     marginal_residual,
     verify_certificate,
 )
@@ -84,7 +81,7 @@ class TestFactorizedFamilies:
         rho = Distribution.uniform((spaces.lam,))
         apparatus = {n: Distribution.uniform((spaces.for_setting(n),))
                      for n in ("a", "a_prime", "b", "b_prime")}
-        family = construct_factorized_family(rho, apparatus)
+        family = SettingDependent(FactorizedApparatus(rho, apparatus).marginals)
         for p, q in SETTING_PAIRS:
             np.testing.assert_allclose(family.marginal(p, q).flat, 1.0 / 8,
                                        atol=1e-12)
@@ -94,7 +91,7 @@ class TestFactorizedFamilies:
         spaces = five_spaces((3, 2, 2, 2, 2))
         rho = Distribution.point_mass((spaces.lam,), 1)
         apparatus = random_apparatus_dists(rng, spaces)
-        family = construct_factorized_family(rho, apparatus)
+        family = SettingDependent(FactorizedApparatus(rho, apparatus).marginals)
         m = family.marginal("a", "b")
         assert np.all(m.weights[0] == 0.0) and np.all(m.weights[2] == 0.0)
 
@@ -105,7 +102,7 @@ class TestFactorizedFamilies:
             spaces = five_spaces(cards)
             rho = random_distribution(rng, (spaces.lam,))
             apparatus = random_apparatus_dists(rng, spaces)
-            family = construct_factorized_family(rho, apparatus)
+            family = SettingDependent(FactorizedApparatus(rho, apparatus).marginals)
             verdict = check_joint_existence(family)
             assert_marginals_reproduced(family, verdict)
             assert classify(family) == "Local"
@@ -115,8 +112,8 @@ class TestFactorizedFamilies:
         spaces = five_spaces((2, 2, 2, 2, 2))
         rho = random_distribution(rng, (spaces.lam,))
         apparatus = random_apparatus_dists(rng, spaces)
-        joint = factorized_joint(rho, apparatus)
-        family = construct_factorized_family(rho, apparatus)
+        mode = FactorizedApparatus(rho, apparatus)
+        joint, family = mode.witness, SettingDependent(mode.marginals)
         for p, q in SETTING_PAIRS:
             keep = tuple(s.label for s in family.marginal(p, q).domain)
             np.testing.assert_allclose(marginalize(joint, keep).flat,
@@ -130,7 +127,7 @@ class TestRandomJointFamilies:
             cards = tuple(int(c) for c in rng.integers(1, 3, size=5))
             spaces = five_spaces(cards)
             joint = random_distribution(rng, tuple(spaces))
-            family = family_from_joint(joint)
+            family = SettingDependent(JointComposite(joint).marginals)
             verdict = check_joint_existence(family)
             assert_marginals_reproduced(family, verdict)
 
@@ -282,9 +279,9 @@ class TestConstructionWitness:
         spaces = five_spaces((3, 2, 4, 2, 3))
         rho = random_distribution(rng, (spaces.lam,))
         apparatus = random_apparatus_dists(rng, spaces)
-        family = construct_factorized_family(rho, apparatus)
-        joint = factorized_joint(rho, apparatus)
-        verdict = check_joint_existence(FactorizedApparatus(rho, apparatus))
+        mode = FactorizedApparatus(rho, apparatus)
+        family, joint = SettingDependent(mode.marginals), mode.witness
+        verdict = check_joint_existence(mode)
         assert_marginals_reproduced(family, verdict)
         np.testing.assert_array_equal(
             verdict.joint.weights, joint.weights / float(np.sum(joint.flat)))
@@ -294,21 +291,22 @@ class TestConstructionWitness:
     def test_joint_composite_witness_agrees_with_the_lp(self):
         rng = np.random.default_rng(52)
         joint = random_distribution(rng, tuple(five_spaces((2, 3, 2, 3, 2))))
-        family = family_from_joint(joint)
+        family = SettingDependent(JointComposite(joint).marginals)
         verdict = check_joint_existence(JointComposite(joint))
         assert_marginals_reproduced(family, verdict)
         assert verdict.status == check_joint_existence(family).status
 
     def test_perturbed_witness_is_refused(self, monkeypatch):
-        real = feasibility.factorized_joint
+        real = FactorizedApparatus.witness
 
-        def off_by_a_little(rho, apparatus):
-            joint = real(rho, apparatus)
+        def off_by_a_little(dists):
+            joint = real.fget(dists)
             weights = joint.weights.copy()
             weights.flat[0] += 1e-6
             return Distribution(joint.domain, weights)
 
-        monkeypatch.setattr(feasibility, "factorized_joint", off_by_a_little)
+        monkeypatch.setattr(FactorizedApparatus, "witness",
+                            property(off_by_a_little))
         with pytest.raises(FeasibilityError, match=JOINT_REFUSED) as exc:
             check_joint_existence(uniform_factorized((2, 2, 2, 2, 2)))
         assert exc.value.module == "feasibility"
@@ -322,10 +320,10 @@ class TestConstructionWitness:
             check_joint_existence(dists, work_limit=31)
 
     def test_refused_family_builds_no_witness(self, monkeypatch):
-        def unbuildable(rho, apparatus):
+        def unbuildable(dists):
             raise AssertionError("witness built before the work limit")
 
-        monkeypatch.setattr(feasibility, "factorized_joint", unbuildable)
+        monkeypatch.setattr(FactorizedApparatus, "witness", property(unbuildable))
         with pytest.raises(FeasibilityError,
                            match="^requires 32 units of work, limit is 31$"):
             check_joint_existence(uniform_factorized((2, 2, 2, 2, 2)),
@@ -341,8 +339,8 @@ class TestConstructionWitness:
         def unbuildable(*args):
             raise AssertionError("family built before the work limit")
 
-        monkeypatch.setattr(feasibility, "product_distribution", unbuildable)
-        monkeypatch.setattr(feasibility, "marginalize", unbuildable)
+        monkeypatch.setattr(correlation, "product_distribution", unbuildable)
+        monkeypatch.setattr(correlation, "marginalize", unbuildable)
         with pytest.raises(FeasibilityError,
                            match="^requires 32 units of work, limit is 31$"):
             check_joint_existence(dists, work_limit=31)
@@ -352,10 +350,10 @@ class TestConstructionWitness:
         spaces = five_spaces((2, 2, 2, 2, 2))
         dists = FactorizedApparatus(
             Distribution.uniform((spaces.lam, spaces.lam_a)), dists.apparatus)
-        with pytest.raises(FeasibilityError, match="^FactorizedApparatus distributions "
+        with pytest.raises(CorrelationError, match="^FactorizedApparatus distributions "
                            "need one space each, got ") as exc:
             check_joint_existence(dists)
-        assert exc.value.module == "feasibility"
+        assert exc.value.module == "correlation-engine"
 
     def test_source_only_mode_is_refused(self):
         rho = Distribution.uniform((five_spaces((2, 2, 2, 2, 2)).lam,))
@@ -390,11 +388,12 @@ def random_family(rng, cards):
     spaces = five_spaces(cards)
     kind = int(rng.integers(3))
     if kind == 0:
-        return construct_factorized_family(
+        return SettingDependent(FactorizedApparatus(
             random_distribution(rng, (spaces.lam,)),
-            random_apparatus_dists(rng, spaces))
+            random_apparatus_dists(rng, spaces)).marginals)
     if kind == 1:
-        return family_from_joint(random_distribution(rng, tuple(spaces)))
+        return SettingDependent(JointComposite(
+            random_distribution(rng, tuple(spaces))).marginals)
     marginals = {}
     for p, q in SETTING_PAIRS:
         dom = (spaces.lam, spaces.for_setting(p), spaces.for_setting(q))
@@ -448,9 +447,9 @@ class TestBlockSplit:
     def test_point_mass_source_leaves_other_blocks_empty(self, monkeypatch):
         rng = np.random.default_rng(48)
         spaces = five_spaces((3, 2, 3, 2, 2))
-        family = construct_factorized_family(
+        family = SettingDependent(FactorizedApparatus(
             Distribution.point_mass((spaces.lam,), 1),
-            random_apparatus_dists(rng, spaces))
+            random_apparatus_dists(rng, spaces)).marginals)
         iterations = []
 
         def counted(shape, b, rows):
@@ -486,7 +485,7 @@ class TestBlockSplit:
         mass = float(joint.weights[1].sum())
         singlet = singlet_block(TSIRELSON_ANGLES, mass)
         marginals = {}
-        for pair, marginal in family_from_joint(joint).marginals.items():
+        for pair, marginal in SettingDependent(JointComposite(joint).marginals).marginals.items():
             weights = marginal.weights.copy()
             weights[1] = singlet[pair]
             marginals[pair] = Distribution(marginal.domain, weights)
@@ -509,8 +508,8 @@ class TestBlockSplit:
 class TestSelfCheckedVerdicts:
     def test_perturbed_joint_is_refused(self, monkeypatch):
         rng = np.random.default_rng(50)
-        family = family_from_joint(random_distribution(
-            rng, tuple(five_spaces((2, 2, 2, 2, 2)))))
+        family = SettingDependent(JointComposite(random_distribution(
+            rng, tuple(five_spaces((2, 2, 2, 2, 2))))).marginals)
 
         def perturbed(shape, b, rows):
             result = solve_block(shape, b, rows)

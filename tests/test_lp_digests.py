@@ -7,9 +7,9 @@ digest.  Every digest also pins the generated scenario, whose sha256
 every report carries.
 
 - Factorized and joint-composite families are Local by construction, so
-  their reports carry the construction witness (the renormalized product
-  joint, or the scenario's own joint) and never reach the LP.  Their
-  digests pin that witness and its residual.
+  their reports carry the construction witness ``mode.witness`` (the
+  product joint, renormalized, or the scenario's own joint) and never
+  reach the LP.  Their digests pin that witness and its residual.
 - The setting-dependent witness breaks the Bell bound, so its report
   carries the closed-form CHSH certificate of its response tables, and
   its digest pins that certificate.  The same witness marginals read out
@@ -17,10 +17,11 @@ every report carries.
   they reach the LP; the digest of that report's feasibility section pins
   the Farkas certificate of the LP, which never sees the tables.
 - SettingDependent copies of the factorized and joint-composite families
-  (the same four pair marginals under mode SettingDependent) send those
-  families through the LP's Feasible path.  The factorized copies'
-  digests were recorded while factorized reports still came from the
-  dense-tableau LP, and the revised block solver reports the same bytes.
+  (``SettingDependent(mode.marginals)``, the same four pair marginals
+  under mode SettingDependent) send those families through the LP's
+  Feasible path.  The factorized copies' digests were recorded while
+  factorized reports still came from the dense-tableau LP, and the
+  revised block solver reports the same bytes.
   The joint-composite copies' digests were recorded with the revised
   solver, whose entering column is a sum of four columns of B^-1 rather
   than a column of the dense tableau, so it rounds differently and, on

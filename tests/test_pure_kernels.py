@@ -433,9 +433,8 @@ def test_monte_carlo_report_calls_the_kernel_once_per_report_from_the_caller(
         monkeypatch):
     """A tracer that wraps ``correlation.mc_outcome_counts`` sees one call
     per report, made from the calling thread, with the draws it counts as
-    ``np.size`` of its third argument: the four pairs' samples, and twice
-    that for an emulation report, which counts the comparison model in
-    the same call."""
+    ``np.size`` of its third argument: the four pairs' samples.  An
+    emulation makes two such calls, one for each model."""
     calls = []
     real = correlation.mc_outcome_counts
 
@@ -454,7 +453,7 @@ def test_monte_carlo_report_calls_the_kernel_once_per_report_from_the_caller(
                             {"cards": (8,) * 5, "estimator": "monte-carlo",
                              "samples": samples, "mc_seed": 5})
     report.run_scenario(parse_scenario(doc))
-    assert calls == [(threading.main_thread(), 8 * samples)]
+    assert calls == [(threading.main_thread(), 4 * samples)] * 2
 
 
 def test_monte_carlo_report_bytes_do_not_depend_on_the_cpu_count():

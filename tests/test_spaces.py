@@ -71,6 +71,14 @@ class TestValidateDistribution:
             validate_distribution(d)
 
 
+class TestDistributionHash:
+    def test_signed_zeros_hash_alike(self):
+        lam = space("lambda", 2)
+        plus, minus = (Distribution((lam,), [zero, 1.0]) for zero in (0.0, -0.0))
+        assert plus == minus and hash(plus) == hash(minus)
+        assert len({plus, minus}) == 1
+
+
 class TestProductDistribution:
     def test_product_of_uniforms(self):
         parts = [Distribution((space("lambda", 2),), [0.5, 0.5]),
