@@ -28,9 +28,12 @@ inputs give bit-identical reports on every platform and backend.  An
 emulation is two reports, one per model, on equal seeds, so models with
 equal code masses get equal counts.
 
-Each apparatus mode holds one setting-pair family, read by the
-correlations and by ``feasibility``: ``marginals`` rho_pq on five
-``spaces``, and a ``witness`` joint (None on SettingDependent).
+Each apparatus mode holds one setting-pair family, read by
+``feasibility``: ``marginals`` rho_pq on five ``spaces``, and a
+``witness`` joint (None on SettingDependent).  An ApparatusDeterministic
+model is checked against ``spaces`` once a report, before any family is
+built; the correlations then read ``marginals`` under SettingDependent
+and FactorizedApparatus, and sum a JointComposite joint cell by cell.
 """
 
 from __future__ import annotations
@@ -124,6 +127,9 @@ class SettingDependent:
 
     def __post_init__(self) -> None:
         marginals = {pair_key(*k): v for k, v in self.marginals.items()}
+        if len(marginals) < len(self.marginals):
+            raise CorrelationError(
+                f"two marginals for one setting pair, got {sorted(self.marginals)}")
         if set(marginals) != set(SETTING_PAIRS):
             raise CorrelationError(
                 f"need one marginal per setting pair {SETTING_PAIRS}, "
@@ -172,6 +178,10 @@ class FactorizedApparatus:
                 raise CorrelationError(
                     f"missing apparatus distribution for {name!r}")
             validate_distribution(apparatus[name])
+        if len(apparatus) > len(SETTING_NAMES):
+            raise CorrelationError(
+                f"apparatus distributions for unknown settings "
+                f"{sorted(set(apparatus) - set(SETTING_NAMES))}")
         object.__setattr__(self, "apparatus", apparatus)
 
     @property
@@ -349,17 +359,6 @@ def _codes_from_signs(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ((f < 0.0).astype(np.uint8) << 1 | (g < 0.0).astype(np.uint8)).reshape(-1)
 
 
-def _check_pair(pair: tuple[Setting, Setting]) -> tuple[Setting, Setting]:
-    p, q = pair
-    if not p.is_side_a:
-        raise CorrelationError(
-            f"first setting of a pair must be side A, got {p.name!r}")
-    if q.is_side_a:
-        raise CorrelationError(
-            f"second setting of a pair must be side B, got {q.name!r}")
-    return p, q
-
-
 def _source_weights(model, dists, pair_names) -> np.ndarray:
     """The lambda distribution driving a source-only model."""
     if isinstance(dists, SourceOnly):
@@ -375,33 +374,10 @@ def _source_weights(model, dists, pair_names) -> np.ndarray:
     return rho.flat
 
 
-def _apparatus_triple(model: ApparatusDeterministic, dists,
-                      p: Setting, q: Setting) -> np.ndarray:
-    """Grid weights over (lambda, lambda_p, lambda_q) for an apparatus
-    model: the pair's marginal, once every pair's parts, (rho, rho_p,
-    rho_q) or its one marginal, are checked against the model's spaces,
-    as a FactorizedApparatus builds all four products at once."""
-    if not isinstance(dists, (FactorizedApparatus, SettingDependent)):
-        raise IncompatibleModeModel(dists.mode, model.kind)
-    spaces = model.spaces
-    for names in SETTING_PAIRS:
-        parts = ([dists.rho] + [dists.apparatus[name] for name in names]
-                 if isinstance(dists, FactorizedApparatus)
-                 else [dists.marginals[names]])
-        expected = (spaces.lam, *(spaces.for_setting(name) for name in names))
-        domain = tuple(s for part in parts for s in part.domain)
-        if domain != expected:
-            raise CorrelationError(
-                f"{dists.mode} distributions for {names} live on "
-                f"{tuple(s.label for s in domain)}, expected "
-                f"{tuple(s.label for s in expected)}")
-    return dists.marginals[p.name, q.name].weights
-
-
-def outcome_decomposition(model: ResponseModel, dists: ScenarioDistributions,
-                          pair: tuple[Setting, Setting]) -> OutcomeDecomposition:
-    """Reduce (model, distributions, pair) to weighted outcome cells."""
-    p, q = _check_pair(pair)
+def _outcome_decomposition(model: ResponseModel, dists: ScenarioDistributions,
+                           p: Setting, q: Setting) -> OutcomeDecomposition:
+    """Reduce (model, distributions, pair) to weighted outcome cells.  An
+    apparatus model's mode must already share its five spaces."""
     pair_names = (p.name, q.name)
 
     if isinstance(model, DeterministicSource):
@@ -428,28 +404,36 @@ def outcome_decomposition(model: ResponseModel, dists: ScenarioDistributions,
 
     if isinstance(model, ApparatusDeterministic):
         if isinstance(dists, JointComposite):
-            return _composite_decomposition(model, dists, p, q)
-        w = _apparatus_triple(model, dists, p, q)
-        f = model.tables[p.name][:, :, None]
-        g = model.tables[q.name][:, None, :]
-        f_grid, g_grid = np.broadcast_arrays(f, g)
-        return OutcomeDecomposition(np.ascontiguousarray(w).reshape(-1),
+            # cell by cell over the joint: summing its marginals instead
+            # would add in another order and may change report bits
+            f_grid, g_grid = (np.broadcast_to(on_five_axes(model.tables[s.name], (s.name,)),
+                                              dists.joint.shape) for s in (p, q))
+            return OutcomeDecomposition(dists.joint.flat,
+                                        _codes_from_signs(f_grid, g_grid))
+        f_grid, g_grid = np.broadcast_arrays(model.tables[p.name][:, :, None],
+                                             model.tables[q.name][:, None, :])
+        return OutcomeDecomposition(dists.marginals[pair_names].flat,
                                     _codes_from_signs(f_grid, g_grid))
 
     raise IncompatibleModeModel(dists.mode, getattr(model, "kind", type(model).__name__))
 
 
-def _composite_decomposition(model: ApparatusDeterministic, dists: JointComposite,
-                             p: Setting, q: Setting) -> OutcomeDecomposition:
-    spaces = model.spaces
-    if dists.joint.domain != tuple(spaces):
-        raise CorrelationError(
-            f"composite joint domain {dists.joint.labels} does not match the "
-            f"model's five spaces {tuple(s.label for s in spaces)}")
-    shape = dists.joint.shape
-    f_grid, g_grid = (np.broadcast_to(on_five_axes(model.tables[s.name], (s.name,)),
-                                      shape) for s in (p, q))
-    return OutcomeDecomposition(dists.joint.flat, _codes_from_signs(f_grid, g_grid))
+def _decompositions(model: ResponseModel, dists: ScenarioDistributions,
+                    pairs) -> list[OutcomeDecomposition]:
+    """Each pair's outcome decomposition.  An apparatus model is first
+    checked against its mode once, by the five spaces they share, before
+    any pair family is built."""
+    if isinstance(model, ApparatusDeterministic):
+        if not isinstance(dists, (SettingDependent, FactorizedApparatus,
+                                  JointComposite)):
+            raise IncompatibleModeModel(dists.mode, model.kind)
+        spaces = dists.spaces
+        if spaces != model.spaces:
+            raise CorrelationError(
+                f"{dists.mode} distributions live on "
+                f"{tuple(s.label for s in spaces)}, expected "
+                f"{tuple(s.label for s in model.spaces)}")
+    return [_outcome_decomposition(model, dists, p, q) for p, q in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +470,12 @@ def _report_from_pair_probs(per_pair, estimator: EstimatorInfo) -> CorrelationRe
 def exact_report(model: ResponseModel, dists: ScenarioDistributions,
                  settings) -> CorrelationReport:
     """Exact probabilities and correlations for all four setting pairs."""
+    pairs = _ordered_pairs(settings)
     per_pair = []
-    for p, q in _ordered_pairs(settings):
-        dec = outcome_decomposition(model, dists, (p, q))
-        sums = outcome_cell_sums(np.ascontiguousarray(dec.weights),
-                                 np.ascontiguousarray(dec.codes))
+    for pair, dec in zip(pairs, _decompositions(model, dists, pairs)):
+        sums = outcome_cell_sums(dec.weights, dec.codes)
         probs = (float(sums[0]), float(sums[1]), float(sums[2]), float(sums[3]))
-        per_pair.append(((p, q), probs))
+        per_pair.append((pair, probs))
     return _report_from_pair_probs(per_pair, EstimatorInfo(method="exact"))
 
 
@@ -519,10 +502,9 @@ def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
     if seed < 0:
         raise CorrelationError(f"seed must be nonnegative, got {int(seed)}")
     pairs = _ordered_pairs(settings)
-    decs = [outcome_decomposition(model, dists, pair) for pair in pairs]
+    decs = _decompositions(model, dists, pairs)
     counts = mc_outcome_counts(
-        [np.ascontiguousarray(dec.weights) for dec in decs],
-        [np.ascontiguousarray(dec.codes) for dec in decs],
+        [dec.weights for dec in decs], [dec.codes for dec in decs],
         StreamDraws([np.random.SeedSequence(entropy=seed, spawn_key=(k,))
                      for k in range(len(pairs))], samples))
     return _report_from_pair_probs(

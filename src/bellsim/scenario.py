@@ -78,8 +78,7 @@ from .models import (ApparatusDeterministic, Contextual, DeterministicSource,
                      ResponseModel, Setting, StochasticSource,
                      standard_settings, stochastic_from_apparatus)
 from .spaces import (APPARATUS_LABELS, SETTING_NAMES, SETTING_PAIRS,
-                     Distribution, FiveSpaces, HiddenSpace, pair_key,
-                     validate_distribution)
+                     Distribution, FiveSpaces, HiddenSpace, pair_key)
 
 SCHEMA_VERSION = 1
 
@@ -261,9 +260,7 @@ def _parse_distribution(value: Any, registry: Mapping[str, HiddenSpace],
     weights = _array(_require(value, "weights", where), f"{where}.weights")
     if weights.ndim != 1:
         raise CliError(f"{where}.weights: expected a flat array of numbers")
-    dist = Distribution(spaces, weights)
-    validate_distribution(dist)
-    return dist
+    return Distribution(spaces, weights)
 
 
 def _parse_model(value: Any, registry: Mapping[str, HiddenSpace],

@@ -648,25 +648,30 @@ class TestErrorTags:
          "[cli-harness] distributions.rho.weights: expected a flat array"),
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _moved("lambda_a", "rho"))],
-         "[correlation-engine] FactorizedApparatus distributions for ('a', 'b') "
-         "live on ('lambda_a', 'lambda_a', 'lambda_b'), expected "
-         "('lambda', 'lambda_a', 'lambda_b')"),
+         "[correlation-engine] FactorizedApparatus distributions live on "
+         "('lambda_a', 'lambda_a', 'lambda_a_prime', 'lambda_b', 'lambda_b_prime'), "
+         "expected ('lambda', 'lambda_a', 'lambda_a_prime', 'lambda_b', "
+         "'lambda_b_prime')\n"),
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _moved("lambda_b_prime", "rho"))],
-         "[correlation-engine] FactorizedApparatus distributions for ('a', 'b') "
-         "live on ('lambda_b_prime', 'lambda_a', 'lambda_b')"),
+         "[correlation-engine] FactorizedApparatus distributions live on "
+         "('lambda_b_prime', 'lambda_a', 'lambda_a_prime', 'lambda_b', "
+         "'lambda_b_prime'), expected "),
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _moved("lambda_b", "apparatus", "a"))],
-         "[correlation-engine] FactorizedApparatus distributions for ('a', 'b') "
-         "live on ('lambda', 'lambda_b', 'lambda_b')"),
+         "[correlation-engine] FactorizedApparatus distributions live on "
+         "('lambda', 'lambda_b', 'lambda_a_prime', 'lambda_b', 'lambda_b_prime'), "
+         "expected "),
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _moved("lambda", "apparatus", "a"))],
-         "[correlation-engine] FactorizedApparatus distributions for ('a', 'b') "
-         "live on ('lambda', 'lambda', 'lambda_b')"),
+         "[correlation-engine] FactorizedApparatus distributions live on "
+         "('lambda', 'lambda', 'lambda_a_prime', 'lambda_b', 'lambda_b_prime'), "
+         "expected "),
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _moved("lambda_b", "apparatus", "a_prime"))],
-         "[correlation-engine] FactorizedApparatus distributions for "
-         "('a_prime', 'b') live on ('lambda', 'lambda_b', 'lambda_b')"),
+         "[correlation-engine] FactorizedApparatus distributions live on "
+         "('lambda', 'lambda_a', 'lambda_b', 'lambda_b', 'lambda_b_prime'), "
+         "expected "),
         (lambda _: ["qm", "table", "1e308", "-1e308"],
          "[qm-reference] angles must be finite, got a - b = inf"),
         (lambda _: ["qm", "chsh", "1e308", "0", "-1e308", "0"],

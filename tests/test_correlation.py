@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -401,6 +402,62 @@ class TestSettingDependentFamily:
         broken[("a", "b")] = Distribution(m.domain, np.full(m.size, 0.5))
         with pytest.raises(NotNormalized, match="^weights sum to 4.0, "):
             SettingDependent(broken)
+
+
+    def test_both_orders_of_one_pair_rejected(self):
+        family, _ = self.make_family()
+        both = {**family.marginals, ("b", "a"): family.marginals["a", "b"]}
+        with pytest.raises(CorrelationError, match="^two marginals for one "
+                           "setting pair, got "):
+            SettingDependent(both)
+
+
+def _on_spaces(mode: str, spaces):
+    """A ``mode`` distribution of uniform weights on five ``spaces``."""
+    if mode == "FactorizedApparatus":
+        return FactorizedApparatus(
+            Distribution.uniform((spaces.lam,)),
+            {name: Distribution.uniform((spaces.for_setting(name),))
+             for name in SETTING_NAMES})
+    if mode == "SettingDependent":
+        return SettingDependent({
+            (p, q): Distribution.uniform(
+                (spaces.lam, spaces.for_setting(p), spaces.for_setting(q)))
+            for p, q in SETTING_PAIRS})
+    return JointComposite(Distribution.uniform(tuple(spaces)))
+
+
+class TestApparatusModes:
+    @pytest.mark.parametrize("mode", ["FactorizedApparatus", "SettingDependent",
+                                      "JointComposite"])
+    def test_model_on_other_spaces_refused_before_any_family(self, monkeypatch,
+                                                             mode):
+        # lambda_b of the mode is a two-valued space of another label
+        model = random_apparatus(np.random.default_rng(40), (2, 2, 2, 2, 2))
+        dists = _on_spaces(mode, model.spaces._replace(
+            lam_b=HiddenSpace.of_size("lambda_x", 2)))
+        built = []
+        monkeypatch.setattr("bellsim.correlation.product_distribution",
+                            lambda *args: built.append(args))
+        monkeypatch.setattr("bellsim.correlation.marginalize",
+                            lambda *args: built.append(args))
+        message = re.escape(
+            f"{mode} distributions live on ('lambda', 'lambda_a', "
+            "'lambda_a_prime', 'lambda_x', 'lambda_b_prime'), expected "
+            "('lambda', 'lambda_a', 'lambda_a_prime', 'lambda_b', 'lambda_b_prime')")
+        with pytest.raises(CorrelationError, match=f"^{message}$") as exc:
+            exact_report(model, dists, FOUR_SETTINGS)
+        assert exc.value.module == "correlation-engine"
+        with pytest.raises(CorrelationError, match=f"^{message}$"):
+            monte_carlo_report(model, dists, FOUR_SETTINGS, 100, 1)
+        assert built == []
+
+    def test_unknown_apparatus_setting_rejected(self):
+        dists = _on_spaces("FactorizedApparatus", five_spaces((2, 2, 2, 2, 2)))
+        apparatus = {**dists.apparatus, "c": dists.apparatus["a"]}
+        with pytest.raises(CorrelationError, match=r"^apparatus distributions "
+                           r"for unknown settings \['c'\]$"):
+            FactorizedApparatus(dists.rho, apparatus)
 
 
 class TestReports:
