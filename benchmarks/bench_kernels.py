@@ -4,8 +4,9 @@ Run as a script:
 
     python3 benchmarks/bench_kernels.py
 
-Each kernel runs on one fixed input; the best of several repeats is
-printed in milliseconds.
+Each kernel runs on one fixed input, ``mc_outcome_counts`` on two (one
+model's pairs, and an emulation's two models); the best of several
+repeats is printed in milliseconds.
 """
 
 from __future__ import annotations
@@ -39,6 +40,23 @@ def bench_mc_outcome_counts(rng):
         [weights] * 4, [codes] * 4, _kernels.StreamDraws(seeds, 250_000)), 10)
 
 
+def bench_mc_outcome_counts_emulation(rng):
+    """An emulation's call: the rows of ``bench_mc_outcome_counts``, then
+    four more on the same four streams whose weights are three ulps above
+    them, as a comparison model's code masses sit a few ulps off the
+    model's.  The later rows replay the split paths of the earlier ones
+    up to where they part."""
+    weights = rng.dirichlet(np.ones(512))
+    near = weights
+    for _ in range(3):
+        near = np.nextafter(near, 1.0)
+    codes = rng.integers(0, 4, size=512).astype(np.uint8)
+    seeds = [np.random.SeedSequence(7, spawn_key=(k,)) for k in range(4)]
+    return _time(lambda: _kernels.mc_outcome_counts(
+        [weights] * 4 + [near] * 4, [codes] * 8,
+        _kernels.StreamDraws(seeds * 2, 250_000)), 10)
+
+
 def bench_tableau_pivot(rng):
     """One pivot on the simplex state of an LP block of four eight-valued
     apparatus spaces, as in the SettingDependent copy of an 8^5
@@ -69,6 +87,7 @@ def bench_chsh_strategy_max(_rng):
 BENCHES = [
     ("outcome_cell_sums   (n=2e5)", bench_outcome_cell_sums),
     ("mc_outcome_counts   (512 cells, 1e6)", bench_mc_outcome_counts),
+    ("mc_outcome_counts   (emulation, 2e6)", bench_mc_outcome_counts_emulation),
     ("tableau_pivot       (257x258)", bench_tableau_pivot),
     ("chsh_strategy_max   (n=6)", bench_chsh_strategy_max),
 ]

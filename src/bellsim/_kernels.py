@@ -38,11 +38,17 @@ MC_CHUNK_WORDS = 1 << 16
 #: in [0, 2^53).
 _GRID = 1 << 53
 
+#: Splits of up to this many draws count their raw bits as one Python
+#: int, which is faster than numpy's popcount on a few words.
+_INT_BITS = 2048
+
 
 @dataclass(frozen=True)
 class StreamDraws:
     """``samples`` draws for each seed sequence of ``seeds``, each counted
-    from a fresh PCG64 of that seed sequence.
+    as from a fresh PCG64 of that seed sequence.  A seed sequence may
+    recur: the rows on one stream replay one split path
+    (``mc_outcome_counts``).
 
     ``np.size`` of the draws is their total count over all the seeds, as
     for an array of the draws, which is how the benchmark's tracer counts
@@ -73,20 +79,33 @@ def mc_outcome_counts(weights: Sequence[np.ndarray], codes: Sequence[np.ndarray]
     several weighted cell lists.
 
     Row r has the cell weights ``weights[r]`` with outcome codes
-    ``codes[r]``, and is counted from a fresh PCG64 of ``draws.seeds[r]``.
-    The count of each code over N inverse-CDF draws is Multinomial(N, p),
-    with p the code masses (``outcome_cell_sums``), whatever the order of
-    the cells, so each row is counted from its four masses alone
-    (``_code_counts``).  Rows with equal masses and seeds get equal
-    counts.  Returns int64 counts, one row of four per row of the input.
+    ``codes[r]``, and is counted as from a fresh PCG64 of
+    ``draws.seeds[r]``.  The count of each code over N inverse-CDF draws
+    is Multinomial(N, p), with p the code masses (``outcome_cell_sums``),
+    whatever the order of the cells, so each row is counted from its four
+    masses alone (``_code_counts``).  Rows with equal masses and seeds
+    get equal counts.
+
+    Rows whose streams start in one state, such as the two models of an
+    emulation on one pair's seed sequence, replay one split path: the
+    first such row records its splits, and a later one takes each split
+    it shares with them, in order, without drawing (``_code_counts``).
+    So every row gets the counts of a call of that row alone.  The paths
+    live for this call only.  Returns int64 counts, one row of four per
+    row of the input.
     """
-    rows = [_code_counts(np.random.PCG64(seed), outcome_cell_sums(w, c).tolist(),
-                         draws.samples)
-            for w, c, seed in zip(weights, codes, draws.seeds)]
+    paths: dict[tuple[int, int], list] = {}
+    rows = []
+    for w, c, seed in zip(weights, codes, draws.seeds):
+        bitgen = np.random.PCG64(seed)
+        start = bitgen.state["state"]
+        rows.append(_code_counts(bitgen, outcome_cell_sums(w, c).tolist(), draws.samples,
+                                 paths.setdefault((start["state"], start["inc"]), [])))
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def _code_counts(bitgen: Any, masses: list[float], samples: int) -> list[int]:
+def _code_counts(bitgen: Any, masses: list[float], samples: int,
+                 path: list | None = None) -> list[int]:
     """The code counts of ``samples`` inverse-CDF draws against the four
     code ``masses``, drawn from the raw bits of ``bitgen`` by dyadic
     splitting, without drawing the uniforms.
@@ -105,26 +124,58 @@ def _code_counts(bitgen: Any, masses: list[float], samples: int) -> list[int]:
     strictly inside; any other interval's count goes whole to the code of
     its first integer.  Past the rounding of the edges, the arithmetic is
     on integers only.
+
+    ``path`` lists the splits ((lo, width, n), left) of a row counted
+    before on a fresh copy of ``bitgen``'s stream, and an empty list
+    takes this row's splits.  While this row's i-th split is the path's
+    i-th, it has read the same raw words, so it takes that split's left
+    count without drawing.  At the first split that differs, ``bitgen``,
+    which must then be fresh, is advanced past the words of the splits
+    taken, and the row draws from there: its counts are those it gets
+    without a path.
     """
     last = max((k for k, m in enumerate(masses) if m > 0.0), default=3)
     edges = [min(math.ceil(e * _GRID), _GRID) for e in itertools.accumulate(masses[:last])]
+    replay, record = (path, None) if path else ((), path)
+    taken = skipped = 0  # splits of ``replay`` taken, and the raw words they read
     counts = [0] * 4
     stack = [(0, _GRID, samples)]
     while stack:
         lo, width, n = stack.pop()
-        if n and any(lo < e < lo + width for e in edges):
-            left = _ones(bitgen, n)
+        # the first edge above lo: inside the interval, or else lo's code
+        code = bisect.bisect_right(edges, lo)
+        if n and code < last and edges[code] < lo + width:
+            split = (lo, width, n)
+            if taken < len(replay) and replay[taken][0] == split:
+                left = replay[taken][1]
+                taken += 1
+                skipped += -(-n // 64)
+            else:
+                if skipped:
+                    bitgen.advance(skipped)
+                replay, skipped = (), 0
+                left = _ones(bitgen, n)
+                if record is not None:
+                    record.append((split, left))
             width //= 2
             stack += [(lo + width, width, n - left), (lo, width, left)]
         else:
-            counts[bisect.bisect_right(edges, lo)] += n
+            counts[code] += n
     return counts
 
 
 def _ones(bitgen: Any, n: int) -> int:
     """Binomial(n, 1/2): the set bits among the next n raw bits of
-    ``bitgen``, taken as n // 64 whole words, ``MC_CHUNK_WORDS`` at a
+    ``bitgen``, that is, of ceil(n / 64) words, the last one's low n % 64
+    bits if n % 64.  Below 64 bits one word is drawn, up to
+    ``_INT_BITS`` the words are read as one little-endian Python int,
+    and above it n // 64 whole words are counted ``MC_CHUNK_WORDS`` at a
     time, then the low n % 64 bits of one more word."""
+    if n < 64:
+        return (bitgen.random_raw() & ((1 << n) - 1)).bit_count()
+    if n <= _INT_BITS:
+        words = bitgen.random_raw(-(-n // 64)).astype("<u8", copy=False)
+        return (int.from_bytes(words.tobytes(), "little") & ((1 << n) - 1)).bit_count()
     words, rest = divmod(n, 64)
     ones = 0
     for start in range(0, words, MC_CHUNK_WORDS):

@@ -25,8 +25,10 @@ setting pair k (in canonical pair order) is seeded with
 SeedSequence(entropy=seed, spawn_key=(k,)), so per-pair streams are
 independent of each other and of any future sharding, and identical
 inputs give bit-identical reports on every platform and backend.  An
-emulation is two reports, one per model, on equal seeds, so models with
-equal code masses get equal counts.
+emulation counts both models in one kernel call, each model's pair k on
+pair k's seed sequence, and the comparison rows replay the split paths
+of the primary rows while they agree; each model gets the counts of a
+report of it alone, so models with equal code masses get equal counts.
 
 Each apparatus mode holds one setting-pair family, read by
 ``feasibility``: ``marginals`` rho_pq on five ``spaces``, and a
@@ -85,10 +87,11 @@ DEFAULT_ENUM_WORK_LIMIT = 2**24
 
 #: Monte Carlo refuses more samples per setting pair than this, so that a
 #: report ends in bounded time.  Through the CLI on a 2-vCPU x86-64
-#: container, 10^9 per pair took 0.9-1.0 s on a factorized 2^5 scenario,
-#: 1.5-1.8 s at 8^5, and 2.8-2.9 s for an 8^5 emulation, which counts both
-#: models.  Against three edges the counter reads about 3.5 raw bits a
-#: draw, where drawing the uniform would take 64.
+#: container, 10^9 per pair took 0.49-0.52 s on a factorized 2^5
+#: scenario, 0.86-0.87 s at 8^5, and 0.79-0.80 s for an 8^5 emulation,
+#: whose comparison model replays the model's split paths.  Against three
+#: edges the counter reads about 3.5 raw bits a draw, where drawing the
+#: uniform would take 64.
 MAX_SAMPLES = 10**9
 
 
@@ -427,12 +430,13 @@ def _decompositions(model: ResponseModel, dists: ScenarioDistributions,
         if not isinstance(dists, (SettingDependent, FactorizedApparatus,
                                   JointComposite)):
             raise IncompatibleModeModel(dists.mode, model.kind)
-        spaces = dists.spaces
-        if spaces != model.spaces:
+        if dists.spaces != model.spaces:
+            mode_spaces, model_spaces = (
+                tuple(f"{s.label}:{s.cardinality}" for s in spaces)
+                for spaces in (dists.spaces, model.spaces))
             raise CorrelationError(
-                f"{dists.mode} distributions live on "
-                f"{tuple(s.label for s in spaces)}, expected "
-                f"{tuple(s.label for s in model.spaces)}")
+                f"{dists.mode} distributions live on {mode_spaces}, "
+                f"expected {model_spaces}")
     return [_outcome_decomposition(model, dists, p, q) for p, q in pairs]
 
 
@@ -488,13 +492,23 @@ def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
     the pair's four code masses are drawn from its raw bits by dyadic
     splitting (``mc_outcome_counts``), with integer arithmetic only, so
     report bytes do not depend on BLAS, libm or the CPU.  An emulation
-    is two calls, one per model, with equal seeds.
+    counts both models' pairs in one kernel call (``_monte_carlo_reports``),
+    and gets this report of each model.
 
     Every pair's decomposition is built first, and the kernel is called
     once for all pairs.  Memory is bounded by the kernel's 512 KiB chunk,
     and time by ``MAX_SAMPLES`` per pair.  A negative seed is refused
     before any stream is built.
     """
+    return _monte_carlo_reports([(model, dists)], settings, samples, seed)[0]
+
+
+def _monte_carlo_reports(models: list[tuple[ResponseModel, ScenarioDistributions]],
+                         settings, samples: int, seed: int) -> list[CorrelationReport]:
+    """The ``monte_carlo_report`` of each (model, distributions) of
+    ``models``, all counted in one ``mc_outcome_counts`` call: each model's
+    pairs in turn, pair k on seed sequence k whatever the model, so rows
+    of one pair replay one split path."""
     if samples < 1:
         raise CorrelationError("sample count must be at least 1")
     if samples > MAX_SAMPLES:
@@ -502,15 +516,18 @@ def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
     if seed < 0:
         raise CorrelationError(f"seed must be nonnegative, got {int(seed)}")
     pairs = _ordered_pairs(settings)
-    decs = _decompositions(model, dists, pairs)
-    counts = mc_outcome_counts(
-        [dec.weights for dec in decs], [dec.codes for dec in decs],
-        StreamDraws([np.random.SeedSequence(entropy=seed, spawn_key=(k,))
-                     for k in range(len(pairs))], samples))
-    return _report_from_pair_probs(
-        [(pair, tuple(float(c) / samples for c in row))
-         for pair, row in zip(pairs, counts)],
-        EstimatorInfo(method="monte-carlo", samples=samples, seed=seed))
+    decs = [dec for model, dists in models
+            for dec in _decompositions(model, dists, pairs)]
+    streams = [np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+               for k in range(len(pairs))]
+    counts = mc_outcome_counts([dec.weights for dec in decs],
+                               [dec.codes for dec in decs],
+                               StreamDraws(streams * len(models), samples))
+    estimator = EstimatorInfo(method="monte-carlo", samples=samples, seed=seed)
+    return [_report_from_pair_probs(
+                [(pair, tuple(float(c) / samples for c in row))
+                 for pair, row in zip(pairs, rows)], estimator)
+            for rows in counts.reshape(len(models), len(pairs), 4).tolist()]
 
 
 # ---------------------------------------------------------------------------

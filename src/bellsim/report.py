@@ -21,8 +21,8 @@ from typing import Any
 
 from .correlation import (DEFAULT_ENUM_WORK_LIMIT, BellVerdict,
                           CorrelationReport, EstimatorInfo, SourceOnly,
-                          bell_check, enumerate_bound, exact_report,
-                          monte_carlo_report)
+                          _monte_carlo_reports, bell_check, enumerate_bound,
+                          exact_report)
 from .feasibility import DEFAULT_WORK_LIMIT, admit, check_joint_existence
 from .models import (ApparatusDeterministic, Setting, effective_responses,
                      standard_settings)
@@ -125,12 +125,13 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
         models.append((scenario.comparison_model,
                        SourceOnly(scenario.distributions.rho)))
     estimator = scenario.run.estimator
-    seed = estimator.seed if seed_override is None else seed_override
-    primary, *comparison = [
-        exact_report(model, dists, scenario.settings)
-        if estimator.method == "exact" else
-        monte_carlo_report(model, dists, scenario.settings, estimator.samples, seed)
-        for model, dists in models]
+    if estimator.method == "exact":
+        primary, *comparison = [exact_report(model, dists, scenario.settings)
+                                for model, dists in models]
+    else:
+        seed = estimator.seed if seed_override is None else seed_override
+        primary, *comparison = _monte_carlo_reports(
+            models, scenario.settings, estimator.samples, seed)
     for name in requested:
         if name == "correlations":
             doc["analyses"][name] = {

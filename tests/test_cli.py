@@ -649,29 +649,29 @@ class TestErrorTags:
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _moved("lambda_a", "rho"))],
          "[correlation-engine] FactorizedApparatus distributions live on "
-         "('lambda_a', 'lambda_a', 'lambda_a_prime', 'lambda_b', 'lambda_b_prime'), "
-         "expected ('lambda', 'lambda_a', 'lambda_a_prime', 'lambda_b', "
-         "'lambda_b_prime')\n"),
+         "('lambda_a:2', 'lambda_a:2', 'lambda_a_prime:2', 'lambda_b:2', "
+         "'lambda_b_prime:2'), expected ('lambda:2', 'lambda_a:2', "
+         "'lambda_a_prime:2', 'lambda_b:2', 'lambda_b_prime:2')\n"),
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _moved("lambda_b_prime", "rho"))],
          "[correlation-engine] FactorizedApparatus distributions live on "
-         "('lambda_b_prime', 'lambda_a', 'lambda_a_prime', 'lambda_b', "
-         "'lambda_b_prime'), expected "),
+         "('lambda_b_prime:2', 'lambda_a:2', 'lambda_a_prime:2', 'lambda_b:2', "
+         "'lambda_b_prime:2'), expected "),
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _moved("lambda_b", "apparatus", "a"))],
          "[correlation-engine] FactorizedApparatus distributions live on "
-         "('lambda', 'lambda_b', 'lambda_a_prime', 'lambda_b', 'lambda_b_prime'), "
-         "expected "),
+         "('lambda:2', 'lambda_b:2', 'lambda_a_prime:2', 'lambda_b:2', "
+         "'lambda_b_prime:2'), expected "),
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _moved("lambda", "apparatus", "a"))],
          "[correlation-engine] FactorizedApparatus distributions live on "
-         "('lambda', 'lambda', 'lambda_a_prime', 'lambda_b', 'lambda_b_prime'), "
-         "expected "),
+         "('lambda:2', 'lambda:2', 'lambda_a_prime:2', 'lambda_b:2', "
+         "'lambda_b_prime:2'), expected "),
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _moved("lambda_b", "apparatus", "a_prime"))],
          "[correlation-engine] FactorizedApparatus distributions live on "
-         "('lambda', 'lambda_a', 'lambda_b', 'lambda_b', 'lambda_b_prime'), "
-         "expected "),
+         "('lambda:2', 'lambda_a:2', 'lambda_b:2', 'lambda_b:2', "
+         "'lambda_b_prime:2'), expected "),
         (lambda _: ["qm", "table", "1e308", "-1e308"],
          "[qm-reference] angles must be finite, got a - b = inf"),
         (lambda _: ["qm", "chsh", "1e308", "0", "-1e308", "0"],

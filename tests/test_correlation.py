@@ -442,15 +442,32 @@ class TestApparatusModes:
         monkeypatch.setattr("bellsim.correlation.marginalize",
                             lambda *args: built.append(args))
         message = re.escape(
-            f"{mode} distributions live on ('lambda', 'lambda_a', "
-            "'lambda_a_prime', 'lambda_x', 'lambda_b_prime'), expected "
-            "('lambda', 'lambda_a', 'lambda_a_prime', 'lambda_b', 'lambda_b_prime')")
+            f"{mode} distributions live on ('lambda:2', 'lambda_a:2', "
+            "'lambda_a_prime:2', 'lambda_x:2', 'lambda_b_prime:2'), expected "
+            "('lambda:2', 'lambda_a:2', 'lambda_a_prime:2', 'lambda_b:2', "
+            "'lambda_b_prime:2')")
         with pytest.raises(CorrelationError, match=f"^{message}$") as exc:
             exact_report(model, dists, FOUR_SETTINGS)
         assert exc.value.module == "correlation-engine"
         with pytest.raises(CorrelationError, match=f"^{message}$"):
             monte_carlo_report(model, dists, FOUR_SETTINGS, 100, 1)
         assert built == []
+
+    @pytest.mark.parametrize("mode", ["FactorizedApparatus", "SettingDependent",
+                                      "JointComposite"])
+    def test_model_on_spaces_of_other_sizes_names_the_sizes(self, mode):
+        # the mode's lambda has the model's label and three values, not two
+        model = random_apparatus(np.random.default_rng(41), (2, 2, 2, 2, 2))
+        dists = _on_spaces(mode, five_spaces((3, 2, 2, 2, 2)))
+        message = re.escape(
+            f"{mode} distributions live on ('lambda:3', 'lambda_a:2', "
+            "'lambda_a_prime:2', 'lambda_b:2', 'lambda_b_prime:2'), expected "
+            "('lambda:2', 'lambda_a:2', 'lambda_a_prime:2', 'lambda_b:2', "
+            "'lambda_b_prime:2')")
+        for report in (lambda: exact_report(model, dists, FOUR_SETTINGS),
+                       lambda: monte_carlo_report(model, dists, FOUR_SETTINGS, 100, 1)):
+            with pytest.raises(CorrelationError, match=f"^{message}$"):
+                report()
 
     def test_unknown_apparatus_setting_rejected(self):
         dists = _on_spaces("FactorizedApparatus", five_spaces((2, 2, 2, 2, 2)))

@@ -429,12 +429,107 @@ def test_mc_outcome_counts_of_several_cdfs_equal_separate_counts(sizes, streams)
         assert row == _reference_counts(w, c, seed, 3 * _C + 7)
 
 
+def _other_masses(masses, kind, code, ulps, unrelated):
+    """Masses for a second row on the stream of a row with ``masses``:
+    the same, ``ulps`` ulps off at ``code``, with ``code`` emptied, or
+    ``unrelated``."""
+    other = list(masses)
+    if kind == "ulps":
+        for _ in range(abs(ulps)):
+            other[code] = math.nextafter(other[code], math.copysign(math.inf, ulps))
+    elif kind == "zero-code":
+        other[code] = 0.0
+    elif kind == "unrelated":
+        other = unrelated
+    return other
+
+
+@settings(max_examples=150, deadline=None)
+@given(masses=st.lists(_mass, min_size=4, max_size=4).filter(lambda m: sum(m) > 0.0),
+       kind=st.sampled_from(["same", "ulps", "zero-code", "unrelated"]),
+       code=st.integers(0, 3), ulps=st.integers(-4, 4).filter(bool),
+       unrelated=st.lists(_mass, min_size=4, max_size=4),
+       samples=st.integers(1, 100_000), seed=st.integers(0, 2**63))
+def test_mc_outcome_counts_rows_on_one_stream_equal_separate_counts(
+        masses, kind, code, ulps, unrelated, samples, seed):
+    """Two rows on one seed sequence, the second of the same masses, of
+    masses a few ulps off, with a code emptied or of unrelated masses,
+    so that their split paths part at the root, deeper down or never,
+    get the counts of each row counted alone."""
+    total = math.fsum(masses)
+    masses = [m / total for m in masses]
+    other = _other_masses(masses, kind, code, ulps, unrelated)
+    seed = np.random.SeedSequence(seed)
+    codes = np.arange(4, dtype=np.uint8)
+    together = _kernels.mc_outcome_counts(
+        [np.array(masses), np.array(other)], [codes, codes],
+        _kernels.StreamDraws([seed, seed], samples))
+    assert together.tolist() == [_counts(masses, codes, seed, samples),
+                                 _counts(other, codes, seed, samples)]
+
+
+class _CountingPCG64(np.random.PCG64):
+    """A PCG64 that adds the raw words drawn from it to ``words[0]``."""
+
+    words = [0]
+
+    def random_raw(self, size=None):
+        self.words[0] += 1 if size is None else size
+        return super().random_raw(size)
+
+
+@pytest.fixture
+def raw_words(monkeypatch):
+    """The count of raw words the Monte Carlo counter draws, from zero."""
+    words = [0]
+    monkeypatch.setattr(_CountingPCG64, "words", words)
+    monkeypatch.setattr(np.random, "PCG64", _CountingPCG64)
+    return words
+
+
+def test_mc_outcome_counts_rows_on_one_stream_read_its_words_once(raw_words):
+    """On one stream, a second row of the same masses draws no word, and
+    one whose second edge is 2^-50 off, dyadic no longer, draws only the
+    words of its splits from the third on, where its path parts from the
+    first row's."""
+    masses = [0.25] * 4
+    near = [0.25 + 2.0 ** -50, 0.25 - 2.0 ** -50, 0.25, 0.25]
+    seed, samples = _stream(29, 0), 10**5
+    words = {}
+    for name, m in (("masses", masses), ("near", near)):
+        raw_words[0] = 0
+        words[name] = (_counts(m, range(4), seed, samples), raw_words[0])
+    codes = np.arange(4, dtype=np.uint8)
+    for second, lo, hi in ((masses, 0, 0), (near, 1, words["near"][1] - 1)):
+        raw_words[0] = 0
+        counts = _kernels.mc_outcome_counts(
+            [np.array(masses), np.array(second)], [codes, codes],
+            _kernels.StreamDraws([seed, seed], samples))
+        assert lo <= raw_words[0] - words["masses"][1] <= hi
+        assert counts.tolist() == [words["masses"][0], _counts(second, codes, seed, samples)]
+
+
+def test_emulation_reads_the_same_words_on_every_run(raw_words):
+    """Two equal emulation runs in one process draw the same raw words:
+    no split path outlives its call."""
+    doc = generate_scenario("stochastic-equivalent",
+                            {"cards": (8,) * 5, "estimator": "monte-carlo",
+                             "samples": 3 * _C + 7, "mc_seed": 5})
+    runs = []
+    for _ in range(2):
+        raw_words[0] = 0
+        runs.append((report.run_scenario(parse_scenario(doc)), raw_words[0]))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 0
+
+
 def test_monte_carlo_report_calls_the_kernel_once_per_report_from_the_caller(
         monkeypatch):
     """A tracer that wraps ``correlation.mc_outcome_counts`` sees one call
     per report, made from the calling thread, with the draws it counts as
     ``np.size`` of its third argument: the four pairs' samples.  An
-    emulation makes two such calls, one for each model."""
+    emulation makes one call for both models, eight rows on the four
+    pair streams."""
     calls = []
     real = correlation.mc_outcome_counts
 
@@ -453,7 +548,7 @@ def test_monte_carlo_report_calls_the_kernel_once_per_report_from_the_caller(
                             {"cards": (8,) * 5, "estimator": "monte-carlo",
                              "samples": samples, "mc_seed": 5})
     report.run_scenario(parse_scenario(doc))
-    assert calls == [(threading.main_thread(), 4 * samples)] * 2
+    assert calls == [(threading.main_thread(), 8 * samples)]
 
 
 def test_monte_carlo_report_bytes_do_not_depend_on_the_cpu_count():
