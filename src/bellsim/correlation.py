@@ -34,8 +34,9 @@ Each apparatus mode holds one setting-pair family, read by
 ``feasibility``: ``marginals`` rho_pq on five ``spaces``, and a
 ``witness`` joint (None on SettingDependent).  An ApparatusDeterministic
 model is checked against ``spaces`` once a report, before any family is
-built; the correlations then read ``marginals`` under SettingDependent
-and FactorizedApparatus, and sum a JointComposite joint cell by cell.
+built; the correlations then read ``marginals`` under every mode, so a
+JointComposite joint is summed into its four pair marginals once, and
+correlations and feasibility both read them.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .spaces import (
     Distribution,
     FiveSpaces,
     marginalize,
-    on_five_axes,
     pair_key,
     product_distribution,
     validate_distribution,
@@ -227,6 +227,10 @@ class JointComposite:
         if len(self.joint.domain) != 5:
             raise CorrelationError(
                 f"composite joint needs a five-space domain, got {self.joint.labels}")
+        # ``marginalize`` finds a space by its label
+        if len(set(self.joint.labels)) < 5:
+            raise CorrelationError(
+                f"composite joint needs five distinct space labels, got {self.joint.labels}")
 
     @property
     def spaces(self) -> FiveSpaces:
@@ -350,14 +354,6 @@ def bell_check(s: float) -> BellVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OutcomeDecomposition:
-    """Flat cells with probability weights and joint-outcome codes."""
-
-    weights: np.ndarray
-    codes: np.ndarray
-
-
 def _codes_from_signs(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ((f < 0.0).astype(np.uint8) << 1 | (g < 0.0).astype(np.uint8)).reshape(-1)
 
@@ -378,22 +374,23 @@ def _source_weights(model, dists, pair_names) -> np.ndarray:
 
 
 def _outcome_decomposition(model: ResponseModel, dists: ScenarioDistributions,
-                           p: Setting, q: Setting) -> OutcomeDecomposition:
-    """Reduce (model, distributions, pair) to weighted outcome cells.  An
-    apparatus model's mode must already share its five spaces."""
+                           p: Setting, q: Setting) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce (model, distributions, pair) to weighted outcome cells: the
+    flat cell weights and their joint-outcome codes.  An apparatus
+    model's mode must already share its five spaces."""
     pair_names = (p.name, q.name)
 
     if isinstance(model, DeterministicSource):
         w = _source_weights(model, dists, pair_names)
         f = model.tables[p.name]
         g = model.tables[q.name]
-        return OutcomeDecomposition(w, _codes_from_signs(f, g))
+        return w, _codes_from_signs(f, g)
 
     if isinstance(model, Contextual):
         w = _source_weights(model, dists, pair_names)
         f = model.response_vector(p, q)
         g = model.response_vector(q, p)
-        return OutcomeDecomposition(w, _codes_from_signs(f, g))
+        return w, _codes_from_signs(f, g)
 
     if isinstance(model, StochasticSource):
         rho = _source_weights(model, dists, pair_names)
@@ -403,26 +400,18 @@ def _outcome_decomposition(model: ResponseModel, dists: ScenarioDistributions,
                           (1.0 - pf) * (1.0 - pg)], axis=1)
         weights = (rho[:, None] * cells).reshape(-1)
         codes = np.tile(np.arange(4, dtype=np.uint8), rho.shape[0])
-        return OutcomeDecomposition(weights, codes)
+        return weights, codes
 
     if isinstance(model, ApparatusDeterministic):
-        if isinstance(dists, JointComposite):
-            # cell by cell over the joint: summing its marginals instead
-            # would add in another order and may change report bits
-            f_grid, g_grid = (np.broadcast_to(on_five_axes(model.tables[s.name], (s.name,)),
-                                              dists.joint.shape) for s in (p, q))
-            return OutcomeDecomposition(dists.joint.flat,
-                                        _codes_from_signs(f_grid, g_grid))
         f_grid, g_grid = np.broadcast_arrays(model.tables[p.name][:, :, None],
                                              model.tables[q.name][:, None, :])
-        return OutcomeDecomposition(dists.marginals[pair_names].flat,
-                                    _codes_from_signs(f_grid, g_grid))
+        return dists.marginals[pair_names].flat, _codes_from_signs(f_grid, g_grid)
 
     raise IncompatibleModeModel(dists.mode, getattr(model, "kind", type(model).__name__))
 
 
 def _decompositions(model: ResponseModel, dists: ScenarioDistributions,
-                    pairs) -> list[OutcomeDecomposition]:
+                    pairs) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each pair's outcome decomposition.  An apparatus model is first
     checked against its mode once, by the five spaces they share, before
     any pair family is built."""
@@ -476,8 +465,8 @@ def exact_report(model: ResponseModel, dists: ScenarioDistributions,
     """Exact probabilities and correlations for all four setting pairs."""
     pairs = _ordered_pairs(settings)
     per_pair = []
-    for pair, dec in zip(pairs, _decompositions(model, dists, pairs)):
-        sums = outcome_cell_sums(dec.weights, dec.codes)
+    for pair, (weights, codes) in zip(pairs, _decompositions(model, dists, pairs)):
+        sums = outcome_cell_sums(weights, codes)
         probs = (float(sums[0]), float(sums[1]), float(sums[2]), float(sums[3]))
         per_pair.append((pair, probs))
     return _report_from_pair_probs(per_pair, EstimatorInfo(method="exact"))
@@ -516,12 +505,11 @@ def _monte_carlo_reports(models: list[tuple[ResponseModel, ScenarioDistributions
     if seed < 0:
         raise CorrelationError(f"seed must be nonnegative, got {int(seed)}")
     pairs = _ordered_pairs(settings)
-    decs = [dec for model, dists in models
-            for dec in _decompositions(model, dists, pairs)]
+    weights, codes = zip(*(dec for model, dists in models
+                           for dec in _decompositions(model, dists, pairs)))
     streams = [np.random.SeedSequence(entropy=seed, spawn_key=(k,))
                for k in range(len(pairs))]
-    counts = mc_outcome_counts([dec.weights for dec in decs],
-                               [dec.codes for dec in decs],
+    counts = mc_outcome_counts(weights, codes,
                                StreamDraws(streams * len(models), samples))
     estimator = EstimatorInfo(method="monte-carlo", samples=samples, seed=seed)
     return [_report_from_pair_probs(

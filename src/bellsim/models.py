@@ -19,7 +19,7 @@ All models are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,17 +69,34 @@ def standard_settings(theta_a: float, theta_a_prime: float, theta_b: float,
                  for name, angle in zip(SETTING_NAMES, angles))
 
 
-def _freeze_table(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.shape != shape:
-        raise ResponseModelError(f"{what} has shape {arr.shape}, expected {shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 def _check_signs(arr: np.ndarray, what: str) -> None:
     if not np.all(np.abs(arr) == 1.0):
         raise ResponseModelError(f"{what} must contain only +1/-1 entries")
+
+
+def _check_probabilities(arr: np.ndarray, what: str) -> None:
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also refuses NaN
+        raise ResponseModelError(f"{what} must lie in [0, 1]")
+
+
+def _frozen_tables(tables: Mapping, shapes: Mapping[str | tuple[str, str], tuple[int, ...]],
+                   missing: str, check: Callable[[np.ndarray, str], None]) -> dict:
+    """Read-only float64 copies of ``tables``, one per key of ``shapes``
+    in its order.  Each key is refused if absent (``missing`` then names
+    it), and its table if it is not of the key's shape or fails
+    ``check``."""
+    frozen = {}
+    for key, shape in shapes.items():
+        if key not in tables:
+            raise ResponseModelError(f"{missing} {key!r}")
+        what = f"table for {key!r}"
+        arr = np.array(tables[key], dtype=np.float64)
+        if arr.shape != shape:
+            raise ResponseModelError(f"{what} has shape {arr.shape}, expected {shape}")
+        arr.setflags(write=False)
+        check(arr, what)
+        frozen[key] = arr
+    return frozen
 
 
 def _tables_equal(left, right) -> bool:
@@ -102,15 +119,9 @@ class DeterministicSource:
     kind = "DeterministicSource"
 
     def __post_init__(self) -> None:
-        shape = (self.lam.cardinality,)
-        frozen = {}
-        for name in SETTING_NAMES:
-            if name not in self.tables:
-                raise ResponseModelError(f"missing response table for setting {name!r}")
-            arr = _freeze_table(self.tables[name], shape, f"table for {name!r}")
-            _check_signs(arr, f"table for {name!r}")
-            frozen[name] = arr
-        object.__setattr__(self, "tables", frozen)
+        shapes = dict.fromkeys(SETTING_NAMES, (self.lam.cardinality,))
+        object.__setattr__(self, "tables", _frozen_tables(
+            self.tables, shapes, "missing response table for setting", _check_signs))
 
     def __eq__(self, other: object) -> bool:
         return _tables_equal(self, other)
@@ -126,16 +137,10 @@ class StochasticSource:
     kind = "StochasticSource"
 
     def __post_init__(self) -> None:
-        shape = (self.lam.cardinality,)
-        frozen = {}
-        for name in SETTING_NAMES:
-            if name not in self.tables:
-                raise ResponseModelError(f"missing probability table for setting {name!r}")
-            arr = _freeze_table(self.tables[name], shape, f"table for {name!r}")
-            if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also refuses NaN
-                raise ResponseModelError(f"table for {name!r} must lie in [0, 1]")
-            frozen[name] = arr
-        object.__setattr__(self, "tables", frozen)
+        shapes = dict.fromkeys(SETTING_NAMES, (self.lam.cardinality,))
+        object.__setattr__(self, "tables", _frozen_tables(
+            self.tables, shapes, "missing probability table for setting",
+            _check_probabilities))
 
     def __eq__(self, other: object) -> bool:
         return _tables_equal(self, other)
@@ -158,18 +163,12 @@ class Contextual:
     kind = "Contextual"
 
     def __post_init__(self) -> None:
-        shape = (self.lam.cardinality,)
-        frozen = {}
-        for own, remotes in _REMOTES.items():
-            for remote in remotes:
-                key = (own, remote)
-                if key not in self.tables:
-                    raise ResponseModelError(f"missing table for (own, remote) = {key}")
-                arr = _freeze_table(self.tables[key], shape, f"table for {key}")
-                _check_signs(arr, f"table for {key}")
-                frozen[key] = arr
-            if self.separated:
-                first, second = remotes
+        shapes = {(own, remote): (self.lam.cardinality,)
+                  for own, remotes in _REMOTES.items() for remote in remotes}
+        frozen = _frozen_tables(self.tables, shapes, "missing table for (own, remote) =",
+                                _check_signs)
+        if self.separated:
+            for own, (first, second) in _REMOTES.items():
                 if not np.array_equal(frozen[(own, first)], frozen[(own, second)]):
                     raise RemoteDependenceForbidden(own)
         object.__setattr__(self, "tables", frozen)
@@ -212,16 +211,11 @@ class ApparatusDeterministic:
     kind = "ApparatusDeterministic"
 
     def __post_init__(self) -> None:
-        frozen = {}
-        for name in SETTING_NAMES:
-            if name not in self.tables:
-                raise ResponseModelError(f"missing response table for setting {name!r}")
-            shape = (self.spaces.lam.cardinality,
-                     self.spaces.for_setting(name).cardinality)
-            arr = _freeze_table(self.tables[name], shape, f"table for {name!r}")
-            _check_signs(arr, f"table for {name!r}")
-            frozen[name] = arr
-        object.__setattr__(self, "tables", frozen)
+        shapes = {name: (self.spaces.lam.cardinality,
+                         self.spaces.for_setting(name).cardinality)
+                  for name in SETTING_NAMES}
+        object.__setattr__(self, "tables", _frozen_tables(
+            self.tables, shapes, "missing response table for setting", _check_signs))
 
     def __eq__(self, other: object) -> bool:
         return _tables_equal(self, other)

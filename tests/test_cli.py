@@ -752,6 +752,12 @@ class TestErrorTags:
                                        "domain": _LABELS[:4],
                                        "weights": [1 / 16] * 16}))],
          "[correlation-engine] composite joint needs a five-space domain"),
+        (lambda p: ["run", _edited(p, "joint-composite.scenario",
+                                   _set("distributions", "joint", "domain", 1,
+                                        value="lambda"))],
+         "[correlation-engine] composite joint needs five distinct space "
+         "labels, got ('lambda', 'lambda', 'lambda_a_prime', 'lambda_b', "
+         "'lambda_b_prime')\n"),
         (lambda _: ["generate", "factorized", "--estimator", "monte-carlo",
                     "--mc-seed", "-1"],
          "[cli-harness] parameter 'mc_seed': must be nonnegative"),
@@ -787,7 +793,7 @@ class TestErrorTags:
             "emulation-without-comparison", "emulation-under-joint-composite",
             "one-by-one-table", "missing-model-table",
             "missing-comparison-table", "missing-apparatus-distribution",
-            "four-space-joint", "generate-negative-mc-seed",
+            "four-space-joint", "joint-lambda-twice", "generate-negative-mc-seed",
             "enumerate-bound-3572", "enumerate-bound-1000000",
             "huge-integer-weight", "huge-integer-table-entry"])
     def test_stderr_names_the_module(self, capsys, monkeypatch, tmp_path, argv,

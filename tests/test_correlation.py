@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     FOUR_SETTINGS,
     five_spaces,
@@ -469,12 +471,40 @@ class TestApparatusModes:
             with pytest.raises(CorrelationError, match=f"^{message}$"):
                 report()
 
+    @pytest.mark.parametrize("cards", [(2, 2, 2, 2, 2), (2, 2, 2, 3, 2)],
+                             ids=["one-size", "two-sizes"])
+    def test_joint_repeating_a_space_label_refused(self, cards):
+        # lambda_b is relabeled lambda_a, with two values or with three
+        spaces = five_spaces(cards)
+        spaces = spaces._replace(lam_b=HiddenSpace.of_size("lambda_a", cards[3]))
+        message = re.escape(
+            "composite joint needs five distinct space labels, got ('lambda', "
+            "'lambda_a', 'lambda_a_prime', 'lambda_a', 'lambda_b_prime')")
+        with pytest.raises(CorrelationError, match=f"^{message}$"):
+            JointComposite(Distribution.uniform(tuple(spaces)))
+
     def test_unknown_apparatus_setting_rejected(self):
         dists = _on_spaces("FactorizedApparatus", five_spaces((2, 2, 2, 2, 2)))
         apparatus = {**dists.apparatus, "c": dists.apparatus["a"]}
         with pytest.raises(CorrelationError, match=r"^apparatus distributions "
                            r"for unknown settings \['c'\]$"):
             FactorizedApparatus(dists.rho, apparatus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cards=st.tuples(*[st.integers(1, 4)] * 5), seed=st.integers(0, 2**32 - 1))
+def test_joint_composite_reports_equal_those_of_its_pair_marginals(cards, seed):
+    """A JointComposite report is that of ``SettingDependent(marginals)``,
+    bit for bit, exact and Monte Carlo: the correlations read the pair
+    marginals of the joint, not the joint itself."""
+    rng = np.random.default_rng(seed)
+    model = random_apparatus(rng, cards)
+    joint = JointComposite(random_distribution(rng, tuple(model.spaces)))
+    copy = SettingDependent(joint.marginals)
+    assert (repr(exact_report(model, joint, FOUR_SETTINGS))
+            == repr(exact_report(model, copy, FOUR_SETTINGS)))
+    assert (repr(monte_carlo_report(model, joint, FOUR_SETTINGS, 1000, seed))
+            == repr(monte_carlo_report(model, copy, FOUR_SETTINGS, 1000, seed)))
 
 
 class TestReports:

@@ -9,9 +9,11 @@ arithmetic that went through BLAS, or that rounded differently in a wider
 SIMD loop, would change bytes.  No bundled scenario reaches the LP, so
 two more runs do: the SettingDependent copy of the bundled factorized
 scenario (Feasible) and the generated witness read out by all-(+1) tables
-(Infeasible).  Monte Carlo reports are also compared
-between a native child, which counts the four pair streams on one thread
-per CPU, and a child pinned to one CPU, which counts them on one thread.
+(Infeasible).  The bundled joint-composite scenario uses Monte Carlo, so
+one more run is an exact joint-composite report, whose probabilities are
+sums of the pair marginals that ``marginalize`` sums out of the joint.
+Monte Carlo reports are also compared between a native child and a child
+pinned to one CPU.
 """
 
 from __future__ import annotations
@@ -98,14 +100,18 @@ def _child(child_env: dict[str, str], commands=COMMANDS,
 
 @pytest.fixture(scope="module")
 def commands(tmp_path_factory) -> list[list[str]]:
-    """``COMMANDS`` plus two runs that reach the LP, written to a
-    temporary directory."""
+    """``COMMANDS`` plus two runs that reach the LP and one exact
+    joint-composite run, written to a temporary directory."""
     root = tmp_path_factory.mktemp("lp")
     copy = root / "factorized-copy.scenario"
     setting_dependent_copy(SCENARIOS / "factorized.scenario", copy)
     witness = root / "witness-plus-one.scenario"
     plus_one_witness(witness)
-    return COMMANDS + [["run", str(copy)], ["run", str(witness)]]
+    joint = root / "joint-composite-exact.scenario"
+    assert main(["generate", "joint-composite", "--cards", "3,2,4,2,3",
+                 "--estimator", "exact", "-o", str(joint)]) == 0
+    return COMMANDS + [["run", str(copy)], ["run", str(witness)],
+                       ["run", str(joint)]]
 
 
 @pytest.fixture(scope="module")
@@ -138,11 +144,11 @@ def test_report_bytes_identical_without_avx(native, commands):
 
 
 def test_monte_carlo_bytes_identical_on_one_cpu(tmp_path):
-    """Every scenario has at least two chunks of draws per pair, and the
-    native child counts the four pair streams on two or more threads when
-    it has two or more CPUs.  The witness counts its few edges by
-    comparison passes; the 8^5 emulation counts the primary and
-    comparison models together from one stream per pair, by sorting."""
+    """Monte Carlo reports are the same in a child pinned to one CPU: the
+    bundled joint-composite scenario, the witness, whose masses put few
+    edges inside [0, 1), and the 8^5 emulation, whose comparison model
+    replays the split paths of the primary model on one stream per
+    pair."""
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("os.sched_setaffinity is not available")
     cpus = sorted(os.sched_getaffinity(0))

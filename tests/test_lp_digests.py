@@ -9,7 +9,10 @@ every report carries.
 - Factorized and joint-composite families are Local by construction, so
   their reports carry the construction witness ``mode.witness`` (the
   product joint, renormalized, or the scenario's own joint) and never
-  reach the LP.  Their digests pin that witness and its residual.
+  reach the LP.  Their digests pin that witness and its residual.  The
+  correlations of both read the family's pair marginals, so the
+  joint-composite digests also pin the order in which ``marginalize``
+  sums the joint into them.
 - The setting-dependent witness breaks the Bell bound, so its report
   carries the closed-form CHSH certificate of its response tables, and
   its digest pins that certificate.  The same witness marginals read out
@@ -48,9 +51,9 @@ GENERATED = {
     ("factorized", "2,4,4,4,4", 1):
         "57d2946ff2273d19544de039c7e1e7777f7fa4cf665a5c96c4fee03a06a5c2e9",
     ("joint-composite", "4,4,4,4,4", 1):
-        "071447b02c1bd34ea65febc2815c7206d017538ff295c5332f21d5d0906d813e",
+        "f190c27ef22dbc07ac9239cabe52c8973bab36109a639537f346d9568cec863e",
     ("joint-composite", "2,4,4,4,4", 1):
-        "b30d2a4879e1d394438742d62e762ce48fbeb00bfaa3b77f6ff4529092aaf40c",
+        "dbeb671abe8acd1f64e3972b96039d71522a535104c9aa21090afb77fa12e6b1",
     ("setting-dependent-witness", "1,2,2,2,2", 1):
         "a0444c8a2dda692cffa02b5152391d8e08f937734c4eff3a6c3d5777654b601a",
 }

@@ -27,7 +27,7 @@ from bellsim.models import (
     standard_settings,
     stochastic_from_apparatus,
 )
-from bellsim.spaces import Distribution, HiddenSpace
+from bellsim.spaces import SETTING_PAIRS, Distribution, HiddenSpace
 
 A, A2, B, B2 = standard_settings(0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
 TOL = 1e-12
@@ -339,3 +339,51 @@ class TestTableValidation:
         with pytest.raises(ResponseModelError,
                            match="missing response table for setting 'b'"):
             DeterministicSource(lam, tables)
+
+
+_LAM = HiddenSpace.of_size("lambda", 2)
+_OWN_REMOTE = [(own, remote) for p, q in SETTING_PAIRS
+               for own, remote in ((p, q), (q, p))]
+
+#: Per model kind: the constructor, a valid table per key, the key whose
+#: table is then removed or replaced, a table of the wrong shape, a table
+#: of a bad entry, and the three messages, in that order.
+_TABLE_CASES = {
+    "DeterministicSource": (
+        lambda tables: DeterministicSource(_LAM, tables),
+        dict.fromkeys(SETTING_NAMES, [1.0, -1.0]), "b", [1.0, 1.0, 1.0], [1.0, 0.5],
+        ("missing response table for setting 'b'",
+         "table for 'b' has shape (3,), expected (2,)",
+         "table for 'b' must contain only +1/-1 entries")),
+    "StochasticSource": (
+        lambda tables: StochasticSource(_LAM, tables),
+        dict.fromkeys(SETTING_NAMES, [0.5, 1.0]), "b", [[0.5, 0.5]], [0.5, 1.5],
+        ("missing probability table for setting 'b'",
+         "table for 'b' has shape (1, 2), expected (2,)",
+         "table for 'b' must lie in [0, 1]")),
+    "Contextual": (
+        lambda tables: Contextual(_LAM, tables),
+        dict.fromkeys(_OWN_REMOTE, [-1.0, 1.0]), ("b", "a"), [1.0], [1.0, 0.0],
+        ("missing table for (own, remote) = ('b', 'a')",
+         "table for ('b', 'a') has shape (1,), expected (2,)",
+         "table for ('b', 'a') must contain only +1/-1 entries")),
+    "ApparatusDeterministic": (
+        lambda tables: ApparatusDeterministic(five_spaces((2, 2, 2, 3, 2)), tables),
+        {name: np.ones((2, 3 if name == "b" else 2)) for name in SETTING_NAMES},
+        "b", np.ones((2, 2)), [[1.0, 1.0, 1.0], [1.0, -2.0, 1.0]],
+        ("missing response table for setting 'b'",
+         "table for 'b' has shape (2, 2), expected (2, 3)",
+         "table for 'b' must contain only +1/-1 entries")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLE_CASES))
+def test_table_refusals_name_the_key(kind):
+    build, tables, key, wrong_shape, bad_entry, messages = _TABLE_CASES[kind]
+    assert type(build(tables)).__name__ == kind
+    missing = {k: v for k, v in tables.items() if k != key}
+    for broken, message in zip((missing, {**tables, key: wrong_shape},
+                                {**tables, key: bad_entry}), messages):
+        with pytest.raises(ResponseModelError) as exc:
+            build(broken)
+        assert str(exc.value) == message
