@@ -5,7 +5,9 @@ kernels, not just on their formulas:
 
 * weight totals accumulate in input order (``np.bincount``), never by a
   pairwise or SIMD-reassociated sum, which would round differently and
-  change the correlations a report prints;
+  change the correlations a report prints; the pair marginals that
+  ``spaces.marginalize`` sums out of a joint, which those weights are,
+  accumulate slice by slice in index order too;
 * elementwise array operations (one rounding per element) use numpy;
 * integer results (sample counts, strategy maxima over small integers) are
   exact by construction: once their edges are rounded to the 2^-53 grid

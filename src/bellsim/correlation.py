@@ -1,15 +1,16 @@
 """Correlation functions, the CHSH combination, and both evaluation paths.
 
-Every (model, distribution-mode, setting-pair) combination reduces to an
-outcome decomposition: a flat list of cells, each carrying a nonnegative
-weight and a joint-outcome code in {0,1,2,3} for (++, +-, -+, --).  Exact
-probabilities are the per-code weight sums.  Monte Carlo estimation draws
-the code counts of N inverse-CDF draws against the same four sums, which
-follow Multinomial(N, p) whatever the cell order, by exact dyadic
-splitting of [0, 1) on popcounts of raw PCG64 bits, without drawing the
-uniforms (``_kernels.mc_outcome_counts``).  The cell order is the
-row-major order of the underlying grid, which makes reports reproducible
-bit for bit.
+Every (model, distribution-mode, setting-pair) combination reduces to one
+outcome decomposition, each side's p(+1) on its weight grid (a +-1
+response has p(+1) in {0, 1}): a flat list of four cells per grid point,
+each carrying a nonnegative weight and a joint-outcome code in {0,1,2,3}
+for (++, +-, -+, --).  Exact probabilities are the per-code weight sums.
+Monte Carlo estimation draws the code counts of N inverse-CDF draws
+against the same four sums, which follow Multinomial(N, p) whatever the
+cell order, by exact dyadic splitting of [0, 1) on popcounts of raw
+PCG64 bits, without drawing the uniforms (``_kernels.mc_outcome_counts``).
+The cell order is the row-major order of the underlying grid, which
+makes reports reproducible bit for bit.
 
 Supported combinations:
 
@@ -76,6 +77,10 @@ from .spaces import (
 
 #: |S| may exceed 2 by at most this before counting as a violation.
 BELL_BOUND_TOL = 1e-9
+
+#: A Monte Carlo estimate reads Violated only past the margin at which a
+#: model with |S| <= 2 gets there with probability at most this.
+BELL_TEST_ALPHA = 1e-6
 
 #: Slack for probability-vector and correlation range checks.
 PROB_TOL = 1e-9
@@ -149,14 +154,17 @@ class SettingDependent:
         """The five spaces of an apparatus-kind family, read off the
         (a, b), (a, b') and (a', b) marginals.  Raises
         CorrelationError unless every marginal lives on
-        (lambda, lambda_p, lambda_q) of these spaces."""
+        (lambda, lambda_p, lambda_q) of these spaces, five distinct labels."""
         domains = [self.marginals[pair].domain for pair in SETTING_PAIRS]
         if all(len(d) == 3 for d in domains):
             (lam, a, b), (_, _, b_prime), (_, a_prime, _), _ = domains
             spaces = FiveSpaces(lam, a, a_prime, b, b_prime)
             if all(d == (lam, spaces.for_setting(p), spaces.for_setting(q))
                    for (p, q), d in zip(SETTING_PAIRS, domains)):
-                return spaces
+                if len({s.label for s in spaces}) == 5:  # ``marginalize`` reads labels
+                    return spaces
+                raise CorrelationError("setting-pair marginals need five distinct space "
+                                       f"labels, got {tuple(s.label for s in spaces)}")
         raise CorrelationError(
             "setting-pair marginals need domains (lambda, lambda_p, lambda_q) "
             f"over one set of five spaces, got "
@@ -341,10 +349,14 @@ def chsh(e_ab: float, e_ab_prime: float, e_a_prime_b: float,
     return e_ab + e_ab_prime + e_a_prime_b - e_a_prime_b_prime
 
 
-def bell_check(s: float) -> BellVerdict:
-    """Satisfied iff |s| <= 2 + 1e-9; excess is the overshoot when violated."""
+def bell_check(s: float, samples: int | None = None) -> BellVerdict:
+    """Satisfied iff |s| - 2 <= 1e-9, or for a Monte Carlo s of ``samples``
+    draws per pair, <= sqrt(8 ln(2/alpha)/samples), Hoeffding's margin at
+    alpha = ``BELL_TEST_ALPHA``; excess is the overshoot when violated."""
     excess = abs(s) - 2.0
-    if excess <= BELL_BOUND_TOL:
+    margin = (BELL_BOUND_TOL if samples is None
+              else math.sqrt(8.0 * math.log(2.0 / BELL_TEST_ALPHA) / samples))
+    if excess <= margin:
         return BellVerdict(s=s, satisfied=True, excess=0.0)
     return BellVerdict(s=s, satisfied=False, excess=excess)
 
@@ -353,9 +365,8 @@ def bell_check(s: float) -> BellVerdict:
 # Outcome decomposition
 # ---------------------------------------------------------------------------
 
-
-def _codes_from_signs(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return ((f < 0.0).astype(np.uint8) << 1 | (g < 0.0).astype(np.uint8)).reshape(-1)
+#: p * _SIGNS + _SHIFTS is (p, 1 - p), exactly.
+_SIGNS, _SHIFTS = np.array([1.0, -1.0]), np.array([0.0, 1.0])
 
 
 def _source_weights(model, dists, pair_names) -> np.ndarray:
@@ -375,39 +386,25 @@ def _source_weights(model, dists, pair_names) -> np.ndarray:
 
 def _outcome_decomposition(model: ResponseModel, dists: ScenarioDistributions,
                            p: Setting, q: Setting) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce (model, distributions, pair) to weighted outcome cells: the
-    flat cell weights and their joint-outcome codes.  An apparatus
-    model's mode must already share its five spaces."""
+    """Reduce (model, distributions, pair) to the flat weights and codes of
+    its outcome cells, reading a +-1 table f as p(+1) = (f + 1)/2.  An
+    apparatus model's mode must already share its five spaces."""
     pair_names = (p.name, q.name)
-
-    if isinstance(model, DeterministicSource):
-        w = _source_weights(model, dists, pair_names)
-        f = model.tables[p.name]
-        g = model.tables[q.name]
-        return w, _codes_from_signs(f, g)
-
-    if isinstance(model, Contextual):
-        w = _source_weights(model, dists, pair_names)
-        f = model.response_vector(p, q)
-        g = model.response_vector(q, p)
-        return w, _codes_from_signs(f, g)
-
-    if isinstance(model, StochasticSource):
-        rho = _source_weights(model, dists, pair_names)
-        pf = model.tables[p.name]
-        pg = model.tables[q.name]
-        cells = np.stack([pf * pg, pf * (1.0 - pg), (1.0 - pf) * pg,
-                          (1.0 - pf) * (1.0 - pg)], axis=1)
-        weights = (rho[:, None] * cells).reshape(-1)
-        codes = np.tile(np.arange(4, dtype=np.uint8), rho.shape[0])
-        return weights, codes
-
     if isinstance(model, ApparatusDeterministic):
-        f_grid, g_grid = np.broadcast_arrays(model.tables[p.name][:, :, None],
-                                             model.tables[q.name][:, None, :])
-        return dists.marginals[pair_names].flat, _codes_from_signs(f_grid, g_grid)
-
-    raise IncompatibleModeModel(dists.mode, getattr(model, "kind", type(model).__name__))
+        w = dists.marginals[pair_names].weights  # over (lambda, v_p, v_q)
+        f, g = model.tables[p.name][:, :, None], model.tables[q.name][:, None, :]
+    elif isinstance(model, (DeterministicSource, StochasticSource, Contextual)):
+        w = _source_weights(model, dists, pair_names)
+        f, g = ((model.response_vector(p, q), model.response_vector(q, p))
+                if isinstance(model, Contextual) else (model.tables[n] for n in pair_names))
+    else:
+        raise IncompatibleModeModel(dists.mode, getattr(model, "kind", type(model).__name__))
+    if not isinstance(model, StochasticSource):
+        f, g = (f + 1.0) / 2.0, (g + 1.0) / 2.0
+    f, g = f[..., None] * _SIGNS + _SHIFTS, g[..., None] * _SIGNS + _SHIFTS
+    cells = f[..., :, None] * g[..., None, :]  # ++, +-, -+, -- on the last two axes
+    return ((w[..., None, None] * cells).reshape(-1),
+            (np.arange(4 * w.size) & 3).astype(np.uint8))
 
 
 def _decompositions(model: ResponseModel, dists: ScenarioDistributions,
@@ -456,8 +453,8 @@ def _report_from_pair_probs(per_pair, estimator: EstimatorInfo) -> CorrelationRe
                                      correlation=e, standard_error=se))
         correlations.append(e)
     s = chsh(*correlations)
-    return CorrelationReport(pairs=tuple(pairs), s=s, bound=bell_check(s),
-                             estimator=estimator)
+    return CorrelationReport(pairs=tuple(pairs), s=s, estimator=estimator,
+                             bound=bell_check(s, estimator.samples))
 
 
 def exact_report(model: ResponseModel, dists: ScenarioDistributions,

@@ -46,14 +46,14 @@ exceeds ``LP_CELL_LIMIT``, or all its blocks together exceed
 carry an explicit joint, witness or LP solution, renormalized and then
 checked against the marginals by the same step; Infeasible verdicts
 carry the certificate, reported raw, and the two numbers of its
-separation check.  Both checks are computed from the marginal structure
-in a fixed order, never by a matrix product, and a verdict that fails
-its check raises :class:`FeasibilityError` instead of being returned.  A
-family whose final phase-1 objective, at least its distance from
-locality, lies between the solver's ``FEASIBILITY_TOL`` and
-``CERTIFICATE_SLACK`` gets neither verdict from the LP: its joint misses
-the marginals by more than ``MARGINAL_TOL``, and its certificate is too
-weak to separate.
+separation check.  Both checks are computed in a fixed order, never by a
+matrix product (the residual by ``marginalize``, which also builds a
+JointComposite family), and a verdict that fails its check raises
+:class:`FeasibilityError` instead of being returned.  A family whose
+final phase-1 objective, at least its distance from locality, lies
+between the solver's ``FEASIBILITY_TOL`` and ``CERTIFICATE_SLACK`` gets
+neither verdict from the LP: its joint misses the marginals by more than
+``MARGINAL_TOL``, and its certificate is too weak to separate.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
 from typing import Literal
 
 import numpy as np
@@ -80,6 +79,7 @@ from .spaces import (
     Distribution,
     FiveSpaces,
     HiddenSpace,
+    marginalize,
     renormalize,
 )
 
@@ -126,23 +126,14 @@ class FeasibilityVerdict:
         return self.status == "Feasible"
 
 
-def _pair_marginal(weights: np.ndarray, p: str, q: str) -> np.ndarray:
-    """The (lambda, lambda_p, lambda_q) marginal of a five-axis weight
-    array, summed one slice at a time in index order."""
-    for axis in (4, 3, 2, 1):
-        if axis not in (SETTING_AXIS[p], SETTING_AXIS[q]):
-            weights = reduce(np.add, np.moveaxis(weights, axis, 0))
-    return weights
-
-
 def marginal_residual(marginals: Mapping[tuple[str, str], Distribution],
                       joint: Distribution) -> float:
     """Largest |marginal of the joint - rho_pq| over every cell of every
     pair of ``marginals`` (keyed like a family's), pairs in canonical
-    order."""
-    return max(float(np.max(np.abs(_pair_marginal(joint.weights, p, q)
-                                   - marginals[p, q].weights)))
-               for p, q in SETTING_PAIRS)
+    order, each marginal of the joint summed by ``marginalize``."""
+    return max(float(np.max(np.abs(marginalize(joint, rho.domain).weights
+                                   - rho.weights)))
+               for rho in (marginals[pair] for pair in SETTING_PAIRS))
 
 
 def admit(spaces: FiveSpaces, work_limit: int) -> None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -248,9 +249,13 @@ def marginalize(d: Distribution, keep: Iterable[HiddenSpace | str]) -> Distribut
 
     The kept spaces retain their original relative order regardless of the
     order in which they are listed.  ``marginalize(d, d.domain)`` returns an
-    equal distribution.
+    equal distribution.  Weights are summed as given, only their count is
+    checked.  Each dropped axis is summed out one slice at a time in index
+    order, last axis first, an order no summation kernel can change; a
+    joint's pair marginals and the check of a joint against them read it.
     """
-    validate_distribution(d)
+    if d.weights.shape != d.shape:
+        raise HvCoreError(f"expected {d.size} weights for the domain, got {d.weights.size}")
     keep_labels: set[str] = set()
     for item in keep:
         label = item.label if isinstance(item, HiddenSpace) else str(item)
@@ -259,8 +264,9 @@ def marginalize(d: Distribution, keep: Iterable[HiddenSpace | str]) -> Distribut
         keep_labels.add(label)
     if not keep_labels:
         raise HvCoreError("the set of spaces to keep is empty")
-    drop_axes = tuple(i for i, s in enumerate(d.domain) if s.label not in keep_labels)
-    new_domain = tuple(s for s in d.domain if s.label in keep_labels)
-    if not drop_axes:
-        return Distribution(new_domain, d.weights)
-    return Distribution(new_domain, d.weights.sum(axis=drop_axes))
+    weights = d.weights
+    for axis in reversed(range(len(d.domain))):
+        if d.domain[axis].label not in keep_labels:
+            head = (slice(None),) * axis
+            weights = reduce(np.add, [weights[head + (k,)] for k in range(weights.shape[axis])])
+    return Distribution(tuple(s for s in d.domain if s.label in keep_labels), weights)

@@ -340,7 +340,19 @@ class TestRun:
                              "lambda", "lambda_a", "lambda_a_prime", "lambda_b",
                              "lambda_b_prime")]
         assert not hasattr(feasibility, "product_distribution")
-        assert not hasattr(feasibility, "marginalize")
+        assert not hasattr(feasibility, "_pair_marginal")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_monte_carlo_reads_a_local_template_satisfied(self, capsys, tmp_path, seed):
+        # most of these models sit on the bound, |S| = 2, so a sampled
+        # |S| past 2 is noise, well inside the margin at 10^4 samples
+        scenario = tmp_path / "local.scenario"
+        assert run_cli(capsys, "generate", "factorized", "--cards", "2,1,1,1,1",
+                       "--estimator", "monte-carlo", "--samples", "10000",
+                       "--seed", str(seed), "-o", str(scenario))[0] == 0
+        code, out, _ = run_cli(capsys, "run", str(scenario))
+        assert code == 0
+        assert json.loads(out)["analyses"]["bell-check"]["verdict"] == "Satisfied"
 
     def test_factorized_joint_is_the_product_witness(self, capsys, tmp_path):
         scenario = tmp_path / "factorized.scenario"
@@ -435,6 +447,14 @@ def _swap_ab_apparatus(doc):
     marginal = doc["distributions"]["marginals"]["a|b"]
     lam, lam_a, lam_b = marginal["domain"]
     marginal["domain"] = [lam, lam_b, lam_a]
+
+
+def _b_on_lambda_a(doc):
+    """Setting b's apparatus space is lambda_a, the space of setting a."""
+    doc["model"]["spaces"]["b"] = "lambda_a"
+    marginals = doc["distributions"]["marginals"]
+    marginals["a|b"]["domain"] = ["lambda", "lambda_a", "lambda_a"]
+    marginals["a_prime|b"]["domain"] = ["lambda", "lambda_a_prime", "lambda_a"]
 
 
 def _negative_weight(doc):
@@ -758,6 +778,10 @@ class TestErrorTags:
          "[correlation-engine] composite joint needs five distinct space "
          "labels, got ('lambda', 'lambda', 'lambda_a_prime', 'lambda_b', "
          "'lambda_b_prime')\n"),
+        (lambda p: ["run", _edited(p, "singlet-witness.scenario", _b_on_lambda_a)],
+         "[correlation-engine] setting-pair marginals need five distinct space "
+         "labels, got ('lambda', 'lambda_a', 'lambda_a_prime', 'lambda_a', "
+         "'lambda_b_prime')\n"),
         (lambda _: ["generate", "factorized", "--estimator", "monte-carlo",
                     "--mc-seed", "-1"],
          "[cli-harness] parameter 'mc_seed': must be nonnegative"),
@@ -793,7 +817,8 @@ class TestErrorTags:
             "emulation-without-comparison", "emulation-under-joint-composite",
             "one-by-one-table", "missing-model-table",
             "missing-comparison-table", "missing-apparatus-distribution",
-            "four-space-joint", "joint-lambda-twice", "generate-negative-mc-seed",
+            "four-space-joint", "joint-lambda-twice", "marginals-b-on-lambda-a",
+            "generate-negative-mc-seed",
             "enumerate-bound-3572", "enumerate-bound-1000000",
             "huge-integer-weight", "huge-integer-table-entry"])
     def test_stderr_names_the_module(self, capsys, monkeypatch, tmp_path, argv,

@@ -194,6 +194,14 @@ class TestBellCheck:
         assert bell_check(2.0 + 0.9e-9).satisfied
         assert not bell_check(-(2.0 + 1.1e-9)).satisfied
 
+    @pytest.mark.parametrize("samples, margin", [(10**4, 0.108), (2 * 10**5, 0.024)])
+    def test_monte_carlo_margin(self, samples, margin):
+        # sqrt(8 ln(2 / alpha) / samples) at alpha = 1e-6, to three decimals
+        assert bell_check(2.0 + margin - 1e-3, samples).satisfied
+        assert bell_check(-(2.0 + margin - 1e-3), samples).excess == 0.0
+        v = bell_check(-(2.0 + margin + 1e-3), samples)
+        assert not v.satisfied and v.excess == pytest.approx(margin + 1e-3, abs=TOL)
+
 
 def exact_e(model, dists, pair) -> float:
     """E(p, q) as the exact report gives it."""
@@ -483,6 +491,19 @@ class TestApparatusModes:
         with pytest.raises(CorrelationError, match=f"^{message}$"):
             JointComposite(Distribution.uniform(tuple(spaces)))
 
+    def test_marginals_repeating_a_space_label_refused(self):
+        # setting b's marginals live on lambda_a, the space of setting a
+        spaces = five_spaces((1, 2, 2, 2, 2))
+        spaces = spaces._replace(lam_b=spaces.lam_a)
+        family = SettingDependent({(p, q): Distribution.uniform(
+            (spaces.lam, spaces.for_setting(p), spaces.for_setting(q)))
+            for p, q in SETTING_PAIRS})
+        message = re.escape(
+            "setting-pair marginals need five distinct space labels, got "
+            "('lambda', 'lambda_a', 'lambda_a_prime', 'lambda_a', 'lambda_b_prime')")
+        with pytest.raises(CorrelationError, match=f"^{message}$"):
+            check_joint_existence(family)
+
     def test_unknown_apparatus_setting_rejected(self):
         dists = _on_spaces("FactorizedApparatus", five_spaces((2, 2, 2, 2, 2)))
         apparatus = {**dists.apparatus, "c": dists.apparatus["a"]}
@@ -505,6 +526,68 @@ def test_joint_composite_reports_equal_those_of_its_pair_marginals(cards, seed):
             == repr(exact_report(model, copy, FOUR_SETTINGS)))
     assert (repr(monte_carlo_report(model, joint, FOUR_SETTINGS, 1000, seed))
             == repr(monte_carlo_report(model, copy, FOUR_SETTINGS, 1000, seed)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), source_only=st.booleans(),
+       samples=st.integers(1, 10**5))
+def test_sign_models_report_as_stochastic_models(n, seed, source_only, samples):
+    """A +-1 response is a stochastic one with p(+1) = (f + 1)/2.  The
+    exact and Monte Carlo reports of a DeterministicSource model equal, by
+    repr, those of that StochasticSource.  Each pair of a Contextual
+    model's reports equals that pair of the StochasticSource built from
+    the pair's two tables, on the same seed."""
+    rng = np.random.default_rng(seed)
+    lam = HiddenSpace.of_size("lambda", n)
+    if source_only:
+        dists = SourceOnly(random_distribution(rng, (lam,)))
+    else:
+        dists = SettingDependent({pair: random_distribution(rng, (lam,))
+                                  for pair in SETTING_PAIRS})
+
+    def reports(model):
+        return (exact_report(model, dists, FOUR_SETTINGS),
+                monte_carlo_report(model, dists, FOUR_SETTINGS, samples, seed))
+
+    signs = random_deterministic(rng, n)
+    plus = StochasticSource(lam, {name: (signs.tables[name] + 1.0) / 2.0
+                                  for name in SETTING_NAMES})
+    assert repr(reports(signs)) == repr(reports(plus))
+    contextual = random_contextual(rng, n)
+    for k, (p, q) in enumerate(SETTING_PAIRS):
+        tables = {p: contextual.tables[p, q], q: contextual.tables[q, p]}
+        plus = StochasticSource(lam, {name: (tables.get(name, tables[p]) + 1.0) / 2.0
+                                      for name in SETTING_NAMES})
+        for left, right in zip(reports(contextual), reports(plus)):
+            assert repr(left.pairs[k]) == repr(right.pairs[k])
+
+
+@settings(max_examples=80, deadline=None)
+@given(template=st.sampled_from(["factorized", "joint-composite", "stochastic-equivalent"]),
+       cards=st.one_of(st.just((2, 1, 1, 1, 1)), st.tuples(*[st.integers(1, 3)] * 5)),
+       seed=st.integers(0, 2**31 - 1), mc_seed=st.integers(0, 2**31 - 1),
+       samples=st.integers(1, 10**5))
+def test_monte_carlo_never_reads_a_local_template_violated(template, cards, seed,
+                                                           mc_seed, samples):
+    """Every template but the witness builds a local model, |S| <= 2, which
+    a Monte Carlo report reads Violated with probability at most
+    ``BELL_TEST_ALPHA``."""
+    doc = generate_scenario(template, {"seed": seed, "cards": cards,
+                                       "estimator": "monte-carlo",
+                                       "samples": samples, "mc_seed": mc_seed})
+    bell = run_scenario(parse_scenario(doc))["analyses"]["bell-check"]
+    assert (bell["verdict"], bell["excess"]) == ("Satisfied", 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mc_seed=st.integers(0, 2**31 - 1), samples=st.integers(10**4, 10**6))
+def test_monte_carlo_reads_the_witness_violated_from_1e4_samples(mc_seed, samples):
+    doc = generate_scenario("setting-dependent-witness",
+                            {"estimator": "monte-carlo", "samples": samples,
+                             "mc_seed": mc_seed})
+    bell = run_scenario(parse_scenario(doc))["analyses"]["bell-check"]
+    assert bell["verdict"] == "Violated"
+    assert bell["excess"] == abs(bell["s"]) - 2.0
 
 
 class TestReports:

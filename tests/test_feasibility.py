@@ -10,6 +10,8 @@ import re
 import numpy as np
 import pytest
 from dense_lp import constraint_matrix, solve_equality_feasibility
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from helpers import (
     FOUR_SETTINGS,
     chsh_symmetrization_max,
@@ -295,6 +297,21 @@ class TestConstructionWitness:
         verdict = check_joint_existence(JointComposite(joint))
         assert_marginals_reproduced(family, verdict)
         assert verdict.status == check_joint_existence(family).status
+
+    @settings(max_examples=60, deadline=None)
+    @given(cards=st.tuples(*[st.integers(1, 4)] * 5), seed=st.integers(0, 2**32 - 1))
+    def test_joint_of_total_one_reproduces_its_marginals_exactly(self, cards, seed):
+        # the witness is checked against the marginals that ``marginalize``
+        # summed out of it, in the one order both read
+        weights = random_distribution(np.random.default_rng(seed),
+                                      tuple(five_spaces(cards))).weights
+        for _ in range(3):
+            if float(np.sum(weights)) == 1.0:
+                break
+            weights = weights / float(np.sum(weights))
+        assume(float(np.sum(weights)) == 1.0)
+        joint = Distribution(tuple(five_spaces(cards)), weights)
+        assert check_joint_existence(JointComposite(joint)).residual == 0.0
 
     def test_perturbed_witness_is_refused(self, monkeypatch):
         real = FactorizedApparatus.witness

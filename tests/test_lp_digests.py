@@ -12,7 +12,8 @@ every report carries.
   reach the LP.  Their digests pin that witness and its residual.  The
   correlations of both read the family's pair marginals, so the
   joint-composite digests also pin the order in which ``marginalize``
-  sums the joint into them.
+  sums the joint into them: one slice at a time, last axis first, the
+  order in which the witness is checked against them.
 - The setting-dependent witness breaks the Bell bound, so its report
   carries the closed-form CHSH certificate of its response tables, and
   its digest pins that certificate.  The same witness marginals read out
@@ -25,10 +26,11 @@ every report carries.
   Feasible path.  The factorized copies' digests were recorded while
   factorized reports still came from the dense-tableau LP, and the
   revised block solver reports the same bytes.
-  The joint-composite copies' digests were recorded with the revised
-  solver, whose entering column is a sum of four columns of B^-1 rather
-  than a column of the dense tableau, so it rounds differently and, on
-  the 2,4,4,4,4 copy, ends at another vertex.  So any change to the pivot
+  The joint-composite copies' marginals come from ``marginalize`` too,
+  and their digests were recorded with the revised solver, whose
+  entering column is a sum of four columns of B^-1 rather than a column
+  of the dense tableau, so it rounds differently and, on the 2,4,4,4,4
+  copy, ends at another vertex.  So any change to the pivot
   path (pricing, ratio test, reduced-cost update, pivot arithmetic) that
   moves one bit of a joint or a certificate changes a digest.
 """
@@ -51,9 +53,9 @@ GENERATED = {
     ("factorized", "2,4,4,4,4", 1):
         "57d2946ff2273d19544de039c7e1e7777f7fa4cf665a5c96c4fee03a06a5c2e9",
     ("joint-composite", "4,4,4,4,4", 1):
-        "f190c27ef22dbc07ac9239cabe52c8973bab36109a639537f346d9568cec863e",
+        "bc4db709d2a0f23de89a2642e100727eac3aa21fc6eeff501b493fe7741bdc81",
     ("joint-composite", "2,4,4,4,4", 1):
-        "dbeb671abe8acd1f64e3972b96039d71522a535104c9aa21090afb77fa12e6b1",
+        "bbb2f0545cc9ae8388aa24a17b1d828ce663af54d899a3d86529469967c195f5",
     ("setting-dependent-witness", "1,2,2,2,2", 1):
         "a0444c8a2dda692cffa02b5152391d8e08f937734c4eff3a6c3d5777654b601a",
 }
@@ -103,9 +105,9 @@ SETTING_DEPENDENT_COPIES = {
     ("factorized", "2,4,4,4,4", 1):
         "a83f86b52213094f648f89bf6efe0b42e929e94ae178dea4281aded13d007367",
     ("joint-composite", "4,4,4,4,4", 1):
-        "84a6a22f13450ff9ead7856f8c28b6dcd64ac48e3953a8d9ff24ca8530046be7",
+        "81b8d0a47dad7bde27a6b7e8c2aee2d50d49b8a0338d13af5e194ff40767f61a",
     ("joint-composite", "2,4,4,4,4", 1):
-        "009a5f005b639ceb7c5174f763b002419dc3dece816a1b3381851d346bbfe89c",
+        "b5b55365ad2e2fda924b7e757d6ee56b9fdede8b1ba612698071bbac1824f376",
 }
 
 

@@ -35,10 +35,11 @@ GENERATED = {
 
 #: sha256 of `bellsim run scenarios/joint-composite.scenario` (Monte Carlo,
 #: 1e5 samples).  Its feasibility section carries the scenario's own joint,
-#: the construction witness; every other field is as the dyadic-splitting
-#: counter gave it.
+#: the construction witness, whose weights total exactly 1, so its residual
+#: against the pair marginals ``marginalize`` sums out of it is 0.0; every
+#: other field is as the dyadic-splitting counter gave it.
 JOINT_COMPOSITE = (
-    "45a7c62c3cf541d883a7dff6e4d947aeec70333a0031ea5311969d189c070d85")
+    "aeb5e4e1bc03f511417c2b00038ac5f19285b644fa0fd7314489570ae7babd08")
 
 
 def _report_digest(capsys, *argv: str) -> str:

@@ -159,6 +159,11 @@ class TestMarginalize:
         with pytest.raises(HvCoreError, match="^the set of spaces to keep is empty$"):
             marginalize(d, ())
 
+    def test_weights_off_the_domain_refused(self):
+        d = Distribution((space("lambda", 2), space("lambda_a", 2)), np.full(3, 1 / 3))
+        with pytest.raises(HvCoreError, match="^expected 4 weights for the domain, got 3$"):
+            marginalize(d, ("lambda",))
+
     def test_unknown_space(self):
         d = Distribution.uniform((space("lambda", 2),))
         with pytest.raises(HvCoreError, match="^space 'lambda_b' is not in the domain$"):
