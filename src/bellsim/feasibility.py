@@ -40,16 +40,16 @@ y^T A <= 0 still holds column by column.
 
 ``admit`` refuses every mode with more composite points than the work
 limit before any family or joint is built, and a family that reaches the
-LP is refused when one block, counted in the cells of a dense tableau,
-exceeds ``LP_CELL_LIMIT``, or all its blocks together exceed
-``LP_TOTAL_CELL_LIMIT``, before any block is solved.  Feasible verdicts
-carry an explicit joint, witness or LP solution, renormalized and then
-checked against the marginals by the same step; Infeasible verdicts
-carry the certificate, reported raw, and the two numbers of its
-separation check.  Both checks are computed in a fixed order, never by a
-matrix product (the residual by ``marginalize``, which also builds a
-JointComposite family), and a verdict that fails its check raises
-:class:`FeasibilityError` instead of being returned.  A family whose
+LP is refused, before any block is solved, when its blocks together hold
+more than ``LP_TOTAL_CELL_LIMIT`` cells of a dense tableau, a size
+measure (the solver's state is (m + 1) x (m + 2) per block).  Feasible
+verdicts carry the joint as found, witness or LP solution, unscaled;
+Infeasible verdicts carry the certificate, reported raw, and the two
+numbers of its separation check, one step for either certificate.  Both
+checks are computed in a fixed order, never by a matrix product (the
+residual by ``marginalize``, which also builds a JointComposite family,
+so a JointComposite residual is 0.0), and a verdict that fails its check
+raises :class:`FeasibilityError` instead of being returned.  A family whose
 final phase-1 objective, at least its distance from locality, lies
 between the solver's ``FEASIBILITY_TOL`` and ``CERTIFICATE_SLACK`` gets
 neither verdict from the LP: its joint misses the marginals by more than
@@ -80,7 +80,6 @@ from .spaces import (
     FiveSpaces,
     HiddenSpace,
     marginalize,
-    renormalize,
 )
 
 #: Marginal-reproduction tolerance for returned joints.
@@ -91,15 +90,12 @@ CERTIFICATE_SLACK = 1e-7
 
 DEFAULT_WORK_LIMIT = 65536
 
-#: Cap on one lambda block, counted as the (m + 1)(n + m + 1) cells of a dense
-#: tableau for m marginal cells and n apparatus points: the block of four
-#: eight-valued apparatus spaces, the largest that ``generate`` writes.
-LP_CELL_LIMIT = (4 * 8 ** 2 + 1) * (8 ** 4 + 4 * 8 ** 2 + 1)
-
-#: Cap on those cells summed over the lambda blocks of a family: sixteen
-#: blocks of four eight-valued apparatus spaces, whose Local 16 x 8^4 family
-#: took 3.5-5.2 s through ``bellsim run`` on a 2-vCPU x86-64 container.
-LP_TOTAL_CELL_LIMIT = 16 * LP_CELL_LIMIT
+#: Cap on the dense-tableau cells, (m + 1)(n + m + 1) for a lambda block of
+#: m marginal cells and n apparatus points, summed over a family's blocks:
+#: sixteen blocks of four eight-valued apparatus spaces, whose Local 16 x 8^4
+#: family took 3.5-5.2 s through ``bellsim run`` on a 2-vCPU x86-64
+#: container, and the one Local block 1 x 16^3 x 6 5.0-6.1 s in-process.
+LP_TOTAL_CELL_LIMIT = 16 * (4 * 8 ** 2 + 1) * (8 ** 4 + 4 * 8 ** 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -144,41 +140,48 @@ def admit(spaces: FiveSpaces, work_limit: int) -> None:
 
 
 def _admit_lp(family: SettingDependent) -> None:
-    """Refuse a family whose LP blocks exceed ``LP_CELL_LIMIT`` tableau
-    cells each, or ``LP_TOTAL_CELL_LIMIT`` together, before any block is
-    solved."""
+    """Refuse a family whose LP blocks hold more than ``LP_TOTAL_CELL_LIMIT``
+    dense-tableau cells together, a size measure (the solver's state is
+    (m + 1)(m + 2) per block), before any block is solved."""
     cards = [s.cardinality for s in family.spaces]
     m = sum(cards[SETTING_AXIS[p]] * cards[SETTING_AXIS[q]]
             for p, q in SETTING_PAIRS)
     n = math.prod(cards[1:])
-    cells = (m + 1) * (n + m + 1)
-    if cells > LP_CELL_LIMIT:
+    cells = cards[0] * (m + 1) * (n + m + 1)
+    if cells > LP_TOTAL_CELL_LIMIT:
+        blocks = "an LP block" if cards[0] == 1 else f"{cards[0]} LP blocks"
         raise FeasibilityError(work_limit_detail(
-            cells, LP_CELL_LIMIT,
-            f"tableau cells for an LP block of {m} rows and {n} columns"))
-    if cards[0] * cells > LP_TOTAL_CELL_LIMIT:
-        raise FeasibilityError(work_limit_detail(
-            cards[0] * cells, LP_TOTAL_CELL_LIMIT,
-            f"tableau cells for {cards[0]} LP blocks of {m} rows and {n} columns"))
+            cells, LP_TOTAL_CELL_LIMIT,
+            f"tableau cells for {blocks} of {m} rows and {n} columns"))
 
 
 def _feasible_verdict(marginals: Mapping[tuple[str, str], Distribution],
                       joint: Distribution) -> FeasibilityVerdict:
     """The Feasible verdict of a joint over the five spaces of the four
-    pair ``marginals``.
+    pair ``marginals``, reporting the joint as found, unscaled.
 
-    The joint is rescaled to exact total mass 1, the one explicit
-    renormalization in the pipeline, and checked against every marginal;
-    raises :class:`FeasibilityError` when it misses one by more than
-    ``MARGINAL_TOL``.
+    Raises :class:`FeasibilityError` when the joint misses a marginal by
+    more than ``MARGINAL_TOL``.
     """
-    joint = renormalize(joint)
     residual = marginal_residual(marginals, joint)
     if not residual <= MARGINAL_TOL:
         raise FeasibilityError(f"joint misses the marginals by {residual!r}, "
                                f"tolerance is {MARGINAL_TOL!r}")
     return FeasibilityVerdict(status="Feasible", joint=joint,
                               residual=residual)
+
+
+def _infeasible_verdict(family: SettingDependent,
+                        certificate: np.ndarray) -> FeasibilityVerdict:
+    """The Infeasible verdict of ``certificate``; raises
+    :class:`FeasibilityError` unless ``verify_certificate`` finds that it
+    separates, max y^T A <= ``CERTIFICATE_SLACK`` < y^T b."""
+    max_yta, ytb = verify_certificate(family, certificate)
+    if not max_yta <= CERTIFICATE_SLACK < ytb:
+        raise FeasibilityError(f"certificate does not separate: max y^T A = "
+                               f"{max_yta!r}, y^T b = {ytb!r}")
+    return FeasibilityVerdict(status="Infeasible", certificate=certificate,
+                              violation=ytb, max_yta=max_yta)
 
 
 def _chsh_certificate(family: SettingDependent,
@@ -223,7 +226,9 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     out by an ApparatusDeterministic ``model`` is Infeasible, with the
     closed-form CHSH certificate, when that certificate separates; every
     other SettingDependent family goes to the LP, once its blocks fit
-    ``LP_CELL_LIMIT`` and ``LP_TOTAL_CELL_LIMIT``.  Raises
+    ``LP_TOTAL_CELL_LIMIT`` dense-tableau cells, a size measure (the
+    solver's state is (m + 1)(m + 2) per block).  A Feasible verdict
+    carries its joint as found, unscaled.  Raises
     :class:`FeasibilityError` for a SourceOnly mode or a model whose
     spaces differ from the family's, past either limit, and when the
     joint misses the marginals by more than ``MARGINAL_TOL`` or the LP's
@@ -239,10 +244,10 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     family = dists
     if isinstance(model, ApparatusDeterministic):
         y = _chsh_certificate(family, model)
-        max_yta, ytb = verify_certificate(family, y)
-        if max_yta <= CERTIFICATE_SLACK < ytb:
-            return FeasibilityVerdict(status="Infeasible", certificate=y,
-                                      violation=ytb, max_yta=max_yta)
+        try:
+            return _infeasible_verdict(family, y)
+        except FeasibilityError:
+            pass  # a certificate too weak to separate leaves it to the LP
     _admit_lp(family)
     cards = tuple(space.cardinality for space in family.spaces)
     # row lambda: block lambda's right-hand side, pairs in canonical order
@@ -264,12 +269,7 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
                       for p, q in SETTING_PAIRS])
     y = np.concatenate([part.reshape(-1)
                         for part in np.split(Y, ends[:-1], axis=1)])
-    max_yta, ytb = verify_certificate(family, y)
-    if not max_yta <= CERTIFICATE_SLACK < ytb:
-        raise FeasibilityError(f"certificate does not separate: max y^T A = "
-                               f"{max_yta!r}, y^T b = {ytb!r}")
-    return FeasibilityVerdict(status="Infeasible", certificate=y,
-                              violation=ytb, max_yta=max_yta)
+    return _infeasible_verdict(family, y)
 
 
 def verify_certificate(family: SettingDependent,
@@ -281,11 +281,17 @@ def verify_certificate(family: SettingDependent,
     strictly positive, together proving A x = b, x >= 0 unsolvable.  The
     column of composite point (lambda, v_a, v_a', v_b, v_b') has a one in
     each pair's row (lambda, v_p, v_q), so its y^T A is a four-term sum
-    (``simplex.column_sums``); y^T b is summed exactly rounded.
+    (``simplex.column_sums``); y^T b is summed exactly rounded.  Raises
+    :class:`FeasibilityError` unless the certificate is a vector with one
+    entry per row.
     """
     y = np.asarray(certificate, dtype=np.float64)
-    yta = column_sums(y, pair_rows([space.cardinality for space in family.spaces]))
     b = np.concatenate([family.marginal(p, q).flat for p, q in SETTING_PAIRS])
+    if y.shape != b.shape:
+        entries = " x ".join(map(str, y.shape)) or "1"  # a 0-d array holds one
+        raise FeasibilityError(f"certificate has {entries} entries, "
+                               f"expected {b.size}")
+    yta = column_sums(y, pair_rows([space.cardinality for space in family.spaces]))
     return float(np.max(yta)), math.fsum(y * b)
 
 

@@ -209,14 +209,6 @@ def validate_distribution(d: Distribution) -> None:
         raise NotNormalized(total)
 
 
-def renormalize(d: Distribution) -> Distribution:
-    """Explicitly rescale weights to total 1; never applied silently."""
-    total = float(np.sum(d.flat))
-    if total <= 0.0:
-        raise NotNormalized(total)
-    return Distribution(d.domain, d.weights / total)
-
-
 def product_distribution(parts: Sequence[Distribution]) -> Distribution:
     """Product distribution on the concatenation of the parts' domains.
 

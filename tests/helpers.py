@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from bellsim.models import (
     StochasticSource,
     standard_settings,
 )
+from bellsim.qm import singlet_probabilities
 from bellsim.scenario import parse_scenario, write_scenario
 from bellsim.spaces import (
     SETTING_PAIRS,
@@ -164,3 +166,45 @@ def exact_separation(family, y):
     b = np.concatenate([family.marginal(p, q).flat for p, q in SETTING_PAIRS])
     return max(yta.flat), sum(Fraction(float(v)) * Fraction(float(w))
                               for v, w in zip(y, b))
+
+
+def singlet_spread(rng, cards, side_a_sign=1.0):
+    """Singlet marginals spread over random apparatus values, read out by
+    random sign tables, with the Tsirelson angles turned by a random offset.
+
+    Each row of a sign table holds both signs, and a value v of setting p
+    carries the weight rho(lambda) P_pq(s_p(v), s_q(v')) w_p(v) w_q(v'),
+    with w_p a probability vector inside each sign class.  So the tables
+    read out the singlet correlations, |S| = 2 sqrt(2), in every block.
+    ``side_a_sign`` = -1 negates both side-A tables, which flips the sign
+    of S.  Returns the family, the model and the settings.
+    """
+    spaces = five_spaces(cards)
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    settings = standard_settings(*(s.angle + theta for s in FOUR_SETTINGS))
+    by_name = {s.name: s for s in settings}
+    rho = rng.dirichlet(np.ones(cards[0]))
+    signs, spread = {}, {}
+    for name, c in zip(("a", "a_prime", "b", "b_prime"), cards[1:]):
+        base = np.where(np.arange(c) < (c + 1) // 2, 1.0, -1.0)
+        signs[name] = np.array([rng.permutation(base)
+                                for _ in range(cards[0])])
+        spread[name] = np.zeros_like(signs[name])
+        for lam in range(cards[0]):
+            for sign in (1.0, -1.0):
+                cls = np.flatnonzero(signs[name][lam] == sign)
+                spread[name][lam, cls] = rng.dirichlet(np.ones(cls.size))
+    marginals = {}
+    for p, q in SETTING_PAIRS:
+        cells = np.array(singlet_probabilities(by_name[p],
+                                               by_name[q]).probabilities)
+        # cell index of (s_p, s_q): ++, +-, -+, --
+        code = (1.0 - signs[p][:, :, None]) + (1.0 - signs[q][:, None, :]) / 2
+        weights = (rho[:, None, None] * cells[code.astype(int)]
+                   * spread[p][:, :, None] * spread[q][:, None, :])
+        dom = (spaces.lam, spaces.for_setting(p), spaces.for_setting(q))
+        marginals[(p, q)] = Distribution(dom, weights)
+    tables = {name: signs[name] * (side_a_sign if name in ("a", "a_prime")
+                                   else 1.0) for name in signs}
+    return (SettingDependent(marginals), ApparatusDeterministic(spaces, tables),
+            settings)

@@ -306,6 +306,25 @@ class TestRun:
                        "tableau cells for 152 LP blocks of 862 rows and 430 "
                        f"columns, limit is {feasibility.LP_TOTAL_CELL_LIMIT}\n")
 
+    def test_one_oversized_lp_block_exits_within_a_second(self, capsys,
+                                                          monkeypatch,
+                                                          tmp_path):
+        # 1 x 16^4 is one block of 1024 rows and 65536 columns, refused
+        # by the summed cap alone
+        def unsolvable(shape, b, rows):
+            raise AssertionError("LP block solved past the summed cell limit")
+
+        monkeypatch.setattr(feasibility, "solve_block", unsolvable)
+        path = _edited(tmp_path, "singlet-witness.scenario",
+                       functools.partial(_uniform_on, (1, 16, 16, 16, 16)))
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "run", path)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == ("bellsim: error: [feasibility] requires 68225025 "
+                       "tableau cells for an LP block of 1024 rows and 65536 "
+                       f"columns, limit is {feasibility.LP_TOTAL_CELL_LIMIT}\n")
+
     def test_unchecked_witness_exit_names_feasibility(self, capsys,
                                                       monkeypatch):
         real = correlation.FactorizedApparatus.witness
@@ -366,9 +385,8 @@ class TestRun:
                                     ("a", "a_prime", "b", "b_prime")]
         product = functools.reduce(np.multiply.outer,
                                    [np.array(f["weights"]) for f in factors])
-        expected = product / float(np.sum(product))
         assert feas["joint"]["domain"] == [f["domain"][0] for f in factors]
-        assert feas["joint"]["weights"] == expected.reshape(-1).tolist()
+        assert feas["joint"]["weights"] == product.reshape(-1).tolist()
 
     def test_factorized_parts_at_the_normalization_tolerance(self, capsys,
                                                              tmp_path):

@@ -19,6 +19,7 @@ from helpers import (
     five_spaces,
     random_apparatus_dists,
     random_distribution,
+    singlet_spread,
     uniform_marginal_family,
 )
 
@@ -34,7 +35,6 @@ from bellsim.correlation import (
 from bellsim.errors import CorrelationError, FeasibilityError
 from bellsim.feasibility import (
     CERTIFICATE_SLACK,
-    LP_CELL_LIMIT,
     LP_TOTAL_CELL_LIMIT,
     MARGINAL_TOL,
     check_joint_existence,
@@ -153,6 +153,15 @@ class TestNonlocalWitness:
         # the verdict carries the check it made, bit for bit
         assert (verdict.max_yta, verdict.violation) == (max_ya, yb)
         assert classify(family) == "Nonlocal"
+
+    @pytest.mark.parametrize("certificate, entries", [
+        (np.zeros(3), "3"), (np.zeros(17), "17"), (np.zeros((4, 4)), "4 x 4")],
+        ids=["3", "17", "4x4"])
+    def test_misshapen_certificate_is_refused(self, certificate, entries):
+        family, _ = construct_nonlocal_witness(TSIRELSON_ANGLES)
+        with pytest.raises(FeasibilityError) as exc:
+            verify_certificate(family, certificate)
+        assert str(exc.value) == f"certificate has {entries} entries, expected 16"
 
     def test_non_violating_angles_rejected(self):
         flat = standard_settings(0.0, math.pi / 2, 0.0, math.pi / 2)
@@ -276,7 +285,7 @@ def uniform_factorized(cards) -> FactorizedApparatus:
 
 
 class TestConstructionWitness:
-    def test_factorized_witness_is_the_renormalized_product(self):
+    def test_factorized_witness_is_the_product(self):
         rng = np.random.default_rng(51)
         spaces = five_spaces((3, 2, 4, 2, 3))
         rho = random_distribution(rng, (spaces.lam,))
@@ -285,8 +294,8 @@ class TestConstructionWitness:
         family, joint = SettingDependent(mode.marginals), mode.witness
         verdict = check_joint_existence(mode)
         assert_marginals_reproduced(family, verdict)
-        np.testing.assert_array_equal(
-            verdict.joint.weights, joint.weights / float(np.sum(joint.flat)))
+        assert verdict.joint.domain == joint.domain
+        np.testing.assert_array_equal(verdict.joint.weights, joint.weights)
         assert verdict.residual == marginal_residual(family.marginals,
                                                      verdict.joint)
 
@@ -573,48 +582,6 @@ class TestSelfCheckedVerdicts:
             assert check_joint_existence(family).status == status
 
 
-def singlet_spread(rng, cards, side_a_sign=1.0):
-    """Singlet marginals spread over random apparatus values, read out by
-    random sign tables, with the Tsirelson angles turned by a random offset.
-
-    Each row of a sign table holds both signs, and a value v of setting p
-    carries the weight rho(lambda) P_pq(s_p(v), s_q(v')) w_p(v) w_q(v'),
-    with w_p a probability vector inside each sign class.  So the tables
-    read out the singlet correlations, |S| = 2 sqrt(2), in every block.
-    ``side_a_sign`` = -1 negates both side-A tables, which flips the sign
-    of S.  Returns the family, the model and the settings.
-    """
-    spaces = five_spaces(cards)
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    settings = standard_settings(*(s.angle + theta for s in TSIRELSON_ANGLES))
-    by_name = {s.name: s for s in settings}
-    rho = rng.dirichlet(np.ones(cards[0]))
-    signs, spread = {}, {}
-    for name, c in zip(("a", "a_prime", "b", "b_prime"), cards[1:]):
-        base = np.where(np.arange(c) < (c + 1) // 2, 1.0, -1.0)
-        signs[name] = np.array([rng.permutation(base)
-                                for _ in range(cards[0])])
-        spread[name] = np.zeros_like(signs[name])
-        for lam in range(cards[0]):
-            for sign in (1.0, -1.0):
-                cls = np.flatnonzero(signs[name][lam] == sign)
-                spread[name][lam, cls] = rng.dirichlet(np.ones(cls.size))
-    marginals = {}
-    for p, q in SETTING_PAIRS:
-        cells = np.array(singlet_probabilities(by_name[p],
-                                               by_name[q]).probabilities)
-        # cell index of (s_p, s_q): ++, +-, -+, --
-        code = (1.0 - signs[p][:, :, None]) + (1.0 - signs[q][:, None, :]) / 2
-        weights = (rho[:, None, None] * cells[code.astype(int)]
-                   * spread[p][:, :, None] * spread[q][:, None, :])
-        dom = (spaces.lam, spaces.for_setting(p), spaces.for_setting(q))
-        marginals[(p, q)] = Distribution(dom, weights)
-    tables = {name: signs[name] * (side_a_sign if name in ("a", "a_prime")
-                                   else 1.0) for name in signs}
-    return (SettingDependent(marginals), ApparatusDeterministic(spaces, tables),
-            settings)
-
-
 def no_lp(shape, b, rows):
     raise AssertionError("the LP ran")
 
@@ -722,11 +689,15 @@ class ReachedTheLp(Exception):
 
 class TestLpCellLimit:
     def test_limit_is_the_eight_valued_block(self):
+        """The one cap is counted in blocks of four eight-valued spaces:
+        sixteen of them, so 16 x 8^4 is exactly at the limit."""
         m, n = 4 * 8 ** 2, 8 ** 4
-        assert LP_CELL_LIMIT == (m + 1) * (n + m + 1) == 257 * 4353
+        assert LP_TOTAL_CELL_LIMIT % ((m + 1) * (n + m + 1)) == 0
+        assert LP_TOTAL_CELL_LIMIT // ((m + 1) * (n + m + 1)) == 16
 
     @pytest.mark.parametrize("cards", [(8, 8, 8, 8, 8), (1, 8, 8, 8, 8),
-                                       (16, 8, 8, 8, 8), (1, 1, 1, 64, 64)],
+                                       (16, 8, 8, 8, 8), (1, 1, 1, 64, 64),
+                                       (1, 8, 8, 8, 9)],
                              ids=lambda c: "x".join(map(str, c)))
     def test_admitted_shapes_reach_the_lp(self, monkeypatch, cards):
         def reached(shape, b, rows):
@@ -736,10 +707,19 @@ class TestLpCellLimit:
         with pytest.raises(ReachedTheLp):
             check_joint_existence(uniform_family(cards))
 
+    def test_admitted_local_block_is_feasible(self):
+        # one block of 272 rows and 4608 columns, past that of four
+        # eight-valued spaces and far inside the summed cap
+        joint = random_distribution(np.random.default_rng(56),
+                                    tuple(five_spaces((1, 8, 8, 8, 9))))
+        family = SettingDependent(JointComposite(joint).marginals)
+        verdict = check_joint_existence(family)
+        assert verdict.status == "Feasible"
+        assert_marginals_reproduced(family, verdict)
+
     @pytest.mark.parametrize("cards, rows, cols", [
         ((1, 16, 16, 16, 16), 1024, 65536),
         ((1, 2, 128, 2, 128), 16900, 65536),
-        ((1, 8, 8, 8, 9), 272, 4608),
     ], ids=lambda c: "x".join(map(str, c)) if isinstance(c, tuple) else None)
     def test_oversized_block_is_refused_before_it_is_built(
             self, monkeypatch, cards, rows, cols):
@@ -749,7 +729,7 @@ class TestLpCellLimit:
         cells = (rows + 1) * (cols + rows + 1)
         assert str(exc.value) == (
             f"requires {cells} tableau cells for an LP block of {rows} rows "
-            f"and {cols} columns, limit is {LP_CELL_LIMIT}")
+            f"and {cols} columns, limit is {LP_TOTAL_CELL_LIMIT}")
 
     @pytest.mark.parametrize("cards, rows, cols", [
         ((152, 1, 1, 1, 430), 862, 430),
@@ -768,7 +748,8 @@ class TestLpCellLimit:
     def test_blocks_up_to_the_summed_limit_reach_the_lp(self, monkeypatch):
         """1394 blocks of 92 x 45 hold 17,890,596 cells, just under the
         summed limit, which is that of sixteen 8^4 blocks."""
-        assert LP_TOTAL_CELL_LIMIT == 16 * LP_CELL_LIMIT
+        m, n = 4 * 8 ** 2, 8 ** 4
+        assert LP_TOTAL_CELL_LIMIT == 16 * (m + 1) * (n + m + 1) == 17_899_536
 
         def reached(shape, b, rows):
             raise ReachedTheLp

@@ -8,12 +8,13 @@ every report carries.
 
 - Factorized and joint-composite families are Local by construction, so
   their reports carry the construction witness ``mode.witness`` (the
-  product joint, renormalized, or the scenario's own joint) and never
-  reach the LP.  Their digests pin that witness and its residual.  The
+  product joint or the scenario's own joint, unscaled) and never reach
+  the LP.  Their digests pin that witness and its residual.  The
   correlations of both read the family's pair marginals, so the
   joint-composite digests also pin the order in which ``marginalize``
   sums the joint into them: one slice at a time, last axis first, the
-  order in which the witness is checked against them.
+  order in which the witness is checked against them, so its residual
+  is 0.0.
 - The setting-dependent witness breaks the Bell bound, so its report
   carries the closed-form CHSH certificate of its response tables, and
   its digest pins that certificate.  The same witness marginals read out
@@ -23,16 +24,16 @@ every report carries.
 - SettingDependent copies of the factorized and joint-composite families
   (``SettingDependent(mode.marginals)``, the same four pair marginals
   under mode SettingDependent) send those families through the LP's
-  Feasible path.  The factorized copies' digests were recorded while
-  factorized reports still came from the dense-tableau LP, and the
-  revised block solver reports the same bytes.
-  The joint-composite copies' marginals come from ``marginalize`` too,
-  and their digests were recorded with the revised solver, whose
-  entering column is a sum of four columns of B^-1 rather than a column
-  of the dense tableau, so it rounds differently and, on the 2,4,4,4,4
-  copy, ends at another vertex.  So any change to the pivot
-  path (pricing, ratio test, reduced-cost update, pivot arithmetic) that
-  moves one bit of a joint or a certificate changes a digest.
+  Feasible path, and their digests pin the solver's joint bit for bit,
+  as it is reported unscaled.  The block solver's entering column is a
+  sum of four columns of B^-1 rather than a column of a dense tableau, so
+  it rounds differently from a dense-tableau LP and, on the 2,4,4,4,4
+  joint-composite copy, ends at another vertex.  So any change to the
+  pivot path (pricing, ratio test, reduced-cost update, pivot
+  arithmetic) that moves one bit of a joint or a certificate changes a
+  digest.  The LP's cap counts dense-tableau cells only as a size
+  measure (the solver's state is (m + 1)(m + 2) per block), and no case
+  here comes near it.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ GENERATED = {
     ("factorized", "4,4,4,4,4", 1):
         "3c3fe47cc4c409ec665f3d77d9e57b8768e43466ff75babb98695a5c58d06478",
     ("factorized", "2,4,4,4,4", 1):
-        "57d2946ff2273d19544de039c7e1e7777f7fa4cf665a5c96c4fee03a06a5c2e9",
+        "ec6c5632a65af65531f8adaef41d6579f51e7397895e2f93f1ce6d39d8942d0c",
     ("joint-composite", "4,4,4,4,4", 1):
-        "bc4db709d2a0f23de89a2642e100727eac3aa21fc6eeff501b493fe7741bdc81",
+        "ca0e10d1aea47285327e5ff63c23b676be0072adc50768f1a0a04bb3fd0bb6a9",
     ("joint-composite", "2,4,4,4,4", 1):
-        "bbb2f0545cc9ae8388aa24a17b1d828ce663af54d899a3d86529469967c195f5",
+        "1169e990254d270e3b32f1a0a8a4fa4143a4b89fc2bfd07b84f78daa26ae3537",
     ("setting-dependent-witness", "1,2,2,2,2", 1):
         "a0444c8a2dda692cffa02b5152391d8e08f937734c4eff3a6c3d5777654b601a",
 }
@@ -101,13 +102,13 @@ def test_witness_lp_certificate_pinned(capsys, tmp_path):
 #: SettingDependent), which sends the family through the LP.
 SETTING_DEPENDENT_COPIES = {
     ("factorized", "4,4,4,4,4", 1):
-        "02a7f83e986b932bf8077b3909393db17500424c815ed4598e4babfcf542ca8e",
+        "1f45205637fa473b344e16637fc2e888b2820b249d802a7d378bce17a4f102d0",
     ("factorized", "2,4,4,4,4", 1):
         "a83f86b52213094f648f89bf6efe0b42e929e94ae178dea4281aded13d007367",
     ("joint-composite", "4,4,4,4,4", 1):
-        "81b8d0a47dad7bde27a6b7e8c2aee2d50d49b8a0338d13af5e194ff40767f61a",
+        "b846d6c262c92896a34a48130cfd14a51142a45de9926da2a6ff238b7624a41a",
     ("joint-composite", "2,4,4,4,4", 1):
-        "b5b55365ad2e2fda924b7e757d6ee56b9fdede8b1ba612698071bbac1824f376",
+        "8ee5613b29cbddac2942d3edec466a3cb15bc4292e345c63082e3c08fe5e37be",
 }
 
 
