@@ -4,7 +4,7 @@ Run as a script:
 
     python3 benchmarks/bench_kernels.py
 
-Each kernel runs on one fixed input, ``mc_outcome_counts`` on two (one
+Each kernel runs on one fixed input, ``mc_code_counts`` on two (one
 model's pairs, and an emulation's two models); the best of several
 repeats is printed in milliseconds.
 """
@@ -22,39 +22,29 @@ def _time(fn, repeats: int, setup=lambda: None) -> float:
     return min(timeit.repeat(fn, setup, number=1, repeat=repeats))
 
 
-def bench_outcome_cell_sums(rng):
-    n = 200_000
-    w = rng.random(n)
-    codes = rng.integers(0, 4, size=n).astype(np.uint8)
-    return _time(lambda: _kernels.outcome_cell_sums(w, codes), 20)
-
-
-def bench_mc_outcome_counts(rng):
+def bench_mc_code_counts(rng):
     """Counting 10^6 draws as four fresh PCG64 streams of 2.5 * 10^5, one
-    per setting pair, each against 512 cells (an 8^3 apparatus triple) of
-    random codes: their three edges between codes."""
-    weights = rng.dirichlet(np.ones(512))
-    codes = rng.integers(0, 4, size=512).astype(np.uint8)
+    per setting pair, each against four random code masses: their three
+    edges between codes."""
+    masses = rng.dirichlet(np.ones(4))
     seeds = [np.random.SeedSequence(7, spawn_key=(k,)) for k in range(4)]
-    return _time(lambda: _kernels.mc_outcome_counts(
-        [weights] * 4, [codes] * 4, _kernels.StreamDraws(seeds, 250_000)), 10)
+    return _time(lambda: _kernels.mc_code_counts(
+        [masses] * 4, _kernels.StreamDraws(seeds, 250_000)), 10)
 
 
-def bench_mc_outcome_counts_emulation(rng):
-    """An emulation's call: the rows of ``bench_mc_outcome_counts``, then
-    four more on the same four streams whose weights are three ulps above
+def bench_mc_code_counts_emulation(rng):
+    """An emulation's call: the rows of ``bench_mc_code_counts``, then
+    four more on the same four streams whose masses are three ulps above
     them, as a comparison model's code masses sit a few ulps off the
     model's.  The later rows replay the split paths of the earlier ones
     up to where they part."""
-    weights = rng.dirichlet(np.ones(512))
-    near = weights
+    masses = rng.dirichlet(np.ones(4))
+    near = masses
     for _ in range(3):
         near = np.nextafter(near, 1.0)
-    codes = rng.integers(0, 4, size=512).astype(np.uint8)
     seeds = [np.random.SeedSequence(7, spawn_key=(k,)) for k in range(4)]
-    return _time(lambda: _kernels.mc_outcome_counts(
-        [weights] * 4 + [near] * 4, [codes] * 8,
-        _kernels.StreamDraws(seeds * 2, 250_000)), 10)
+    return _time(lambda: _kernels.mc_code_counts(
+        [masses] * 4 + [near] * 4, _kernels.StreamDraws(seeds * 2, 250_000)), 10)
 
 
 def bench_tableau_pivot(rng):
@@ -85,9 +75,8 @@ def bench_chsh_strategy_max(_rng):
 
 
 BENCHES = [
-    ("outcome_cell_sums   (n=2e5)", bench_outcome_cell_sums),
-    ("mc_outcome_counts   (512 cells, 1e6)", bench_mc_outcome_counts),
-    ("mc_outcome_counts   (emulation, 2e6)", bench_mc_outcome_counts_emulation),
+    ("mc_code_counts      (4 masses, 1e6)", bench_mc_code_counts),
+    ("mc_code_counts      (emulation, 2e6)", bench_mc_code_counts_emulation),
     ("tableau_pivot       (257x258)", bench_tableau_pivot),
     ("chsh_strategy_max   (n=6)", bench_chsh_strategy_max),
 ]

@@ -1,13 +1,14 @@
 """The numeric kernels of the report path, in numpy.
 
-Report bytes depend on the floating-point evaluation order of these
-kernels, not just on their formulas:
+Report bytes depend on the floating-point evaluation order of the report
+path, not just on its formulas:
 
-* weight totals accumulate in input order (``np.bincount``), never by a
+* a setting pair's four code masses accumulate grid point by grid point
+  in row-major order (``correlation._outcome_decomposition``), never by a
   pairwise or SIMD-reassociated sum, which would round differently and
   change the correlations a report prints; the pair marginals that
-  ``spaces.marginalize`` sums out of a joint, which those weights are,
-  accumulate slice by slice in index order too;
+  ``spaces.marginalize`` sums out of a joint, whose weights those masses
+  sum, accumulate slice by slice in index order too;
 * elementwise array operations (one rounding per element) use numpy;
 * integer results (sample counts, strategy maxima over small integers) are
   exact by construction: once their edges are rounded to the 2^-53 grid
@@ -32,7 +33,7 @@ import numpy as np
 
 BACKEND = "pure"
 
-#: Raw 64-bit words that ``mc_outcome_counts`` draws and counts per step
+#: Raw 64-bit words that ``mc_code_counts`` draws and counts per step
 #: (512 KiB), so that a count's memory does not grow with its samples.
 MC_CHUNK_WORDS = 1 << 16
 
@@ -50,7 +51,7 @@ class StreamDraws:
     """``samples`` draws for each seed sequence of ``seeds``, each counted
     as from a fresh PCG64 of that seed sequence.  A seed sequence may
     recur: the rows on one stream replay one split path
-    (``mc_outcome_counts``).
+    (``mc_code_counts``).
 
     ``np.size`` of the draws is their total count over all the seeds, as
     for an array of the draws, which is how the benchmark's tracer counts
@@ -65,28 +66,15 @@ class StreamDraws:
         return len(self.seeds) * self.samples
 
 
-def outcome_cell_sums(weights: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Per-outcome weight totals.
+def mc_code_counts(masses: Sequence[Sequence[float]], draws: StreamDraws) -> np.ndarray:
+    """Outcome counts of ``draws.samples`` inverse-CDF draws against each
+    row of four code masses.
 
-    ``codes`` holds one entry in {0,1,2,3} per cell (the joint outcome
-    ++, +-, -+, -- in that order); returns the four accumulated weights.
-    Each bin accumulates in input order, matching bincount.
-    """
-    return np.bincount(codes, weights=weights, minlength=4).astype(np.float64)
-
-
-def mc_outcome_counts(weights: Sequence[np.ndarray], codes: Sequence[np.ndarray],
-                      draws: StreamDraws) -> np.ndarray:
-    """Outcome counts of ``draws.samples`` inverse-CDF draws from each of
-    several weighted cell lists.
-
-    Row r has the cell weights ``weights[r]`` with outcome codes
-    ``codes[r]``, and is counted as from a fresh PCG64 of
-    ``draws.seeds[r]``.  The count of each code over N inverse-CDF draws
-    is Multinomial(N, p), with p the code masses (``outcome_cell_sums``),
-    whatever the order of the cells, so each row is counted from its four
-    masses alone (``_code_counts``).  Rows with equal masses and seeds
-    get equal counts.
+    Row r has the masses ``masses[r]`` of the codes (++, +-, -+, --), and
+    is counted as from a fresh PCG64 of ``draws.seeds[r]``.  The count of
+    each code over N inverse-CDF draws is Multinomial(N, p), with p the
+    row's masses (``_code_counts``).  Rows with equal masses and seeds get
+    equal counts.
 
     Rows whose streams start in one state, such as the two models of an
     emulation on one pair's seed sequence, replay one split path: the
@@ -98,10 +86,10 @@ def mc_outcome_counts(weights: Sequence[np.ndarray], codes: Sequence[np.ndarray]
     """
     paths: dict[tuple[int, int], list] = {}
     rows = []
-    for w, c, seed in zip(weights, codes, draws.seeds):
+    for row, seed in zip(np.asarray(masses, dtype=np.float64).tolist(), draws.seeds):
         bitgen = np.random.PCG64(seed)
         start = bitgen.state["state"]
-        rows.append(_code_counts(bitgen, outcome_cell_sums(w, c).tolist(), draws.samples,
+        rows.append(_code_counts(bitgen, row, draws.samples,
                                  paths.setdefault((start["state"], start["inc"]), [])))
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 

@@ -2,15 +2,14 @@
 
 Every (model, distribution-mode, setting-pair) combination reduces to one
 outcome decomposition, each side's p(+1) on its weight grid (a +-1
-response has p(+1) in {0, 1}): a flat list of four cells per grid point,
-each carrying a nonnegative weight and a joint-outcome code in {0,1,2,3}
-for (++, +-, -+, --).  Exact probabilities are the per-code weight sums.
-Monte Carlo estimation draws the code counts of N inverse-CDF draws
-against the same four sums, which follow Multinomial(N, p) whatever the
-cell order, by exact dyadic splitting of [0, 1) on popcounts of raw
-PCG64 bits, without drawing the uniforms (``_kernels.mc_outcome_counts``).
-The cell order is the row-major order of the underlying grid, which
-makes reports reproducible bit for bit.
+response has p(+1) in {0, 1}): the four masses of the joint-outcome
+codes 0-3, (++, +-, -+, --).  Each mass accumulates grid point by grid
+point in the grid's row-major order, which makes reports reproducible
+bit for bit.  Exact probabilities are the four masses.  Monte Carlo
+estimation draws the code counts of N inverse-CDF draws against them,
+which follow Multinomial(N, p), by exact dyadic splitting of [0, 1) on
+popcounts of raw PCG64 bits, without drawing the uniforms
+(``_kernels.mc_code_counts``).
 
 Supported combinations:
 
@@ -24,12 +23,12 @@ Supported combinations:
 Randomness contract: Monte Carlo uses numpy's PCG64.  The generator for
 setting pair k (in canonical pair order) is seeded with
 SeedSequence(entropy=seed, spawn_key=(k,)), so per-pair streams are
-independent of each other and of any future sharding, and identical
-inputs give bit-identical reports on every platform and backend.  An
-emulation counts both models in one kernel call, each model's pair k on
-pair k's seed sequence, and the comparison rows replay the split paths
-of the primary rows while they agree; each model gets the counts of a
-report of it alone, so models with equal code masses get equal counts.
+independent of each other, and identical inputs give bit-identical
+reports on every platform and backend.  An emulation counts both models
+in one kernel call, each model's pair k on pair k's seed sequence, and
+the comparison rows replay the split paths of the primary rows while
+they agree; each model gets the counts of a report of it alone, so
+models with equal code masses get equal counts.
 
 Each apparatus mode holds one setting-pair family, read by
 ``feasibility``: ``marginals`` rho_pq on five ``spaces``, and a
@@ -49,12 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import (
-    StreamDraws,
-    chsh_strategy_max,
-    mc_outcome_counts,
-    outcome_cell_sums,
-)
+from ._kernels import StreamDraws, chsh_strategy_max, mc_code_counts
 from .errors import CorrelationError, IncompatibleModeModel, work_limit_detail
 from .models import (
     ApparatusDeterministic,
@@ -369,49 +363,37 @@ def bell_check(s: float, samples: int | None = None) -> BellVerdict:
 _SIGNS, _SHIFTS = np.array([1.0, -1.0]), np.array([0.0, 1.0])
 
 
-def _source_weights(model, dists, pair_names) -> np.ndarray:
-    """The lambda distribution driving a source-only model."""
-    if isinstance(dists, SourceOnly):
-        rho = dists.rho
-    elif isinstance(dists, SettingDependent):
-        rho = dists.marginals[pair_names]
-    else:
-        raise IncompatibleModeModel(dists.mode, model.kind)
-    if rho.domain != (model.lam,):
-        raise CorrelationError(
-            f"distribution domain {rho.labels} does not match the model's "
-            f"source space {model.lam.label!r}")
-    return rho.flat
-
-
 def _outcome_decomposition(model: ResponseModel, dists: ScenarioDistributions,
-                           p: Setting, q: Setting) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce (model, distributions, pair) to the flat weights and codes of
-    its outcome cells, reading a +-1 table f as p(+1) = (f + 1)/2.  An
-    apparatus model's mode must already share its five spaces."""
+                           p: Setting, q: Setting) -> np.ndarray:
+    """The four code masses (++, +-, -+, --) of (model, distributions,
+    pair), reading a +-1 table f as p(+1) = (f + 1)/2.  The model must
+    already suit its mode, and an apparatus model share its five spaces."""
     pair_names = (p.name, q.name)
     if isinstance(model, ApparatusDeterministic):
         w = dists.marginals[pair_names].weights  # over (lambda, v_p, v_q)
         f, g = model.tables[p.name][:, :, None], model.tables[q.name][:, None, :]
-    elif isinstance(model, (DeterministicSource, StochasticSource, Contextual)):
-        w = _source_weights(model, dists, pair_names)
+    else:
+        rho = dists.rho if isinstance(dists, SourceOnly) else dists.marginals[pair_names]
+        if rho.domain != (model.lam,):
+            raise CorrelationError(
+                f"distribution domain {rho.labels} does not match the model's "
+                f"source space {model.lam.label!r}")
+        w = rho.flat
         f, g = ((model.response_vector(p, q), model.response_vector(q, p))
                 if isinstance(model, Contextual) else (model.tables[n] for n in pair_names))
-    else:
-        raise IncompatibleModeModel(dists.mode, getattr(model, "kind", type(model).__name__))
     if not isinstance(model, StochasticSource):
         f, g = (f + 1.0) / 2.0, (g + 1.0) / 2.0
     f, g = f[..., None] * _SIGNS + _SHIFTS, g[..., None] * _SIGNS + _SHIFTS
     cells = f[..., :, None] * g[..., None, :]  # ++, +-, -+, -- on the last two axes
-    return ((w[..., None, None] * cells).reshape(-1),
-            (np.arange(4 * w.size) & 3).astype(np.uint8))
+    # each code's mass accumulates grid point by grid point in row-major order
+    return (w[..., None, None] * cells).reshape(-1, 4).sum(axis=0)
 
 
 def _decompositions(model: ResponseModel, dists: ScenarioDistributions,
-                    pairs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each pair's outcome decomposition.  An apparatus model is first
-    checked against its mode once, by the five spaces they share, before
-    any pair family is built."""
+                    pairs) -> list[np.ndarray]:
+    """Each pair's four code masses.  The model is first checked against
+    its mode once, an apparatus model also by the five spaces they share,
+    before any pair family is built."""
     if isinstance(model, ApparatusDeterministic):
         if not isinstance(dists, (SettingDependent, FactorizedApparatus,
                                   JointComposite)):
@@ -423,6 +405,11 @@ def _decompositions(model: ResponseModel, dists: ScenarioDistributions,
             raise CorrelationError(
                 f"{dists.mode} distributions live on {mode_spaces}, "
                 f"expected {model_spaces}")
+    elif isinstance(model, (DeterministicSource, StochasticSource, Contextual)):
+        if not isinstance(dists, (SourceOnly, SettingDependent)):
+            raise IncompatibleModeModel(dists.mode, model.kind)
+    else:
+        raise IncompatibleModeModel(dists.mode, getattr(model, "kind", type(model).__name__))
     return [_outcome_decomposition(model, dists, p, q) for p, q in pairs]
 
 
@@ -461,22 +448,19 @@ def exact_report(model: ResponseModel, dists: ScenarioDistributions,
                  settings) -> CorrelationReport:
     """Exact probabilities and correlations for all four setting pairs."""
     pairs = _ordered_pairs(settings)
-    per_pair = []
-    for pair, (weights, codes) in zip(pairs, _decompositions(model, dists, pairs)):
-        sums = outcome_cell_sums(weights, codes)
-        probs = (float(sums[0]), float(sums[1]), float(sums[2]), float(sums[3]))
-        per_pair.append((pair, probs))
+    per_pair = [(pair, tuple(masses.tolist()))
+                for pair, masses in zip(pairs, _decompositions(model, dists, pairs))]
     return _report_from_pair_probs(per_pair, EstimatorInfo(method="exact"))
 
 
 def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
                        settings, samples: int, seed: int) -> CorrelationReport:
-    """Estimate the report by sampling outcome cells.
+    """Estimate the report by sampling the outcome codes.
 
     Per pair k the stream is PCG64 seeded with SeedSequence(seed,
     spawn_key=(k,)).  The counts of ``samples`` inverse-CDF draws against
     the pair's four code masses are drawn from its raw bits by dyadic
-    splitting (``mc_outcome_counts``), with integer arithmetic only, so
+    splitting (``mc_code_counts``), with integer arithmetic only, so
     report bytes do not depend on BLAS, libm or the CPU.  An emulation
     counts both models' pairs in one kernel call (``_monte_carlo_reports``),
     and gets this report of each model.
@@ -492,7 +476,7 @@ def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
 def _monte_carlo_reports(models: list[tuple[ResponseModel, ScenarioDistributions]],
                          settings, samples: int, seed: int) -> list[CorrelationReport]:
     """The ``monte_carlo_report`` of each (model, distributions) of
-    ``models``, all counted in one ``mc_outcome_counts`` call: each model's
+    ``models``, all counted in one ``mc_code_counts`` call: each model's
     pairs in turn, pair k on seed sequence k whatever the model, so rows
     of one pair replay one split path."""
     if samples < 1:
@@ -502,12 +486,10 @@ def _monte_carlo_reports(models: list[tuple[ResponseModel, ScenarioDistributions
     if seed < 0:
         raise CorrelationError(f"seed must be nonnegative, got {int(seed)}")
     pairs = _ordered_pairs(settings)
-    weights, codes = zip(*(dec for model, dists in models
-                           for dec in _decompositions(model, dists, pairs)))
+    masses = [row for model, dists in models for row in _decompositions(model, dists, pairs)]
     streams = [np.random.SeedSequence(entropy=seed, spawn_key=(k,))
                for k in range(len(pairs))]
-    counts = mc_outcome_counts(weights, codes,
-                               StreamDraws(streams * len(models), samples))
+    counts = mc_code_counts(masses, StreamDraws(streams * len(models), samples))
     estimator = EstimatorInfo(method="monte-carlo", samples=samples, seed=seed)
     return [_report_from_pair_probs(
                 [(pair, tuple(float(c) / samples for c in row))

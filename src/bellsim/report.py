@@ -20,23 +20,16 @@ from __future__ import annotations
 from typing import Any
 
 from .correlation import (DEFAULT_ENUM_WORK_LIMIT, BellVerdict,
-                          CorrelationReport, EstimatorInfo, SourceOnly,
-                          _monte_carlo_reports, bell_check, enumerate_bound,
-                          exact_report)
+                          CorrelationReport, SourceOnly, _monte_carlo_reports,
+                          bell_check, enumerate_bound, exact_report)
 from .feasibility import DEFAULT_WORK_LIMIT, admit, check_joint_existence
 from .models import (ApparatusDeterministic, Setting, effective_responses,
                      standard_settings)
 from .qm import max_violation_search, singlet_chsh, singlet_probabilities
-from .scenario import ANALYSES, SCHEMA_VERSION, Scenario, dist_doc
+from .scenario import ANALYSES, SCHEMA_VERSION, Scenario, dist_doc, estimator_doc
 from .spaces import CHSH_SIGNS, SETTING_NAMES, SETTING_PAIRS
 
 _CELL_LABELS = ("++", "+-", "-+", "--")
-
-
-def _estimator_doc(info: EstimatorInfo) -> dict[str, Any]:
-    if info.method == "exact":
-        return {"method": "exact"}
-    return {"method": info.method, "samples": info.samples, "seed": info.seed}
 
 
 def _probabilities_doc(probs) -> dict[str, float]:
@@ -135,7 +128,7 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
     for name in requested:
         if name == "correlations":
             doc["analyses"][name] = {
-                "estimator": _estimator_doc(primary.estimator),
+                "estimator": estimator_doc(primary.estimator),
                 "pairs": _pairs_doc(primary),
             }
         elif name == "chsh":

@@ -357,6 +357,8 @@ def _parse_run(value: Any) -> RunBlock:
                         f"{where}.estimator.seed")
         if samples < 1:
             raise CliError(f"{where}.estimator.samples: must be at least 1")
+        if samples > MAX_SAMPLES:
+            raise CliError(f"{where}.estimator.samples: must be at most {MAX_SAMPLES}")
         if seed < 0:
             raise CliError(f"{where}.estimator.seed: must be nonnegative")
         estimator = EstimatorInfo(method="monte-carlo", samples=samples, seed=seed)
@@ -513,6 +515,13 @@ def dist_doc(dist: Distribution) -> dict[str, Any]:
             "weights": [float(w) for w in dist.flat]}
 
 
+def estimator_doc(info: EstimatorInfo) -> dict[str, Any]:
+    """An estimator as its file and report form."""
+    if info.method == "exact":
+        return {"method": "exact"}
+    return {"method": info.method, "samples": info.samples, "seed": info.seed}
+
+
 def _space_doc(space: HiddenSpace) -> dict[str, Any]:
     return {"label": space.label, "values": list(space.values)}
 
@@ -579,14 +588,14 @@ def _random_five(rng: np.random.Generator, cards: tuple[int, ...]
     return five, model, rho, apparatus
 
 
-def _estimator_doc(parameters: Mapping[str, Any]) -> dict[str, Any]:
+def _check_estimator(parameters: Mapping[str, Any]) -> EstimatorInfo:
     method = parameters.get("estimator", "exact")
     if method == "exact":
         for name in ("samples", "mc_seed"):
             if name in parameters:
                 raise ParameterOutOfRange(
                     name, "applies only to the monte-carlo estimator")
-        return {"method": "exact"}
+        return EstimatorInfo(method="exact")
     if method == "monte-carlo":
         samples = int(parameters.get("samples", 100_000))
         seed = int(parameters.get("mc_seed", 0))
@@ -596,7 +605,7 @@ def _estimator_doc(parameters: Mapping[str, Any]) -> dict[str, Any]:
             raise ParameterOutOfRange("samples", f"must be at most {MAX_SAMPLES}")
         if seed < 0:
             raise ParameterOutOfRange("mc_seed", "must be nonnegative")
-        return {"method": "monte-carlo", "samples": samples, "seed": seed}
+        return EstimatorInfo(method="monte-carlo", samples=samples, seed=seed)
     raise ParameterOutOfRange("estimator",
                               f"unknown method {method!r}; expected 'exact' "
                               "or 'monte-carlo'")
@@ -622,7 +631,7 @@ def generate_scenario(template: str, parameters: Mapping[str, Any] | None = None
         raise ParameterOutOfRange("seed", "must be nonnegative")
     cards = _check_cards(parameters.get("cards", (2, 2, 2, 2, 2)))
     angles = _check_angles(parameters.get("angles", TSIRELSON_ANGLES))
-    estimator = _estimator_doc(parameters)
+    estimator = _check_estimator(parameters)
     rng = np.random.default_rng(seed)
 
     analyses = ["correlations", "chsh", "bell-check", "feasibility"]
@@ -665,5 +674,5 @@ def generate_scenario(template: str, parameters: Mapping[str, Any] | None = None
     }
     if comparison is not None:
         doc["comparison_model"] = _source_model_doc(comparison)
-    doc["run"] = {"estimator": estimator, "analyses": analyses}
+    doc["run"] = {"estimator": estimator_doc(estimator), "analyses": analyses}
     return doc

@@ -8,8 +8,7 @@ of its domain spaces; weights are stored row-major over the ordered domain
 list (the first domain space varies slowest).  Row-major order is part of
 the external file-format contract, so it must never change.
 
-All values are immutable after construction and all operations are pure,
-so everything here is safe to share across parallel workers.
+All values are immutable after construction and all operations are pure.
 
 The canonical experiment uses five spaces: one for the particle source
 (``lambda``) and one per analyzer setting (``lambda_a``, ``lambda_a_prime``,

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from bellsim.cli import main
-from bellsim.correlation import SettingDependent
+from bellsim.correlation import SettingDependent, SourceOnly
 from bellsim.models import (
     SETTING_NAMES,
     ApparatusDeterministic,
@@ -151,6 +151,34 @@ def setting_dependent_copy(source, target) -> None:
                      "weights": [float(w) for w in marginals[p, q].flat]}
         for p, q in SETTING_PAIRS}}
     write_scenario(target, doc)
+
+
+def bincount_masses(weights, codes) -> np.ndarray:
+    """The four code masses of a cell list: ``np.bincount`` of the cell
+    weights by their codes in {0,1,2,3} (++, +-, -+, --), each code's
+    mass accumulated in cell order."""
+    return np.bincount(np.asarray(codes, dtype=np.uint8),
+                       weights=np.asarray(weights, dtype=np.float64), minlength=4)
+
+
+def tiled_code_masses(model, dists, p, q) -> np.ndarray:
+    """Reference for a setting pair's four code masses: a flat list of
+    four outcome cells per grid point, in row-major order, each the
+    point's weight times the pair's joint-outcome probability, with the
+    tiled codes 0, 1, 2, 3, 0, 1, ..., summed by ``bincount_masses``."""
+    names = (p.name, q.name)
+    if isinstance(model, ApparatusDeterministic):
+        w = dists.marginals[names].weights
+        f, g = model.tables[p.name][:, :, None], model.tables[q.name][:, None, :]
+    else:
+        w = (dists.rho if isinstance(dists, SourceOnly) else dists.marginals[names]).flat
+        f, g = ((model.response_vector(p, q), model.response_vector(q, p))
+                if isinstance(model, Contextual) else (model.tables[n] for n in names))
+    if not isinstance(model, StochasticSource):
+        f, g = (f + 1.0) / 2.0, (g + 1.0) / 2.0
+    cells = [w * (fp * gq) for fp in (f, 1.0 - f) for gq in (g, 1.0 - g)]
+    weights = np.stack(np.broadcast_arrays(*cells), axis=-1).reshape(-1)
+    return bincount_masses(weights, np.tile(np.arange(4), w.size))
 
 
 def exact_separation(family, y):

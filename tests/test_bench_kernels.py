@@ -27,7 +27,7 @@ def test_bench_kernels_prints_one_row_per_kernel():
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["kernel", "time", "[ms]"]
     rows = [line.split() for line in lines[2:]]
-    # mc_outcome_counts has two rows, one model's call and an emulation's
-    assert sorted(row[0] for row in rows) == sorted(_kernel_names() + ["mc_outcome_counts"])
+    # mc_code_counts has two rows, one model's call and an emulation's
+    assert sorted(row[0] for row in rows) == sorted(_kernel_names() + ["mc_code_counts"])
     for row in rows:
         assert float(row[-1]) > 0.0

@@ -210,13 +210,17 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert (code, out) == (1, "")
-        assert err == (f"bellsim: error: [correlation-engine] requires "
-                       f"{MAX_SAMPLES + 1} units of work, limit is {MAX_SAMPLES}\n")
+        assert err == ("bellsim: error: [cli-harness] run.estimator.samples: "
+                       f"must be at most {MAX_SAMPLES}\n")
         assert peak < 2 * 2**20  # a whole draw would be 8 GB
 
-    def test_samples_above_the_cap_run_scenario(self, tmp_path):
-        scenario = load_scenario(
-            _edited(tmp_path, "joint-composite.scenario", _too_many_samples))
+    def test_samples_above_the_cap_run_scenario(self):
+        """A scenario built in memory past the parser's cap is refused by
+        the estimator before any draw."""
+        scenario = load_scenario(SCENARIOS / "joint-composite.scenario")
+        estimator = dataclasses.replace(scenario.run.estimator, samples=MAX_SAMPLES + 1)
+        scenario = dataclasses.replace(
+            scenario, run=dataclasses.replace(scenario.run, estimator=estimator))
         tracemalloc.start()
         try:
             with pytest.raises(CorrelationError,
@@ -754,6 +758,10 @@ class TestErrorTags:
                                         value={**_MONTE_CARLO, "seed": -1}))],
          "[cli-harness] run.estimator.seed: must be nonnegative"),
         (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("run", "estimator",
+                                        value={**_MONTE_CARLO, "samples": 2 * 10**9}))],
+         "[cli-harness] run.estimator.samples: must be at most 1000000000\n"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _set("run", "analyses", value=[]))],
          "[cli-harness] run.analyses: expected a nonempty array"),
         (lambda p: ["run", _edited(p, "factorized.scenario",
@@ -830,7 +838,7 @@ class TestErrorTags:
             "witness-overflowing-difference", "deeply-nested-json",
             "string-schema-version", "scalar-weights", "spaces-object",
             "integer-space-label", "integer-space-values", "integer-domain-label",
-            "empty-domain", "zero-samples", "negative-mc-seed",
+            "empty-domain", "zero-samples", "negative-mc-seed", "too-many-samples",
             "no-analyses", "integer-description", "apparatus-under-source-only",
             "emulation-without-comparison", "emulation-under-joint-composite",
             "one-by-one-table", "missing-model-table",

@@ -21,6 +21,7 @@ from helpers import (
     random_distribution,
     random_stochastic,
     random_weights,
+    tiled_code_masses,
 )
 
 from bellsim.correlation import (
@@ -31,6 +32,8 @@ from bellsim.correlation import (
     JointComposite,
     SettingDependent,
     SourceOnly,
+    _decompositions,
+    _ordered_pairs,
     bell_check,
     chsh,
     correlation_from_probabilities,
@@ -560,6 +563,62 @@ def test_sign_models_report_as_stochastic_models(n, seed, source_only, samples):
                                       for name in SETTING_NAMES})
         for left, right in zip(reports(contextual), reports(plus)):
             assert repr(left.pairs[k]) == repr(right.pairs[k])
+
+
+def _zeroed_distribution(rng, domain, zeros):
+    """``random_distribution`` with up to ``zeros`` weights, but not all,
+    set to zero, the first of them -0.0, rescaled to sum to 1."""
+    domain = tuple(domain)
+    weights = random_weights(rng, int(np.prod([s.cardinality for s in domain])))
+    zeroed = rng.choice(weights.size, size=min(zeros, weights.size - 1), replace=False)
+    weights[zeroed] = 0.0
+    weights[zeroed[:1]] = -0.0
+    return Distribution(domain, weights / weights.sum())
+
+
+_SOURCE_MODELS = {"DeterministicSource": random_deterministic,
+                  "StochasticSource": random_stochastic, "Contextual": random_contextual}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind_mode=st.sampled_from(
+           [(kind, mode) for kind in _SOURCE_MODELS
+            for mode in ("SourceOnly", "SettingDependent")]
+           + [("ApparatusDeterministic", mode)
+              for mode in ("SettingDependent", "FactorizedApparatus", "JointComposite")]),
+       cards=st.tuples(*[st.integers(1, 4)] * 5), zeros=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_code_masses_equal_the_bincount_of_tiled_codes(kind_mode, cards, zeros, seed):
+    """Each pair's four code masses equal, bit for bit, the bincount of
+    a flat cell list with tiled codes (``helpers.tiled_code_masses``):
+    every model kind under each mode it runs in (the source kinds on
+    cards[0] points), on weights with zeros and a -0.0."""
+    kind, mode = kind_mode
+    rng = np.random.default_rng(seed)
+    if kind == "ApparatusDeterministic":
+        model = random_apparatus(rng, cards)
+        spaces = model.spaces
+        if mode == "SettingDependent":
+            dists = SettingDependent({(p, q): _zeroed_distribution(
+                rng, (spaces.lam, spaces.for_setting(p), spaces.for_setting(q)), zeros)
+                for p, q in SETTING_PAIRS})
+        elif mode == "FactorizedApparatus":
+            dists = FactorizedApparatus(
+                _zeroed_distribution(rng, (spaces.lam,), zeros),
+                {name: _zeroed_distribution(rng, (spaces.for_setting(name),), zeros)
+                 for name in SETTING_NAMES})
+        else:
+            dists = JointComposite(_zeroed_distribution(rng, tuple(spaces), zeros))
+    else:
+        model = _SOURCE_MODELS[kind](rng, cards[0])
+        if mode == "SourceOnly":
+            dists = SourceOnly(_zeroed_distribution(rng, (model.lam,), zeros))
+        else:
+            dists = SettingDependent({pair: _zeroed_distribution(rng, (model.lam,), zeros)
+                                      for pair in SETTING_PAIRS})
+    pairs = _ordered_pairs(FOUR_SETTINGS)
+    for (p, q), masses in zip(pairs, _decompositions(model, dists, pairs)):
+        assert masses.tobytes() == tiled_code_masses(model, dists, p, q).tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import bincount_masses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategy_reference import int8_strategy_max, loop_strategy_max
@@ -44,25 +45,20 @@ def _stream(seed, k):
     return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
 
 
-def _counts(weights, codes, seed, samples):
-    """``mc_outcome_counts`` of one row."""
-    return _kernels.mc_outcome_counts(
-        [np.asarray(weights, dtype=np.float64)], [np.asarray(codes, dtype=np.uint8)],
-        _kernels.StreamDraws([seed], samples))[0].tolist()
+def _counts(masses, seed, samples):
+    """``mc_code_counts`` of one row of four code masses."""
+    return _kernels.mc_code_counts([masses], _kernels.StreamDraws([seed], samples))[0].tolist()
 
 
-def _reference_counts(weights, codes, seed, samples):
-    """Scalar reference for one row.  The code masses are summed cell by
-    cell in input order.  A dyadic block of integers k in [0, 2^53) is
-    split, by the popcount of its next raw bits, exactly when an
-    inverse-CDF lookup of u = k / 2^53 (the first code whose cumulative
-    mass exceeds u, clamped to the last code of positive mass) sends its
-    first and last integer to different codes; an unsplit block's count
-    goes to the code of its first integer.  Each block's words are drawn
-    whole, and counted one Python int at a time."""
-    masses = [0.0] * 4
-    for w, c in zip(np.asarray(weights).tolist(), np.asarray(codes).tolist()):
-        masses[c] += w
+def _reference_counts(masses, seed, samples):
+    """Scalar reference for one row of four code masses.  A dyadic block
+    of integers k in [0, 2^53) is split, by the popcount of its next raw
+    bits, exactly when an inverse-CDF lookup of u = k / 2^53 (the first
+    code whose cumulative mass exceeds u, clamped to the last code of
+    positive mass) sends its first and last integer to different codes;
+    an unsplit block's count goes to the code of its first integer.  Each
+    block's words are drawn whole, and counted one Python int at a time."""
+    masses = [float(m) for m in masses]
     cum = list(itertools.accumulate(masses))
     last = max((c for c in range(4) if masses[c] > 0.0), default=3)
     bitgen = np.random.PCG64(seed)
@@ -102,9 +98,10 @@ class _Bits:
 _TOP, _BOTTOM = _Bits(0), _Bits(2**64 - 1)
 
 
-def _random_cdf(rng):
-    """Random cell weights with leading, interior and trailing zero-weight
-    runs, normalised, and outcome codes for the cells."""
+def _random_masses(rng):
+    """The four code masses (``bincount_masses``) of random cell weights
+    with leading, interior and trailing zero-weight runs, normalised, and
+    random outcome codes."""
     cells = int(rng.integers(2, 300))
     weights = rng.random(cells)
     weights[rng.random(cells) < 0.2] = 0.0
@@ -113,7 +110,7 @@ def _random_cdf(rng):
     weights[cells - trail:] = 0.0
     if weights.sum() == 0.0:
         weights[cells // 2] = 1.0
-    return weights / weights.sum(), rng.integers(0, 4, size=cells).astype(np.uint8)
+    return bincount_masses(weights / weights.sum(), rng.integers(0, 4, size=cells))
 
 
 def test_mc_outcome_counts_top_edge_clamped():
@@ -125,29 +122,29 @@ def test_mc_outcome_counts_top_edge_clamped():
     assert _kernels._code_counts(_TOP, [0.5, 0.5 - 1e-12, 0.0, 0.0], n) == [0, n, 0, 0]
     assert _kernels._code_counts(_TOP, [0.5, 0.5 + 1e-12, 0.25, 0.0], n) == [0, n, 0, 0]
     assert _kernels._code_counts(_TOP, [1.0, 0.0, 0.0, 1e-3], n) == [n, 0, 0, 0]
-    counts = _counts([0.5, 0.5 + 1e-12, 0.25], [0, 1, 2], _stream(1, 0), n)
+    counts = _counts([0.5, 0.5 + 1e-12, 0.25, 0.0], _stream(1, 0), n)
     assert counts[2] == counts[3] == 0 and sum(counts) == n
 
 
 def test_mc_outcome_counts_zero_weight_cells_never_sampled():
-    weights, codes = [0.5, 0.0, 0.5, 0.0], [0, 1, 2, 3]  # codes 1 and 3 have no mass
+    masses = [0.5, 0.0, 0.5, 0.0]  # codes 1 and 3 have no mass
     for bits in (_TOP, _BOTTOM):
-        counts = _kernels._code_counts(bits, [0.5, 0.0, 0.5, 0.0], 1001)
+        counts = _kernels._code_counts(bits, masses, 1001)
         assert counts[1] == counts[3] == 0
     for k in range(20):
-        counts = _counts(weights, codes, _stream(2, k), 1001)
+        counts = _counts(masses, _stream(2, k), 1001)
         assert counts[1] == counts[3] == 0 and sum(counts) == 1001
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_mc_outcome_counts_equal_scalar_lookup(seed):
-    """Random cells with leading, interior and trailing zero-weight runs
-    count as the scalar reference does."""
+    """The masses of random cells with leading, interior and trailing
+    zero-weight runs count as the scalar reference does."""
     rng = np.random.default_rng(seed)
-    weights, codes = _random_cdf(rng)
+    masses = _random_masses(rng)
     samples = int(rng.integers(1, 5000))
-    want = _reference_counts(weights, codes, _stream(seed, 0), samples)
-    assert _counts(weights, codes, _stream(seed, 0), samples) == want
+    want = _reference_counts(masses, _stream(seed, 0), samples)
+    assert _counts(masses, _stream(seed, 0), samples) == want
     assert sum(want) == samples
 
 
@@ -158,18 +155,17 @@ def test_mc_outcome_counts_single_cell():
                 masses = [0.0] * 4
                 masses[code] = top
                 assert _kernels._code_counts(bits, masses, 500)[code] == 500
-            assert _counts([top], [code], _stream(3, code), 500)[code] == 500
+            assert _counts(masses, _stream(3, code), 500)[code] == 500
 
 
 def test_mc_outcome_counts_top_below_and_above_one():
     """Masses that sum to just below, at and just above 1 count as the
     scalar reference does, every draw counted once."""
-    codes = [2, 0, 3, 1]
     for k, top in enumerate((1.0 - 1e-12, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52,
                              1.0 + 1e-12)):
-        weights = [0.25, 0.25, 0.25, top - 0.75]
-        want = _reference_counts(weights, codes, _stream(8, k), 3001)
-        assert _counts(weights, codes, _stream(8, k), 3001) == want
+        masses = [0.25, top - 0.75, 0.25, 0.25]
+        want = _reference_counts(masses, _stream(8, k), 3001)
+        assert _counts(masses, _stream(8, k), 3001) == want
         assert sum(want) == 3001
 
 
@@ -263,12 +259,9 @@ def test_mc_outcome_counts_chi_square_over_many_seeds():
     row squared), exceeds its 95% point 7.815 in 5% +- 2% of rows, and
     the pooled counts pass at the 0.1% level (16.27)."""
     rows, n = 2000, 1000
-    weights = np.array([0.07, 0.2, 0.03, 0.31, 0.39])
-    codes = np.array([0, 1, 0, 2, 3], dtype=np.uint8)
-    p = _kernels.outcome_cell_sums(weights, codes)
-    counts = _kernels.mc_outcome_counts([weights] * rows, [codes] * rows,
-                                        _kernels.StreamDraws(
-                                            [_stream(31, k) for k in range(rows)], n))
+    p = bincount_masses([0.07, 0.2, 0.03, 0.31, 0.39], [0, 1, 0, 2, 3])
+    counts = _kernels.mc_code_counts([p] * rows, _kernels.StreamDraws(
+        [_stream(31, k) for k in range(rows)], n))
     assert (counts.sum(axis=1) == n).all()
     stats = ((counts - n * p) ** 2 / (n * p)).sum(axis=1)
     assert abs(stats.mean() - 3.0) < 5.5 * math.sqrt(6.0 / rows)
@@ -292,9 +285,9 @@ def test_mc_outcome_counts_sum_to_n_and_skip_empty_codes(masses, scale, samples,
     total = math.fsum(masses)
     masses = [m / total * scale for m in masses]
     seed = np.random.SeedSequence(seed)
-    counts = _counts(masses, range(4), seed, samples)
+    counts = _counts(masses, seed, samples)
     assert sum(counts) == samples
-    assert counts == _reference_counts(masses, np.arange(4), seed, samples)
+    assert counts == _reference_counts(masses, seed, samples)
     cum = list(itertools.accumulate(masses))
     for c in range(4):
         if masses[c] == 0.0 or (c and cum[c - 1] >= 1.0):
@@ -307,13 +300,17 @@ def test_mc_outcome_counts_sum_to_n_and_skip_empty_codes(masses, scale, samples,
 
 
 def test_mc_outcome_counts_depend_on_the_code_masses_alone():
-    """Cells in any order and split any way, with the same code masses,
-    get the same counts from the same seed."""
-    coarse = ([0.25, 0.125, 0.5, 0.125], [0, 1, 2, 3])
-    fine = ([0.0625, 0.5, 0.125, 0.125, 0.125, 0.0625], [3, 2, 0, 0, 1, 3])
+    """The same code masses get the same counts from the same seed,
+    whether given as a list, as a row of a (rows, 4) array, or as the
+    masses of cells in another order, split another way."""
+    masses = [0.25, 0.125, 0.5, 0.125]
+    fine = bincount_masses([0.0625, 0.5, 0.125, 0.125, 0.125, 0.0625], [3, 2, 0, 0, 1, 3])
     for k in range(4):
-        assert (_counts(*coarse, _stream(9, k), 10**6)
-                == _counts(*fine, _stream(9, k), 10**6))
+        want = _counts(masses, _stream(9, k), 10**6)
+        assert _counts(fine, _stream(9, k), 10**6) == want
+        row = _kernels.mc_code_counts(np.array([masses]),
+                                      _kernels.StreamDraws([_stream(9, k)], 10**6))
+        assert row.tolist() == [want]
 
 
 _C = _kernels.MC_CHUNK_WORDS
@@ -325,18 +322,19 @@ def test_mc_outcome_counts_fixed_draws_in_small_chunks(chunk, monkeypatch):
     monkeypatch.setattr(_kernels, "MC_CHUNK_WORDS", chunk)
     rng = np.random.default_rng(9)
     for k in range(5):
-        weights, codes = _random_cdf(rng)
-        want = _reference_counts(weights, codes, _stream(9, k), 64 * 40 + 13)
-        assert _counts(weights, codes, _stream(9, k), 64 * 40 + 13) == want
+        masses = _random_masses(rng)
+        want = _reference_counts(masses, _stream(9, k), 64 * 40 + 13)
+        assert _counts(masses, _stream(9, k), 64 * 40 + 13) == want
 
 
-def _edge_cells(top):
-    """Cells with leading and trailing zero-weight cells whose masses sum
-    to ``top``, and outcome codes for them."""
+def _edge_masses(top):
+    """The four code masses, summing to ``top``, of cells with leading
+    and trailing zero-weight cells and random outcome codes."""
     rng = np.random.default_rng(12)
     weights = np.concatenate([[0.0], rng.random(29), [0.0, 0.0]])
     weights[rng.random(weights.size) < 0.2] = 0.0
-    return weights / weights.sum() * top, rng.integers(0, 4, size=weights.size).astype(np.uint8)
+    return bincount_masses(weights / weights.sum() * top,
+                           rng.integers(0, 4, size=weights.size))
 
 
 @pytest.mark.parametrize("samples", [1, _C - 1, _C, _C + 1, 3 * _C + 7])
@@ -348,10 +346,10 @@ def test_mc_outcome_counts_chunked_stream_equals_whole_draw(samples, top, monkey
     the large splits straddle many chunks, count as the reference drawing
     each split's words whole does, with masses summing below or above 1."""
     monkeypatch.setattr(_kernels, "MC_CHUNK_WORDS", 7)
-    weights, codes = _edge_cells(top)
+    masses = _edge_masses(top)
     for k in range(4):
-        assert (_counts(weights, codes, _stream(11, k), samples)
-                == _reference_counts(weights, codes, _stream(11, k), samples))
+        assert (_counts(masses, _stream(11, k), samples)
+                == _reference_counts(masses, _stream(11, k), samples))
 
 
 @pytest.mark.parametrize("samples",
@@ -362,27 +360,26 @@ def test_mc_outcome_counts_segments_equal_whole_draw(samples, streams):
     segment of the result, the counts of a call of that row alone and of
     the scalar reference: every row draws from a fresh copy of its own
     stream."""
-    weights, codes = _edge_cells(1.0 - 1e-12)
+    masses = _edge_masses(1.0 - 1e-12)
     seeds = [_stream(13, k) for k in range(streams)]
-    counts = _kernels.mc_outcome_counts([weights] * streams, [codes] * streams,
-                                        _kernels.StreamDraws(seeds, samples))
+    counts = _kernels.mc_code_counts([masses] * streams, _kernels.StreamDraws(seeds, samples))
     assert counts.dtype == np.int64 and counts.shape == (streams, 4)
     for row, seed in zip(counts.tolist(), seeds):
-        assert row == _counts(weights, codes, seed, samples)
-        assert row == _reference_counts(weights, codes, seed, samples)
+        assert row == _counts(masses, seed, samples)
+        assert row == _reference_counts(masses, seed, samples)
 
 
 def test_mc_outcome_counts_many_streams_under_fast_thread_switches():
     """The counter keeps no state between calls: twelve streams counted
     in calls from four threads at once, with the interpreter switching
     threads every few microseconds, get the counts of one serial call."""
-    weights, codes = _edge_cells(1.0)
+    masses = _edge_masses(1.0)
     seeds = [_stream(23, k) for k in range(12)]
     samples = 2 * 64 * _C + 5
 
     def call(part):
-        return _kernels.mc_outcome_counts([weights] * len(part), [codes] * len(part),
-                                          _kernels.StreamDraws(part, samples))
+        return _kernels.mc_code_counts([masses] * len(part),
+                                       _kernels.StreamDraws(part, samples))
 
     serial = call(seeds).tolist()
     parts = [seeds[i::4] for i in range(4)]
@@ -410,23 +407,22 @@ def test_mc_outcome_counts_many_streams_under_fast_thread_switches():
 @pytest.mark.parametrize("sizes", [(3, 5), (1, 4, 9), (3, 40), (0, 2, 30)],
                          ids=lambda sizes: "-".join(map(str, sizes)))
 def test_mc_outcome_counts_of_several_cdfs_equal_separate_counts(sizes, streams):
-    """Two or three cell lists of 1-40 cells, each counted from each of
-    several pair streams in one call, get the counts of each counted
-    alone (a size of 0 stands for a single cell)."""
+    """The code masses of two or three cell lists of 1-40 cells, each
+    counted from each of several pair streams in one call, get the counts
+    of each counted alone (a size of 0 stands for a single cell)."""
     rng = np.random.default_rng(22)
-    cells = []
+    cdfs = []
     for size, top in zip(sizes, (1.0 - 1e-12, 1.0, 1.0 + 2.0 ** -52)):
         weights = rng.random(max(size, 1))
-        cells.append((weights / weights.sum() * top,
-                      rng.integers(0, 4, size=weights.size).astype(np.uint8)))
-    rows = [(w, c, _stream(19, k)) for k in range(streams) for w, c in cells]
-    together = _kernels.mc_outcome_counts(
-        [w for w, _, _ in rows], [c for _, c, _ in rows],
-        _kernels.StreamDraws([s for _, _, s in rows], 3 * _C + 7))
+        cdfs.append(bincount_masses(weights / weights.sum() * top,
+                                    rng.integers(0, 4, size=weights.size)))
+    rows = [(m, _stream(19, k)) for k in range(streams) for m in cdfs]
+    together = _kernels.mc_code_counts(
+        [m for m, _ in rows], _kernels.StreamDraws([s for _, s in rows], 3 * _C + 7))
     assert together.shape == (len(rows), 4)
-    for row, (w, c, seed) in zip(together.tolist(), rows):
-        assert row == _counts(w, c, seed, 3 * _C + 7)
-        assert row == _reference_counts(w, c, seed, 3 * _C + 7)
+    for row, (m, seed) in zip(together.tolist(), rows):
+        assert row == _counts(m, seed, 3 * _C + 7)
+        assert row == _reference_counts(m, seed, 3 * _C + 7)
 
 
 def _other_masses(masses, kind, code, ulps, unrelated):
@@ -460,12 +456,10 @@ def test_mc_outcome_counts_rows_on_one_stream_equal_separate_counts(
     masses = [m / total for m in masses]
     other = _other_masses(masses, kind, code, ulps, unrelated)
     seed = np.random.SeedSequence(seed)
-    codes = np.arange(4, dtype=np.uint8)
-    together = _kernels.mc_outcome_counts(
-        [np.array(masses), np.array(other)], [codes, codes],
-        _kernels.StreamDraws([seed, seed], samples))
-    assert together.tolist() == [_counts(masses, codes, seed, samples),
-                                 _counts(other, codes, seed, samples)]
+    together = _kernels.mc_code_counts([masses, other],
+                                       _kernels.StreamDraws([seed, seed], samples))
+    assert together.tolist() == [_counts(masses, seed, samples),
+                                 _counts(other, seed, samples)]
 
 
 class _CountingPCG64(np.random.PCG64):
@@ -498,15 +492,13 @@ def test_mc_outcome_counts_rows_on_one_stream_read_its_words_once(raw_words):
     words = {}
     for name, m in (("masses", masses), ("near", near)):
         raw_words[0] = 0
-        words[name] = (_counts(m, range(4), seed, samples), raw_words[0])
-    codes = np.arange(4, dtype=np.uint8)
+        words[name] = (_counts(m, seed, samples), raw_words[0])
     for second, lo, hi in ((masses, 0, 0), (near, 1, words["near"][1] - 1)):
         raw_words[0] = 0
-        counts = _kernels.mc_outcome_counts(
-            [np.array(masses), np.array(second)], [codes, codes],
-            _kernels.StreamDraws([seed, seed], samples))
+        counts = _kernels.mc_code_counts([masses, second],
+                                         _kernels.StreamDraws([seed, seed], samples))
         assert lo <= raw_words[0] - words["masses"][1] <= hi
-        assert counts.tolist() == [words["masses"][0], _counts(second, codes, seed, samples)]
+        assert counts.tolist() == [words["masses"][0], _counts(second, seed, samples)]
 
 
 def test_emulation_reads_the_same_words_on_every_run(raw_words):
@@ -525,19 +517,19 @@ def test_emulation_reads_the_same_words_on_every_run(raw_words):
 
 def test_monte_carlo_report_calls_the_kernel_once_per_report_from_the_caller(
         monkeypatch):
-    """A tracer that wraps ``correlation.mc_outcome_counts`` sees one call
+    """A tracer that wraps ``correlation.mc_code_counts`` sees one call
     per report, made from the calling thread, with the draws it counts as
-    ``np.size`` of its third argument: the four pairs' samples.  An
+    ``np.size`` of its second argument: the four pairs' samples.  An
     emulation makes one call for both models, eight rows on the four
     pair streams."""
     calls = []
-    real = correlation.mc_outcome_counts
+    real = correlation.mc_code_counts
 
-    def traced(weights, codes, draws):
+    def traced(masses, draws):
         calls.append((threading.current_thread(), int(np.size(draws))))
-        return real(weights, codes, draws)
+        return real(masses, draws)
 
-    monkeypatch.setattr(correlation, "mc_outcome_counts", traced)
+    monkeypatch.setattr(correlation, "mc_code_counts", traced)
     scenario = load_scenario(SCENARIOS / "joint-composite.scenario")
     samples = 3 * _C + 7
     correlation.monte_carlo_report(scenario.model, scenario.distributions,
