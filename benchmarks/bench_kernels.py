@@ -68,17 +68,10 @@ def bench_tableau_pivot(rng):
     return _time(lambda: _kernels.tableau_pivot(work["T"], pr, pc), 20, setup)
 
 
-def bench_chsh_strategy_max(_rng):
-    """n = 6, the largest source cardinality the default enumerate work
-    limit of 2^24 strategies admits."""
-    return _time(lambda: _kernels.chsh_strategy_max(6), 20)
-
-
 BENCHES = [
     ("mc_code_counts      (4 masses, 1e6)", bench_mc_code_counts),
     ("mc_code_counts      (emulation, 2e6)", bench_mc_code_counts_emulation),
     ("tableau_pivot       (257x258)", bench_tableau_pivot),
-    ("chsh_strategy_max   (n=6)", bench_chsh_strategy_max),
 ]
 
 

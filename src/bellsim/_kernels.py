@@ -10,10 +10,9 @@ path, not just on its formulas:
   ``spaces.marginalize`` sums out of a joint, whose weights those masses
   sum, accumulate slice by slice in index order too;
 * elementwise array operations (one rounding per element) use numpy;
-* integer results (sample counts, strategy maxima over small integers) are
-  exact by construction: once their edges are rounded to the 2^-53 grid
-  of a uniform, the Monte Carlo counts use integer arithmetic only, so
-  they cannot depend on BLAS, libm or the CPU.
+* sample counts are exact by construction: once their edges are rounded
+  to the 2^-53 grid of a uniform, the Monte Carlo counts use integer
+  arithmetic only, so they cannot depend on BLAS, libm or the CPU.
 
 Callers bind each kernel by name (``from ._kernels import ...``).
 ``BACKEND`` names this implementation; it stays because the benchmark
@@ -204,26 +203,3 @@ def tableau_pivot(T: np.ndarray, pr: int, pc: int) -> None:
     T[:, pc] = 0.0
     T[pr, pc] = 1.0
 
-
-def chsh_strategy_max(n: int) -> float:
-    """Exact CHSH maximum over deterministic strategies on n points.
-
-    Covers all 2^(4n) assignments of the four response tables (two per
-    side) over an n-point hidden space and all point-mass distributions,
-    returning max |S|.  For Bob's tables (g_b, g_b'), let u = g_b + g_b'
-    and v = g_b - g_b'; at point k, S = f_a,k u_k + f_a',k v_k, and Alice's
-    tables f_a, f_a' maximise its magnitude in closed form at
-    |u_k| + |v_k|.  So only Bob's 4^n table pairs are visited, one row of
-    g_b against the (2^n, n) block of every g_b' at a time.  Every sum
-    lies in {-4..4}, so the arithmetic is done exactly in ``int8``.
-    """
-    m = 1 << n
-    signs = np.where(
-        (np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1, -1, 1
-    ).astype(np.int8)
-    best = 0
-    for g_b in signs:
-        s = np.abs(g_b + signs)                 # |u| per candidate g_b'
-        s += np.abs(g_b - signs)                # + |v|
-        best = max(best, int(s.max()))
-    return float(best)

@@ -41,6 +41,7 @@ correlations and feasibility both read them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import StreamDraws, chsh_strategy_max, mc_code_counts
+from ._kernels import StreamDraws, mc_code_counts
 from .errors import CorrelationError, IncompatibleModeModel, work_limit_detail
 from .models import (
     ApparatusDeterministic,
@@ -80,8 +81,10 @@ BELL_TEST_ALPHA = 1e-6
 PROB_TOL = 1e-9
 CORRELATION_RANGE_TOL = 1e-12
 
-#: Exhaustive enumeration refuses above this many strategy combinations
-#: (2^(4n) at source cardinality n, so n <= 6 by default).
+#: ``enumerate_bound`` refuses to report on more strategies than this
+#: (2^(4n) at source cardinality n, so n <= 6 by default).  It caps the
+#: strategies a report covers, not work done: the bound reads one point's
+#: 16 sign choices whatever n is.
 DEFAULT_ENUM_WORK_LIMIT = 2**24
 
 #: Monte Carlo refuses more samples per setting pair than this, so that a
@@ -308,7 +311,7 @@ class CorrelationReport:
 
 @dataclass(frozen=True)
 class BoundEnumeration:
-    """Result of the exhaustive deterministic-strategy search."""
+    """The deterministic-strategy bound and the strategies it covers."""
 
     lambda_cardinality: int
     strategies: int
@@ -514,9 +517,13 @@ def enumerate_bound(lambda_cardinality: int,
 
     Covers all 2^(4n) response-table assignments (two settings per side)
     on an n-point source space together with every point-mass source
-    distribution: Bob's two tables are enumerated, and Alice's two are
-    maximised in closed form at each point (``chsh_strategy_max``).
-    ``work_limit`` caps the 2^(4n) strategies covered.
+    distribution.  Under the point mass at lambda_k, E(x, y) is
+    f_x(lambda_k) g_y(lambda_k), so S reads only the four table values
+    at lambda_k (Clauser, Horne, Shimony and Holt, 1969).  The 16 sign
+    choices (f_a, f_a', g_b, g_b') of one point thus give every value S
+    takes on any strategy and point, whatever n is, and ``max_abs_s`` is
+    the largest |S| among them, from ``chsh``.  ``work_limit`` caps the
+    2^(4n) strategies that the result covers.
     """
     if lambda_cardinality < 1:
         raise CorrelationError("source cardinality must be at least 1")
@@ -526,11 +533,11 @@ def enumerate_bound(lambda_cardinality: int,
     if bits >= max(work_limit, 0).bit_length():
         raise CorrelationError(work_limit_detail(
             2 ** bits if bits <= 64 else f"2**{bits}", work_limit))
-    strategies = 2 ** bits
-    max_abs_s = float(chsh_strategy_max(lambda_cardinality))
+    max_abs_s = max(abs(chsh(f_a * g_b, f_a * g_b2, f_a2 * g_b, f_a2 * g_b2))
+                    for f_a, f_a2, g_b, g_b2 in itertools.product((1.0, -1.0), repeat=4))
     return BoundEnumeration(
         lambda_cardinality=lambda_cardinality,
-        strategies=strategies,
+        strategies=2 ** bits,
         max_abs_s=max_abs_s,
         reduction_note=_REDUCTION_NOTE,
     )

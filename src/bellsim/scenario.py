@@ -46,9 +46,9 @@ Distribution payloads carry a ``mode`` tag:
 where DIST is {"domain": ["lambda", ...], "weights": [flat row-major floats]}.
 
 Parsing is strict: structural problems, a key the schema does not define
-at any level, nested DIST weights, two marginal keys for one setting pair
-and a key repeated within one JSON object raise CliError naming the
-field.
+at any level, nested DIST weights, an array entry that is not a JSON
+number, two marginal keys for one setting pair and a key repeated within
+one JSON object raise CliError naming the field.
 Payloads go straight to the constructors of their modules, so a payload
 that breaks a module's invariant raises that module's error (for example
 a negative weight raises HvCoreError, tagged ``hv-core``).  Parts that do
@@ -208,11 +208,25 @@ def _integer(value: Any, where: str) -> int:
 def _array(value: Any, where: str) -> np.ndarray:
     if not isinstance(value, list):
         raise CliError(f"{where}: expected an array, got {type(value).__name__}")
+    stray = _non_number(value)
+    if stray is not None:
+        raise CliError(f"{where}: expected an array of numbers, got {stray.__name__}")
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"{where}: not a numeric array ({exc})") from exc
-    return arr
+
+
+def _non_number(items: list) -> type | None:
+    """The type of the first element of ``items``, nested arrays searched
+    in order, that is not a JSON number; None if every one is."""
+    if set(map(type, items)) <= {int, float}:  # one pass settles a flat array
+        return None
+    for item in items:
+        stray = _non_number(item) if type(item) is list else type(item)
+        if stray not in (None, int, float):
+            return stray
+    return None
 
 
 def _parse_spaces(value: Any) -> dict[str, HiddenSpace]:
@@ -267,7 +281,7 @@ def _parse_model(value: Any, registry: Mapping[str, HiddenSpace],
                  where: str) -> ResponseModel:
     value = _mapping(value, where)
     kind = _require(value, "kind", where)
-    if kind not in _MODEL_FIELDS:
+    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
         raise CliError(f"{where}: unknown model kind {kind!r}; "
                        f"expected one of {tuple(_MODEL_FIELDS)}")
     _fields(value, _MODEL_FIELDS[kind], where)
@@ -303,7 +317,7 @@ def _parse_distributions(value: Any, registry: Mapping[str, HiddenSpace]
     where = "distributions"
     value = _mapping(value, where)
     mode = _require(value, "mode", where)
-    if mode not in _MODE_FIELDS:
+    if not isinstance(mode, str) or mode not in _MODE_FIELDS:
         raise CliError(f"{where}: unknown mode {mode!r}; "
                        f"expected one of {tuple(_MODE_FIELDS)}")
     _fields(value, _MODE_FIELDS[mode], where)

@@ -1,5 +1,6 @@
-"""Brute-force CHSH strategy maxima, kept as the references the
-closed-form ``_kernels.chsh_strategy_max`` must match.
+"""Brute-force CHSH strategy maxima, kept as the references that
+``correlation.enumerate_bound`` must match.  It reads the 16 sign choices
+of one point, and these visit every strategy on every point.
 
 ``int8_strategy_max`` enumerates all 2^(4n) assignments of the four
 response tables in ``int8``, Alice's two tables included, one table g_b

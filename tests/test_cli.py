@@ -32,6 +32,14 @@ TSIRELSON = ["0", "1.5707963267948966", "0.7853981633974483",
              "-0.7853981633974483"]
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a child Python that imports this ``bellsim``."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -823,6 +831,28 @@ class TestErrorTags:
                                    _set("model", "tables", "a", 0, 0,
                                         value=10 ** 400))],
          "[cli-harness] model.tables.a: not a numeric array"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("model", "kind",
+                                        value=["ApparatusDeterministic"]))],
+         "[cli-harness] model: unknown model kind ['ApparatusDeterministic']; "
+         "expected one of "),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("distributions", "mode", value={"x": 1}))],
+         "[cli-harness] distributions: unknown mode {'x': 1}; expected one of "),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("distributions", "rho", "weights",
+                                        value=["0.5", "0.5"]))],
+         "[cli-harness] distributions.rho.weights: expected an array of "
+         "numbers, got str\n"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("model", "tables", "a", 0,
+                                        value=[True, -1.0]))],
+         "[cli-harness] model.tables.a: expected an array of numbers, got bool\n"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   _set("distributions", "rho", "weights", 0,
+                                        value=None))],
+         "[cli-harness] distributions.rho.weights: expected an array of "
+         "numbers, got NoneType\n"),
     ], ids=["qm-search-step", "enumerate-bound-9", "enumerate-bound-0",
             "work-limit", "unknown-template", "missing-file",
             "swapped-domain", "negative-weight", "half-sign", "nan-weight",
@@ -846,7 +876,9 @@ class TestErrorTags:
             "four-space-joint", "joint-lambda-twice", "marginals-b-on-lambda-a",
             "generate-negative-mc-seed",
             "enumerate-bound-3572", "enumerate-bound-1000000",
-            "huge-integer-weight", "huge-integer-table-entry"])
+            "huge-integer-weight", "huge-integer-table-entry",
+            "list-model-kind", "object-distribution-mode", "string-weights",
+            "boolean-table", "null-weight"])
     def test_stderr_names_the_module(self, capsys, monkeypatch, tmp_path, argv,
                                      prefix):
         raised = []
@@ -988,6 +1020,21 @@ class TestEnumerateBound:
         doc = json.loads(out)
         assert (doc["max_abs_s"], doc["strategies"]) == (2.0, 2 ** 28)
 
+    def test_sixteen_points_under_a_64_bit_limit_end_within_a_second(self):
+        # in a child process, so that an enumeration over the points fails
+        # the timeout instead of hanging the suite
+        child = ("import sys, time\n"
+                 "from bellsim.cli import main\n"
+                 "start = time.monotonic()\n"
+                 "code = main(['enumerate-bound', '16', '--work-limit', str(2 ** 64)])\n"
+                 "print(code, time.monotonic() - start, file=sys.stderr)\n")
+        done = subprocess.run([sys.executable, "-c", child], env=_child_env(),
+                              capture_output=True, text=True, timeout=30, check=True)
+        code, seconds = done.stderr.split()
+        assert code == "0" and float(seconds) < 1.0
+        doc = json.loads(done.stdout)
+        assert (doc["max_abs_s"], doc["strategies"]) == (2.0, 2 ** 64)
+
     def test_help_shows_the_default_work_limit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate-bound", "--help"])
@@ -1121,10 +1168,7 @@ class TestParserReuse:
                  "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
                  "import bellsim.cli\n"
                  "print(len(built), bellsim.cli._build_parser.cache_info().currsize)\n")
-        env = dict(os.environ)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", child], env=env,
+        done = subprocess.run([sys.executable, "-c", child], env=_child_env(),
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stdout == "0 0\n"
 

@@ -25,19 +25,23 @@ from bellsim.scenario import generate_scenario, load_scenario, parse_scenario
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
+# The per-point bound of ``correlation.enumerate_bound`` against the
+# brute-force references, which visit every strategy on every point.
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_chsh_strategy_max_is_exactly_two(n):
-    assert _kernels.chsh_strategy_max(n) == 2.0
+    assert correlation.enumerate_bound(n).max_abs_s == 2.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_chsh_strategy_max_matches_the_int8_enumeration(n):
-    assert _kernels.chsh_strategy_max(n) == int8_strategy_max(n)
+    assert correlation.enumerate_bound(n).max_abs_s == int8_strategy_max(n)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_chsh_strategy_max_matches_every_point_sum(n):
-    assert _kernels.chsh_strategy_max(n) == loop_strategy_max(n)
+    assert correlation.enumerate_bound(n).max_abs_s == loop_strategy_max(n)
 
 
 def _stream(seed, k):
