@@ -6,7 +6,7 @@ Subcommands:
     bellsim generate TEMPLATE [-o OUT] [--seed N] [--cards C,C,C,C,C]
             [--angles A,A,B,B] [--estimator exact|monte-carlo]
             [--samples N] [--mc-seed N] [--description TEXT]
-    bellsim enumerate-bound CARDINALITY [-o OUT] [--work-limit N]
+    bellsim enumerate-bound CARDINALITY [-o OUT]
     bellsim qm table ANGLE_A ANGLE_B [-o OUT]
     bellsim qm chsh A A_PRIME B B_PRIME [-o OUT]
     bellsim qm search [--grid-step X] [--refine-rounds N] [-o OUT]
@@ -32,7 +32,6 @@ import re
 import sys
 from pathlib import Path
 
-from .correlation import DEFAULT_ENUM_WORK_LIMIT
 from .errors import BellsimError, CliError
 from .feasibility import DEFAULT_WORK_LIMIT
 from .report import (enumerate_bound_doc, qm_chsh_doc, qm_search_doc,
@@ -125,9 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("cardinality", type=int,
                         help="source-space cardinality n; covers 2^(4n) "
                              "strategies")
-    p_enum.add_argument("--work-limit", type=int, default=DEFAULT_ENUM_WORK_LIMIT,
-                        help="cap on enumerated strategies "
-                             f"(default {DEFAULT_ENUM_WORK_LIMIT})")
 
     p_qm = sub.add_parser("qm", help="quantum singlet reference predictions")
     qm_sub = p_qm.add_subparsers(dest="qm_command", required=True)
@@ -188,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
                 parameters["description"] = args.description
             doc = generate_scenario(args.template, parameters)
         elif args.command == "enumerate-bound":
-            doc = enumerate_bound_doc(args.cardinality, args.work_limit)
+            doc = enumerate_bound_doc(args.cardinality)
         elif args.qm_command == "table":
             doc = qm_table_doc(args.angle_a, args.angle_b)
         elif args.qm_command == "chsh":

@@ -81,11 +81,11 @@ BELL_TEST_ALPHA = 1e-6
 PROB_TOL = 1e-9
 CORRELATION_RANGE_TOL = 1e-12
 
-#: ``enumerate_bound`` refuses to report on more strategies than this
-#: (2^(4n) at source cardinality n, so n <= 6 by default).  It caps the
-#: strategies a report covers, not work done: the bound reads one point's
-#: 16 sign choices whatever n is.
-DEFAULT_ENUM_WORK_LIMIT = 2**24
+#: The largest source cardinality n that ``enumerate_bound`` takes: the
+#: last whose 2^(4n) strategies have at most 640 decimal digits, the lowest
+#: int-to-str limit CPython accepts (``sys.int_info.str_digits_check_threshold``),
+#: so every report renders whatever limit the interpreter runs with.
+MAX_ENUM_CARDINALITY = 531
 
 #: Monte Carlo refuses more samples per setting pair than this, so that a
 #: report ends in bounded time.  Through the CLI on a 2-vCPU x86-64
@@ -131,6 +131,9 @@ class SettingDependent:
     witness = None
 
     def __post_init__(self) -> None:
+        for k in self.marginals:
+            if not (isinstance(k, tuple) and len(k) == 2 and set(k) <= set(SETTING_NAMES)):
+                raise CorrelationError(f"marginal key {k!r} is not a pair of setting names")
         marginals = {pair_key(*k): v for k, v in self.marginals.items()}
         if len(marginals) < len(self.marginals):
             raise CorrelationError(
@@ -332,7 +335,7 @@ def correlation_from_probabilities(p_pp: float, p_pm: float, p_mp: float,
         if value < -PROB_TOL:
             raise CorrelationError(f"negative probability {value!r}")
     total = math.fsum(probs)
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:  # also refuses NaN
         raise CorrelationError(f"probabilities sum to {total!r}, expected 1")
     return p_pp + p_mm - p_pm - p_mp
 
@@ -341,7 +344,7 @@ def chsh(e_ab: float, e_ab_prime: float, e_a_prime_b: float,
          e_a_prime_b_prime: float) -> float:
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
     for value in (e_ab, e_ab_prime, e_a_prime_b, e_a_prime_b_prime):
-        if abs(value) > 1.0 + CORRELATION_RANGE_TOL:
+        if not abs(value) <= 1.0 + CORRELATION_RANGE_TOL:  # also refuses NaN
             raise CorrelationError(f"correlation {float(value)!r} lies outside [-1, 1]")
     return e_ab + e_ab_prime + e_a_prime_b - e_a_prime_b_prime
 
@@ -349,7 +352,10 @@ def chsh(e_ab: float, e_ab_prime: float, e_a_prime_b: float,
 def bell_check(s: float, samples: int | None = None) -> BellVerdict:
     """Satisfied iff |s| - 2 <= 1e-9, or for a Monte Carlo s of ``samples``
     draws per pair, <= sqrt(8 ln(2/alpha)/samples), Hoeffding's margin at
-    alpha = ``BELL_TEST_ALPHA``; excess is the overshoot when violated."""
+    alpha = ``BELL_TEST_ALPHA``; excess is the overshoot when violated.
+    A non-finite s is refused."""
+    if not math.isfinite(s):
+        raise CorrelationError(f"CHSH value must be finite, got {float(s)!r}")
     excess = abs(s) - 2.0
     margin = (BELL_BOUND_TOL if samples is None
               else math.sqrt(8.0 * math.log(2.0 / BELL_TEST_ALPHA) / samples))
@@ -470,8 +476,8 @@ def monte_carlo_report(model: ResponseModel, dists: ScenarioDistributions,
 
     Every pair's decomposition is built first, and the kernel is called
     once for all pairs.  Memory is bounded by the kernel's 512 KiB chunk,
-    and time by ``MAX_SAMPLES`` per pair.  A negative seed is refused
-    before any stream is built.
+    and time by ``MAX_SAMPLES`` per pair.  A count or seed that is not an
+    integer, or a negative seed, is refused before any stream is built.
     """
     return _monte_carlo_reports([(model, dists)], settings, samples, seed)[0]
 
@@ -482,12 +488,16 @@ def _monte_carlo_reports(models: list[tuple[ResponseModel, ScenarioDistributions
     ``models``, all counted in one ``mc_code_counts`` call: each model's
     pairs in turn, pair k on seed sequence k whatever the model, so rows
     of one pair replay one split path."""
+    for name, value in (("sample count", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise CorrelationError(f"{name} must be an integer, got {value!r}")
+    samples, seed = int(samples), int(seed)  # numpy integers overflow the kernel's shifts
     if samples < 1:
         raise CorrelationError("sample count must be at least 1")
     if samples > MAX_SAMPLES:
         raise CorrelationError(work_limit_detail(samples, MAX_SAMPLES))
     if seed < 0:
-        raise CorrelationError(f"seed must be nonnegative, got {int(seed)}")
+        raise CorrelationError(f"seed must be nonnegative, got {seed}")
     pairs = _ordered_pairs(settings)
     masses = [row for model, dists in models for row in _decompositions(model, dists, pairs)]
     streams = [np.random.SeedSequence(entropy=seed, spawn_key=(k,))
@@ -511,8 +521,7 @@ _REDUCTION_NOTE = (
 )
 
 
-def enumerate_bound(lambda_cardinality: int,
-                    work_limit: int = DEFAULT_ENUM_WORK_LIMIT) -> BoundEnumeration:
+def enumerate_bound(lambda_cardinality: int) -> BoundEnumeration:
     """Maximum |S| over every deterministic source-only strategy.
 
     Covers all 2^(4n) response-table assignments (two settings per side)
@@ -522,22 +531,20 @@ def enumerate_bound(lambda_cardinality: int,
     at lambda_k (Clauser, Horne, Shimony and Holt, 1969).  The 16 sign
     choices (f_a, f_a', g_b, g_b') of one point thus give every value S
     takes on any strategy and point, whatever n is, and ``max_abs_s`` is
-    the largest |S| among them, from ``chsh``.  ``work_limit`` caps the
-    2^(4n) strategies that the result covers.
+    the largest |S| among them, from ``chsh``.  n is at most
+    ``MAX_ENUM_CARDINALITY``, so that the 2^(4n) count renders under any
+    int-to-str digit limit CPython accepts.
     """
     if lambda_cardinality < 1:
         raise CorrelationError("source cardinality must be at least 1")
-    bits = 4 * lambda_cardinality
-    # 2**bits > work_limit exactly when bits reaches the limit's bit length,
-    # so a refused count is never formed, and printed only when it is short
-    if bits >= max(work_limit, 0).bit_length():
-        raise CorrelationError(work_limit_detail(
-            2 ** bits if bits <= 64 else f"2**{bits}", work_limit))
+    if lambda_cardinality > MAX_ENUM_CARDINALITY:
+        raise CorrelationError(f"source cardinality must be at most "
+                               f"{MAX_ENUM_CARDINALITY}, got {lambda_cardinality}")
     max_abs_s = max(abs(chsh(f_a * g_b, f_a * g_b2, f_a2 * g_b, f_a2 * g_b2))
                     for f_a, f_a2, g_b, g_b2 in itertools.product((1.0, -1.0), repeat=4))
     return BoundEnumeration(
         lambda_cardinality=lambda_cardinality,
-        strategies=2 ** bits,
+        strategies=2 ** (4 * lambda_cardinality),
         max_abs_s=max_abs_s,
         reduction_note=_REDUCTION_NOTE,
     )

@@ -58,14 +58,10 @@ class CliError(BellsimError):
     module = "cli-harness"
 
 
-def work_limit_detail(required: int | str, limit: int,
-                      unit: str = "units of work") -> str:
+def work_limit_detail(required: int, limit: int, unit: str = "units of work") -> str:
     """The message of a refused computation: ``required`` is the work
-    count, or for a count too long to print, its power-of-two expression
-    (``"2**14288"``); ``unit`` names what is counted."""
-    if not isinstance(required, str):
-        required = int(required)
-    return f"requires {required} {unit}, limit is {int(limit)}"
+    count; ``unit`` names what is counted."""
+    return f"requires {int(required)} {unit}, limit is {int(limit)}"
 
 
 class NotNormalized(HvCoreError):

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from .correlation import (DEFAULT_ENUM_WORK_LIMIT, BellVerdict,
-                          CorrelationReport, SourceOnly, _monte_carlo_reports,
-                          bell_check, enumerate_bound, exact_report)
+from .correlation import (BellVerdict, CorrelationReport, SourceOnly,
+                          _monte_carlo_reports, bell_check, enumerate_bound,
+                          exact_report)
 from .feasibility import DEFAULT_WORK_LIMIT, admit, check_joint_existence
 from .models import (ApparatusDeterministic, Setting, effective_responses,
                      standard_settings)
@@ -152,9 +152,8 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def enumerate_bound_doc(lambda_cardinality: int,
-                        work_limit: int = DEFAULT_ENUM_WORK_LIMIT) -> dict[str, Any]:
-    result = enumerate_bound(lambda_cardinality, work_limit)
+def enumerate_bound_doc(lambda_cardinality: int) -> dict[str, Any]:
+    result = enumerate_bound(lambda_cardinality)
     return {
         "report_version": SCHEMA_VERSION,
         "command": "enumerate-bound",

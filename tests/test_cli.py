@@ -20,7 +20,7 @@ from helpers import setting_dependent_copy
 
 from bellsim import cli, correlation, feasibility, report
 from bellsim.cli import main
-from bellsim.correlation import DEFAULT_ENUM_WORK_LIMIT, MAX_SAMPLES
+from bellsim.correlation import MAX_SAMPLES
 from bellsim.errors import BellsimError, CorrelationError
 from bellsim.scenario import load_scenario
 from bellsim.spaces import SETTING_PAIRS, Distribution
@@ -643,7 +643,8 @@ class TestErrorTags:
 
     @pytest.mark.parametrize("argv, prefix", [
         (lambda _: ["qm", "search", "--grid-step", "2"], "[qm-reference] grid step"),
-        (lambda _: ["enumerate-bound", "9"], "[correlation-engine] requires"),
+        (lambda _: ["enumerate-bound", "532"],
+         "[correlation-engine] source cardinality must be at most 531, got 532\n"),
         (lambda _: ["enumerate-bound", "0"], "[correlation-engine] source"),
         (lambda _: ["run", str(SCENARIOS / "factorized.scenario"),
                     "--work-limit", "4"], "[feasibility] requires 32 units"),
@@ -820,9 +821,9 @@ class TestErrorTags:
                     "--mc-seed", "-1"],
          "[cli-harness] parameter 'mc_seed': must be nonnegative"),
         (lambda _: ["enumerate-bound", "3572"],
-         "[correlation-engine] requires 2**14288 units of work, limit is 16777216"),
+         "[correlation-engine] source cardinality must be at most 531, got 3572\n"),
         (lambda _: ["enumerate-bound", "1000000"],
-         "[correlation-engine] requires 2**4000000 units of work"),
+         "[correlation-engine] source cardinality must be at most 531, got 1000000\n"),
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _set("distributions", "rho", "weights", 0,
                                         value=10 ** 400))],
@@ -853,7 +854,7 @@ class TestErrorTags:
                                         value=None))],
          "[cli-harness] distributions.rho.weights: expected an array of "
          "numbers, got NoneType\n"),
-    ], ids=["qm-search-step", "enumerate-bound-9", "enumerate-bound-0",
+    ], ids=["qm-search-step", "enumerate-bound-532", "enumerate-bound-0",
             "work-limit", "unknown-template", "missing-file",
             "swapped-domain", "negative-weight", "half-sign", "nan-weight",
             "nan-weight-monte-carlo", "nan-comparison-table", "nan-angle",
@@ -1006,41 +1007,48 @@ class TestEnumerateBound:
         assert "vertex" in doc["reduction_note"]
 
     def test_work_limit_exit(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate-bound", "8",
-                               "--work-limit", "1000")
-        assert code == 1
-        assert "limit" in err.lower()
+        code, out, err = run_cli(capsys, "enumerate-bound", "532")
+        assert (code, out) == (1, "")
+        assert err == ("bellsim: error: [correlation-engine] source cardinality "
+                       "must be at most 531, got 532\n")
 
     def test_seven_points_under_a_raised_limit_end_within_a_second(self, capsys):
         start = time.monotonic()
-        code, out, _ = run_cli(capsys, "enumerate-bound", "7",
-                               "--work-limit", str(2 ** 28))
+        code, out, _ = run_cli(capsys, "enumerate-bound", "7")
         assert time.monotonic() - start < 1.0
         assert code == 0
         doc = json.loads(out)
         assert (doc["max_abs_s"], doc["strategies"]) == (2.0, 2 ** 28)
 
-    def test_sixteen_points_under_a_64_bit_limit_end_within_a_second(self):
-        # in a child process, so that an enumeration over the points fails
-        # the timeout instead of hanging the suite
+    def test_sixteen_points_under_a_64_bit_limit_end_within_a_second(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, "enumerate-bound", "16")
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["max_abs_s"], doc["strategies"]) == (2.0, 2 ** 64)
+
+    def test_531_points_print_under_the_lowest_digit_limit(self):
+        # in a child process, so that the interpreter starts with the
+        # lowest int-to-str limit it accepts, and a hang fails the timeout
         child = ("import sys, time\n"
                  "from bellsim.cli import main\n"
                  "start = time.monotonic()\n"
-                 "code = main(['enumerate-bound', '16', '--work-limit', str(2 ** 64)])\n"
+                 "code = main(['enumerate-bound', '531'])\n"
                  "print(code, time.monotonic() - start, file=sys.stderr)\n")
-        done = subprocess.run([sys.executable, "-c", child], env=_child_env(),
+        env = _child_env() | {"PYTHONINTMAXSTRDIGITS": "640"}
+        done = subprocess.run([sys.executable, "-c", child], env=env,
                               capture_output=True, text=True, timeout=30, check=True)
         code, seconds = done.stderr.split()
         assert code == "0" and float(seconds) < 1.0
         doc = json.loads(done.stdout)
-        assert (doc["max_abs_s"], doc["strategies"]) == (2.0, 2 ** 64)
+        assert (doc["max_abs_s"], doc["strategies"]) == (2.0, 2 ** 2124)
 
-    def test_help_shows_the_default_work_limit(self, capsys):
+    def test_help_names_no_work_limit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate-bound", "--help"])
         assert exc.value.code == 0
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert f"cap on enumerated strategies (default {DEFAULT_ENUM_WORK_LIMIT})" in help_text
+        assert "--work-limit" not in capsys.readouterr().out
 
 
 class TestQm:

@@ -26,7 +26,7 @@ from helpers import (
 
 from bellsim.correlation import (
     BELL_BOUND_TOL,
-    DEFAULT_ENUM_WORK_LIMIT,
+    MAX_ENUM_CARDINALITY,
     MAX_SAMPLES,
     FactorizedApparatus,
     JointComposite,
@@ -161,6 +161,13 @@ class TestCorrelationFromProbabilities:
         with pytest.raises(CorrelationError, match="^probabilities sum to 2.0, expected 1$"):
             correlation_from_probabilities(0.5, 0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_rejected(self, position):
+        probs = [0.0, 0.0, 0.0, 1.0]
+        probs[position] = math.nan
+        with pytest.raises(CorrelationError, match="^probabilities sum to nan, expected 1$"):
+            correlation_from_probabilities(*probs)
+
 
 class TestChsh:
     def test_saturating(self):
@@ -177,6 +184,14 @@ class TestChsh:
         with pytest.raises(CorrelationError,
                            match=r"^correlation 1.5 lies outside \[-1, 1\]$"):
             chsh(1.5, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_rejected(self, position):
+        correlations = [0.5, 0.0, 0.0, 0.0]
+        correlations[position] = math.nan
+        with pytest.raises(CorrelationError,
+                           match=r"^correlation nan lies outside \[-1, 1\]$"):
+            chsh(*correlations)
 
 
 class TestBellCheck:
@@ -204,6 +219,12 @@ class TestBellCheck:
         assert bell_check(-(2.0 + margin - 1e-3), samples).excess == 0.0
         v = bell_check(-(2.0 + margin + 1e-3), samples)
         assert not v.satisfied and v.excess == pytest.approx(margin + 1e-3, abs=TOL)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("samples", [None, 10**4])
+    def test_non_finite_refused(self, s, samples):
+        with pytest.raises(CorrelationError, match=f"^CHSH value must be finite, got {s!r}$"):
+            bell_check(s, samples)
 
 
 def exact_e(model, dists, pair) -> float:
@@ -365,6 +386,17 @@ class TestSettingDependentFamily:
         assert family.marginal("a", "b") is family.marginal("b", "a")
         assert family.marginal("b_prime", "a_prime") is family.marginals[
             ("a_prime", "b_prime")]
+
+    @pytest.mark.parametrize("key", ["a|b", "ab", ("a",), ("a", "b", "b"),
+                                     ("a", 1), ("a", "lambda")])
+    def test_key_not_a_pair_of_setting_names_rejected(self, key):
+        family, _ = self.make_family()
+        broken = dict(family.marginals)
+        broken[key] = broken.pop(("a", "b"))
+        with pytest.raises(CorrelationError,
+                           match=f"^marginal key {re.escape(repr(key))} is not a pair "
+                                 "of setting names$"):
+            SettingDependent(broken)
 
     def test_missing_pair_rejected(self):
         family, _ = self.make_family()
@@ -755,6 +787,26 @@ class TestMonteCarlo:
             monte_carlo_report(model, dists, FOUR_SETTINGS, 10, seed=-1)
         assert exc.value.module == "correlation-engine"
 
+    @pytest.mark.parametrize("samples, seed, name, value", [
+        (10.5, 0, "sample count", "10.5"), (10.0, 0, "sample count", "10.0"),
+        (True, 0, "sample count", "True"), (10, 1.5, "seed", "1.5"),
+        (10, False, "seed", "False")])
+    def test_non_integer_samples_or_seed_refused_before_any_stream(
+            self, monkeypatch, samples, seed, name, value):
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("stream built for a non-integer argument")
+
+        monkeypatch.setattr(np.random, "SeedSequence", unbuildable)
+        model, dists = shared_coin()
+        with pytest.raises(CorrelationError, match=f"^{name} must be an integer, "
+                           f"got {re.escape(value)}$"):
+            monte_carlo_report(model, dists, FOUR_SETTINGS, samples, seed=seed)
+
+    def test_numpy_integer_samples_and_seed_accepted(self):
+        model, dists = shared_coin()
+        assert (monte_carlo_report(model, dists, FOUR_SETTINGS, np.int64(10), seed=np.uint32(3))
+                == monte_carlo_report(model, dists, FOUR_SETTINGS, 10, seed=3))
+
     def test_samples_above_the_cap_refused(self):
         model, dists = shared_coin()
         with pytest.raises(CorrelationError, match=f"^requires {MAX_SAMPLES + 1} "
@@ -812,20 +864,27 @@ class TestEnumerateBound:
         assert "vertex" in result.reduction_note
 
     def test_work_limit(self):
-        with pytest.raises(CorrelationError, match=f"^requires {2 ** 28} units of "
-                           f"work, limit is {DEFAULT_ENUM_WORK_LIMIT}$"):
-            enumerate_bound(7)
-        with pytest.raises(CorrelationError, match=f"^requires {2 ** 12} units of "
-                           f"work, limit is {2 ** 10}$"):
-            enumerate_bound(3, work_limit=2 ** 10)
+        # 531 is the last n whose 2^(4n) strategies print in 640 digits,
+        # the lowest int-to-str limit CPython accepts
+        assert MAX_ENUM_CARDINALITY == 531
+        assert len(str(2 ** (4 * 531))) == 640 < len(str(2 ** (4 * 532)))
+        with pytest.raises(CorrelationError,
+                           match="^source cardinality must be at most 531, got 532$"):
+            enumerate_bound(532)
+        with pytest.raises(CorrelationError, match="^source cardinality must be at least 1$"):
+            enumerate_bound(0)
 
-    def test_refused_count_is_never_formed(self):
-        with pytest.raises(CorrelationError, match=r"^requires 2\*\*4000000000 units"):
+    def test_refused_count_is_never_formed(self, monkeypatch):
+        def unformable(*args, **kwargs):
+            raise AssertionError("bound computed for a refused cardinality")
+
+        monkeypatch.setattr("bellsim.correlation.chsh", unformable)
+        with pytest.raises(CorrelationError,
+                           match=f"^source cardinality must be at most 531, got {10 ** 9}$"):
             enumerate_bound(10 ** 9)
-        with pytest.raises(CorrelationError, match="^requires 16 units of work, limit is -1$"):
-            enumerate_bound(1, work_limit=-1)
-        assert enumerate_bound(6, work_limit=2 ** 24).strategies == 2 ** 24
 
     def test_respects_raised_limit(self):
-        result = enumerate_bound(5, work_limit=2 ** 20)
-        assert result.max_abs_s == 2.0
+        for card in (5, 7, 16, MAX_ENUM_CARDINALITY):
+            result = enumerate_bound(card)
+            assert result.max_abs_s == 2.0
+            assert result.strategies == 2 ** (4 * card)
