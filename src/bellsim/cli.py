@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    bellsim run SCENARIO [-o OUT] [--seed N] [--work-limit N]
+    bellsim run SCENARIO [-o OUT]
     bellsim generate TEMPLATE [-o OUT] [--seed N] [--cards C,C,C,C,C]
             [--angles A,A,B,B] [--estimator exact|monte-carlo]
             [--samples N] [--mc-seed N] [--description TEXT]
@@ -11,12 +11,14 @@ Subcommands:
     bellsim qm chsh A A_PRIME B B_PRIME [-o OUT]
     bellsim qm search [--grid-step X] [--refine-rounds N] [-o OUT]
 
-Reports go to standard output unless -o names a file.  A relative -o path
-is resolved against BELLSIM_OUTPUT_DIR when that variable is set; this is
-the only environment configuration the tool reads.  Exit status is 0
-whenever the requested run completes, whether or not the report's
-verdicts say Satisfied or Violated; it is nonzero only for parse,
-validation, and execution errors.
+A run takes its whole job from the scenario file, Monte Carlo seed
+included (``generate --mc-seed`` writes it).  Reports go to standard
+output unless -o names a file.  A relative -o path is resolved against
+BELLSIM_OUTPUT_DIR when that variable is set; this is the only
+environment configuration the tool reads.  Exit status is 0 whenever the
+requested run completes, whether or not the report's verdicts say
+Satisfied or Violated; it is nonzero only for parse, validation, and
+execution errors.
 
 The argument parser is built once per process, on the first ``main``
 call rather than at import, and every later call reuses it.
@@ -33,7 +35,6 @@ import sys
 from pathlib import Path
 
 from .errors import BellsimError, CliError
-from .feasibility import DEFAULT_WORK_LIMIT
 from .report import (enumerate_bound_doc, qm_chsh_doc, qm_search_doc,
                      qm_table_doc, run_scenario)
 from .scenario import (TEMPLATES, generate_scenario, load_scenario,
@@ -90,12 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[common],
                            help="execute a scenario file and emit its report")
     p_run.add_argument("scenario", help="path to a scenario file")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="override the scenario's monte-carlo seed")
-    p_run.add_argument("--work-limit", type=int, default=DEFAULT_WORK_LIMIT,
-                       help="cap on the composite points of an apparatus "
-                            "scenario, checked before any analysis "
-                            f"(default {DEFAULT_WORK_LIMIT})")
 
     p_gen = sub.add_parser("generate", parents=[common],
                            help="emit a scenario file from a named template")
@@ -167,9 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            scenario = load_scenario(args.scenario)
-            doc = run_scenario(scenario, seed_override=args.seed,
-                               work_limit=args.work_limit)
+            doc = run_scenario(load_scenario(args.scenario))
         elif args.command == "generate":
             parameters = {"seed": args.seed, "estimator": args.estimator}
             if args.samples is not None:

@@ -533,13 +533,18 @@ def enumerate_bound(lambda_cardinality: int) -> BoundEnumeration:
     takes on any strategy and point, whatever n is, and ``max_abs_s`` is
     the largest |S| among them, from ``chsh``.  n is at most
     ``MAX_ENUM_CARDINALITY``, so that the 2^(4n) count renders under any
-    int-to-str digit limit CPython accepts.
+    int-to-str digit limit CPython accepts; a refusal names n below 2^64.
     """
+    if isinstance(lambda_cardinality, bool) or not isinstance(lambda_cardinality, int):
+        raise CorrelationError(f"source cardinality must be an integer, "
+                               f"got {type(lambda_cardinality).__name__}")
     if lambda_cardinality < 1:
         raise CorrelationError("source cardinality must be at least 1")
     if lambda_cardinality > MAX_ENUM_CARDINALITY:
+        got = (lambda_cardinality if lambda_cardinality < 2 ** 64
+               else f"an integer of {lambda_cardinality.bit_length()} bits")
         raise CorrelationError(f"source cardinality must be at most "
-                               f"{MAX_ENUM_CARDINALITY}, got {lambda_cardinality}")
+                               f"{MAX_ENUM_CARDINALITY}, got {got}")
     max_abs_s = max(abs(chsh(f_a * g_b, f_a * g_b2, f_a2 * g_b, f_a2 * g_b2))
                     for f_a, f_a2, g_b, g_b2 in itertools.product((1.0, -1.0), repeat=4))
     return BoundEnumeration(

@@ -38,11 +38,11 @@ row-major over (lambda, lambda_p, lambda_q) inside a group.  So y^T b is
 the sum of the infeasible blocks' final phase-1 objectives and
 y^T A <= 0 still holds column by column.
 
-``admit`` refuses every mode with more composite points than the work
-limit before any family or joint is built, and a family that reaches the
-LP is refused, before any block is solved, when its blocks together hold
-more than ``LP_TOTAL_CELL_LIMIT`` cells of a dense tableau, a size
-measure (the solver's state is (m + 1) x (m + 2) per block).  Feasible
+``admit`` refuses every mode of more than ``MAX_COMPOSITE_POINTS``
+composite points before any family or joint is built, and a family that
+reaches the LP is refused, before any block is solved, when its blocks
+together hold more than ``LP_TOTAL_CELL_LIMIT`` cells of a dense tableau,
+a size measure (the solver's state is (m + 1) x (m + 2) per block).  Feasible
 verdicts carry the joint as found, witness or LP solution, unscaled;
 Infeasible verdicts carry the certificate, reported raw, and the two
 numbers of its separation check, one step for either certificate.  Both
@@ -88,7 +88,8 @@ MARGINAL_TOL = 1e-9
 #: Verification slack on the certificate's y^T A <= 0 side.
 CERTIFICATE_SLACK = 1e-7
 
-DEFAULT_WORK_LIMIT = 65536
+#: Cap on a mode's composite points, above any template's 8^5.
+MAX_COMPOSITE_POINTS = 65536
 
 #: Cap on the dense-tableau cells, (m + 1)(n + m + 1) for a lambda block of
 #: m marginal cells and n apparatus points, summed over a family's blocks:
@@ -132,11 +133,11 @@ def marginal_residual(marginals: Mapping[tuple[str, str], Distribution],
                for rho in (marginals[pair] for pair in SETTING_PAIRS))
 
 
-def admit(spaces: FiveSpaces, work_limit: int) -> None:
-    """Refuse five spaces with more composite points than ``work_limit``."""
+def admit(spaces: FiveSpaces) -> None:
+    """Refuse five spaces of more than ``MAX_COMPOSITE_POINTS`` points."""
     n = math.prod(s.cardinality for s in spaces)
-    if n > work_limit:
-        raise FeasibilityError(work_limit_detail(n, work_limit))
+    if n > MAX_COMPOSITE_POINTS:
+        raise FeasibilityError(work_limit_detail(n, MAX_COMPOSITE_POINTS))
 
 
 def _admit_lp(family: SettingDependent) -> None:
@@ -212,15 +213,14 @@ def _chsh_certificate(family: SettingDependent,
 
 def check_joint_existence(dists: SettingDependent | FactorizedApparatus
                           | JointComposite,
-                          work_limit: int = DEFAULT_WORK_LIMIT,
                           model: ApparatusDeterministic | None = None
                           ) -> FeasibilityVerdict:
     """Decide whether a joint over the composite variable returns every
     marginal of the family the mode ``dists`` induces, and produce the
     witness either way.
 
-    ``work_limit``, the cap on composite points, applies to the mode's
-    ``spaces`` before any family, joint or LP is built.  A
+    ``admit`` caps the mode's ``spaces`` at ``MAX_COMPOSITE_POINTS``
+    composite points before any family, joint or LP is built.  A
     FactorizedApparatus or JointComposite mode is Feasible by
     construction, with its ``witness``.  A SettingDependent family read
     out by an ApparatusDeterministic ``model`` is Infeasible, with the
@@ -237,7 +237,7 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     if isinstance(dists, SourceOnly):
         raise FeasibilityError(
             f"no setting-pair marginal family for mode {dists.mode}")
-    admit(dists.spaces, work_limit)
+    admit(dists.spaces)
     marginals, witness = dists.marginals, dists.witness
     if witness is not None:
         return _feasible_verdict(marginals, witness)
@@ -295,11 +295,11 @@ def verify_certificate(family: SettingDependent,
     return float(np.max(yta)), math.fsum(y * b)
 
 
-def classify(dists: SettingDependent | FactorizedApparatus | JointComposite,
-             work_limit: int = DEFAULT_WORK_LIMIT) -> Literal["Local", "Nonlocal"]:
+def classify(dists: SettingDependent | FactorizedApparatus | JointComposite
+             ) -> Literal["Local", "Nonlocal"]:
     """Local iff a joint distribution returns every marginal of the family
     the mode ``dists`` induces (see :func:`check_joint_existence`)."""
-    verdict = check_joint_existence(dists, work_limit)
+    verdict = check_joint_existence(dists)
     return "Local" if verdict.feasible else "Nonlocal"
 
 

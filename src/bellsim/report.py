@@ -1,18 +1,20 @@
 """Report building: executes a scenario's analyses and renders documents.
 
 Reports are JSON with a fixed key layout and no volatile fields (no
-timestamps, hostnames, or backend tags), so a given scenario plus CLI
-flags always produces byte-identical text.  Analyses always execute and
-appear in the canonical order correlations, chsh, bell-check,
-feasibility, emulation, whatever order the scenario requested them in.
+timestamps, hostnames, or backend tags), so a given scenario file always
+produces byte-identical text; a Monte Carlo run draws from the file's
+``run.estimator.seed``.  Analyses always execute and appear in the
+canonical order correlations, chsh, bell-check, feasibility, emulation,
+whatever order the scenario requested them in.
 
 The feasibility analysis renders one ``check_joint_existence`` verdict on
 the scenario's distribution mode and model: the checked construction
 witness of a FactorizedApparatus or JointComposite scenario, and for a
 SettingDependent one the closed-form CHSH certificate when the model reads
 a Bell violation off the marginals, else the LP's joint or checked
-certificate.  The work limit applies to an apparatus scenario before any
-analysis runs.
+certificate.  An apparatus scenario of more than
+``feasibility.MAX_COMPOSITE_POINTS`` composite points is refused before
+any analysis runs.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from __future__ import annotations
 from typing import Any
 
 from .correlation import (BellVerdict, CorrelationReport, SourceOnly,
-                          _monte_carlo_reports, bell_check, enumerate_bound,
-                          exact_report)
-from .feasibility import DEFAULT_WORK_LIMIT, admit, check_joint_existence
+                          _monte_carlo_reports, bell_check, chsh,
+                          enumerate_bound, exact_report)
+from .feasibility import admit, check_joint_existence
 from .models import (ApparatusDeterministic, Setting, effective_responses,
                      standard_settings)
-from .qm import max_violation_search, singlet_chsh, singlet_probabilities
+from .qm import max_violation_search, singlet_probabilities
 from .scenario import ANALYSES, SCHEMA_VERSION, Scenario, dist_doc, estimator_doc
 from .spaces import CHSH_SIGNS, SETTING_NAMES, SETTING_PAIRS
 
@@ -54,9 +56,8 @@ def _bell_doc(verdict: BellVerdict) -> dict[str, Any]:
     return {"s": verdict.s, "verdict": verdict.label, "excess": verdict.excess}
 
 
-def _feasibility_doc(scenario: Scenario, work_limit: int) -> dict[str, Any]:
-    verdict = check_joint_existence(scenario.distributions, work_limit,
-                                    scenario.model)
+def _feasibility_doc(scenario: Scenario) -> dict[str, Any]:
+    verdict = check_joint_existence(scenario.distributions, scenario.model)
     if verdict.feasible:
         return {"status": verdict.status,
                 "classification": "Local",
@@ -90,19 +91,16 @@ def _emulation_doc(scenario: Scenario, primary: CorrelationReport,
             "comparison_s": comparison_report.s}
 
 
-def run_scenario(scenario: Scenario, seed_override: int | None = None,
-                 work_limit: int = DEFAULT_WORK_LIMIT) -> dict[str, Any]:
+def run_scenario(scenario: Scenario) -> dict[str, Any]:
     """Execute the scenario's analyses and assemble the report document.
 
-    ``seed_override`` replaces the scenario's monte-carlo seed (ignored for
-    the exact estimator); ``work_limit`` caps the composite points of an
-    ApparatusDeterministic scenario, checked before any analysis runs.
-    Verdicts are report content, never errors; errors mean the scenario
-    could not be executed at all, and each propagates as raised, tagged
-    with the module that raised it.
+    ``admit`` caps an ApparatusDeterministic scenario's composite points
+    before any analysis runs.  Verdicts are report content, never errors;
+    errors mean the scenario could not be executed at all, and each
+    propagates as raised, tagged with the module that raised it.
     """
     if isinstance(scenario.model, ApparatusDeterministic):
-        admit(scenario.model.spaces, work_limit)
+        admit(scenario.model.spaces)
     requested = tuple(a for a in ANALYSES if a in scenario.run.analyses)
     doc: dict[str, Any] = {
         "report_version": SCHEMA_VERSION,
@@ -122,9 +120,8 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
         primary, *comparison = [exact_report(model, dists, scenario.settings)
                                 for model, dists in models]
     else:
-        seed = estimator.seed if seed_override is None else seed_override
         primary, *comparison = _monte_carlo_reports(
-            models, scenario.settings, estimator.samples, seed)
+            models, scenario.settings, estimator.samples, estimator.seed)
     for name in requested:
         if name == "correlations":
             doc["analyses"][name] = {
@@ -141,7 +138,7 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
         elif name == "bell-check":
             doc["analyses"][name] = _bell_doc(primary.bound)
         elif name == "feasibility":
-            doc["analyses"][name] = _feasibility_doc(scenario, work_limit)
+            doc["analyses"][name] = _feasibility_doc(scenario)
         else:
             doc["analyses"][name] = _emulation_doc(scenario, primary, *comparison)
     return doc
@@ -183,14 +180,14 @@ def qm_table_doc(angle_a: float, angle_b: float) -> dict[str, Any]:
 
 
 def qm_chsh_doc(angles: tuple[float, float, float, float]) -> dict[str, Any]:
-    settings = standard_settings(*angles)
-    by_name = {s.name: s for s in settings}
-    s = singlet_chsh(*settings)
+    by_name = {s.name: s for s in standard_settings(*angles)}
+    pairs = [_qm_pair_doc(by_name[p], by_name[q]) for p, q in SETTING_PAIRS]
+    s = chsh(*(pair["correlation"] for pair in pairs))
     return {
         "report_version": SCHEMA_VERSION,
         "command": "qm-chsh",
         "angles": {name: float(x) for name, x in zip(SETTING_NAMES, angles)},
-        "pairs": [_qm_pair_doc(by_name[p], by_name[q]) for p, q in SETTING_PAIRS],
+        "pairs": pairs,
         "s": s,
         "bell_check": _bell_doc(bell_check(s)),
     }

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from helpers import setting_dependent_copy
 
-from bellsim import cli, correlation, feasibility, report
+from bellsim import cli, correlation, feasibility, qm, report
 from bellsim.cli import main
 from bellsim.correlation import MAX_SAMPLES
 from bellsim.errors import BellsimError, CorrelationError
@@ -126,30 +126,13 @@ class TestRun:
         assert code == 0
         assert target.is_file()
 
-    def test_seed_override_changes_stream(self, capsys):
-        path = str(SCENARIOS / "joint-composite.scenario")
-        _, base, _ = run_cli(capsys, "run", path)
-        _, overridden, _ = run_cli(capsys, "run", path, "--seed", "99")
-        assert base != overridden
-        assert json.loads(overridden)["analyses"]["correlations"][
-            "estimator"]["seed"] == 99
-        _, overridden_again, _ = run_cli(capsys, "run", path, "--seed", "99")
-        assert overridden == overridden_again
-
-    def test_negative_seed_override_refused(self, capsys):
-        code, out, err = run_cli(capsys, "run",
-                                 str(SCENARIOS / "joint-composite.scenario"),
-                                 "--seed", "-1")
-        assert (code, out) == (1, "")
-        assert err == ("bellsim: error: [correlation-engine] seed must be "
-                       "nonnegative, got -1\n")
-
-    def test_exact_run_ignores_a_negative_seed(self, capsys):
-        path = str(SCENARIOS / "factorized.scenario")
-        _, base, _ = run_cli(capsys, "run", path)
-        code, overridden, _ = run_cli(capsys, "run", path, "--seed", "-1")
-        assert code == 0
-        assert overridden == base
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--work-limit", "4"]],
+                             ids=["seed", "work-limit"])
+    def test_run_takes_no_seed_or_work_limit(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(SCENARIOS / "factorized.scenario"), *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_negative_weight_exit_and_message(self, capsys, tmp_path):
         doc = json.loads((SCENARIOS / "singlet-witness.scenario").read_text())
@@ -166,26 +149,33 @@ class TestRun:
         assert code == 1
         assert "cannot read" in err
 
-    def test_work_limit_exit(self, capsys):
-        code, _, err = run_cli(capsys, "run",
-                               str(SCENARIOS / "factorized.scenario"),
-                               "--work-limit", "4")
-        assert code == 1
-        assert "work limit" in err.lower() or "limit" in err.lower()
+    def test_work_limit_exit(self, capsys, tmp_path):
+        # 65536 composite points run; one more lambda_a value is refused
+        path = _edited(tmp_path, "factorized.scenario",
+                       functools.partial(_uniform_on, (1, 16, 16, 16, 16)))
+        code, out, err = run_cli(capsys, "run", path)
+        assert (code, err) == (0, "")
+        feasibility_doc = json.loads(out)["analyses"]["feasibility"]
+        assert len(feasibility_doc["joint"]["weights"]) == 65536
+        path = _edited(tmp_path, "factorized.scenario",
+                       functools.partial(_uniform_on, _OVER_THE_LIMIT))
+        code, out, err = run_cli(capsys, "run", path)
+        assert (code, out) == (1, "")
+        assert err == _OVER_THE_LIMIT_ERR
 
-    def test_work_limit_exit_builds_no_witness(self, capsys, monkeypatch):
+    def test_work_limit_exit_builds_no_witness(self, capsys, monkeypatch,
+                                               tmp_path):
         # the refusal comes before the full-size product joint is allocated
         def unbuildable(dists):
             raise AssertionError("witness built before the work limit")
 
         monkeypatch.setattr(correlation.FactorizedApparatus, "witness",
                             property(unbuildable))
-        code, out, err = run_cli(capsys, "run",
-                                 str(SCENARIOS / "factorized.scenario"),
-                                 "--work-limit", "4")
-        assert code == 1
-        assert out == ""
-        assert "limit is 4" in err
+        code, out, err = run_cli(capsys, "run", _edited(
+            tmp_path, "factorized.scenario",
+            functools.partial(_uniform_on, _OVER_THE_LIMIT)))
+        assert (code, out) == (1, "")
+        assert err == _OVER_THE_LIMIT_ERR
 
     def test_work_limit_applies_before_any_analysis(self, capsys, tmp_path,
                                                     monkeypatch):
@@ -200,13 +190,12 @@ class TestRun:
         assert err == ("bellsim: error: [feasibility] requires 9000000 units "
                        "of work, limit is 65536\n")
 
-    def test_work_limit_exit_joint_composite(self, capsys):
-        code, out, err = run_cli(capsys, "run",
-                                 str(SCENARIOS / "joint-composite.scenario"),
-                                 "--work-limit", "4")
-        assert code == 1
-        assert out == ""
-        assert "limit is 4" in err
+    def test_work_limit_exit_joint_composite(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", _edited(
+            tmp_path, "joint-composite.scenario",
+            functools.partial(_uniform_on, _OVER_THE_LIMIT)))
+        assert (code, out) == (1, "")
+        assert err == _OVER_THE_LIMIT_ERR
 
 
     def test_samples_above_the_cap_exit(self, capsys, tmp_path):
@@ -456,7 +445,7 @@ def _edited(tmp_path, name: str, edit) -> str:
 
 
 def _uniform_on(cards, doc):
-    """Uniform marginals and all-(+1) tables on spaces of ``cards``."""
+    """Uniform distributions and all-(+1) tables on spaces of ``cards``."""
     for space, c in zip(doc["spaces"], cards):
         space["values"] = [str(k) for k in range(c)]
     card = {space["label"]: c for space, c in zip(doc["spaces"], cards)}
@@ -464,9 +453,19 @@ def _uniform_on(cards, doc):
     for name in model["tables"]:
         model["tables"][name] = np.ones(
             (cards[0], card[model["spaces"][name]])).tolist()
-    for marginal in doc["distributions"]["marginals"].values():
-        size = math.prod(card[label] for label in marginal["domain"])
-        marginal["weights"] = [1.0 / size] * size
+    dists = doc["distributions"]
+    parts = [*dists.get("marginals", {}).values(),
+             *dists.get("apparatus", {}).values(),
+             *(dists[key] for key in ("rho", "joint") if key in dists)]
+    for part in parts:
+        size = math.prod(card[label] for label in part["domain"])
+        part["weights"] = [1.0 / size] * size
+
+
+#: One lambda_a value past the 65536 composite points a run admits.
+_OVER_THE_LIMIT = (1, 17, 16, 16, 16)
+_OVER_THE_LIMIT_ERR = ("bellsim: error: [feasibility] requires 69632 units "
+                       "of work, limit is 65536\n")
 
 
 def _too_many_samples(doc):
@@ -646,8 +645,9 @@ class TestErrorTags:
         (lambda _: ["enumerate-bound", "532"],
          "[correlation-engine] source cardinality must be at most 531, got 532\n"),
         (lambda _: ["enumerate-bound", "0"], "[correlation-engine] source"),
-        (lambda _: ["run", str(SCENARIOS / "factorized.scenario"),
-                    "--work-limit", "4"], "[feasibility] requires 32 units"),
+        (lambda p: ["run", _edited(p, "factorized.scenario",
+                                   functools.partial(_uniform_on, _OVER_THE_LIMIT))],
+         "[feasibility] requires 69632 units of work, limit is 65536\n"),
         (lambda _: ["generate", "foo"], "[cli-harness] unknown template"),
         (lambda p: ["run", str(p / "absent.scenario")],
          "[cli-harness] cannot read"),
@@ -1045,10 +1045,14 @@ class TestEnumerateBound:
         assert (doc["max_abs_s"], doc["strategies"]) == (2.0, 2 ** 2124)
 
     def test_help_names_no_work_limit(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate-bound", "--help"])
-        assert exc.value.code == 0
-        assert "--work-limit" not in capsys.readouterr().out
+        for command in ("enumerate-bound", "run"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert "--work-limit" not in out and "--seed" not in out
+        # run's whole interface is the scenario path and -o
+        assert out.startswith("usage: bellsim run [-h] [-o PATH] scenario\n")
 
 
 class TestQm:
@@ -1067,6 +1071,19 @@ class TestQm:
         assert doc["s"] == pytest.approx(-2 * math.sqrt(2), abs=1e-9)
         assert doc["bell_check"]["verdict"] == "Violated"
         assert len(doc["pairs"]) == 4
+
+    def test_chsh_predicts_each_pair_once(self, capsys, monkeypatch):
+        calls = []
+        real = qm.singlet_probabilities
+
+        def counted(a, b):
+            calls.append((a.name, b.name))
+            return real(a, b)
+
+        monkeypatch.setattr(qm, "singlet_probabilities", counted)
+        monkeypatch.setattr(report, "singlet_probabilities", counted)
+        assert run_cli(capsys, "qm", "chsh", *TSIRELSON)[0] == 0
+        assert calls == list(SETTING_PAIRS)
 
     def test_search(self, capsys):
         code, out, _ = run_cli(capsys, "qm", "search",

@@ -883,6 +883,23 @@ class TestEnumerateBound:
                            match=f"^source cardinality must be at most 531, got {10 ** 9}$"):
             enumerate_bound(10 ** 9)
 
+    @pytest.mark.parametrize("value, kind", [(True, "bool"), (2.5, "float"),
+                                             (np.int64(5), "int64")],
+                             ids=["bool", "float", "numpy-int"])
+    def test_non_int_refused(self, value, kind):
+        with pytest.raises(CorrelationError, match="^source cardinality must be "
+                           f"an integer, got {kind}$"):
+            enumerate_bound(value)
+
+    def test_huge_int_refused_without_rendering_it(self):
+        # 10**5000 has more digits than the default int-to-str limit
+        with pytest.raises(CorrelationError, match="^source cardinality must be "
+                           "at most 531, got an integer of 16610 bits$"):
+            enumerate_bound(10 ** 5000)
+        with pytest.raises(CorrelationError, match="^source cardinality must be "
+                           f"at most 531, got {2 ** 64 - 1}$"):
+            enumerate_bound(2 ** 64 - 1)
+
     def test_respects_raised_limit(self):
         for card in (5, 7, 16, MAX_ENUM_CARDINALITY):
             result = enumerate_bound(card)

@@ -37,6 +37,7 @@ from bellsim.feasibility import (
     CERTIFICATE_SLACK,
     LP_TOTAL_CELL_LIMIT,
     MARGINAL_TOL,
+    MAX_COMPOSITE_POINTS,
     check_joint_existence,
     classify,
     construct_nonlocal_witness,
@@ -56,6 +57,9 @@ from bellsim.spaces import (
 
 TSIRELSON_ANGLES = FOUR_SETTINGS
 TSIRELSON = 2.0 * math.sqrt(2.0)
+#: One lambda_a value past the composite points a mode may have, and its refusal.
+OVER_THE_LIMIT = (1, 17, 16, 16, 16)
+OVER_THE_LIMIT_MESSAGE = "^requires 69632 units of work, limit is 65536$"
 #: The starts of the refusals of an unchecked Feasible and Infeasible verdict.
 JOINT_REFUSED = "^joint misses the marginals by "
 CERTIFICATE_REFUSED = r"^certificate does not separate: max y\^T A = "
@@ -264,16 +268,14 @@ class TestWorkLimit:
                            "of work, limit is 65536$"):
             check_joint_existence(family)
 
-    def test_lowered_limit(self):
-        spaces = five_spaces((2, 2, 2, 2, 2))
-        marginals = {}
-        for p, q in SETTING_PAIRS:
-            dom = (spaces.lam, spaces.for_setting(p), spaces.for_setting(q))
-            marginals[(p, q)] = Distribution.uniform(dom)
-        family = SettingDependent(marginals)
-        with pytest.raises(FeasibilityError,
-                           match="^requires 32 units of work, limit is 16$"):
-            check_joint_existence(family, work_limit=16)
+    def test_limit_comes_before_the_lp_cap(self):
+        # 1 x 16^4 is admitted and then refused by the LP's cell cap;
+        # one more lambda_a value is refused by the point cap first
+        assert MAX_COMPOSITE_POINTS == 65536
+        for cards, message in [((1, 16, 16, 16, 16), "^requires 68225025 tableau cells"),
+                               (OVER_THE_LIMIT, OVER_THE_LIMIT_MESSAGE)]:
+            with pytest.raises(FeasibilityError, match=message):
+                check_joint_existence(uniform_family(cards))
 
 
 def uniform_factorized(cards) -> FactorizedApparatus:
@@ -338,38 +340,34 @@ class TestConstructionWitness:
         assert exc.value.module == "feasibility"
 
     def test_work_limit_applies(self):
-        joint = Distribution.uniform(tuple(five_spaces((2, 2, 2, 2, 2))))
-        dists = JointComposite(joint)
-        assert check_joint_existence(dists, work_limit=32).feasible
-        with pytest.raises(FeasibilityError,
-                           match="^requires 32 units of work, limit is 31$"):
-            check_joint_existence(dists, work_limit=31)
+        joint = Distribution.uniform(tuple(five_spaces((1, 16, 16, 16, 16))))
+        assert check_joint_existence(JointComposite(joint)).feasible
+        joint = Distribution.uniform(tuple(five_spaces(OVER_THE_LIMIT)))
+        with pytest.raises(FeasibilityError, match=OVER_THE_LIMIT_MESSAGE):
+            check_joint_existence(JointComposite(joint))
 
     def test_refused_family_builds_no_witness(self, monkeypatch):
         def unbuildable(dists):
             raise AssertionError("witness built before the work limit")
 
         monkeypatch.setattr(FactorizedApparatus, "witness", property(unbuildable))
-        with pytest.raises(FeasibilityError,
-                           match="^requires 32 units of work, limit is 31$"):
-            check_joint_existence(uniform_factorized((2, 2, 2, 2, 2)),
-                                  work_limit=31)
+        with pytest.raises(FeasibilityError, match=OVER_THE_LIMIT_MESSAGE):
+            check_joint_existence(uniform_factorized(OVER_THE_LIMIT))
 
     @pytest.mark.parametrize("mode", ["factorized", "joint-composite"])
     def test_refused_mode_builds_no_family(self, monkeypatch, mode):
         if mode == "factorized":
-            dists = uniform_factorized((2, 2, 2, 2, 2))
+            dists = uniform_factorized(OVER_THE_LIMIT)
         else:
-            dists = JointComposite(Distribution.uniform(tuple(five_spaces((2,) * 5))))
+            dists = JointComposite(Distribution.uniform(tuple(five_spaces(OVER_THE_LIMIT))))
 
         def unbuildable(*args):
             raise AssertionError("family built before the work limit")
 
         monkeypatch.setattr(correlation, "product_distribution", unbuildable)
         monkeypatch.setattr(correlation, "marginalize", unbuildable)
-        with pytest.raises(FeasibilityError,
-                           match="^requires 32 units of work, limit is 31$"):
-            check_joint_existence(dists, work_limit=31)
+        with pytest.raises(FeasibilityError, match=OVER_THE_LIMIT_MESSAGE):
+            check_joint_existence(dists)
 
     def test_factorized_part_on_two_spaces_is_refused(self):
         dists = uniform_factorized((2, 2, 2, 2, 2))
