@@ -12,13 +12,14 @@ Subcommands:
     bellsim qm search [--grid-step X] [--refine-rounds N] [-o OUT]
 
 A run takes its whole job from the scenario file, Monte Carlo seed
-included (``generate --mc-seed`` writes it).  Reports go to standard
-output unless -o names a file.  A relative -o path is resolved against
-BELLSIM_OUTPUT_DIR when that variable is set; this is the only
-environment configuration the tool reads.  Exit status is 0 whenever the
-requested run completes, whether or not the report's verdicts say
+included (``generate --mc-seed`` writes it), and a scenario whose parts
+do not fit together is refused when it is parsed, before any analysis.
+Reports go to standard output unless -o names a file; a relative -o path
+is resolved against the working directory.  Exit status is 0 whenever
+the requested run completes, whether or not the report's verdicts say
 Satisfied or Violated; it is nonzero only for parse, validation, and
-execution errors.
+execution errors, each printed as one ``bellsim: error: [module]
+message`` line on standard error.
 
 The argument parser is built once per process, on the first ``main``
 call rather than at import, and every later call reuses it.
@@ -29,7 +30,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -84,9 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", metavar="PATH", default=None,
-                        help="write the report here instead of standard output; "
-                             "relative paths resolve against BELLSIM_OUTPUT_DIR "
-                             "when set")
+                        help="write the report here instead of standard output")
 
     p_run = sub.add_parser("run", parents=[common],
                            help="execute a scenario file and emit its report")
@@ -148,9 +146,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     path = Path(output)
-    base = os.environ.get("BELLSIM_OUTPUT_DIR")
-    if base and not path.is_absolute():
-        path = Path(base) / path
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")

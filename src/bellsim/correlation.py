@@ -32,11 +32,13 @@ models with equal code masses get equal counts.
 
 Each apparatus mode holds one setting-pair family, read by
 ``feasibility``: ``marginals`` rho_pq on five ``spaces``, and a
-``witness`` joint (None on SettingDependent).  An ApparatusDeterministic
-model is checked against ``spaces`` once a report, before any family is
-built; the correlations then read ``marginals`` under every mode, so a
-JointComposite joint is summed into its four pair marginals once, and
-correlations and feasibility both read them.
+``witness`` joint (None on SettingDependent).  ``check_fit``, which the
+reports, the scenario parser and ``check_joint_existence`` call, refuses
+a model that does not fit its mode, by kind (the table above) or by
+spaces, before any family is built.  The correlations then read
+``marginals`` under every mode, so a JointComposite joint is summed into
+its four pair marginals once, and correlations and feasibility both read
+them.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import StreamDraws, mc_code_counts
-from .errors import CorrelationError, IncompatibleModeModel, work_limit_detail
+from .errors import CorrelationError, work_limit_detail
 from .models import (
     ApparatusDeterministic,
     Contextual,
@@ -376,18 +378,13 @@ def _outcome_decomposition(model: ResponseModel, dists: ScenarioDistributions,
                            p: Setting, q: Setting) -> np.ndarray:
     """The four code masses (++, +-, -+, --) of (model, distributions,
     pair), reading a +-1 table f as p(+1) = (f + 1)/2.  The model must
-    already suit its mode, and an apparatus model share its five spaces."""
+    already pass ``check_fit``."""
     pair_names = (p.name, q.name)
     if isinstance(model, ApparatusDeterministic):
         w = dists.marginals[pair_names].weights  # over (lambda, v_p, v_q)
         f, g = model.tables[p.name][:, :, None], model.tables[q.name][:, None, :]
     else:
-        rho = dists.rho if isinstance(dists, SourceOnly) else dists.marginals[pair_names]
-        if rho.domain != (model.lam,):
-            raise CorrelationError(
-                f"distribution domain {rho.labels} does not match the model's "
-                f"source space {model.lam.label!r}")
-        w = rho.flat
+        w = (dists.rho if isinstance(dists, SourceOnly) else dists.marginals[pair_names]).flat
         f, g = ((model.response_vector(p, q), model.response_vector(q, p))
                 if isinstance(model, Contextual) else (model.tables[n] for n in pair_names))
     if not isinstance(model, StochasticSource):
@@ -398,15 +395,24 @@ def _outcome_decomposition(model: ResponseModel, dists: ScenarioDistributions,
     return (w[..., None, None] * cells).reshape(-1, 4).sum(axis=0)
 
 
-def _decompositions(model: ResponseModel, dists: ScenarioDistributions,
-                    pairs) -> list[np.ndarray]:
-    """Each pair's four code masses.  The model is first checked against
-    its mode once, an apparatus model also by the five spaces they share,
-    before any pair family is built."""
+#: The distribution modes each model kind runs under.
+_MODES_OF = {
+    **dict.fromkeys((DeterministicSource, StochasticSource, Contextual),
+                    (SourceOnly, SettingDependent)),
+    ApparatusDeterministic: (SettingDependent, FactorizedApparatus, JointComposite),
+}
+
+
+def check_fit(model: ResponseModel, dists: ScenarioDistributions) -> None:
+    """Refuse a model whose kind does not run under the mode ``dists``,
+    an ApparatusDeterministic model whose five spaces are not the mode's,
+    and a source-kind model whose source space is not the domain of every
+    distribution, pairs in canonical order.  Reads no weights."""
+    if not isinstance(dists, _MODES_OF.get(type(model), ())):
+        kind = getattr(model, "kind", type(model).__name__)
+        raise CorrelationError(f"distribution mode {dists.mode!r} is incompatible "
+                               f"with model kind {kind!r}")
     if isinstance(model, ApparatusDeterministic):
-        if not isinstance(dists, (SettingDependent, FactorizedApparatus,
-                                  JointComposite)):
-            raise IncompatibleModeModel(dists.mode, model.kind)
         if dists.spaces != model.spaces:
             mode_spaces, model_spaces = (
                 tuple(f"{s.label}:{s.cardinality}" for s in spaces)
@@ -414,11 +420,19 @@ def _decompositions(model: ResponseModel, dists: ScenarioDistributions,
             raise CorrelationError(
                 f"{dists.mode} distributions live on {mode_spaces}, "
                 f"expected {model_spaces}")
-    elif isinstance(model, (DeterministicSource, StochasticSource, Contextual)):
-        if not isinstance(dists, (SourceOnly, SettingDependent)):
-            raise IncompatibleModeModel(dists.mode, model.kind)
-    else:
-        raise IncompatibleModeModel(dists.mode, getattr(model, "kind", type(model).__name__))
+        return
+    for rho in ((dists.rho,) if isinstance(dists, SourceOnly)
+                else (dists.marginals[pair] for pair in SETTING_PAIRS)):
+        if rho.domain != (model.lam,):
+            raise CorrelationError(
+                f"distribution domain {rho.labels} does not match the model's "
+                f"source space {model.lam.label!r}")
+
+
+def _decompositions(model: ResponseModel, dists: ScenarioDistributions,
+                    pairs) -> list[np.ndarray]:
+    """Each pair's four code masses, once ``check_fit`` passes."""
+    check_fit(model, dists)
     return [_outcome_decomposition(model, dists, p, q) for p, q in pairs]
 
 

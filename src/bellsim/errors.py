@@ -81,13 +81,6 @@ class RemoteDependenceForbidden(ResponseModelError):
             "which the separated flag forbids")
 
 
-class IncompatibleModeModel(CorrelationError):
-    """The scenario-distribution mode cannot drive the given model kind."""
-
-    def __init__(self, mode: str, kind: str):
-        super().__init__(f"distribution mode {mode!r} is incompatible with model kind {kind!r}")
-
-
 class NonFiniteAngle(QmError):
     """An analyzer angle given to the singlet oracle, or the difference of
     two, is NaN or infinite."""

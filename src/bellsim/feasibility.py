@@ -66,14 +66,14 @@ from typing import Literal
 import numpy as np
 
 from .correlation import (BELL_BOUND_TOL, FactorizedApparatus, JointComposite,
-                          SettingDependent, SourceOnly)
+                          ScenarioDistributions, SettingDependent, SourceOnly,
+                          check_fit)
 from .errors import FeasibilityError, work_limit_detail
 from .models import ApparatusDeterministic, Setting
 from .qm import singlet_chsh, singlet_probabilities
-from .simplex import column_sums, pair_rows, solve_block
+from .simplex import block_size, column_sums, pair_rows, solve_block
 from .spaces import (
     CHSH_SIGNS,
-    SETTING_AXIS,
     SETTING_NAMES,
     SETTING_PAIRS,
     Distribution,
@@ -133,6 +133,21 @@ def marginal_residual(marginals: Mapping[tuple[str, str], Distribution],
                for rho in (marginals[pair] for pair in SETTING_PAIRS))
 
 
+def family_spaces(dists: ScenarioDistributions) -> FiveSpaces:
+    """The five spaces of the setting-pair family the mode ``dists``
+    induces.  Raises :class:`FeasibilityError` for SourceOnly, which has
+    none, and the mode's error when it lies on no five spaces."""
+    if isinstance(dists, SourceOnly):
+        raise FeasibilityError(
+            f"no setting-pair marginal family for mode {dists.mode}")
+    return dists.spaces
+
+
+def _pair_major(family: SettingDependent) -> np.ndarray:
+    """b, the marginal cells in the row order of the full system."""
+    return np.concatenate([family.marginals[pair].flat for pair in SETTING_PAIRS])
+
+
 def admit(spaces: FiveSpaces) -> None:
     """Refuse five spaces of more than ``MAX_COMPOSITE_POINTS`` points."""
     n = math.prod(s.cardinality for s in spaces)
@@ -145,9 +160,7 @@ def _admit_lp(family: SettingDependent) -> None:
     dense-tableau cells together, a size measure (the solver's state is
     (m + 1)(m + 2) per block), before any block is solved."""
     cards = [s.cardinality for s in family.spaces]
-    m = sum(cards[SETTING_AXIS[p]] * cards[SETTING_AXIS[q]]
-            for p, q in SETTING_PAIRS)
-    n = math.prod(cards[1:])
+    m, n = block_size(cards[1:])
     cells = cards[0] * (m + 1) * (n + m + 1)
     if cells > LP_TOTAL_CELL_LIMIT:
         blocks = "an LP block" if cards[0] == 1 else f"{cards[0]} LP blocks"
@@ -193,21 +206,12 @@ def _chsh_certificate(family: SettingDependent,
     - 1/2, laid out like the rows of the full system, with sigma the CHSH
     signs and g the sign of S.  Every column's y^T A is g times the CHSH
     sum of four +-1 values, minus 2, so at most 0 exactly; y^T b is
-    |S| - 2.  Raises :class:`FeasibilityError` unless the model
-    and the family share their five spaces.
+    |S| - 2.  The model must share the family's five spaces.
     """
-    if model.spaces != family.spaces:
-        model_spaces, family_spaces = (
-            [f"{s.label}:{s.cardinality}" for s in spaces]
-            for spaces in (model.spaces, family.spaces))
-        raise FeasibilityError(
-            f"model spaces {model_spaces} differ from the family's "
-            f"{family_spaces}")
     t = np.concatenate([
         sign * (model.tables[p][:, :, None] * model.tables[q][:, None, :]).ravel()
         for sign, (p, q) in zip(CHSH_SIGNS, SETTING_PAIRS)])
-    b = np.concatenate([family.marginal(p, q).flat for p, q in SETTING_PAIRS])
-    g = 1.0 if math.fsum(t * b) >= 0.0 else -1.0
+    g = 1.0 if math.fsum(t * _pair_major(family)) >= 0.0 else -1.0
     return g * t - 0.5
 
 
@@ -219,8 +223,10 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     marginal of the family the mode ``dists`` induces, and produce the
     witness either way.
 
-    ``admit`` caps the mode's ``spaces`` at ``MAX_COMPOSITE_POINTS``
-    composite points before any family, joint or LP is built.  A
+    A ``model`` must fit the mode (``correlation.check_fit``), and the
+    mode must induce a family (``family_spaces``); then ``admit`` caps
+    its ``spaces`` at ``MAX_COMPOSITE_POINTS`` composite points.  All
+    three run before any family, joint or LP is built.  A
     FactorizedApparatus or JointComposite mode is Feasible by
     construction, with its ``witness``.  A SettingDependent family read
     out by an ApparatusDeterministic ``model`` is Infeasible, with the
@@ -228,16 +234,14 @@ def check_joint_existence(dists: SettingDependent | FactorizedApparatus
     other SettingDependent family goes to the LP, once its blocks fit
     ``LP_TOTAL_CELL_LIMIT`` dense-tableau cells, a size measure (the
     solver's state is (m + 1)(m + 2) per block).  A Feasible verdict
-    carries its joint as found, unscaled.  Raises
-    :class:`FeasibilityError` for a SourceOnly mode or a model whose
-    spaces differ from the family's, past either limit, and when the
-    joint misses the marginals by more than ``MARGINAL_TOL`` or the LP's
+    carries its joint as found, unscaled.  Raises the fit checks' errors,
+    and :class:`FeasibilityError` past either limit, and when the joint
+    misses the marginals by more than ``MARGINAL_TOL`` or the LP's
     certificate does not separate.
     """
-    if isinstance(dists, SourceOnly):
-        raise FeasibilityError(
-            f"no setting-pair marginal family for mode {dists.mode}")
-    admit(dists.spaces)
+    if model is not None:
+        check_fit(model, dists)
+    admit(family_spaces(dists))
     marginals, witness = dists.marginals, dists.witness
     if witness is not None:
         return _feasible_verdict(marginals, witness)
@@ -286,7 +290,7 @@ def verify_certificate(family: SettingDependent,
     entry per row.
     """
     y = np.asarray(certificate, dtype=np.float64)
-    b = np.concatenate([family.marginal(p, q).flat for p, q in SETTING_PAIRS])
+    b = _pair_major(family)
     if y.shape != b.shape:
         entries = " x ".join(map(str, y.shape)) or "1"  # a 0-d array holds one
         raise FeasibilityError(f"certificate has {entries} entries, "

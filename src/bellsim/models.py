@@ -42,31 +42,27 @@ _REMOTES = {name: SIDE_B_NAMES if name in SIDE_A_NAMES else SIDE_A_NAMES
 
 @dataclass(frozen=True)
 class Setting:
-    """One analyzer configuration: side, canonical name, planar angle."""
+    """One analyzer configuration: canonical name and planar angle.  The
+    name fixes the side: a and a_prime are side A, b and b_prime side B."""
 
-    side: str
     name: str
     angle: float
 
     def __post_init__(self) -> None:
-        if self.side not in ("A", "B"):
-            raise ResponseModelError(f"side must be 'A' or 'B', got {self.side!r}")
-        expected = SIDE_A_NAMES if self.side == "A" else SIDE_B_NAMES
-        if self.name not in expected:
-            raise ResponseModelError(
-                f"setting {self.name!r} is not valid on side {self.side}")
+        if self.name not in SETTING_NAMES:
+            raise ResponseModelError(f"unknown setting name {self.name!r}; "
+                                     f"expected one of {SETTING_NAMES}")
 
     @property
     def is_side_a(self) -> bool:
-        return self.side == "A"
+        return self.name in SIDE_A_NAMES
 
 
 def standard_settings(theta_a: float, theta_a_prime: float, theta_b: float,
                       theta_b_prime: float) -> tuple[Setting, Setting, Setting, Setting]:
     """The four canonical settings (a, a_prime, b, b_prime) at given angles."""
     angles = (theta_a, theta_a_prime, theta_b, theta_b_prime)
-    return tuple(Setting("A" if name in SIDE_A_NAMES else "B", name, angle)
-                 for name, angle in zip(SETTING_NAMES, angles))
+    return tuple(Setting(name, angle) for name, angle in zip(SETTING_NAMES, angles))
 
 
 def _check_signs(arr: np.ndarray, what: str) -> None:
@@ -177,7 +173,7 @@ class Contextual:
         return _tables_equal(self, other) and self.separated == other.separated
 
     def response_vector(self, setting: Setting, remote: Setting) -> np.ndarray:
-        if setting.side == remote.side:
+        if setting.is_side_a == remote.is_side_a:
             raise ResponseModelError(
                 f"remote setting {remote.name!r} is on the same side as {setting.name!r}")
         return self.tables[(setting.name, remote.name)]

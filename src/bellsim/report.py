@@ -66,7 +66,7 @@ def _feasibility_doc(scenario: Scenario) -> dict[str, Any]:
     return {"status": verdict.status,
             "classification": "Nonlocal",
             "violation": verdict.violation,
-            "certificate": [float(y) for y in verdict.certificate],
+            "certificate": verdict.certificate.tolist(),
             "certificate_check": {"max_y_transpose_A": verdict.max_yta,
                                   "y_transpose_b": verdict.violation}}
 
@@ -170,8 +170,8 @@ def _qm_pair_doc(a: Setting, b: Setting) -> dict[str, Any]:
 
 
 def qm_table_doc(angle_a: float, angle_b: float) -> dict[str, Any]:
-    a = Setting("A", "a", angle_a)
-    b = Setting("B", "b", angle_b)
+    a = Setting("a", angle_a)
+    b = Setting("b", angle_b)
     doc = {"report_version": SCHEMA_VERSION, "command": "qm-table",
            "angles": {"a": angle_a, "b": angle_b}}
     doc.update(_qm_pair_doc(a, b))

@@ -52,7 +52,12 @@ one JSON object raise CliError naming the field.
 Payloads go straight to the constructors of their modules, so a payload
 that breaks a module's invariant raises that module's error (for example
 a negative weight raises HvCoreError, tagged ``hv-core``).  Parts that do
-not fit together (model kind, mode and requested analyses) raise CliError.
+not fit together raise what the owner of the broken rule raises for a
+library caller: ``correlation.check_fit`` for a model that does not fit
+its mode (the comparison model's mode is SourceOnly over the source
+distribution), ``feasibility.family_spaces`` for a feasibility analysis
+on a mode with no setting-pair family.  The emulation rules raise
+CliError.
 ``generate_scenario`` emits ready-to-run documents for the four bundled
 templates.
 """
@@ -71,9 +76,9 @@ import numpy as np
 
 from .correlation import (MAX_SAMPLES, EstimatorInfo, FactorizedApparatus,
                           JointComposite, ScenarioDistributions,
-                          SettingDependent, SourceOnly)
+                          SettingDependent, SourceOnly, check_fit)
 from .errors import BellsimError, CliError, ParameterOutOfRange
-from .feasibility import construct_nonlocal_witness
+from .feasibility import construct_nonlocal_witness, family_spaces
 from .models import (ApparatusDeterministic, Contextual, DeterministicSource,
                      ResponseModel, Setting, StochasticSource,
                      standard_settings, stochastic_from_apparatus)
@@ -394,29 +399,14 @@ def _parse_run(value: Any) -> RunBlock:
     return RunBlock(estimator=estimator, analyses=tuple(seen))
 
 
-_SOURCE_KINDS = (DeterministicSource, StochasticSource, Contextual)
-
-
 def _check_cross_constraints(scenario: Scenario) -> None:
+    """Refuse parts that do not fit together, through the owners of the
+    model/mode and pair-family rules; the emulation rules are this
+    module's own."""
     model, dists = scenario.model, scenario.distributions
-    if isinstance(model, _SOURCE_KINDS) and not isinstance(
-            dists, (SourceOnly, SettingDependent)):
-        raise CliError(f"model kind {model.kind} requires mode SourceOnly "
-                       f"or SettingDependent, got {dists.mode}")
-    if isinstance(model, ApparatusDeterministic) and isinstance(dists, SourceOnly):
-        raise CliError("model kind ApparatusDeterministic cannot run "
-                       "under mode SourceOnly")
-
+    check_fit(model, dists)
     if "feasibility" in scenario.run.analyses:
-        if isinstance(dists, SourceOnly):
-            raise CliError("feasibility analysis is undefined for mode "
-                           "SourceOnly; it needs a setting-pair marginal family")
-        if isinstance(dists, SettingDependent):
-            any_dist = next(iter(dists.marginals.values()))
-            if len(any_dist.domain) != 3:
-                raise CliError(
-                    "feasibility analysis needs (lambda, lambda_p, lambda_q) "
-                    "marginals, not source-only ones")
+        family_spaces(dists)
 
     if "emulation" in scenario.run.analyses:
         if scenario.comparison_model is None:
@@ -430,6 +420,7 @@ def _check_cross_constraints(scenario: Scenario) -> None:
         if not isinstance(dists, FactorizedApparatus):
             raise CliError("emulation analysis requires mode "
                            "FactorizedApparatus")
+        check_fit(scenario.comparison_model, SourceOnly(dists.rho))
 
 
 def parse_scenario(doc: Any, digest: str = "") -> Scenario:
@@ -526,7 +517,7 @@ def dist_doc(dist: Distribution) -> dict[str, Any]:
     """A distribution as its file and report form: domain labels plus flat
     row-major weights."""
     return {"domain": list(dist.labels),
-            "weights": [float(w) for w in dist.flat]}
+            "weights": dist.flat.tolist()}
 
 
 def estimator_doc(info: EstimatorInfo) -> dict[str, Any]:

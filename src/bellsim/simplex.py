@@ -124,6 +124,12 @@ def pair_rows(cards: Sequence[int]) -> np.ndarray:
     return np.array(rows)
 
 
+def block_size(shape: Sequence[int]) -> tuple[int, int]:
+    """(rows m, columns n) of the block of ``shape`` = (d_a, d_a', d_b, d_b')."""
+    return (sum(shape[SETTING_AXIS[p] - 1] * shape[SETTING_AXIS[q] - 1]
+                for p, q in SETTING_PAIRS), math.prod(shape))
+
+
 def column_sums(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """y^T A for every point of ``rows = pair_rows(cards)``: the four-term
     sum y_ab + y_ab' + y_a'b + y_a'b', added in that order."""
@@ -165,9 +171,7 @@ def solve_block(shape: Sequence[int], b: np.ndarray,
     """
     if rows is None:
         rows = pair_rows((1, *shape))
-    n = math.prod(shape)
-    m = sum(shape[SETTING_AXIS[p] - 1] * shape[SETTING_AXIS[q] - 1]
-            for p, q in SETTING_PAIRS)
+    m, n = block_size(shape)
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (m,):
         raise SimplexError(f"b has shape {b.shape}, expected ({m},)")

@@ -197,10 +197,10 @@ def test_criterion_7_stochastic_emulation():
                           "grid; pi/8 search with 3 refinements reaches "
                           "|S| >= 2.8274")
 def test_criterion_8_qm_self_consistency():
-    a = Setting("A", "a", 0.0)
+    a = Setting("a", 0.0)
     for degrees in range(361):
         theta = math.radians(degrees)
-        b = Setting("B", "b", theta)
+        b = Setting("b", theta)
         assert abs(singlet_correlation(a, b) - (-math.cos(theta))) <= 1e-12
     _, best = max_violation_search(math.pi / 8, 3)
     assert best >= 2.8274

@@ -109,22 +109,15 @@ class TestRun:
         assert out == ""
         json.loads(out_path.read_text(encoding="utf-8"))
 
-    def test_output_dir_env_var(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BELLSIM_OUTPUT_DIR", str(tmp_path))
-        code, _, _ = run_cli(capsys, "run",
-                             str(SCENARIOS / "factorized.scenario"),
-                             "-o", "nested/report.json")
+    def test_relative_output_resolves_against_working_directory(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "run",
+                               str(SCENARIOS / "factorized.scenario"),
+                               "-o", "nested/report.json")
         assert code == 0
-        assert (tmp_path / "nested" / "report.json").is_file()
-
-    def test_absolute_output_ignores_env_var(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BELLSIM_OUTPUT_DIR", str(tmp_path / "elsewhere"))
-        target = tmp_path / "direct.json"
-        code, _, _ = run_cli(capsys, "run",
-                             str(SCENARIOS / "factorized.scenario"),
-                             "-o", str(target))
-        assert code == 0
-        assert target.is_file()
+        assert out == ""
+        json.loads((tmp_path / "nested" / "report.json").read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--work-limit", "4"]],
                              ids=["seed", "work-limit"])
@@ -778,8 +771,8 @@ class TestErrorTags:
          "[cli-harness] description: expected a string"),
         (lambda p: ["run", _edited(p, "factorized.scenario",
                                    _apparatus_under_source_only)],
-         "[cli-harness] model kind ApparatusDeterministic cannot run under "
-         "mode SourceOnly"),
+         "[correlation-engine] distribution mode 'SourceOnly' is incompatible "
+         "with model kind 'ApparatusDeterministic'\n"),
         (lambda p: ["run", _edited(p, "stochastic-equivalent.scenario",
                                    _drop("comparison_model"))],
          "[cli-harness] emulation analysis requires comparison_model"),

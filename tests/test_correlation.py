@@ -41,7 +41,7 @@ from bellsim.correlation import (
     exact_report,
     monte_carlo_report,
 )
-from bellsim.errors import CorrelationError, IncompatibleModeModel, NotNormalized
+from bellsim.errors import CorrelationError, NotNormalized
 from bellsim.feasibility import check_joint_existence
 from bellsim.models import (
     SETTING_NAMES,
@@ -278,11 +278,11 @@ class TestExactCorrelation:
         factorized = FactorizedApparatus(
             random_distribution(np.random.default_rng(5), (app.spaces.lam,)),
             random_apparatus_dists(np.random.default_rng(6), app.spaces))
-        with pytest.raises(IncompatibleModeModel, match="'FactorizedApparatus' is "
+        with pytest.raises(CorrelationError, match="'FactorizedApparatus' is "
                            "incompatible with model kind 'DeterministicSource'"):
             exact_report(det, factorized, FOUR_SETTINGS)
         rho = SourceOnly(random_distribution(np.random.default_rng(7), (det.lam,)))
-        with pytest.raises(IncompatibleModeModel, match="'SourceOnly' is "
+        with pytest.raises(CorrelationError, match="'SourceOnly' is "
                            "incompatible with model kind 'ApparatusDeterministic'"):
             exact_report(app, rho, FOUR_SETTINGS)
 

@@ -669,9 +669,11 @@ class TestChshCertificate:
         model = ApparatusDeterministic(spaces, {
             name: np.ones((cards[0], spaces.for_setting(name).cardinality))
             for name in ("a", "a_prime", "b", "b_prime")})
-        with pytest.raises(FeasibilityError, match="differ from the family's") as exc:
+        with pytest.raises(CorrelationError, match="^SettingDependent distributions "
+                           r"live on \('lambda:1', .*\), expected \('lambda:"
+                           f"{cards[0]}', ") as exc:
             check_joint_existence(family, model=model)
-        assert exc.value.module == "feasibility"
+        assert exc.value.module == "correlation-engine"
 
 
 def uniform_family(cards) -> SettingDependent:

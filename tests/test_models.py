@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,12 +51,14 @@ def passthrough_apparatus(spaces=None) -> ApparatusDeterministic:
 
 class TestSetting:
     def test_sides_enforced(self):
-        with pytest.raises(ResponseModelError, match="'b' is not valid on side A"):
-            Setting("A", "b", 0.0)
-        with pytest.raises(ResponseModelError, match="'a_prime' is not valid on side B"):
-            Setting("B", "a_prime", 0.0)
-        with pytest.raises(ResponseModelError, match="side must be 'A' or 'B', got 'C'"):
-            Setting("C", "a", 0.0)
+        # the name fixes the side, so only the four canonical names exist
+        assert [Setting(name, 0.0).is_side_a for name in SETTING_NAMES] == [
+            True, True, False, False]
+        for name in ("c", "A", "a|b"):
+            with pytest.raises(ResponseModelError, match="^" + re.escape(
+                    f"unknown setting name {name!r}; expected one of "
+                    "('a', 'a_prime', 'b', 'b_prime')") + "$"):
+                Setting(name, 0.0)
 
     def test_standard_layout(self):
         assert (A.name, A2.name, B.name, B2.name) == ("a", "a_prime", "b", "b_prime")

@@ -28,7 +28,7 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 
 
 def prediction(theta_a: float, theta_b: float) -> SingletPrediction:
-    return singlet_probabilities(Setting("A", "a", theta_a), Setting("B", "b", theta_b))
+    return singlet_probabilities(Setting("a", theta_a), Setting("b", theta_b))
 
 
 class TestSingletProbabilities:
@@ -67,8 +67,8 @@ class TestSingletProbabilities:
             2.0 * math.pi - 4.0, abs=TOL)
 
     def test_side_enforced(self):
-        b = Setting("B", "b", 0.0)
-        a = Setting("A", "a", 0.0)
+        b = Setting("b", 0.0)
+        a = Setting("a", 0.0)
         with pytest.raises(QmError, match="^first setting must be on side A, got 'b'$"):
             singlet_probabilities(b, b)
         with pytest.raises(QmError, match="^second setting must be on side B, got 'a'$"):
@@ -268,6 +268,6 @@ def scalar_search(grid_step: float, max_rounds: int
 
 
 def test_correlation_shortcut_matches_prediction():
-    a = Setting("A", "a_prime", 0.3)
-    b = Setting("B", "b_prime", 2.1)
+    a = Setting("a_prime", 0.3)
+    b = Setting("b_prime", 2.1)
     assert singlet_correlation(a, b) == singlet_probabilities(a, b).correlation

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -11,10 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.correlation import (FactorizedApparatus, JointComposite,
-                                 SettingDependent)
-from bellsim.errors import (CliError, CorrelationError, HvCoreError, NotNormalized,
+from bellsim import cli
+from bellsim import scenario as scenario_module
+from bellsim.correlation import (MAX_SAMPLES, FactorizedApparatus, JointComposite,
+                                 SettingDependent, SourceOnly, exact_report)
+from bellsim.errors import (BellsimError, CliError, CorrelationError,
+                            FeasibilityError, HvCoreError, NotNormalized,
                             ParameterOutOfRange, ResponseModelError)
+from bellsim.feasibility import check_joint_existence
 from bellsim.models import ApparatusDeterministic, StochasticSource
 from bellsim.scenario import (ANALYSES, SCHEMA_VERSION, TEMPLATES,
                               generate_scenario, load_scenario,
@@ -300,10 +305,11 @@ class TestValidationAttribution:
         doc["model"] = {"kind": "DeterministicSource", "space": "lambda",
                         "tables": {name: [1.0] * len(lam_values)
                                    for name in ("a", "a_prime", "b", "b_prime")}}
-        with pytest.raises(CliError, match="^model kind DeterministicSource requires mode "
-                           "SourceOnly or SettingDependent, got FactorizedApparatus$") as exc:
+        with pytest.raises(CorrelationError, match="^distribution mode "
+                           "'FactorizedApparatus' is incompatible with model kind "
+                           "'DeterministicSource'$") as exc:
             parse_scenario(doc)
-        assert exc.value.module == "cli-harness"
+        assert exc.value.module == "correlation-engine"
 
     def test_feasibility_needs_family(self):
         doc = generate_scenario("factorized", {"seed": 0})
@@ -315,8 +321,10 @@ class TestValidationAttribution:
             "mode": "SourceOnly",
             "rho": {"domain": ["lambda"],
                     "weights": [1.0 / len(lam_values)] * len(lam_values)}}
-        with pytest.raises(CliError, match="^feasibility analysis is undefined"):
+        with pytest.raises(FeasibilityError, match="^no setting-pair marginal "
+                           "family for mode SourceOnly$") as exc:
             parse_scenario(doc)
+        assert exc.value.module == "feasibility"
 
     def test_emulation_requires_comparison_model(self):
         doc = generate_scenario("stochastic-equivalent", {"seed": 0})
@@ -324,6 +332,131 @@ class TestValidationAttribution:
         with pytest.raises(CliError,
                            match="^emulation analysis requires comparison_model$"):
             parse_scenario(doc)
+
+
+
+def _source_model(doc):
+    n = len(doc["spaces"][0]["values"])
+    doc["model"] = {"kind": "DeterministicSource", "space": "lambda",
+                    "tables": {name: [1.0] * n
+                               for name in ("a", "a_prime", "b", "b_prime")}}
+    return n
+
+
+def _apparatus_under_source_only(doc):
+    doc["distributions"] = {"mode": "SourceOnly", "rho": doc["distributions"]["rho"]}
+
+
+def _apparatus_part_on_other_space(doc):
+    doc["distributions"]["apparatus"]["a_prime"]["domain"] = ["lambda_b"]
+
+
+def _source_model_off_its_space(doc):
+    _source_model(doc)
+    doc["distributions"] = {"mode": "SourceOnly",
+                            "rho": doc["distributions"]["apparatus"]["a"]}
+
+
+def _feasibility_on_source_only(doc):
+    n = _source_model(doc)
+    doc["distributions"] = {"mode": "SourceOnly", "rho": {
+        "domain": ["lambda"], "weights": [1.0 / n] * n}}
+
+
+def _feasibility_on_lambda_marginals(doc):
+    n = _source_model(doc)
+    doc["distributions"] = {"mode": "SettingDependent", "marginals": {
+        key: {"domain": ["lambda"], "weights": [1.0 / n] * n}
+        for key in ("a|b", "a|b_prime", "a_prime|b", "a_prime|b_prime")}}
+
+
+def _comparison_model_off_its_space(doc):
+    doc["comparison_model"]["space"] = "lambda_a"
+
+
+def _exact(scenario):
+    return exact_report(scenario.model, scenario.distributions, scenario.settings)
+
+
+def _exact_comparison(scenario):
+    return exact_report(scenario.comparison_model,
+                        SourceOnly(scenario.distributions.rho), scenario.settings)
+
+
+def _feasibility(scenario):
+    return check_joint_existence(scenario.distributions, scenario.model)
+
+
+_SPACES_2 = ("('lambda:2', 'lambda_a:2', 'lambda_a_prime:2', 'lambda_b:2', "
+             "'lambda_b_prime:2')")
+
+#: Each misfit: the 2^5 template it edits, the edit, the library call that
+#: owns its rule, and the error both raise.
+MISFITS = {
+    "source-model-under-factorized": (
+        "factorized", _source_model, _exact, CorrelationError,
+        "distribution mode 'FactorizedApparatus' is incompatible with model "
+        "kind 'DeterministicSource'"),
+    "apparatus-model-under-source-only": (
+        "factorized", _apparatus_under_source_only, _exact, CorrelationError,
+        "distribution mode 'SourceOnly' is incompatible with model kind "
+        "'ApparatusDeterministic'"),
+    "apparatus-model-on-other-spaces": (
+        "factorized", _apparatus_part_on_other_space, _exact, CorrelationError,
+        "FactorizedApparatus distributions live on ('lambda:2', 'lambda_a:2', "
+        f"'lambda_b:2', 'lambda_b:2', 'lambda_b_prime:2'), expected {_SPACES_2}"),
+    "source-model-off-its-space": (
+        "factorized", _source_model_off_its_space, _exact, CorrelationError,
+        "distribution domain ('lambda_a',) does not match the model's source "
+        "space 'lambda'"),
+    "comparison-model-off-its-space": (
+        "stochastic-equivalent", _comparison_model_off_its_space, _exact_comparison, CorrelationError,
+        "distribution domain ('lambda',) does not match the model's source "
+        "space 'lambda_a'"),
+    "feasibility-on-source-only": (
+        "factorized", _feasibility_on_source_only, _feasibility, FeasibilityError,
+        "no setting-pair marginal family for mode SourceOnly"),
+    "feasibility-on-lambda-marginals": (
+        "factorized", _feasibility_on_lambda_marginals, _feasibility, CorrelationError,
+        "setting-pair marginals need domains (lambda, lambda_p, lambda_q) over "
+        "one set of five spaces, got [('lambda',), ('lambda',), ('lambda',), "
+        "('lambda',)]"),
+}
+
+
+class TestMisfits:
+    """Each fit rule has one owner: the parser refuses a misfit with the
+    error its library owner raises, and so does ``bellsim run``, before
+    any estimator runs."""
+
+    @pytest.mark.parametrize("name", MISFITS)
+    def test_parser_raises_the_owners_error(self, monkeypatch, tmp_path, name):
+        template, edit, owner, cls, message = MISFITS[name]
+        doc = generate_scenario(template, {"seed": 0})
+        edit(doc)
+        with pytest.raises(BellsimError) as parsed:
+            parse_scenario(doc)
+        assert (type(parsed.value), str(parsed.value)) == (cls, message)
+
+        # the owner, called on the parts the parser built, raises the same
+        monkeypatch.setattr(scenario_module, "_check_cross_constraints",
+                            lambda scenario: None)
+        parts = parse_scenario(doc)
+        monkeypatch.undo()
+        with pytest.raises(BellsimError) as owned:
+            owner(parts)
+        assert (type(owned.value), str(owned.value)) == (cls, message)
+
+        # a run asking for the sample cap is refused before any estimator
+        doc["run"]["estimator"] = {"method": "monte-carlo",
+                                   "samples": MAX_SAMPLES, "seed": 0}
+        path = tmp_path / "misfit.scenario"
+        write_scenario(path, doc)
+        monkeypatch.setattr("bellsim.report._monte_carlo_reports", None)
+        err = io.StringIO()
+        monkeypatch.setattr("sys.stderr", err)
+        assert cli.main(["run", str(path)]) == 1
+        assert err.getvalue() == f"bellsim: error: [{cls.module}] {message}\n"
 
 
 class TestGeneration:
